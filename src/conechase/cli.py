@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .derive import (
     AssertionMismatch,
@@ -28,6 +27,7 @@ from .derive import (
 )
 from .groups import ExtensionUnresolved, GroupError
 from .kb import KbError, KbMissingFact, load_catalog
+from .les import LesError
 from .terms import TermError
 from . import filtration
 
@@ -103,14 +103,8 @@ def cmd_reproduce(args) -> int:
     failures = 0
     if args.format == "text":
         print(f"# kb digest: {cat.digest}")
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_reproduce_one, runner, name, params)
-                       for name, params in REPRODUCE_ROWS]
-            results = [f.result() for f in futures]
-    else:
-        results = [_reproduce_one(runner, name, params)
-                   for name, params in REPRODUCE_ROWS]
+    results = [_reproduce_one(runner, name, params)
+               for name, params in REPRODUCE_ROWS]
     for name, params, rendered, err in results:
         ptxt = ",".join(f"{k}={v}" for k, v in params.items())
         if err is None:
@@ -215,7 +209,6 @@ def main(argv=None) -> int:
     pr = sub.add_parser("reproduce",
                         help="run every shipped derivation over the grid")
     pr.add_argument("--format", choices=["text", "machine"], default="text")
-    pr.add_argument("--jobs", type=int, default=1)
     pr.set_defaults(func=cmd_reproduce)
 
     pf = sub.add_parser("filtration", help="print a fiber filtration model")
@@ -239,7 +232,8 @@ def main(argv=None) -> int:
     except AssertionMismatch as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ASSERTION
-    except (KbError, GroupError, TermError, DeriveError, OSError) as e:
+    except (KbError, GroupError, TermError, DeriveError, LesError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -37,18 +37,18 @@ from .groups import (
     solve_extension,
     strip_odd,
 )
-from .kb import KbCatalog, KbError, KbMissingFact, guard_holds
+from .kb import KbCatalog, KbError, guard_holds
 from .les import (
     Boundary,
     LesError,
     PiGroup,
+    boundary_hom,
     derived_pi_group,
     direct_sum_pi,
     express,
     fibration,
     pi_group_from_fact,
     push_forward,
-    strip_prefix,
 )
 from .terms import (
     Element,
@@ -260,9 +260,10 @@ class Runner:
     # -- internals ----------------------------------------------------------
 
     def _ctx(self, env):
-        """A per-run view of the (cached, shared) rule context: the rule
-        tables are read-only and shared, the fact-recording hook is owned
-        by the run, so parallel rows cannot cross-record citations."""
+        """A per-run view of the cached rule context for ``env``: the
+        memoised rules are shared, the fact-recording hook is the run's
+        own, so a ``run`` sub-derivation that shares its parent's context
+        records its citations in its own transcript only."""
         import copy
         key = tuple(sorted((k, v) for k, v in env.items()))
         ctx = self._ctx_cache.get(key)
@@ -406,7 +407,8 @@ class Runner:
             strip = None
             if "strip" in args and args["strip"] != "none":
                 strip = self._parse_el(args["strip"], env, bindings)
-            return self._boundary(fib, k, source, target, strip, env, ctx)
+            return boundary_hom(self.catalog, env, fib, k, source, target, ctx,
+                                strip=strip)
 
         if verb == "cokernel":
             bnd = bindings.get(args["of"])
@@ -572,29 +574,6 @@ class Runner:
             Word((self.catalog.registry.make("j_F", (mval,)),)))
         return push_forward(base, jf, parse_space(fibkey, env), ctx)
 
-    def _boundary(self, fib, k, source, target, strip, env, ctx) -> Boundary:
-        from .les import boundary_value
-        from .groups import GroupHom, IntMat
-        if not source.unit_protos():
-            raise LesError("source chart must consist of unit prototypes")
-        values = []
-        for i in range(source.group.rank):
-            gen = source.generator_element(i)
-            v = boundary_value(self.catalog, env, fib, gen, ctx)
-            if strip is not None and not v.is_zero():
-                v = strip_prefix(v, strip, ctx)
-            values.append(v)
-        if target is None:
-            if all(v.is_zero() for v in values):
-                return Boundary(source, None, values, None)
-            raise LesError(
-                "boundary has nonzero values; a target chart is required")
-        cols = [express(v, target, ctx) for v in values]
-        mat = IntMat([[cols[j][i] for j in range(len(cols))]
-                      for i in range(target.group.rank)], source.group.rank)
-        return Boundary(source, target, values,
-                        GroupHom(source.group, target.group, mat))
-
     def _extension(self, args, env, ctx, bindings) -> PiGroup:
         sub = bindings[args["sub"]]
         quot = bindings[args["quot"]]
@@ -649,33 +628,17 @@ class Runner:
 
     def _find_lift(self, space, degree, gen, env, ctx):
         """(lift element, order, relation element or None) from the catalog."""
-        for f in self.catalog.lift_facts():
-            subj = f.subject
-            m = re.match(r"^(.*?)@\s*(\d+)\s*:\s*(.*)$", subj)
-            if not m:
-                raise KbError(f"line {f.line}: bad lift subject {subj!r}")
-            space_pat, deg_txt, gen_txt = m.groups()
-            if int(deg_txt) != degree:
-                continue
-            bound = self.catalog._match_subject_space(
-                f, space_pat.strip(), *_space_head_params(space), env)
-            if bound is None:
-                continue
-            try:
-                want = self.catalog.parse_element(gen_txt.strip(), bound)
-            except (TermError, KbError):
-                continue
-            if rewrite.normalize(want, ctx).key() != \
+        for cert, penv in self.catalog.lift_certificates(space, degree, env):
+            if rewrite.normalize(cert.element, ctx).key() != \
                     rewrite.normalize(gen, ctx).key():
                 continue
-            payload = f.payload.strip()
             if ctx.on_rule:
-                ctx.on_rule(f.note())
-            tm = re.match(r"^transport\s+(\S+)\s+from\s+(\S+)$", payload)
-            if tm:
-                via = self.catalog.parse_element(tm.group(1), bound)
-                base_space = parse_space(tm.group(2), bound)
-                base = self._find_lift(base_space, degree, gen, bound, ctx)
+                ctx.on_rule(cert.fact.note())
+            if cert.payload[0] == "transport":
+                _, via_text, base_text = cert.payload
+                via = self.catalog.parse_element(via_text, penv)
+                base_space = parse_space(base_text, penv)
+                base = self._find_lift(base_space, degree, gen, env, ctx)
                 if base is None:
                     raise ExtensionUnresolved(
                         f"extension unresolved: transported certificate for "
@@ -688,13 +651,10 @@ class Runner:
                 lifted = rewrite.normalize(
                     rewrite.compose(via, base_lift, ctx), ctx)
                 return lifted, base_order, None
-            pm = re.match(r"^(\S+)\s+order=(\d+)(?:\s+rel=(.+))?$", payload)
-            if not pm:
-                raise KbError(f"line {f.line}: bad lift payload {payload!r}")
-            lift_el = self.catalog.parse_element(pm.group(1), bound)
-            order = int(pm.group(2))
-            rel_el = (self.catalog.parse_element(pm.group(3).strip(), bound)
-                      if pm.group(3) else None)
+            _, lift_text, order, rel_text = cert.payload
+            lift_el = self.catalog.parse_element(lift_text, penv)
+            rel_el = (self.catalog.parse_element(rel_text, penv)
+                      if rel_text else None)
             return rewrite.normalize(lift_el, ctx), order, rel_el
         return None
 
@@ -784,11 +744,6 @@ def chart_apply(chart, fullvec, group):
     out = [sum(chart.rows[i][j] * fullvec[j] for j in range(chart.ncols))
            for i in range(chart.nrows)]
     return group.reduce_vector(out)
-
-
-def _space_head_params(space):
-    from .kb import _space_head
-    return _space_head(space)
 
 
 def _element_from_chart(pig: PiGroup, vec) -> Element:

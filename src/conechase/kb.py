@@ -10,10 +10,25 @@ diff-reviewable:
 
 Kinds: group, relation, boundary_value, lift_certificate,
 suspension_value, map_identity.  Every fact carries a non-empty citation
-quote (<= 200 chars).  Facts may use integer parameters (r, m, s) plus
-the global tokens sign (+-1), eps (0/1) and the opaque integers x, y
-(y odd); derivations are swept over those tokens and must not depend on
-them.
+quote (<= 200 chars).
+
+Fact variables (r, m, s, ...) are bound by matching, never guessed.  At
+load time each subject is compiled into a pattern: its head symbols with
+their argument expressions, plus the guard.  A lookup matches the pattern
+against the concrete word, space or fibration at hand: a bare variable
+binds to the value in its position (consistently where it occurs twice),
+``2^v`` binds ``v`` to the exponent of a power of two, a digit must equal
+the value, and any other expression is evaluated once its variables are
+bound; then the guard must hold.  The payload is parsed with that binding
+plus the global tokens sign (+-1), eps (0/1) and the opaque integers x, y
+(y odd) of the run; derivations are swept over those tokens and must not
+depend on them.
+
+Loading rejects a fact whose subject names an undeclared symbol or uses
+a symbol with the wrong number of parameters, whose degree is not an
+integer, or whose subject or guard mentions a variable that matching
+cannot bind.  The class of a boundary value or lift certificate is a
+fixed class of a sphere and takes no variables.
 
 Facts that the rewrite engine can derive on its own (boundary values of
 suspension classes, for instance) must not be stored; a validation check
@@ -24,11 +39,12 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .groups import GroupError, TwoLocalGroup
+from .groups import TwoLocalGroup, strip_odd
 from .terms import (
+    Bracket,
     Element,
     Space,
     Sym,
@@ -74,6 +90,7 @@ class SymbolSpec:
 
 
 _ETA_POW = re.compile(r"^eta_(\d+)\^(\d+)$")
+_FACTOR = re.compile(r"([A-Za-z][A-Za-z0-9_~']*(?:\^\d+)?)\s*(?:\((.*)\))?")
 _ETA = re.compile(r"^eta_(\d+)$")
 _IOTA = re.compile(r"^iota_(\d+)$")
 
@@ -131,6 +148,40 @@ class SymbolRegistry:
             return Element.from_term(
                 Word(tuple(self._eta(k + i) for i in range(j))))
         return Element.from_term(Word((self.make(name, params),)))
+
+    def word_pattern(self, text: str):
+        """(symbol names, argument expressions) of a word written in a
+        fact subject, each name resolved as the term parser resolves it.
+
+        An identity ``iota_n`` has the single name ``id(Sn)``.
+        """
+        names, exprs, ident = [], [], None
+        for factor in _split_top(text, "."):
+            m = _FACTOR.fullmatch(factor)
+            if not m:
+                raise KbError(f"bad word {text.strip()!r}")
+            name, argtext = m.groups()
+            args = _split_top(argtext, ",") if argtext is not None else []
+            iota, power = _IOTA.match(name), _ETA_POW.match(name)
+            if iota and not args:
+                ident = f"id(S{iota.group(1)})"
+            elif power and not args:
+                k, j = int(power.group(1)), int(power.group(2))
+                names.extend(self._eta(k + i).name for i in range(j))
+            else:
+                if name == "deg":
+                    arity = 2
+                elif _ETA.match(name):
+                    arity = 0
+                elif name in self.specs:
+                    arity = self.specs[name].nvars
+                else:
+                    raise KbError(f"unknown symbol {name!r}")
+                if len(args) != arity:
+                    raise KbError(f"{name} expects {arity} parameter(s)")
+                names.append(name)
+                exprs.extend(args)
+        return tuple(names) or (ident,), tuple(exprs)
 
     def suspension_image(self, s: Sym) -> Optional[Sym]:
         if s.name == "deg":
@@ -204,6 +255,7 @@ class SymbolRegistry:
 VALID_KINDS = ("group", "relation", "boundary_value", "lift_certificate",
                "suspension_value", "map_identity")
 VALID_TRUST = ("paper", "classical_table", "derived")
+SWEPT_TOKENS = ("sign", "eps", "x", "y")
 
 
 @dataclass
@@ -255,46 +307,77 @@ def guard_holds(guard: str, env: dict) -> bool:
     return True
 
 
-_NAME_ARGS = re.compile(r"^([A-Za-z][A-Za-z0-9_~'^]*)(?:\(([^()]*)\))?$")
+_VAR = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_POW2_VAR = re.compile(r"2\^([A-Za-z][A-Za-z0-9_]*)")
+_HEAD = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\(([^()]*)\))?")
+_AT = re.compile(r"(.+?)\s*@\s*(\S+?)(?:\s*:\s*(.+))?")
+_ORDER_BOUND = re.compile(r"(\d+)\*(.+)")
+_BOUNDARY_OF = re.compile(r"boundary\((.+)\)")
+_TRANSPORT = re.compile(r"(.+)\.\s*" + _BOUNDARY_OF.pattern)
+_LIFT_TRANSPORT = re.compile(r"transport\s+(\S+)\s+from\s+(\S+)")
+_LIFT = re.compile(r"(\S+)\s+order=(\d+)(?:\s+rel=(.+))?")
+_SUMMAND = re.compile(r"(Z\(2\)|Z/[0-9^a-z()+\-*]+)\{(.+)\}")
 
-_PAREN_GROUPS = re.compile(r"\(([^()]*)\)")
-_BARE_VAR = re.compile(r"^(?:2\^)?([a-z])$")
 
+@dataclass(frozen=True)
+class FactPattern:
+    """A fact subject compiled at load time.
 
-def fact_variables(subject: str) -> tuple:
-    """Single-letter parameters appearing in a fact subject, in order.
-
-    Authoring discipline: fact parameters are lowercase single letters
-    used either bare or as 2^var inside an argument list.
+    ``names`` is what a lookup must present to meet the fact at all: the
+    symbol names of a word (one tuple per slot for a product), or a space
+    head with its degree, or a fibration head.  ``exprs`` holds one
+    argument expression per concrete parameter, in order.
     """
-    out = []
-    for group in _PAREN_GROUPS.findall(subject):
-        for arg in group.split(","):
-            m = _BARE_VAR.match(arg.strip())
-            if m and m.group(1) not in out:
-                out.append(m.group(1))
-    return tuple(out)
+    fact: KbFact
+    rule: str        # a rewrite.RULE_KINDS kind, group, lift, boundary
+    #                  or transport
+    names: tuple
+    exprs: tuple
+    element: Optional[Element] = None  # the class of a boundary or lift fact
+    order: int = 0   # k in an order bound k*word = 0
+    payload: tuple = ()  # pre-split group, lift and transport payloads
+
+    def bind(self, values) -> Optional[dict]:
+        """The fact variables under which the subject takes exactly these
+        parameter values and the guard holds, or None.
+
+        A bare variable binds to its value, consistently where it occurs
+        twice; ``2^v`` needs a power of two; a digit must equal the value;
+        any other expression is evaluated once its variables are bound.
+        """
+        bound, later = {}, []
+        for expr, val in zip(self.exprs, values):
+            pow2 = _POW2_VAR.fullmatch(expr)
+            if pow2:
+                if val < 2 or val & (val - 1):
+                    return None
+                expr, val = pow2.group(1), val.bit_length() - 1
+            if _VAR.fullmatch(expr):
+                if bound.setdefault(expr, val) != val:
+                    return None
+            elif expr.isdigit():
+                if int(expr) != val:
+                    return None
+            else:
+                later.append((expr, val))
+        try:
+            if any(eval_int_expr(e, bound) != v for e, v in later):
+                return None
+        except TermError:
+            return None  # e.g. a negative exponent: no value matches
+        return bound if guard_holds(self.fact.guard, bound) else None
 
 
-def _head_vars(word_text: str):
-    """Variable names appearing in the first symbol's argument list.
-
-    Fact authoring discipline: every variable of a parameterized fact
-    must appear as a bare argument of the subject's first symbol, so
-    matching can bind variables positionally.
-    """
-    head = word_text.split(".")[0].strip()
-    m = _NAME_ARGS.match(head)
-    if not m:
-        return None, ()
-    args = []
-    if m.group(2):
-        args = [a.strip() for a in m.group(2).split(",")]
-    return m.group(1), tuple(args)
+def _payload_env(env: dict, bound: dict) -> dict:
+    """A fact's own variables plus the swept tokens of the run."""
+    out = {t: env[t] for t in SWEPT_TOKENS if t in env}
+    out.update(bound)
+    return out
 
 
 class KbCatalog:
-    """Facts indexed by kind and subject; lookups are total or fail loudly."""
+    """Facts compiled into subject patterns; lookups match a concrete
+    word, space or fibration against them and fail loudly."""
 
     def __init__(self, registry: SymbolRegistry, facts, digest: str,
                  version: str = "1"):
@@ -304,6 +387,7 @@ class KbCatalog:
         self.version = version
         self._parse_cache = {}
         self.by_kind = {}
+        self._patterns = {}
         seen = {}
         for f in self.facts:
             key = (f.kind, f.subject, f.guard)
@@ -313,7 +397,12 @@ class KbCatalog:
                     f"(lines {seen[key]} and {f.line})")
             seen[key] = f.line
             self.by_kind.setdefault(f.kind, []).append(f)
-        self._validate()
+            pat = self._compile(f)
+            self._patterns.setdefault((pat.rule, pat.names), []).append(pat)
+        self.signatures = {
+            kind: frozenset(names for rule, names in self._patterns
+                            if rule == kind)
+            for kind in rewrite.RULE_KINDS}
 
     # -- parsing helpers ------------------------------------------------------
 
@@ -337,131 +426,116 @@ class KbCatalog:
             self._parse_cache[key] = hit
         return hit
 
-    # -- validation ------------------------------------------------------------
+    # -- compilation and validation ---------------------------------------------
 
-    def _validate(self):
-        for f in self.facts:
-            if f.kind not in VALID_KINDS:
-                raise KbError(f"line {f.line}: unknown fact kind {f.kind!r}")
-            if f.trust not in VALID_TRUST:
-                raise KbError(f"line {f.line}: unknown trust {f.trust!r}")
-            if not f.quote.strip():
-                raise KbError(f"line {f.line}: empty provenance quote")
-            if len(f.quote) > 200:
-                raise KbError(f"line {f.line}: provenance quote over 200 chars")
-        for f in self.by_kind.get("group", ()):
-            body = f.subject.split("?")[0]
-            if "@" not in body:
-                raise KbError(f"line {f.line}: group subject needs 'space @ k'")
-        # a stored boundary value whose element is a suspension duplicates
-        # what the boundary rule derives; refuse it
-        probe_env = {"r": 2, "m": 2, "s": 1, "sign": 1, "eps": 0, "x": 0, "y": 1}
-        for f in self.by_kind.get("boundary_value", ()):
-            if ":" not in f.subject:
-                raise KbError(f"line {f.line}: boundary subject needs ':'")
-            elem_text = f.subject.split(":", 1)[1].strip()
-            try:
-                el = self.parse_element(elem_text, probe_env)
-            except (TermError, KbError):
-                continue
+    def _compile(self, f: KbFact) -> FactPattern:
+        if f.kind not in VALID_KINDS:
+            raise KbError(f"line {f.line}: unknown fact kind {f.kind!r}")
+        if f.trust not in VALID_TRUST:
+            raise KbError(f"line {f.line}: unknown trust {f.trust!r}")
+        if not f.quote.strip():
+            raise KbError(f"line {f.line}: empty provenance quote")
+        if len(f.quote) > 200:
+            raise KbError(f"line {f.line}: provenance quote over 200 chars")
+        try:
+            pat = self._pattern(f)
+        except (KbError, TermError) as e:
+            raise KbError(f"line {f.line}: {e}") from e
+        _check_variables(pat)
+        return pat
+
+    def _pattern(self, f: KbFact) -> FactPattern:
+        subj, payload = f.subject, f.payload.strip()
+        if f.kind in ("group", "lift_certificate"):
+            m = _AT.fullmatch(subj)
+            lift = f.kind == "lift_certificate"
+            if not m or lift != (m.group(3) is not None):
+                raise KbError(f"{f.kind} subject needs 'space @ k"
+                              + (" : class'" if lift else "'"))
+            space, degree, cls = m.groups()
+            if not degree.isdigit():
+                raise KbError(f"degree {degree!r} is not an integer")
+            (head,), exprs = _head(space)
+            names = (head, int(degree))
+            if not lift:
+                return FactPattern(f, "group", names, exprs,
+                                   payload=_group_summands(payload))
+            return FactPattern(f, "lift", names, exprs,
+                               element=self._fixed_class(cls),
+                               payload=_lift_payload(payload))
+        if f.kind == "boundary_value":
+            fib, sep, cls = subj.partition(":")
+            if not sep:
+                raise KbError("boundary subject needs ':'")
+            el = self._fixed_class(cls)
+            # a stored value on a suspension class duplicates what the
+            # boundary rule derives; refuse it
             sw = el.single_word()
             if sw is not None and sw[0].syms and all(
                     self.registry.desuspension_image(s) is not None
                     for s in sw[0].syms):
-                raise KbError(
-                    f"line {f.line}: boundary value for suspension class "
-                    f"{elem_text!r} is derivable and must not be stored")
+                raise KbError(f"boundary value for suspension class "
+                              f"{cls.strip()!r} is derivable and must not "
+                              "be stored")
+            return FactPattern(f, "boundary", *_head(fib), element=el)
+        if f.kind == "map_identity" and subj.startswith("boundary("):
+            m = _BOUNDARY_OF.fullmatch(subj)
+            via = _TRANSPORT.fullmatch(payload)
+            if not m or not via:
+                raise KbError("boundary transport needs 'boundary(F(args))' "
+                              "and 'map . boundary(F(args))'")
+            (base,), base_exprs = _head(via.group(2))
+            return FactPattern(f, "transport", *_head(m.group(1)),
+                               payload=(via.group(1).strip(), base,
+                                        base_exprs))
+        if f.kind == "relation" and subj.startswith("["):
+            if not subj.endswith("]"):
+                raise KbError(f"bad product subject {subj!r}")
+            slots = [self.registry.word_pattern(s)
+                     for s in _split_top(subj[1:-1], ",")]
+            return FactPattern(f, "product", tuple(n for n, _ in slots),
+                               tuple(e for _, es in slots for e in es))
+        m = _ORDER_BOUND.fullmatch(subj) if f.kind == "relation" else None
+        if m:
+            if payload != "0":
+                raise KbError("an order bound k*word must equal 0")
+            return FactPattern(f, "order",
+                               *self.registry.word_pattern(m.group(2)),
+                               order=int(m.group(1)))
+        names, exprs = self.registry.word_pattern(subj)
+        if names[0].startswith("id("):
+            raise KbError(f"{f.kind} subject must be a nonempty word")
+        return FactPattern(f, "susp" if f.kind == "suspension_value"
+                           else "word", names, exprs)
+
+    def _fixed_class(self, text: str) -> Element:
+        """The class a boundary value or lift certificate is about: a fixed
+        class of a sphere, so it may not use fact variables."""
+        return self.parse_element(text, {})
 
     # -- lookups ----------------------------------------------------------------
 
-    def _match_subject(self, fact: KbFact, concrete_head: str,
-                       concrete_params: tuple, env: dict):
-        """Bind fact variables from the subject head, check the guard."""
-        name, argexprs = _head_vars(fact.subject.split("@")[0].split(":")[0])
-        if name != concrete_head or len(argexprs) != len(concrete_params):
-            return None
-        bound = dict(env)
-        for expr, val in zip(argexprs, concrete_params):
-            if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", expr):
-                if expr in bound and int(bound[expr]) != val:
-                    return None
-                bound[expr] = val
-            elif re.fullmatch(r"2\^[A-Za-z][A-Za-z0-9_]*", expr):
-                var = expr.split("^")[1]
-                if val < 2 or val & (val - 1):
-                    return None
-                e = val.bit_length() - 1
-                if var in bound and int(bound[var]) != e:
-                    return None
-                bound[var] = e
-            elif expr.isdigit():
-                if int(expr) != val:
-                    return None
-            else:
-                try:
-                    if eval_int_expr(expr, bound) != val:
-                        return None
-                except TermError:
-                    return None
-        if not guard_holds(fact.guard, bound):
-            return None
-        return bound
+    def _matches(self, rule: str, names: tuple, values: tuple):
+        """(pattern, binding) of each fact whose subject matches, in file
+        order."""
+        for pat in self._patterns.get((rule, names), ()):
+            bound = pat.bind(values)
+            if bound is not None:
+                yield pat, bound
 
     def group_fact(self, space: Space, k: int, env: dict):
         """(TwoLocalGroup with labels, basis elements, fact) for pi_k(space)."""
         head, params = _space_head(space)
-        for f in self.by_kind.get("group", ()):
-            subj, at = f.subject.split("@")
-            subj = subj.strip()
-            if int(at.strip()) != k:
-                continue
-            bound = self._match_subject_space(f, subj, head, params, env)
-            if bound is None:
-                continue
-            return self._build_group(f, bound)
+        for pat, bound in self._matches("group", (head, k), params):
+            return self._build_group(pat, _payload_env(env, bound))
         raise KbMissingFact(f"KB fact required: pi_{k}({space.key})")
 
-    def _match_subject_space(self, fact, subj, head, params, env):
-        name, argexprs = _head_vars(subj)
-        if name is None:
-            return None
-        # rewrite sphere/wedge shorthands to head form
-        if name != head or len(argexprs) != len(params):
-            return None
-        bound = dict(env)
-        for expr, val in zip(argexprs, params):
-            if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", expr):
-                if expr in bound and int(bound[expr]) != val:
-                    return None
-                bound[expr] = val
-            elif re.fullmatch(r"2\^[A-Za-z][A-Za-z0-9_]*", expr):
-                var = expr.split("^")[1]
-                if val < 2 or val & (val - 1):
-                    return None
-                bound[var] = val.bit_length() - 1
-            elif expr.isdigit():
-                if int(expr) != val:
-                    return None
-            else:
-                return None
-        if not guard_holds(fact.guard, bound):
-            return None
-        return bound
-
-    def _build_group(self, f: KbFact, env: dict):
-        text = f.payload.strip()
-        if text == "0":
-            return TwoLocalGroup([]), [], f
+    def _build_group(self, pat: FactPattern, env: dict):
+        if not pat.payload:
+            return TwoLocalGroup([]), [], pat.fact
         orders, labels, elements = [], [], []
-        for part in _split_summands(text):
-            m = re.fullmatch(r"(Z\(2\)|Z/[0-9^a-z()+\-*]+)\{(.+)\}", part.strip())
-            if not m:
-                raise KbError(f"line {f.line}: bad group summand {part!r}")
-            head, label = m.group(1), m.group(2)
-            if head == "Z(2)":
-                orders.append(0)
-            else:
-                orders.append(eval_int_expr(head[2:], env))
+        for order, label in pat.payload:
+            orders.append(0 if order is None else eval_int_expr(order, env))
             el = self.parse_element(label, env)
             labels.append(el.render())
             elements.append(el)
@@ -470,26 +544,23 @@ class KbCatalog:
         order_index = sorted(range(len(orders)),
                              key=lambda i: (orders[i] == 0, orders[i], i))
         elements = [elements[i] for i in order_index]
-        return group, elements, f
+        return group, elements, pat.fact
 
     def boundary_fact(self, fib_key_head: str, fib_params: tuple,
                       element: Element, env: dict):
         """Stored boundary value for a non-suspension class, or None."""
         from .terms import named
-        for f in self.by_kind.get("boundary_value", ()):
-            subj_fib, subj_el = [s.strip() for s in f.subject.split(":", 1)]
-            bound = self._match_subject(f, fib_key_head, fib_params, env)
-            if bound is None:
+        for pat, bound in self._matches("boundary", (fib_key_head,),
+                                        fib_params):
+            if pat.element.key() != element.key():
                 continue
-            want = self.parse_element(subj_el, bound)
-            if want.key() != element.key():
-                continue
-            if f.payload.strip() == "0":
+            if pat.fact.payload.strip() == "0":
                 src = sphere(element.source.data[0] - 1)
                 value = Element.zero(src, named(fib_key_head, *fib_params))
             else:
-                value = self.parse_element(f.payload, bound)
-            return value, f
+                value = self.parse_element(pat.fact.payload,
+                                           _payload_env(env, bound))
+            return value, pat.fact
         return None
 
     def lookup_group(self, space: Space, k: int, env: Optional[dict] = None):
@@ -511,164 +582,54 @@ class KbCatalog:
                 f"{element.render()}")
         return hit[0]
 
-    def lift_facts(self):
-        return self.by_kind.get("lift_certificate", ())
+    def lift_certificates(self, space: Space, k: int, env: dict):
+        """(pattern, payload environment) of each lift certificate for
+        pi_k(space), in file order.  ``pattern.element`` is the class
+        lifted; ``pattern.payload`` is ("transport", map, base space) or
+        ("lift", lift, order, relation or None)."""
+        head, params = _space_head(space)
+        for pat, bound in self._matches("lift", (head, k), params):
+            yield pat, _payload_env(env, bound)
+
+    def boundary_transport(self, fib_head: str, fib_params: tuple, env: dict):
+        """(comparison map element, base fibration head/params) or None."""
+        for pat, bound in self._matches("transport", (fib_head,), fib_params):
+            penv = _payload_env(env, bound)
+            via, base_head, base_exprs = pat.payload
+            return (self.parse_element(via, penv), base_head,
+                    tuple(eval_int_expr(a, penv) for a in base_exprs),
+                    pat.fact)
+        return None
 
     # -- rule context ------------------------------------------------------------
 
     def rule_context(self, env: dict, strict: bool = True,
-                     on_rule=None, skip_lines=()) -> rewrite.RuleContext:
-        """Instantiate rewrite data for the parameter values of ``env``.
+                     on_rule=None) -> rewrite.RuleContext:
+        """Rewrite rules for the run environment ``env``, matched against
+        the catalog on first use."""
+        env = dict(env)
+        return rewrite.RuleContext(
+            strict=strict, on_rule=on_rule, registry=self.registry,
+            lookup=lambda kind, term: self._rule(kind, term, env),
+            signatures=self.signatures)
 
-        Facts with variables are instantiated for every assignment that
-        can be bound from the environment's integer values (plus small
-        shifts used by the derivations, e.g. m = r + 1).
-        """
-        ctx = rewrite.RuleContext(strict=strict, on_rule=on_rule,
-                          registry=self.registry)
-        assignments = _candidate_assignments(env)
-        for f in self.facts:
-            if f.line in skip_lines:
-                continue
-            if f.kind == "relation":
-                self._instantiate_relation(f, env, assignments, ctx)
-            elif f.kind == "map_identity":
-                if f.subject.startswith("boundary("):
-                    continue  # consumed by the boundary resolver
-                self._instantiate_word_rule(f, env, assignments, ctx)
-            elif f.kind == "suspension_value":
-                self._instantiate_susp(f, env, assignments, ctx)
-        return ctx
-
-    def _each_binding(self, f: KbFact, env, assignments):
-        vars_needed = fact_variables(f.subject)
-        if not vars_needed:
-            if guard_holds(f.guard, env):
-                yield dict(env)
-            return
-        seen = set()
-        for assign in assignments:
-            bound = dict(env)
-            ok = True
-            for v in vars_needed:
-                if v in assign:
-                    bound[v] = assign[v]
-                elif v not in bound:
-                    ok = False
-            if not ok or not guard_holds(f.guard, bound):
-                continue
-            key = tuple(bound[v] for v in vars_needed)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield bound
-
-    def _instantiate_relation(self, f, env, assignments, ctx):
-        for bound in self._each_binding(f, env, assignments):
-            try:
-                self._instantiate_relation_one(f, bound, ctx)
-            except TermError:
-                continue  # binding out of range (no such space)
-
-    def _instantiate_relation_one(self, f, bound, ctx):
-        subj = f.subject.strip()
-        m = re.fullmatch(r"(\d+)\*(.+)", subj)
-        if m and "[" not in subj:
-            # order bound: k * word = 0
-            k = int(m.group(1))
-            word_el = self.parse_element(m.group(2), bound)
-            sw = word_el.single_word()
-            if sw is None or f.payload.strip() != "0":
-                raise KbError(f"line {f.line}: bad order-bound relation")
-            from .groups import strip_odd
-            ctx.add_order_bound(sw[0], abs(strip_odd(k)), note=f.note())
-            return
-        lhs = self.parse_element(subj, bound)
-        rhs = (Element.zero(lhs.source, lhs.target)
-               if f.payload.strip() == "0"
-               else self.parse_element(f.payload, bound))
-        if len(lhs.terms) != 1:
-            raise KbError(f"line {f.line}: relation lhs must be one term")
-        term, c = lhs.terms[0]
-        if c != 1:
-            raise KbError(f"line {f.line}: relation lhs must be unscaled")
-        from .terms import Bracket
-        if isinstance(term, Bracket):
-            if term.arity == 2:
-                ctx.add_bracket_rule(list(term.slots), rhs, note=f.note())
-            else:
-                ctx.add_triple_value(list(term.slots), rhs, note=f.note())
+    def _rule(self, kind: str, term, env: dict):
+        """(rhs, note) of the first fact of a rewrite kind whose subject
+        matches ``term`` (a word, or the slots of a product), or None."""
+        if kind == "product":
+            words = [s.single_word()[0] for s in term]
+            names = tuple(rewrite.word_names(w) for w in words)
+            lhs = Bracket(term)
         else:
-            ctx.add_word_rule(term, rhs, note=f.note())
-
-    def _instantiate_word_rule(self, f, env, assignments, ctx):
-        for bound in self._each_binding(f, env, assignments):
-            try:
-                self._instantiate_word_rule_one(f, bound, ctx)
-            except TermError:
-                continue
-
-    def _instantiate_word_rule_one(self, f, bound, ctx):
-        lhs = self.parse_element(f.subject.strip(), bound)
-        sw = lhs.single_word()
-        if sw is None or sw[1] != 1:
-            raise KbError(f"line {f.line}: map identity lhs must be a word")
-        rhs = (Element.zero(lhs.source, lhs.target)
-               if f.payload.strip() == "0"
-               else self.parse_element(f.payload, bound))
-        ctx.add_word_rule(sw[0], rhs, note=f.note())
-
-    def _instantiate_susp(self, f, env, assignments, ctx):
-        for bound in self._each_binding(f, env, assignments):
-            try:
-                self._instantiate_susp_one(f, bound, ctx)
-            except TermError:
-                continue
-
-    def _instantiate_susp_one(self, f, bound, ctx):
-        lhs = self.parse_element(f.subject.strip(), bound)
-        sw = lhs.single_word()
-        if sw is None or sw[1] != 1:
-            raise KbError(f"line {f.line}: suspension lhs must be a word")
-        rhs = (Element.zero(lhs.source, lhs.target)
-               if f.payload.strip() == "0"
-               else self.parse_element(f.payload, bound))
-        ctx.add_susp_word(sw[0], rhs, note=f.note())
-
-    def boundary_transport(self, fib_head: str, fib_params: tuple, env: dict):
-        """(comparison map element, base fibration head/params) or None."""
-        for f in self.by_kind.get("map_identity", ()):
-            if not f.subject.startswith("boundary("):
-                continue
-            m = re.fullmatch(
-                r"boundary\(([A-Za-z0-9_]+)\(([^()]*)\)\)", f.subject.strip())
-            if not m:
-                raise KbError(f"line {f.line}: bad boundary transport subject")
-            name = m.group(1)
-            argexprs = [a.strip() for a in m.group(2).split(",")]
-            if name != fib_head or len(argexprs) != len(fib_params):
-                continue
-            bound = dict(env)
-            ok = True
-            for expr, val in zip(argexprs, fib_params):
-                if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", expr):
-                    bound[expr] = val
-                elif expr.isdigit():
-                    ok = ok and int(expr) == val
-                else:
-                    ok = False
-            if not ok or not guard_holds(f.guard, bound):
-                continue
-            m2 = re.fullmatch(
-                r"(.+)\.\s*boundary\(([A-Za-z0-9_]+)\(([^()]*)\)\)",
-                f.payload.strip())
-            if not m2:
-                raise KbError(f"line {f.line}: bad boundary transport payload")
-            via = self.parse_element(m2.group(1).strip(), bound)
-            base_head = m2.group(2)
-            base_params = tuple(eval_int_expr(a.strip(), bound)
-                                for a in m2.group(3).split(","))
-            return via, base_head, base_params, f
+            words, names, lhs = [term], rewrite.word_names(term), term
+        values = tuple(p for w in words for s in w.syms for p in s.params)
+        for pat, bound in self._matches(kind, names, values):
+            if kind == "order":
+                return abs(strip_odd(pat.order)), pat.fact.note()
+            payload = pat.fact.payload.strip()
+            rhs = (Element.zero(lhs.source, lhs.target) if payload == "0"
+                   else self.parse_element(payload, _payload_env(env, bound)))
+            return rhs, pat.fact.note()
         return None
 
     def serialize(self) -> str:
@@ -702,6 +663,63 @@ class KbCatalog:
         return cat
 
 
+def _head(text: str):
+    """((name,), argument expressions) of a space or fibration head."""
+    m = _HEAD.fullmatch(text.strip())
+    if not m:
+        raise KbError(f"bad head {text.strip()!r}")
+    args = _split_top(m.group(2), ",") if m.group(2) is not None else []
+    return (m.group(1),), tuple(args)
+
+
+def _check_variables(pat: FactPattern):
+    """Every variable of a subject expression or guard must be bound by
+    matching: it appears bare or as 2^v somewhere in the subject."""
+    bindable = {e for e in pat.exprs if _VAR.fullmatch(e)}
+    bindable |= {e[2:] for e in pat.exprs if _POW2_VAR.fullmatch(e)}
+    used = set(_VAR.findall(" ".join(pat.exprs)))
+    for clause in pat.fact.guard.split(",") if pat.fact.guard else ():
+        m = _GUARD_RE.fullmatch(clause)
+        if not m:
+            raise KbError(f"line {pat.fact.line}: bad guard "
+                          f"{pat.fact.guard!r}")
+        used.add(m.group(1))
+        if _VAR.fullmatch(m.group(3)):
+            used.add(m.group(3))
+    unbound = sorted(used - bindable)
+    if unbound:
+        raise KbError(f"line {pat.fact.line}: fact variable(s) "
+                      f"{', '.join(unbound)} not bound by the subject")
+
+
+def _group_summands(text: str) -> tuple:
+    """((order expression or None for Z(2), label), ...) of a group
+    payload; empty for the trivial group."""
+    if text == "0":
+        return ()
+    out = []
+    for part in filter(None, _split_top(text, "+")):
+        m = _SUMMAND.fullmatch(part)
+        if not m:
+            raise KbError(f"bad group summand {part!r}")
+        head, label = m.groups()
+        out.append((None if head == "Z(2)" else head[2:], label))
+    if not out:
+        raise KbError("empty group payload")
+    return tuple(out)
+
+
+def _lift_payload(text: str) -> tuple:
+    m = _LIFT_TRANSPORT.fullmatch(text)
+    if m:
+        return ("transport",) + m.groups()
+    m = _LIFT.fullmatch(text)
+    if not m:
+        raise KbError(f"bad lift payload {text!r}")
+    rel = m.group(3).strip() if m.group(3) else None
+    return ("lift", m.group(1), int(m.group(2)), rel)
+
+
 def _space_head(space: Space):
     if space.kind == "sphere":
         return f"S{space.data[0]}", ()
@@ -713,42 +731,21 @@ def _space_head(space: Space):
     return name, tuple(params)
 
 
-def _split_summands(text: str):
+def _split_top(text: str, sep: str) -> list:
+    """The stripped parts of ``text`` between separators outside brackets."""
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch in "([{":
             depth += 1
         elif ch in ")]}":
             depth -= 1
-        if ch == "+" and depth == 0:
-            parts.append("".join(cur))
+        if ch == sep and depth == 0:
+            parts.append("".join(cur).strip())
             cur = []
         else:
             cur.append(ch)
-    parts.append("".join(cur))
-    return [p for p in (p.strip() for p in parts) if p]
-
-
-def _candidate_assignments(env: dict):
-    """Variable assignments facts may bind: the run's own parameters plus
-    the shifted values the derivations use (m = r + 1, s in {1, 2})."""
-    vals = set()
-    for key in ("r", "m", "s"):
-        if key in env:
-            vals.add(int(env[key]))
-    if "r" in env:
-        vals.add(int(env["r"]) + 1)
-    vals.update({0, 1, 2})
-    out = []
-    for v in sorted(vals):
-        out.append({"m": v, "r": v, "s": v})
-    # two-variable combinations for (s, r)-indexed comparisons
-    if "r" in env:
-        r = int(env["r"])
-        for s in (1, 2):
-            out.append({"s": s, "r": r})
-            out.append({"s": s, "m": r + 1, "r": r})
-    return out
+    parts.append("".join(cur).strip())
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +808,7 @@ def load_catalog(path) -> KbCatalog:
             continue
         if text.startswith("fact "):
             body = text[5:]
-            kind, rest = body.split("|", 1)
+            kind, _, rest = body.partition("|")
             kind = kind.strip()
             parts = [p.strip() for p in rest.split("|")]
             if len(parts) != 5:

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 from .groups import GroupHom, IntMat, TwoLocalGroup
 from .kb import KbCatalog, KbMissingFact
-from .terms import Element, Space, TermError, Word, sphere
+from .terms import Element, Space, Word, sphere
 from . import rewrite
 
 
@@ -267,6 +267,16 @@ def boundary_on_suspension(fib: BoundaryRule, alpha: Element, ctx,
     Classes that are not suspensions need a stored catalog value; that is
     exactly where the imported computations live.
     """
+    value = _suspension_boundary(fib, alpha, ctx, registry)
+    if value is None:
+        raise KbMissingFact(
+            f"KB fact required: {alpha.render()} is not a suspension; the "
+            "connecting-map rule does not apply")
+    return value
+
+
+def _suspension_boundary(fib: BoundaryRule, alpha: Element, ctx,
+                         registry) -> Optional[Element]:
     sw = alpha.single_word()
     if sw is not None:
         word, c = sw
@@ -275,22 +285,15 @@ def boundary_on_suspension(fib: BoundaryRule, alpha: Element, ctx,
             jf = rewrite.compose(fib.j_p, fib.f, ctx)
             val = rewrite.compose(jf, Element.from_term(*desusp), ctx)
             return rewrite.normalize(val.scale(c), ctx)
-    raise KbMissingFact(
-        f"KB fact required: {alpha.render()} is not a suspension; the "
-        "connecting-map rule does not apply")
+    return None
 
 
 def boundary_value(cat: KbCatalog, env, fib: BoundaryRule, gen: Element,
                    ctx, _raw: bool = False) -> Element:
     """Value of the connecting map on one generator of pi_k(base)."""
-    sw = gen.single_word()
-    if sw is not None:
-        word, c = sw
-        desusp = _try_desuspend(word, cat.registry)
-        if desusp is not None:
-            jf = rewrite.compose(fib.j_p, fib.f, ctx)
-            val = rewrite.compose(jf, Element.from_term(*desusp), ctx)
-            return rewrite.normalize(val.scale(c), ctx)
+    value = _suspension_boundary(fib, gen, ctx, cat.registry)
+    if value is not None:
+        return value
     hit = cat.boundary_fact(fib.head, fib.params, gen, env)
     if hit is not None:
         value, fact = hit
@@ -342,10 +345,12 @@ class Boundary:
 
 def boundary_hom(cat: KbCatalog, env, fib: BoundaryRule, k: int,
                  source_pig: PiGroup, target_pig: Optional[PiGroup],
-                 ctx) -> Boundary:
+                 ctx, strip: Optional[Element] = None) -> Boundary:
     """Assemble the connecting map pi_k(base) -> pi_(k-1)(fiber).
 
     ``k`` is the source degree (the class lives in pi_k of the base).
+    With ``strip``, every nonzero value loses that common outer map (see
+    ``strip_prefix``) before it is charted in the target.
     """
     if source_pig.space != fib.base or source_pig.degree != k:
         raise LesError("source group does not match the fibration base")
@@ -354,7 +359,10 @@ def boundary_hom(cat: KbCatalog, env, fib: BoundaryRule, k: int,
     values = []
     for i in range(source_pig.group.rank):
         gen = source_pig.generator_element(i)
-        values.append(boundary_value(cat, env, fib, gen, ctx))
+        v = boundary_value(cat, env, fib, gen, ctx)
+        if strip is not None and not v.is_zero():
+            v = strip_prefix(v, strip, ctx)
+        values.append(v)
     if target_pig is None:
         if all(v.is_zero() for v in values):
             return Boundary(source_pig, None, values, None)

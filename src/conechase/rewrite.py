@@ -29,7 +29,6 @@ from .terms import (
     Element,
     OpaqueComp,
     Pair,
-    Space,
     Sym,
     TermError,
     Word,
@@ -47,61 +46,95 @@ class StrictExpansionError(RewriteError):
     """An expansion was requested that no exactness rule licenses."""
 
 
-class RuleContext:
-    """Instantiated rewrite data for one run.
+RULE_KINDS = ("word", "susp", "order", "product")
 
-    word_rules: {(name, name, ...): [(lhs_word, rhs_element, note)]}
-    bracket_rules: {(slotkey, slotkey): (rhs_element, note)}
-    triple_values: {(slotkeys): (rhs_element, note)}  -- singleton sets
-    order_bounds: {word key tuple: order}
+
+def word_names(w: Word) -> tuple:
+    """The symbol names a fact subject must carry to match ``w``; an
+    identity word carries the single name ``id(space)``."""
+    if w.syms:
+        return tuple(s.name for s in w.syms)
+    return (f"id({w.space.key})",)
+
+
+class RuleContext:
+    """Rewrite rules for one run, found by matching on first use.
+
+    ``lookup(kind, term)`` returns ``(rhs, note)`` for the first catalog
+    fact of that kind whose subject matches ``term``, or None.  The kinds
+    are ``word`` (a rule rewriting exactly these symbols), ``susp`` (the
+    suspension of a whole word), ``order`` (an order bound on a word; the
+    rhs is the order) and ``product`` (the value of a Whitehead product on
+    these slots).  ``signatures`` maps each kind to the symbol-name
+    signatures that can match at all, so most lookups are rejected before
+    any matching.  Answers are memoised in dicts that every view of the
+    context shares.
     """
 
     def __init__(self, strict: bool = True, on_rule: Optional[Callable] = None,
-                 registry=None):
-        self.word_rules = {}
-        self.bracket_rules = {}
-        self.triple_values = {}
-        self.order_bounds = {}
-        self.susp_words = {}      # word key -> rhs element of the suspension
+                 registry=None, lookup: Optional[Callable] = None,
+                 signatures: Optional[dict] = None):
         self.strict = strict
         self.on_rule = on_rule    # callback(note) when a fact is consumed
         self.registry = registry  # for definitional unfolding of stuck words
-        self.s3_hspace = False
+        self._lookup = lookup
+        self._signatures = {k: (signatures or {}).get(k, frozenset())
+                            for k in RULE_KINDS}
+        self.word_rules = {}      # symbol keys -> (rhs, note) or None
+        self.susp_words = {}      # word key -> (rhs, note) or None
+        self.order_bounds = {}    # symbol keys -> order or None
+        self.products = {}        # slot keys -> (rhs, note) or None
         self._stuck_cache = {}
-
-    # -- registration --------------------------------------------------------
-
-    def add_word_rule(self, lhs: Word, rhs: Element, note: str = ""):
-        sig = tuple(s.name for s in lhs.syms)
-        self.word_rules.setdefault(sig, []).append((lhs, rhs, note))
-
-    def add_bracket_rule(self, slots, rhs: Element, note: str = ""):
-        key = tuple(s.key() for s in slots)
-        self.bracket_rules[key] = (rhs, note)
-        names = [self._slot_name(s) for s in slots]
-        if names == [("id", "S3"), ("id", "S3")] and rhs.is_zero():
-            self.s3_hspace = True
-
-    @staticmethod
-    def _slot_name(el: Element):
-        sw = el.single_word()
-        if sw is None:
-            return None
-        w, _ = sw
-        if w.is_identity():
-            return ("id", w.space.key)
-        return tuple(s.name for s in w.syms)
-
-    def add_triple_value(self, slots, rhs: Element, note: str = ""):
-        self.triple_values[tuple(s.key() for s in slots)] = (rhs, note)
-
-    def add_order_bound(self, word: Word, order: int, note: str = ""):
-        self.order_bounds[word.key()] = order
-
-    def add_susp_word(self, lhs: Word, rhs: Element, note: str = ""):
-        self.susp_words[lhs.key()] = (rhs, note)
+        # all Whitehead products of S^3 vanish once [iota_3, iota_3] does
+        s3 = Element.identity(sphere(3))
+        hit = self.product_value([s3, s3])
+        self.s3_hspace = hit is not None and hit[0].is_zero()
 
     # -- lookups --------------------------------------------------------------
+
+    def word_rule(self, syms):
+        """(rhs, note) of the rule rewriting exactly ``syms``, or None."""
+        if tuple(s.name for s in syms) not in self._signatures["word"]:
+            return None
+        key = tuple(s.key for s in syms)
+        if key not in self.word_rules:
+            self.word_rules[key] = self._lookup("word", Word(syms))
+        return self.word_rules[key]
+
+    def susp_rule(self, word: Word):
+        """(rhs, note) of a stored suspension of the whole word, or None."""
+        if word_names(word) not in self._signatures["susp"]:
+            return None
+        key = word.key()
+        if key not in self.susp_words:
+            self.susp_words[key] = self._lookup("susp", word)
+        return self.susp_words[key]
+
+    def order_bound(self, syms) -> Optional[int]:
+        """A stored bound on the order of the word ``syms``, or None."""
+        if tuple(s.name for s in syms) not in self._signatures["order"]:
+            return None
+        key = tuple(s.key for s in syms)
+        if key not in self.order_bounds:
+            hit = self._lookup("order", Word(syms))
+            self.order_bounds[key] = hit and hit[0]
+        return self.order_bounds[key]
+
+    def product_value(self, slots):
+        """(rhs, note) of a stored value of the product on ``slots``, each
+        a single unscaled word, or None."""
+        names = []
+        for s in slots:
+            sw = s.single_word()
+            if sw is None or sw[1] != 1:
+                return None
+            names.append(word_names(sw[0]))
+        if tuple(names) not in self._signatures["product"]:
+            return None
+        key = tuple(s.key() for s in slots)
+        if key not in self.products:
+            self.products[key] = self._lookup("product", list(slots))
+        return self.products[key]
 
     def _consumed(self, note):
         if note and self.on_rule:
@@ -111,8 +144,7 @@ class RuleContext:
         syms = word.syms
         best = None
         for j in range(len(syms)):
-            tail = Word(syms[j:])
-            b = self.order_bounds.get(tail.key())
+            b = self.order_bound(syms[j:])
             if b is not None and (best is None or b < best):
                 best = b
             if j == len(syms) - 1 and isinstance(syms[j], Sym):
@@ -284,12 +316,9 @@ def normalize_word(word: Word, coeff: int, ctx: RuleContext,
                 chunk = syms[i: i + length]
                 if not all(isinstance(s, Sym) for s in chunk):
                     continue
-                sig = tuple(s.name for s in chunk)
-                for lhs, rhs, note in ctx.word_rules.get(sig, ()):
-                    if tuple(s.key for s in chunk) == tuple(s.key for s in lhs.syms):
-                        applied = (i, length, rhs, note)
-                        break
-                if applied:
+                hit = ctx.word_rule(chunk)
+                if hit:
+                    applied = (i, length) + hit
                     break
         if applied:
             i, length, rhs, note = applied
@@ -400,7 +429,7 @@ def _normalize_bracket(b: Bracket, coeff: int, ctx: RuleContext) -> Element:
             for w2, c2 in slots[1].terms:
                 e1 = Element.from_term(w1)
                 e2 = Element.from_term(w2)
-                rule = ctx.bracket_rules.get((e1.key(), e2.key()))
+                rule = ctx.product_value([e1, e2])
                 if rule is not None:
                     rhs, note = rule
                     ctx._consumed(note)
@@ -599,7 +628,7 @@ def suspend(e: Element, ctx: RuleContext, registry=None) -> Element:
         if isinstance(term, Bracket):
             continue  # Sigma kills every Whitehead product
         word: Word = term
-        hit = ctx.susp_words.get(word.key())
+        hit = ctx.susp_rule(word)
         if hit is not None:
             rhs, note = hit
             ctx._consumed(note)
@@ -630,35 +659,6 @@ def _suspend_sym(s, registry):
     if registry is not None:
         return registry.suspension_image(s)
     return None
-
-
-def desuspend(e: Element, registry) -> Element:
-    """Inverse image under Sigma for elements marked as suspensions."""
-    out_terms = []
-    src = tgt = None
-    for term, c in e.terms:
-        if not isinstance(term, Word):
-            raise RewriteError("cannot desuspend a bracket term")
-        syms = []
-        for s in term.syms:
-            img = registry.desuspension_image(s)
-            if img is None:
-                raise RewriteError(
-                    f"{term.render()} is not a suspension: KB fact required")
-            syms.append(img)
-        w = Word(syms) if syms else Word((), _desusp_space(term.space))
-        out_terms.append((w, c))
-        src, tgt = w.source, w.target
-    if src is None:
-        from .terms import suspend_space
-        raise RewriteError("cannot desuspend the zero element without context")
-    return Element(src, tgt, out_terms)
-
-
-def _desusp_space(sp: Space) -> Space:
-    if sp.kind == "sphere":
-        return sphere(sp.data[0] - 1)
-    raise RewriteError(f"cannot desuspend space {sp.key}")
 
 
 def triple_indeterminacy(ambients, label: str = ""):
@@ -704,7 +704,7 @@ def resolve_triple(bracket_el: Element, ambients, ctx: RuleContext) -> Element:
         k *= cs
         base_slots.append(Element.from_term(
             Word(syms) if syms else Word((), w.source)))
-    hit = ctx.triple_values.get(tuple(s.key() for s in base_slots))
+    hit = ctx.product_value(base_slots)
     if hit is None:
         raise RewriteError(
             "KB fact required: no stored value for the base product "

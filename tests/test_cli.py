@@ -1,6 +1,8 @@
 """Command-line interface: outputs, formats, exit codes."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -136,20 +138,44 @@ def test_reproduce_fails_without_the_lift(capsys, tmp_path):
     assert "FAIL" in out and "extension unresolved" in out
 
 
-def test_reproduce_parallel_rows_match(capsys):
-    code, seq_out, _ = run_cli(capsys, "reproduce", "--format", "machine")
-    code2, par_out, _ = run_cli(capsys, "reproduce", "--format", "machine",
-                                "--jobs", "4")
-    assert code == code2 == 0
-    assert seq_out == par_out
-
-
 def test_validate_kb(capsys):
     code, out, _ = run_cli(capsys, "validate-kb")
     assert code == 0 and out.startswith("ok:")
     code, _, err = run_cli(capsys, "--kb", "/nonexistent/kb.facts",
                            "validate-kb")
     assert code == cli.EXIT_VALIDATION
+
+
+def test_validate_kb_rejects_unresolvable_facts(capsys, tmp_path):
+    """A relation on an undeclared symbol, a group fact whose degree is
+    not an integer and a fact line without fields are refused at load,
+    with exit 2."""
+    for line in ("fact relation | foo.eta_3 | 0 | paper | q | loc",
+                 "fact group | S2 @ x | Z/2{eta_2} | paper | q | loc",
+                 "fact group"):
+        p = tmp_path / "bad.facts"
+        p.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
+        assert code == cli.EXIT_VALIDATION and not out
+        assert "line 1" in err
+
+
+def test_les_error_is_a_validation_exit(capsys, tmp_path):
+    """Without [iota_3, iota_3] = 0 (shipped line 74) the pi6_L4m chase
+    meets a term it cannot chart; that is exit 2, not a traceback."""
+    p = tmp_path / "no_hspace.facts"
+    p.write_text(default_catalog().without_facts(
+        lambda f: f.line == 74).serialize())
+    code, _, err = run_cli(capsys, "--kb", str(p), "compute", "--space",
+                           "L4", "--k", "6", "--m", "2", "--no-sweep")
+    assert code == cli.EXIT_VALIDATION
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_python_m_conechase_help():
+    out = subprocess.run([sys.executable, "-m", "conechase", "--help"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0 and "validate-kb" in out.stdout
 
 
 def test_filtration_accepts_implicit_scalar_product(capsys):

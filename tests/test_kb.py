@@ -60,6 +60,32 @@ def test_derivable_boundary_value_rejected(tmp_path):
         load_catalog(write(tmp_path, text))
 
 
+def test_unresolvable_subjects_rejected_at_load(tmp_path):
+    # a relation on an undeclared symbol, a non-integer degree, a wrong
+    # arity and a guard variable the subject cannot bind
+    for line, match in (
+            ("fact relation | foo.eta_3 | 0", "unknown symbol 'foo'"),
+            ("fact group | S2 @ x | Z/2{eta_2}", "not an integer"),
+            ("fact relation | eta_3(r) | 0", "expects 0 parameter"),
+            ("fact group | S3 @ 4 ? r>=1 | Z/2{eta_3}", "r not bound")):
+        with pytest.raises(KbError, match=match):
+            load_catalog(write(tmp_path, line + " | paper | q | loc\n"))
+
+
+def test_rule_found_by_matching_not_by_guessed_assignments(tmp_path):
+    """A rule whose variable is far from the run's parameters (m = r + 2
+    under r = 1) still fires: bindings come from the word itself."""
+    from conechase.rewrite import normalize
+    text = ("symbol f(m) : S3 -> S3\n"
+            "symbol g(m) : S3 -> S3\n"
+            "fact map_identity | f(m) ? m>=3 | g(m) | paper | q | loc\n")
+    cat = load_catalog(write(tmp_path, text))
+    ctx = cat.rule_context({"r": 1})
+    p = cat.parser({"r": 1})
+    assert normalize(p.parse("f(r+2)"), ctx).render() == "g(3)"
+    assert normalize(p.parse("f(2)"), ctx).render() == "f(2)"  # guard
+
+
 def test_group_lookup_examples(catalog, env, ctx):
     g, els, fact = catalog.group_fact(sphere(3), 6, env)
     assert g.render() == "Z/4"

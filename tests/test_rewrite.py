@@ -184,19 +184,16 @@ def test_confluence_of_overlapping_rules(catalog, env):
             for length in (1, 2):
                 if i + length > len(syms):
                     continue
-                chunk = syms[i:i + length]
-                sig = tuple(s.name for s in chunk)
-                for lhs, rhs, note in ctx.word_rules.get(sig, ()):
-                    if tuple(s.key for s in chunk) != \
-                            tuple(s.key for s in lhs.syms):
-                        continue
-                    sw = rhs.single_word()
-                    if sw is None:
-                        continue
-                    w2, c2 = sw
-                    spliced = syms[:i] + list(w2.syms) + syms[i + length:]
-                    routes.append(rewrite.normalize_word(
-                        Word(spliced), c * c2, ctx))
+                hit = ctx.word_rule(syms[i:i + length])
+                if hit is None:
+                    continue
+                sw = hit[0].single_word()
+                if sw is None:
+                    continue
+                w2, c2 = sw
+                spliced = syms[:i] + list(w2.syms) + syms[i + length:]
+                routes.append(rewrite.normalize_word(
+                    Word(spliced), c * c2, ctx))
         assert routes, f"no overlap found in {text}"
         for out in routes:
             assert out == base, f"confluence broken on {text}"
