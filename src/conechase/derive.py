@@ -11,6 +11,11 @@ one step per line:
     assert ans = { m=0 : Z(2) ; m=1 : Z(2) + Z/4 ; m>=2 : Z(2) + Z/2 + Z/2 }
     return ans
 
+``fib=`` names a fibration declared in the catalog; one that declares no
+attaching class takes it from ``attach=`` (``boundary fib=FM(r);
+attach=g3; ...``), and a class from both places or from neither is an
+error.  Malformed step arguments are reported with their line.
+
 Every run records each step, every certified fact it consumed (with its
 citation), and the catalog digest; replays are byte-identical.  Runs are
 swept over the ambiguous tokens (sign, eps and the opaque integers x, y)
@@ -23,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
+from importlib import resources
 from typing import Dict, List, Optional
 
 from .groups import (
@@ -37,7 +43,7 @@ from .groups import (
     solve_extension,
     strip_odd,
 )
-from .kb import KbCatalog, KbError, guard_holds
+from .kb import KbCatalog, KbError, guard_holds, load_catalog
 from .les import (
     Boundary,
     LesError,
@@ -57,7 +63,6 @@ from .terms import (
     Word,
     eval_int_expr,
     parse_space,
-    wedge,
 )
 from . import filtration, rewrite
 
@@ -120,34 +125,23 @@ def parse_script(text: str, name_hint: str = "") -> Script:
         if body.startswith("require "):
             requires = body.split(None, 1)[1].strip()
             continue
+        where = f"{name}:{lineno}"
         m = _LET_RE.match(body)
         if m:
             nm, verb, rest = m.groups()
-            args = {}
-            if rest.strip():
-                for piece in rest.split(";"):
-                    piece = piece.strip()
-                    if not piece:
-                        continue
-                    if "=" not in piece:
-                        raise DeriveError(
-                            f"{name}:{lineno}: step argument {piece!r} "
-                            "needs key=value form")
-                    k, v = piece.split("=", 1)
-                    args[k.strip()] = v.strip()
-            steps.append(Step("let", nm, verb, args, body))
+            steps.append(Step("let", nm, verb, _step_args(rest, "=", where),
+                              body))
             continue
         m = _ASSERT_RE.match(body)
         if m:
-            steps.append(Step("assert", m.group(1), "", {"cases": m.group(2)},
-                              body))
+            cases = m.group(2).strip()
+            args = (_step_args(cases.strip("{}"), ":", where)
+                    if cases.startswith("{") else {"": cases})
+            steps.append(Step("assert", m.group(1), "", args, body))
             continue
         if body.startswith("check "):
-            args = {}
-            for piece in body[6:].split(";"):
-                k, v = piece.split("=", 1)
-                args[k.strip()] = v.strip()
-            steps.append(Step("check", "", "", args, body))
+            steps.append(Step("check", "", "",
+                              _step_args(body[6:], "=", where), body))
             continue
         if body.startswith("return "):
             steps.append(Step("return", body.split(None, 1)[1].strip(), "",
@@ -176,17 +170,25 @@ def parse_group_literal(text: str, env: dict) -> TwoLocalGroup:
     return TwoLocalGroup(orders)
 
 
-def parse_group_cases(text: str, env: dict) -> TwoLocalGroup:
-    """``{ m=0 : Z(2) ; m>=1 : ... }`` or a bare literal."""
-    text = text.strip()
-    if not text.startswith("{"):
-        return parse_group_literal(text, env)
-    inner = text.strip("{}").strip()
-    for case in inner.split(";"):
-        guard, lit = case.split(":", 1)
-        if guard_holds(guard.strip(), env):
-            return parse_group_literal(lit.strip(), env)
-    raise DeriveError(f"no case of {text!r} matches the parameters")
+def _step_args(text: str, sep: str, where: str) -> Dict[str, str]:
+    """The ``key<sep>value`` pieces of a step, separated by ';'."""
+    args = {}
+    for piece in filter(None, (p.strip() for p in text.split(";"))):
+        key, found, value = piece.partition(sep)
+        if not found:
+            raise DeriveError(f"{where}: step argument {piece!r} needs "
+                              f"key{sep}value form")
+        args[key.strip()] = value.strip()
+    return args
+
+
+def parse_group_cases(cases: Dict[str, str], env: dict) -> TwoLocalGroup:
+    """The group literal of the first case whose guard holds (a bare
+    literal is the case with the empty guard)."""
+    for guard, lit in cases.items():
+        if guard_holds(guard, env):
+            return parse_group_literal(lit, env)
+    raise DeriveError(f"no case of {cases} matches the parameters")
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +211,6 @@ class RunResult:
 
     def transcript_digest(self) -> str:
         return hashlib.sha256(self.transcript.encode()).hexdigest()
-
-
-_FIB_RE = re.compile(r"^([A-Za-z0-9_]+)\(([^()]*)\)$")
 
 
 class Runner:
@@ -237,20 +236,10 @@ class Runner:
         base_env.update(params)
         result = self._run_cached(name, base_env)
         if sweep:
-            canonical = result.group.orders if isinstance(result.value, PiGroup) \
-                else result.value
+            canonical = _sweep_shape(result.value)
             for assign in SWEEP_GRID:
-                env = dict(base_env)
-                env.update(assign)
-                other = self._run_cached(name, env)
-                got = other.group.orders if isinstance(other.value, PiGroup) \
-                    else other.value
-                comparable = got
-                if isinstance(result.value, Element):
-                    # elements may differ by the swept sign; compare the
-                    # 2-part of the coefficients
-                    comparable = _element_shape(other.value)
-                    canonical = _element_shape(result.value)
+                other = self._run_cached(name, dict(base_env, **assign))
+                comparable = _sweep_shape(other.value)
                 if comparable != canonical:
                     raise DeriveError(
                         f"{name}{params}: result depends on the ambiguous "
@@ -319,7 +308,7 @@ class Runner:
                 got = bindings.get(step.name)
                 if not isinstance(got, PiGroup):
                     raise DeriveError(f"{name}: assert needs a group binding")
-                want = parse_group_cases(step.args["cases"], env)
+                want = parse_group_cases(step.args, env)
                 if got.group != want:
                     raise AssertionMismatch(
                         f"{name}{_fmt_env(env, script.params)}: computed "
@@ -347,21 +336,17 @@ class Runner:
         text = text.strip()
         if text in bindings and isinstance(bindings[text], Element):
             return bindings[text]
-        return self.catalog.parser(env).parse(text)
+        return self.catalog.parse_element(text, env)
 
-    def _fib(self, text, env, bindings):
-        m = _FIB_RE.match(text.strip())
-        if not m:
-            raise DeriveError(f"bad fibration key {text!r}")
-        head = m.group(1)
-        params = tuple(eval_int_expr(a.strip(), env)
-                       for a in m.group(2).split(","))
-        gamma = None
-        if head == "FM":
-            g = bindings.get("g3")
-            if isinstance(g, Element):
-                gamma = g
-        return fibration(self.catalog, env, head, params, gamma=gamma)
+    def _fib(self, args, env, bindings):
+        """The fibration named by ``fib=``, with ``attach=`` as its
+        attaching class when the script supplies one."""
+        space = parse_space(args["fib"], env)
+        if space.kind != "named":
+            raise DeriveError(f"bad fibration key {args['fib']!r}")
+        attach = (self._parse_el(args["attach"], env, bindings)
+                  if "attach" in args else None)
+        return fibration(self.catalog, env, *space.data, attach=attach)
 
     def _eval_step(self, step, env, ctx, bindings, lines):
         verb = step.verb
@@ -382,7 +367,7 @@ class Runner:
                                       int(eval_int_expr(args["k"], env)), ctx)
 
         if verb == "fiber_group":
-            return self._fiber_group(args, env, ctx)
+            return self._fiber_group(args, env, ctx, bindings)
 
         if verb == "run":
             sub_params = {}
@@ -398,7 +383,7 @@ class Runner:
             return sub.value
 
         if verb == "boundary":
-            fib = self._fib(args["fib"], env, bindings)
+            fib = self._fib(args, env, bindings)
             k = int(eval_int_expr(args["k"], env))
             source = pi_group_from_fact(self.catalog, env, fib.base, k, ctx)
             target = None
@@ -552,27 +537,21 @@ class Runner:
 
     # -- composite verbs -----------------------------------------------------
 
-    def _fiber_group(self, args, env, ctx) -> PiGroup:
-        fibkey = args["fib"]
-        m = _FIB_RE.match(fibkey)
-        head = m.group(1)
-        params = tuple(eval_int_expr(a, env) for a in m.group(2).split(","))
+    def _fiber_group(self, args, env, ctx, bindings) -> PiGroup:
+        """pi_k of a fiber, read off its declared wedge skeleton, which must
+        be the filtration stage holding every cell of dimension <= k+1."""
+        fib = self._fib(args, env, bindings)
+        _, _, skeleton = self.catalog.fibration_maps(fib.head, fib.params)
+        if skeleton is None:
+            raise DeriveError(f"fibration {args['fib']} declares no skeleton")
         k = int(eval_int_expr(args["k"], env))
-        if head != "F_pL":
+        _, st = filtration.skeleton_of_fiber(filtration.MapSpec(fib.f), k + 1,
+                                             ctx, self.catalog.registry)
+        if st.space != skeleton.source:
             raise DeriveError(
-                "only the two-cell-cone fibration has a wedge skeleton here")
-        (mval,) = params
-        f = filtration.MapSpec(
-            Element.from_term(Word((self.catalog.registry._eta(2),)), 2**mval))
-        stage, st = filtration.skeleton_of_fiber(f, k + 1, ctx,
-                                                 self.catalog.registry)
-        if st.space != wedge(2, 5):
-            raise DeriveError(
-                f"unexpected fiber skeleton {st.space_name} for {fibkey}")
+                f"unexpected fiber skeleton {st.space_name} for {args['fib']}")
         base = pi_group_from_fact(self.catalog, env, st.space, k, ctx)
-        jf = Element.from_term(
-            Word((self.catalog.registry.make("j_F", (mval,)),)))
-        return push_forward(base, jf, parse_space(fibkey, env), ctx)
+        return push_forward(base, skeleton, skeleton.target, ctx)
 
     def _extension(self, args, env, ctx, bindings) -> PiGroup:
         sub = bindings[args["sub"]]
@@ -777,8 +756,16 @@ def _as_element(bindings, name) -> Element:
     return v
 
 
-def _element_shape(el: Element):
-    return tuple(sorted((t.render(), abs(strip_odd(c))) for t, c in el.terms))
+def _sweep_shape(value):
+    """What the sweep compares: a group's orders, an element's terms with
+    the 2-part of their coefficients (the swept sign may flip them), or
+    the value itself."""
+    if isinstance(value, PiGroup):
+        return value.group.orders
+    if isinstance(value, Element):
+        return tuple(sorted((t.render(), abs(strip_odd(c)))
+                            for t, c in value.terms))
+    return value
 
 
 def _render_value(v) -> str:
@@ -799,7 +786,6 @@ def _fmt_env(env, params):
 
 def load_scripts() -> Dict[str, Script]:
     """The six shipped derivations, one per group-table result."""
-    from importlib import resources
     out = {}
     data = resources.files("conechase").joinpath("data")
     for entry in sorted(data.iterdir()):
@@ -811,8 +797,6 @@ def load_scripts() -> Dict[str, Script]:
 
 
 def default_catalog() -> KbCatalog:
-    from importlib import resources
-    from .kb import load_catalog
     path = resources.files("conechase").joinpath("data/paper.facts")
     with resources.as_file(path) as p:
         return load_catalog(p)

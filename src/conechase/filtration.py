@@ -75,34 +75,21 @@ class FiltrationModel:
         return "\n".join(lines)
 
 
-def _stage_label(q: int, prev: Stage, gamma: Element, cell: int) -> str:
-    """A readable name for the new stage space."""
+def _stage(prev: Stage, gamma: Element, cell: int, index: int) -> Stage:
+    """The stage attaching e^cell along gamma: a wedge when gamma vanishes
+    on a sphere, the two-cell complex L4(m) when gamma = 2^m eta_2."""
     if gamma.is_zero():
-        return f"{prev.space_name} v S^{cell}"
+        space = (wedge(prev.space.data[0], cell)
+                 if prev.space.kind == "sphere" else named("Jstage", index))
+        return Stage(index, space, f"{prev.space_name} v S^{cell}", cell,
+                     gamma)
     sw = gamma.single_word()
-    if (sw is not None and prev.space.kind == "sphere"
-            and prev.space.data[0] == 2):
-        w, c = sw
-        if len(w.syms) == 1 and isinstance(w.syms[0], Sym) \
-                and w.syms[0].name == "eta_2":
-            m = abs(strip_odd(c)).bit_length() - 1
-            return f"L4({m})"
-    return f"{prev.space_name} u e^{cell}"
-
-
-def _stage_space(q: int, prev: Stage, gamma: Element, cell: int,
-                 fkey: str, index: int) -> Space:
-    if gamma.is_zero() and prev.space.kind == "sphere":
-        return wedge(prev.space.data[0], cell)
-    sw = gamma.single_word()
-    if (sw is not None and prev.space.kind == "sphere"
-            and prev.space.data[0] == 2):
-        w, c = sw
-        if len(w.syms) == 1 and isinstance(w.syms[0], Sym) \
-                and w.syms[0].name == "eta_2":
-            m = abs(strip_odd(c)).bit_length() - 1
-            return named("L4", m)
-    return named(f"Jstage", index)
+    sym = sw[0].syms[0] if sw is not None and len(sw[0].syms) == 1 else None
+    if prev.space == sphere(2) and isinstance(sym, Sym) and sym.name == "eta_2":
+        m = abs(strip_odd(sw[1])).bit_length() - 1
+        return Stage(index, named("L4", m), f"L4({m})", cell, gamma)
+    return Stage(index, named("Jstage", index),
+                 f"{prev.space_name} u e^{cell}", cell, gamma)
 
 
 def bottom_inclusion(space: Space, q: int, stage: int, registry=None) -> Element:
@@ -150,9 +137,7 @@ def build_filtration(f: MapSpec, n: int,
         else:
             gamma = rewrite.higher_bracket([j] + [jf] * (r - 1),
                                            tag=f"stage-{r}", ctx=ctx)
-        space = _stage_space(q, prev, gamma, cell, f.class_el.render(), r)
-        name = _stage_label(q, prev, gamma, cell)
-        stages.append(Stage(r, space, name, cell, gamma))
+        stages.append(_stage(prev, gamma, cell, r))
     return FiltrationModel(f, stages)
 
 

@@ -271,11 +271,6 @@ def smith_normal_form(m: IntMat) -> SnfResult:
     return SnfResult(u, d, v)
 
 
-def snf_diagonal(m: IntMat) -> list:
-    d = _snf_core(m)[1]
-    return [d.rows[i][i] for i in range(min(d.nrows, d.ncols))]
-
-
 # ---------------------------------------------------------------------------
 # groups
 # ---------------------------------------------------------------------------
@@ -322,9 +317,6 @@ class TwoLocalGroup:
 
     def is_trivial(self) -> bool:
         return not self.orders
-
-    def is_torsion_free(self) -> bool:
-        return all(o == 0 for o in self.orders)
 
     def exponent(self) -> int:
         """Smallest e killing the torsion part (1 if torsion free)."""
@@ -420,9 +412,6 @@ class TwoLocalGroup:
         return f"TwoLocalGroup({list(self.orders)!r})"
 
 
-TRIVIAL = TwoLocalGroup([])
-
-
 def group_equal(a: TwoLocalGroup, b: TwoLocalGroup) -> bool:
     """Equality of canonical forms (labels are ignored).
 
@@ -506,10 +495,6 @@ class GroupHom:
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in r) for r in self.matrix.rows)
-
-    def is_surjective(self) -> bool:
-        g, _ = cokernel(self)
-        return g.is_trivial()
 
     def __repr__(self):
         return f"GroupHom({self.source!r} -> {self.target!r}, {self.matrix.rows!r})"

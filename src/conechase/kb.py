@@ -6,7 +6,16 @@ diff-reviewable:
 
     symbol <name>[(vars)] : <source> -> <target> [order=<expr>] [susp]
            [susp_to=<name>] [desusp=<name>]
+    fibration <name>[(vars)] : [<class>] bottom=<word> [skeleton=<word>]
     fact <kind> | <subject> [? <guard>] | <payload> | <trust> | <quote> | <locator>
+
+A fibration line declares the fiber <name>(vars) of the pinch map
+C_f -> Sigma X of the cone on f : X -> Y: <class> is f (omitted when a
+derivation passes it as ``attach=``), ``bottom`` includes Y and
+``skeleton`` a wedge skeleton into the fiber; the base is Sigma X.  Like
+a symbol it is a declaration, not a fact: never cited, counted or
+removed with facts.  Loading instantiates it with every parameter 1 and
+checks that each map parses and ends where it must.
 
 Kinds: group, relation, boundary_value, lift_certificate,
 suspension_value, map_identity.  Every fact carries a non-empty citation
@@ -53,6 +62,7 @@ from .terms import (
     Word,
     deg_sym,
     eval_int_expr,
+    named,
     parse_space,
     sphere,
 )
@@ -88,6 +98,38 @@ class SymbolSpec:
     def nvars(self):
         return len(self.vars)
 
+    def serialize(self) -> str:
+        return " ".join(filter(None, [
+            f"symbol {_decl_head(self.name, self.vars)} : {self.source_pat} "
+            f"-> {self.target_pat}",
+            self.order_expr is not None and f"order={self.order_expr}",
+            self.is_susp and "susp",
+            self.susp_to and f"susp_to={self.susp_to}",
+            self.desusp and f"desusp={self.desusp}",
+            self.defn and f"defn={self.defn}"]))
+
+
+@dataclass(frozen=True)
+class FibrationSpec:
+    """A ``fibration`` line; ``attach`` is None when a script supplies
+    the attaching class."""
+    name: str
+    vars: tuple
+    attach: Optional[str]
+    bottom: str
+    skeleton: Optional[str]
+    line: int
+
+    def serialize(self) -> str:
+        return " ".join(filter(None, [
+            f"fibration {_decl_head(self.name, self.vars)} :", self.attach,
+            f"bottom={self.bottom}",
+            self.skeleton and f"skeleton={self.skeleton}"]))
+
+
+def _decl_head(name: str, vars_: tuple) -> str:
+    return f"{name}({','.join(vars_)})" if vars_ else name
+
 
 _ETA_POW = re.compile(r"^eta_(\d+)\^(\d+)$")
 _FACTOR = re.compile(r"([A-Za-z][A-Za-z0-9_~']*(?:\^\d+)?)\s*(?:\((.*)\))?")
@@ -95,32 +137,38 @@ _ETA = re.compile(r"^eta_(\d+)$")
 _IOTA = re.compile(r"^iota_(\d+)$")
 
 
+def _eta_sym(n: int) -> Sym:
+    if n < 2:
+        raise KbError("eta_n needs n >= 2")
+    return Sym("eta_%d" % n, (), sphere(n + 1), sphere(n),
+               order=0 if n == 2 else 2, is_susp=n >= 3,
+               susp_name=f"eta_{n + 1}",
+               desusp_name=f"eta_{n - 1}" if n >= 3 else None)
+
+
 class SymbolRegistry:
-    """Instantiates symbols from declarations plus built-in families."""
+    """Instantiates symbols from declarations plus built-in families, and
+    holds the fibration declarations."""
 
     def __init__(self):
         self.specs = {}
+        self.fibrations = {}
+        self._unfolded = {}
 
     def declare(self, spec: SymbolSpec):
         if spec.name in self.specs:
             raise KbError(f"symbol {spec.name!r} declared twice")
         self.specs[spec.name] = spec
 
-    def _eta(self, n: int) -> Sym:
-        if n < 2:
-            raise KbError("eta_n needs n >= 2")
-        return Sym("eta_%d" % n, (), sphere(n + 1), sphere(n),
-                   order=0 if n == 2 else 2, is_susp=n >= 3,
-                   susp_name=f"eta_{n + 1}",
-                   desusp_name=f"eta_{n - 1}" if n >= 3 else None)
-
     def make(self, name: str, params: tuple) -> Sym:
         m = _ETA.match(name)
         if m:
             if params:
                 raise KbError(f"{name} takes no parameters")
-            return self._eta(int(m.group(1)))
+            return _eta_sym(int(m.group(1)))
         if name == "deg":
+            if len(params) != 2:
+                raise KbError("deg expects 2 parameter(s)")
             return deg_sym(params[0], params[1])
         spec = self.specs.get(name)
         if spec is None:
@@ -146,7 +194,7 @@ class SymbolRegistry:
             k, j = int(m.group(1)), int(m.group(2))
             # eta_k^j is the composite eta_k . eta_{k+1} . ... (j factors)
             return Element.from_term(
-                Word(tuple(self._eta(k + i) for i in range(j))))
+                Word(tuple(_eta_sym(k + i) for i in range(j))))
         return Element.from_term(Word((self.make(name, params),)))
 
     def word_pattern(self, text: str):
@@ -167,7 +215,7 @@ class SymbolRegistry:
                 ident = f"id(S{iota.group(1)})"
             elif power and not args:
                 k, j = int(power.group(1)), int(power.group(2))
-                names.extend(self._eta(k + i).name for i in range(j))
+                names.extend(_eta_sym(k + i).name for i in range(j))
             else:
                 if name == "deg":
                     arity = 2
@@ -192,7 +240,7 @@ class SymbolRegistry:
             return self.make(s.susp_name, s.params)
         m = _ETA.match(s.name)
         if m:
-            return self._eta(int(m.group(1)) + 1)
+            return _eta_sym(int(m.group(1)) + 1)
         return None
 
     def desuspension_image(self, s: Sym) -> Optional[Sym]:
@@ -207,17 +255,21 @@ class SymbolRegistry:
         return None
 
     def unfold(self, s) -> Optional[Element]:
-        """The definitional expansion of a symbol, if declared."""
+        """The definitional expansion of a symbol, if declared; memoised,
+        since elements are immutable."""
         spec = self.specs.get(getattr(s, "name", None))
         if spec is None or spec.defn is None:
             return None
-        env = dict(zip(spec.vars, s.params))
-        parser = TermParser(lambda n, a, e: self.resolve(n, a, e), env)
-        return parser.parse(spec.defn)
+        key = (spec.name, s.params)
+        hit = self._unfolded.get(key)
+        if hit is None:
+            env = dict(zip(spec.vars, s.params))
+            hit = TermParser(self.resolve, env).parse(spec.defn)
+            self._unfolded[key] = hit
+        return hit
 
     def unfold_element(self, el: Element) -> Element:
         """Replace defined symbols by their expansions (to a fixpoint)."""
-        from . import rewrite
         for _ in range(8):
             changed = False
             terms = []
@@ -403,6 +455,8 @@ class KbCatalog:
             kind: frozenset(names for rule, names in self._patterns
                             if rule == kind)
             for kind in rewrite.RULE_KINDS}
+        for spec in registry.fibrations.values():
+            self._check_fibration(spec)
 
     # -- parsing helpers ------------------------------------------------------
 
@@ -508,6 +562,21 @@ class KbCatalog:
         return FactPattern(f, "susp" if f.kind == "suspension_value"
                            else "word", names, exprs)
 
+    def _check_fibration(self, spec: FibrationSpec):
+        """Instantiated with every parameter 1, a declaration's bottom and
+        skeleton must map into the fiber and its class to the bottom."""
+        params = (1,) * len(spec.vars)
+        try:
+            f, bottom, skeleton = self.fibration_maps(spec.name, params)
+        except (KbError, TermError) as e:
+            raise KbError(f"line {spec.line}: {e}") from e
+        fiber = named(spec.name, *params)
+        for el, end in ((bottom, fiber), (skeleton, fiber),
+                        (f, bottom.source)):
+            if el is not None and el.target != end:
+                raise KbError(f"line {spec.line}: {el.render()} ends on "
+                              f"{el.target.key}, not on {end.key}")
+
     def _fixed_class(self, text: str) -> Element:
         """The class a boundary value or lift certificate is about: a fixed
         class of a sphere, so it may not use fact variables."""
@@ -549,7 +618,6 @@ class KbCatalog:
     def boundary_fact(self, fib_key_head: str, fib_params: tuple,
                       element: Element, env: dict):
         """Stored boundary value for a non-suspension class, or None."""
-        from .terms import named
         for pat, bound in self._matches("boundary", (fib_key_head,),
                                         fib_params):
             if pat.element.key() != element.key():
@@ -563,24 +631,17 @@ class KbCatalog:
             return value, pat.fact
         return None
 
-    def lookup_group(self, space: Space, k: int, env: Optional[dict] = None):
-        """The stored homotopy group pi_k(space) with its labels.
-
-        Fails loudly when no fact covers the subject.
-        """
-        group, _, _ = self.group_fact(space, k, dict(env or {}))
-        return group
-
-    def lookup_boundary(self, fib_head: str, fib_params: tuple,
-                        element: Element, env: Optional[dict] = None):
-        """The stored connecting-map value on a non-suspension class."""
-        hit = self.boundary_fact(fib_head, fib_params, element,
-                                 dict(env or {}))
-        if hit is None:
-            raise KbMissingFact(
-                f"KB fact required: boundary of {fib_head}{fib_params} on "
-                f"{element.render()}")
-        return hit[0]
+    def fibration_maps(self, name: str, params: tuple):
+        """(attaching class or None, bottom inclusion, skeleton inclusion or
+        None) of the declared fibration ``name(params)``."""
+        spec = self.registry.fibrations.get(name)
+        if spec is None:
+            raise KbError(f"unknown fibration {name!r}")
+        if len(params) != len(spec.vars):
+            raise KbError(f"{name} expects {len(spec.vars)} parameter(s)")
+        env = dict(zip(spec.vars, params))
+        return tuple(text and self.parse_element(text, env)
+                     for text in (spec.attach, spec.bottom, spec.skeleton))
 
     def lift_certificates(self, space: Space, k: int, env: dict):
         """(pattern, payload environment) of each lift certificate for
@@ -634,24 +695,10 @@ class KbCatalog:
 
     def serialize(self) -> str:
         out = [f"version {self.version}"]
-        for name in sorted(self.registry.specs):
-            s = self.registry.specs[name]
-            head = f"{name}({','.join(s.vars)})" if s.vars else name
-            extras = []
-            if s.order_expr is not None:
-                extras.append(f"order={s.order_expr}")
-            if s.is_susp:
-                extras.append("susp")
-            if s.susp_to:
-                extras.append(f"susp_to={s.susp_to}")
-            if s.desusp:
-                extras.append(f"desusp={s.desusp}")
-            if s.defn:
-                extras.append(f"defn={s.defn}")
-            tail = (" " + " ".join(extras)) if extras else ""
-            out.append(f"symbol {head} : {s.source_pat} -> {s.target_pat}{tail}")
-        for f in self.facts:
-            out.append(f.serialize())
+        out.extend(self.registry.specs[name].serialize()
+                   for name in sorted(self.registry.specs))
+        out.extend(f.serialize() for f in self.facts)
+        out.extend(f.serialize() for f in self.registry.fibrations.values())
         return "\n".join(out) + "\n"
 
     def without_facts(self, predicate) -> "KbCatalog":
@@ -755,6 +802,12 @@ def _split_top(text: str, sep: str) -> list:
 _SYMBOL_RE = re.compile(
     r"^symbol\s+([A-Za-z][A-Za-z0-9_~'^]*)(?:\(([^()]*)\))?\s*:\s*"
     r"(\S+)\s*->\s*(\S+)\s*(.*)$")
+_FIBRATION_RE = re.compile(
+    r"^fibration\s+([A-Za-z][A-Za-z0-9_]*)(?:\(([^()]*)\))?\s*:\s*(.*)$")
+
+
+def _varnames(text: Optional[str]) -> tuple:
+    return tuple(v.strip() for v in (text or "").split(",") if v.strip())
 
 
 def load_catalog(path) -> KbCatalog:
@@ -788,9 +841,7 @@ def load_catalog(path) -> KbCatalog:
             if not m:
                 raise KbError(f"line {lineno}: bad symbol declaration")
             name, vars_, src, tgt, extras = m.groups()
-            varnames = tuple(v.strip() for v in (vars_ or "").split(",")
-                             if v.strip())
-            spec = SymbolSpec(name, varnames, src, tgt, line=lineno)
+            spec = SymbolSpec(name, _varnames(vars_), src, tgt, line=lineno)
             for tok in extras.split():
                 if tok == "susp":
                     spec.is_susp = True
@@ -805,6 +856,21 @@ def load_catalog(path) -> KbCatalog:
                 else:
                     raise KbError(f"line {lineno}: bad symbol attribute {tok!r}")
             registry.declare(spec)
+            continue
+        if text.startswith("fibration "):
+            m = _FIBRATION_RE.match(text)
+            words = m.group(3).split() if m else []
+            attrs = dict(w.split("=", 1) for w in words if "=" in w)
+            if not m or "bottom" not in attrs or \
+                    not attrs.keys() <= {"bottom", "skeleton"}:
+                raise KbError(f"line {lineno}: bad fibration declaration")
+            if m.group(1) in registry.fibrations:
+                raise KbError(f"line {lineno}: fibration {m.group(1)!r} "
+                              "declared twice")
+            registry.fibrations[m.group(1)] = FibrationSpec(
+                m.group(1), _varnames(m.group(2)),
+                " ".join(w for w in words if "=" not in w) or None,
+                attrs["bottom"], attrs.get("skeleton"), lineno)
             continue
         if text.startswith("fact "):
             body = text[5:]

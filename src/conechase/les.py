@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import List, Optional, Tuple
 
-from .groups import GroupHom, IntMat, TwoLocalGroup
+from .groups import GroupHom, IntMat, TwoLocalGroup, cokernel, kernel
 from .kb import KbCatalog, KbMissingFact
-from .terms import Element, Space, Word, sphere
+from .terms import Element, Space, Word, sphere, suspend_space
 from . import rewrite
 
 
@@ -42,9 +42,6 @@ class PiGroup:
     degree: int
     protos: List[Tuple[Element, tuple]] = field(default_factory=list)
 
-    def describe(self) -> str:
-        return self.group.describe()
-
     def unit_protos(self) -> bool:
         units = set()
         for _, vec in self.protos:
@@ -60,9 +57,6 @@ class PiGroup:
             if nz == [i] and vec[i] == 1:
                 return el
         raise LesError(f"no prototype for generator {i} of {self.group.render()}")
-
-    def generator_elements(self) -> List[Element]:
-        return [self.generator_element(i) for i in range(self.group.rank)]
 
 
 def pi_group_from_fact(cat: KbCatalog, env, space: Space, k: int,
@@ -222,7 +216,7 @@ def direct_sum_pi(a: PiGroup, extra: List[Tuple[Element, int, str]],
 class BoundaryRule:
     """Connecting-map data for the fibration of a pinch map C_f -> Sigma X:
     on suspension classes the boundary is j_p . f . (desuspension)."""
-    head: str                # registry key, e.g. "F_p"
+    head: str                # a fibration declared in the catalog
     params: tuple
     f: Element               # the attaching class X -> Y
     j_p: Element             # bottom inclusion Y -> fiber
@@ -230,34 +224,15 @@ class BoundaryRule:
 
 
 def fibration(cat: KbCatalog, env, head: str, params: tuple,
-              gamma: Optional[Element] = None) -> BoundaryRule:
-    reg = cat.registry
-    if head == "F_p":
-        (r,) = params
-        f = Element.identity(sphere(2)).scale(2**r)
-        return BoundaryRule(head, params, f,
-                            Element.from_term(Word((reg.make("j_p", (r,)),))),
-                            sphere(3))
-    if head == "F_pL":
-        (m,) = params
-        f = Element.from_term(Word((reg._eta(2),)), 2**m)
-        return BoundaryRule(head, params, f,
-                            Element.from_term(Word((reg.make("j_pL", (m,)),))),
-                            sphere(4))
-    if head == "F_p4":
-        (m,) = params
-        f = Element.identity(sphere(3)).scale(2**m)
-        return BoundaryRule(head, params, f,
-                            Element.from_term(Word((reg.make("jp4", (m,)),))),
-                            sphere(4))
-    if head == "FM":
-        (r,) = params
-        if gamma is None:
-            raise LesError("the third-stage fibration needs its attaching class")
-        return BoundaryRule(head, params, gamma,
-                            Element.from_term(Word((reg.make("jM", (r,)),))),
-                            sphere(6))
-    raise LesError(f"unknown fibration {head!r}")
+              attach: Optional[Element] = None) -> BoundaryRule:
+    """The declared fibration ``head(params)``.  Its attaching class comes
+    from the declaration or, when that names none, from ``attach``."""
+    f, j_p, _ = cat.fibration_maps(head, params)
+    if (f is None) == (attach is None):
+        raise LesError(f"fibration {head!r} needs its attaching class from "
+                       "exactly one of its declaration and attach=")
+    f = attach if f is None else f
+    return BoundaryRule(head, params, f, j_p, suspend_space(f.source))
 
 
 def boundary_on_suspension(fib: BoundaryRule, alpha: Element, ctx,
@@ -399,7 +374,6 @@ class LesSegment:
 
     def audit(self) -> bool:
         """|pi_k(C)| = |coker(d_upper)| * |ker(d_lower)| (finite case)."""
-        from .groups import cokernel, kernel
         if self.cone_mid is None or self.d_upper is None or self.d_upper.hom is None:
             return True
         if self.cone_mid.free_rank:

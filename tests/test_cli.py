@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conechase import cli
 from conechase.derive import default_catalog
@@ -158,6 +160,40 @@ def test_validate_kb_rejects_unresolvable_facts(capsys, tmp_path):
         code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
         assert code == cli.EXIT_VALIDATION and not out
         assert "line 1" in err
+
+
+_FIB_HEADER = "symbol j_q(r) : S2 -> F_q(r)\n"
+_FIB_OK = "fibration F_q(r) : 2^r*iota_2 bottom=j_q(r)"
+_bad_fibration_lines = st.one_of(
+    # an undeclared bottom symbol
+    st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
+    .filter(lambda n: n != "j_q")
+    .map(lambda n: f"fibration F_q(r) : 2^r*iota_2 bottom={n}(r)"),
+    # a wrong arity, of the bottom symbol or of the head
+    st.sampled_from(["", "r,r", "r,1,r"]).map(
+        lambda a: f"fibration F_q(r) : 2^r*iota_2 bottom=j_q({a})"),
+    st.sampled_from(["", "(r,s)", "(r,s,t)"]).map(
+        lambda h: f"fibration F_q{h} : 2^r*iota_2 bottom=j_q(r)"),
+    # a duplicate head
+    st.sampled_from(["2^r*iota_2", "iota_2", ""]).map(
+        lambda c: f"{_FIB_OK}\nfibration F_q(r) : {c} bottom=j_q(r)"),
+    # an unparsable class
+    st.text(alphabet="()[]*+-.,^", min_size=1).map(
+        lambda junk: f"fibration F_q(r) : 2^r*iota_2{junk} bottom=j_q(r)"),
+)
+
+
+@given(_bad_fibration_lines)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_fibration_lines_exit_2(capsys, tmp_path, line):
+    p = tmp_path / "fib.facts"
+    p.write_text(_FIB_HEADER + line + "\n")
+    code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
+    assert code == cli.EXIT_VALIDATION and not out
+    assert err.startswith("error: line ")
+    p.write_text(_FIB_HEADER + _FIB_OK + "\n")
+    assert run_cli(capsys, "--kb", str(p), "validate-kb")[0] == cli.EXIT_OK
 
 
 def test_les_error_is_a_validation_exit(capsys, tmp_path):

@@ -134,6 +134,11 @@ def test_script_without_return_errors(catalog):
     r = Runner(catalog, {"broken": s})
     with pytest.raises(DeriveError, match="no terminal group"):
         r.run("broken", {"m": 2}, sweep=False)
+    # malformed step arguments are parse errors that name the line
+    for line in ("check map", "check map=a; with",
+                 "assert F5 = { m=0 : Z(2) ; m>=1 Z/2 }"):
+        with pytest.raises(DeriveError, match="broken:3: step argument"):
+            parse_script(f"derivation broken\nparams m\n{line}\n")
 
 
 def test_unknown_script_errors(runner):

@@ -134,6 +134,15 @@ def test_serialize_round_trip(catalog, tmp_path, env):
     assert sorted(cat2.registry.specs) == sorted(catalog.registry.specs)
     # and the re-serialization is stable
     assert cat2.serialize() == text
+    # fibration declarations survive, also in a catalog with facts removed
+    fibs = [f.serialize() for f in catalog.registry.fibrations.values()]
+    assert len(fibs) == 4
+    ablated = catalog.without_facts(lambda f: f.line == 85).serialize()
+    for out in (text, ablated):
+        cat3 = load_catalog(write(tmp_path, out, "fib.facts"))
+        assert [f.serialize() for f in cat3.registry.fibrations.values()] \
+            == fibs
+        assert all(line in out.splitlines() for line in fibs)
 
 
 def test_closure_every_script_symbol_resolves(catalog, scripts, env):
@@ -148,11 +157,44 @@ def test_closure_every_script_symbol_resolves(catalog, scripts, env):
                 for tok in re.findall(r"[A-Za-z][A-Za-z0-9_~'^]*\(", v):
                     names.add(tok[:-1])
     names -= {"fiber_group", "pair_map", "deg", "Z"}
-    fib_heads = {"F_p", "F_pL", "F_p4", "FM", "L4", "P3", "P4", "J3",
-                 "SigmaL4"}
-    for name in sorted(names - fib_heads):
+    # spaces are named by the heads of declared symbols' sources and targets
+    space_heads = {re.match(r"\w+", pat).group(0)
+                   for s in catalog.registry.specs.values()
+                   for pat in (s.source_pat, s.target_pat)}
+    for name in sorted(names - set(catalog.registry.fibrations)
+                       - space_heads):
         assert name in catalog.registry.specs or name.startswith("iota"), \
             f"dangling symbol {name!r}"
+    # every fib= names a declared fibration
+    fib_args = [step.args["fib"] for script in scripts.values()
+                for step in script.steps if "fib" in step.args]
+    assert fib_args
+    for fib in fib_args:
+        assert parse_space(fib, env).data[0] in catalog.registry.fibrations
+
+
+def test_fibration_declared_as_data(catalog, tmp_path, env):
+    """A new head declared only in a facts file, on F_p's attaching class
+    with its own bottom inclusion, has F_p's boundary values with the
+    bottom inclusion renamed."""
+    from conechase import les
+    text = catalog.serialize() + (
+        "symbol j_q(r) : S2 -> F_q(r)\n"
+        "fibration F_q(r) : 2^r*iota_2 bottom=j_q(r)\n")
+    cat = load_catalog(write(tmp_path, text, "fq.facts"))
+    assert "F_q" not in catalog.registry.fibrations
+    for r in (1, 2, 3):
+        envr = dict(env, r=r)
+        ctx = cat.rule_context(envr)
+        fp = les.fibration(cat, envr, "F_p", (r,))
+        fq = les.fibration(cat, envr, "F_q", (r,))
+        assert fq.base == fp.base == sphere(3)
+        for cls in ("eta_3", "eta_3^2", "3*eta_3"):
+            gen = cat.parser(envr).parse(cls)
+            want = les.boundary_value(cat, envr, fp, gen, ctx).render()
+            got = les.boundary_value(cat, envr, fq, gen, ctx).render()
+            assert "j_p(" in want or want == "0"
+            assert got == want.replace("j_p(", "j_q(")
 
 
 def test_without_facts_filter(catalog):

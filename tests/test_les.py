@@ -70,14 +70,29 @@ def test_golden_reproduction_table(catalog):
 def test_lookup_surfaces(catalog):
     from conechase.terms import sphere
     env = {"m": 2, "sign": 1, "eps": 0, "x": 0, "y": 1}
-    g = catalog.lookup_group(sphere(3), 6, env)
+    g, _, _ = catalog.group_fact(sphere(3), 6, env)
     assert g.render() == "Z/4" and g.labels == ("nu'",)
-    v = catalog.lookup_boundary("F_p", (1,), catalog.parser(env).parse("nu'"),
-                                env)
+    v, _ = catalog.boundary_fact("F_p", (1,), catalog.parser(env).parse("nu'"),
+                                 env)
     assert "eta_2" in v.render()
-    with pytest.raises(KbMissingFact):
-        catalog.lookup_boundary("F_p", (1,), catalog.parser(env).parse("eta_3"),
-                                env)
+    # no stored value on a suspension class: the lookup misses
+    assert catalog.boundary_fact(
+        "F_p", (1,), catalog.parser(env).parse("eta_3"), env) is None
+
+
+def test_attaching_class_comes_from_exactly_one_place(catalog):
+    """FM declares no class, so a script passes one with attach=; a class
+    from both the declaration and attach=, or from neither, is an error."""
+    from conechase.terms import sphere
+    env = {"r": 1, "sign": 1, "eps": 0, "x": 0, "y": 1}
+    gamma = catalog.parser(env).parse("6*beta(2)")
+    fib = les.fibration(catalog, env, "FM", (1,), attach=gamma)
+    assert fib.f is gamma and fib.base == sphere(6)
+    assert fib.j_p.render() == "jM(1)"
+    with pytest.raises(les.LesError, match="exactly one"):
+        les.fibration(catalog, env, "FM", (1,))
+    with pytest.raises(les.LesError, match="exactly one"):
+        les.fibration(catalog, env, "F_p", (1,), attach=gamma)
 
 
 def test_boundary_on_suspension_refuses_nonsuspensions(catalog):
