@@ -21,10 +21,18 @@ citation), and the catalog digest; replays are byte-identical.  Runs are
 swept over the ambiguous tokens (sign, eps and the opaque integers x, y)
 and must produce identical groups for every assignment -- the group
 tables are independent of all of them.
+
+A run reads a token only through the payload of a fact it consumes (a
+script that names one is rejected at parse time), so it also records the
+tokens it consumed: those of its facts, of its ``run`` subderivations,
+and of the one fact its rule context reads uncited.  Under any assignment
+that agrees on those tokens it takes the same path to the same value and
+transcript, so one cached run serves every such assignment of the sweep.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -40,10 +48,19 @@ from .groups import (
     cokernel as group_cokernel,
     extension_with_relations,
     kernel as group_kernel,
+    quotient_by_elements,
     solve_extension,
     strip_odd,
 )
-from .kb import KbCatalog, KbError, guard_holds, load_catalog
+from .kb import (
+    SWEPT_TOKENS,
+    KbCatalog,
+    KbError,
+    KbFact,
+    guard_holds,
+    load_catalog,
+    swept_tokens,
+)
 from .les import (
     Boundary,
     LesError,
@@ -122,10 +139,16 @@ def parse_script(text: str, name_hint: str = "") -> Script:
         if body.startswith("params "):
             params = [p.strip() for p in body.split(None, 1)[1].split(",")]
             continue
+        where = f"{name}:{lineno}"
+        named = swept_tokens(body)
+        if named:
+            # a script may read the tokens only through the facts it
+            # consumes, where each read is recorded
+            raise DeriveError(f"{where}: names the swept token(s) "
+                              f"{', '.join(sorted(named))}")
         if body.startswith("require "):
             requires = body.split(None, 1)[1].strip()
             continue
-        where = f"{name}:{lineno}"
         m = _LET_RE.match(body)
         if m:
             nm, verb, rest = m.groups()
@@ -198,10 +221,11 @@ def parse_group_cases(cases: Dict[str, str], env: dict) -> TwoLocalGroup:
 @dataclass
 class RunResult:
     script: str
-    env: dict
+    env: dict                     # the environment it was executed under
     value: object                 # PiGroup | Element | int
     transcript: str
-    consumed: List[str]
+    consumed: List[KbFact]
+    tokens: frozenset             # the swept tokens it depends on
 
     @property
     def group(self) -> TwoLocalGroup:
@@ -219,6 +243,12 @@ class Runner:
     ``run`` evaluates the script for the canonical token assignment and
     for the full sweep grid, asserting that the resulting groups agree;
     the transcript records the canonical run.
+
+    Runs are cached by script and parameters.  A cached run serves every
+    token assignment that agrees with it on the tokens it consumed
+    (``RunResult.tokens``), since such a run is the same under all of
+    them; any other assignment is executed.  A run that consumes no
+    token fact is therefore executed once for the whole sweep.
     """
 
     def __init__(self, catalog: KbCatalog, scripts: Dict[str, Script],
@@ -226,7 +256,7 @@ class Runner:
         self.catalog = catalog
         self.scripts = scripts
         self.strict = strict
-        self._cache: Dict[tuple, RunResult] = {}
+        self._cache: Dict[tuple, List[RunResult]] = {}
         self._ctx_cache: Dict[tuple, object] = {}
 
     # -- public -----------------------------------------------------------
@@ -253,7 +283,6 @@ class Runner:
         memoised rules are shared, the fact-recording hook is the run's
         own, so a ``run`` sub-derivation that shares its parent's context
         records its citations in its own transcript only."""
-        import copy
         key = tuple(sorted((k, v) for k, v in env.items()))
         ctx = self._ctx_cache.get(key)
         if ctx is None:
@@ -264,12 +293,16 @@ class Runner:
         return view
 
     def _run_cached(self, name: str, env: dict) -> RunResult:
-        key = (name, tuple(sorted(env.items())))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        """A cached run of ``name`` with the parameters of ``env`` that
+        agrees with ``env`` on the tokens it consumed, or a new one."""
+        key = (name, tuple(sorted((k, v) for k, v in env.items()
+                                  if k not in SWEPT_TOKENS)))
+        runs = self._cache.setdefault(key, [])
+        for hit in runs:
+            if all(hit.env[t] == env.get(t) for t in hit.tokens):
+                return hit
         result = self._execute(name, env)
-        self._cache[key] = result
+        runs.append(result)
         return result
 
     def _execute(self, name: str, env: dict) -> RunResult:
@@ -281,18 +314,20 @@ class Runner:
                 raise DeriveError(f"{name}: missing parameter {p!r}")
         if script.requires and not guard_holds(script.requires, env):
             raise DeriveError(f"{name}: parameters violate {script.requires!r}")
-        notes: List[str] = []
+        facts: List[KbFact] = []
         lines: List[str] = [f"derivation {name} "
                             + " ".join(f"{p}={env[p]}" for p in script.params)]
         ctx = self._ctx(env)
-        ctx.on_rule = notes.append
+        ctx.on_rule = facts.append
+        tokens = set(ctx.tokens)      # plus its subderivations' and facts'
         bindings: Dict[str, object] = {}
         ret: Optional[object] = None
         for idx, step in enumerate(script.steps, start=1):
-            before = len(notes)
+            before = len(facts)
             if step.kind == "let":
                 try:
-                    value = self._eval_step(step, env, ctx, bindings, lines)
+                    value = self._eval_step(step, env, ctx, bindings, lines,
+                                            tokens)
                 except (DeriveError, LesError, KbError, GroupError,
                         TermError) as e:
                     # errors carry the failing step's position
@@ -320,15 +355,17 @@ class Runner:
                     raise DeriveError(
                         f"{name}: return of unbound {step.name!r}")
                 lines.append(f"  step {idx}: {step.raw}")
-            for note in notes[before:]:
-                lines.append(f"    uses {note}")
+            for fact in facts[before:]:
+                lines.append(f"    uses {fact.note()}")
         if ret is None:
             raise DeriveError(f"{name}: no terminal group (missing return)")
         if isinstance(ret, PiGroup):
             lines.append(f"  result: {ret.group.render()}")
         else:
             lines.append(f"  result: {_render_value(ret)}")
-        return RunResult(name, dict(env), ret, "\n".join(lines) + "\n", notes)
+        tokens.update(*(f.tokens for f in facts))
+        return RunResult(name, dict(env), ret, "\n".join(lines) + "\n", facts,
+                         frozenset(tokens))
 
     # -- step evaluation ------------------------------------------------------
 
@@ -348,7 +385,7 @@ class Runner:
                   if "attach" in args else None)
         return fibration(self.catalog, env, *space.data, attach=attach)
 
-    def _eval_step(self, step, env, ctx, bindings, lines):
+    def _eval_step(self, step, env, ctx, bindings, lines, tokens):
         verb = step.verb
         args = step.args
 
@@ -378,6 +415,7 @@ class Runner:
             sub_env = dict(env)
             sub_env.update(sub_params)
             sub = self._run_cached(args["script"], sub_env)
+            tokens.update(sub.tokens)
             lines.append(f"    (subderivation {args['script']} "
                          f"{sub_params} -> {_render_value(sub.value)})")
             return sub.value
@@ -433,7 +471,6 @@ class Runner:
             base = pig("of")
             relel = el("by")
             vec = express(relel, base, ctx)
-            from .groups import quotient_by_elements
             g, proj = quotient_by_elements(base.group, [list(vec)])
             out = derived_pi_group(base, g, proj)
             if args.get("push"):
@@ -612,7 +649,7 @@ class Runner:
                     rewrite.normalize(gen, ctx).key():
                 continue
             if ctx.on_rule:
-                ctx.on_rule(cert.fact.note())
+                ctx.on_rule(cert.fact)
             if cert.payload[0] == "transport":
                 _, via_text, base_text = cert.payload
                 via = self.catalog.parse_element(via_text, penv)

@@ -29,15 +29,18 @@ binds to the value in its position (consistently where it occurs twice),
 ``2^v`` binds ``v`` to the exponent of a power of two, a digit must equal
 the value, and any other expression is evaluated once its variables are
 bound; then the guard must hold.  The payload is parsed with that binding
-plus the global tokens sign (+-1), eps (0/1) and the opaque integers x, y
-(y odd) of the run; derivations are swept over those tokens and must not
-depend on them.
+plus the run's values of the global tokens it mentions: sign (+-1), eps
+(0/1) and the opaque integers x, y (y odd).  Derivations are swept over
+those tokens and must not depend on them; a fact records which of them
+its payload mentions (``KbFact.tokens``), so a run knows which tokens it
+read.
 
 Loading rejects a fact whose subject names an undeclared symbol or uses
 a symbol with the wrong number of parameters, whose degree is not an
 integer, or whose subject or guard mentions a variable that matching
-cannot bind.  The class of a boundary value or lift certificate is a
-fixed class of a sphere and takes no variables.
+cannot bind, and a boundary value or transport on an undeclared
+fibration or through an undeclared map.  The class of a boundary value
+or lift certificate is a fixed class of a sphere and takes no variables.
 
 Facts that the rewrite engine can derive on its own (boundary values of
 suspension classes, for instance) must not be stored; a validation check
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .groups import TwoLocalGroup, strip_odd
@@ -308,6 +311,12 @@ VALID_KINDS = ("group", "relation", "boundary_value", "lift_certificate",
                "suspension_value", "map_identity")
 VALID_TRUST = ("paper", "classical_table", "derived")
 SWEPT_TOKENS = ("sign", "eps", "x", "y")
+_SWEPT_TOKEN = re.compile(r"(?<!\w)(%s)(?!\w)" % "|".join(SWEPT_TOKENS))
+
+
+def swept_tokens(text: str) -> frozenset:
+    """The swept tokens ``text`` names."""
+    return frozenset(_SWEPT_TOKEN.findall(text))
 
 
 @dataclass
@@ -320,6 +329,12 @@ class KbFact:
     quote: str
     locator: str
     line: int
+    # the swept tokens the payload mentions, the only ones a run that
+    # consumes this fact can depend on through it
+    tokens: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.tokens = swept_tokens(self.payload)
 
     def note(self) -> str:
         return (f"{self.kind} [{self.trust}] {self.subject}: {self.payload}"
@@ -420,9 +435,11 @@ class FactPattern:
         return bound if guard_holds(self.fact.guard, bound) else None
 
 
-def _payload_env(env: dict, bound: dict) -> dict:
-    """A fact's own variables plus the swept tokens of the run."""
-    out = {t: env[t] for t in SWEPT_TOKENS if t in env}
+def _payload_env(env: dict, bound: dict, fact: KbFact) -> dict:
+    """A fact's own variables plus the run's values of the swept tokens
+    its payload mentions: a token the scan missed fails to parse instead
+    of being read unrecorded."""
+    out = {t: env[t] for t in fact.tokens if t in env}
     out.update(bound)
     return out
 
@@ -531,15 +548,18 @@ class KbCatalog:
                 raise KbError(f"boundary value for suspension class "
                               f"{cls.strip()!r} is derivable and must not "
                               "be stored")
-            return FactPattern(f, "boundary", *_head(fib), element=el)
+            return FactPattern(f, "boundary", *self._fibration_head(fib),
+                               element=el)
         if f.kind == "map_identity" and subj.startswith("boundary("):
             m = _BOUNDARY_OF.fullmatch(subj)
             via = _TRANSPORT.fullmatch(payload)
             if not m or not via:
                 raise KbError("boundary transport needs 'boundary(F(args))' "
                               "and 'map . boundary(F(args))'")
-            (base,), base_exprs = _head(via.group(2))
-            return FactPattern(f, "transport", *_head(m.group(1)),
+            self.registry.word_pattern(via.group(1))  # declared symbols
+            (base,), base_exprs = self._fibration_head(via.group(2))
+            return FactPattern(f, "transport",
+                               *self._fibration_head(m.group(1)),
                                payload=(via.group(1).strip(), base,
                                         base_exprs))
         if f.kind == "relation" and subj.startswith("["):
@@ -577,6 +597,22 @@ class KbCatalog:
                 raise KbError(f"line {spec.line}: {el.render()} ends on "
                               f"{el.target.key}, not on {end.key}")
 
+    def _fibration_head(self, text: str):
+        """``_head`` of a fibration named in a fact, which must be declared
+        and take that many parameters."""
+        (name,), exprs = _head(text)
+        self._fibration_spec(name, exprs)
+        return (name,), exprs
+
+    def _fibration_spec(self, name: str, params: tuple) -> FibrationSpec:
+        """The declaration of ``name``, checked against ``params``."""
+        spec = self.registry.fibrations.get(name)
+        if spec is None:
+            raise KbError(f"unknown fibration {name!r}")
+        if len(params) != len(spec.vars):
+            raise KbError(f"{name} expects {len(spec.vars)} parameter(s)")
+        return spec
+
     def _fixed_class(self, text: str) -> Element:
         """The class a boundary value or lift certificate is about: a fixed
         class of a sphere, so it may not use fact variables."""
@@ -596,7 +632,7 @@ class KbCatalog:
         """(TwoLocalGroup with labels, basis elements, fact) for pi_k(space)."""
         head, params = _space_head(space)
         for pat, bound in self._matches("group", (head, k), params):
-            return self._build_group(pat, _payload_env(env, bound))
+            return self._build_group(pat, _payload_env(env, bound, pat.fact))
         raise KbMissingFact(f"KB fact required: pi_{k}({space.key})")
 
     def _build_group(self, pat: FactPattern, env: dict):
@@ -626,19 +662,15 @@ class KbCatalog:
                 src = sphere(element.source.data[0] - 1)
                 value = Element.zero(src, named(fib_key_head, *fib_params))
             else:
-                value = self.parse_element(pat.fact.payload,
-                                           _payload_env(env, bound))
+                value = self.parse_element(
+                    pat.fact.payload, _payload_env(env, bound, pat.fact))
             return value, pat.fact
         return None
 
     def fibration_maps(self, name: str, params: tuple):
         """(attaching class or None, bottom inclusion, skeleton inclusion or
         None) of the declared fibration ``name(params)``."""
-        spec = self.registry.fibrations.get(name)
-        if spec is None:
-            raise KbError(f"unknown fibration {name!r}")
-        if len(params) != len(spec.vars):
-            raise KbError(f"{name} expects {len(spec.vars)} parameter(s)")
+        spec = self._fibration_spec(name, params)
         env = dict(zip(spec.vars, params))
         return tuple(text and self.parse_element(text, env)
                      for text in (spec.attach, spec.bottom, spec.skeleton))
@@ -650,12 +682,12 @@ class KbCatalog:
         ("lift", lift, order, relation or None)."""
         head, params = _space_head(space)
         for pat, bound in self._matches("lift", (head, k), params):
-            yield pat, _payload_env(env, bound)
+            yield pat, _payload_env(env, bound, pat.fact)
 
     def boundary_transport(self, fib_head: str, fib_params: tuple, env: dict):
         """(comparison map element, base fibration head/params) or None."""
         for pat, bound in self._matches("transport", (fib_head,), fib_params):
-            penv = _payload_env(env, bound)
+            penv = _payload_env(env, bound, pat.fact)
             via, base_head, base_exprs = pat.payload
             return (self.parse_element(via, penv), base_head,
                     tuple(eval_int_expr(a, penv) for a in base_exprs),
@@ -675,7 +707,7 @@ class KbCatalog:
             signatures=self.signatures)
 
     def _rule(self, kind: str, term, env: dict):
-        """(rhs, note) of the first fact of a rewrite kind whose subject
+        """(rhs, fact) of the first fact of a rewrite kind whose subject
         matches ``term`` (a word, or the slots of a product), or None."""
         if kind == "product":
             words = [s.single_word()[0] for s in term]
@@ -686,11 +718,12 @@ class KbCatalog:
         values = tuple(p for w in words for s in w.syms for p in s.params)
         for pat, bound in self._matches(kind, names, values):
             if kind == "order":
-                return abs(strip_odd(pat.order)), pat.fact.note()
+                return abs(strip_odd(pat.order)), pat.fact
             payload = pat.fact.payload.strip()
             rhs = (Element.zero(lhs.source, lhs.target) if payload == "0"
-                   else self.parse_element(payload, _payload_env(env, bound)))
-            return rhs, pat.fact.note()
+                   else self.parse_element(
+                       payload, _payload_env(env, bound, pat.fact)))
+            return rhs, pat.fact
         return None
 
     def serialize(self) -> str:

@@ -80,7 +80,7 @@ def pi_group_from_fact(cat: KbCatalog, env, space: Space, k: int,
         normed.append(nel.render())
     group = group.with_labels(normed)
     if ctx.on_rule:
-        ctx.on_rule(fact.note())
+        ctx.on_rule(fact)
     return PiGroup(group, space, k, protos)
 
 
@@ -273,7 +273,7 @@ def boundary_value(cat: KbCatalog, env, fib: BoundaryRule, gen: Element,
     if hit is not None:
         value, fact = hit
         if ctx.on_rule:
-            ctx.on_rule(fact.note())
+            ctx.on_rule(fact)
         # keep the stored spelling when a comparison map will be composed
         # on: its rewrite rule matches the unexpanded bottom inclusion
         return value if _raw else rewrite.normalize(value, ctx)
@@ -281,7 +281,7 @@ def boundary_value(cat: KbCatalog, env, fib: BoundaryRule, gen: Element,
     if tr is not None:
         via, base_head, base_params, fact = tr
         if ctx.on_rule:
-            ctx.on_rule(fact.note())
+            ctx.on_rule(fact)
         base_fib = fibration(cat, env, base_head, base_params)
         base_val = boundary_value(cat, env, base_fib, gen, ctx, _raw=True)
         return rewrite.normalize(rewrite.compose(via, base_val, ctx), ctx)

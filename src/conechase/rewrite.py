@@ -60,7 +60,7 @@ def word_names(w: Word) -> tuple:
 class RuleContext:
     """Rewrite rules for one run, found by matching on first use.
 
-    ``lookup(kind, term)`` returns ``(rhs, note)`` for the first catalog
+    ``lookup(kind, term)`` returns ``(rhs, fact)`` for the first catalog
     fact of that kind whose subject matches ``term``, or None.  The kinds
     are ``word`` (a rule rewriting exactly these symbols), ``susp`` (the
     suspension of a whole word), ``order`` (an order bound on a word; the
@@ -68,32 +68,37 @@ class RuleContext:
     these slots).  ``signatures`` maps each kind to the symbol-name
     signatures that can match at all, so most lookups are rejected before
     any matching.  Answers are memoised in dicts that every view of the
-    context shares.
+    context shares.  ``on_rule`` receives each fact a rewrite consumes.
+
+    Building the context reads the product ``[iota_3, iota_3]`` without
+    citing it; ``tokens`` holds that fact's swept tokens, which every run
+    on the context therefore depends on.
     """
 
     def __init__(self, strict: bool = True, on_rule: Optional[Callable] = None,
                  registry=None, lookup: Optional[Callable] = None,
                  signatures: Optional[dict] = None):
         self.strict = strict
-        self.on_rule = on_rule    # callback(note) when a fact is consumed
+        self.on_rule = on_rule    # callback(fact) when a fact is consumed
         self.registry = registry  # for definitional unfolding of stuck words
         self._lookup = lookup
         self._signatures = {k: (signatures or {}).get(k, frozenset())
                             for k in RULE_KINDS}
-        self.word_rules = {}      # symbol keys -> (rhs, note) or None
-        self.susp_words = {}      # word key -> (rhs, note) or None
+        self.word_rules = {}      # symbol keys -> (rhs, fact) or None
+        self.susp_words = {}      # word key -> (rhs, fact) or None
         self.order_bounds = {}    # symbol keys -> order or None
-        self.products = {}        # slot keys -> (rhs, note) or None
+        self.products = {}        # slot keys -> (rhs, fact) or None
         self._stuck_cache = {}
         # all Whitehead products of S^3 vanish once [iota_3, iota_3] does
         s3 = Element.identity(sphere(3))
         hit = self.product_value([s3, s3])
         self.s3_hspace = hit is not None and hit[0].is_zero()
+        self.tokens = hit[1].tokens if hit is not None else frozenset()
 
     # -- lookups --------------------------------------------------------------
 
     def word_rule(self, syms):
-        """(rhs, note) of the rule rewriting exactly ``syms``, or None."""
+        """(rhs, fact) of the rule rewriting exactly ``syms``, or None."""
         if tuple(s.name for s in syms) not in self._signatures["word"]:
             return None
         key = tuple(s.key for s in syms)
@@ -102,7 +107,7 @@ class RuleContext:
         return self.word_rules[key]
 
     def susp_rule(self, word: Word):
-        """(rhs, note) of a stored suspension of the whole word, or None."""
+        """(rhs, fact) of a stored suspension of the whole word, or None."""
         if word_names(word) not in self._signatures["susp"]:
             return None
         key = word.key()
@@ -121,7 +126,7 @@ class RuleContext:
         return self.order_bounds[key]
 
     def product_value(self, slots):
-        """(rhs, note) of a stored value of the product on ``slots``, each
+        """(rhs, fact) of a stored value of the product on ``slots``, each
         a single unscaled word, or None."""
         names = []
         for s in slots:
@@ -136,9 +141,9 @@ class RuleContext:
             self.products[key] = self._lookup("product", list(slots))
         return self.products[key]
 
-    def _consumed(self, note):
-        if note and self.on_rule:
-            self.on_rule(note)
+    def _consumed(self, fact):
+        if self.on_rule:
+            self.on_rule(fact)
 
     def suffix_bound(self, word: Word) -> Optional[int]:
         syms = word.syms
@@ -321,8 +326,8 @@ def normalize_word(word: Word, coeff: int, ctx: RuleContext,
                     applied = (i, length) + hit
                     break
         if applied:
-            i, length, rhs, note = applied
-            ctx._consumed(note)
+            i, length, rhs, fact = applied
+            ctx._consumed(fact)
             sw = rhs.single_word()
             if rhs.is_zero():
                 return Element.zero(word.source, word.target)
@@ -331,7 +336,6 @@ def normalize_word(word: Word, coeff: int, ctx: RuleContext,
                 coeff *= c2
                 syms = _splice(syms[:i], w2.syms, syms[i + length:])
                 if not syms:
-                    space = w2.source if w2.syms == () else rhs.source
                     space = rhs.source
                 continue
             # multi-term replacement: splice via gated composition
@@ -366,8 +370,8 @@ def normalize_word(word: Word, coeff: int, ctx: RuleContext,
             out, fired = hit
             # replay the citations the unfold consumed, so transcripts do
             # not depend on cache warmth
-            for note in fired:
-                ctx._consumed(note)
+            for fact in fired:
+                ctx._consumed(fact)
             return out
         captured = []
         orig_hook = ctx.on_rule
@@ -384,8 +388,8 @@ def normalize_word(word: Word, coeff: int, ctx: RuleContext,
             ctx.on_rule = orig_hook
         out = redone if redone.key() != stuck.key() else stuck
         ctx._stuck_cache[cache_key] = (out, tuple(captured))
-        for note in captured:
-            ctx._consumed(note)
+        for fact in captured:
+            ctx._consumed(fact)
         return out
     return stuck
 
@@ -431,8 +435,8 @@ def _normalize_bracket(b: Bracket, coeff: int, ctx: RuleContext) -> Element:
                 e2 = Element.from_term(w2)
                 rule = ctx.product_value([e1, e2])
                 if rule is not None:
-                    rhs, note = rule
-                    ctx._consumed(note)
+                    rhs, fact = rule
+                    ctx._consumed(fact)
                     out = out + normalize(rhs, ctx).scale(coeff * c1 * c2)
                 else:
                     out = out + Element.from_term(Bracket([e1, e2], b.tag),
@@ -630,8 +634,8 @@ def suspend(e: Element, ctx: RuleContext, registry=None) -> Element:
         word: Word = term
         hit = ctx.susp_rule(word)
         if hit is not None:
-            rhs, note = hit
-            ctx._consumed(note)
+            rhs, fact = hit
+            ctx._consumed(fact)
             out = out + normalize(rhs, ctx).scale(c)
             continue
         syms = []
@@ -709,6 +713,6 @@ def resolve_triple(bracket_el: Element, ambients, ctx: RuleContext) -> Element:
         raise RewriteError(
             "KB fact required: no stored value for the base product "
             + Bracket(base_slots).render())
-    rhs, note = hit
-    ctx._consumed(note)
+    rhs, fact = hit
+    ctx._consumed(fact)
     return normalize(rhs, ctx).scale(k)

@@ -95,7 +95,7 @@ def test_criterion_6_gamma2_rewrite(catalog):
         got = rewrite.whitehead(Element.identity(sphere(2)),
                                 Element.identity(sphere(2)).scale(2**r), ctx)
         assert got.render() == f"{2 ** (r + 1)}*eta_2"
-        assert sum(1 for n in notes if n.startswith("boundary_value")) == 0
+        assert sum(1 for f in notes if f.kind == "boundary_value") == 0
     ok(6, "gamma_2 = 2^(r+1) eta_2 for r in [1, 8] with zero boundary facts")
 
 

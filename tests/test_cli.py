@@ -162,6 +162,34 @@ def test_validate_kb_rejects_unresolvable_facts(capsys, tmp_path):
         assert "line 1" in err
 
 
+def test_validate_kb_checks_fibration_heads(capsys, tmp_path):
+    """A boundary value or transport on an undeclared fibration, or a
+    transport through an undeclared map, could never be reached: exit 2."""
+    decls = ("symbol nu' : S6 -> S3\n"
+             "symbol j_q(r) : S2 -> F_q(r)\n"
+             "symbol psi(s,r) : F_q(s) -> F_q(r)\n"
+             "fibration F_q(r) : 2^r*iota_2 bottom=j_q(r)\n")
+    value = "fact boundary_value | {} : nu' | 0 | paper | q | loc\n"
+    transport = ("fact map_identity | boundary({}) | {} . boundary({}) "
+                 "| paper | q | loc\n")
+    p = tmp_path / "fib.facts"
+    p.write_text(decls + value.format("F_q(1)")
+                 + transport.format("F_q(r)", "psi(1,r)", "F_q(1)"))
+    assert run_cli(capsys, "--kb", str(p), "validate-kb")[0] == cli.EXIT_OK
+    for bad in (value.format("F_zz(1)"), value.format("F_q(1,1)"),
+                transport.format("F_yy(r)", "psi(1,r)", "F_q(1)"),
+                transport.format("F_q(r)", "psi(1,r)", "F_xx(1)"),
+                transport.format("F_q(r)", "phi(1,r)", "F_q(1)")):
+        p.write_text(decls + bad)
+        code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
+        assert code == cli.EXIT_VALIDATION and not out, bad
+        assert err.startswith("error: line 5: "), err
+    p.write_text("symbol nu' : S6 -> S3\n" + value.format("F_zz(1)")
+                 + transport.format("F_yy(r)", "psi(1,r)", "F_xx(1)"))
+    assert run_cli(capsys, "--kb", str(p), "validate-kb")[0] == \
+        cli.EXIT_VALIDATION
+
+
 _FIB_HEADER = "symbol j_q(r) : S2 -> F_q(r)\n"
 _FIB_OK = "fibration F_q(r) : 2^r*iota_2 bottom=j_q(r)"
 _bad_fibration_lines = st.one_of(

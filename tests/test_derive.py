@@ -1,16 +1,22 @@
 """The shipped derivations: tables, transcripts, replays, and failure
 modes."""
 
+from dataclasses import replace
+
 import pytest
 
+from conechase import cli
 from conechase.derive import (
+    CANONICAL_TOKENS,
+    SWEEP_GRID,
     AssertionMismatch,
     DeriveError,
     Runner,
+    _render_value,
     parse_script,
 )
 from conechase.groups import ExtensionUnresolved, TwoLocalGroup
-from conechase.kb import KbMissingFact
+from conechase.kb import KbMissingFact, load_catalog
 
 
 def q(*orders):
@@ -231,3 +237,109 @@ def test_golden_transcript(runner):
     golden = (pathlib.Path(__file__).parent / "golden" /
               "pi6_P3_r2.transcript").read_text()
     assert res.transcript == golden
+
+
+# ---------------------------------------------------------------------------
+# sweep pruning: a cached run serves every assignment agreeing on the
+# tokens it consumed
+# ---------------------------------------------------------------------------
+
+class CountingRunner(Runner):
+    """A runner that keeps every run it executes."""
+
+    def __init__(self, catalog, scripts):
+        super().__init__(catalog, scripts)
+        self.executed = []
+
+    def _execute(self, name, env):
+        result = super()._execute(name, env)
+        self.executed.append(result)
+        return result
+
+
+@pytest.fixture(scope="module")
+def pruned_pass(catalog, scripts):
+    """A fresh runner after one reproduce pass."""
+    runner = CountingRunner(catalog, scripts)
+    for name, params in cli.REPRODUCE_ROWS:
+        runner.run(name, params)
+    return runner
+
+
+def test_pruned_sweep_equals_the_full_sweep(pruned_pass, catalog, scripts):
+    """Every row under every sweep assignment: the cached run the pruned
+    sweep serves has the transcript and value of a fresh execution."""
+    done = len(pruned_pass.executed)
+    fresh = Runner(catalog, scripts)
+    for name, params in cli.REPRODUCE_ROWS:
+        for assign in SWEEP_GRID:
+            env = dict(CANONICAL_TOKENS, **params, **assign)
+            got = pruned_pass._run_cached(name, env)
+            want = fresh._execute(name, env)
+            assert got.transcript == want.transcript, (name, env)
+            assert _render_value(got.value) == _render_value(want.value)
+            assert all(got.env[t] == env[t] for t in got.tokens)
+    assert len(pruned_pass.executed) == done  # the pass had them all
+
+
+def test_runs_record_the_tokens_they_consume(pruned_pass):
+    touched = {}
+    for res in pruned_pass.executed:
+        touched.setdefault(res.script, set()).update(res.tokens)
+    assert touched == {
+        "pi5_L4m": set(),
+        "gamma3": {"sign", "eps"},
+        "pi5_P3": {"sign", "eps"},
+        "pi6_L4m": {"sign", "x", "y"},
+        "pi6_J3": {"sign", "eps", "x", "y"},
+        "pi6_P3": {"sign", "eps", "x", "y"},
+    }
+    for res in pruned_pass.executed:
+        # a run depends on the tokens of each fact it cites
+        for fact in res.consumed:
+            assert fact.tokens <= res.tokens
+
+
+def test_executions_per_swept_pass(pruned_pass, monkeypatch, capsys):
+    assert len(pruned_pass.executed) == 465  # 1040 without pruning
+    executed = []
+    execute = Runner._execute
+
+    def counted(self, name, env):
+        executed.append(name)
+        return execute(self, name, env)
+
+    monkeypatch.setattr(Runner, "_execute", counted)
+    assert cli.main(["compute", "--space", "L4", "--k", "5", "--m", "3"]) == 0
+    assert capsys.readouterr().out == "Z/2 + Z/2 + Z(2)\n"
+    assert executed == ["pi5_L4m"]
+
+
+def test_pruned_sweep_still_sees_a_token_dependence(catalog, scripts,
+                                                     tmp_path):
+    """Negative control: give a fact pi5_L4m consumes an eps-dependent
+    group and drop the script's assert; the sweep must run both eps
+    values and refuse the result."""
+    old = "| S2vS5 @ 5 | Z/2{"
+    text = catalog.serialize()
+    assert old in text
+    path = tmp_path / "eps.facts"
+    path.write_text(text.replace(old, "| S2vS5 @ 5 | Z/2^(1+eps){"))
+    script = scripts["pi5_L4m"]
+    unchecked = dict(scripts, pi5_L4m=replace(
+        script, steps=[st for st in script.steps if st.kind != "assert"]))
+    runner = CountingRunner(load_catalog(path), unchecked)
+    with pytest.raises(DeriveError, match="depends on the ambiguous tokens"):
+        runner.run("pi5_L4m", {"m": 3})
+    assert {res.tokens for res in runner.executed} == {frozenset({"eps"})}
+
+
+def test_scripts_may_not_name_swept_tokens():
+    head = "derivation bad\nparams m\n"
+    for line in ("let F4 = fiber_group fib=F_pL(m); k=4+sign",
+                 "let s = run script=pi5_L4m; m=m; x=1",
+                 "require m>=0, eps=0",
+                 "assert ans = { y>=1 : Z(2) }",
+                 "assert ans = Z/2^x"):
+        with pytest.raises(DeriveError, match="bad:3: names the swept token"):
+            parse_script(head + line + "\nreturn ans\n")
