@@ -19,6 +19,7 @@ import json
 import sys
 
 from .derive import (
+    CANONICAL_TOKENS,
     AssertionMismatch,
     DeriveError,
     Runner,
@@ -37,6 +38,7 @@ EXIT_MISSING_FACT = 3
 EXIT_ASSERTION = 4
 
 R_CAP = 62  # keeps 2^r inside a machine word for ports without big integers
+PARAM_MIN = {"r": 1, "m": 0}
 
 SCENARIOS = {
     ("P3", 5): ("pi5_P3", "r"),
@@ -56,6 +58,15 @@ REPRODUCE_ROWS = (
 )
 
 
+def _param_ok(name: str, value: int) -> bool:
+    """Whether a parameter lies in its range; reports it if not."""
+    if PARAM_MIN[name] <= value <= R_CAP:
+        return True
+    print(f"error: {name} must be in [{PARAM_MIN[name]}, {R_CAP}]",
+          file=sys.stderr)
+    return False
+
+
 def _catalog(args):
     if getattr(args, "kb", None):
         return load_catalog(args.kb)
@@ -73,11 +84,7 @@ def cmd_compute(args) -> int:
     if pval is None:
         print(f"error: scenario {script} needs --{pname}", file=sys.stderr)
         return EXIT_VALIDATION
-    if pname == "r" and not (1 <= pval <= R_CAP):
-        print(f"error: r must be in [1, {R_CAP}]", file=sys.stderr)
-        return EXIT_VALIDATION
-    if pname == "m" and not (0 <= pval <= R_CAP):
-        print(f"error: m must be in [0, {R_CAP}]", file=sys.stderr)
+    if not _param_ok(pname, pval):
         return EXIT_VALIDATION
     cat = _catalog(args)
     runner = Runner(cat, load_scripts())
@@ -141,20 +148,21 @@ def _reproduce_one(runner, name, params):
 
 
 def cmd_filtration(args) -> int:
+    env = dict(CANONICAL_TOKENS)
+    for name in PARAM_MIN:
+        value = getattr(args, name)
+        if value is not None:
+            if not _param_ok(name, value):
+                return EXIT_VALIDATION
+            env[name] = value
     cat = _catalog(args)
-    env = {"sign": 1, "eps": 0, "x": 0, "y": 1}
-    if args.r is not None:
-        env["r"] = args.r
-    if args.m is not None:
-        env["m"] = args.m
     try:
         el = cat.parser(env).parse(args.f)
         spec = filtration.MapSpec(el)
     except (TermError, KbError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    ctx = cat.rule_context(env)
-    model = filtration.build_filtration(spec, args.n, ctx, cat.registry)
+    model = filtration.build_filtration(spec, args.n, cat.rule_context(env))
     if args.format == "machine":
         for st in model.stages:
             print(json.dumps({

@@ -33,6 +33,7 @@ transcript, so one cached run serves every such assignment of the sweep.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -248,14 +249,14 @@ class Runner:
     token assignment that agrees with it on the tokens it consumed
     (``RunResult.tokens``), since such a run is the same under all of
     them; any other assignment is executed.  A run that consumes no
-    token fact is therefore executed once for the whole sweep.
+    token fact is therefore executed once for the whole sweep.  Rule
+    contexts are cached by token assignment and shared by every script
+    and parameter.
     """
 
-    def __init__(self, catalog: KbCatalog, scripts: Dict[str, Script],
-                 strict: bool = True):
+    def __init__(self, catalog: KbCatalog, scripts: Dict[str, Script]):
         self.catalog = catalog
         self.scripts = scripts
-        self.strict = strict
         self._cache: Dict[tuple, List[RunResult]] = {}
         self._ctx_cache: Dict[tuple, object] = {}
 
@@ -279,14 +280,14 @@ class Runner:
     # -- internals ----------------------------------------------------------
 
     def _ctx(self, env):
-        """A per-run view of the cached rule context for ``env``: the
-        memoised rules are shared, the fact-recording hook is the run's
-        own, so a ``run`` sub-derivation that shares its parent's context
-        records its citations in its own transcript only."""
-        key = tuple(sorted((k, v) for k, v in env.items()))
+        """A per-run view of the cached rule context for the tokens of
+        ``env``: the memoised rules are shared, the fact-recording hook is
+        the run's own, so a ``run`` sub-derivation that shares its parent's
+        context records its citations in its own transcript only."""
+        key = tuple(env[t] for t in SWEPT_TOKENS)
         ctx = self._ctx_cache.get(key)
         if ctx is None:
-            ctx = self.catalog.rule_context(env, strict=self.strict)
+            ctx = self.catalog.rule_context(env)
             self._ctx_cache[key] = ctx
         view = copy.copy(ctx)
         view.on_rule = None
@@ -407,12 +408,11 @@ class Runner:
             return self._fiber_group(args, env, ctx, bindings)
 
         if verb == "run":
-            sub_params = {}
-            for k, v in args.items():
-                if k == "script":
-                    continue
-                sub_params[k] = eval_int_expr(v, env)
-            sub_env = dict(env)
+            # the tokens and its own arguments only, so that it shares
+            # its cache entry with a run of the same parameters
+            sub_params = {k: eval_int_expr(v, env) for k, v in args.items()
+                          if k != "script"}
+            sub_env = {t: env[t] for t in SWEPT_TOKENS}
             sub_env.update(sub_params)
             sub = self._run_cached(args["script"], sub_env)
             tokens.update(sub.tokens)
@@ -487,8 +487,7 @@ class Runner:
         if verb == "stage_bracket":
             f = filtration.MapSpec(el("f"))
             stage = int(eval_int_expr(args["stage"], env))
-            model = filtration.build_filtration(f, stage, ctx,
-                                                self.catalog.registry)
+            model = filtration.build_filtration(f, stage, ctx)
             gamma = model.stages[stage - 1].gamma
             if gamma is None:
                 raise DeriveError("stage 1 has no attaching class")
@@ -527,8 +526,7 @@ class Runner:
                                    ctx)
 
         if verb == "suspend":
-            return rewrite.suspend(_as_element(bindings, args["of"]), ctx,
-                                   self.catalog.registry)
+            return rewrite.suspend(_as_element(bindings, args["of"]), ctx)
 
         if verb == "whitehead":
             left = (Element.identity(parse_space(args["id"], env))
@@ -583,7 +581,7 @@ class Runner:
             raise DeriveError(f"fibration {args['fib']} declares no skeleton")
         k = int(eval_int_expr(args["k"], env))
         _, st = filtration.skeleton_of_fiber(filtration.MapSpec(fib.f), k + 1,
-                                             ctx, self.catalog.registry)
+                                             ctx)
         if st.space != skeleton.source:
             raise DeriveError(
                 f"unexpected fiber skeleton {st.space_name} for {args['fib']}")
@@ -731,8 +729,7 @@ class Runner:
         if any(base.group.orders[i] > 2 for i in torsion):
             raise DeriveError("torsion coefficient ranges beyond Z/2 are not "
                               "implemented")
-        images = {i: rewrite.suspend(base.generator_element(i), ctx,
-                                     self.catalog.registry)
+        images = {i: rewrite.suspend(base.generator_element(i), ctx)
                   for i in range(base.group.rank)}
         solutions = []
         n = len(torsion)
@@ -821,8 +818,11 @@ def _fmt_env(env, params):
     return "(" + ", ".join(f"{p}={env[p]}" for p in params) + ")"
 
 
+@functools.cache
 def load_scripts() -> Dict[str, Script]:
-    """The six shipped derivations, one per group-table result."""
+    """The six shipped derivations, one per group-table result, read and
+    parsed once per process (callers share the dict and do not mutate
+    it)."""
     out = {}
     data = resources.files("conechase").joinpath("data")
     for entry in sorted(data.iterdir()):

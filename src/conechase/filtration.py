@@ -92,30 +92,23 @@ def _stage(prev: Stage, gamma: Element, cell: int, index: int) -> Stage:
                  f"{prev.space_name} u e^{cell}", cell, gamma)
 
 
-def bottom_inclusion(space: Space, q: int, stage: int, registry=None) -> Element:
+def bottom_inclusion(space: Space, q: int, stage: int,
+                     ctx: rewrite.RuleContext) -> Element:
     """The inclusion of the bottom sphere into a stage space."""
     if space.kind == "sphere":
         return Element.identity(space)
-    if registry is not None:
-        if space.kind == "wedge" and space.data == (2, 5):
-            return Element.from_term(Word((registry.make("j1_25", ()),)))
-        if space.kind == "named" and space.data[0] == "L4":
-            return Element.from_term(
-                Word((registry.make("j_L", (space.data[1][0],)),)))
     if space.kind == "wedge":
         d = space.data[1]
         sym = Sym(f"j1_{q}{d}", (), sphere(q), space, is_susp=True)
-        return Element.from_term(Word((sym,)))
-    if space.kind == "named" and space.data[0] == "L4":
-        sym = Sym("j_L", (space.data[1][0],), sphere(2), space)
-        return Element.from_term(Word((sym,)))
-    sym = Sym(f"jY_{stage}", tuple(), sphere(q), space)
+    elif space.kind == "named" and space.data[0] == "L4":
+        sym = ctx.registry.make("j_L", (space.data[1][0],))
+    else:
+        sym = Sym(f"jY_{stage}", tuple(), sphere(q), space)
     return Element.from_term(Word((sym,)))
 
 
 def build_filtration(f: MapSpec, n: int,
-                     ctx: Optional[rewrite.RuleContext] = None,
-                     registry=None) -> FiltrationModel:
+                     ctx: rewrite.RuleContext) -> FiltrationModel:
     """Stage spaces and attaching classes up to stage n.
 
     Stage r carries an r-th order bracket [j, j f, ..., j f]; the binary
@@ -123,14 +116,13 @@ def build_filtration(f: MapSpec, n: int,
     """
     if n < 1:
         raise FiltrationError("need at least one stage")
-    ctx = ctx or rewrite.EMPTY_CONTEXT
     p = f.source.data[0]
     q = f.target.data[0]
     stages = [Stage(1, f.target, f.target.key, None, None)]
     for r in range(2, n + 1):
         cell = q + (r - 1) * p
         prev = stages[-1]
-        j = bottom_inclusion(prev.space, q, r - 1, registry)
+        j = bottom_inclusion(prev.space, q, r - 1, ctx)
         jf = rewrite.compose(j, f.class_el, ctx)
         if r == 2:
             gamma = rewrite.whitehead(j, jf, ctx)
@@ -141,9 +133,7 @@ def build_filtration(f: MapSpec, n: int,
     return FiltrationModel(f, stages)
 
 
-def skeleton_of_fiber(f: MapSpec, m: int,
-                      ctx: Optional[rewrite.RuleContext] = None,
-                      registry=None):
+def skeleton_of_fiber(f: MapSpec, m: int, ctx: rewrite.RuleContext):
     """Largest stage whose cells all sit in dimension <= m.
 
     pi_k of the fiber agrees with pi_k of that stage for
@@ -154,7 +144,7 @@ def skeleton_of_fiber(f: MapSpec, m: int,
     r = 1
     while q + r * p <= m:
         r += 1
-    model = build_filtration(f, r, ctx, registry)
+    model = build_filtration(f, r, ctx)
     return r, model.stages[-1]
 
 
@@ -185,9 +175,8 @@ def suspended_homology(cells, boundaries, maxdim: int) -> dict:
 
 
 def suspension_splitting_check(f: MapSpec, k: int, maxdim: int,
-                               corrupt_cell: Optional[int] = None,
-                               ctx: Optional[rewrite.RuleContext] = None,
-                               registry=None) -> bool:
+                               ctx: rewrite.RuleContext,
+                               corrupt_cell: Optional[int] = None) -> bool:
     """Compare H_*(Sigma J_k) with the expected wedge of smash summands.
 
     The attaching classes are Whitehead brackets or torsion classes, so
@@ -195,7 +184,7 @@ def suspension_splitting_check(f: MapSpec, k: int, maxdim: int,
     free summand; the check reduces to the multiset of cell dimensions.
     A corrupted model (``corrupt_cell`` shifts one cell) must fail.
     """
-    model = build_filtration(f, k, ctx, registry)
+    model = build_filtration(f, k, ctx)
     cells = []
     bdries = []
     for st in model.stages:

@@ -696,15 +696,15 @@ class KbCatalog:
 
     # -- rule context ------------------------------------------------------------
 
-    def rule_context(self, env: dict, strict: bool = True,
-                     on_rule=None) -> rewrite.RuleContext:
-        """Rewrite rules for the run environment ``env``, matched against
-        the catalog on first use."""
-        env = dict(env)
+    def rule_context(self, env: dict, on_rule=None) -> rewrite.RuleContext:
+        """Rewrite rules for the swept-token values in ``env``, matched
+        against the catalog on first use.  A rule reads nothing else of a
+        run's environment, so one context serves every run that agrees
+        on the tokens."""
+        tokens = {t: env[t] for t in SWEPT_TOKENS if t in env}
         return rewrite.RuleContext(
-            strict=strict, on_rule=on_rule, registry=self.registry,
-            lookup=lambda kind, term: self._rule(kind, term, env),
-            signatures=self.signatures)
+            self.registry, lambda kind, term: self._rule(kind, term, tokens),
+            self.signatures, on_rule)
 
     def _rule(self, kind: str, term, env: dict):
         """(rhs, fact) of the first fact of a rewrite kind whose subject

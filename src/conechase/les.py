@@ -235,14 +235,13 @@ def fibration(cat: KbCatalog, env, head: str, params: tuple,
     return BoundaryRule(head, params, f, j_p, suspend_space(f.source))
 
 
-def boundary_on_suspension(fib: BoundaryRule, alpha: Element, ctx,
-                           registry) -> Element:
+def boundary_on_suspension(fib: BoundaryRule, alpha: Element, ctx) -> Element:
     """The connecting map on a suspension class: j_p . f . (desuspension).
 
     Classes that are not suspensions need a stored catalog value; that is
     exactly where the imported computations live.
     """
-    value = _suspension_boundary(fib, alpha, ctx, registry)
+    value = _suspension_boundary(fib, alpha, ctx)
     if value is None:
         raise KbMissingFact(
             f"KB fact required: {alpha.render()} is not a suspension; the "
@@ -250,12 +249,12 @@ def boundary_on_suspension(fib: BoundaryRule, alpha: Element, ctx,
     return value
 
 
-def _suspension_boundary(fib: BoundaryRule, alpha: Element, ctx,
-                         registry) -> Optional[Element]:
+def _suspension_boundary(fib: BoundaryRule, alpha: Element,
+                         ctx) -> Optional[Element]:
     sw = alpha.single_word()
     if sw is not None:
         word, c = sw
-        desusp = _try_desuspend(word, registry)
+        desusp = _try_desuspend(word, ctx)
         if desusp is not None:
             jf = rewrite.compose(fib.j_p, fib.f, ctx)
             val = rewrite.compose(jf, Element.from_term(*desusp), ctx)
@@ -266,7 +265,7 @@ def _suspension_boundary(fib: BoundaryRule, alpha: Element, ctx,
 def boundary_value(cat: KbCatalog, env, fib: BoundaryRule, gen: Element,
                    ctx, _raw: bool = False) -> Element:
     """Value of the connecting map on one generator of pi_k(base)."""
-    value = _suspension_boundary(fib, gen, ctx, cat.registry)
+    value = _suspension_boundary(fib, gen, ctx)
     if value is not None:
         return value
     hit = cat.boundary_fact(fib.head, fib.params, gen, env)
@@ -290,10 +289,10 @@ def boundary_value(cat: KbCatalog, env, fib: BoundaryRule, gen: Element,
         f"{gen.render()} (not a suspension, no stored value)")
 
 
-def _try_desuspend(word: Word, registry):
+def _try_desuspend(word: Word, ctx):
     syms = []
     for s in word.syms:
-        img = registry.desuspension_image(s)
+        img = ctx.registry.desuspension_image(s)
         if img is None:
             return None
         syms.append(img)

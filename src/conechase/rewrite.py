@@ -5,8 +5,8 @@ The engine only performs expansions it can justify exactly:
 * post-composition is a homomorphism, so sums and integer scalars in the
   *inner* factor of ``f . g`` always distribute;
 * sums/scalars in the *outer* factor distribute only across a co-H
-  (suspension) inner map -- attempting it otherwise is refused in strict
-  mode (or parked as an opaque composite);
+  (suspension) inner map -- attempting it otherwise is refused with a
+  ``StrictExpansionError``;
 * a scalar on a word is the word composed with a degree map of its source
   sphere, and degree maps tunnel rightward through suspension symbols,
   through anything under an H-space sphere (S^3, licensed by the vanishing
@@ -27,7 +27,6 @@ from typing import Callable, Optional, Sequence
 from .terms import (
     Bracket,
     Element,
-    OpaqueComp,
     Pair,
     Sym,
     TermError,
@@ -58,7 +57,8 @@ def word_names(w: Word) -> tuple:
 
 
 class RuleContext:
-    """Rewrite rules for one run, found by matching on first use.
+    """Rewrite rules for one token assignment, found by matching on first
+    use.
 
     ``lookup(kind, term)`` returns ``(rhs, fact)`` for the first catalog
     fact of that kind whose subject matches ``term``, or None.  The kinds
@@ -70,19 +70,20 @@ class RuleContext:
     any matching.  Answers are memoised in dicts that every view of the
     context shares.  ``on_rule`` receives each fact a rewrite consumes.
 
+    ``registry`` is the catalog's symbol registry: suspension and
+    desuspension images, and definitional unfolding of stuck words.
+
     Building the context reads the product ``[iota_3, iota_3]`` without
     citing it; ``tokens`` holds that fact's swept tokens, which every run
     on the context therefore depends on.
     """
 
-    def __init__(self, strict: bool = True, on_rule: Optional[Callable] = None,
-                 registry=None, lookup: Optional[Callable] = None,
-                 signatures: Optional[dict] = None):
-        self.strict = strict
+    def __init__(self, registry, lookup: Callable, signatures: dict,
+                 on_rule: Optional[Callable] = None):
         self.on_rule = on_rule    # callback(fact) when a fact is consumed
-        self.registry = registry  # for definitional unfolding of stuck words
+        self.registry = registry
         self._lookup = lookup
-        self._signatures = {k: (signatures or {}).get(k, frozenset())
+        self._signatures = {k: signatures.get(k, frozenset())
                             for k in RULE_KINDS}
         self.word_rules = {}      # symbol keys -> (rhs, fact) or None
         self.susp_words = {}      # word key -> (rhs, fact) or None
@@ -158,9 +159,6 @@ class RuleContext:
                     if best is None or o < best:
                         best = o
         return best
-
-
-EMPTY_CONTEXT = RuleContext(strict=False)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +360,7 @@ def normalize_word(word: Word, coeff: int, ctx: RuleContext,
     # once and keep that route only if it refolds to something new.  Every
     # abbreviation has a collapse rule, so a fruitless unfold folds back
     # to the same word and is dropped here.
-    if _depth == 0 and ctx.registry is not None and len(w.syms) > 1 \
-            and _has_defn(w, ctx.registry):
+    if _depth == 0 and len(w.syms) > 1 and _has_defn(w, ctx.registry):
         cache_key = (w.key(), coeff)
         hit = ctx._stuck_cache.get(cache_key)
         if hit is not None:
@@ -415,10 +412,8 @@ def normalize(e: Element, ctx: RuleContext) -> Element:
     for term, c in e.terms:
         if isinstance(term, Word):
             out = out + normalize_word(term, c, ctx)
-        elif isinstance(term, Bracket):
-            out = out + _normalize_bracket(term, c, ctx)
         else:
-            out = out + Element.from_term(term, c)
+            out = out + _normalize_bracket(term, c, ctx)
     return Element(e.source, e.target, out.terms, is_suspension=e.is_suspension)
 
 
@@ -486,11 +481,9 @@ def _compose_inner(f: Element, gterm, ctx: RuleContext) -> Element:
                                    if word.syms else Word((deg_sym(c, n),)),
                                    gword)
             return normalize_word(merged, 1, ctx)
-        if ctx.strict:
-            raise StrictExpansionError(
-                f"cannot move scalar {c} across {gword.render()}: inner map "
-                "is not a suspension and the interface is not a sphere")
-        return Element.from_term(OpaqueComp(f, gword))
+        raise StrictExpansionError(
+            f"cannot move scalar {c} across {gword.render()}: inner map "
+            "is not a suspension and the interface is not a sphere")
     # multi-term outer factor
     if _is_susp_word(gword):
         out = Element.zero(gword.source, f.target)
@@ -499,11 +492,9 @@ def _compose_inner(f: Element, gterm, ctx: RuleContext) -> Element:
         return out
     if gword.is_identity():
         return f
-    if ctx.strict:
-        raise StrictExpansionError(
-            f"cannot distribute a sum across {gword.render()}: inner map is "
-            "not a suspension")
-    return Element.from_term(OpaqueComp(f, gword))
+    raise StrictExpansionError(
+        f"cannot distribute a sum across {gword.render()}: inner map is "
+        "not a suspension")
 
 
 def _concat_words(a: Word, b: Word) -> Word:
@@ -617,12 +608,12 @@ def bracket_factor_head(bracket_el: Element, head: Element,
     return _normalize_bracket(Bracket(inner, b.tag), c, ctx)
 
 
-def suspend(e: Element, ctx: RuleContext, registry=None) -> Element:
+def suspend(e: Element, ctx: RuleContext) -> Element:
     """Suspension homomorphism on elements.
 
     Whitehead bracket terms of any arity suspend to zero.  Words consult
     whole-word suspension facts first, then suspend symbol by symbol; a
-    symbol with no registered suspension image makes the term opaque.
+    symbol with no registered suspension image is an error.
     """
     from .terms import suspend_space
     src = suspend_space(e.source)
@@ -639,30 +630,17 @@ def suspend(e: Element, ctx: RuleContext, registry=None) -> Element:
             out = out + normalize(rhs, ctx).scale(c)
             continue
         syms = []
-        ok = True
         for s in word.syms:
-            img = _suspend_sym(s, registry)
+            img = (None if isinstance(s, Pair)
+                   else ctx.registry.suspension_image(s))
             if img is None:
-                ok = False
-                break
+                raise RewriteError(
+                    f"no suspension image for {word.render()}; add a "
+                    "suspension fact")
             syms.append(img)
-        if not ok:
-            raise RewriteError(
-                f"no suspension image for {word.render()}; add a suspension "
-                "fact")
         w2 = Word(syms) if syms else Word((), src)
         out = out + normalize_word(w2, c, ctx)
     return Element(src, tgt, out.terms, is_suspension=True)
-
-
-def _suspend_sym(s, registry):
-    if isinstance(s, Pair):
-        return None
-    if s.name == "deg":
-        return deg_sym(s.params[0], s.params[1] + 1)
-    if registry is not None:
-        return registry.suspension_image(s)
-    return None
 
 
 def triple_indeterminacy(ambients, label: str = ""):

@@ -134,6 +134,12 @@ def _tokenize_expr(text: str):
     return out
 
 
+def _power(base: int, e: int) -> int:
+    if e < 0:
+        raise TermError("negative exponent")
+    return base**e
+
+
 def eval_int_expr(text, env: dict) -> int:
     """Evaluate an integer expression like ``3*2^(r+1)`` in an environment.
 
@@ -176,10 +182,7 @@ def eval_int_expr(text, env: dict) -> int:
         v = atom()
         if peek() == "^":
             eat("^")
-            e = atom()
-            if e < 0:
-                raise TermError("negative exponent")
-            return v**e
+            return _power(v, atom())
         return v
 
     def muldiv():
@@ -418,37 +421,6 @@ class Bracket:
 
     def __repr__(self):
         return f"<{self.render()}>"
-
-
-class OpaqueComp:
-    """An unexpanded composite (sum) . word kept when no expansion rule
-    is justified; strict mode refuses to create these."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: "Element", right: Word):
-        self.left = left
-        self.right = right
-
-    @property
-    def source(self):
-        return self.right.source
-
-    @property
-    def target(self):
-        return self.left.target
-
-    def key(self):
-        return ("opaque", self.left.key(), self.right.key())
-
-    def render(self) -> str:
-        return f"({self.left.render()}) . {self.right.render()}"
-
-    def __eq__(self, other):
-        return isinstance(other, OpaqueComp) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
 
 # ---------------------------------------------------------------------------
@@ -700,22 +672,18 @@ class TermParser:
             v = int(t)
             if self._peek() == "^":
                 self._eat("^")
-                v = v**self._int_atom()
+                v = _power(v, self._int_atom())
             return v, None
         if re.fullmatch(r"[A-Za-z][A-Za-z0-9_~']*(\^\d+)?", t):
-            if t in self.env and not self._looks_like_map(t):
+            if t in self.env:
                 self._eat()
                 v = int(self.env[t])
                 if self._peek() == "^":
                     self._eat("^")
-                    v = v**self._int_atom()
+                    v = _power(v, self._int_atom())
                 return v, None
             return 1, self._word()
         raise TermError(f"unexpected token {t!r}")
-
-    def _looks_like_map(self, name: str) -> bool:
-        # a parenthesized argument list or a '.' after the name means a map
-        return False
 
     def _word(self) -> Element:
         parts = [self._word_factor()]

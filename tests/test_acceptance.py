@@ -145,7 +145,7 @@ def test_criterion_8_property_suites(catalog, env):
         if f.target != g.target:
             continue
         w = rewrite.whitehead(f, g, ctx)
-        assert rewrite.suspend(w, ctx, catalog.registry).is_zero()
+        assert rewrite.suspend(w, ctx).is_zero()
         count += 1
 
     # (c) the suspension splitting for every shipped attaching class
@@ -156,7 +156,7 @@ def test_criterion_8_property_suites(catalog, env):
             spec = filtration.MapSpec(e)
             for k in (1, 2, 3, 4):
                 assert filtration.suspension_splitting_check(
-                    spec, k, 14, ctx=ctx, registry=catalog.registry)
+                    spec, k, 14, ctx=ctx)
 
     # (d) complete certificates always give the full-order group
     rng = random.Random(7)
@@ -185,7 +185,7 @@ def test_criterion_9_negative_controls(catalog, scripts, env):
     ctx = catalog.rule_context(env)
     spec = filtration.MapSpec(catalog.parser({"r": 2}).parse("2^r*iota_2"))
     assert filtration.suspension_splitting_check(
-        spec, 3, 12, ctx=ctx, registry=catalog.registry)
+        spec, 3, 12, ctx=ctx)
     assert not filtration.suspension_splitting_check(
-        spec, 3, 12, corrupt_cell=1, ctx=ctx, registry=catalog.registry)
+        spec, 3, 12, corrupt_cell=1, ctx=ctx)
     ok(9, "missing lift fails unresolved; corrupted cell fails the splitting")

@@ -105,6 +105,22 @@ def test_filtration_examples(capsys):
     assert code == 0 and out.strip() == "J_1 = S2"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--f", "2^r*iota_2", "--n", "3", "--r", "-2"),
+    ("--f", "2^r*iota_2", "--n", "3", "--r", "63"),
+    ("--f", "2^m*eta_2", "--n", "3", "--m", "-1"),
+    ("--f", "2^(-2)*iota_2", "--n", "3"),
+    ("--f", "2^r*iota_2", "--n", "3", "--r", "2", "--m", "-1"),
+])
+def test_filtration_rejects_bad_parameters_and_negative_exponents(capsys,
+                                                                  argv):
+    """A negative exponent or a parameter outside compute's range is a
+    validation error, never a truncated attaching class."""
+    code, out, err = run_cli(capsys, "filtration", *argv)
+    assert code == cli.EXIT_VALIDATION
+    assert out == "" and err.startswith("error: ")
+
+
 def test_filtration_rejects_nonsuspension(capsys):
     code, _, err = run_cli(capsys, "filtration", "--f", "j_L(2)", "--n", "2")
     assert code == cli.EXIT_VALIDATION

@@ -301,7 +301,10 @@ def test_runs_record_the_tokens_they_consume(pruned_pass):
 
 
 def test_executions_per_swept_pass(pruned_pass, monkeypatch, capsys):
-    assert len(pruned_pass.executed) == 465  # 1040 without pruning
+    assert len(pruned_pass.executed) == 402  # 1040 without pruning
+    for name, params in pruned_pass._cache:
+        if name in ("pi5_L4m", "pi6_L4m"):
+            assert [k for k, _ in params] == ["m"], (name, params)
     executed = []
     execute = Runner._execute
 
@@ -313,6 +316,12 @@ def test_executions_per_swept_pass(pruned_pass, monkeypatch, capsys):
     assert cli.main(["compute", "--space", "L4", "--k", "5", "--m", "3"]) == 0
     assert capsys.readouterr().out == "Z/2 + Z/2 + Z(2)\n"
     assert executed == ["pi5_L4m"]
+
+
+def test_one_rule_context_per_token_assignment(pruned_pass):
+    """Rules read only the swept tokens, so a pass shares one context per
+    sweep assignment across every row, parameter and subderivation."""
+    assert len(pruned_pass._ctx_cache) == len(SWEEP_GRID) == 16
 
 
 def test_pruned_sweep_still_sees_a_token_dependence(catalog, scripts,

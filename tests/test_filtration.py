@@ -43,7 +43,7 @@ def test_cell_dimension_law(catalog, ctx, env):
 def test_cell_dimension_law_mixed(catalog, ctx, env):
     # q = 2, p = 3 (the Hopf-multiple family)
     spec = hopf_multiple(catalog, env, 2)
-    model = filtration.build_filtration(spec, 4, ctx, catalog.registry)
+    model = filtration.build_filtration(spec, 4, ctx)
     assert [st.cell_dim for st in model.stages] == [None, 5, 8, 11]
 
 
@@ -51,7 +51,7 @@ def test_tower_for_degree_maps(catalog, env):
     ctx = catalog.rule_context(env)
     for r in range(1, 9):
         model = filtration.build_filtration(degree_map(catalog, env, r), 3,
-                                            ctx, catalog.registry)
+                                            ctx)
         g2 = model.stages[1].gamma
         assert g2.render() == f"{2 ** (r + 1)}*eta_2"
         assert model.stages[1].space_name == f"L4({r + 1})"
@@ -69,8 +69,7 @@ def test_tower_for_degree_maps(catalog, env):
 
 def test_wedge_detection(catalog, env):
     ctx = catalog.rule_context(env)
-    model = filtration.build_filtration(hopf_multiple(catalog, env, 3), 2,
-                                        ctx, catalog.registry)
+    model = filtration.build_filtration(hopf_multiple(catalog, env, 3), 2, ctx)
     st = model.stages[1]
     assert st.gamma.is_zero()
     assert st.space == wedge(2, 5)
@@ -86,11 +85,10 @@ def test_single_stage(catalog, ctx, env):
 
 def test_skeleton_of_fiber(catalog, env):
     ctx = catalog.rule_context(env)
-    r, st = filtration.skeleton_of_fiber(degree_map(catalog, env, 2), 6, ctx,
-                                         catalog.registry)
+    r, st = filtration.skeleton_of_fiber(degree_map(catalog, env, 2), 6, ctx)
     assert r == 3
     r, st = filtration.skeleton_of_fiber(hopf_multiple(catalog, env, 2), 6,
-                                         ctx, catalog.registry)
+                                         ctx)
     assert r == 2
     r, st = filtration.skeleton_of_fiber(degree_map(catalog, env, 2), 1, ctx)
     assert r == 1
@@ -100,11 +98,11 @@ def test_suspend_gamma_is_zero(catalog, env):
     ctx = catalog.rule_context(env)
     for r in (1, 2, 3):
         model = filtration.build_filtration(degree_map(catalog, env, r), 4,
-                                            ctx, catalog.registry)
+                                            ctx)
         for st in model.stages[1:]:
             if st.gamma.is_zero():
                 continue
-            assert rewrite.suspend(st.gamma, ctx, catalog.registry).is_zero()
+            assert rewrite.suspend(st.gamma, ctx).is_zero()
 
 
 def test_splitting_check_all_shipped_mapspecs(catalog, env):
@@ -114,7 +112,7 @@ def test_splitting_check_all_shipped_mapspecs(catalog, env):
     for spec in specs:
         for k in (1, 2, 3, 4):
             assert filtration.suspension_splitting_check(
-                spec, k, 14, ctx=ctx, registry=catalog.registry), \
+                spec, k, 14, ctx=ctx), \
                 f"splitting fails for {spec.class_el.render()} at stage {k}"
 
 
@@ -122,4 +120,4 @@ def test_splitting_check_negative_control(catalog, env):
     ctx = catalog.rule_context(env)
     spec = degree_map(catalog, env, 2)
     assert not filtration.suspension_splitting_check(
-        spec, 3, 12, corrupt_cell=1, ctx=ctx, registry=catalog.registry)
+        spec, 3, 12, corrupt_cell=1, ctx=ctx)

@@ -100,11 +100,10 @@ def test_boundary_on_suspension_refuses_nonsuspensions(catalog):
     ctx = catalog.rule_context(env)
     fib = les.fibration(catalog, env, "F_p4", (1,))
     alpha = catalog.parser(env).parse("Sigma_nu'")
-    v = les.boundary_on_suspension(fib, alpha, ctx, catalog.registry)
+    v = les.boundary_on_suspension(fib, alpha, ctx)
     assert v.render() == "2*jp4(1) . nu'"
     with pytest.raises(KbMissingFact, match="not a suspension"):
-        les.boundary_on_suspension(fib, catalog.parser(env).parse("nu_4"),
-                                   ctx, catalog.registry)
+        les.boundary_on_suspension(fib, catalog.parser(env).parse("nu_4"), ctx)
 
 
 def test_exactness_audit_across_the_cone_family(catalog, runner):

@@ -91,9 +91,6 @@ def test_strict_mode_blocks_ungated_expansion(catalog, env):
     # eta_2 is not a suspension and not preceded by anything collapsible
     with pytest.raises(StrictExpansionError):
         compose(two_terms, p.parse("j1_25.eta_2"), ctx)
-    lax = catalog.rule_context(env, strict=False)
-    kept = compose(two_terms, p.parse("j1_25.eta_2"), lax)
-    assert kept.terms  # parked as an opaque composite, not fabricated
 
 
 def test_wedge_annihilation(catalog, ctx, env):
@@ -118,7 +115,7 @@ def test_suspension_kills_brackets_randomized(catalog, env):
         if g.target != f.target:
             continue
         w = whitehead(f, g, ctx)
-        s = suspend(w, ctx, catalog.registry)
+        s = suspend(w, ctx)
         assert s.is_zero()
         checked += 1
     assert checked == 200
@@ -127,11 +124,11 @@ def test_suspension_kills_brackets_randomized(catalog, env):
 def test_suspension_facts(catalog, env):
     ctx = catalog.rule_context(env)
     p = catalog.parser(env)
-    out = suspend(p.parse("j_L(m).eta_2^3"), ctx, catalog.registry)
+    out = suspend(p.parse("j_L(m).eta_2^3"), ctx)
     assert out.render() == "2*Sj1(3) . nu'"
     env2 = dict(env, eps=1)
     ctx2 = catalog.rule_context(env2)
-    out = suspend(parse(catalog, env2, "eta~_4(m)"), ctx2, catalog.registry)
+    out = suspend(parse(catalog, env2, "eta~_4(m)"), ctx2)
     assert "Sj2(3) . eta_5" in out.render() and "2*Sj1(3) . nu'" in out.render()
 
 

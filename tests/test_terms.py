@@ -63,6 +63,16 @@ def test_parser_rejects_garbage(catalog, env):
         p.parse("7")
 
 
+def test_parser_rejects_negative_exponents(catalog):
+    # 2^-2 is no integer scalar: refused, not truncated to 0
+    for text, env in (("2^r*iota_2", {"r": -2}), ("r^r*iota_2", {"r": -1}),
+                      ("2^(-2)*iota_2", {}), ("2^-1 iota_2", {})):
+        with pytest.raises(TermError, match="negative exponent"):
+            catalog.parser(env).parse(text)
+    with pytest.raises(TermError, match="negative exponent"):
+        eval_int_expr("2^(r-3)", {"r": 1})
+
+
 def test_round_trip_of_fact_labels(catalog, env):
     """Every label shipped in a group fact parses and re-renders stably."""
     p = catalog.parser(env)
