@@ -138,6 +138,8 @@ _ETA_POW = re.compile(r"^eta_(\d+)\^(\d+)$")
 _FACTOR = re.compile(r"([A-Za-z][A-Za-z0-9_~']*(?:\^\d+)?)\s*(?:\((.*)\))?")
 _ETA = re.compile(r"^eta_(\d+)$")
 _IOTA = re.compile(r"^iota_(\d+)$")
+_TERM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_~']*(?:\^\d+)?")
+_ID_ARG = re.compile(r"\bid\([^()]*\)")
 
 
 def _eta_sym(n: int) -> Sym:
@@ -220,19 +222,34 @@ class SymbolRegistry:
                 k, j = int(power.group(1)), int(power.group(2))
                 names.extend(_eta_sym(k + i).name for i in range(j))
             else:
-                if name == "deg":
-                    arity = 2
-                elif _ETA.match(name):
-                    arity = 0
-                elif name in self.specs:
-                    arity = self.specs[name].nvars
-                else:
+                arity = self._arity(name)
+                if arity is None:
                     raise KbError(f"unknown symbol {name!r}")
                 if len(args) != arity:
                     raise KbError(f"{name} expects {arity} parameter(s)")
                 names.append(name)
                 exprs.extend(args)
         return tuple(names) or (ident,), tuple(exprs)
+
+    def _arity(self, name: str) -> Optional[int]:
+        """The parameter count of the symbol ``make`` builds for ``name``,
+        or None if it builds none."""
+        if name == "deg":
+            return 2
+        if _ETA.match(name):
+            return 0
+        spec = self.specs.get(name)
+        return spec.nvars if spec is not None else None
+
+    def check_names(self, text: str, variables) -> None:
+        """Raise unless every name in the term ``text`` is a symbol the
+        term parser resolves or one of ``variables``.  A name scan, not a
+        parse: arities and spaces are checked when the term is parsed."""
+        for name in _TERM_NAME.findall(_ID_ARG.sub("", text)):
+            if not (name in variables or self._arity(name) is not None
+                    or name == "pair" or _IOTA.match(name)
+                    or _ETA_POW.match(name)):
+                raise KbError(f"unknown symbol {name!r}")
 
     def suspension_image(self, s: Sym) -> Optional[Sym]:
         if s.name == "deg":
@@ -455,6 +472,8 @@ class KbCatalog:
         self.digest = digest
         self.version = version
         self._parse_cache = {}
+        # normal forms shared by every rule context of this catalog
+        self._normal_forms = {}
         self.by_kind = {}
         self._patterns = {}
         seen = {}
@@ -512,7 +531,12 @@ class KbCatalog:
             pat = self._pattern(f)
         except (KbError, TermError) as e:
             raise KbError(f"line {f.line}: {e}") from e
-        _check_variables(pat)
+        variables = _check_variables(pat) | set(SWEPT_TOKENS)
+        try:
+            for text in _payload_terms(pat):
+                self.registry.check_names(text, variables)
+        except KbError as e:
+            raise KbError(f"line {f.line}: payload: {e}") from e
         return pat
 
     def _pattern(self, f: KbFact) -> FactPattern:
@@ -700,11 +724,11 @@ class KbCatalog:
         """Rewrite rules for the swept-token values in ``env``, matched
         against the catalog on first use.  A rule reads nothing else of a
         run's environment, so one context serves every run that agrees
-        on the tokens."""
+        on the tokens.  Every context of the catalog shares its memo of
+        normal forms."""
         tokens = {t: env[t] for t in SWEPT_TOKENS if t in env}
-        return rewrite.RuleContext(
-            self.registry, lambda kind, term: self._rule(kind, term, tokens),
-            self.signatures, on_rule)
+        return rewrite.RuleContext(self.registry, self._rule, self.signatures,
+                                   tokens, self._normal_forms, on_rule)
 
     def _rule(self, kind: str, term, env: dict):
         """(rhs, fact) of the first fact of a rewrite kind whose subject
@@ -752,9 +776,10 @@ def _head(text: str):
     return (m.group(1),), tuple(args)
 
 
-def _check_variables(pat: FactPattern):
+def _check_variables(pat: FactPattern) -> set:
     """Every variable of a subject expression or guard must be bound by
-    matching: it appears bare or as 2^v somewhere in the subject."""
+    matching: it appears bare or as 2^v somewhere in the subject.  Returns
+    the variables matching binds."""
     bindable = {e for e in pat.exprs if _VAR.fullmatch(e)}
     bindable |= {e[2:] for e in pat.exprs if _POW2_VAR.fullmatch(e)}
     used = set(_VAR.findall(" ".join(pat.exprs)))
@@ -770,6 +795,23 @@ def _check_variables(pat: FactPattern):
     if unbound:
         raise KbError(f"line {pat.fact.line}: fact variable(s) "
                       f"{', '.join(unbound)} not bound by the subject")
+    return bindable
+
+
+def _payload_terms(pat: FactPattern) -> list:
+    """The term texts of a fact's payload: group labels, a lift and its
+    relation, the map of a transported lift, or a rewrite or boundary
+    value.  An order bound's payload is 0, and a boundary transport's map
+    is checked as a word when its pattern is compiled."""
+    if pat.rule == "group":
+        return [label for _, label in pat.payload]
+    if pat.rule == "lift":
+        if pat.payload[0] == "transport":
+            return [pat.payload[1]]
+        return [t for t in (pat.payload[1], pat.payload[3]) if t]
+    if pat.rule in ("order", "transport") or pat.fact.payload.strip() == "0":
+        return []
+    return [pat.fact.payload]
 
 
 def _group_summands(text: str) -> tuple:

@@ -18,6 +18,14 @@ The engine only performs expansions it can justify exactly:
 
 Unknown composites stay as unexpanded words: silence never fabricates a
 vanishing.
+
+Each catalog keeps one memo of normal forms, shared by all its rule
+contexts (``RuleContext.memo``).  An entry holds the answer for a word and
+coefficient, the facts the rewriting consumed, and the values of the
+swept tokens it read, and it serves every token assignment that agrees on
+those.  That is exact, since a token reaches a rewrite only through the
+payload of a fact a lookup returned.  A hit cites the facts again, in
+order, so transcripts do not depend on the memo's warmth.
 """
 
 from __future__ import annotations
@@ -58,14 +66,15 @@ def word_names(w: Word) -> tuple:
 
 class RuleContext:
     """Rewrite rules for one token assignment, found by matching on first
-    use.
+    use, and the catalog's memo of normal forms.
 
-    ``lookup(kind, term)`` returns ``(rhs, fact)`` for the first catalog
-    fact of that kind whose subject matches ``term``, or None.  The kinds
-    are ``word`` (a rule rewriting exactly these symbols), ``susp`` (the
-    suspension of a whole word), ``order`` (an order bound on a word; the
-    rhs is the order) and ``product`` (the value of a Whitehead product on
-    these slots).  ``signatures`` maps each kind to the symbol-name
+    ``lookup(kind, term, values)`` returns ``(rhs, fact)`` for the first
+    catalog fact of that kind whose subject matches ``term``, or None;
+    ``values`` maps each swept token to its value in this assignment.  The
+    kinds are ``word`` (a rule rewriting exactly these symbols), ``susp``
+    (the suspension of a whole word), ``order`` (an order bound on a word;
+    the rhs is the order) and ``product`` (the value of a Whitehead product
+    on these slots).  ``signatures`` maps each kind to the symbol-name
     signatures that can match at all, so most lookups are rejected before
     any matching.  Answers are memoised in dicts that every view of the
     context shares.  ``on_rule`` receives each fact a rewrite consumes.
@@ -73,23 +82,35 @@ class RuleContext:
     ``registry`` is the catalog's symbol registry: suspension and
     desuspension images, and definitional unfolding of stuck words.
 
+    ``memo`` is the catalog's one table of normal forms, shared by every
+    context the catalog builds: ``normalize_word`` keeps each answer there
+    with the facts it consumed and the values of the swept tokens it read,
+    and an answer serves every context that agrees on those tokens.  That
+    is exact: subjects and guards bind only fact variables, so whether a
+    lookup hits, and which fact it returns, never depends on a token; a
+    token enters only through the payload of a returned fact, and every
+    returned fact's tokens count as read (``reads``, the record of the
+    normalisation in progress).
+
     Building the context reads the product ``[iota_3, iota_3]`` without
     citing it; ``tokens`` holds that fact's swept tokens, which every run
-    on the context therefore depends on.
+    and every normalisation on the context therefore depends on.
     """
 
     def __init__(self, registry, lookup: Callable, signatures: dict,
-                 on_rule: Optional[Callable] = None):
+                 values: dict, memo: dict, on_rule: Optional[Callable] = None):
         self.on_rule = on_rule    # callback(fact) when a fact is consumed
         self.registry = registry
+        self.values = values      # swept token -> value
+        self.memo = memo          # (word, coeff, top level) -> answers
+        self.reads = None         # tokens read by the normalisation running
         self._lookup = lookup
         self._signatures = {k: signatures.get(k, frozenset())
                             for k in RULE_KINDS}
         self.word_rules = {}      # symbol keys -> (rhs, fact) or None
         self.susp_words = {}      # word key -> (rhs, fact) or None
-        self.order_bounds = {}    # symbol keys -> order or None
+        self.order_bounds = {}    # symbol keys -> (order, fact) or None
         self.products = {}        # slot keys -> (rhs, fact) or None
-        self._stuck_cache = {}
         # all Whitehead products of S^3 vanish once [iota_3, iota_3] does
         s3 = Element.identity(sphere(3))
         hit = self.product_value([s3, s3])
@@ -98,33 +119,35 @@ class RuleContext:
 
     # -- lookups --------------------------------------------------------------
 
+    def _find(self, table: dict, key, kind: str, term):
+        """The memoised lookup of ``term``; a hit's tokens are read."""
+        if key not in table:
+            table[key] = self._lookup(kind, term, self.values)
+        hit = table[key]
+        if hit is not None and self.reads is not None:
+            self.reads |= hit[1].tokens
+        return hit
+
     def word_rule(self, syms):
         """(rhs, fact) of the rule rewriting exactly ``syms``, or None."""
         if tuple(s.name for s in syms) not in self._signatures["word"]:
             return None
-        key = tuple(s.key for s in syms)
-        if key not in self.word_rules:
-            self.word_rules[key] = self._lookup("word", Word(syms))
-        return self.word_rules[key]
+        return self._find(self.word_rules, tuple(s.key for s in syms),
+                          "word", Word(syms))
 
     def susp_rule(self, word: Word):
         """(rhs, fact) of a stored suspension of the whole word, or None."""
         if word_names(word) not in self._signatures["susp"]:
             return None
-        key = word.key()
-        if key not in self.susp_words:
-            self.susp_words[key] = self._lookup("susp", word)
-        return self.susp_words[key]
+        return self._find(self.susp_words, word.key(), "susp", word)
 
-    def order_bound(self, syms) -> Optional[int]:
-        """A stored bound on the order of the word ``syms``, or None."""
+    def order_bound(self, syms):
+        """(order, fact) of a stored bound on the order of the word
+        ``syms``, or None."""
         if tuple(s.name for s in syms) not in self._signatures["order"]:
             return None
-        key = tuple(s.key for s in syms)
-        if key not in self.order_bounds:
-            hit = self._lookup("order", Word(syms))
-            self.order_bounds[key] = hit and hit[0]
-        return self.order_bounds[key]
+        return self._find(self.order_bounds, tuple(s.key for s in syms),
+                          "order", Word(syms))
 
     def product_value(self, slots):
         """(rhs, fact) of a stored value of the product on ``slots``, each
@@ -137,10 +160,8 @@ class RuleContext:
             names.append(word_names(sw[0]))
         if tuple(names) not in self._signatures["product"]:
             return None
-        key = tuple(s.key() for s in slots)
-        if key not in self.products:
-            self.products[key] = self._lookup("product", list(slots))
-        return self.products[key]
+        return self._find(self.products, tuple(s.key() for s in slots),
+                          "product", list(slots))
 
     def _consumed(self, fact):
         if self.on_rule:
@@ -150,9 +171,9 @@ class RuleContext:
         syms = word.syms
         best = None
         for j in range(len(syms)):
-            b = self.order_bound(syms[j:])
-            if b is not None and (best is None or b < best):
-                best = b
+            hit = self.order_bound(syms[j:])
+            if hit is not None and (best is None or hit[0] < best):
+                best = hit[0]
             if j == len(syms) - 1 and isinstance(syms[j], Sym):
                 o = syms[j].order
                 if o:
@@ -206,7 +227,38 @@ def _splice(pre, rhs_syms, post):
 
 def normalize_word(word: Word, coeff: int, ctx: RuleContext,
                    _depth: int = 0) -> Element:
-    """Fully normalize coeff * word into an element."""
+    """Fully normalize coeff * word into an element.
+
+    The answer comes from the catalog's memo when an entry for this word,
+    coefficient and level agrees with ``ctx`` on the tokens it read;
+    otherwise it is computed and kept.  Either way the facts it consumed
+    are cited through ``ctx`` in order, and its read tokens join those of
+    the enclosing normalisation, so neither transcripts nor token records
+    depend on the memo's warmth.
+    """
+    entries = ctx.memo.setdefault((word, coeff, _depth == 0), [])
+    for out, facts, reads in entries:
+        if all(ctx.values.get(t) == v for t, v in reads):
+            break
+    else:
+        hook, outer = ctx.on_rule, ctx.reads
+        facts, ctx.reads = [], set(ctx.tokens)
+        ctx.on_rule = facts.append
+        try:
+            out = _rewrite_word(word, coeff, ctx, _depth)
+        finally:
+            read, ctx.reads, ctx.on_rule = ctx.reads, outer, hook
+        reads = tuple((t, ctx.values.get(t)) for t in sorted(read))
+        entries.append((out, tuple(facts), reads))
+    for fact in facts:
+        ctx._consumed(fact)
+    if ctx.reads is not None:
+        ctx.reads.update(t for t, _ in reads)
+    return out
+
+
+def _rewrite_word(word: Word, coeff: int, ctx: RuleContext,
+                  _depth: int) -> Element:
     syms = list(word.syms)
     space = word.space
     guard = 0
@@ -361,33 +413,16 @@ def normalize_word(word: Word, coeff: int, ctx: RuleContext,
     # abbreviation has a collapse rule, so a fruitless unfold folds back
     # to the same word and is dropped here.
     if _depth == 0 and len(w.syms) > 1 and _has_defn(w, ctx.registry):
-        cache_key = (w.key(), coeff)
-        hit = ctx._stuck_cache.get(cache_key)
-        if hit is not None:
-            out, fired = hit
-            # replay the citations the unfold consumed, so transcripts do
-            # not depend on cache warmth
-            for fact in fired:
-                ctx._consumed(fact)
-            return out
-        captured = []
-        orig_hook = ctx.on_rule
-        ctx.on_rule = captured.append
-        try:
-            unfolded = ctx.registry.unfold_element(stuck)
-            redone = Element.zero(stuck.source, stuck.target)
-            for t, c in unfolded.terms:
-                if isinstance(t, Word):
-                    redone = redone + normalize_word(t, c, ctx, _depth=1)
-                else:
-                    redone = redone + _normalize_bracket(t, c, ctx)
-        finally:
-            ctx.on_rule = orig_hook
-        out = redone if redone.key() != stuck.key() else stuck
-        ctx._stuck_cache[cache_key] = (out, tuple(captured))
-        for fact in captured:
-            ctx._consumed(fact)
-        return out
+        # its citations stand even when the unfold is dropped
+        unfolded = ctx.registry.unfold_element(stuck)
+        redone = Element.zero(stuck.source, stuck.target)
+        for t, c in unfolded.terms:
+            if isinstance(t, Word):
+                redone = redone + normalize_word(t, c, ctx, _depth=1)
+            else:
+                redone = redone + _normalize_bracket(t, c, ctx)
+        if redone.key() != stuck.key():
+            return redone
     return stuck
 
 

@@ -319,6 +319,8 @@ class Word:
         return not self.syms
 
     def key(self):
+        """The rendered identity that normal forms are compared by; it
+        ignores the spaces between symbols, which ``==`` does not."""
         if self._key is None:
             if not self.syms:
                 self._key = ("id", self.space.key)
@@ -338,11 +340,13 @@ class Word:
         return self._render
 
     def __eq__(self, other):
-        return isinstance(other, Word) and self.key() == other.key()
+        # symbol by symbol, spaces included, as ``Sym`` compares
+        return (isinstance(other, Word) and self.syms == other.syms
+                and self.space == other.space)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(("word", self.key()))
+            self._hash = hash((self.syms, self.space))
         return self._hash
 
     def __repr__(self):

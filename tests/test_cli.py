@@ -178,6 +178,21 @@ def test_validate_kb_rejects_unresolvable_facts(capsys, tmp_path):
         assert "line 1" in err
 
 
+def test_validate_kb_checks_payload_symbols(capsys, tmp_path):
+    """A payload naming an undeclared symbol is refused at load with
+    exit 2, not when a computation first parses it (exit 3)."""
+    text = default_catalog().serialize()
+    good = "| j_pL(m).eta_2 |"
+    assert text.count(good) == 1
+    p = tmp_path / "payload.facts"
+    p.write_text(text.replace(good, "| j_pLL(m).eta_2 |"))
+    for argv in (["validate-kb"],
+                 ["compute", "--space", "L4", "--k", "6", "--m", "3"]):
+        code, out, err = run_cli(capsys, "--kb", str(p), *argv)
+        assert code == cli.EXIT_VALIDATION and not out
+        assert "unknown symbol 'j_pLL'" in err
+
+
 def test_validate_kb_checks_fibration_heads(capsys, tmp_path):
     """A boundary value or transport on an undeclared fibration, or a
     transport through an undeclared map, could never be reached: exit 2."""

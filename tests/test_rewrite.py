@@ -6,8 +6,10 @@ import random
 import pytest
 
 from conechase import rewrite
+from conechase.derive import CANONICAL_TOKENS, default_catalog
+from conechase.kb import load_catalog
 from conechase.rewrite import StrictExpansionError, compose, normalize, suspend, whitehead
-from conechase.terms import Element, Word, sphere
+from conechase.terms import Element, Sym, Word, named, sphere
 
 
 def parse(catalog, env, text):
@@ -262,3 +264,77 @@ def test_normalize_is_idempotent(catalog, env):
     for text in corpus:
         el = normalize(p.parse(text), ctx)
         assert normalize(el, ctx) == el, f"normalize not stable on {text!r}"
+
+
+# ---------------------------------------------------------------------------
+# the catalog's memo of normal forms
+# ---------------------------------------------------------------------------
+
+def answer(catalog, text, **tokens):
+    """(normal form, cited fact lines) of the single word ``text`` on a
+    new context of ``catalog``, under the canonical tokens as changed by
+    ``tokens``."""
+    env = dict(CANONICAL_TOKENS, **tokens)
+    notes = []
+    ctx = catalog.rule_context(env, on_rule=notes.append)
+    ((word, coeff),) = parse(catalog, env, text).terms
+    out = rewrite.normalize_word(word, coeff, ctx)
+    return out.render(), [f.line for f in notes]
+
+
+def memo_entries(catalog):
+    return sum(len(entries) for entries in catalog._normal_forms.values())
+
+
+@pytest.mark.parametrize("text, token, values, line", [
+    ("lam(3).j6p4(3)", "x", (0, 1), 87),    # the payload reads x and y
+    ("chiJ2(3)", "eps", (0, 1), 85),        # the payload reads sign, eps
+])
+def test_memo_answers_follow_the_tokens_they_read(text, token, values, line):
+    """Negative control on the shipped catalog: one catalog normalises a
+    word under two values of a token its rule reads, and each answer and
+    citation list must be a fresh catalog's.  A memo that ignored the
+    tokens would serve the first answer to the second context."""
+    catalog = default_catalog()
+    got = [answer(catalog, text, **{token: v}) for v in values]
+    want = [answer(default_catalog(), text, **{token: v}) for v in values]
+    assert got == want
+    assert got[0][0] != got[1][0]
+    assert all(line in lines for _, lines in got)
+
+
+def test_memo_answers_take_the_tokens_of_nested_normalisations(tmp_path):
+    """A rule whose rhs is a sum normalises each summand in a nested
+    call, and the token that call reads (x, here) belongs to the outer
+    answer too: it must not serve a context with another x."""
+    path = tmp_path / "nested.facts"
+    path.write_text(
+        "symbol f : S4 -> S3\nsymbol g : S4 -> S3\nsymbol h : S4 -> S3\n"
+        "fact map_identity | f | g + h | paper | q | loc\n"
+        "fact map_identity | g | x*h | paper | q | loc\n")
+    catalog = load_catalog(path)
+    got = [answer(catalog, "f", x=v) for v in (0, 1)]
+    assert got == [answer(load_catalog(path), "f", x=v) for v in (0, 1)]
+    assert got == [("h", [4, 5]), ("2*h", [4, 5])]
+
+
+def test_memo_serves_a_token_free_word_to_every_context():
+    """A word whose rules read no token is normalised once per catalog:
+    a context under other token values executes nothing new and gets the
+    same answer and citations."""
+    catalog = default_catalog()
+    text = "tau_L(3).j_pL(3).eta_2.nu'"
+    first = answer(catalog, text)
+    assert first[1] == [90]
+    entries = memo_entries(catalog)
+    assert answer(catalog, text, sign=-1, eps=1, x=-1, y=-3) == first
+    assert memo_entries(catalog) == entries
+
+
+def test_memo_tells_apart_words_that_print_alike(ctx):
+    """The memo is keyed by word equality, which compares spaces: two
+    stage inclusions named alike keep their own sources."""
+    stage = named("Jstage", 3)
+    for n in (3, 4):
+        word = Word((Sym("jY_3", (), sphere(n), stage),))
+        assert rewrite.normalize_word(word, 1, ctx).source == sphere(n)

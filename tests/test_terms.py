@@ -4,8 +4,11 @@ import pytest
 
 from conechase.terms import (
     Element,
+    Sym,
     TermError,
+    Word,
     eval_int_expr,
+    named,
     parse_space,
     sphere,
     wedge,
@@ -126,3 +129,18 @@ def test_element_space_discipline():
     b = Element.identity(sphere(3))
     with pytest.raises(TermError):
         a + b
+
+
+def test_word_equality_agrees_with_symbol_equality():
+    """Two stage inclusions that print alike but leave different spheres
+    are different symbols, so their words differ too; the rendered key
+    alone would identify them."""
+    stage = named("Jstage", 3)
+    a = Word((Sym("jY_3", (), sphere(3), stage),))
+    b = Word((Sym("jY_3", (), sphere(4), stage),))
+    assert a.syms[0] != b.syms[0]
+    assert a.key() == b.key()
+    assert a != b and len({a, b}) == 2
+    same = Word((Sym("jY_3", (), sphere(3), stage),))
+    assert a == same and hash(a) == hash(same)
+    assert Word((), sphere(3)) != Word((), sphere(4))
