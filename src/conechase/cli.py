@@ -3,7 +3,7 @@
 Subcommands:
 
     compute     one homotopy group, with its derivation transcript
-    reproduce   every shipped derivation over the standard parameter grid
+    reproduce   every shipped derivation over the rows it declares
     filtration  the cell model of a fiber filtration
     validate-kb load and check a facts file
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .derive import (
     CANONICAL_TOKENS,
@@ -25,6 +26,8 @@ from .derive import (
     Runner,
     default_catalog,
     load_scripts,
+    reproduce_rows,
+    scenarios,
 )
 from .groups import ExtensionUnresolved, GroupError
 from .kb import KbError, KbMissingFact, load_catalog
@@ -39,23 +42,6 @@ EXIT_ASSERTION = 4
 
 R_CAP = 62  # keeps 2^r inside a machine word for ports without big integers
 PARAM_MIN = {"r": 1, "m": 0}
-
-SCENARIOS = {
-    ("P3", 5): ("pi5_P3", "r"),
-    ("P3", 6): ("pi6_P3", "r"),
-    ("L4", 5): ("pi5_L4m", "m"),
-    ("L4", 6): ("pi6_L4m", "m"),
-    ("J3", 6): ("pi6_J3", "r"),
-}
-
-REPRODUCE_ROWS = (
-    [("pi5_L4m", {"m": m}) for m in range(0, 9)]
-    + [("pi6_L4m", {"m": m}) for m in range(1, 9)]
-    + [("gamma3", {"r": r}) for r in range(1, 9)]
-    + [("pi6_J3", {"r": r}) for r in range(1, 9)]
-    + [("pi5_P3", {"r": r}) for r in range(1, 9)]
-    + [("pi6_P3", {"r": r}) for r in range(1, 9)]
-)
 
 
 def _param_ok(name: str, value: int) -> bool:
@@ -74,24 +60,26 @@ def _catalog(args):
 
 
 def cmd_compute(args) -> int:
-    key = (args.space, args.k)
-    if key not in SCENARIOS:
+    script = scenarios(load_scripts()).get((args.space, args.k))
+    if script is None:
         print(f"error: no shipped scenario for space={args.space} k={args.k}",
               file=sys.stderr)
         return EXIT_VALIDATION
-    script, pname = SCENARIOS[key]
-    pval = args.r if pname == "r" else args.m
-    if pval is None:
-        print(f"error: scenario {script} needs --{pname}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if not _param_ok(pname, pval):
-        return EXIT_VALIDATION
+    params = {pname: getattr(args, pname) if pname in PARAM_MIN else None
+              for pname in script.params}
+    for pname, pval in params.items():
+        if pval is None:
+            print(f"error: scenario {script.name} needs --{pname}",
+                  file=sys.stderr)
+            return EXIT_VALIDATION
+        if not _param_ok(pname, pval):
+            return EXIT_VALIDATION
     cat = _catalog(args)
-    runner = Runner(cat, load_scripts())
-    result = runner.run(script, {pname: pval}, sweep=not args.no_sweep)
+    result = Runner(cat, load_scripts()).run(script.name, params,
+                                             sweep=not args.no_sweep)
     if args.format == "machine":
         print(json.dumps({
-            "script": script, pname: pval,
+            "script": script.name, **params,
             "group": result.group.render(),
             "kb_digest": cat.digest,
             "transcript_digest": result.transcript_digest(),
@@ -107,18 +95,13 @@ def cmd_compute(args) -> int:
 def cmd_reproduce(args) -> int:
     cat = _catalog(args)
     runner = Runner(cat, load_scripts())
-    failures = 0
     if args.format == "text":
         print(f"# kb digest: {cat.digest}")
-    results = [_reproduce_one(runner, name, params)
-               for name, params in REPRODUCE_ROWS]
-    for name, params, rendered, err in results:
-        ptxt = ",".join(f"{k}={v}" for k, v in params.items())
-        if err is None:
-            status = "pass"
-        else:
-            status = f"FAIL ({err})"
-            failures += 1
+    errors = []
+    for name, params in reproduce_rows(runner.scripts):
+        rendered, err = _reproduce_one(runner, name, params)
+        if err is not None:
+            errors.append(err)
         if args.format == "machine":
             print(json.dumps({"script": name, "params": params,
                               "result": rendered, "status":
@@ -126,25 +109,24 @@ def cmd_reproduce(args) -> int:
                               "error": str(err) if err else None,
                               "kb_digest": cat.digest}))
         else:
+            ptxt = ",".join(f"{k}={v}" for k, v in params.items())
+            status = "pass" if err is None else f"FAIL ({err})"
             print(f"{name}({ptxt}): {rendered or '-'} [{status}]")
-    if failures:
-        print(f"{failures} row(s) failed", file=sys.stderr)
-        first_error = next(e for _, _, _, e in results if e is not None)
-        return _exit_code_for(first_error)
+    if errors:
+        print(f"{len(errors)} row(s) failed", file=sys.stderr)
+        return _exit_code_for(errors[0])
     return EXIT_OK
 
 
 def _reproduce_one(runner, name, params):
+    """The rendered value of one row, or the error it raised."""
     try:
-        res = runner.run(name, params)
-        if hasattr(res.value, "group"):
-            rendered = res.value.group.render()
-        else:
-            rendered = res.value.render() if hasattr(res.value, "render") \
-                else str(res.value)
-        return (name, params, rendered, None)
+        value = runner.run(name, params).value
+        value = getattr(value, "group", value)       # a PiGroup's group
+        return (value.render() if hasattr(value, "render") else str(value),
+                None)
     except Exception as e:  # noqa: BLE001
-        return (name, params, None, e)
+        return None, e
 
 
 def cmd_filtration(args) -> int:
@@ -177,9 +159,7 @@ def cmd_filtration(args) -> int:
 
 def cmd_validate_kb(args) -> int:
     cat = _catalog(args)
-    counts = {}
-    for f in cat.facts:
-        counts[f.kind] = counts.get(f.kind, 0) + 1
+    counts = Counter(f.kind for f in cat.facts)
     print(f"ok: {len(cat.facts)} facts, digest {cat.digest}")
     for kind in sorted(counts):
         print(f"  {kind}: {counts[kind]}")
@@ -194,7 +174,7 @@ def _exit_code_for(e: BaseException) -> int:
     return EXIT_VALIDATION
 
 
-def main(argv=None) -> int:
+def _parser(scripts) -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="conechase",
         description="Exact 2-local homotopy groups of mapping cones via "
@@ -203,7 +183,8 @@ def main(argv=None) -> int:
     sub = top.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("compute", help="compute one homotopy group")
-    pc.add_argument("--space", required=True, choices=["P3", "L4", "J3"])
+    pc.add_argument("--space", required=True,
+                    choices=sorted({space for space, _ in scenarios(scripts)}))
     pc.add_argument("--k", type=int, required=True)
     pc.add_argument("--r", type=int)
     pc.add_argument("--m", type=int)
@@ -230,20 +211,17 @@ def main(argv=None) -> int:
 
     pv = sub.add_parser("validate-kb", help="load and validate a facts file")
     pv.set_defaults(func=cmd_validate_kb)
+    return top
 
-    args = top.parse_args(argv)
+
+def main(argv=None) -> int:
     try:
+        args = _parser(load_scripts()).parse_args(argv)
         return args.func(args)
-    except (ExtensionUnresolved, KbMissingFact) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MISSING_FACT
-    except AssertionMismatch as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ASSERTION
     except (KbError, GroupError, TermError, DeriveError, LesError,
             OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _exit_code_for(e)
 
 
 if __name__ == "__main__":

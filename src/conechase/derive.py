@@ -5,16 +5,26 @@ one step per line:
 
     derivation pi5_L4m
     params m
+    require m>=0
+    computes L4(m) @ 5
+    rows m=0..8
     let F5 = fiber_group fib=F_pL(m); k=5
     let d6 = boundary fib=F_pL(m); k=6; target=F5
     ...
     assert ans = { m=0 : Z(2) ; m=1 : Z(2) + Z/4 ; m>=2 : Z(2) + Z/2 + Z/2 }
     return ans
 
+``computes`` names the group a script chases, a space at a fixed
+degree, and makes the script ``compute``'s scenario for it; ``rows`` is
+its range in the ``reproduce`` grid.  ``scenarios`` and
+``reproduce_rows`` read both off the loaded scripts, so a new scenario
+is one new file.
+
 ``fib=`` names a fibration declared in the catalog; one that declares no
 attaching class takes it from ``attach=`` (``boundary fib=FM(r);
 attach=g3; ...``), and a class from both places or from neither is an
-error.  Malformed step arguments are reported with their line.
+error.  Malformed header lines and step arguments are reported with
+their line.
 
 Every run records each step, every certified fact it consumed (with its
 citation), and the catalog digest; replays are byte-identical.  Runs are
@@ -38,7 +48,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .groups import (
     ExtensionProblem,
@@ -77,6 +87,7 @@ from .les import (
 from .terms import (
     Element,
     Pair,
+    Space,
     TermError,
     Word,
     eval_int_expr,
@@ -111,6 +122,7 @@ class Step:
     verb: str = ""
     args: Dict[str, str] = field(default_factory=dict)
     raw: str = ""
+    line: int = 0
 
 
 @dataclass
@@ -119,17 +131,21 @@ class Script:
     params: List[str]
     steps: List[Step]
     requires: str = ""
+    computes: Optional[Tuple[str, int]] = None   # (space name, degree)
+    computes_line: int = 0
+    rows: Optional[Tuple[str, range]] = None     # (param, reproduce values)
 
 
 _LET_RE = re.compile(r"^let\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S+)\s*(.*)$")
 _ASSERT_RE = re.compile(r"^assert\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$")
+_ROWS_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\d+)\s*\.\.\s*(\d+)")
 
 
 def parse_script(text: str, name_hint: str = "") -> Script:
     name = name_hint
     params: List[str] = []
     steps: List[Step] = []
-    requires = ""
+    header = {}               # require | computes | rows -> (text, line)
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -147,14 +163,15 @@ def parse_script(text: str, name_hint: str = "") -> Script:
             # consumes, where each read is recorded
             raise DeriveError(f"{where}: names the swept token(s) "
                               f"{', '.join(sorted(named))}")
-        if body.startswith("require "):
-            requires = body.split(None, 1)[1].strip()
+        keyword, _, rest = body.partition(" ")
+        if keyword in ("require", "computes", "rows") and rest:
+            header[keyword] = (rest.strip(), lineno)
             continue
         m = _LET_RE.match(body)
         if m:
             nm, verb, rest = m.groups()
             steps.append(Step("let", nm, verb, _step_args(rest, "=", where),
-                              body))
+                              body, lineno))
             continue
         m = _ASSERT_RE.match(body)
         if m:
@@ -174,7 +191,47 @@ def parse_script(text: str, name_hint: str = "") -> Script:
         raise DeriveError(f"{name}:{lineno}: unrecognized line {body!r}")
     if not name:
         raise DeriveError("script has no name")
-    return Script(name, params, steps, requires)
+    script = Script(name, params, steps, header.get("require", ("",))[0])
+    if "computes" in header:
+        text, script.computes_line = header["computes"]
+        try:
+            # checked, like a fibration declaration, with every parameter 1
+            space, k = space_at(text, dict.fromkeys(params, 1))
+        except (DeriveError, TermError) as e:
+            raise DeriveError(f"{name}:{script.computes_line}: malformed "
+                              f"computes line: {e}") from e
+        script.computes = (space.key.partition("(")[0], k)
+    if "rows" in header:
+        script.rows = _rows(script, *header["rows"])
+    return script
+
+
+def _rows(script: Script, text: str, lineno: int) -> Tuple[str, range]:
+    """The reproduce range of ``rows <param>=<lo>..<hi>``, which must lie
+    in the script's domain."""
+    where = f"{script.name}:{lineno}"
+    m = _ROWS_RE.fullmatch(text)
+    values = m and range(int(m.group(2)), int(m.group(3)) + 1)
+    if not values:
+        raise DeriveError(f"{where}: rows needs the form 'param=lo..hi' "
+                          f"with lo <= hi")
+    if m.group(1) not in script.params:
+        raise DeriveError(f"{where}: rows parameter {m.group(1)!r} is not "
+                          f"in params")
+    if not all(guard_holds(script.requires, {m.group(1): v})
+               for v in values):
+        raise DeriveError(f"{where}: rows {text} leaves the domain "
+                          f"{script.requires!r}")
+    return m.group(1), values
+
+
+def space_at(text: str, env: dict) -> Tuple[Space, int]:
+    """The space and the degree of a ``space @ k`` argument such as
+    ``L4(m) @ 5``; the degree is an integer."""
+    space, found, k = (part.strip() for part in text.partition("@"))
+    if not found or not k.isdigit():
+        raise DeriveError(f"{text!r} is not of the form 'space @ k'")
+    return parse_space(space, env), int(k)
 
 
 def parse_group_literal(text: str, env: dict) -> TwoLocalGroup:
@@ -263,8 +320,7 @@ class Runner:
     # -- public -----------------------------------------------------------
 
     def run(self, name: str, params: dict, sweep: bool = True) -> RunResult:
-        base_env = dict(CANONICAL_TOKENS)
-        base_env.update(params)
+        base_env = dict(CANONICAL_TOKENS, **params)
         result = self._run_cached(name, base_env)
         if sweep:
             canonical = _sweep_shape(result.value)
@@ -412,8 +468,7 @@ class Runner:
             # its cache entry with a run of the same parameters
             sub_params = {k: eval_int_expr(v, env) for k, v in args.items()
                           if k != "script"}
-            sub_env = {t: env[t] for t in SWEPT_TOKENS}
-            sub_env.update(sub_params)
+            sub_env = dict({t: env[t] for t in SWEPT_TOKENS}, **sub_params)
             sub = self._run_cached(args["script"], sub_env)
             tokens.update(sub.tokens)
             lines.append(f"    (subderivation {args['script']} "
@@ -424,12 +479,9 @@ class Runner:
             fib = self._fib(args, env, bindings)
             k = int(eval_int_expr(args["k"], env))
             source = pi_group_from_fact(self.catalog, env, fib.base, k, ctx)
-            target = None
-            if args.get("target", "none") != "none":
-                target = pig("target")
-            strip = None
-            if "strip" in args and args["strip"] != "none":
-                strip = self._parse_el(args["strip"], env, bindings)
+            target = (pig("target") if args.get("target", "none") != "none"
+                      else None)
+            strip = el("strip") if args.get("strip", "none") != "none" else None
             return boundary_hom(self.catalog, env, fib, k, source, target, ctx,
                                 strip=strip)
 
@@ -469,8 +521,7 @@ class Runner:
 
         if verb == "quotient":
             base = pig("of")
-            relel = el("by")
-            vec = express(relel, base, ctx)
+            vec = express(el("by"), base, ctx)
             g, proj = quotient_by_elements(base.group, [list(vec)])
             out = derived_pi_group(base, g, proj)
             if args.get("push"):
@@ -480,9 +531,6 @@ class Runner:
 
         if verb == "extension":
             return self._extension(args, env, ctx, bindings)
-
-        if verb == "element":
-            return rewrite.normalize(el("expr"), ctx)
 
         if verb == "stage_bracket":
             f = filtration.MapSpec(el("f"))
@@ -504,34 +552,18 @@ class Runner:
                                             restrictions, ctx)
 
         if verb == "resolve_triple":
-            amb_specs = [a.strip() for a in args["ambient"].split(",")]
-            if len(amb_specs) == 1:
-                amb_specs = amb_specs * 3
-            ambients = []
-            for spec in amb_specs:
-                sp, k = spec.split("@")
-                ambients.append(pi_group_from_fact(
-                    self.catalog, env, parse_space(sp.strip(), env),
-                    int(k), ctx).group)
+            ambient = pi_group_from_fact(
+                self.catalog, env, *space_at(args["ambient"], env), ctx)
             return rewrite.resolve_triple(_as_element(bindings, args["of"]),
-                                          ambients, ctx)
+                                          [ambient.group] * 3, ctx)
 
         if verb == "pair_map":
-            f = el("first")
-            g = el("second")
-            return Element.from_term(Word((Pair(f, g),)))
-
-        if verb == "apply":
-            return rewrite.compose(el("map"), _as_element(bindings, args["to"]),
-                                   ctx)
-
-        if verb == "suspend":
-            return rewrite.suspend(_as_element(bindings, args["of"]), ctx)
+            return Element.from_term(Word((Pair(el("first"), el("second")),)))
 
         if verb == "whitehead":
-            left = (Element.identity(parse_space(args["id"], env))
-                    if "id" in args else el("left"))
-            return rewrite.whitehead(left, el("right"), ctx)
+            return rewrite.whitehead(
+                Element.identity(parse_space(args["id"], env)), el("right"),
+                ctx)
 
         if verb == "solve_free":
             return self._solve_free(args, env, ctx, bindings)
@@ -601,9 +633,7 @@ class Runner:
                 "extension unresolved: no certificate source named for "
                 + ", ".join(quot.group.label(i)
                             for i in range(quot.group.rank)))
-        spacetext, deg = where.split("@")
-        space = parse_space(spacetext.strip(), env)
-        degree = int(eval_int_expr(deg.strip(), env))
+        space, degree = space_at(where, env)
         certs = []
         lift_infos = []
         for i in range(quot.group.rank):
@@ -629,7 +659,6 @@ class Runner:
             return direct_sum_pi(sub, extra, ctx)
         group, chart = extension_with_relations(problem)
         protos = []
-        n = sub.group.rank + quot.group.rank
         for elp, vec in sub.protos:
             full = list(vec) + [0] * quot.group.rank
             protos.append((elp, chart_apply(chart, full, group)))
@@ -717,10 +746,8 @@ class Runner:
         not unique or nonzero coefficients are forced.
         """
         base = bindings[args["group"]]
-        sp, k = args["target"].split("@")
         target = pi_group_from_fact(self.catalog, env,
-                                    parse_space(sp.strip(), env),
-                                    int(k), ctx)
+                                    *space_at(args["target"], env), ctx)
         free_gen = self._parse_el(args["free"], env, bindings)
         b = bindings[args["coeff"]]
         free_i = _find_generator(base, free_gen, ctx)
@@ -820,17 +847,60 @@ def _fmt_env(env, params):
 
 @functools.cache
 def load_scripts() -> Dict[str, Script]:
-    """The six shipped derivations, one per group-table result, read and
-    parsed once per process (callers share the dict and do not mutate
-    it)."""
-    out = {}
+    """The shipped derivations, read, parsed and linked once per process
+    (callers share the dict and do not mutate it)."""
     data = resources.files("conechase").joinpath("data")
-    for entry in sorted(data.iterdir()):
-        if entry.name.endswith(".deriv"):
-            script = parse_script(entry.read_text(),
-                                  name_hint=entry.name[:-6])
-            out[script.name] = script
-    return out
+    return link_scripts(
+        parse_script(entry.read_text(), name_hint=entry.name[:-6])
+        for entry in sorted(data.iterdir()) if entry.name.endswith(".deriv"))
+
+
+def link_scripts(scripts: Iterable[Script]) -> Dict[str, Script]:
+    """Scripts by name in reproduce order, checked against each other.
+
+    A script follows every script it runs, which must be one of
+    ``scripts``; scripts at the same depth are ordered by their
+    ``computes`` target, space then degree, and no two share a target.
+    """
+    by_name = {script.name: script for script in scripts}
+    depth: Dict[str, int] = {}
+
+    def depth_of(script: Script, path=()) -> int:
+        if script.name in path:
+            raise DeriveError(f"{script.name} runs itself via {path[-1]}")
+        if script.name not in depth:
+            subs = [-1]
+            for step in (st for st in script.steps if st.verb == "run"):
+                sub = by_name.get(step.args.get("script"))
+                if sub is None:
+                    raise DeriveError(
+                        f"{script.name}:{step.line}: run names no loaded "
+                        f"script {step.args.get('script')!r}")
+                subs.append(depth_of(sub, path + (script.name,)))
+            depth[script.name] = 1 + max(subs)
+        return depth[script.name]
+
+    targets: Dict[tuple, Script] = {}
+    for script in by_name.values():
+        first = targets.setdefault(script.computes, script)
+        if script.computes and first is not script:
+            raise DeriveError(f"{script.name}:{script.computes_line}: "
+                              f"computes the target of {first.name}")
+    order = sorted(by_name.values(), key=lambda s: (
+        depth_of(s), s.computes or ("", 0), s.name))
+    return {script.name: script for script in order}
+
+
+def scenarios(scripts: Dict[str, Script]) -> Dict[Tuple[str, int], Script]:
+    """The ``compute`` scenarios: each declared (space, degree) target and
+    the script that computes it."""
+    return {s.computes: s for s in scripts.values() if s.computes}
+
+
+def reproduce_rows(scripts: Dict[str, Script]) -> List[Tuple[str, dict]]:
+    """The ``reproduce`` grid: each script's ``rows``, in script order."""
+    return [(s.name, {s.rows[0]: v}) for s in scripts.values() if s.rows
+            for v in s.rows[1]]
 
 
 def default_catalog() -> KbCatalog:

@@ -82,9 +82,6 @@ class IntMat:
     def zero(cls, nrows: int, ncols: int) -> "IntMat":
         return cls([[0] * ncols for _ in range(nrows)], ncols)
 
-    def copy(self) -> "IntMat":
-        return IntMat([r[:] for r in self.rows], self.ncols)
-
     def transpose(self) -> "IntMat":
         return IntMat([[self.rows[i][j] for i in range(self.nrows)]
                        for j in range(self.ncols)], self.nrows)
@@ -492,9 +489,6 @@ class GroupHom:
             raise GroupError("composition mismatch")
         return GroupHom(inner.source, self.target, self.matrix @ inner.matrix,
                         check=False)
-
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in r) for r in self.matrix.rows)
 
     def __repr__(self):
         return f"GroupHom({self.source!r} -> {self.target!r}, {self.matrix.rows!r})"

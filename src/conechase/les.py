@@ -129,17 +129,13 @@ def strip_prefix(el: Element, prefix: Element, ctx) -> Element:
     psyms = pw[0].syms
     terms = []
     for term, c in el.terms:
-        if isinstance(term, Word):
-            if tuple(term.syms[:len(psyms)]) != tuple(psyms):
-                raise LesError(
-                    f"term {term.render()} does not factor through "
-                    f"{pw[0].render()}")
-            rest = term.syms[len(psyms):]
-            terms.append((Word(rest) if rest else Word((), pw[0].source), c))
-        else:
-            inner = rewrite.bracket_factor_head(
-                Element.from_term(term, c), prefix, ctx)
-            terms.extend(inner.terms)
+        if not isinstance(term, Word) or \
+                tuple(term.syms[:len(psyms)]) != tuple(psyms):
+            raise LesError(
+                f"term {term.render()} does not factor through "
+                f"{pw[0].render()}")
+        rest = term.syms[len(psyms):]
+        terms.append((Word(rest) if rest else Word((), pw[0].source), c))
     src = el.source
     tgt = pw[0].source
     return rewrite.normalize(Element(src, tgt, terms), ctx)
@@ -162,25 +158,22 @@ def push_forward(pig: PiGroup, mapel: Element, space: Space, ctx) -> PiGroup:
 
 
 def derived_pi_group(parent: PiGroup, new_group: TwoLocalGroup,
-                     proj: GroupHom, space: Optional[Space] = None,
-                     degree: Optional[int] = None) -> PiGroup:
+                     proj: GroupHom) -> PiGroup:
     """Chart a quotient of ``parent`` through the projection hom.
 
     A quotient generator that is still the image of a single prototype
     inherits its name; generators mixed by the Smith reduction keep
     positional names.
     """
-    protos = []
-    for el, vec in parent.protos:
-        protos.append((el, proj.apply(vec)))
+    protos = [(el, proj.apply(vec)) for el, vec in parent.protos]
     labels = [f"g{i}" for i in range(new_group.rank)]
     for el, vec in protos:
         nz = [i for i, x in enumerate(vec) if x]
         if len(nz) == 1 and vec[nz[0]] == 1 and len(el.terms) == 1 \
                 and el.terms[0][1] == 1:
             labels[nz[0]] = f"[{el.render()}]"
-    return PiGroup(new_group.with_labels(labels), space or parent.space,
-                   degree if degree is not None else parent.degree, protos)
+    return PiGroup(new_group.with_labels(labels), parent.space, parent.degree,
+                   protos)
 
 
 def direct_sum_pi(a: PiGroup, extra: List[Tuple[Element, int, str]],

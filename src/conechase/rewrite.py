@@ -558,10 +558,6 @@ def _compose_into_bracket(f: Element, b: Bracket, ctx: RuleContext) -> Element:
 # the public calculus
 # ---------------------------------------------------------------------------
 
-def scale(e: Element, k: int, ctx: RuleContext) -> Element:
-    return normalize(e.scale(k), ctx)
-
-
 def whitehead(f: Element, g: Element, ctx: RuleContext) -> Element:
     """Generalized Whitehead product of two classes on suspensions."""
     for s in (f, g):
@@ -611,36 +607,6 @@ def _element_is_susp(e: Element) -> bool:
         return True
     sw = e.single_word()
     return sw is not None and _is_susp_word(sw[0])
-
-
-def bracket_factor_head(bracket_el: Element, head: Element,
-                        ctx: RuleContext) -> Element:
-    """Rewrite [g a, g b] as g . [a, b] (binary naturality, reversed).
-
-    Returns the inner bracket [a, b]; the caller re-applies ``head``.
-    """
-    if len(bracket_el.terms) != 1 or not isinstance(bracket_el.terms[0][0], Bracket):
-        raise TermError("bracket_factor_head expects a single bracket term")
-    b, c = bracket_el.terms[0]
-    if b.arity != 2:
-        raise TermError("head factoring is only available for binary products")
-    hw = head.single_word()
-    if hw is None or hw[1] != 1:
-        raise TermError("head must be a single unsigned word")
-    hsyms = hw[0].syms
-    inner = []
-    for s in b.slots:
-        sw = s.single_word()
-        if sw is None:
-            raise TermError("slots must be single words to factor a head")
-        w, cs = sw
-        if tuple(w.syms[:len(hsyms)]) != tuple(hsyms):
-            raise TermError(
-                f"slot {w.render()} does not start with {hw[0].render()}")
-        rest = w.syms[len(hsyms):]
-        inner.append(Element.from_term(
-            Word(rest) if rest else Word((), hw[0].source), cs))
-    return _normalize_bracket(Bracket(inner, b.tag), c, ctx)
 
 
 def suspend(e: Element, ctx: RuleContext) -> Element:

@@ -491,9 +491,6 @@ class Element:
         return Element(src, tgt, list(self.terms) + list(other.terms),
                        is_suspension=self.is_suspension and other.is_suspension)
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def single_word(self):
         """The (word, coeff) pair if this element is one word term."""
         if len(self.terms) == 1 and isinstance(self.terms[0][0], Word):

@@ -1,15 +1,17 @@
 """Command-line interface: outputs, formats, exit codes."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conechase import cli
-from conechase.derive import default_catalog
+from conechase.derive import default_catalog, load_scripts, scenarios
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +61,9 @@ def test_compute_validation_errors(capsys):
     code, _, err = run_cli(capsys, "compute", "--space", "P3", "--k", "7",
                            "--r", "1")
     assert code == cli.EXIT_VALIDATION and "no shipped scenario" in err
+    code, _, err = run_cli(capsys, "compute", "--space", "P3", "--k", "5")
+    assert code == cli.EXIT_VALIDATION
+    assert err == "error: scenario pi5_P3 needs --r\n"
     code, _, err = run_cli(capsys, "compute", "--space", "P3", "--k", "5",
                            "--r", "0")
     assert code == cli.EXIT_VALIDATION
@@ -290,3 +295,19 @@ def test_filtration_machine_format(capsys):
     assert [rec["stage"] for rec in records] == [1, 2, 3]
     assert records[1]["gamma"] == "8*eta_2"
     assert records[2]["cell_dim"] == 6
+
+
+def test_benchmark_draws_only_declared_scenarios():
+    """Every (space, k, script) the benchmark draws is a scenario the
+    scripts declare.  The table is read from the benchmark's source
+    without importing it."""
+    source = Path(__file__).parents[1] / "bench" / "workloads.py"
+    (drawn,) = [ast.literal_eval(node.value)
+                for node in ast.parse(source.read_text()).body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["SCENARIOS"]]
+    declared = scenarios(load_scripts())
+    assert drawn
+    for space, k, script in drawn:
+        assert declared[(space, k)].name == script

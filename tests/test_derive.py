@@ -14,7 +14,10 @@ from conechase.derive import (
     Runner,
     _render_value,
     default_catalog,
+    link_scripts,
     parse_script,
+    reproduce_rows,
+    scenarios,
 )
 from conechase.groups import ExtensionUnresolved, TwoLocalGroup
 from conechase.kb import KbMissingFact, load_catalog
@@ -262,7 +265,7 @@ class CountingRunner(Runner):
 def pruned_pass(scripts):
     """A fresh runner on a fresh catalog after one reproduce pass."""
     runner = CountingRunner(default_catalog(), scripts)
-    for name, params in cli.REPRODUCE_ROWS:
+    for name, params in reproduce_rows(scripts):
         runner.run(name, params)
     return runner
 
@@ -275,7 +278,7 @@ def test_pruned_sweep_equals_the_full_sweep(pruned_pass, scripts):
     done = len(pruned_pass.executed)
     for assign in SWEEP_GRID:
         fresh = Runner(default_catalog(), scripts)
-        for name, params in cli.REPRODUCE_ROWS:
+        for name, params in reproduce_rows(scripts):
             env = dict(CANONICAL_TOKENS, **params, **assign)
             got = pruned_pass._run_cached(name, env)
             want = fresh._execute(name, env)
@@ -366,3 +369,102 @@ def test_scripts_may_not_name_swept_tokens():
                  "assert ans = Z/2^x"):
         with pytest.raises(DeriveError, match="bad:3: names the swept token"):
             parse_script(head + line + "\nreturn ans\n")
+
+
+# ---------------------------------------------------------------------------
+# script headers: what a script computes and its reproduce rows
+# ---------------------------------------------------------------------------
+
+EXTRA = """derivation pi5_cone
+params m
+require m>=1
+computes C(m) @ 5
+rows m=1..2
+let g = run script=pi5_L4m; m=m
+return g
+"""
+
+
+def test_shipped_scripts_declare_the_scenarios_and_the_rows(scripts):
+    assert {key: s.name for key, s in scenarios(scripts).items()} == {
+        ("L4", 5): "pi5_L4m", ("L4", 6): "pi6_L4m", ("J3", 6): "pi6_J3",
+        ("P3", 5): "pi5_P3", ("P3", 6): "pi6_P3"}
+    rows = reproduce_rows(scripts)
+    assert len(rows) == 49
+    assert list(dict.fromkeys(name for name, _ in rows)) == [
+        "pi5_L4m", "pi6_L4m", "gamma3", "pi6_J3", "pi5_P3", "pi6_P3"]
+    assert rows[:2] == [("pi5_L4m", {"m": 0}), ("pi5_L4m", {"m": 1})]
+    assert rows[-1] == ("pi6_P3", {"r": 8})
+
+
+def test_an_extra_script_joins_the_scenarios_and_the_rows(scripts,
+                                                          monkeypatch,
+                                                          capsys):
+    """A new scenario is one more script: no table in the code names it."""
+    extra = parse_script(EXTRA)
+    linked = link_scripts([*scripts.values(), extra])
+    assert scenarios(linked)[("C", 5)] is extra
+    rows = reproduce_rows(linked)
+    # it runs pi5_L4m, so it follows it; at its depth gamma3 declares
+    # no target and sorts first
+    assert len(rows) == 51
+    assert rows[25:27] == [("pi5_cone", {"m": 1}), ("pi5_cone", {"m": 2})]
+    monkeypatch.setattr(cli, "load_scripts", lambda: linked)
+    assert cli.main(["compute", "--space", "C", "--k", "5", "--m", "2",
+                     "--no-sweep"]) == 0
+    assert capsys.readouterr().out == "Z/2 + Z/2 + Z(2)\n"
+    assert cli.main(["reproduce", "--format", "machine"]) == 0
+    assert capsys.readouterr().out.count('"script": "pi5_cone"') == 2
+
+
+@pytest.mark.parametrize("line,match", [
+    ("computes L4(m)", "bad:4: malformed computes line"),
+    ("computes L4(m) @ k", "bad:4: malformed computes line"),
+    ("computes L4(m) @ m+5", "bad:4: malformed computes line"),
+    ("computes L4((m) @ 5", "bad:4: malformed computes line"),
+    ("computes @ 5", "bad:4: malformed computes line"),
+    ("rows r=1..8", "bad:4: rows parameter 'r' is not in params"),
+    ("rows m=0..8", r"bad:4: rows m=0..8 leaves the domain 'm>=1'"),
+    ("rows m=3..2", "bad:4: rows needs the form"),
+    ("rows m=1", "bad:4: rows needs the form"),
+    ("rows", "bad:4: unrecognized line"),
+])
+def test_malformed_headers_are_errors_with_their_line(line, match):
+    with pytest.raises(DeriveError, match=match):
+        parse_script(f"derivation bad\nparams m\nrequire m>=1\n{line}\n"
+                     "return ans\n")
+
+
+def test_scripts_are_checked_against_each_other(scripts):
+    unknown = parse_script(EXTRA.replace("script=pi5_L4m", "script=pi5_L5m"))
+    with pytest.raises(DeriveError,
+                       match="pi5_cone:6: run names no loaded script "
+                             "'pi5_L5m'"):
+        link_scripts([*scripts.values(), unknown])
+    twice = parse_script(EXTRA.replace("C(m) @ 5", "L4(m+1) @ 5"))
+    with pytest.raises(DeriveError,
+                       match="pi5_cone:4: computes the target of pi5_L4m"):
+        link_scripts([*scripts.values(), twice])
+    loop = parse_script(EXTRA.replace("script=pi5_L4m", "script=pi5_cone"))
+    with pytest.raises(DeriveError, match="pi5_cone runs itself"):
+        link_scripts([loop])
+
+
+def test_a_parameter_the_cli_has_no_flag_for(scripts, monkeypatch, capsys):
+    extra = parse_script("derivation pi5_cone\nparams n\ncomputes C(n) @ 5\n"
+                         "let g = run script=pi5_L4m; m=n\nreturn g\n")
+    monkeypatch.setattr(cli, "load_scripts",
+                        lambda: link_scripts([*scripts.values(), extra]))
+    assert cli.main(["compute", "--space", "C", "--k", "5", "--m", "2"]) == \
+        cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: scenario pi5_cone needs --n\n"
+
+
+def test_a_bad_script_is_a_validation_error_of_the_cli(scripts, monkeypatch,
+                                                       capsys):
+    twice = parse_script(EXTRA.replace("C(m) @ 5", "P3(2^m) @ 6"))
+    monkeypatch.setattr(cli, "load_scripts",
+                        lambda: link_scripts([*scripts.values(), twice]))
+    assert cli.main(["validate-kb"]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: pi5_cone:4: computes the target of pi6_P3\n")

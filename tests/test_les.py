@@ -127,3 +127,14 @@ def test_exactness_audit_across_the_cone_family(catalog, runner):
                                    cone_mid=cone)
             assert seg.d_upper is not None and seg.d_lower is not None
             assert seg.audit(), f"audit failed at m={m}, k={k}"
+
+
+def test_strip_prefix_refuses_bracket_terms(catalog, env):
+    """Only words are stripped; a Whitehead product term is an error."""
+    ctx = catalog.rule_context(env)
+    p = catalog.parser(env)
+    bracket = rewrite.whitehead(p.parse("j1_25"), p.parse("j2_25"), ctx)
+    pushed = rewrite.compose(p.parse("j_F(3)"), bracket, ctx)
+    assert pushed.render() == "[j_pL(3), jS5(3)]"
+    with pytest.raises(les.LesError, match="does not factor through"):
+        les.strip_prefix(pushed, p.parse("j_pL(3)"), ctx)
