@@ -6,48 +6,4 @@ the long-exact-sequence chases as replayable derivation scripts, and
 resolves the final extensions with order-matching lift certificates.
 """
 
-from .groups import (
-    ExtensionProblem,
-    ExtensionUnresolved,
-    GroupHom,
-    IntMat,
-    LiftCertificate,
-    SnfResult,
-    TwoLocalGroup,
-    cokernel,
-    direct_sum,
-    group_equal,
-    kernel,
-    quotient_by_elements,
-    smith_normal_form,
-    solve_extension,
-    strip_odd,
-)
-from .terms import Element, Space, Sym, Word, parse_space, sphere, wedge
-from .kb import KbCatalog, KbError, KbMissingFact, load_catalog
-from .filtration import MapSpec, build_filtration, skeleton_of_fiber, \
-    suspension_splitting_check
-from .les import (
-    PiGroup,
-    assemble_segment,
-    boundary_on_suspension,
-    boundary_value,
-    express,
-    fibration,
-)
-from .derive import Runner, default_catalog, load_scripts
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Element", "ExtensionProblem", "ExtensionUnresolved", "GroupHom",
-    "IntMat", "KbCatalog", "KbError", "KbMissingFact", "LiftCertificate",
-    "MapSpec", "PiGroup", "Runner", "SnfResult", "Space", "Sym",
-    "TwoLocalGroup", "Word", "assemble_segment", "boundary_on_suspension",
-    "boundary_value",
-    "build_filtration", "cokernel", "default_catalog", "direct_sum",
-    "express", "fibration", "group_equal", "kernel", "load_catalog",
-    "load_scripts", "parse_space", "quotient_by_elements",
-    "skeleton_of_fiber", "smith_normal_form", "solve_extension", "sphere",
-    "strip_odd", "suspension_splitting_check", "wedge",
-]

@@ -78,8 +78,8 @@ from .les import (
     PiGroup,
     boundary_hom,
     derived_pi_group,
-    direct_sum_pi,
     express,
+    extend_chart,
     fibration,
     pi_group_from_fact,
     push_forward,
@@ -656,7 +656,7 @@ class Runner:
             solve_extension(problem)  # the certified split, checked
             extra = [(lift_el, order, lift_el.render())
                      for (lift_el, order) in lift_infos]
-            return direct_sum_pi(sub, extra, ctx)
+            return extend_chart(sub, extra, ctx)
         group, chart = extension_with_relations(problem)
         protos = []
         for elp, vec in sub.protos:

@@ -6,10 +6,6 @@ one cone of dimension q + (r-1)p along a class gamma_r which is an r-th
 order Whitehead product [j, j f, ..., j f] of the bottom inclusion with
 itself twisted by f.  gamma_2 is the binary generalized product and is
 rewritten eagerly; higher stages keep the bracket node.
-
-After one suspension the filtration splits into a wedge; the check here
-compares 2-local cellular homology of the suspended stage against that
-wedge degree by degree.
 """
 
 from __future__ import annotations
@@ -54,6 +50,7 @@ class Stage:
     space_name: str
     cell_dim: Optional[int]      # None for stage 1
     gamma: Optional[Element]     # attaching class of the stage's cone
+    bottom: Element              # inclusion of the bottom sphere
 
 
 @dataclass
@@ -75,35 +72,34 @@ class FiltrationModel:
         return "\n".join(lines)
 
 
-def _stage(prev: Stage, gamma: Element, cell: int, index: int) -> Stage:
-    """The stage attaching e^cell along gamma: a wedge when gamma vanishes
-    on a sphere, the two-cell complex L4(m) when gamma = 2^m eta_2."""
+def _stage(prev: Stage, gamma: Element, cell: int, index: int,
+           ctx: rewrite.RuleContext) -> Stage:
+    """The stage attaching e^cell along gamma, with its bottom inclusion: a
+    wedge when gamma vanishes on a sphere, the two-cell complex L4(m) when
+    gamma = 2^m eta_2, and an anonymous stage otherwise."""
+    q = prev.bottom.source
     if gamma.is_zero():
-        space = (wedge(prev.space.data[0], cell)
-                 if prev.space.kind == "sphere" else named("Jstage", index))
-        return Stage(index, space, f"{prev.space_name} v S^{cell}", cell,
-                     gamma)
-    sw = gamma.single_word()
-    sym = sw[0].syms[0] if sw is not None and len(sw[0].syms) == 1 else None
-    if prev.space == sphere(2) and isinstance(sym, Sym) and sym.name == "eta_2":
-        m = abs(strip_odd(sw[1])).bit_length() - 1
-        return Stage(index, named("L4", m), f"L4({m})", cell, gamma)
-    return Stage(index, named("Jstage", index),
-                 f"{prev.space_name} u e^{cell}", cell, gamma)
-
-
-def bottom_inclusion(space: Space, q: int, stage: int,
-                     ctx: rewrite.RuleContext) -> Element:
-    """The inclusion of the bottom sphere into a stage space."""
-    if space.kind == "sphere":
-        return Element.identity(space)
-    if space.kind == "wedge":
-        d = space.data[1]
-        sym = Sym(f"j1_{q}{d}", (), sphere(q), space, is_susp=True)
-    elif space.kind == "named" and space.data[0] == "L4":
-        sym = ctx.registry.make("j_L", (space.data[1][0],))
+        name = f"{prev.space_name} v S^{cell}"
+        if prev.space.kind == "sphere":
+            space = wedge(q.data[0], cell)
+            j = Sym(f"j1_{q.data[0]}{cell}", (), q, space, is_susp=True)
+            return Stage(index, space, name, cell, gamma, _inclusion(j))
     else:
-        sym = Sym(f"jY_{stage}", tuple(), sphere(q), space)
+        name = f"{prev.space_name} u e^{cell}"
+        sw = gamma.single_word()
+        sym = sw[0].syms[0] if sw is not None and len(sw[0].syms) == 1 \
+            else None
+        if prev.space == sphere(2) and isinstance(sym, Sym) \
+                and sym.name == "eta_2":
+            m = abs(strip_odd(sw[1])).bit_length() - 1
+            return Stage(index, named("L4", m), f"L4({m})", cell, gamma,
+                         _inclusion(ctx.registry.make("j_L", (m,))))
+    space = named("Jstage", index)
+    return Stage(index, space, name, cell, gamma,
+                 _inclusion(Sym(f"jY_{index}", (), q, space)))
+
+
+def _inclusion(sym: Sym) -> Element:
     return Element.from_term(Word((sym,)))
 
 
@@ -118,18 +114,19 @@ def build_filtration(f: MapSpec, n: int,
         raise FiltrationError("need at least one stage")
     p = f.source.data[0]
     q = f.target.data[0]
-    stages = [Stage(1, f.target, f.target.key, None, None)]
+    stages = [Stage(1, f.target, f.target.key, None, None,
+                    Element.identity(f.target))]
     for r in range(2, n + 1):
         cell = q + (r - 1) * p
         prev = stages[-1]
-        j = bottom_inclusion(prev.space, q, r - 1, ctx)
+        j = prev.bottom
         jf = rewrite.compose(j, f.class_el, ctx)
         if r == 2:
             gamma = rewrite.whitehead(j, jf, ctx)
         else:
             gamma = rewrite.higher_bracket([j] + [jf] * (r - 1),
                                            tag=f"stage-{r}", ctx=ctx)
-        stages.append(_stage(prev, gamma, cell, r))
+        stages.append(_stage(prev, gamma, cell, r, ctx))
     return FiltrationModel(f, stages)
 
 
@@ -146,69 +143,3 @@ def skeleton_of_fiber(f: MapSpec, m: int, ctx: rewrite.RuleContext):
         r += 1
     model = build_filtration(f, r, ctx)
     return r, model.stages[-1]
-
-
-def suspended_homology(cells, boundaries, maxdim: int) -> dict:
-    """2-local homology of the suspended cell complex, {degree: [orders]}.
-
-    ``cells`` are the unsuspended cell dimensions, ``boundaries`` the
-    2-part of the attaching degree of each cell on the cell one dimension
-    below (0 unless the dimensions abut; consecutive cells here normally
-    differ by at least two).
-    """
-    contrib = {}
-    consumed = set()
-    for i, (d, b) in enumerate(zip(cells, boundaries)):
-        if b != 0 and i > 0 and cells[i - 1] == d - 1:
-            # the pair (e^{d+1}, e^d) contributes torsion Z/b in degree d
-            consumed.add(i - 1)
-            consumed.add(i)
-            if b != 1 and d <= maxdim:
-                contrib.setdefault(d, []).append(b)
-    for i, d in enumerate(cells):
-        if i in consumed:
-            continue
-        dim = d + 1
-        if dim <= maxdim:
-            contrib.setdefault(dim, []).append(0)
-    return {k: sorted(v) for k, v in contrib.items()}
-
-
-def suspension_splitting_check(f: MapSpec, k: int, maxdim: int,
-                               ctx: rewrite.RuleContext,
-                               corrupt_cell: Optional[int] = None) -> bool:
-    """Compare H_*(Sigma J_k) with the expected wedge of smash summands.
-
-    The attaching classes are Whitehead brackets or torsion classes, so
-    their Hurewicz images vanish and every suspended stage contributes a
-    free summand; the check reduces to the multiset of cell dimensions.
-    A corrupted model (``corrupt_cell`` shifts one cell) must fail.
-    """
-    model = build_filtration(f, k, ctx)
-    cells = []
-    bdries = []
-    for st in model.stages:
-        if st.cell_dim is None:
-            cells.append(f.target.data[0])
-            bdries.append(0)
-        else:
-            cells.append(st.cell_dim)
-            g = st.gamma
-            hurewicz = 0
-            if g is not None and not g.is_zero():
-                sw = g.single_word()
-                # degree on the cell below: only possible if dimensions abut
-                if sw is not None and st.cell_dim - 1 == cells[-2]:
-                    hurewicz = abs(strip_odd(sw[1]))
-            bdries.append(hurewicz)
-    if corrupt_cell is not None:
-        cells[corrupt_cell] += 1
-    left = suspended_homology(cells, bdries, maxdim)
-    expected = {}
-    p = f.source.data[0]
-    q = f.target.data[0]
-    for i in range(k):
-        dim = q + 1 + i * p
-        if dim <= maxdim:
-            expected.setdefault(dim, []).append(0)
-    return left == expected

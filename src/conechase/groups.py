@@ -106,32 +106,6 @@ class IntMat:
     def __repr__(self):
         return f"IntMat({self.rows!r}, ncols={self.ncols})"
 
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.nrows != self.ncols:
-            raise GroupError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return 1
-        a = [r[:] for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
 
 # ---------------------------------------------------------------------------
 # Smith normal form
@@ -324,11 +298,6 @@ class TwoLocalGroup:
             return self.labels[i]
         return f"g{i}"
 
-    def generator_index(self, label: str) -> int:
-        if self.labels is None:
-            raise GroupError("group has no labels")
-        return self.labels.index(label)
-
     def with_labels(self, labels: Sequence[str]) -> "TwoLocalGroup":
         if len(labels) != len(self.orders):
             raise GroupError("labels and orders differ in length")
@@ -343,17 +312,6 @@ class TwoLocalGroup:
             raise GroupError("vector length does not match rank")
         return tuple(x % o if o else x for x, o in zip(vec, self.orders))
 
-    def vector(self, coeffs: dict) -> tuple:
-        """Coordinate vector from a {label: coefficient} mapping.
-
-        Construction sorts summands canonically, so addressing them by
-        label is the safe way to build coordinate vectors.
-        """
-        vec = [0] * self.rank
-        for label, c in coeffs.items():
-            vec[self.generator_index(label)] = c
-        return self.reduce_vector(vec)
-
     def element_order(self, vec: Sequence[int]) -> int:
         """Order of the element with these coordinates (0 = infinite)."""
         vec = self.reduce_vector(vec)
@@ -365,23 +323,6 @@ class TwoLocalGroup:
                 return 0
             n = max(n, o // gcd(o, x))
         return n
-
-    def elements(self):
-        """Iterate all coordinate vectors (finite groups only)."""
-        if self.free_rank:
-            raise GroupError("cannot enumerate an infinite group")
-        vec = [0] * self.rank
-        while True:
-            yield tuple(vec)
-            i = 0
-            while i < self.rank:
-                vec[i] += 1
-                if vec[i] < self.orders[i]:
-                    break
-                vec[i] = 0
-                i += 1
-            else:
-                return
 
     def render(self) -> str:
         """Canonical textual form, e.g. ``'Z/2 + Z/4 + Z(2)'``."""
@@ -407,28 +348,6 @@ class TwoLocalGroup:
 
     def __repr__(self):
         return f"TwoLocalGroup({list(self.orders)!r})"
-
-
-def group_equal(a: TwoLocalGroup, b: TwoLocalGroup) -> bool:
-    """Equality of canonical forms (labels are ignored).
-
-    >>> group_equal(TwoLocalGroup([2, 4]), TwoLocalGroup([4, 2]))
-    True
-    >>> group_equal(TwoLocalGroup([4]), TwoLocalGroup([2, 2]))
-    False
-    """
-    return a.orders == b.orders
-
-
-def direct_sum(*groups: TwoLocalGroup) -> TwoLocalGroup:
-    orders = []
-    labels = []
-    labelled = bool(groups) and all(g.labels is not None for g in groups)
-    for g in groups:
-        orders.extend(g.orders)
-        if labelled:
-            labels.extend(g.labels)
-    return TwoLocalGroup(orders, labels if labelled else None)
 
 
 class GroupHom:
@@ -646,7 +565,9 @@ def quotient_by_elements(g: TwoLocalGroup, rels: Sequence[Sequence[int]]):
     Returns (group, projection hom).
 
     >>> g = TwoLocalGroup([0, 2, 2], ["b", "x", "y"])
-    >>> q, _ = quotient_by_elements(g, [g.vector({"b": 24})])
+    >>> g.labels
+    ('x', 'y', 'b')
+    >>> q, _ = quotient_by_elements(g, [(0, 0, 24)])
     >>> q.render()
     'Z/2 + Z/2 + Z/8'
     """

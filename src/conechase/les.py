@@ -1,5 +1,5 @@
-"""Exact-sequence machinery: homotopy groups with coordinate charts,
-fibration boundary maps, and segment assembly.
+"""Exact-sequence machinery: homotopy groups with coordinate charts and
+fibration boundary maps.
 
 A ``PiGroup`` is a homotopy group together with prototypes: normalized
 single-term elements paired with their coordinate vectors.  Prototypes
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import List, Optional, Tuple
 
-from .groups import GroupHom, IntMat, TwoLocalGroup, cokernel, kernel
+from .groups import GroupHom, IntMat, TwoLocalGroup
 from .kb import KbCatalog, KbMissingFact
 from .terms import Element, Space, Word, sphere, suspend_space
 from . import rewrite
@@ -176,8 +176,8 @@ def derived_pi_group(parent: PiGroup, new_group: TwoLocalGroup,
                    protos)
 
 
-def direct_sum_pi(a: PiGroup, extra: List[Tuple[Element, int, str]],
-                  ctx) -> PiGroup:
+def extend_chart(a: PiGroup, extra: List[Tuple[Element, int, str]],
+                 ctx) -> PiGroup:
     """Extend a chart by fresh generators (lift classes) of given orders."""
     orders = list(a.group.orders) + [o for _, o, _ in extra]
     labels = [a.group.label(i) for i in range(a.group.rank)] + \
@@ -228,39 +228,20 @@ def fibration(cat: KbCatalog, env, head: str, params: tuple,
     return BoundaryRule(head, params, f, j_p, suspend_space(f.source))
 
 
-def boundary_on_suspension(fib: BoundaryRule, alpha: Element, ctx) -> Element:
-    """The connecting map on a suspension class: j_p . f . (desuspension).
-
-    Classes that are not suspensions need a stored catalog value; that is
-    exactly where the imported computations live.
-    """
-    value = _suspension_boundary(fib, alpha, ctx)
-    if value is None:
-        raise KbMissingFact(
-            f"KB fact required: {alpha.render()} is not a suspension; the "
-            "connecting-map rule does not apply")
-    return value
-
-
-def _suspension_boundary(fib: BoundaryRule, alpha: Element,
-                         ctx) -> Optional[Element]:
-    sw = alpha.single_word()
-    if sw is not None:
-        word, c = sw
-        desusp = _try_desuspend(word, ctx)
-        if desusp is not None:
-            jf = rewrite.compose(fib.j_p, fib.f, ctx)
-            val = rewrite.compose(jf, Element.from_term(*desusp), ctx)
-            return rewrite.normalize(val.scale(c), ctx)
-    return None
-
-
 def boundary_value(cat: KbCatalog, env, fib: BoundaryRule, gen: Element,
                    ctx, _raw: bool = False) -> Element:
-    """Value of the connecting map on one generator of pi_k(base)."""
-    value = _suspension_boundary(fib, gen, ctx)
-    if value is not None:
-        return value
+    """Value of the connecting map on one generator of pi_k(base).
+
+    A suspension class goes to j_p . f . (desuspension); any other class
+    needs a stored catalog value, which is where the imported
+    computations live.
+    """
+    sw = gen.single_word()
+    desusp = _try_desuspend(sw[0], ctx) if sw is not None else None
+    if desusp is not None:
+        jf = rewrite.compose(fib.j_p, fib.f, ctx)
+        val = rewrite.compose(jf, Element.from_term(*desusp), ctx)
+        return rewrite.normalize(val.scale(sw[1]), ctx)
     hit = cat.boundary_fact(fib.head, fib.params, gen, env)
     if hit is not None:
         value, fact = hit
@@ -341,80 +322,3 @@ def boundary_hom(cat: KbCatalog, env, fib: BoundaryRule, k: int,
                  source_pig.group.rank)
     hom = GroupHom(source_pig.group, target_pig.group, mat)
     return Boundary(source_pig, target_pig, values, hom)
-
-
-# ---------------------------------------------------------------------------
-# exact-sequence segments
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LesSegment:
-    """One window pi_{k+1}(B) -> pi_k(F) -> pi_k(C) -> pi_k(B) -> pi_{k-1}(F).
-
-    Slots that cannot be resolved from the catalog stay None; exactness
-    is audited, never assumed, where the data permits.
-    """
-    degree: int
-    base_upper: Optional[PiGroup]
-    fiber_mid: Optional[PiGroup]
-    cone_mid: Optional[TwoLocalGroup]
-    base_mid: Optional[PiGroup]
-    fiber_low: Optional[PiGroup]
-    d_upper: Optional[Boundary]
-    d_lower: Optional[Boundary]
-    missing: List[str] = field(default_factory=list)
-
-    def audit(self) -> bool:
-        """|pi_k(C)| = |coker(d_upper)| * |ker(d_lower)| (finite case)."""
-        if self.cone_mid is None or self.d_upper is None or self.d_upper.hom is None:
-            return True
-        if self.cone_mid.free_rank:
-            return True
-        c, _ = cokernel(self.d_upper.hom)
-        if self.d_lower is None:
-            return True
-        if self.d_lower.hom is None:
-            k_order = self.d_lower.source.group.torsion_order()
-        else:
-            kk, _ = kernel(self.d_lower.hom)
-            k_order = kk.torsion_order()
-        return self.cone_mid.torsion_order() == c.torsion_order() * k_order
-
-
-def assemble_segment(cat: KbCatalog, env, fib: BoundaryRule, k: int,
-                     fiber_groups, ctx,
-                     cone_mid: Optional[TwoLocalGroup] = None) -> LesSegment:
-    """Fill the resolvable slots of the window around pi_k of the cone.
-
-    ``fiber_groups`` maps a degree to the PiGroup of the fiber in that
-    degree (the caller knows which filtration stage computes it).
-    """
-    missing = []
-
-    def sphere_pig(deg):
-        try:
-            return pi_group_from_fact(cat, env, fib.base, deg, ctx)
-        except KbMissingFact as e:
-            missing.append(str(e))
-            return None
-
-    base_upper = sphere_pig(k + 1)
-    base_mid = sphere_pig(k)
-    fiber_mid = fiber_groups.get(k)
-    fiber_low = fiber_groups.get(k - 1)
-    if fiber_mid is None:
-        missing.append(f"pi_{k}(fiber)")
-    d_upper = d_lower = None
-    if base_upper is not None:
-        try:
-            d_upper = boundary_hom(cat, env, fib, k + 1, base_upper,
-                                   fiber_mid, ctx)
-        except (KbMissingFact, LesError) as e:
-            missing.append(str(e))
-    if base_mid is not None:
-        try:
-            d_lower = boundary_hom(cat, env, fib, k, base_mid, fiber_low, ctx)
-        except (KbMissingFact, LesError) as e:
-            missing.append(str(e))
-    return LesSegment(k, base_upper, fiber_mid, cone_mid, base_mid,
-                      fiber_low, d_upper, d_lower, missing)

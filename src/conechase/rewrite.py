@@ -652,12 +652,13 @@ def triple_indeterminacy(ambients, label: str = ""):
     Nontrivial ambient groups are out of scope for the shipped rules.
     """
     from .groups import TwoLocalGroup
+    from .kb import KbMissingFact
     for a in ambients:
         if a is None:
-            raise RewriteError("KB fact required: ambient group missing")
+            raise KbMissingFact("KB fact required: ambient group missing")
     if all(a.is_trivial() for a in ambients):
         return TwoLocalGroup([])
-    raise RewriteError(
+    raise KbMissingFact(
         "KB fact required: indeterminacy with nontrivial ambient groups "
         f"is not mechanized ({label})")
 
@@ -689,7 +690,8 @@ def resolve_triple(bracket_el: Element, ambients, ctx: RuleContext) -> Element:
             Word(syms) if syms else Word((), w.source)))
     hit = ctx.product_value(base_slots)
     if hit is None:
-        raise RewriteError(
+        from .kb import KbMissingFact
+        raise KbMissingFact(
             "KB fact required: no stored value for the base product "
             + Bracket(base_slots).render())
     rhs, fact = hit

@@ -100,8 +100,6 @@ def parse_space(text: str, env: Optional[dict] = None) -> Space:
     m = re.fullmatch(r"S(\d+)", text)
     if m:
         return sphere(int(m.group(1)))
-    if text == "CP2":
-        return named("L4", 0)
     m = _SPACE_RE.match(text)
     if not m:
         raise TermError(f"bad space key: {text!r}")

@@ -24,6 +24,8 @@ from conechase.groups import (
 )
 from conechase.terms import Element, sphere
 
+from checks import suspension_splitting_check
+
 
 def q(*orders):
     return TwoLocalGroup(list(orders))
@@ -155,7 +157,7 @@ def test_criterion_8_property_suites(catalog, env):
             e = catalog.parser({var: v}).parse(text)
             spec = filtration.MapSpec(e)
             for k in (1, 2, 3, 4):
-                assert filtration.suspension_splitting_check(
+                assert suspension_splitting_check(
                     spec, k, 14, ctx=ctx)
 
     # (d) complete certificates always give the full-order group
@@ -184,8 +186,8 @@ def test_criterion_9_negative_controls(catalog, scripts, env):
     # corrupting a cell dimension falsifies the suspension splitting
     ctx = catalog.rule_context(env)
     spec = filtration.MapSpec(catalog.parser({"r": 2}).parse("2^r*iota_2"))
-    assert filtration.suspension_splitting_check(
+    assert suspension_splitting_check(
         spec, 3, 12, ctx=ctx)
-    assert not filtration.suspension_splitting_check(
+    assert not suspension_splitting_check(
         spec, 3, 12, corrupt_cell=1, ctx=ctx)
     ok(9, "missing lift fails unresolved; corrupted cell fails the splitting")

@@ -72,6 +72,23 @@ def test_compute_validation_errors(capsys):
     assert code == cli.EXIT_VALIDATION  # the documented 2^r word-size cap
 
 
+def test_missing_triple_product_fact_exit_code(capsys, tmp_path):
+    """A triple product with no stored base value is a missing fact (3),
+    not a validation error (2)."""
+    text = "\n".join(
+        line for line in default_catalog().serialize().splitlines()
+        if "[j_L(0), j_L(0), j_L(0)]" not in line) + "\n"
+    p = tmp_path / "notriple.facts"
+    p.write_text(text)
+    for argv in (("--space", "P3", "--k", "5", "--r", "2"),
+                 ("--space", "J3", "--k", "6", "--r", "1")):
+        code, _, err = run_cli(capsys, "--kb", str(p), "compute", *argv,
+                               "--no-sweep")
+        assert code == cli.EXIT_MISSING_FACT
+        assert "KB fact required: no stored value for the base product" \
+            in err
+
+
 def test_missing_kb_fact_exit_code(capsys, tmp_path):
     cat = default_catalog()
     text = "\n".join(
@@ -297,17 +314,47 @@ def test_filtration_machine_format(capsys):
     assert records[2]["cell_dim"] == 6
 
 
-def test_benchmark_draws_only_declared_scenarios():
-    """Every (space, k, script) the benchmark draws is a scenario the
-    scripts declare.  The table is read from the benchmark's source
+def bench_table(module: str, name: str):
+    """A literal table of a benchmark module, read from its source
     without importing it."""
-    source = Path(__file__).parents[1] / "bench" / "workloads.py"
-    (drawn,) = [ast.literal_eval(node.value)
+    source = Path(__file__).parents[1] / "bench" / f"{module}.py"
+    (table,) = [ast.literal_eval(node.value)
                 for node in ast.parse(source.read_text()).body
                 if isinstance(node, ast.Assign)
-                and [getattr(t, "id", None) for t in node.targets]
-                == ["SCENARIOS"]]
+                and [getattr(t, "id", None) for t in node.targets] == [name]]
+    return table
+
+
+def test_benchmark_draws_only_declared_scenarios():
+    """Every (space, k, script) the benchmark draws is a scenario the
+    scripts declare."""
+    drawn = bench_table("workloads", "SCENARIOS")
     declared = scenarios(load_scripts())
     assert drawn
     for space, k, script in drawn:
         assert declared[(space, k)].name == script
+
+
+def test_traced_names_exist():
+    """Every function the benchmark's tracer wraps and every class it
+    counts exists, and so do the two things its normalize_word hook
+    reads: the word's key and the rule context's word rules."""
+    import importlib
+    import inspect
+
+    from conechase import rewrite
+    from conechase.terms import Word, sphere
+    for module, qualname in bench_table("tracing", "TARGETS"):
+        owner = importlib.import_module(f"conechase.{module}")
+        *path, attr = qualname.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        assert callable(owner.__dict__[attr]), f"{module}.{qualname}"
+    for module, cls, _ in bench_table("tracing", "COUNTED"):
+        assert isinstance(
+            getattr(importlib.import_module(f"conechase.{module}"), cls), type)
+    assert list(inspect.signature(rewrite.normalize_word).parameters)[:3] \
+        == ["word", "coeff", "ctx"]
+    ctx = default_catalog().rule_context(
+        {"sign": 1, "eps": 0, "x": 0, "y": 1})
+    hash((id(ctx.word_rules), Word((), sphere(3)).key(), 1))

@@ -159,6 +159,7 @@ def test_unknown_script_errors(runner):
 def test_segment_assembly_and_exactness_audit(catalog, runner):
     """The window around pi_5 of the cone: filled slots compose to the
     computed group, and the order audit holds."""
+    from checks import assemble_segment
     from conechase import les
     from conechase.les import pi_group_from_fact, push_forward
     from conechase.terms import wedge
@@ -172,8 +173,8 @@ def test_segment_assembly_and_exactness_audit(catalog, runner):
         k: push_forward(pi_group_from_fact(catalog, envm, wedge(2, 5), k, ctx),
                         jf, jf.target, ctx)
         for k in (4, 5)}
-    seg = les.assemble_segment(catalog, envm, fib, 5, fiber_groups, ctx,
-                               cone_mid=runner_res.group)
+    seg = assemble_segment(catalog, envm, fib, 5, fiber_groups, ctx,
+                           cone_mid=runner_res.group)
     assert seg.base_upper.group == TwoLocalGroup([2])
     assert seg.base_mid.group == TwoLocalGroup([2])
     assert seg.d_upper is not None and seg.d_upper.is_zero()
@@ -181,10 +182,11 @@ def test_segment_assembly_and_exactness_audit(catalog, runner):
 
 
 def test_segment_below_connectivity_is_trivial(catalog, env):
+    from checks import assemble_segment
     from conechase import les
     ctx = catalog.rule_context(env)
     fib = les.fibration(catalog, env, "F_pL", (3,))
-    seg = les.assemble_segment(catalog, env, fib, 2, {}, ctx)
+    seg = assemble_segment(catalog, env, fib, 2, {}, ctx)
     assert seg.base_mid.group.is_trivial()
 
 
@@ -207,7 +209,7 @@ def test_trivial_group_edges(catalog, env):
 
 def test_exactness_audit_for_the_moore_space_window(catalog, runner):
     """|pi_6(P^3(2^r))| = |coker d7| * |ker d6| with all slots computed."""
-    from conechase.les import assemble_segment
+    from checks import assemble_segment
     from conechase import les
     for r in (1, 2, 3):
         envr = {"r": r, "sign": 1, "eps": 0, "x": 0, "y": 1}

@@ -6,6 +6,8 @@ from conechase import filtration, rewrite
 from conechase.filtration import FiltrationError, MapSpec
 from conechase.terms import Element, sphere, wedge
 
+from checks import suspension_splitting_check
+
 
 def degree_map(catalog, env, r):
     return MapSpec(catalog.parser(env).parse(f"2^{r}*iota_2"))
@@ -111,7 +113,7 @@ def test_splitting_check_all_shipped_mapspecs(catalog, env):
     specs += [hopf_multiple(catalog, env, m) for m in range(0, 9)]
     for spec in specs:
         for k in (1, 2, 3, 4):
-            assert filtration.suspension_splitting_check(
+            assert suspension_splitting_check(
                 spec, k, 14, ctx=ctx), \
                 f"splitting fails for {spec.class_el.render()} at stage {k}"
 
@@ -119,5 +121,24 @@ def test_splitting_check_all_shipped_mapspecs(catalog, env):
 def test_splitting_check_negative_control(catalog, env):
     ctx = catalog.rule_context(env)
     spec = degree_map(catalog, env, 2)
-    assert not filtration.suspension_splitting_check(
+    assert not suspension_splitting_check(
         spec, 3, 12, corrupt_cell=1, ctx=ctx)
+
+
+def test_each_stage_carries_its_bottom_inclusion(catalog, env):
+    """Stage 1 is the target sphere; a vanishing class on it gives the
+    wedge inclusion j1_qd, 2^m eta_2 gives j_L(m) into L4(m), and any
+    other stage gets an anonymous jY_n."""
+    ctx = catalog.rule_context(env)
+    for spec, bottoms in (
+            (MapSpec(catalog.parser(env).parse("2*iota_3")),
+             ["id(S3)", "j1_36", "jY_3", "jY_4"]),
+            (degree_map(catalog, env, 2),
+             ["id(S2)", "j_L(3)", "jY_3", "jY_4"]),
+            (hopf_multiple(catalog, env, 2),
+             ["id(S2)", "j1_25", "jY_3"])):
+        model = filtration.build_filtration(spec, len(bottoms), ctx)
+        assert [st.bottom.render() for st in model.stages] == bottoms
+        for st in model.stages:
+            assert st.bottom.source == spec.target
+            assert st.bottom.target == st.space

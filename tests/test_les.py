@@ -97,19 +97,21 @@ def test_attaching_class_comes_from_exactly_one_place(catalog):
 
 def test_boundary_on_suspension_refuses_nonsuspensions(catalog):
     env = {"m": 1, "sign": 1, "eps": 0, "x": 0, "y": 1}
-    ctx = catalog.rule_context(env)
-    fib = les.fibration(catalog, env, "F_p4", (1,))
-    alpha = catalog.parser(env).parse("Sigma_nu'")
-    v = les.boundary_on_suspension(fib, alpha, ctx)
-    assert v.render() == "2*jp4(1) . nu'"
+    assert value(catalog, env, "F_p4", (1,), "Sigma_nu'").render() == \
+        "2*jp4(1) . nu'"
+    # nu_4 is not a suspension: without its stored boundary value the
+    # connecting map is refused, not derived
+    without = catalog.without_facts(
+        lambda f: f.kind == "boundary_value" and f.subject.startswith("F_p4"))
     with pytest.raises(KbMissingFact, match="not a suspension"):
-        les.boundary_on_suspension(fib, catalog.parser(env).parse("nu_4"), ctx)
+        value(without, env, "F_p4", (1,), "nu_4")
 
 
 def test_exactness_audit_across_the_cone_family(catalog, runner):
     """|pi_k(cone)| = |coker(upper)| * |ker(lower)| in every window where
     all slots are materialized."""
-    from conechase.les import assemble_segment, pi_group_from_fact, push_forward
+    from checks import assemble_segment
+    from conechase.les import pi_group_from_fact, push_forward
     from conechase.terms import wedge
     for m in (1, 2, 3, 4):
         envm = {"m": m, "sign": 1, "eps": 0, "x": 0, "y": 1}

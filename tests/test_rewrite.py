@@ -212,11 +212,12 @@ def test_naturality_push_binary_equality(catalog, env):
 
 def test_triple_indeterminacy_guards():
     from conechase.groups import TwoLocalGroup
+    from conechase.kb import KbMissingFact
     triv = TwoLocalGroup([])
     assert rewrite.triple_indeterminacy([triv, triv, triv]).is_trivial()
-    with pytest.raises(rewrite.RewriteError, match="KB fact required"):
+    with pytest.raises(KbMissingFact, match="KB fact required"):
         rewrite.triple_indeterminacy([triv, None, triv])
-    with pytest.raises(rewrite.RewriteError):
+    with pytest.raises(KbMissingFact, match="KB fact required"):
         rewrite.triple_indeterminacy([triv, TwoLocalGroup([2]), triv])
 
 

@@ -29,7 +29,6 @@ def test_parse_space_forms():
     assert parse_space("S2vS5") == wedge(2, 5)
     assert parse_space("P3(2^r)", {"r": 3}).key == "P3(8)"
     assert parse_space("L4(m)", {"m": 2}).key == "L4(2)"
-    assert parse_space("CP2").key == "L4(0)"
     with pytest.raises(TermError):
         parse_space("P3(3)")  # not a power of two
 
