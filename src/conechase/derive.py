@@ -23,8 +23,9 @@ is one new file.
 ``fib=`` names a fibration declared in the catalog; one that declares no
 attaching class takes it from ``attach=`` (``boundary fib=FM(r);
 attach=g3; ...``), and a class from both places or from neither is an
-error.  Malformed header lines and step arguments are reported with
-their line.
+error.  Malformed header lines and step arguments, a step argument
+that is missing and a name that no step bound are reported with their
+line.
 
 Every run records each step, every certified fact it consumed (with its
 citation), and the catalog digest; replays are byte-identical.  Runs are
@@ -104,6 +105,24 @@ class AssertionMismatch(DeriveError):
     """A computed group disagrees with the asserted expectation."""
 
 
+class _Missing(LookupError):
+    """A step read an argument it was not given or a name that no step
+    bound; ``Runner._execute`` reports it as a ``DeriveError`` that names
+    the step's line."""
+
+
+class _Table(dict):
+    """A step's arguments or a run's bindings, where a missing key is an
+    error of the script, not of the engine."""
+
+    def __init__(self, what: str):
+        super().__init__()
+        self.what = what
+
+    def __missing__(self, key):
+        raise _Missing(f"missing {self.what} {key!r}")
+
+
 CANONICAL_TOKENS = {"sign": 1, "eps": 0, "x": 0, "y": 1}
 SWEEP_GRID = [
     {"sign": s, "eps": e, "x": x, "y": y}
@@ -178,15 +197,15 @@ def parse_script(text: str, name_hint: str = "") -> Script:
             cases = m.group(2).strip()
             args = (_step_args(cases.strip("{}"), ":", where)
                     if cases.startswith("{") else {"": cases})
-            steps.append(Step("assert", m.group(1), "", args, body))
+            steps.append(Step("assert", m.group(1), "", args, body, lineno))
             continue
         if body.startswith("check "):
             steps.append(Step("check", "", "",
-                              _step_args(body[6:], "=", where), body))
+                              _step_args(body[6:], "=", where), body, lineno))
             continue
         if body.startswith("return "):
             steps.append(Step("return", body.split(None, 1)[1].strip(), "",
-                              {}, body))
+                              {}, body, lineno))
             continue
         raise DeriveError(f"{name}:{lineno}: unrecognized line {body!r}")
     if not name:
@@ -253,7 +272,7 @@ def parse_group_literal(text: str, env: dict) -> TwoLocalGroup:
 
 def _step_args(text: str, sep: str, where: str) -> Dict[str, str]:
     """The ``key<sep>value`` pieces of a step, separated by ';'."""
-    args = {}
+    args = _Table("step argument")
     for piece in filter(None, (p.strip() for p in text.split(";"))):
         key, found, value = piece.partition(sep)
         if not found:
@@ -377,43 +396,48 @@ class Runner:
         ctx = self._ctx(env)
         ctx.on_rule = facts.append
         tokens = set(ctx.tokens)      # plus its subderivations' and facts'
-        bindings: Dict[str, object] = {}
+        bindings = _Table("binding")
         ret: Optional[object] = None
-        for idx, step in enumerate(script.steps, start=1):
-            before = len(facts)
-            if step.kind == "let":
-                try:
-                    value = self._eval_step(step, env, ctx, bindings, lines,
-                                            tokens)
-                except (DeriveError, LesError, KbError, GroupError,
-                        TermError) as e:
-                    # errors carry the failing step's position
-                    raise type(e)(f"{name} step {idx} ({step.verb}): {e}") \
-                        from e
-                bindings[step.name] = value
-                lines.append(f"  step {idx}: {step.raw}")
-                lines.append(f"    = {_render_value(value)}")
-            elif step.kind == "check":
-                self._eval_check(step, env, ctx, bindings)
-                lines.append(f"  step {idx}: {step.raw}  [ok]")
-            elif step.kind == "assert":
-                got = bindings.get(step.name)
-                if not isinstance(got, PiGroup):
-                    raise DeriveError(f"{name}: assert needs a group binding")
-                want = parse_group_cases(step.args, env)
-                if got.group != want:
-                    raise AssertionMismatch(
-                        f"{name}{_fmt_env(env, script.params)}: computed "
-                        f"{got.group.render()} but expected {want.render()}")
-                lines.append(f"  step {idx}: {step.raw}  [ok]")
-            elif step.kind == "return":
-                ret = bindings.get(step.name)
-                if ret is None:
-                    raise DeriveError(
-                        f"{name}: return of unbound {step.name!r}")
-                lines.append(f"  step {idx}: {step.raw}")
-            for fact in facts[before:]:
-                lines.append(f"    uses {fact.note()}")
+        try:
+            for idx, step in enumerate(script.steps, start=1):
+                before = len(facts)
+                if step.kind == "let":
+                    try:
+                        value = self._eval_step(step, env, ctx, bindings,
+                                                lines, tokens)
+                    except (DeriveError, LesError, KbError, GroupError,
+                            TermError) as e:
+                        # errors carry the failing step's position
+                        raise type(e)(
+                            f"{name} step {idx} ({step.verb}): {e}") from e
+                    bindings[step.name] = value
+                    lines.append(f"  step {idx}: {step.raw}")
+                    lines.append(f"    = {_render_value(value)}")
+                elif step.kind == "check":
+                    self._eval_check(step, env, ctx, bindings)
+                    lines.append(f"  step {idx}: {step.raw}  [ok]")
+                elif step.kind == "assert":
+                    got = bindings.get(step.name)
+                    if not isinstance(got, PiGroup):
+                        raise DeriveError(
+                            f"{name}: assert needs a group binding")
+                    want = parse_group_cases(step.args, env)
+                    if got.group != want:
+                        raise AssertionMismatch(
+                            f"{name}{_fmt_env(env, script.params)}: computed "
+                            f"{got.group.render()} but expected "
+                            f"{want.render()}")
+                    lines.append(f"  step {idx}: {step.raw}  [ok]")
+                elif step.kind == "return":
+                    ret = bindings.get(step.name)
+                    if ret is None:
+                        raise DeriveError(
+                            f"{name}: return of unbound {step.name!r}")
+                    lines.append(f"  step {idx}: {step.raw}")
+                for fact in facts[before:]:
+                    lines.append(f"    uses {fact.note()}")
+        except _Missing as e:
+            raise DeriveError(f"{name}:{step.line}: {e}") from e
         if ret is None:
             raise DeriveError(f"{name}: no terminal group (missing return)")
         if isinstance(ret, PiGroup):
@@ -450,10 +474,7 @@ class Runner:
             return self._parse_el(args[key], env, bindings)
 
         def pig(key) -> PiGroup:
-            v = bindings.get(args[key])
-            if not isinstance(v, PiGroup):
-                raise DeriveError(f"{args[key]!r} is not a group binding")
-            return v
+            return _as_group(bindings, args[key])
 
         if verb == "group":
             space = parse_space(args["space"], env)
@@ -486,7 +507,7 @@ class Runner:
                                 strip=strip)
 
         if verb == "cokernel":
-            bnd = bindings.get(args["of"])
+            bnd = bindings[args["of"]]
             if not isinstance(bnd, Boundary):
                 raise DeriveError("cokernel needs a boundary binding")
             if bnd.hom is None:
@@ -495,7 +516,7 @@ class Runner:
             return derived_pi_group(bnd.target, g, proj)
 
         if verb == "kernel":
-            bnd = bindings.get(args["of"])
+            bnd = bindings[args["of"]]
             if not isinstance(bnd, Boundary):
                 raise DeriveError("kernel needs a boundary binding")
             if bnd.hom is None:
@@ -574,14 +595,12 @@ class Runner:
         if verb == "scaled_generator":
             base = pig("group")
             gen = el("gen")
-            coeff = bindings[args["coeff"]]
-            if not isinstance(coeff, int):
-                raise DeriveError("coeff must be an integer binding")
+            coeff = _as_int(bindings, args["coeff"])
             i = _find_generator(base, gen, ctx)
             return rewrite.normalize(base.generator_element(i).scale(coeff), ctx)
 
         if verb == "assert_coeff":
-            value = bindings[args["of"]]
+            value = _as_int(bindings, args["of"])
             want = eval_int_expr(args["abs"], env)
             if abs(value) != want:
                 raise AssertionMismatch(
@@ -708,8 +727,8 @@ class Runner:
         the image of a * g1 + b * free + c * g3 determines b by exact
         division in the torsion-free target.
         """
-        base = bindings[args["group"]]
-        target = bindings[args["target"]]
+        base = _as_group(bindings, args["group"])
+        target = _as_group(bindings, args["target"])
         mapel = self._parse_el(args["map"], env, bindings)
         free_gen = self._parse_el(args["free"], env, bindings)
         value = _as_element(bindings, args["value"])
@@ -745,11 +764,11 @@ class Runner:
         Returns the unique (a, c, ...) assignment; raises when the kill is
         not unique or nonzero coefficients are forced.
         """
-        base = bindings[args["group"]]
+        base = _as_group(bindings, args["group"])
         target = pi_group_from_fact(self.catalog, env,
                                     *space_at(args["target"], env), ctx)
         free_gen = self._parse_el(args["free"], env, bindings)
-        b = bindings[args["coeff"]]
+        b = _as_int(bindings, args["coeff"])
         free_i = _find_generator(base, free_gen, ctx)
         torsion = [i for i in range(base.group.rank)
                    if i != free_i and base.group.orders[i] != 0]
@@ -811,9 +830,23 @@ def _find_generator(pig: PiGroup, gen: Element, ctx) -> int:
 
 
 def _as_element(bindings, name) -> Element:
-    v = bindings.get(name)
+    v = bindings[name]
     if not isinstance(v, Element):
         raise DeriveError(f"{name!r} is not an element binding")
+    return v
+
+
+def _as_group(bindings, name) -> PiGroup:
+    v = bindings[name]
+    if not isinstance(v, PiGroup):
+        raise DeriveError(f"{name!r} is not a group binding")
+    return v
+
+
+def _as_int(bindings, name) -> int:
+    v = bindings[name]
+    if not isinstance(v, int):
+        raise DeriveError(f"{name!r} is not an integer binding")
     return v
 
 

@@ -49,6 +49,7 @@ enforces this.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -142,7 +143,9 @@ _TERM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_~']*(?:\^\d+)?")
 _ID_ARG = re.compile(r"\bid\([^()]*\)")
 
 
+@functools.cache
 def _eta_sym(n: int) -> Sym:
+    """The interned Hopf map: built in, so it belongs to no catalog."""
     if n < 2:
         raise KbError("eta_n needs n >= 2")
     return Sym("eta_%d" % n, (), sphere(n + 1), sphere(n),
@@ -159,6 +162,7 @@ class SymbolRegistry:
         self.specs = {}
         self.fibrations = {}
         self._unfolded = {}
+        self._symbols = {}        # (name, params) -> the one Sym made
 
     def declare(self, spec: SymbolSpec):
         if spec.name in self.specs:
@@ -166,6 +170,14 @@ class SymbolRegistry:
         self.specs[spec.name] = spec
 
     def make(self, name: str, params: tuple) -> Sym:
+        """The symbol ``name(params)``, built once per registry."""
+        params = tuple(params)
+        s = self._symbols.get((name, params))
+        if s is None:
+            s = self._symbols[(name, params)] = self._build(name, params)
+        return s
+
+    def _build(self, name: str, params: tuple) -> Sym:
         m = _ETA.match(name)
         if m:
             if params:
@@ -185,7 +197,7 @@ class SymbolRegistry:
         tgt = parse_space(spec.target_pat, env)
         order = (eval_int_expr(spec.order_expr, env)
                  if spec.order_expr is not None else None)
-        return Sym(name, tuple(params), src, tgt, order=order,
+        return Sym(name, params, src, tgt, order=order,
                    is_susp=spec.is_susp,
                    susp_name=spec.susp_to, desusp_name=spec.desusp)
 

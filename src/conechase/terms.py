@@ -12,6 +12,7 @@ Everything is immutable; the rewrite engine lives in ``rewrite.py``.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -27,34 +28,55 @@ class TermError(ValueError):
 
 @dataclass(frozen=True)
 class Space:
+    """A space, compared by value.  The constructors below intern each
+    value, so equal spaces are usually one object; its key and hash are
+    computed once."""
     kind: str          # "sphere" | "wedge" | "moore" | "named"
     data: tuple
 
-    @property
-    def key(self) -> str:
+    def __post_init__(self):
         if self.kind == "sphere":
-            return f"S{self.data[0]}"
-        if self.kind == "wedge":
-            return "v".join(f"S{n}" for n in self.data)
-        if self.kind == "moore":
-            return f"P{self.data[0]}({self.data[1]})"
-        name, params = self.data
-        if params:
-            return f"{name}({','.join(str(p) for p in params)})"
-        return name
+            key = f"S{self.data[0]}"
+        elif self.kind == "wedge":
+            key = "v".join(f"S{n}" for n in self.data)
+        elif self.kind == "moore":
+            key = f"P{self.data[0]}({self.data[1]})"
+        else:
+            name, params = self.data
+            key = (f"{name}({','.join(str(p) for p in params)})" if params
+                   else name)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash((self.kind, self.data)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Space:
+            return NotImplemented
+        return self.kind == other.kind and self.data == other.data
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return self.key
 
 
+@functools.cache
+def _space(kind: str, data: tuple) -> Space:
+    """The interned space: a space is a value independent of any catalog,
+    so one table serves the whole process."""
+    return Space(kind, data)
+
+
 def sphere(n: int) -> Space:
     if n < 1:
         raise TermError("sphere dimension must be >= 1")
-    return Space("sphere", (n,))
+    return _space("sphere", (n,))
 
 
 def wedge(*dims: int) -> Space:
-    return Space("wedge", tuple(dims))
+    return _space("wedge", tuple(dims))
 
 
 def moore(n: int, q: int) -> Space:
@@ -62,11 +84,11 @@ def moore(n: int, q: int) -> Space:
         raise TermError("mod-2^r Moore spaces here are simply connected: n >= 3")
     if q < 2 or q & (q - 1):
         raise TermError("Moore space order must be a power of two >= 2")
-    return Space("moore", (n, q))
+    return _space("moore", (n, q))
 
 
 def named(name: str, *params: int) -> Space:
-    return Space("named", (name, tuple(params)))
+    return _space("named", (name, tuple(params)))
 
 
 def is_suspension_space(sp: Space) -> bool:
@@ -211,7 +233,11 @@ def eval_int_expr(text, env: dict) -> int:
 
 @dataclass(frozen=True)
 class Sym:
-    """One generator or structural map, fully instantiated."""
+    """One generator or structural map, fully instantiated.
+
+    Compared by value; a registry interns the symbols it makes, and
+    ``deg_sym`` its degree maps, so equal symbols are usually one object.
+    Its key, rendering and hash are computed once."""
     name: str
     params: tuple
     source: Space
@@ -229,10 +255,11 @@ class Sym:
         else:
             r = self.name
         object.__setattr__(self, "_rendered", r)
+        object.__setattr__(self, "key", (self.name, self.params))
+        object.__setattr__(self, "_hash", hash(self.key))
 
-    @property
-    def key(self):
-        return (self.name, self.params)
+    def __hash__(self):
+        return self._hash
 
     def render(self) -> str:
         return self._rendered
@@ -241,7 +268,9 @@ class Sym:
         return self._rendered
 
 
+@functools.cache
 def deg_sym(k: int, n: int) -> Sym:
+    """The interned degree map; like a space, it belongs to no catalog."""
     return Sym("deg", (int(k), n), sphere(n), sphere(n),
                order=None, is_susp=True)
 
@@ -360,7 +389,7 @@ class Bracket:
     records where the representative came from.
     """
 
-    __slots__ = ("slots", "tag")
+    __slots__ = ("slots", "tag", "_source", "_key", "_hash")
 
     def __init__(self, slots: Sequence["Element"], tag: str = ""):
         if len(slots) < 2:
@@ -374,6 +403,7 @@ class Bracket:
                     f"bracket slot source {s.source.key} is not a suspension")
         self.slots = tuple(slots)
         self.tag = tag
+        self._source = self._key = self._hash = None
 
     @property
     def arity(self):
@@ -403,14 +433,18 @@ class Bracket:
 
     @property
     def source(self) -> Space:
-        return Bracket.smash_source([s.source for s in self.slots])
+        if self._source is None:
+            self._source = Bracket.smash_source([s.source for s in self.slots])
+        return self._source
 
     @property
     def target(self) -> Space:
         return self.slots[0].target
 
     def key(self):
-        return ("bracket", tuple(s.key() for s in self.slots))
+        if self._key is None:
+            self._key = ("bracket", tuple(s.key() for s in self.slots))
+        return self._key
 
     def render(self) -> str:
         return "[" + ", ".join(s.render() for s in self.slots) + "]"
@@ -419,7 +453,9 @@ class Bracket:
         return isinstance(other, Bracket) and self.key() == other.key()
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def __repr__(self):
         return f"<{self.render()}>"
@@ -430,9 +466,12 @@ class Bracket:
 # ---------------------------------------------------------------------------
 
 class Element:
-    """Formal integer combination of terms sharing one (source, target)."""
+    """Formal integer combination of terms sharing one (source, target).
 
-    __slots__ = ("source", "target", "terms", "is_suspension")
+    ``terms`` is normal: each term once, no zero coefficient, sorted by
+    rendering (transcripts show that order)."""
+
+    __slots__ = ("source", "target", "terms", "is_suspension", "_key")
 
     def __init__(self, source: Space, target: Space, terms=(),
                  is_suspension: bool = False):
@@ -452,17 +491,32 @@ class Element:
             items.sort(key=lambda tc: tc[0].render())
         self.terms = tuple(items)
         self.is_suspension = is_suspension
+        self._key = None
+
+    @classmethod
+    def _normal(cls, source: Space, target: Space, terms: tuple,
+                is_suspension: bool) -> "Element":
+        """The element of ``terms`` as they stand.  Trusted: the caller
+        guarantees that they are normal and lie in ``source -> target``."""
+        el = object.__new__(cls)
+        el.source = source
+        el.target = target
+        el.terms = terms
+        el.is_suspension = is_suspension
+        el._key = None
+        return el
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, source: Space, target: Space) -> "Element":
-        return cls(source, target, ())
+        return cls._normal(source, target, (), False)
 
     @classmethod
     def from_term(cls, term, coeff: int = 1, is_suspension=False) -> "Element":
-        return cls(term.source, term.target, ((term, coeff),),
-                   is_suspension=is_suspension)
+        return cls._normal(term.source, term.target,
+                           ((term, int(coeff)),) if coeff else (),
+                           is_suspension)
 
     @classmethod
     def identity(cls, sp: Space) -> "Element":
@@ -475,19 +529,19 @@ class Element:
         return not self.terms
 
     def scale(self, k: int) -> "Element":
-        return Element(self.source, self.target,
-                       [(t, k * c) for t, c in self.terms],
-                       is_suspension=self.is_suspension)
+        terms = tuple((t, int(k * c)) for t, c in self.terms) if k else ()
+        return Element._normal(self.source, self.target, terms,
+                               self.is_suspension)
 
     def __add__(self, other: "Element") -> "Element":
-        if self.is_zero():
-            src, tgt = other.source, other.target
-        else:
-            src, tgt = self.source, self.target
-            if not other.is_zero() and (other.source != src or other.target != tgt):
-                raise TermError("sum of elements with different spaces")
-        return Element(src, tgt, list(self.terms) + list(other.terms),
-                       is_suspension=self.is_suspension and other.is_suspension)
+        if other.source != self.source or other.target != self.target:
+            raise TermError("sum of elements with different spaces")
+        is_suspension = self.is_suspension and other.is_suspension
+        if not (self.terms and other.terms):
+            return Element._normal(self.source, self.target,
+                                   self.terms or other.terms, is_suspension)
+        return Element(self.source, self.target, self.terms + other.terms,
+                       is_suspension=is_suspension)
 
     def single_word(self):
         """The (word, coeff) pair if this element is one word term."""
@@ -496,8 +550,10 @@ class Element:
         return None
 
     def key(self):
-        return (self.source.key, self.target.key,
-                tuple((t.key(), c) for t, c in self.terms))
+        if self._key is None:
+            self._key = (self.source.key, self.target.key,
+                         tuple((t.key(), c) for t, c in self.terms))
+        return self._key
 
     def render(self) -> str:
         if not self.terms:
@@ -598,7 +654,7 @@ class TermParser:
         while self._peek() in ("+", "-"):
             op = self._eat()
             rhs = self._product()
-            el = el + (rhs if op == "+" else -rhs)
+            el = el + (rhs if op == "+" else rhs.scale(-1))
         return el
 
     def _product(self) -> Element:

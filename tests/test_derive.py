@@ -1,9 +1,13 @@
 """The shipped derivations: tables, transcripts, replays, and failure
 modes."""
 
+import re
 from dataclasses import replace
+from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conechase import cli
 from conechase.derive import (
@@ -19,8 +23,10 @@ from conechase.derive import (
     reproduce_rows,
     scenarios,
 )
-from conechase.groups import ExtensionUnresolved, TwoLocalGroup
-from conechase.kb import KbMissingFact, load_catalog
+from conechase.groups import ExtensionUnresolved, GroupError, TwoLocalGroup
+from conechase.kb import KbError, KbMissingFact, load_catalog
+from conechase.les import LesError
+from conechase.terms import TermError
 
 
 def q(*orders):
@@ -470,3 +476,79 @@ def test_a_bad_script_is_a_validation_error_of_the_cli(scripts, monkeypatch,
     assert cli.main(["validate-kb"]) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err == (
         "error: pi5_cone:4: computes the target of pi6_P3\n")
+
+
+# ---------------------------------------------------------------------------
+# malformed steps: documented errors that name the line, never a traceback
+# ---------------------------------------------------------------------------
+
+SHIPPED_TEXT = {entry.name[:-6]: entry.read_text()
+                for entry in resources.files("conechase").joinpath(
+                    "data").iterdir() if entry.name.endswith(".deriv")}
+# what cli.main turns into exit codes 2, 3 and 4
+DOCUMENTED = (DeriveError, GroupError, KbError, LesError, TermError)
+
+
+def run_edited(catalog, scripts, name, text):
+    """Run ``text`` in place of the shipped script ``name``, unswept, with
+    every parameter 2."""
+    script = parse_script(text, name_hint=name)
+    linked = link_scripts([*(s for s in scripts.values() if s.name != name),
+                           script])
+    return Runner(catalog, linked).run(
+        script.name, dict.fromkeys(script.params, 2), sweep=False)
+
+
+@pytest.mark.parametrize("name,old,new,match", [
+    ("pi6_P3", "; k=7", "", "pi6_P3:15: missing step argument 'k'"),
+    ("pi6_P3", "let K = kernel of=d6\n", "",
+     "pi6_P3:18: missing binding 'K'"),
+    ("gamma3", "let piL5 = run script=pi5_L4m; m=r+1\n", "",
+     "gamma3:14: missing binding 'piL5'"),
+    ("gamma3", "coeff=b; target", "coeff=piL5; target",
+     "'piL5' is not an integer binding"),
+])
+def test_a_missing_argument_or_binding_names_its_line(catalog, scripts, name,
+                                                      old, new, match):
+    text = SHIPPED_TEXT[name]
+    assert old in text
+    with pytest.raises(DeriveError, match=match):
+        run_edited(catalog, scripts, name, text.replace(old, new, 1))
+
+
+@st.composite
+def _mutated_script(draw):
+    """A shipped script with one line deleted, cut short, stripped of one
+    argument, or with one name in it replaced."""
+    name = draw(st.sampled_from(sorted(SHIPPED_TEXT)))
+    lines = SHIPPED_TEXT[name].splitlines()
+    i = draw(st.sampled_from([i for i, line in enumerate(lines)
+                              if line and not line.startswith("#")]))
+    line = lines[i]
+    how = draw(st.sampled_from(["delete", "cut", "drop argument", "rename"]))
+    if how == "delete":
+        del lines[i]
+    elif how == "cut":
+        lines[i] = line[:draw(st.integers(0, len(line)))]
+    elif how == "drop argument":
+        pieces = line.split(";")
+        del pieces[draw(st.integers(0, len(pieces) - 1))]
+        lines[i] = ";".join(pieces)
+    else:
+        names = re.findall(r"[A-Za-z_][A-Za-z0-9_']*", line)
+        old = draw(st.sampled_from(names))
+        new = draw(st.sampled_from(
+            [old + "x", "b", "val", "piL5", "ans", "r", "k", "of"]))
+        lines[i] = line.replace(old, new, 1)
+    return name, "\n".join(lines) + "\n"
+
+
+@given(_mutated_script())
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_scripts_fail_only_with_documented_errors(catalog, scripts,
+                                                          edited):
+    try:
+        run_edited(catalog, scripts, *edited)
+    except DOCUMENTED:
+        pass

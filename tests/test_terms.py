@@ -1,13 +1,19 @@
 """Term grammar, spaces, and integer expressions."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conechase.terms import (
+    Bracket,
     Element,
+    Space,
     Sym,
     TermError,
     Word,
+    deg_sym,
     eval_int_expr,
+    moore,
     named,
     parse_space,
     sphere,
@@ -46,6 +52,8 @@ def test_parser_basics(catalog, env):
     assert len(el.terms) == 2
     el = p.parse("nu' + 2*nu'")
     assert el.render() == "3*nu'"
+    assert p.parse("3*nu' - nu'").render() == "2*nu'"
+    assert p.parse("eta_2 - 3*eta_2").render() == "-2*eta_2"
 
 
 def test_parser_scalar_and_signs(catalog, env):
@@ -143,3 +151,94 @@ def test_word_equality_agrees_with_symbol_equality():
     same = Word((Sym("jY_3", (), sphere(3), stage),))
     assert a == same and hash(a) == hash(same)
     assert Word((), sphere(3)) != Word((), sphere(4))
+
+
+def test_a_sum_with_a_zero_side_still_checks_spaces():
+    eta = Element.from_term(Word((Sym("eta_2", (), sphere(3), sphere(2)),)))
+    wrong = Element.zero(sphere(3), sphere(3))
+    for a, b in ((wrong, eta), (eta, wrong)):
+        with pytest.raises(TermError, match="different spaces"):
+            a + b
+    assert eta + Element.zero(sphere(3), sphere(2)) == eta
+
+
+# ---------------------------------------------------------------------------
+# interning: one object per value, equality and hashing still by value
+# ---------------------------------------------------------------------------
+
+def test_spaces_and_degree_maps_are_interned():
+    assert sphere(3) is sphere(3)
+    assert wedge(2, 5) is parse_space("S2vS5")
+    assert parse_space("P3(2^r)", {"r": 2}) is moore(3, 4)
+    assert named("L4", 2) is parse_space("L4(m)", {"m": 2})
+    assert deg_sym(2, 3) is deg_sym(2, 3)
+
+
+def test_registry_makes_each_symbol_once(catalog):
+    make = catalog.registry.make
+    assert make("j_L", (2,)) is make("j_L", (2,))
+    assert make("j_L", (2,)) is not make("j_L", (3,))
+    assert make("eta_3", ()) is make("eta_3", ())
+    assert make("deg", (2, 3)) is deg_sym(2, 3)
+
+
+def test_directly_built_values_equal_the_interned_ones(catalog):
+    direct = Space("sphere", (3,))
+    assert direct is not sphere(3)
+    assert direct == sphere(3) and hash(direct) == hash(sphere(3))
+    assert direct.key == "S3"
+    made = catalog.registry.make("j_L", (2,))
+    copy = Sym(made.name, made.params, Space(made.source.kind,
+                                             made.source.data),
+               made.target, made.order, made.is_susp, made.susp_name,
+               made.desusp_name)
+    assert copy is not made
+    assert copy == made and hash(copy) == hash(made) and copy.key == made.key
+    assert Word((copy,)) == Word((made,))
+    assert Sym("deg", (2, 3), direct, direct, is_susp=True) == deg_sym(2, 3)
+    assert Sym("deg", (2, 3), direct, direct) != deg_sym(2, 3)
+
+
+# Terms S3 -> S2: words, a word that renders like another, and a bracket.
+_S2, _S3 = sphere(2), sphere(3)
+_ETA2 = Sym("eta_2", (), _S3, _S2)
+_TERMS = (
+    Word((_ETA2,)),
+    Word((_ETA2, deg_sym(3, 3))),
+    Word((deg_sym(-1, 2), _ETA2)),
+    Word((Sym("eta_2", (), _S3, _S2, order=0),)),
+    Bracket([Element.identity(_S2), Element.identity(_S2)]),
+)
+_sums = st.lists(st.tuples(st.sampled_from(range(len(_TERMS))),
+                           st.integers(-4, 4)), max_size=6).map(
+    lambda picks: [(_TERMS[i], c) for i, c in picks])
+
+
+def _same(fast, checked):
+    assert fast.terms == checked.terms
+    assert [(t.render(), c) for t, c in fast.terms] == \
+        [(t.render(), c) for t, c in checked.terms]
+    assert fast.key() == checked.key() and hash(fast) == hash(checked)
+    assert fast.is_suspension == checked.is_suspension
+    assert (fast.source, fast.target) == (checked.source, checked.target)
+
+
+@given(_sums, _sums, st.integers(-3, 3), st.booleans())
+def test_trusted_constructions_equal_the_checked_merge(a, b, k, susp):
+    """Each shortcut gives what the checked constructor gives on the
+    terms it was handed before: the order of terms that render alike
+    depends on that input, so it is the comparison that must hold."""
+    ea = Element(_S3, _S2, a, is_suspension=susp)
+    eb = Element(_S3, _S2, b)
+    _same(ea + eb, Element(_S3, _S2, ea.terms + eb.terms))
+    _same(ea.scale(k), Element(_S3, _S2, [(t, k * c) for t, c in ea.terms],
+                               is_suspension=susp))
+    zero = Element.zero(_S3, _S2)
+    _same(zero, Element(_S3, _S2))
+    _same(ea + zero, Element(_S3, _S2, ea.terms))
+    _same(zero + ea, Element(_S3, _S2, ea.terms))
+    _same(ea + Element(_S3, _S2, is_suspension=True),
+          Element(_S3, _S2, ea.terms, is_suspension=susp))
+    for t, c in a:
+        _same(Element.from_term(t, c, is_suspension=susp),
+              Element(_S3, _S2, [(t, c)], is_suspension=susp))
