@@ -39,6 +39,16 @@ tokens it consumed: those of its facts, of its ``run`` subderivations,
 and of the one fact its rule context reads uncited.  Under any assignment
 that agrees on those tokens it takes the same path to the same value and
 transcript, so one cached run serves every such assignment of the sweep.
+
+The same holds for each ``let`` step of a run that does execute.  A step
+reads a token only through a fact it cites, a fact a rule lookup returns
+(``RuleContext.reads``), its subderivation's tokens, or the tokens read
+by an earlier binding it names (``Step.names``, fixed at parse time).
+Within one ``Runner.run`` a memo keyed by script, parameters and step
+line keeps each evaluation with its value, transcript lines, citations
+and the values of the tokens it read, and serves every later evaluation
+that agrees on those values; the lines and citations are replayed, so
+transcripts and digests are those of a fresh evaluation.
 """
 
 from __future__ import annotations
@@ -142,6 +152,7 @@ class Step:
     args: Dict[str, str] = field(default_factory=dict)
     raw: str = ""
     line: int = 0
+    names: frozenset = frozenset()   # the bindings its arguments may name
 
 
 @dataclass
@@ -210,6 +221,12 @@ def parse_script(text: str, name_hint: str = "") -> Script:
         raise DeriveError(f"{name}:{lineno}: unrecognized line {body!r}")
     if not name:
         raise DeriveError("script has no name")
+    # a step reads a binding through a whole argument or one piece of a
+    # comma list (``restrict_bracket by=``); nothing else names one
+    bound = {st.name for st in steps if st.kind == "let"}
+    for st in steps:
+        st.names = frozenset(piece.strip() for v in st.args.values()
+                             for piece in v.split(",")) & bound
     script = Script(name, params, steps, header.get("require", ("",))[0])
     if "computes" in header:
         text, script.computes_line = header["computes"]
@@ -314,6 +331,23 @@ class RunResult:
         return hashlib.sha256(self.transcript.encode()).hexdigest()
 
 
+@dataclass(frozen=True)
+class _StepMemo:
+    """One evaluation of a ``let`` step, kept for the assignments that
+    agree on the tokens it read."""
+    value: object
+    lines: tuple              # its transcript lines, citations included
+    facts: tuple              # the facts it cited, in order
+    tokens: frozenset         # its subderivation's tokens, which the run's join
+    reads: dict               # token -> the value it read
+
+
+def _run_key(name: str, env: dict) -> tuple:
+    """A run's script and its parameters other than the swept tokens."""
+    return (name, tuple(sorted((k, v) for k, v in env.items()
+                               if k not in SWEPT_TOKENS)))
+
+
 class Runner:
     """Executes derivation scripts against one catalog.
 
@@ -328,6 +362,16 @@ class Runner:
     token fact is therefore executed once for the whole sweep.  Rule
     contexts are cached by token assignment and shared by every script
     and parameter.
+
+    A run that is executed replays each ``let`` step from the step memo
+    (``_steps``) when an earlier evaluation of that step, under the same
+    script and parameters, agrees with it on every token the step read:
+    its own facts and lookups, its subderivation's tokens and those of
+    the bindings it names.  So a run re-executed for one token-reading
+    step re-evaluates only the steps that token reaches.  The memo is
+    cleared when ``run`` returns or raises: after a sweep the run cache
+    serves every (script, parameters) pair it executed under every
+    assignment, so a step memo kept longer would not be hit.
     """
 
     def __init__(self, catalog: KbCatalog, scripts: Dict[str, Script]):
@@ -335,21 +379,26 @@ class Runner:
         self.scripts = scripts
         self._cache: Dict[tuple, List[RunResult]] = {}
         self._ctx_cache: Dict[tuple, object] = {}
+        self._steps: Dict[tuple, List[_StepMemo]] = {}
 
     # -- public -----------------------------------------------------------
 
     def run(self, name: str, params: dict, sweep: bool = True) -> RunResult:
         base_env = dict(CANONICAL_TOKENS, **params)
-        result = self._run_cached(name, base_env)
-        if sweep:
-            canonical = _sweep_shape(result.value)
-            for assign in SWEEP_GRID:
-                other = self._run_cached(name, dict(base_env, **assign))
-                comparable = _sweep_shape(other.value)
-                if comparable != canonical:
-                    raise DeriveError(
-                        f"{name}{params}: result depends on the ambiguous "
-                        f"tokens {assign}: {comparable} != {canonical}")
+        try:
+            result = self._run_cached(name, base_env)
+            if sweep:
+                canonical = _sweep_shape(result.value)
+                for assign in SWEEP_GRID:
+                    other = self._run_cached(name, dict(base_env, **assign))
+                    comparable = _sweep_shape(other.value)
+                    if comparable != canonical:
+                        raise DeriveError(
+                            f"{name}{params}: result depends on the ambiguous "
+                            f"tokens {assign}: {comparable} != {canonical}")
+        finally:
+            # a swept pair is now in the run cache under every assignment
+            self._steps.clear()
         return result
 
     # -- internals ----------------------------------------------------------
@@ -371,9 +420,7 @@ class Runner:
     def _run_cached(self, name: str, env: dict) -> RunResult:
         """A cached run of ``name`` with the parameters of ``env`` that
         agrees with ``env`` on the tokens it consumed, or a new one."""
-        key = (name, tuple(sorted((k, v) for k, v in env.items()
-                                  if k not in SWEPT_TOKENS)))
-        runs = self._cache.setdefault(key, [])
+        runs = self._cache.setdefault(_run_key(name, env), [])
         for hit in runs:
             if all(hit.env[t] == env.get(t) for t in hit.tokens):
                 return hit
@@ -397,23 +444,28 @@ class Runner:
         ctx.on_rule = facts.append
         tokens = set(ctx.tokens)      # plus its subderivations' and facts'
         bindings = _Table("binding")
+        reads: Dict[str, dict] = {}   # binding -> the token values it read
+        key = _run_key(name, env)
         ret: Optional[object] = None
         try:
             for idx, step in enumerate(script.steps, start=1):
-                before = len(facts)
                 if step.kind == "let":
                     try:
-                        value = self._eval_step(step, env, ctx, bindings,
-                                                lines, tokens)
+                        memo = self._let(key, idx, step, env, ctx, bindings,
+                                         reads)
                     except (DeriveError, LesError, KbError, GroupError,
                             TermError) as e:
                         # errors carry the failing step's position
                         raise type(e)(
                             f"{name} step {idx} ({step.verb}): {e}") from e
-                    bindings[step.name] = value
-                    lines.append(f"  step {idx}: {step.raw}")
-                    lines.append(f"    = {_render_value(value)}")
-                elif step.kind == "check":
+                    lines.extend(memo.lines)
+                    facts.extend(memo.facts)
+                    tokens |= memo.tokens
+                    bindings[step.name] = memo.value
+                    reads[step.name] = memo.reads
+                    continue
+                before = len(facts)
+                if step.kind == "check":
                     self._eval_check(step, env, ctx, bindings)
                     lines.append(f"  step {idx}: {step.raw}  [ok]")
                 elif step.kind == "assert":
@@ -447,6 +499,41 @@ class Runner:
         tokens.update(*(f.tokens for f in facts))
         return RunResult(name, dict(env), ret, "\n".join(lines) + "\n", facts,
                          frozenset(tokens))
+
+    def _let(self, key, idx, step, env, ctx, bindings, reads) -> _StepMemo:
+        """Step ``idx`` of the run ``key``, a ``let``: a memoised evaluation
+        that agrees with ``env`` on every token it read, or a new one.
+
+        A step reads a token only through a fact: one it cites, one a rule
+        lookup returns (``ctx.reads``), one its subderivation consumed, or
+        one behind a binding it names.  Under any assignment that agrees on
+        those it computes the same value, transcript lines and citations,
+        which the caller replays as a fresh evaluation would emit them.
+        """
+        entries = self._steps.setdefault(key + (step.line,), [])
+        for memo in entries:
+            if all(env[t] == v for t, v in memo.reads.items()):
+                return memo
+        lines: List[str] = []
+        facts: List[KbFact] = []
+        tokens: set = set()
+        hook = ctx.on_rule
+        ctx.on_rule = facts.append
+        ctx.reads = set(ctx.tokens).union(*(reads[n] for n in step.names
+                                            if n in reads))
+        try:
+            value = self._eval_step(step, env, ctx, bindings, lines, tokens)
+        finally:
+            read, ctx.reads, ctx.on_rule = ctx.reads, None, hook
+        read |= tokens
+        read.update(*(f.tokens for f in facts))
+        lines.append(f"  step {idx}: {step.raw}")
+        lines.append(f"    = {_render_value(value)}")
+        lines.extend(f"    uses {fact.note()}" for fact in facts)
+        memo = _StepMemo(value, tuple(lines), tuple(facts), frozenset(tokens),
+                         {t: env[t] for t in read})
+        entries.append(memo)
+        return memo
 
     # -- step evaluation ------------------------------------------------------
 

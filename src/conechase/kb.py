@@ -141,6 +141,14 @@ _ETA = re.compile(r"^eta_(\d+)$")
 _IOTA = re.compile(r"^iota_(\d+)$")
 _TERM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_~']*(?:\^\d+)?")
 _ID_ARG = re.compile(r"\bid\([^()]*\)")
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_~'^]*")
+
+
+@functools.cache
+def _names_in(text: str) -> tuple:
+    """The distinct names ``text`` mentions, sorted: the variables a parse
+    of it can read.  Catalog-free, so one table serves the process."""
+    return tuple(sorted(set(_NAME.findall(text))))
 
 
 @functools.cache
@@ -517,11 +525,8 @@ class KbCatalog:
             raise KbError("a bare 0 payload needs spaces from context")
         # elements are immutable, so parses can be shared across runs that
         # agree on the variables the text actually mentions
-        used = tuple(sorted(
-            (tok, env[tok])
-            for tok in set(re.findall(r"[A-Za-z][A-Za-z0-9_~'^]*", text))
-            if tok in env))
-        key = (text, used)
+        key = (text, tuple((tok, env[tok]) for tok in _names_in(text)
+                           if tok in env))
         hit = self._parse_cache.get(key)
         if hit is None:
             hit = self.parser(env).parse(text)

@@ -62,7 +62,10 @@ class PiGroup:
 def pi_group_from_fact(cat: KbCatalog, env, space: Space, k: int,
                        ctx) -> PiGroup:
     """A homotopy group from the catalog (plus the Hurewicz and
-    connectivity conventions on spheres)."""
+    connectivity conventions on spheres).  The degree is at least 1: the
+    engine charts no pi_0 and no negative degree."""
+    if k < 1:
+        raise LesError(f"pi_{k}({space.key}): degrees start at 1")
     if space.kind == "sphere":
         n = space.data[0]
         if k < n:

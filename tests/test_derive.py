@@ -257,16 +257,22 @@ def test_golden_transcript(runner):
 # ---------------------------------------------------------------------------
 
 class CountingRunner(Runner):
-    """A runner that keeps every run it executes."""
+    """A runner that keeps every run it executes and counts the ``let``
+    steps it evaluates."""
 
     def __init__(self, catalog, scripts):
         super().__init__(catalog, scripts)
         self.executed = []
+        self.evaluated = 0
 
     def _execute(self, name, env):
         result = super()._execute(name, env)
         self.executed.append(result)
         return result
+
+    def _eval_step(self, *args):
+        self.evaluated += 1
+        return super()._eval_step(*args)
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +349,18 @@ def test_normal_forms_per_swept_pass(pruned_pass):
     assert len(memo) == 835
 
 
+def test_steps_per_swept_pass(pruned_pass):
+    """The 402 runs of a pass walk 4,016 ``let`` steps; the step memo
+    serves 1,956 of them and 2,060 are evaluated.  The memo lives for one
+    ``Runner.run``: a swept (script, parameters) pair is in the run cache
+    under every assignment by then."""
+    walked = sum(step.kind == "let" for res in pruned_pass.executed
+                 for step in pruned_pass.scripts[res.script].steps)
+    assert walked == 4016
+    assert pruned_pass.evaluated == 2060
+    assert not pruned_pass._steps
+
+
 def test_one_rule_context_per_token_assignment(pruned_pass):
     """Rules read only the swept tokens, so a pass shares one context per
     sweep assignment across every row, parameter and subderivation."""
@@ -366,6 +384,38 @@ def test_pruned_sweep_still_sees_a_token_dependence(catalog, scripts,
     with pytest.raises(DeriveError, match="depends on the ambiguous tokens"):
         runner.run("pi5_L4m", {"m": 3})
     assert {res.tokens for res in runner.executed} == {frozenset({"eps"})}
+
+
+@pytest.mark.parametrize("carried", [True, False])
+def test_step_memo_carries_reads_through_bindings(catalog, scripts, tmp_path,
+                                                  carried):
+    """Negative control at step level: the eps-dependent group of the
+    control above, read by the second step of pi5_L4m (its first two steps
+    swapped, its assert dropped).  No other step reads a token; the eps
+    dependence reaches the result only through the bindings d6, C and CL
+    name, so the sweep refuses only while a step's reads include those of
+    the bindings it names.  With them dropped (``carried`` false) the memo
+    serves d6 and the rest stale and the wrong result passes."""
+    old = "| S2vS5 @ 5 | Z/2{"
+    path = tmp_path / "eps.facts"
+    path.write_text(catalog.serialize().replace(old, "| S2vS5 @ 5 | Z/2^(1+eps){"))
+    f5 = "let F5 = fiber_group fib=F_pL(m); k=5\n"
+    f4 = "let F4 = fiber_group fib=F_pL(m); k=4\n"
+    text = SHIPPED_TEXT["pi5_L4m"]
+    assert f5 + f4 in text
+    script = parse_script(text.replace(f5 + f4, f4 + f5), name_hint="pi5_L4m")
+    steps = [st if carried else replace(st, names=frozenset())
+             for st in script.steps if st.kind != "assert"]
+    runner = CountingRunner(load_catalog(path),
+                            dict(scripts, pi5_L4m=replace(script, steps=steps)))
+    if carried:
+        with pytest.raises(DeriveError,
+                           match="depends on the ambiguous tokens"):
+            runner.run("pi5_L4m", {"m": 3})
+    else:
+        assert runner.run("pi5_L4m", {"m": 3}).group == PI5_L4[3]
+    assert {res.tokens for res in runner.executed} == {frozenset({"eps"})}
+    assert not runner._steps      # cleared when run returns or raises
 
 
 def test_scripts_may_not_name_swept_tokens():
@@ -514,6 +564,23 @@ def test_a_missing_argument_or_binding_names_its_line(catalog, scripts, name,
     assert old in text
     with pytest.raises(DeriveError, match=match):
         run_edited(catalog, scripts, name, text.replace(old, new, 1))
+
+
+@pytest.mark.parametrize("k", ["0", "-7"])
+def test_a_degree_below_1_is_a_validation_error(catalog, scripts, monkeypatch,
+                                                capsys, k):
+    text = SHIPPED_TEXT["pi6_P3"]
+    old = "let d7 = boundary fib=F_p(r); k=7;"
+    assert old in text
+    text = text.replace(old, old.replace("k=7", f"k={k}"))
+    with pytest.raises(LesError, match=f"pi_{k}\\(S3\\): degrees start at 1"):
+        run_edited(catalog, scripts, "pi6_P3", text)
+    edited = parse_script(text, name_hint="pi6_P3")
+    monkeypatch.setattr(cli, "load_scripts", lambda: link_scripts(
+        [*(s for s in scripts.values() if s.name != "pi6_P3"), edited]))
+    assert cli.main(["compute", "--space", "P3", "--k", "6", "--r", "2",
+                     "--no-sweep"]) == cli.EXIT_VALIDATION
+    assert "degrees start at 1" in capsys.readouterr().err
 
 
 @st.composite
