@@ -25,7 +25,9 @@ attaching class takes it from ``attach=`` (``boundary fib=FM(r);
 attach=g3; ...``), and a class from both places or from neither is an
 error.  Malformed header lines and step arguments, a step argument
 that is missing and a name that no step bound are reported with their
-line.
+line.  The ``require`` guard and each ``assert`` case, guard and group
+literal, are compiled when the script is parsed, so a malformed one is
+a parse error; a literal's orders are evaluated per run.
 
 Every run records each step, every certified fact it consumed (with its
 citation), and the catalog digest; replays are byte-identical.  Runs are
@@ -79,6 +81,8 @@ from .kb import (
     KbCatalog,
     KbError,
     KbFact,
+    compile_guard,
+    cyclic_summands,
     guard_holds,
     load_catalog,
     swept_tokens,
@@ -101,6 +105,7 @@ from .terms import (
     Space,
     TermError,
     Word,
+    compile_int_expr,
     eval_int_expr,
     parse_space,
 )
@@ -153,6 +158,7 @@ class Step:
     raw: str = ""
     line: int = 0
     names: frozenset = frozenset()   # the bindings its arguments may name
+    cases: tuple = ()         # an assert's (guard, compiled group literal)
 
 
 @dataclass
@@ -208,7 +214,15 @@ def parse_script(text: str, name_hint: str = "") -> Script:
             cases = m.group(2).strip()
             args = (_step_args(cases.strip("{}"), ":", where)
                     if cases.startswith("{") else {"": cases})
-            steps.append(Step("assert", m.group(1), "", args, body, lineno))
+            compiled = []
+            try:
+                for guard, literal in args.items():
+                    compile_guard(guard)
+                    compiled.append((guard, parse_group_literal(literal)))
+            except (KbError, TermError) as e:
+                raise DeriveError(f"{where}: {e}") from e
+            steps.append(Step("assert", m.group(1), "", args, body, lineno,
+                              cases=tuple(compiled)))
             continue
         if body.startswith("check "):
             steps.append(Step("check", "", "",
@@ -228,6 +242,10 @@ def parse_script(text: str, name_hint: str = "") -> Script:
         st.names = frozenset(piece.strip() for v in st.args.values()
                              for piece in v.split(",")) & bound
     script = Script(name, params, steps, header.get("require", ("",))[0])
+    try:
+        compile_guard(script.requires)
+    except KbError as e:
+        raise DeriveError(f"{name}:{header['require'][1]}: {e}") from e
     if "computes" in header:
         text, script.computes_line = header["computes"]
         try:
@@ -270,21 +288,13 @@ def space_at(text: str, env: dict) -> Tuple[Space, int]:
     return parse_space(space, env), int(k)
 
 
-def parse_group_literal(text: str, env: dict) -> TwoLocalGroup:
-    """``Z/2 + Z/2^r + Z(2)`` or ``0``."""
-    text = text.strip()
-    if text == "0":
-        return TwoLocalGroup([])
-    orders = []
-    for part in text.split("+"):
-        part = part.strip()
-        if part == "Z(2)":
-            orders.append(0)
-        elif part.startswith("Z/"):
-            orders.append(eval_int_expr(part[2:], env))
-        else:
-            raise DeriveError(f"bad group literal {part!r}")
-    return TwoLocalGroup(orders)
+def parse_group_literal(text: str):
+    """The group literal ``Z/2 + Z/2^(r+1) + Z(2)`` or ``0``, compiled: a
+    closure ``env -> TwoLocalGroup``."""
+    orders = tuple(order and compile_int_expr(order) for order, _ in
+                   cyclic_summands(text.strip(), labelled=False))
+    return lambda env: TwoLocalGroup(
+        [0 if order is None else order(env) for order in orders])
 
 
 def _step_args(text: str, sep: str, where: str) -> Dict[str, str]:
@@ -299,13 +309,13 @@ def _step_args(text: str, sep: str, where: str) -> Dict[str, str]:
     return args
 
 
-def parse_group_cases(cases: Dict[str, str], env: dict) -> TwoLocalGroup:
-    """The group literal of the first case whose guard holds (a bare
-    literal is the case with the empty guard)."""
-    for guard, lit in cases.items():
+def expected_group(step: Step, env: dict) -> TwoLocalGroup:
+    """The group an ``assert`` step expects: the literal of its first case
+    whose guard holds (a bare literal is the case with the empty guard)."""
+    for guard, literal in step.cases:
         if guard_holds(guard, env):
-            return parse_group_literal(lit, env)
-    raise DeriveError(f"no case of {cases} matches the parameters")
+            return literal(env)
+    raise DeriveError(f"no case of {step.args} matches the parameters")
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +483,7 @@ class Runner:
                     if not isinstance(got, PiGroup):
                         raise DeriveError(
                             f"{name}: assert needs a group binding")
-                    want = parse_group_cases(step.args, env)
+                    want = expected_group(step, env)
                     if got.group != want:
                         raise AssertionMismatch(
                             f"{name}{_fmt_env(env, script.params)}: computed "

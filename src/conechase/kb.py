@@ -39,7 +39,12 @@ Loading rejects a fact whose subject names an undeclared symbol or uses
 a symbol with the wrong number of parameters, whose degree is not an
 integer, or whose subject or guard mentions a variable that matching
 cannot bind, and a boundary value or transport on an undeclared
-fibration or through an undeclared map.  The class of a boundary value
+fibration or through an undeclared map.  It compiles each payload term
+under the names it will be instantiated with, the fact variables and
+the swept tokens it names, so a payload that does not parse is a load
+error too.  Subjects, guards and payloads are split and compiled
+through process-wide tables keyed by their text (syntax only); what
+they match and build stays with the catalog.  The class of a boundary value
 or lift certificate is a fixed class of a sphere and takes no variables.
 
 Facts that the rewrite engine can derive on its own (boundary values of
@@ -51,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -64,11 +70,15 @@ from .terms import (
     TermError,
     TermParser,
     Word,
+    compile_int_expr,
+    compile_space,
     deg_sym,
     eval_int_expr,
     named,
     parse_space,
     sphere,
+    term_names,
+    term_template,
 )
 from . import rewrite
 
@@ -141,14 +151,27 @@ _ETA = re.compile(r"^eta_(\d+)$")
 _IOTA = re.compile(r"^iota_(\d+)$")
 _TERM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_~']*(?:\^\d+)?")
 _ID_ARG = re.compile(r"\bid\([^()]*\)")
-_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_~'^]*")
 
 
 @functools.cache
-def _names_in(text: str) -> tuple:
-    """The distinct names ``text`` mentions, sorted: the variables a parse
-    of it can read.  Catalog-free, so one table serves the process."""
-    return tuple(sorted(set(_NAME.findall(text))))
+def _word_factors(text: str) -> tuple:
+    """(name, argument expressions) of each factor of a word written in a
+    fact subject."""
+    factors = []
+    for factor in split_top(text, "."):
+        m = _FACTOR.fullmatch(factor)
+        if not m:
+            raise KbError(f"bad word {text.strip()!r}")
+        name, argtext = m.groups()
+        factors.append((name, split_top(argtext, ",") if argtext is not None
+                        else ()))
+    return tuple(factors)
+
+
+@functools.cache
+def _scanned_names(text: str) -> tuple:
+    """The names the term ``text`` mentions outside ``id(...)``."""
+    return tuple(_TERM_NAME.findall(_ID_ARG.sub("", text)))
 
 
 @functools.cache
@@ -229,12 +252,7 @@ class SymbolRegistry:
         An identity ``iota_n`` has the single name ``id(Sn)``.
         """
         names, exprs, ident = [], [], None
-        for factor in _split_top(text, "."):
-            m = _FACTOR.fullmatch(factor)
-            if not m:
-                raise KbError(f"bad word {text.strip()!r}")
-            name, argtext = m.groups()
-            args = _split_top(argtext, ",") if argtext is not None else []
+        for name, args in _word_factors(text):
             iota, power = _IOTA.match(name), _ETA_POW.match(name)
             if iota and not args:
                 ident = f"id(S{iota.group(1)})"
@@ -265,7 +283,7 @@ class SymbolRegistry:
         """Raise unless every name in the term ``text`` is a symbol the
         term parser resolves or one of ``variables``.  A name scan, not a
         parse: arities and spaces are checked when the term is parsed."""
-        for name in _TERM_NAME.findall(_ID_ARG.sub("", text)):
+        for name in _scanned_names(text):
             if not (name in variables or self._arity(name) is not None
                     or name == "pair" or _IOTA.match(name)
                     or _ETA_POW.match(name)):
@@ -351,6 +369,7 @@ SWEPT_TOKENS = ("sign", "eps", "x", "y")
 _SWEPT_TOKEN = re.compile(r"(?<!\w)(%s)(?!\w)" % "|".join(SWEPT_TOKENS))
 
 
+@functools.cache
 def swept_tokens(text: str) -> frozenset:
     """The swept tokens ``text`` names."""
     return frozenset(_SWEPT_TOKEN.findall(text))
@@ -385,28 +404,37 @@ class KbFact:
 
 _GUARD_RE = re.compile(
     r"\s*([A-Za-z][A-Za-z0-9_]*)\s*(<=|>=|=|<|>)\s*(-?\d+|[A-Za-z][A-Za-z0-9_]*)\s*")
+_COMPARE = {"<=": operator.le, ">=": operator.ge, "=": operator.eq,
+            "<": operator.lt, ">": operator.gt}
 
 
-def guard_holds(guard: str, env: dict) -> bool:
-    if not guard:
-        return True
-    for clause in guard.split(","):
+@functools.cache
+def compile_guard(guard: str) -> tuple:
+    """The clauses ``(name, comparison, bound)`` of a guard such as
+    ``s>=1, s<=r``, parsed once per text; ``bound`` is an integer or a
+    name.  The empty guard has no clause."""
+    clauses = []
+    for clause in guard.split(",") if guard else ():
         m = _GUARD_RE.fullmatch(clause)
         if not m:
             raise KbError(f"bad guard {guard!r}")
-        name, op, rhs = m.group(1), m.group(2), m.group(3)
+        name, op, rhs = m.groups()
+        clauses.append((name, _COMPARE[op],
+                        rhs if _VAR.fullmatch(rhs) else int(rhs)))
+    return tuple(clauses)
+
+
+def guard_holds(guard: str, env: dict) -> bool:
+    """Whether every clause holds; a clause on a name ``env`` lacks does
+    not."""
+    for name, compare, rhs in compile_guard(guard):
         if name not in env:
             return False
-        x = int(env[name])
-        if re.fullmatch(r"-?\d+", rhs):
-            val = int(rhs)
-        elif rhs in env:
-            val = int(env[rhs])
-        else:
-            return False
-        ok = {"<=": x <= val, ">=": x >= val, "=": x == val,
-              "<": x < val, ">": x > val}[op]
-        if not ok:
+        if rhs.__class__ is str:
+            if rhs not in env:
+                return False
+            rhs = int(env[rhs])
+        if not compare(int(env[name]), rhs):
             return False
     return True
 
@@ -420,7 +448,7 @@ _BOUNDARY_OF = re.compile(r"boundary\((.+)\)")
 _TRANSPORT = re.compile(r"(.+)\.\s*" + _BOUNDARY_OF.pattern)
 _LIFT_TRANSPORT = re.compile(r"transport\s+(\S+)\s+from\s+(\S+)")
 _LIFT = re.compile(r"(\S+)\s+order=(\d+)(?:\s+rel=(.+))?")
-_SUMMAND = re.compile(r"(Z\(2\)|Z/[0-9^a-z()+\-*]+)\{(.+)\}")
+_SUMMAND = re.compile(r"(Z\(2\)|Z/[0-9^a-z()+\-*\s]+?)\s*(?:\{(.+)\})?")
 
 
 @dataclass(frozen=True)
@@ -440,6 +468,12 @@ class FactPattern:
     element: Optional[Element] = None  # the class of a boundary or lift fact
     order: int = 0   # k in an order bound k*word = 0
     payload: tuple = ()  # pre-split group, lift and transport payloads
+    # how matching reads each of ``exprs``: ("pow2", v), ("var", v),
+    # ("digit", n) or ("expr", compiled expression)
+    slots: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "slots", tuple(map(_slot, self.exprs)))
 
     def bind(self, values) -> Optional[dict]:
         """The fact variables under which the subject takes exactly these
@@ -450,26 +484,38 @@ class FactPattern:
         any other expression is evaluated once its variables are bound.
         """
         bound, later = {}, []
-        for expr, val in zip(self.exprs, values):
-            pow2 = _POW2_VAR.fullmatch(expr)
-            if pow2:
+        for (how, arg), val in zip(self.slots, values):
+            if how == "pow2":
                 if val < 2 or val & (val - 1):
                     return None
-                expr, val = pow2.group(1), val.bit_length() - 1
-            if _VAR.fullmatch(expr):
-                if bound.setdefault(expr, val) != val:
+                how, val = "var", val.bit_length() - 1
+            if how == "var":
+                if bound.setdefault(arg, val) != val:
                     return None
-            elif expr.isdigit():
-                if int(expr) != val:
+            elif how == "digit":
+                if arg != val:
                     return None
             else:
-                later.append((expr, val))
+                later.append((arg, val))
         try:
-            if any(eval_int_expr(e, bound) != v for e, v in later):
+            if any(expr(bound) != v for expr, v in later):
                 return None
         except TermError:
             return None  # e.g. a negative exponent: no value matches
         return bound if guard_holds(self.fact.guard, bound) else None
+
+
+@functools.cache
+def _slot(expr: str) -> tuple:
+    """How ``FactPattern.bind`` matches the subject argument ``expr``."""
+    pow2 = _POW2_VAR.fullmatch(expr)
+    if pow2:
+        return "pow2", pow2.group(1)
+    if _VAR.fullmatch(expr):
+        return "var", expr
+    if expr.isdigit():
+        return "digit", int(expr)
+    return "expr", compile_int_expr(expr)
 
 
 def _payload_env(env: dict, bound: dict, fact: KbFact) -> dict:
@@ -507,10 +553,11 @@ class KbCatalog:
             self.by_kind.setdefault(f.kind, []).append(f)
             pat = self._compile(f)
             self._patterns.setdefault((pat.rule, pat.names), []).append(pat)
-        self.signatures = {
-            kind: frozenset(names for rule, names in self._patterns
-                            if rule == kind)
-            for kind in rewrite.RULE_KINDS}
+        signatures = {kind: set() for kind in rewrite.RULE_KINDS}
+        for rule, names in self._patterns:
+            signatures.get(rule, set()).add(names)
+        self.signatures = {kind: frozenset(names)
+                           for kind, names in signatures.items()}
         for spec in registry.fibrations.values():
             self._check_fibration(spec)
 
@@ -525,7 +572,7 @@ class KbCatalog:
             raise KbError("a bare 0 payload needs spaces from context")
         # elements are immutable, so parses can be shared across runs that
         # agree on the variables the text actually mentions
-        key = (text, tuple((tok, env[tok]) for tok in _names_in(text)
+        key = (text, tuple((tok, env[tok]) for tok in term_names(text)
                            if tok in env))
         hit = self._parse_cache.get(key)
         if hit is None:
@@ -546,13 +593,27 @@ class KbCatalog:
             raise KbError(f"line {f.line}: provenance quote over 200 chars")
         try:
             pat = self._pattern(f)
+            bindable = _check_variables(pat)
         except (KbError, TermError) as e:
             raise KbError(f"line {f.line}: {e}") from e
-        variables = _check_variables(pat) | set(SWEPT_TOKENS)
+        variables = bindable | set(SWEPT_TOKENS)
+        terms, ints, spaces = _payload_texts(pat)
         try:
-            for text in _payload_terms(pat):
+            # a payload is instantiated under the fact's variables and the
+            # swept tokens it names: compile it under those now, so that a
+            # syntax error is a load error
+            for text in terms:
                 self.registry.check_names(text, variables)
-        except KbError as e:
+                term_template(text, bindable | f.tokens)
+            for text in ints:
+                compile_int_expr(text)
+                unbound = sorted(set(_VAR.findall(text)) - variables)
+                if unbound:
+                    raise KbError(f"fact variable(s) {', '.join(unbound)} "
+                                  "not bound by the subject")
+            for text in spaces:
+                compile_space(text)
+        except (KbError, TermError) as e:
             raise KbError(f"line {f.line}: payload: {e}") from e
         return pat
 
@@ -571,7 +632,7 @@ class KbCatalog:
             names = (head, int(degree))
             if not lift:
                 return FactPattern(f, "group", names, exprs,
-                                   payload=_group_summands(payload))
+                                   payload=cyclic_summands(payload))
             return FactPattern(f, "lift", names, exprs,
                                element=self._fixed_class(cls),
                                payload=_lift_payload(payload))
@@ -607,7 +668,7 @@ class KbCatalog:
             if not subj.endswith("]"):
                 raise KbError(f"bad product subject {subj!r}")
             slots = [self.registry.word_pattern(s)
-                     for s in _split_top(subj[1:-1], ",")]
+                     for s in split_top(subj[1:-1], ",")]
             return FactPattern(f, "product", tuple(n for n, _ in slots),
                                tuple(e for _, es in slots for e in es))
         m = _ORDER_BOUND.fullmatch(subj) if f.kind == "relation" else None
@@ -784,12 +845,13 @@ class KbCatalog:
         return cat
 
 
+@functools.cache
 def _head(text: str):
     """((name,), argument expressions) of a space or fibration head."""
     m = _HEAD.fullmatch(text.strip())
     if not m:
         raise KbError(f"bad head {text.strip()!r}")
-    args = _split_top(m.group(2), ",") if m.group(2) is not None else []
+    args = split_top(m.group(2), ",") if m.group(2) is not None else []
     return (m.group(1),), tuple(args)
 
 
@@ -797,49 +859,54 @@ def _check_variables(pat: FactPattern) -> set:
     """Every variable of a subject expression or guard must be bound by
     matching: it appears bare or as 2^v somewhere in the subject.  Returns
     the variables matching binds."""
-    bindable = {e for e in pat.exprs if _VAR.fullmatch(e)}
-    bindable |= {e[2:] for e in pat.exprs if _POW2_VAR.fullmatch(e)}
+    bindable = {arg for how, arg in pat.slots if how in ("var", "pow2")}
     used = set(_VAR.findall(" ".join(pat.exprs)))
-    for clause in pat.fact.guard.split(",") if pat.fact.guard else ():
-        m = _GUARD_RE.fullmatch(clause)
-        if not m:
-            raise KbError(f"line {pat.fact.line}: bad guard "
-                          f"{pat.fact.guard!r}")
-        used.add(m.group(1))
-        if _VAR.fullmatch(m.group(3)):
-            used.add(m.group(3))
+    for name, _, rhs in compile_guard(pat.fact.guard):
+        used.add(name)
+        if rhs.__class__ is str:
+            used.add(rhs)
     unbound = sorted(used - bindable)
     if unbound:
-        raise KbError(f"line {pat.fact.line}: fact variable(s) "
-                      f"{', '.join(unbound)} not bound by the subject")
+        raise KbError(f"fact variable(s) {', '.join(unbound)} not bound by "
+                      "the subject")
     return bindable
 
 
-def _payload_terms(pat: FactPattern) -> list:
-    """The term texts of a fact's payload: group labels, a lift and its
-    relation, the map of a transported lift, or a rewrite or boundary
-    value.  An order bound's payload is 0, and a boundary transport's map
-    is checked as a word when its pattern is compiled."""
+def _payload_texts(pat: FactPattern) -> tuple:
+    """(term texts, integer expressions, space keys) of a fact's payload.
+
+    The terms are group labels, a lift and its relation, the map of a
+    transported lift or of a boundary transport, or a rewrite or boundary
+    value; the expressions are group orders and a boundary transport's
+    base parameters; the space is the base of a transported lift.  An
+    order bound's payload is 0."""
     if pat.rule == "group":
-        return [label for _, label in pat.payload]
+        return ([label for _, label in pat.payload],
+                [order for order, _ in pat.payload if order is not None], [])
     if pat.rule == "lift":
         if pat.payload[0] == "transport":
-            return [pat.payload[1]]
-        return [t for t in (pat.payload[1], pat.payload[3]) if t]
-    if pat.rule in ("order", "transport") or pat.fact.payload.strip() == "0":
-        return []
-    return [pat.fact.payload]
+            return [pat.payload[1]], [], [pat.payload[2]]
+        return [t for t in (pat.payload[1], pat.payload[3]) if t], [], []
+    if pat.rule == "transport":
+        return [pat.payload[0]], list(pat.payload[2]), []
+    if pat.rule == "order" or pat.fact.payload.strip() == "0":
+        return [], [], []
+    return [pat.fact.payload.strip()], [], []
 
 
-def _group_summands(text: str) -> tuple:
-    """((order expression or None for Z(2), label), ...) of a group
-    payload; empty for the trivial group."""
+@functools.cache
+def cyclic_summands(text: str, labelled: bool = True) -> tuple:
+    """((order expression or None for Z(2), label), ...) of a direct sum
+    of cyclic groups such as ``Z/2^(r+1){eta_3} + Z(2){nu_4}``, split at
+    top level; empty for the trivial group ``0``.  Each summand carries a
+    label in braces if ``labelled`` and none otherwise (the label is then
+    None)."""
     if text == "0":
         return ()
     out = []
-    for part in filter(None, _split_top(text, "+")):
+    for part in filter(None, split_top(text, "+")):
         m = _SUMMAND.fullmatch(part)
-        if not m:
+        if not m or (m.group(2) is not None) != labelled:
             raise KbError(f"bad group summand {part!r}")
         head, label = m.groups()
         out.append((None if head == "Z(2)" else head[2:], label))
@@ -848,6 +915,7 @@ def _group_summands(text: str) -> tuple:
     return tuple(out)
 
 
+@functools.cache
 def _lift_payload(text: str) -> tuple:
     m = _LIFT_TRANSPORT.fullmatch(text)
     if m:
@@ -870,8 +938,10 @@ def _space_head(space: Space):
     return name, tuple(params)
 
 
-def _split_top(text: str, sep: str) -> list:
-    """The stripped parts of ``text`` between separators outside brackets."""
+@functools.cache
+def split_top(text: str, sep: str) -> tuple:
+    """The stripped parts of ``text`` between separators outside
+    brackets."""
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch in "([{":
@@ -884,7 +954,7 @@ def _split_top(text: str, sep: str) -> list:
         else:
             cur.append(ch)
     parts.append("".join(cur).strip())
-    return parts
+    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -947,6 +1017,13 @@ def load_catalog(path) -> KbCatalog:
                     spec.defn = tok[5:]
                 else:
                     raise KbError(f"line {lineno}: bad symbol attribute {tok!r}")
+            try:
+                compile_space(src)
+                compile_space(tgt)
+                if spec.order_expr is not None:
+                    compile_int_expr(spec.order_expr)
+            except TermError as e:
+                raise KbError(f"line {lineno}: {e}") from e
             registry.declare(spec)
             continue
         if text.startswith("fibration "):

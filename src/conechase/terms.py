@@ -8,11 +8,22 @@ are first-class word symbols so that scalars can travel through a
 composite exactly where that is justified.
 
 Everything is immutable; the rewrite engine lives in ``rewrite.py``.
+
+Texts are compiled once per process.  On first use an integer
+expression, a space key or a term text is tokenised and parsed into a
+closure that only evaluates: ``eval_int_expr``, ``parse_space`` and
+``TermParser.parse`` look the compiled form up by its text (a term by
+its text and the names of it that the environment binds, which decide
+scalar from symbol) and run it under the environment.  These tables hold
+syntax only, never a parameter value, a catalog or a result, so they
+serve every catalog alike; the elements a parse builds are cached per
+catalog (``KbCatalog.parse_element``).
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -116,24 +127,34 @@ _SPACE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\(([^()]*)\))?$")
 
 def parse_space(text: str, env: Optional[dict] = None) -> Space:
     """Parse a space key such as ``S3``, ``S2vS5``, ``P3(2^r)``, ``L4(m)``."""
+    return compile_space(text)(env or {})
+
+
+@functools.cache
+def compile_space(text: str):
+    """The space key ``text`` compiled once: a closure ``env -> Space``
+    that evaluates only its parameter expressions."""
     text = text.strip()
     if "v" in text and re.fullmatch(r"S\d+(vS\d+)+", text):
-        return wedge(*[int(p[1:]) for p in text.split("v")])
+        sp = wedge(*[int(p[1:]) for p in text.split("v")])
+        return lambda env: sp
     m = re.fullmatch(r"S(\d+)", text)
     if m:
-        return sphere(int(m.group(1)))
+        sp = sphere(int(m.group(1)))
+        return lambda env: sp
     m = _SPACE_RE.match(text)
     if not m:
         raise TermError(f"bad space key: {text!r}")
     name, args = m.group(1), m.group(2)
-    params = []
-    if args:
-        for a in args.split(","):
-            params.append(eval_int_expr(a.strip(), env or {}))
+    params = [compile_int_expr(a.strip()) for a in args.split(",")] if args \
+        else []
     m2 = re.fullmatch(r"P(\d+)", name)
     if m2 and params:
-        return moore(int(m2.group(1)), params[0])
-    return named(name, *params)
+        dim = int(m2.group(1))
+        # every parameter is evaluated, as reading the key did; the first
+        # is the order
+        return lambda env: moore(dim, [p(env) for p in params][0])
+    return lambda env: named(name, *[p(env) for p in params])
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +181,41 @@ def _power(base: int, e: int) -> int:
     return base**e
 
 
-def eval_int_expr(text, env: dict) -> int:
-    """Evaluate an integer expression like ``3*2^(r+1)`` in an environment.
+def _arith(op, a, b):
+    """The node ``op(a, b)`` of two integer nodes: folded when both are
+    constants and the operation cannot fail, else a closure that evaluates
+    ``a`` before ``b``, as reading left to right does."""
+    if a.__class__ is int and b.__class__ is int:
+        if op is not _power or b >= 0:
+            return op(a, b)
+        return lambda env: op(a, b)
+    if a.__class__ is int:
+        return lambda env: op(a, b(env))
+    if b.__class__ is int:
+        return lambda env: op(a(env), b)
+    return lambda env: op(a(env), b(env))
 
-    >>> eval_int_expr("3*2^(r+1)", {"r": 2})
-    24
-    >>> eval_int_expr("-2^m", {"m": 3})
-    -8
-    """
-    if isinstance(text, int):
-        return text
+
+def _negate(a):
+    return -a if a.__class__ is int else (lambda env: -a(env))
+
+
+def _variable(name: str, text: str):
+    def read(env):
+        try:
+            return int(env[name])
+        except KeyError:
+            raise TermError(f"unbound variable {name!r} in {text!r}") from None
+    return read
+
+
+@functools.cache
+def _int_node(text: str):
+    """The integer expression ``text`` compiled once: its value if it
+    reads no variable, else a closure ``env -> int``.
+
+    Grammar: sums of products of powers ``atom ^ atom``, where an atom
+    is a number, a variable, ``-atom`` or a parenthesised sum."""
     toks = _tokenize_expr(text)
     pos = 0
 
@@ -191,40 +237,61 @@ def eval_int_expr(text, env: dict) -> int:
             eat(")")
             return v
         if t == "-":
-            return -atom()
+            return _negate(atom())
         if t.isdigit():
             return int(t)
-        if t in env:
-            return int(env[t])
-        raise TermError(f"unbound variable {t!r} in {text!r}")
+        if not t[0].isalpha():
+            # an operator where an atom belongs reads as a name no
+            # environment binds, as it always has
+            raise TermError(f"unbound variable {t!r} in {text!r}")
+        return _variable(t, text)
 
     def power():
         v = atom()
         if peek() == "^":
             eat("^")
-            return _power(v, atom())
+            return _arith(_power, v, atom())
         return v
 
     def muldiv():
         v = power()
         while peek() == "*":
             eat("*")
-            v *= power()
+            v = _arith(operator.mul, v, power())
         return v
 
     def addsub():
         v = muldiv()
         while peek() in ("+", "-"):
-            if eat() == "+":
-                v += muldiv()
-            else:
-                v -= muldiv()
+            op = operator.add if eat() == "+" else operator.sub
+            v = _arith(op, v, muldiv())
         return v
 
     v = addsub()
     if pos != len(toks):
         raise TermError(f"trailing tokens in integer expression {text!r}")
     return v
+
+
+def compile_int_expr(text: str):
+    """The integer expression ``text`` as a closure ``env -> int``,
+    compiled once per text."""
+    node = _int_node(text)
+    return node if node.__class__ is not int else (lambda env: node)
+
+
+def eval_int_expr(text, env: dict) -> int:
+    """Evaluate an integer expression like ``3*2^(r+1)`` in an environment.
+
+    >>> eval_int_expr("3*2^(r+1)", {"r": 2})
+    24
+    >>> eval_int_expr("-2^m", {"m": 3})
+    -8
+    """
+    if isinstance(text, int):
+        return text
+    node = _int_node(text)
+    return node if node.__class__ is int else node(env)
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +673,40 @@ def _tokenize_term(text: str):
     return out
 
 
+@functools.cache
+def _term_tokens(text: str) -> tuple:
+    return tuple(_tokenize_term(text))
+
+
+def _is_name(tok: str) -> bool:
+    return tok[0].isalpha()
+
+
+@functools.cache
+def term_names(text: str) -> tuple:
+    """Every name a parse of the term ``text`` may read from its
+    environment: each name token, and the name a ``name^k`` token starts
+    with (an integer argument reads it).  Whether the environment binds
+    them decides the parse; their values are all it reads."""
+    names = {}
+    for tok in _term_tokens(text):
+        if _is_name(tok):
+            names[tok] = names[tok.partition("^")[0]] = None
+    return tuple(names)
+
+
+def term_template(text: str, env):
+    """The compiled template of the term ``text`` for an environment that
+    binds the names in ``env`` (a dict or a set): those names are scalars,
+    any other is a symbol.  Compiled once per text and set of names."""
+    return _compile_term(text, tuple(n for n in term_names(text) if n in env))
+
+
+@functools.cache
+def _compile_term(text: str, scalars: tuple):
+    return _TermCompiler(text, frozenset(scalars)).compile()
+
+
 class TermParser:
     """Parser for the textual term syntax.
 
@@ -620,7 +721,11 @@ class TermParser:
 
     Names resolve through a symbol resolver (the fact catalog); ``iota_n``
     is the identity of S^n, ``deg(k, n)`` the degree-k self map of S^n,
-    ``eta_k^j`` the j-fold eta composite starting at S^k.
+    ``eta_k^j`` the j-fold eta composite starting at S^k.  A name the
+    environment binds is a scalar.
+
+    ``parse`` instantiates the text's compiled template (``term_template``)
+    under the environment.
     """
 
     def __init__(self, resolver, env: Optional[dict] = None):
@@ -628,11 +733,30 @@ class TermParser:
         self.env = dict(env or {})
 
     def parse(self, text: str) -> Element:
-        self.toks = _tokenize_term(text)
+        return term_template(text, self.env)(self.resolver, self.env)
+
+
+def _const_args(args) -> bool:
+    return all(a.__class__ is int for a in args)
+
+
+class _TermCompiler:
+    """Recursive descent over the tokens of one term text, run once per
+    text and set of scalar names.  It returns a template, a closure
+    ``(resolver, env) -> Element``, that evaluates the integer arguments
+    and calls the resolver, ``raw_concat`` and ``whitehead_raw`` in the
+    order a parse meets them.  Every syntax error is raised here."""
+
+    def __init__(self, text: str, scalars: frozenset):
+        self.text = text
+        self.toks = _term_tokens(text)
         self.pos = 0
+        self.scalars = scalars
+
+    def compile(self):
         el = self._element()
         if self.pos != len(self.toks):
-            raise TermError(f"trailing tokens in {text!r}")
+            raise TermError(f"trailing tokens in {self.text!r}")
         return el
 
     # -- plumbing ------------------------------------------------------------
@@ -642,31 +766,44 @@ class TermParser:
 
     def _eat(self, tok=None):
         t = self._peek()
-        if t is None or (tok is not None and t != tok):
+        if t is None:
+            raise TermError(f"unexpected end of input in {self.text!r}")
+        if tok is not None and t != tok:
             raise TermError(f"expected {tok!r}, got {t!r}")
         self.pos += 1
         return t
 
     # -- grammar -------------------------------------------------------------
 
-    def _element(self) -> Element:
-        el = self._product()
+    def _element(self):
+        first = self._product()
+        rest = []
         while self._peek() in ("+", "-"):
             op = self._eat()
-            rhs = self._product()
-            el = el + (rhs if op == "+" else rhs.scale(-1))
-        return el
+            rest.append((op == "+", self._product()))
+        if not rest:
+            return first
 
-    def _product(self) -> Element:
-        coeff = 1
-        factor = None
+        def element(resolve, env):
+            el = first(resolve, env)
+            for plus, product in rest:
+                rhs = product(resolve, env)
+                el = el + (rhs if plus else rhs.scale(-1))
+            return el
+        return element
+
+    def _product(self):
+        items = []        # integer nodes and the one class, as written
+        factor, sign = None, 1
         while True:
             c, f = self._primary()
-            coeff *= c
-            if f is not None:
+            if f is None:
+                items.append(c)
+            else:
                 if factor is not None:
                     raise TermError("two map factors in one product; use '.'")
-                factor = f
+                factor, sign = f, c
+                items.append(f)
             nxt = self._peek()
             if nxt == "*":
                 self._eat("*")
@@ -674,18 +811,35 @@ class TermParser:
             # implicit product: a scalar directly followed by a class,
             # as in "2^r iota_2"
             if factor is None and nxt is not None and (
-                    nxt == "[" or re.fullmatch(
-                        r"[A-Za-z][A-Za-z0-9_~']*(\^\d+)?", nxt)):
+                    nxt == "[" or _is_name(nxt)):
                 continue
             break
         if factor is None:
             raise TermError("pure scalar where a homotopy class was expected")
-        return factor.scale(coeff)
+        if _const_args(i for i in items if i is not factor):
+            coeff = sign
+            for i in items:
+                if i is not factor:
+                    coeff *= i
+            if coeff == 1:
+                return factor
+            return lambda resolve, env: factor(resolve, env).scale(coeff)
 
-    def _int_atom(self) -> int:
+        def product(resolve, env):
+            coeff, el = sign, None
+            for i in items:
+                if i is factor:
+                    el = factor(resolve, env)
+                else:
+                    coeff *= i if i.__class__ is int else i(env)
+            return el.scale(coeff)
+        return product
+
+    def _int_atom(self):
         t = self._eat()
         if t == "(":
-            # small arithmetic inside parens: reuse eval on collected tokens
+            # small arithmetic inside parens: an integer expression of the
+            # collected tokens
             depth = 1
             collected = []
             while depth:
@@ -697,24 +851,24 @@ class TermParser:
                     if not depth:
                         break
                 collected.append(tok)
-            return eval_int_expr(" ".join(collected), self.env)
+            return _int_node(" ".join(collected))
         if t == "-":
-            return -self._int_atom()
+            return _negate(self._int_atom())
         if t.isdigit():
             return int(t)
-        if t in self.env:
-            return int(self.env[t])
+        if t in self.scalars:
+            return _variable(t, self.text)
         raise TermError(f"unbound scalar {t!r}")
 
     def _primary(self):
-        """Returns (coeff, element-or-None)."""
+        """(integer node, None) or (sign, template)."""
         t = self._peek()
         if t is None:
-            raise TermError("unexpected end of input")
+            raise TermError(f"unexpected end of input in {self.text!r}")
         if t == "-":
             self._eat()
             c, f = self._primary()
-            return -c, f
+            return (_negate(c), None) if f is None else (-c, f)
         if t == "(":
             self._eat("(")
             el = self._element()
@@ -722,43 +876,45 @@ class TermParser:
             return 1, el
         if t == "[":
             return 1, self._bracket()
-        if t.isdigit():
+        if t.isdigit() or t in self.scalars:
             self._eat()
-            v = int(t)
+            v = int(t) if t.isdigit() else _variable(t, self.text)
             if self._peek() == "^":
                 self._eat("^")
-                v = _power(v, self._int_atom())
+                v = _arith(_power, v, self._int_atom())
             return v, None
-        if re.fullmatch(r"[A-Za-z][A-Za-z0-9_~']*(\^\d+)?", t):
-            if t in self.env:
-                self._eat()
-                v = int(self.env[t])
-                if self._peek() == "^":
-                    self._eat("^")
-                    v = _power(v, self._int_atom())
-                return v, None
+        if _is_name(t):
             return 1, self._word()
         raise TermError(f"unexpected token {t!r}")
 
-    def _word(self) -> Element:
+    def _word(self):
         parts = [self._word_factor()]
         while self._peek() == ".":
             self._eat(".")
             parts.append(self._word_factor())
-        # compose left-to-right as written: f.g means f after g
-        el = parts[0]
+        if len(parts) == 1:
+            return parts[0]
         from . import rewrite  # local import to avoid a cycle
-        for nxt in parts[1:]:
-            el = rewrite.raw_concat(el, nxt)
-        return el
 
-    def _word_factor(self) -> Element:
+        def word(resolve, env):
+            els = [part(resolve, env) for part in parts]
+            # compose left-to-right as written: f.g means f after g
+            el = els[0]
+            for nxt in els[1:]:
+                el = rewrite.raw_concat(el, nxt)
+            return el
+        return word
+
+    def _word_factor(self):
         if self._peek() == "[":
             return self._bracket()
         return self._atom_map()
 
-    def _atom_map(self) -> Element:
+    def _atom_map(self):
         name = self._eat()
+        if not _is_name(name):
+            raise TermError(f"expected a symbol name, got {name!r} in "
+                            f"{self.text!r}")
         args = []
         if self._peek() == "(":
             self._eat("(")
@@ -767,14 +923,15 @@ class TermParser:
                 self._eat(",")
                 g = self._element()
                 self._eat(")")
-                return Element.from_term(Word((Pair(f, g),)))
+                return lambda resolve, env: Element.from_term(
+                    Word((Pair(f(resolve, env), g(resolve, env)),)))
             if name == "id":
                 collected = []
                 while self._peek() != ")":
                     collected.append(self._eat())
                 self._eat(")")
-                return Element.identity(
-                    parse_space("".join(collected), self.env))
+                space = compile_space("".join(collected))
+                return lambda resolve, env: Element.identity(space(env))
             while True:
                 args.append(self._int_arg())
                 if self._peek() == ",":
@@ -784,7 +941,12 @@ class TermParser:
                 break
         if name == "id":
             raise TermError("id takes a space key, e.g. id(S2)")
-        return self.resolver(name, tuple(args), self.env)
+        if _const_args(args):
+            params = tuple(args)
+            return lambda resolve, env: resolve(name, params, env)
+        return lambda resolve, env: resolve(
+            name, tuple(a if a.__class__ is int else a(env) for a in args),
+            env)
 
     def _int_arg(self):
         # integer expression until ',' or ')'
@@ -801,9 +963,9 @@ class TermParser:
             elif t == ")":
                 depth -= 1
             collected.append(self._eat())
-        return eval_int_expr(" ".join(collected), self.env)
+        return _int_node(" ".join(collected))
 
-    def _bracket(self) -> Element:
+    def _bracket(self):
         self._eat("[")
         slots = [self._element()]
         while self._peek() == ",":
@@ -811,4 +973,6 @@ class TermParser:
             slots.append(self._element())
         self._eat("]")
         from . import rewrite
-        return rewrite.whitehead_raw(slots)
+
+        return lambda resolve, env: rewrite.whitehead_raw(
+            [slot(resolve, env) for slot in slots])

@@ -9,7 +9,9 @@ They hold by construction in a run, so the package does not ship them:
   cell dimensions with the formula ``build_filtration`` sets them by (no
   two stage cells abut, as ``MapSpec`` requires p >= 2);
 - a determinant, label-addressed coordinate vectors, enumeration of a
-  finite group and direct sums, for the group arithmetic tests.
+  finite group and direct sums, for the group arithmetic tests;
+- an integer-expression evaluator that computes while it reads, the
+  reference the compiled expressions are compared against.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from conechase.groups import (
     strip_odd,
 )
 from conechase.kb import KbCatalog, KbMissingFact
+from conechase.terms import TermError, _tokenize_expr
 from conechase.les import (
     Boundary,
     BoundaryRule,
@@ -261,3 +264,66 @@ def suspension_splitting_check(f: MapSpec, k: int, maxdim: int,
         if dim <= maxdim:
             expected.setdefault(dim, []).append(0)
     return left == expected
+
+
+def reading_eval_int_expr(text: str, env: dict) -> int:
+    """An integer expression evaluated by recursive descent as it is read,
+    token by token: each error is raised where the reading meets it."""
+    toks = _tokenize_expr(text)
+    pos = 0
+
+    def peek():
+        return toks[pos] if pos < len(toks) else None
+
+    def eat(tok=None):
+        nonlocal pos
+        t = peek()
+        if t is None or (tok is not None and t != tok):
+            raise TermError(f"bad integer expression: {text!r}")
+        pos += 1
+        return t
+
+    def atom():
+        t = eat()
+        if t == "(":
+            v = addsub()
+            eat(")")
+            return v
+        if t == "-":
+            return -atom()
+        if t.isdigit():
+            return int(t)
+        if t in env:
+            return int(env[t])
+        raise TermError(f"unbound variable {t!r} in {text!r}")
+
+    def power():
+        v = atom()
+        if peek() == "^":
+            eat("^")
+            e = atom()
+            if e < 0:
+                raise TermError("negative exponent")
+            return v ** e
+        return v
+
+    def muldiv():
+        v = power()
+        while peek() == "*":
+            eat("*")
+            v *= power()
+        return v
+
+    def addsub():
+        v = muldiv()
+        while peek() in ("+", "-"):
+            if eat() == "+":
+                v += muldiv()
+            else:
+                v -= muldiv()
+        return v
+
+    v = addsub()
+    if pos != len(toks):
+        raise TermError(f"trailing tokens in integer expression {text!r}")
+    return v

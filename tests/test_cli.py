@@ -4,6 +4,7 @@ import ast
 import json
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -188,11 +189,15 @@ def test_validate_kb(capsys):
 
 def test_validate_kb_rejects_unresolvable_facts(capsys, tmp_path):
     """A relation on an undeclared symbol, a group fact whose degree is
-    not an integer and a fact line without fields are refused at load,
-    with exit 2."""
+    not an integer or whose order names an unbound variable, a fact line
+    without fields and a symbol whose space key does not parse are
+    refused at load, with exit 2."""
     for line in ("fact relation | foo.eta_3 | 0 | paper | q | loc",
                  "fact group | S2 @ x | Z/2{eta_2} | paper | q | loc",
-                 "fact group"):
+                 "fact group | S2 @ 5 | Z/2^q{eta_2^3} | paper | q | loc",
+                 "fact group",
+                 "symbol xi : S5 -> P3(2^",
+                 "symbol xi(r) : S5 -> P3(2^r) order=2^"):
         p = tmp_path / "bad.facts"
         p.write_text(line + "\n")
         code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
@@ -275,6 +280,99 @@ def test_malformed_fibration_lines_exit_2(capsys, tmp_path, line):
     assert err.startswith("error: line ")
     p.write_text(_FIB_HEADER + _FIB_OK + "\n")
     assert run_cli(capsys, "--kb", str(p), "validate-kb")[0] == cli.EXIT_OK
+
+
+SHIPPED_FACTS = resources.files("conechase").joinpath(
+    "data/paper.facts").read_text()
+_FACT_LINES = [i for i, line in enumerate(SHIPPED_FACTS.splitlines())
+               if line.startswith("fact ")]
+_SCENARIO_ARGV = [["--space", space, "--k", str(k),
+                   "--m" if script.params == ["m"] else "--r"]
+                  for (space, k), script in scenarios(load_scripts()).items()]
+_JUNK = "()[]{}*+-.,^~'?:@=<> 0123rmsxyq"
+# junk that often still parses, so that the chase runs on the result
+_PLAUSIBLE = ["+1", "-1", "*2", "2*", "^2", "1", "0", "r", "m", "s", "x",
+              "+ x*", "+ eps*", " + iota_2", ".eta_5", "eta_2.", ",1",
+              "r+1", "2^", "(m)", ", m>=2", "<=3", "=1"]
+
+
+@st.composite
+def _mutated_fact_line(draw):
+    """The shipped catalog with junk inserted into one fact line's
+    payload, its subject with the argument expressions, or its guard (a
+    line without one gains one)."""
+    lines = SHIPPED_FACTS.splitlines()
+    i = draw(st.sampled_from(_FACT_LINES))
+    fields = lines[i].split("|")
+    subject, sep, guard = fields[1].partition("?")
+    junk = draw(st.one_of(st.text(alphabet=_JUNK, min_size=1, max_size=4),
+                          st.sampled_from(_PLAUSIBLE)))
+    where = draw(st.sampled_from(["payload", "subject", "guard"]))
+    text = {"payload": fields[2], "subject": subject,
+            "guard": guard if sep else " m>=1"}[where]
+    at = draw(st.integers(0, len(text)))
+    text = text[:at] + junk + text[at:]
+    if where == "payload":
+        fields[2] = text
+    elif where == "subject":
+        fields[1] = text + sep + guard
+    else:
+        fields[1] = subject.rstrip() + " ?" + text
+    lines[i] = "|".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@given(_mutated_fact_line(), st.sampled_from(_SCENARIO_ARGV),
+       st.integers(1, 3))
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+def test_mutated_fact_lines_exit_only_with_documented_codes(
+        capsys, tmp_path, text, argv, value):
+    """A fact line with junk in its payload, subject or guard is refused
+    at load or during a chase with a documented exit code, never with a
+    traceback: the errors the compiled payloads, subjects and guards
+    raise are all reported."""
+    p = tmp_path / "mutated.facts"
+    p.write_text(text)
+    for args in (["validate-kb"], ["compute", *argv, str(value),
+                                   "--no-sweep"]):
+        code, _, err = run_cli(capsys, "--kb", str(p), *args)
+        assert code in (0, 2, 3, 4), err
+        assert "Traceback" not in err
+
+
+def test_payload_syntax_is_checked_at_load(capsys, tmp_path):
+    """A payload that does not parse is refused when the catalog loads,
+    with exit 2 and its line, not when a chase first instantiates it."""
+    good = "| j_p(1).eta_2^3 |"
+    assert SHIPPED_FACTS.count(good) == 1
+    line = SHIPPED_FACTS[:SHIPPED_FACTS.index(good)].count("\n") + 1
+    p = tmp_path / "syntax.facts"
+    p.write_text(SHIPPED_FACTS.replace(good, "| j_p(1).eta_2^3.( |"))
+    for argv in (["validate-kb"],
+                 ["compute", "--space", "P3", "--k", "5", "--r", "1"]):
+        code, out, err = run_cli(capsys, "--kb", str(p), *argv)
+        assert code == cli.EXIT_VALIDATION and not out
+        assert err == (f"error: line {line}: payload: expected a symbol "
+                       "name, got '(' in 'j_p(1).eta_2^3.('\n")
+    p.write_text(SHIPPED_FACTS.replace(good, "| j_p(1).eta_2. |"))
+    code, _, err = run_cli(capsys, "--kb", str(p), "validate-kb")
+    assert code == cli.EXIT_VALIDATION
+    assert err == (f"error: line {line}: payload: unexpected end of input "
+                   "in 'j_p(1).eta_2.'\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("eta_2.(", "expected a symbol name, got '(' in 'eta_2.('"),
+    ("eta_2.", "unexpected end of input in 'eta_2.'"),
+    ("2^r*iota_2 iota_2", "trailing tokens in '2^r*iota_2 iota_2'"),
+])
+def test_filtration_reports_term_syntax_errors(capsys, text, message):
+    code, out, err = run_cli(capsys, "filtration", "--f", text, "--n", "2",
+                             "--r", "1")
+    assert code == cli.EXIT_VALIDATION and not out
+    assert err == f"error: {message}\n"
 
 
 def test_les_error_is_a_validation_exit(capsys, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conechase import cli
+from conechase import cli, kb, terms
 from conechase.derive import (
     CANONICAL_TOKENS,
     SWEEP_GRID,
@@ -19,6 +19,7 @@ from conechase.derive import (
     _render_value,
     default_catalog,
     link_scripts,
+    parse_group_literal,
     parse_script,
     reproduce_rows,
     scenarios,
@@ -529,6 +530,87 @@ def test_a_bad_script_is_a_validation_error_of_the_cli(scripts, monkeypatch,
 
 
 # ---------------------------------------------------------------------------
+# compiled texts
+# ---------------------------------------------------------------------------
+
+def test_each_text_is_compiled_once(monkeypatch):
+    """One reproduce pass, on a freshly loaded catalog and freshly parsed
+    scripts, with every process-level syntax cache emptied: each integer
+    expression, term text and space key is tokenised once, however often
+    the pass evaluates it."""
+    caches = (terms._int_node, terms._term_tokens, terms.term_names,
+              terms._compile_term, terms.compile_space, kb.compile_guard)
+    for cache in caches:
+        cache.cache_clear()
+    tokenised = {"_tokenize_expr": [], "_tokenize_term": []}
+    for name, texts in tokenised.items():
+        monkeypatch.setattr(terms, name, lambda text, f=getattr(terms, name),
+                            seen=texts: seen.append(text) or f(text))
+    scripts = link_scripts(parse_script(text, name_hint=name)
+                           for name, text in SHIPPED_TEXT.items())
+    runner = Runner(default_catalog(), scripts)
+    for name, params in reproduce_rows(scripts):
+        runner.run(name, params)
+    for texts in tokenised.values():
+        assert texts and len(texts) == len(set(texts))
+    assert len(tokenised["_tokenize_expr"]) == \
+        terms._int_node.cache_info().currsize == 20
+    assert len(tokenised["_tokenize_term"]) == \
+        terms._term_tokens.cache_info().currsize == 75
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.misses == info.currsize, cache   # nothing compiled twice
+    for cache in (terms._int_node, terms.term_names, terms.compile_space,
+                  kb.compile_guard):
+        info = cache.cache_info()
+        assert info.hits > 50 * info.misses, cache   # evaluated far oftener
+
+
+def test_group_literals_split_at_top_level():
+    """A ``+`` inside an order expression does not split the literal."""
+    literal = parse_group_literal("Z/2 + Z/2^(r+1) + Z(2)")
+    assert literal({"r": 2}) == q(2, 8, 0)
+    assert parse_group_literal("0")({}) == q()
+    with pytest.raises(KbError, match="bad group summand 'Z/2{eta_2}'"):
+        parse_group_literal("Z/2{eta_2}")
+
+
+def test_a_script_may_assert_a_shifted_order(catalog, scripts):
+    """pi5_L4m at m = 1 is Z(2) + Z/4: an assert written ``Z/2^(m+1)``
+    passes there, and fails, naming its values, at m = 2."""
+    text = SHIPPED_TEXT["pi5_L4m"]
+    old = "m=1 : Z(2) + Z/4 ;"
+    assert old in text
+    text = text.replace(old, "m=1 : Z(2) + Z/2^(m+1) ;")
+    assert run_edited(catalog, scripts, "pi5_L4m", text,
+                      value=1).group == q(0, 4)
+    with pytest.raises(AssertionMismatch,
+                       match=r"computed Z/2 \+ Z/2 \+ Z\(2\) but expected "
+                             r"Z/8 \+ Z\(2\)"):
+        run_edited(catalog, scripts, "pi5_L4m",
+                   text.replace("m>=2 : Z(2) + Z/2 + Z/2",
+                                "m>=2 : Z(2) + Z/2^(m+1)"))
+
+
+@pytest.mark.parametrize("line, match", [
+    ("assert ans = Z/2 + Y/4", "bad:5: bad group summand 'Y/4'"),
+    ("assert ans = Z/2^(m+", "bad:5: bad integer expression: '2\\^\\(m\\+'"),
+    ("assert ans = { m=1 : Z/2 ; m>> 2 : Z/4 }", "bad:5: bad guard 'm>> 2'"),
+    ("assert ans = { m>=1 : Z/2^ }", "bad:5: bad integer expression"),
+])
+def test_a_malformed_assert_is_a_parse_error_with_its_line(line, match):
+    with pytest.raises(DeriveError, match=match):
+        parse_script("derivation bad\nparams m\nrequire m>=1\n"
+                     f"let ans = run script=pi5_L4m; m=m\n{line}\n"
+                     "return ans\n")
+
+
+def test_a_malformed_require_is_a_parse_error_with_its_line():
+    with pytest.raises(DeriveError, match="bad:3: bad guard 'm=>1'"):
+        parse_script("derivation bad\nparams m\nrequire m=>1\nreturn m\n")
+
+
+# ---------------------------------------------------------------------------
 # malformed steps: documented errors that name the line, never a traceback
 # ---------------------------------------------------------------------------
 
@@ -539,14 +621,14 @@ SHIPPED_TEXT = {entry.name[:-6]: entry.read_text()
 DOCUMENTED = (DeriveError, GroupError, KbError, LesError, TermError)
 
 
-def run_edited(catalog, scripts, name, text):
+def run_edited(catalog, scripts, name, text, value=2):
     """Run ``text`` in place of the shipped script ``name``, unswept, with
-    every parameter 2."""
+    every parameter ``value``."""
     script = parse_script(text, name_hint=name)
     linked = link_scripts([*(s for s in scripts.values() if s.name != name),
                            script])
     return Runner(catalog, linked).run(
-        script.name, dict.fromkeys(script.params, 2), sweep=False)
+        script.name, dict.fromkeys(script.params, value), sweep=False)
 
 
 @pytest.mark.parametrize("name,old,new,match", [

@@ -1,8 +1,12 @@
 """Term grammar, spaces, and integer expressions."""
 
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import checks
 
 from conechase.terms import (
     Bracket,
@@ -11,6 +15,7 @@ from conechase.terms import (
     Sym,
     TermError,
     Word,
+    compile_int_expr,
     deg_sym,
     eval_int_expr,
     moore,
@@ -28,6 +33,134 @@ def test_eval_int_expr():
     assert eval_int_expr("m-1", {"m": 5}) == 4
     with pytest.raises(TermError):
         eval_int_expr("q+1", {})
+
+
+class _Unbound(Exception):
+    pass
+
+
+def _num(n):
+    return str(n), lambda env: n
+
+
+def _var(name):
+    def value(env):
+        if name not in env:
+            raise _Unbound(name)
+        return env[name]
+    return name, value
+
+
+def _neg(a):
+    return "-" + a[0], lambda env: -a[1](env)
+
+
+def _pow(pair):
+    (base, f), (exp, g) = pair
+
+    def value(env):
+        b, e = f(env), g(env)
+        if e < 0:
+            raise ArithmeticError
+        return b ** e
+    return f"{base}^{exp}", value
+
+
+def _fold(first, rest):
+    """``first op term op term ...``, evaluated left to right."""
+    text, value = first
+    for op, (t, f) in rest:
+        text = f"{text}{op}{t}"
+        value = (lambda a, b, o: lambda env: o(a(env), b(env)))(
+            value, f, {"+": int.__add__, "-": int.__sub__,
+                       "*": int.__mul__}[op])
+    return text, value
+
+
+# the grammar of integer expressions, each with its value in Python
+# arithmetic: sums of products of powers atom^exponent
+_names = st.sampled_from(["r", "m", "s"]).map(_var)
+_exponents = st.one_of(st.integers(0, 3).map(_num), _names).flatmap(
+    lambda a: st.sampled_from([a, a, _neg(a)]))
+
+
+def _int_sums(atoms):
+    powers = st.one_of(atoms, st.tuples(atoms, _exponents).map(_pow))
+    products = st.lists(powers, min_size=1, max_size=3).map(
+        lambda ps: _fold(ps[0], [("*", p) for p in ps[1:]]))
+    return st.tuples(products, st.lists(
+        st.tuples(st.sampled_from("+-"), products), max_size=2)).map(
+        lambda p: _fold(*p))
+
+
+_exprs = _int_sums(st.recursive(
+    st.one_of(st.integers(0, 12).map(_num), _names),
+    lambda atoms: st.one_of(atoms.map(_neg), _int_sums(atoms).map(
+        lambda e: (f"({e[0]})", e[1]))), max_leaves=4))
+
+
+# mostly every variable bound, sometimes one left out
+_envs = st.tuples(
+    st.fixed_dictionaries(dict.fromkeys("rms", st.integers(-3, 5))),
+    st.sampled_from("rms" + "-" * 6)).map(
+    lambda e: {k: v for k, v in e[0].items() if k != e[1]})
+
+
+@given(_exprs, _envs)
+@settings(max_examples=150, derandomize=True)
+def test_compiled_int_expr_agrees_with_python(expr, env):
+    """A compiled expression computes what Python integer arithmetic
+    does, and fails as the reading parser failed: an unbound variable and
+    a negative exponent with their messages, trailing tokens at compile
+    time."""
+    text, value = expr
+    try:
+        want = value(env)
+    except _Unbound as e:
+        with pytest.raises(TermError, match=re.escape(
+                f"unbound variable {e.args[0]!r} in {text!r}")):
+            eval_int_expr(text, env)
+        return
+    except ArithmeticError:
+        with pytest.raises(TermError, match="^negative exponent$"):
+            eval_int_expr(text, env)
+        return
+    assert eval_int_expr(text, env) == want
+    assert eval_int_expr(f" {text}", env) == want
+    with pytest.raises(TermError, match=re.escape(
+            f"trailing tokens in integer expression {text + ' 7'!r}")):
+        eval_int_expr(text + " 7", env)
+
+
+_soups = st.lists(st.sampled_from(
+    ["1", "2", "12", "r", "m", "q", "(", ")", "+", "-", "*", "^", " "]),
+    max_size=9).map("".join)
+
+
+@given(_soups, st.integers(-2, 4), st.integers(-2, 4))
+@settings(max_examples=300, derandomize=True)
+def test_compiled_int_expr_agrees_with_reading_it(text, r, m):
+    """On any token soup, well formed or not, the compiled expression
+    returns what evaluating while reading returns, or fails where it
+    fails.  Only the order of two errors may differ: a syntax error is
+    found when the text compiles, so it is reported even where the
+    reading first met an unbound name or a negative exponent."""
+    env = {"r": r, "m": m}
+    try:
+        want = checks.reading_eval_int_expr(text, env)
+    except TermError as e:
+        with pytest.raises(TermError) as got:
+            eval_int_expr(text, env)
+        runtime = str(e) == "negative exponent" or re.fullmatch(
+            r"unbound variable '\w+' in .*", str(e))
+        try:
+            compile_int_expr(text)
+        except TermError:
+            if runtime:
+                return  # two errors: the syntax one is reported
+        assert str(got.value) == str(e)
+        return
+    assert eval_int_expr(text, env) == want
 
 
 def test_parse_space_forms():
@@ -81,6 +214,32 @@ def test_parser_rejects_negative_exponents(catalog):
             catalog.parser(env).parse(text)
     with pytest.raises(TermError, match="negative exponent"):
         eval_int_expr("2^(r-3)", {"r": 1})
+
+
+def test_term_templates_are_keyed_by_the_names_the_env_binds(catalog):
+    """A text compiles to one template per set of names the environment
+    binds: a bound name is a scalar and any other a symbol.  A template
+    serves every value of its scalars, and a catalog keys its parses by
+    every name a parse reads, the ``r`` of ``r^2`` included."""
+    assert catalog.parser({"x": 3}).parse("x*eta_2").render() == "3*eta_2"
+    assert catalog.parser({"x": -1}).parse("x*eta_2").render() == "-eta_2"
+    with pytest.raises(TermError, match="two map factors"):
+        catalog.parser({}).parse("x*eta_2")
+    assert [catalog.parse_element("deg(r^2,2)", {"r": r}).render()
+            for r in (2, 3)] == ["deg(4,2)", "deg(9,2)"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("eta_2 .", "unexpected end of input in 'eta_2 .'"),
+    ("eta_2.)", "expected a symbol name, got ')' in 'eta_2.)'"),
+    ("[iota_2, iota_2", "unexpected end of input in '[iota_2, iota_2'"),
+    ("deg(2,", "unterminated argument list"),
+    ("2^q*eta_2", "unbound scalar 'q'"),
+    ("7", "pure scalar where a homotopy class was expected"),
+])
+def test_term_syntax_errors(catalog, text, message):
+    with pytest.raises(TermError, match=f"^{re.escape(message)}$"):
+        catalog.parser({}).parse(text)
 
 
 def test_round_trip_of_fact_labels(catalog, env):
