@@ -27,7 +27,9 @@ error.  Malformed header lines and step arguments, a step argument
 that is missing and a name that no step bound are reported with their
 line.  The ``require`` guard and each ``assert`` case, guard and group
 literal, are compiled when the script is parsed, so a malformed one is
-a parse error; a literal's orders are evaluated per run.
+a parse error; a literal's orders are evaluated per run.  So is an
+integer expression, a literal's order or an integer step argument, that
+reads a variable outside ``params``.
 
 Every run records each step, every certified fact it consumed (with its
 citation), and the catalog digest; replays are byte-identical.  Runs are
@@ -35,27 +37,19 @@ swept over the ambiguous tokens (sign, eps and the opaque integers x, y)
 and must produce identical groups for every assignment -- the group
 tables are independent of all of them.
 
-A run reads a token only through the payload of a fact it consumes (a
-script that names one is rejected at parse time), so it also records the
-tokens it consumed: those of its facts, of its ``run`` subderivations,
-and of the one fact its rule context reads uncited.  Under any assignment
-that agrees on those tokens it takes the same path to the same value and
-transcript, so one cached run serves every such assignment of the sweep.
-
-The same holds for each ``let`` step of a run that does execute.  A step
-reads a token only through a fact it cites, a fact a rule lookup returns
-(``RuleContext.reads``), its subderivation's tokens, or the tokens read
-by an earlier binding it names (``Step.names``, fixed at parse time).
-Within one ``Runner.run`` a memo keyed by script, parameters and step
-line keeps each evaluation with its value, transcript lines, citations
-and the values of the tokens it read, and serves every later evaluation
-that agrees on those values; the lines and citations are replayed, so
-transcripts and digests are those of a fresh evaluation.
+A script reads a swept token only through the facts it cites (one that
+names a token is rejected at parse time).  So a run, and each ``let``
+step of a run, is the same under every assignment that agrees on the
+tokens of its citations, its ``run`` subderivations and its rule
+context, and for a step on those of the earlier bindings it names
+(``Step.names``, fixed at parse time); ``rewrite.RuleContext`` gives
+the argument.  Cached runs and a memo of ``let`` steps replay their
+transcript lines and citations, so transcripts and digests are those of
+a fresh evaluation.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import re
@@ -86,6 +80,7 @@ from .kb import (
     guard_holds,
     load_catalog,
     swept_tokens,
+    unbound_names,
 )
 from .les import (
     Boundary,
@@ -241,6 +236,14 @@ def parse_script(text: str, name_hint: str = "") -> Script:
     for st in steps:
         st.names = frozenset(piece.strip() for v in st.args.values()
                              for piece in v.split(",")) & bound
+        for text in _int_texts(st):
+            try:
+                unbound = unbound_names(text, params)
+            except TermError as e:
+                raise DeriveError(f"{name}:{st.line}: {e}") from e
+            if unbound:
+                raise DeriveError(f"{name}:{st.line}: {text!r} names "
+                                  f"{', '.join(unbound)}, not in params")
     script = Script(name, params, steps, header.get("require", ("",))[0])
     try:
         compile_guard(script.requires)
@@ -277,6 +280,18 @@ def _rows(script: Script, text: str, lineno: int) -> Tuple[str, range]:
         raise DeriveError(f"{where}: rows {text} leaves the domain "
                           f"{script.requires!r}")
     return m.group(1), values
+
+
+def _int_texts(step: Step) -> List[str]:
+    """The integer expressions of a step, which may read only the script's
+    parameters: an ``assert`` literal's orders, ``k=``, ``stage=``,
+    ``abs=`` and every argument of ``run`` but ``script=``."""
+    if step.kind == "assert":
+        return [order for literal in step.args.values() for order, _ in
+                cyclic_summands(literal.strip(), labelled=False) if order]
+    return [text for key, text in step.args.items()
+            if key in ("k", "stage", "abs")
+            or (step.verb == "run" and key != "script")]
 
 
 def space_at(text: str, env: dict) -> Tuple[Space, int]:
@@ -366,22 +381,21 @@ class Runner:
     the transcript records the canonical run.
 
     Runs are cached by script and parameters.  A cached run serves every
-    token assignment that agrees with it on the tokens it consumed
-    (``RunResult.tokens``), since such a run is the same under all of
-    them; any other assignment is executed.  A run that consumes no
-    token fact is therefore executed once for the whole sweep.  Rule
-    contexts are cached by token assignment and shared by every script
-    and parameter.
+    token assignment that agrees with it on the tokens it depends on
+    (``RunResult.tokens``; see ``rewrite.RuleContext`` for why that is
+    exact); any other assignment is executed.  A run that cites no token
+    fact is therefore executed once for the whole sweep.  Rule contexts
+    are cached by token assignment and shared by every script and
+    parameter.
 
     A run that is executed replays each ``let`` step from the step memo
     (``_steps``) when an earlier evaluation of that step, under the same
-    script and parameters, agrees with it on every token the step read:
-    its own facts and lookups, its subderivation's tokens and those of
-    the bindings it names.  So a run re-executed for one token-reading
-    step re-evaluates only the steps that token reaches.  The memo is
-    cleared when ``run`` returns or raises: after a sweep the run cache
-    serves every (script, parameters) pair it executed under every
-    assignment, so a step memo kept longer would not be hit.
+    script and parameters, agrees with it on every token the step read
+    (``_let``).  So a run re-executed for one token-reading step
+    re-evaluates only the steps that token reaches.  The memo is cleared
+    when ``run`` returns or raises: after a sweep the run cache serves
+    every (script, parameters) pair it executed under every assignment,
+    so a step memo kept longer would not be hit.
     """
 
     def __init__(self, catalog: KbCatalog, scripts: Dict[str, Script]):
@@ -414,18 +428,15 @@ class Runner:
     # -- internals ----------------------------------------------------------
 
     def _ctx(self, env):
-        """A per-run view of the cached rule context for the tokens of
-        ``env``: the memoised rules are shared, the fact-recording hook is
-        the run's own, so a ``run`` sub-derivation that shares its parent's
-        context records its citations in its own transcript only."""
+        """The cached rule context for the tokens of ``env``, shared by
+        every run: each step collects its own citations (``citing``), so
+        a ``run`` subderivation's stay in its own transcript."""
         key = tuple(env[t] for t in SWEPT_TOKENS)
         ctx = self._ctx_cache.get(key)
         if ctx is None:
             ctx = self.catalog.rule_context(env)
             self._ctx_cache[key] = ctx
-        view = copy.copy(ctx)
-        view.on_rule = None
-        return view
+        return ctx
 
     def _run_cached(self, name: str, env: dict) -> RunResult:
         """A cached run of ``name`` with the parameters of ``env`` that
@@ -451,7 +462,6 @@ class Runner:
         lines: List[str] = [f"derivation {name} "
                             + " ".join(f"{p}={env[p]}" for p in script.params)]
         ctx = self._ctx(env)
-        ctx.on_rule = facts.append
         tokens = set(ctx.tokens)      # plus its subderivations' and facts'
         bindings = _Table("binding")
         reads: Dict[str, dict] = {}   # binding -> the token values it read
@@ -474,10 +484,12 @@ class Runner:
                     bindings[step.name] = memo.value
                     reads[step.name] = memo.reads
                     continue
-                before = len(facts)
                 if step.kind == "check":
-                    self._eval_check(step, env, ctx, bindings)
+                    _, cited = ctx.citing(self._eval_check, step, env, ctx,
+                                          bindings)
+                    facts.extend(cited)
                     lines.append(f"  step {idx}: {step.raw}  [ok]")
+                    lines.extend(f"    uses {fact.note()}" for fact in cited)
                 elif step.kind == "assert":
                     got = bindings.get(step.name)
                     if not isinstance(got, PiGroup):
@@ -496,8 +508,6 @@ class Runner:
                         raise DeriveError(
                             f"{name}: return of unbound {step.name!r}")
                     lines.append(f"  step {idx}: {step.raw}")
-                for fact in facts[before:]:
-                    lines.append(f"    uses {fact.note()}")
         except _Missing as e:
             raise DeriveError(f"{name}:{step.line}: {e}") from e
         if ret is None:
@@ -514,29 +524,24 @@ class Runner:
         """Step ``idx`` of the run ``key``, a ``let``: a memoised evaluation
         that agrees with ``env`` on every token it read, or a new one.
 
-        A step reads a token only through a fact: one it cites, one a rule
-        lookup returns (``ctx.reads``), one its subderivation consumed, or
-        one behind a binding it names.  Under any assignment that agrees on
-        those it computes the same value, transcript lines and citations,
-        which the caller replays as a fresh evaluation would emit them.
+        The tokens it read are those of ``ctx``, of the bindings it names,
+        of its subderivation and of the facts it cited (exact by the
+        argument in ``rewrite.RuleContext``).  Under any assignment that
+        agrees on those it computes the same value, transcript lines and
+        citations, which the caller replays as a fresh evaluation would
+        emit them.
         """
         entries = self._steps.setdefault(key + (step.line,), [])
         for memo in entries:
             if all(env[t] == v for t, v in memo.reads.items()):
                 return memo
         lines: List[str] = []
-        facts: List[KbFact] = []
         tokens: set = set()
-        hook = ctx.on_rule
-        ctx.on_rule = facts.append
-        ctx.reads = set(ctx.tokens).union(*(reads[n] for n in step.names
-                                            if n in reads))
-        try:
-            value = self._eval_step(step, env, ctx, bindings, lines, tokens)
-        finally:
-            read, ctx.reads, ctx.on_rule = ctx.reads, None, hook
-        read |= tokens
-        read.update(*(f.tokens for f in facts))
+        value, facts = ctx.citing(self._eval_step, step, env, ctx, bindings,
+                                  lines, tokens)
+        read = tokens.union(ctx.tokens, *(reads[n] for n in step.names
+                                          if n in reads),
+                            *(f.tokens for f in facts))
         lines.append(f"  step {idx}: {step.raw}")
         lines.append(f"    = {_render_value(value)}")
         lines.extend(f"    uses {fact.note()}" for fact in facts)
@@ -791,8 +796,7 @@ class Runner:
             if rewrite.normalize(cert.element, ctx).key() != \
                     rewrite.normalize(gen, ctx).key():
                 continue
-            if ctx.on_rule:
-                ctx.on_rule(cert.fact)
+            ctx.cite(cert.fact)
             if cert.payload[0] == "transport":
                 _, via_text, base_text = cert.payload
                 via = self.catalog.parse_element(via_text, penv)

@@ -285,20 +285,14 @@ class SymbolRegistry:
         parse: arities and spaces are checked when the term is parsed."""
         for name in _scanned_names(text):
             if not (name in variables or self._arity(name) is not None
-                    or name == "pair" or _IOTA.match(name)
-                    or _ETA_POW.match(name)):
+                    or _IOTA.match(name) or _ETA_POW.match(name)):
                 raise KbError(f"unknown symbol {name!r}")
 
     def suspension_image(self, s: Sym) -> Optional[Sym]:
         if s.name == "deg":
             return deg_sym(s.params[0], s.params[1] + 1)
-        if _IOTA.match(s.name):
-            return None
         if s.susp_name:
             return self.make(s.susp_name, s.params)
-        m = _ETA.match(s.name)
-        if m:
-            return _eta_sym(int(m.group(1)) + 1)
         return None
 
     def desuspension_image(self, s: Sym) -> Optional[Sym]:
@@ -373,6 +367,13 @@ _SWEPT_TOKEN = re.compile(r"(?<!\w)(%s)(?!\w)" % "|".join(SWEPT_TOKENS))
 def swept_tokens(text: str) -> frozenset:
     """The swept tokens ``text`` names."""
     return frozenset(_SWEPT_TOKEN.findall(text))
+
+
+def unbound_names(text: str, variables) -> list:
+    """The names the integer expression ``text`` reads outside
+    ``variables``, sorted; a malformed ``text`` is a ``TermError``."""
+    compile_int_expr(text)
+    return sorted(set(_VAR.findall(text)).difference(variables))
 
 
 @dataclass
@@ -606,8 +607,7 @@ class KbCatalog:
                 self.registry.check_names(text, variables)
                 term_template(text, bindable | f.tokens)
             for text in ints:
-                compile_int_expr(text)
-                unbound = sorted(set(_VAR.findall(text)) - variables)
+                unbound = unbound_names(text, variables)
                 if unbound:
                     raise KbError(f"fact variable(s) {', '.join(unbound)} "
                                   "not bound by the subject")

@@ -82,8 +82,7 @@ def pi_group_from_fact(cat: KbCatalog, env, space: Space, k: int,
         protos.append((nel, vec))
         normed.append(nel.render())
     group = group.with_labels(normed)
-    if ctx.on_rule:
-        ctx.on_rule(fact)
+    ctx.cite(fact)
     return PiGroup(group, space, k, protos)
 
 
@@ -248,16 +247,14 @@ def boundary_value(cat: KbCatalog, env, fib: BoundaryRule, gen: Element,
     hit = cat.boundary_fact(fib.head, fib.params, gen, env)
     if hit is not None:
         value, fact = hit
-        if ctx.on_rule:
-            ctx.on_rule(fact)
+        ctx.cite(fact)
         # keep the stored spelling when a comparison map will be composed
         # on: its rewrite rule matches the unexpanded bottom inclusion
         return value if _raw else rewrite.normalize(value, ctx)
     tr = cat.boundary_transport(fib.head, fib.params, env)
     if tr is not None:
         via, base_head, base_params, fact = tr
-        if ctx.on_rule:
-            ctx.on_rule(fact)
+        ctx.cite(fact)
         base_fib = fibration(cat, env, base_head, base_params)
         base_val = boundary_value(cat, env, base_fib, gen, ctx, _raw=True)
         return rewrite.normalize(rewrite.compose(via, base_val, ctx), ctx)

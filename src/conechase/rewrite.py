@@ -21,11 +21,10 @@ vanishing.
 
 Each catalog keeps one memo of normal forms, shared by all its rule
 contexts (``RuleContext.memo``).  An entry holds the answer for a word and
-coefficient, the facts the rewriting consumed, and the values of the
-swept tokens it read, and it serves every token assignment that agrees on
-those.  That is exact, since a token reaches a rewrite only through the
-payload of a fact a lookup returned.  A hit cites the facts again, in
-order, so transcripts do not depend on the memo's warmth.
+coefficient and the facts the rewriting cited, and it serves every token
+assignment that agrees on the tokens of those facts and the context's
+own, which is exact by the argument in ``RuleContext``.  A hit cites the
+facts again, in order, so transcripts do not depend on the memo's warmth.
 """
 
 from __future__ import annotations
@@ -76,25 +75,26 @@ class RuleContext:
     the rhs is the order) and ``product`` (the value of a Whitehead product
     on these slots).  ``signatures`` maps each kind to the symbol-name
     signatures that can match at all, so most lookups are rejected before
-    any matching.  Answers are memoised in dicts that every view of the
-    context shares.  ``on_rule`` receives each fact a rewrite consumes.
+    any matching.  Answers are memoised per context.
 
     ``registry`` is the catalog's symbol registry: suspension and
     desuspension images, and definitional unfolding of stuck words.
 
-    ``memo`` is the catalog's one table of normal forms, shared by every
-    context the catalog builds: ``normalize_word`` keeps each answer there
-    with the facts it consumed and the values of the swept tokens it read,
-    and an answer serves every context that agrees on those tokens.  That
-    is exact: subjects and guards bind only fact variables, so whether a
-    lookup hits, and which fact it returns, never depends on a token; a
-    token enters only through the payload of a returned fact, and every
-    returned fact's tokens count as read (``reads``, the record of the
-    normalisation in progress).
-
-    Building the context reads the product ``[iota_3, iota_3]`` without
-    citing it; ``tokens`` holds that fact's swept tokens, which every run
-    and every normalisation on the context therefore depends on.
+    Citations are the one record of what a computation used.  Every fact
+    a computation consumes goes to ``cite``, which hands it to
+    ``on_rule``; ``citing`` runs a computation and returns the facts it
+    cited.  An answer computed on this context serves every assignment of
+    the swept tokens that agrees on the tokens of the facts it cited plus
+    the context's own ``tokens``.  That is exact: subjects and guards bind
+    only fact variables, so whether a lookup hits, and which fact it
+    returns, never depends on a token, and a token enters only through the
+    payload of a returned fact.  Every returned fact is cited except two:
+    an order bound, whose payload must be 0 (``kb.KbCatalog._pattern``),
+    so it reads no token; and the product ``[iota_3, iota_3]`` that
+    building the context reads, whose tokens are ``tokens``.  The three
+    memos rest on this: cached runs (``derive.Runner``), ``let`` steps
+    (``derive.Runner._let``) and normal forms (``memo``, the catalog's one
+    table, shared by every context it builds).
     """
 
     def __init__(self, registry, lookup: Callable, signatures: dict,
@@ -103,7 +103,6 @@ class RuleContext:
         self.registry = registry
         self.values = values      # swept token -> value
         self.memo = memo          # (word, coeff, top level) -> answers
-        self.reads = None         # tokens read by the normalisation running
         self._lookup = lookup
         self._signatures = {k: signatures.get(k, frozenset())
                             for k in RULE_KINDS}
@@ -120,13 +119,10 @@ class RuleContext:
     # -- lookups --------------------------------------------------------------
 
     def _find(self, table: dict, key, kind: str, term):
-        """The memoised lookup of ``term``; a hit's tokens are read."""
+        """The memoised lookup of ``term``."""
         if key not in table:
             table[key] = self._lookup(kind, term, self.values)
-        hit = table[key]
-        if hit is not None and self.reads is not None:
-            self.reads |= hit[1].tokens
-        return hit
+        return table[key]
 
     def word_rule(self, syms):
         """(rhs, fact) of the rule rewriting exactly ``syms``, or None."""
@@ -163,9 +159,23 @@ class RuleContext:
         return self._find(self.products, tuple(s.key() for s in slots),
                           "product", list(slots))
 
-    def _consumed(self, fact):
+    # -- citations ------------------------------------------------------------
+
+    def cite(self, fact):
+        """Record that the running computation consumed ``fact``."""
         if self.on_rule:
             self.on_rule(fact)
+
+    def citing(self, compute: Callable, *args):
+        """(``compute(*args)``, the facts it cited, in order).  The facts
+        are not passed on to the enclosing hook, which is restored however
+        ``compute`` ends."""
+        hook, facts = self.on_rule, []
+        self.on_rule = facts.append
+        try:
+            return compute(*args), facts
+        finally:
+            self.on_rule = hook
 
     def suffix_bound(self, word: Word) -> Optional[int]:
         syms = word.syms
@@ -230,30 +240,22 @@ def normalize_word(word: Word, coeff: int, ctx: RuleContext,
     """Fully normalize coeff * word into an element.
 
     The answer comes from the catalog's memo when an entry for this word,
-    coefficient and level agrees with ``ctx`` on the tokens it read;
-    otherwise it is computed and kept.  Either way the facts it consumed
-    are cited through ``ctx`` in order, and its read tokens join those of
-    the enclosing normalisation, so neither transcripts nor token records
-    depend on the memo's warmth.
+    coefficient and level agrees with ``ctx`` on the tokens of the facts
+    it cited and of the context; otherwise it is computed and kept.
+    Either way its facts are cited through ``ctx`` in order, so
+    transcripts do not depend on the memo's warmth.
     """
     entries = ctx.memo.setdefault((word, coeff, _depth == 0), [])
     for out, facts, reads in entries:
         if all(ctx.values.get(t) == v for t, v in reads):
             break
     else:
-        hook, outer = ctx.on_rule, ctx.reads
-        facts, ctx.reads = [], set(ctx.tokens)
-        ctx.on_rule = facts.append
-        try:
-            out = _rewrite_word(word, coeff, ctx, _depth)
-        finally:
-            read, ctx.reads, ctx.on_rule = ctx.reads, outer, hook
+        out, facts = ctx.citing(_rewrite_word, word, coeff, ctx, _depth)
+        read = ctx.tokens.union(*(f.tokens for f in facts))
         reads = tuple((t, ctx.values.get(t)) for t in sorted(read))
         entries.append((out, tuple(facts), reads))
     for fact in facts:
-        ctx._consumed(fact)
-    if ctx.reads is not None:
-        ctx.reads.update(t for t, _ in reads)
+        ctx.cite(fact)
     return out
 
 
@@ -377,7 +379,7 @@ def _rewrite_word(word: Word, coeff: int, ctx: RuleContext,
                     break
         if applied:
             i, length, rhs, fact = applied
-            ctx._consumed(fact)
+            ctx.cite(fact)
             sw = rhs.single_word()
             if rhs.is_zero():
                 return Element.zero(word.source, word.target)
@@ -466,7 +468,7 @@ def _normalize_bracket(b: Bracket, coeff: int, ctx: RuleContext) -> Element:
                 rule = ctx.product_value([e1, e2])
                 if rule is not None:
                     rhs, fact = rule
-                    ctx._consumed(fact)
+                    ctx.cite(fact)
                     out = out + normalize(rhs, ctx).scale(coeff * c1 * c2)
                 else:
                     out = out + Element.from_term(Bracket([e1, e2], b.tag),
@@ -627,7 +629,7 @@ def suspend(e: Element, ctx: RuleContext) -> Element:
         hit = ctx.susp_rule(word)
         if hit is not None:
             rhs, fact = hit
-            ctx._consumed(fact)
+            ctx.cite(fact)
             out = out + normalize(rhs, ctx).scale(c)
             continue
         syms = []
@@ -695,5 +697,5 @@ def resolve_triple(bracket_el: Element, ambients, ctx: RuleContext) -> Element:
             "KB fact required: no stored value for the base product "
             + Bracket(base_slots).render())
     rhs, fact = hit
-    ctx._consumed(fact)
+    ctx.cite(fact)
     return normalize(rhs, ctx).scale(k)

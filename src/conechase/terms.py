@@ -315,9 +315,7 @@ class Sym:
     desusp_name: Optional[str] = None
 
     def __post_init__(self):
-        if self.name == "deg":
-            r = f"deg({self.params[0]},{self.params[1]})"
-        elif self.params:
+        if self.params:
             r = f"{self.name}({','.join(str(p) for p in self.params)})"
         else:
             r = self.name
@@ -918,13 +916,6 @@ class _TermCompiler:
         args = []
         if self._peek() == "(":
             self._eat("(")
-            if name == "pair":
-                f = self._element()
-                self._eat(",")
-                g = self._element()
-                self._eat(")")
-                return lambda resolve, env: Element.from_term(
-                    Word((Pair(f(resolve, env), g(resolve, env)),)))
             if name == "id":
                 collected = []
                 while self._peek() != ")":

@@ -1,7 +1,11 @@
 """Command-line interface: outputs, formats, exit codes."""
 
 import ast
+import contextlib
+import io
 import json
+import random
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -342,6 +346,86 @@ def test_mutated_fact_lines_exit_only_with_documented_codes(
         assert "Traceback" not in err
 
 
+_SYMBOLS = sorted({line.split()[1].partition("(")[0]
+                   for line in SHIPPED_FACTS.splitlines()
+                   if line.startswith("symbol ")})
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_~']*")
+_SCALAR = re.compile(r"\b(?:\d+|[mrs])\b")
+_ARG_LIST = re.compile(r"[(\[]([^()\[\]{}]*)[)\]]")
+
+
+def _token_mutation(rng):
+    """The shipped catalog with one whole-token edit in one fact line's
+    subject, guard or payload: a declared symbol swapped for another, an
+    integer for another integer or a fact variable for another, or one
+    argument, bracket slot or payload summand dropped or duplicated."""
+    lines = SHIPPED_FACTS.splitlines()
+    i = rng.choice(_FACT_LINES)
+    fields = lines[i].split("|")
+    edits = {"symbol": [], "scalar": [], "argument": []}
+    for f in (1, 2):
+        text = fields[f]
+        for m in _NAME.finditer(text):
+            if m.group() in _SYMBOLS:
+                edits["symbol"].append((f, m.span(), [
+                    s for s in _SYMBOLS if s != m.group()]))
+        for m in _SCALAR.finditer(text):
+            same = "01234" if m.group().isdigit() else "mrs"
+            edits["scalar"].append((f, m.span(), [
+                s for s in same if s != m.group()]))
+        lists = [(m.span(1), ",") for m in _ARG_LIST.finditer(text)]
+        if f == 2 and " + " in text:
+            lists.append(((0, len(text)), " + "))
+        for (a, b), sep in lists:
+            args = text[a:b].split(sep)
+            j = rng.randrange(len(args))
+            edits["argument"].append((f, (a, b), [
+                sep.join(args[:j] + args[j + 1:]),
+                sep.join(args[:j + 1] + args[j:])]))
+    kind = rng.choice([kind for kind, found in edits.items() if found])
+    f, (a, b), options = rng.choice(edits[kind])
+    fields[f] = fields[f][:a] + rng.choice(options) + fields[f][b:]
+    lines[i] = "|".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def test_token_mutated_catalogs_reach_the_chase(capsys, tmp_path):
+    """Whole-token edits mostly still parse, so unlike junk inserted
+    mid-token they reach the chase and its error paths: of 100 seeded
+    draws at least half load, and every load and every compute on what
+    loads exits with a documented code, never a traceback."""
+    rng = random.Random(0)
+    path = tmp_path / "mutated.facts"
+    loaded = 0
+    for _ in range(100):
+        path.write_text(_token_mutation(rng))
+        code, _, err = run_cli(capsys, "--kb", str(path), "validate-kb")
+        assert code in (0, 2, 3, 4) and "Traceback" not in err, err
+        if code == cli.EXIT_OK:
+            loaded += 1
+            code, _, err = run_cli(
+                capsys, "--kb", str(path), "compute",
+                *rng.choice(_SCENARIO_ARGV), str(rng.randint(1, 3)),
+                "--no-sweep")
+            assert code in (0, 2, 3, 4) and "Traceback" not in err, err
+    assert loaded >= 50
+
+
+def test_an_order_bound_must_be_zero(capsys, tmp_path):
+    """An order bound k*word is looked up without being cited, which is
+    exact only because its payload is 0 and so reads no token: any other
+    payload is refused at load."""
+    text = default_catalog().serialize()
+    for old, new in (("| 4*eta~_4(m) ? m>=1 | 0 |", "| 4*eta~_4(m) ? m>=1 | x |"),
+                     ("| 2*Sigma_beta(2) | 0 |", "| 2*Sigma_beta(2) | 2 |")):
+        assert text.count(old) == 1
+        p = tmp_path / "bound.facts"
+        p.write_text(text.replace(old, new))
+        code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
+        assert code == cli.EXIT_VALIDATION and not out
+        assert "an order bound k*word must equal 0" in err
+
+
 def test_payload_syntax_is_checked_at_load(capsys, tmp_path):
     """A payload that does not parse is refused when the catalog loads,
     with exit 2 and its line, not when a chase first instantiates it."""
@@ -456,3 +540,32 @@ def test_traced_names_exist():
     ctx = default_catalog().rule_context(
         {"sign": 1, "eps": 0, "x": 0, "y": 1})
     hash((id(ctx.word_rules), Word((), sphere(3)).key(), 1))
+
+
+SCENARIO_DIGESTS = Path(__file__).parent / "golden" / "scenarios.txt"
+
+
+def scenario_digest_lines():
+    """One line per swept ``compute --format machine`` call, each scenario
+    at r or m in {1, 2, 3, 30}: the script, its parameter, the group and
+    the transcript digest.  ``tests/golden/scenarios.txt`` holds them;
+    regenerate it with ``PYTHONPATH=src:tests python -c "import test_cli;
+    test_cli.SCENARIO_DIGESTS.write_text(
+    ''.join(test_cli.scenario_digest_lines()))"``."""
+    out = []
+    for argv in _SCENARIO_ARGV:
+        for value in (1, 2, 3, 30):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert cli.main(["compute", *argv, str(value), "--format",
+                                 "machine"]) == cli.EXIT_OK
+            record = json.loads(buf.getvalue())
+            out.append(f"{record['script']} {argv[-1][2:]}={value} "
+                       f"{record['group']} | {record['transcript_digest']}\n")
+    return out
+
+
+def test_swept_scenarios_match_their_golden_digests():
+    """Every scenario's group and full transcript, swept, at four
+    parameters: a refactor that moves one transcript byte fails here."""
+    assert "".join(scenario_digest_lines()) == SCENARIO_DIGESTS.read_text()

@@ -419,6 +419,44 @@ def test_step_memo_carries_reads_through_bindings(catalog, scripts, tmp_path,
     assert not runner._steps      # cleared when run returns or raises
 
 
+def test_normal_forms_read_the_tokens_of_what_they_cite(pruned_pass):
+    """Citations are the one record of what a normalisation used: after a
+    pass, every memo entry's read tokens are its context's tokens plus
+    the tokens of the facts it cites."""
+    (tokens,) = {ctx.tokens for ctx in pruned_pass._ctx_cache.values()}
+    entries = [entry for entries in pruned_pass.catalog._normal_forms.values()
+               for entry in entries]
+    assert any(facts for _, facts, _ in entries)
+    for _, facts, reads in entries:
+        assert {t for t, _ in reads} == tokens.union(*(f.tokens
+                                                       for f in facts))
+
+
+def test_no_citation_hook_outlives_a_run(catalog, scripts, tmp_path,
+                                         pruned_pass):
+    """A step's citations are collected on the shared rule context and
+    the hook is restored when the step ends, also when a run raises: the
+    sweep's refusal of the eps control, and a missing certificate inside
+    a step."""
+    assert all(ctx.on_rule is None
+               for ctx in pruned_pass._ctx_cache.values())
+    path = tmp_path / "eps.facts"
+    path.write_text(catalog.serialize().replace(
+        "| S2vS5 @ 5 | Z/2{", "| S2vS5 @ 5 | Z/2^(1+eps){"))
+    script = scripts["pi5_L4m"]
+    unchecked = dict(scripts, pi5_L4m=replace(
+        script, steps=[st for st in script.steps if st.kind != "assert"]))
+    runner = Runner(load_catalog(path), unchecked)
+    with pytest.raises(DeriveError, match="depends on the ambiguous tokens"):
+        runner.run("pi5_L4m", {"m": 3})
+    runner = Runner(catalog.without_facts(lambda f: "nut'" in f.payload),
+                    scripts)
+    with pytest.raises(ExtensionUnresolved):
+        runner.run("pi6_P3", {"r": 2})
+    assert runner._ctx_cache
+    assert all(ctx.on_rule is None for ctx in runner._ctx_cache.values())
+
+
 def test_scripts_may_not_name_swept_tokens():
     head = "derivation bad\nparams m\n"
     for line in ("let F4 = fiber_group fib=F_pL(m); k=4+sign",
@@ -663,6 +701,23 @@ def test_a_degree_below_1_is_a_validation_error(catalog, scripts, monkeypatch,
     assert cli.main(["compute", "--space", "P3", "--k", "6", "--r", "2",
                      "--no-sweep"]) == cli.EXIT_VALIDATION
     assert "degrees start at 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, old, new, match", [
+    ("pi5_L4m", "m=1 : Z(2) + Z/4", "m=1 : Z(2) + Z/2^q",
+     "pi5_L4m:17: '2\\^q' names q, not in params"),
+    ("pi6_P3", "boundary fib=F_p(r); k=7", "boundary fib=F_p(r); k=q+1",
+     "pi6_P3:15: 'q\\+1' names q, not in params"),
+])
+def test_a_variable_outside_params_is_a_parse_error(name, old, new, match):
+    """An assert literal or an integer step argument may read only the
+    script's parameters.  Run, the first edit fails only for m = 1 and
+    the second only when its step runs; parsed, both fail for every
+    parameter."""
+    text = SHIPPED_TEXT[name]
+    assert old in text
+    with pytest.raises(DeriveError, match=match):
+        parse_script(text.replace(old, new), name_hint=name)
 
 
 @st.composite
