@@ -15,6 +15,7 @@ required certified fact is missing (including unresolved extensions),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -174,7 +175,10 @@ def _exit_code_for(e: BaseException) -> int:
     return EXIT_VALIDATION
 
 
-def _parser(scripts) -> argparse.ArgumentParser:
+@functools.cache
+def _parser(spaces: tuple) -> argparse.ArgumentParser:
+    """The argument parser offering ``spaces`` to ``compute --space``, the
+    one thing it reads from the scripts: built once per process."""
     top = argparse.ArgumentParser(
         prog="conechase",
         description="Exact 2-local homotopy groups of mapping cones via "
@@ -183,8 +187,7 @@ def _parser(scripts) -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("compute", help="compute one homotopy group")
-    pc.add_argument("--space", required=True,
-                    choices=sorted({space for space, _ in scenarios(scripts)}))
+    pc.add_argument("--space", required=True, choices=spaces)
     pc.add_argument("--k", type=int, required=True)
     pc.add_argument("--r", type=int)
     pc.add_argument("--m", type=int)
@@ -216,7 +219,8 @@ def _parser(scripts) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser(load_scripts()).parse_args(argv)
+        spaces = sorted({space for space, _ in scenarios(load_scripts())})
+        args = _parser(tuple(spaces)).parse_args(argv)
         return args.func(args)
     except (KbError, GroupError, TermError, DeriveError, LesError,
             OSError) as e:

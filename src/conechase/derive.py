@@ -89,7 +89,6 @@ from .les import (
     boundary_hom,
     derived_pi_group,
     express,
-    extend_chart,
     fibration,
     pi_group_from_fact,
     push_forward,
@@ -756,7 +755,7 @@ class Runner:
                             for i in range(quot.group.rank)))
         space, degree = space_at(where, env)
         certs = []
-        lift_infos = []
+        lifts = []
         for i in range(quot.group.rank):
             gen = quot.generator_element(i)
             found = self._find_lift(space, degree, gen, env, ctx)
@@ -769,25 +768,20 @@ class Runner:
             if rel_el is not None:
                 rel_vec = express(rel_el, sub, ctx)
             certs.append(LiftCertificate(i, order, lift_el.render(), rel_vec))
-            lift_infos.append((lift_el, order))
-        problem = ExtensionProblem(sub.group, quot.group, tuple(certs))
-        if all(c.relation is None or not any(c.relation) for c in certs) and \
-                all(c.lift_order == quot.group.orders[c.quot_index]
-                    for c in certs):
-            solve_extension(problem)  # the certified split, checked
-            extra = [(lift_el, order, lift_el.render())
-                     for (lift_el, order) in lift_infos]
-            return extend_chart(sub, extra, ctx)
-        group, chart = extension_with_relations(problem)
-        protos = []
-        for elp, vec in sub.protos:
-            full = list(vec) + [0] * quot.group.rank
-            protos.append((elp, chart_apply(chart, full, group)))
-        for j, (lift_el, order) in enumerate(lift_infos):
-            full = [0] * sub.group.rank + [1 if jj == j else 0
-                                           for jj in range(quot.group.rank)]
-            protos.append((rewrite.normalize(lift_el, ctx),
-                           chart_apply(chart, full, group)))
+            lifts.append(lift_el)
+        split = all(c.relation is None or not any(c.relation) for c in certs) \
+            and all(c.lift_order == quot.group.orders[c.quot_index]
+                    for c in certs)
+        solve = solve_extension if split else extension_with_relations
+        group, chart = solve(ExtensionProblem(sub.group, quot.group,
+                                              tuple(certs)))
+        ns, nq = sub.group.rank, quot.group.rank
+        protos = [(elp, chart.apply(vec + (0,) * nq))
+                  for elp, vec in sub.protos]
+        for j, lift_el in enumerate(lifts):
+            unit = [0] * (ns + nq)
+            unit[ns + j] = 1
+            protos.append((rewrite.normalize(lift_el, ctx), chart.apply(unit)))
         return PiGroup(group, sub.space, sub.degree, protos)
 
     def _find_lift(self, space, degree, gen, env, ctx):
@@ -899,12 +893,6 @@ class Runner:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-def chart_apply(chart, fullvec, group):
-    out = [sum(chart.rows[i][j] * fullvec[j] for j in range(chart.ncols))
-           for i in range(chart.nrows)]
-    return group.reduce_vector(out)
-
 
 def _element_from_chart(pig: PiGroup, vec) -> Element:
     out = None

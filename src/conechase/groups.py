@@ -12,6 +12,7 @@ Everything here is immutable after construction and side-effect free.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd, prod
 from typing import Optional, Sequence
@@ -49,6 +50,18 @@ def strip_odd(n: int) -> int:
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
+
+
+def canonical_order(orders: Sequence[int]) -> list:
+    """The canonical summand order: finite orders ascending, then the free
+    summands, ties kept in place.  Entry i is the old position of the
+    summand that goes to position i.
+
+    >>> canonical_order([0, 4, 2, 2])
+    [2, 3, 1, 0]
+    """
+    return sorted(range(len(orders)),
+                  key=lambda i: (orders[i] == 0, orders[i], i))
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +126,13 @@ class IntMat:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """U @ m @ V == D with U, V unimodular and D a divisibility chain."""
+    """U @ m @ V == D with U, V unimodular and D a divisibility chain;
+    U @ uinv == I and vinv @ V == I."""
     u: IntMat
     d: IntMat
     v: IntMat
+    uinv: IntMat
+    vinv: IntMat
 
 
 def _pivot(a, t, nrows, ncols):
@@ -130,10 +146,18 @@ def _pivot(a, t, nrows, ncols):
     return best
 
 
-def _snf_core(m: IntMat):
-    """Diagonalize by unimodular row/column operations.
+def smith_normal_form(m: IntMat) -> SnfResult:
+    """Smith normal form with transforms and their inverses: U @ m @ V == D,
+    by unimodular row and column operations.
 
-    Returns (u, d, v, uinv, vinv) with u@m@v == d, u@uinv == I, vinv@v == I.
+    Total on integer matrices (including empty shapes) and deterministic
+    for a fixed input.
+
+    >>> r = smith_normal_form(IntMat([[2, 4], [6, 8]]))
+    >>> [r.d.rows[i][i] for i in range(2)]
+    [2, 4]
+    >>> r.u @ r.uinv == IntMat.identity(2) == r.vinv @ r.v
+    True
     """
     nr, nc = m.nrows, m.ncols
     a = [r[:] for r in m.rows]
@@ -224,22 +248,8 @@ def _snf_core(m: IntMat):
             continue
         t += 1
 
-    return (IntMat(u, nr), IntMat(a, nc), IntMat(v, nc),
-            IntMat(uinv, nr), IntMat(vinv, nc))
-
-
-def smith_normal_form(m: IntMat) -> SnfResult:
-    """Smith normal form with transforms: U @ m @ V == D.
-
-    Total on integer matrices (including empty shapes) and deterministic
-    for a fixed input.
-
-    >>> r = smith_normal_form(IntMat([[2, 4], [6, 8]]))
-    >>> [r.d.rows[i][i] for i in range(2)]
-    [2, 4]
-    """
-    u, d, v, _, _ = _snf_core(m)
-    return SnfResult(u, d, v)
+    return SnfResult(IntMat(u, nr), IntMat(a, nc), IntMat(v, nc),
+                     IntMat(uinv, nr), IntMat(vinv, nc))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +280,7 @@ class TwoLocalGroup:
             labels = list(labels)
             if len(labels) != len(orders):
                 raise GroupError("labels and orders differ in length")
-        idx = sorted(range(len(orders)),
-                     key=lambda i: (orders[i] == 0, orders[i], i))
+        idx = canonical_order(orders)
         self.orders = tuple(orders[i] for i in idx)
         self.labels = tuple(labels[i] for i in idx) if labels is not None else None
 
@@ -398,9 +407,8 @@ class GroupHom:
     def apply(self, vec: Sequence[int]) -> tuple:
         if len(vec) != self.source.rank:
             raise GroupError("vector length does not match source rank")
-        out = [sum(self.matrix.rows[i][j] * vec[j] for j in range(self.source.rank))
-               for i in range(self.target.rank)]
-        return self.target.reduce_vector(out)
+        return self.target.reduce_vector(
+            [sum(map(operator.mul, row, vec)) for row in self.matrix.rows])
 
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self after inner (source of self must equal target of inner)."""
@@ -426,9 +434,10 @@ def group_from_presentation(n: int, relation_rows: Sequence[Sequence[int]]):
     factors are units 2-locally and are dropped.
     """
     rel = IntMat(list(relation_rows), n)
-    _, d, v, _, vinv = _snf_core(rel)
+    snf = smith_normal_form(rel)
+    d, vinv = snf.d, snf.vinv
     # y = V^T x diagonalizes the relation lattice: x in L  iff  d_i | y_i.
-    vt = v.transpose()
+    vt = snf.v.transpose()
     diag = [d.rows[i][i] for i in range(min(d.nrows, d.ncols))]
     orders = []
     proj_rows = []
@@ -442,7 +451,7 @@ def group_from_presentation(n: int, relation_rows: Sequence[Sequence[int]]):
         proj_rows.append(vt.rows[i])
         sect_rows.append(vinv.rows[i])
     group = TwoLocalGroup(orders)
-    idx = sorted(range(len(orders)), key=lambda i: (orders[i] == 0, orders[i], i))
+    idx = canonical_order(orders)
     proj_rows = [proj_rows[i] for i in idx]
     sect_rows = [sect_rows[i] for i in idx]
     reduced = []
@@ -496,7 +505,8 @@ def kernel(h: GroupHom):
             row.append(h.target.orders[ti] if ti == i else 0)
         rows.append(row)
     sys = IntMat(rows, ncols) if rows else IntMat([], ncols)
-    _, d, v, _, _ = _snf_core(sys)
+    snf = smith_normal_form(sys)
+    d, v = snf.d, snf.v
     srank = sum(1 for i in range(min(d.nrows, d.ncols)) if d.rows[i][i] != 0)
     # Solution lattice of the system = span of the last ncols-srank columns
     # of V; its x-parts generate the preimage lattice K'.
@@ -523,7 +533,8 @@ def _column_basis(m: IntMat) -> IntMat:
     """A basis (as columns) for the lattice spanned by the columns of m."""
     if m.ncols == 0:
         return m
-    _, d, _, uinv, _ = _snf_core(m)
+    snf = smith_normal_form(m)
+    d, uinv = snf.d, snf.uinv
     # m = Uinv D Vinv, so the column span equals the span of Uinv D.
     cols = []
     for j in range(min(d.nrows, d.ncols)):
@@ -536,7 +547,8 @@ def _column_basis(m: IntMat) -> IntMat:
 
 def _solve_in_lattice(basis: IntMat, vec: Sequence[int]) -> list:
     """Coordinates of vec in the lattice spanned by the basis columns."""
-    u, d, v, _, _ = _snf_core(basis)  # u @ basis @ v == d
+    snf = smith_normal_form(basis)  # u @ basis @ v == d
+    u, d, v = snf.u, snf.d, snf.v
     w = [sum(u.rows[i][kk] * vec[kk] for kk in range(len(vec)))
          for i in range(basis.nrows)]
     z = []
@@ -615,16 +627,17 @@ class ExtensionProblem:
                 raise GroupError("lift order smaller than the quotient order")
 
 
-def solve_extension(p: ExtensionProblem) -> TwoLocalGroup:
+def solve_extension(p: ExtensionProblem):
     """Resolve 0 -> sub -> E -> quot -> 0 using order-matching certificates.
 
-    Splits (returns sub + quot) only when every quotient generator carries
-    a certificate whose lift order equals the generator's order.  Anything
-    else raises ExtensionUnresolved naming the offending generators: the
-    solver never guesses a middle group.
+    Splits only when every quotient generator carries a certificate whose
+    lift order equals the generator's order.  Returns (group, chart):
+    ``group`` is sub + quot with the sub's labels and the lift labels, and
+    ``chart`` maps (sub coords ++ lift coords) to its canonical
+    coordinates, a permutation.  Anything else raises ExtensionUnresolved
+    naming the offending generators: the solver never guesses a middle
+    group.
     """
-    if p.quot.is_trivial():
-        return p.sub
     by_index = {c.quot_index: c for c in p.certificates}
     missing = []
     for i, o in enumerate(p.quot.orders):
@@ -635,12 +648,15 @@ def solve_extension(p: ExtensionProblem) -> TwoLocalGroup:
         raise ExtensionUnresolved(
             "extension unresolved: no order-matching lift certificate for "
             + ", ".join(missing))
-    labels = None
-    if p.sub.labels is not None:
-        labels = list(p.sub.labels) + [
-            by_index[i].lift_label or f"lift({p.quot.label(i)})"
-            for i in range(p.quot.rank)]
-    return TwoLocalGroup(list(p.sub.orders) + list(p.quot.orders), labels)
+    orders = list(p.sub.orders) + list(p.quot.orders)
+    labels = [p.sub.label(i) for i in range(p.sub.rank)] + [
+        by_index[i].lift_label or f"lift({p.quot.label(i)})"
+        for i in range(p.quot.rank)]
+    n = len(orders)
+    chart = IntMat([[int(j == old) for j in range(n)]
+                    for old in canonical_order(orders)], n)
+    group = TwoLocalGroup(orders, labels)
+    return group, GroupHom(TwoLocalGroup([0] * n), group, chart, check=False)
 
 
 def extension_with_relations(p: ExtensionProblem):
@@ -648,9 +664,10 @@ def extension_with_relations(p: ExtensionProblem):
 
     The middle group is presented by the sub generators plus one new
     generator per quotient summand, with (quot order) * lift = relation.
-    Returns (group, chart): chart maps (sub coords ++ lift coords) to the
-    middle group's canonical coordinates.  Each certificate's claimed lift
-    order is verified against the presented group.
+    Returns (group, chart) as ``solve_extension`` does: chart maps (sub
+    coords ++ lift coords) to the middle group's canonical coordinates.
+    Each certificate's claimed lift order is verified against the
+    presented group.
     """
     ns = p.sub.rank
     by_index = {c.quot_index: c for c in p.certificates}
@@ -678,4 +695,4 @@ def extension_with_relations(p: ExtensionProblem):
             raise GroupError(
                 f"certificate for {p.quot.label(i)} claims lift order "
                 f"{c.lift_order} but the presentation gives {got}")
-    return group, proj
+    return group, GroupHom(TwoLocalGroup([0] * n), group, proj, check=False)

@@ -35,14 +35,16 @@ those tokens and must not depend on them; a fact records which of them
 its payload mentions (``KbFact.tokens``), so a run knows which tokens it
 read.
 
-Loading rejects a fact whose subject names an undeclared symbol or uses
-a symbol with the wrong number of parameters, whose degree is not an
-integer, or whose subject or guard mentions a variable that matching
-cannot bind, and a boundary value or transport on an undeclared
-fibration or through an undeclared map.  It compiles each payload term
-under the names it will be instantiated with, the fact variables and
-the swept tokens it names, so a payload that does not parse is a load
-error too.  Subjects, guards and payloads are split and compiled
+Loading rejects a fact whose subject or payload names an undeclared
+symbol or uses a symbol with the wrong number of parameters, whose
+degree is not an integer, or whose subject or guard mentions a variable
+that matching cannot bind, and a boundary value or transport on an
+undeclared fibration or through an undeclared map.  It compiles each
+payload term under the names it will be instantiated with, the fact
+variables and the swept tokens it names, so a payload that does not
+parse is a load error too; the compiler reports the symbols the term
+resolves and the variables its integer arguments read, and those are
+checked.  Subjects, guards and payloads are split and compiled
 through process-wide tables keyed by their text (syntax only); what
 they match and build stays with the catalog.  The class of a boundary value
 or lift certificate is a fixed class of a sphere and takes no variables.
@@ -61,7 +63,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .groups import TwoLocalGroup, strip_odd
+from .groups import TwoLocalGroup, canonical_order, strip_odd
 from .terms import (
     Bracket,
     Element,
@@ -72,13 +74,13 @@ from .terms import (
     Word,
     compile_int_expr,
     compile_space,
+    compile_term,
     deg_sym,
     eval_int_expr,
     named,
     parse_space,
     sphere,
     term_names,
-    term_template,
 )
 from . import rewrite
 
@@ -149,8 +151,6 @@ _ETA_POW = re.compile(r"^eta_(\d+)\^(\d+)$")
 _FACTOR = re.compile(r"([A-Za-z][A-Za-z0-9_~']*(?:\^\d+)?)\s*(?:\((.*)\))?")
 _ETA = re.compile(r"^eta_(\d+)$")
 _IOTA = re.compile(r"^iota_(\d+)$")
-_TERM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_~']*(?:\^\d+)?")
-_ID_ARG = re.compile(r"\bid\([^()]*\)")
 
 
 @functools.cache
@@ -166,12 +166,6 @@ def _word_factors(text: str) -> tuple:
         factors.append((name, split_top(argtext, ",") if argtext is not None
                         else ()))
     return tuple(factors)
-
-
-@functools.cache
-def _scanned_names(text: str) -> tuple:
-    """The names the term ``text`` mentions outside ``id(...)``."""
-    return tuple(_TERM_NAME.findall(_ID_ARG.sub("", text)))
 
 
 @functools.cache
@@ -260,33 +254,29 @@ class SymbolRegistry:
                 k, j = int(power.group(1)), int(power.group(2))
                 names.extend(_eta_sym(k + i).name for i in range(j))
             else:
-                arity = self._arity(name)
-                if arity is None:
-                    raise KbError(f"unknown symbol {name!r}")
-                if len(args) != arity:
-                    raise KbError(f"{name} expects {arity} parameter(s)")
+                self.check_symbol(name, len(args))
                 names.append(name)
                 exprs.extend(args)
         return tuple(names) or (ident,), tuple(exprs)
 
     def _arity(self, name: str) -> Optional[int]:
-        """The parameter count of the symbol ``make`` builds for ``name``,
-        or None if it builds none."""
+        """The parameter count of the symbol the term parser resolves
+        ``name`` to, or None if it resolves none."""
         if name == "deg":
             return 2
-        if _ETA.match(name):
+        if _ETA.match(name) or _IOTA.match(name) or _ETA_POW.match(name):
             return 0
         spec = self.specs.get(name)
         return spec.nvars if spec is not None else None
 
-    def check_names(self, text: str, variables) -> None:
-        """Raise unless every name in the term ``text`` is a symbol the
-        term parser resolves or one of ``variables``.  A name scan, not a
-        parse: arities and spaces are checked when the term is parsed."""
-        for name in _scanned_names(text):
-            if not (name in variables or self._arity(name) is not None
-                    or _IOTA.match(name) or _ETA_POW.match(name)):
-                raise KbError(f"unknown symbol {name!r}")
+    def check_symbol(self, name: str, nargs: int) -> None:
+        """Raise unless the term parser resolves ``name`` with ``nargs``
+        parameters."""
+        arity = self._arity(name)
+        if arity is None:
+            raise KbError(f"unknown symbol {name!r}")
+        if nargs != arity:
+            raise KbError(f"{name} expects {arity} parameter(s)")
 
     def suspension_image(self, s: Sym) -> Optional[Sym]:
         if s.name == "deg":
@@ -603,14 +593,18 @@ class KbCatalog:
             # a payload is instantiated under the fact's variables and the
             # swept tokens it names: compile it under those now, so that a
             # syntax error is a load error
+            unbound = set()
             for text in terms:
-                self.registry.check_names(text, variables)
-                term_template(text, bindable | f.tokens)
+                _, symbols, names = compile_term(text, bindable | f.tokens)
+                for name, nargs in symbols:
+                    self.registry.check_symbol(name, nargs)
+                unbound.update(names)
             for text in ints:
-                unbound = unbound_names(text, variables)
-                if unbound:
-                    raise KbError(f"fact variable(s) {', '.join(unbound)} "
-                                  "not bound by the subject")
+                unbound.update(unbound_names(text, variables))
+            unbound.difference_update(variables)
+            if unbound:
+                raise KbError(f"fact variable(s) {', '.join(sorted(unbound))} "
+                              "not bound by the subject")
             for text in spaces:
                 compile_space(text)
         except (KbError, TermError) as e:
@@ -746,12 +740,9 @@ class KbCatalog:
             el = self.parse_element(label, env)
             labels.append(el.render())
             elements.append(el)
-        group = TwoLocalGroup(orders, labels)
         # keep elements aligned with the canonical sort
-        order_index = sorted(range(len(orders)),
-                             key=lambda i: (orders[i] == 0, orders[i], i))
-        elements = [elements[i] for i in order_index]
-        return group, elements, pat.fact
+        elements = [elements[i] for i in canonical_order(orders)]
+        return TwoLocalGroup(orders, labels), elements, pat.fact
 
     def boundary_fact(self, fib_key_head: str, fib_params: tuple,
                       element: Element, env: dict):
@@ -996,7 +987,10 @@ def load_catalog(path) -> KbCatalog:
         if not text or text.startswith("#"):
             continue
         if text.startswith("version"):
-            version = text.split(None, 1)[1].strip()
+            words = text.split()
+            if len(words) != 2 or words[0] != "version":
+                raise KbError(f"line {lineno}: bad version line")
+            version = words[1]
             continue
         if text.startswith("symbol "):
             m = _SYMBOL_RE.match(text)

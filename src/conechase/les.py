@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 from .groups import GroupHom, IntMat, TwoLocalGroup
 from .kb import KbCatalog, KbMissingFact
-from .terms import Element, Space, Word, sphere, suspend_space
+from .terms import Element, Space, Word, named, sphere, suspend_space
 from . import rewrite
 
 
@@ -178,31 +178,6 @@ def derived_pi_group(parent: PiGroup, new_group: TwoLocalGroup,
                    protos)
 
 
-def extend_chart(a: PiGroup, extra: List[Tuple[Element, int, str]],
-                 ctx) -> PiGroup:
-    """Extend a chart by fresh generators (lift classes) of given orders."""
-    orders = list(a.group.orders) + [o for _, o, _ in extra]
-    labels = [a.group.label(i) for i in range(a.group.rank)] + \
-             [lab for _, _, lab in extra]
-    group = TwoLocalGroup(orders, labels)
-    # track the canonical re-sort so old coordinates land correctly
-    tagged = TwoLocalGroup(orders, [str(i) for i in range(len(orders))])
-    perm = [int(t) for t in tagged.labels]  # new position -> old index
-    inv = {old: new for new, old in enumerate(perm)}
-    n = len(orders)
-    protos = []
-    for el, vec in a.protos:
-        newvec = [0] * n
-        for i, x in enumerate(vec):
-            newvec[inv[i]] = x
-        protos.append((el, tuple(newvec)))
-    for j, (el, _, _) in enumerate(extra):
-        newvec = [0] * n
-        newvec[inv[a.group.rank + j]] = 1
-        protos.append((rewrite.normalize(el, ctx), tuple(newvec)))
-    return PiGroup(group, a.space, a.degree, protos)
-
-
 # ---------------------------------------------------------------------------
 # fibrations and connecting maps
 # ---------------------------------------------------------------------------
@@ -258,8 +233,9 @@ def boundary_value(cat: KbCatalog, env, fib: BoundaryRule, gen: Element,
         base_fib = fibration(cat, env, base_head, base_params)
         base_val = boundary_value(cat, env, base_fib, gen, ctx, _raw=True)
         return rewrite.normalize(rewrite.compose(via, base_val, ctx), ctx)
+    fiber = named(fib.head, *fib.params).key
     raise KbMissingFact(
-        f"KB fact required: boundary of {fib.head}{fib.params} on "
+        f"KB fact required: boundary of {fiber} on "
         f"{gen.render()} (not a suspension, no stored value)")
 
 

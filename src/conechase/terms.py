@@ -693,10 +693,12 @@ def term_names(text: str) -> tuple:
     return tuple(names)
 
 
-def term_template(text: str, env):
-    """The compiled template of the term ``text`` for an environment that
-    binds the names in ``env`` (a dict or a set): those names are scalars,
-    any other is a symbol.  Compiled once per text and set of names."""
+def compile_term(text: str, env) -> tuple:
+    """The term ``text`` compiled for an environment that binds the names
+    in ``env`` (a dict or a set): those names are scalars, any other is a
+    symbol.  Compiled once per text and set of names into ``(template,
+    symbols, variables)``: the template, each symbol it resolves as
+    ``(name, argument count)`` and the names its integer arguments read."""
     return _compile_term(text, tuple(n for n in term_names(text) if n in env))
 
 
@@ -722,7 +724,7 @@ class TermParser:
     ``eta_k^j`` the j-fold eta composite starting at S^k.  A name the
     environment binds is a scalar.
 
-    ``parse`` instantiates the text's compiled template (``term_template``)
+    ``parse`` instantiates the text's compiled template (``compile_term``)
     under the environment.
     """
 
@@ -731,7 +733,7 @@ class TermParser:
         self.env = dict(env or {})
 
     def parse(self, text: str) -> Element:
-        return term_template(text, self.env)(self.resolver, self.env)
+        return compile_term(text, self.env)[0](self.resolver, self.env)
 
 
 def _const_args(args) -> bool:
@@ -740,22 +742,25 @@ def _const_args(args) -> bool:
 
 class _TermCompiler:
     """Recursive descent over the tokens of one term text, run once per
-    text and set of scalar names.  It returns a template, a closure
-    ``(resolver, env) -> Element``, that evaluates the integer arguments
-    and calls the resolver, ``raw_concat`` and ``whitehead_raw`` in the
-    order a parse meets them.  Every syntax error is raised here."""
+    text and set of scalar names, into what ``compile_term`` returns.  The
+    template, a closure ``(resolver, env) -> Element``, evaluates the
+    integer arguments and calls the resolver, ``raw_concat`` and
+    ``whitehead_raw`` in the order a parse meets them.  Every syntax
+    error is raised here."""
 
     def __init__(self, text: str, scalars: frozenset):
         self.text = text
         self.toks = _term_tokens(text)
         self.pos = 0
         self.scalars = scalars
+        self.symbols = []         # (name, argument count)
+        self.variables = set()    # names integer arguments read
 
     def compile(self):
         el = self._element()
         if self.pos != len(self.toks):
             raise TermError(f"trailing tokens in {self.text!r}")
-        return el
+        return el, tuple(self.symbols), frozenset(self.variables)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -849,7 +854,7 @@ class _TermCompiler:
                     if not depth:
                         break
                 collected.append(tok)
-            return _int_node(" ".join(collected))
+            return self._int_expr(collected)
         if t == "-":
             return _negate(self._int_atom())
         if t.isdigit():
@@ -932,6 +937,7 @@ class _TermCompiler:
                 break
         if name == "id":
             raise TermError("id takes a space key, e.g. id(S2)")
+        self.symbols.append((name, len(args)))
         if _const_args(args):
             params = tuple(args)
             return lambda resolve, env: resolve(name, params, env)
@@ -954,7 +960,12 @@ class _TermCompiler:
             elif t == ")":
                 depth -= 1
             collected.append(self._eat())
-        return _int_node(" ".join(collected))
+        return self._int_expr(collected)
+
+    def _int_expr(self, toks):
+        """The integer node of ``toks``, noting the variables it reads."""
+        self.variables.update(t for t in toks if _is_name(t))
+        return _int_node(" ".join(toks))
 
     def _bracket(self):
         self._eat("[")

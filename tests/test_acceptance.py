@@ -167,7 +167,7 @@ def test_criterion_8_property_suites(catalog, env):
         quot = q(*[rng.choice([2, 4]) for _ in range(rng.randint(1, 2))])
         certs = tuple(LiftCertificate(i, quot.orders[i])
                       for i in range(quot.rank))
-        e = solve_extension(ExtensionProblem(sub, quot, certs))
+        e, _ = solve_extension(ExtensionProblem(sub, quot, certs))
         assert e.torsion_order() == sub.torsion_order() * quot.torsion_order()
     ok(8, "SNF oracle x1000, suspension-kill x200, splitting checks, "
           "extension order law")

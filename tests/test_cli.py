@@ -107,6 +107,19 @@ def test_missing_kb_fact_exit_code(capsys, tmp_path):
     assert "extension unresolved" in err
 
 
+def test_a_missing_boundary_names_its_fibration_by_key(capsys, tmp_path):
+    """Without the stored value of the connecting map of F_p(1) on nu'
+    (shipped line 101) the chase stops with exit 3 and names the
+    fibration as the catalog writes it."""
+    p = tmp_path / "noboundary.facts"
+    p.write_text(default_catalog().without_facts(
+        lambda f: f.line == 101).serialize())
+    code, _, err = run_cli(capsys, "--kb", str(p), "compute", "--space",
+                           "P3", "--k", "5", "--r", "1", "--no-sweep")
+    assert code == cli.EXIT_MISSING_FACT
+    assert "KB fact required: boundary of F_p(1) on nu' " in err
+
+
 def test_assertion_mismatch_exit_code(capsys, tmp_path):
     cat = default_catalog()
     text = cat.serialize().replace("Z/2{j2_25.eta_5}", "Z/4{j2_25.eta_5}")
@@ -222,6 +235,23 @@ def test_validate_kb_checks_payload_symbols(capsys, tmp_path):
         code, out, err = run_cli(capsys, "--kb", str(p), *argv)
         assert code == cli.EXIT_VALIDATION and not out
         assert "unknown symbol 'j_pLL'" in err
+
+
+def test_validate_kb_checks_payload_arity(capsys, tmp_path):
+    """A payload that gives a symbol the wrong number of parameters is
+    refused at load with exit 2 and its line, not mid-chase."""
+    good = "| j1_25.q1_25 + sign*2^m*j2_25.q2_25"
+    assert SHIPPED_FACTS.count(good) == 1
+    line = SHIPPED_FACTS[:SHIPPED_FACTS.index(good)].count("\n") + 1
+    p = tmp_path / "arity.facts"
+    p.write_text(SHIPPED_FACTS.replace(good, good.replace("j1_25.", "chiJ2.")))
+    for argv in (["validate-kb"],
+                 ["compute", "--space", "J3", "--k", "6", "--r", "2",
+                  "--no-sweep"]):
+        code, out, err = run_cli(capsys, "--kb", str(p), *argv)
+        assert code == cli.EXIT_VALIDATION and not out
+        assert err == (f"error: line {line}: payload: chiJ2 expects 1 "
+                       "parameter(s)\n")
 
 
 def test_validate_kb_checks_fibration_heads(capsys, tmp_path):
@@ -409,6 +439,75 @@ def test_token_mutated_catalogs_reach_the_chase(capsys, tmp_path):
                 "--no-sweep")
             assert code in (0, 2, 3, 4) and "Traceback" not in err, err
     assert loaded >= 50
+
+
+_DECLARATIONS = [i for i, line in enumerate(SHIPPED_FACTS.splitlines())
+                 if line.startswith(("symbol ", "version"))]
+_DECL_TOKEN = re.compile(r"[A-Za-z0-9_~'^]+|\S")
+_DECL_TOKENS = sorted({tok for i in _DECLARATIONS
+                       for tok in _DECL_TOKEN.findall(
+                           SHIPPED_FACTS.splitlines()[i])})
+
+
+def _declaration_mutation(rng):
+    """The shipped catalog with one token of one ``symbol`` or
+    ``version`` line, other than its keyword, dropped, doubled or
+    replaced by a token of another declaration."""
+    lines = SHIPPED_FACTS.splitlines()
+    i = rng.choice(_DECLARATIONS)
+    spans = [m.span() for m in _DECL_TOKEN.finditer(lines[i])][1:]
+    a, b = rng.choice(spans)
+    tok = lines[i][a:b]
+    new = rng.choice(["", f"{tok} {tok}" if tok.isalnum() else tok + tok,
+                      rng.choice(_DECL_TOKENS)])
+    lines[i] = lines[i][:a] + new + lines[i][b:]
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_declarations_exit_only_with_documented_codes(capsys,
+                                                              tmp_path):
+    """A catalog with one ``symbol`` or ``version`` line mutated is
+    refused at load or computes with a documented exit code, never with
+    a traceback (400 seeded draws; about a sixth load)."""
+    rng = random.Random(0)
+    path = tmp_path / "mutated.facts"
+    loaded = 0
+    for _ in range(400):
+        path.write_text(_declaration_mutation(rng))
+        code, _, err = run_cli(capsys, "--kb", str(path), "validate-kb")
+        assert code in (0, 2, 3, 4) and "Traceback" not in err, err
+        if code == cli.EXIT_OK:
+            loaded += 1
+            code, _, err = run_cli(
+                capsys, "--kb", str(path), "compute",
+                *rng.choice(_SCENARIO_ARGV), str(rng.randint(1, 3)),
+                "--no-sweep")
+            assert code in (0, 2, 3, 4) and "Traceback" not in err, err
+    assert loaded >= 50
+
+
+def test_version_line_needs_one_value(capsys, tmp_path):
+    p = tmp_path / "version.facts"
+    for line in ("version", "version 1 2"):
+        p.write_text(SHIPPED_FACTS.replace("version 1\n", line + "\n"))
+        code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
+        assert code == cli.EXIT_VALIDATION and not out
+        assert err == "error: line 9: bad version line\n"
+
+
+def test_one_parser_serves_every_call(capsys):
+    """The argument parser is built once per process: calls with
+    different subcommands share it, and a bad argument after a good call
+    still exits 2."""
+    assert run_cli(capsys, "validate-kb")[0] == cli.EXIT_OK
+    built = cli._parser.cache_info().misses
+    code, out, _ = run_cli(capsys, "compute", "--space", "P3", "--k", "5",
+                           "--r", "1", "--no-sweep")
+    assert code == cli.EXIT_OK and out == "Z/2 + Z/2 + Z/2\n"
+    with pytest.raises(SystemExit) as e:
+        cli.main(["compute", "--space", "P3", "--k", "five"])
+    assert e.value.code == 2
+    assert cli._parser.cache_info().misses == built
 
 
 def test_an_order_bound_must_be_zero(capsys, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conechase import cli, kb, terms
+from conechase import cli, derive, kb, terms
 from conechase.derive import (
     CANONICAL_TOKENS,
     SWEEP_GRID,
@@ -113,6 +113,39 @@ def test_removing_the_lift_of_nu_fails_unresolved(catalog, scripts):
             runner.run("pi6_P3", {"r": r}, sweep=False)
     # pi_5 rows do not depend on that certificate
     assert runner.run("pi5_P3", {"r": 2}, sweep=False).group == PI5_P3[2]
+
+
+def test_extension_lifts_have_their_certified_orders(catalog, scripts,
+                                                     monkeypatch):
+    """Over a reproduce pass, every extension step's lift prototypes have
+    in the group it returns the order their certificate claims, split or
+    not: both solvers' charts place the lifts."""
+    problems = []
+    for name in ("solve_extension", "extension_with_relations"):
+        def recording(p, name=name, solve=getattr(derive, name)):
+            problems.append((name, p))
+            return solve(p)
+        monkeypatch.setattr(derive, name, recording)
+    checked = []
+
+    class Recording(Runner):
+        def _extension(self, *args):
+            before = len(problems)
+            pig = super()._extension(*args)
+            if len(problems) > before:
+                checked.append((problems[-1], pig))
+            return pig
+
+    runner = Recording(catalog, scripts)
+    for name, params in reproduce_rows(scripts):
+        runner.run(name, params)
+    for (_, p), pig in checked:
+        lifts = pig.protos[len(pig.protos) - p.quot.rank:]
+        for c in p.certificates:
+            assert pig.group.element_order(lifts[c.quot_index][1]) == \
+                c.lift_order, (p, pig.group)
+    assert {name for (name, _), _ in checked} == {
+        "solve_extension", "extension_with_relations"}
 
 
 def test_removing_eta4_certificates_breaks_the_cone_rows(catalog, scripts):

@@ -321,7 +321,7 @@ def test_solve_extension_split_and_failure():
     sub = TwoLocalGroup([2, 2**3, 0], ["a", "b", "c"])
     quot = TwoLocalGroup([2], ["eta"])
     cert = LiftCertificate(quot_index=0, lift_order=2, lift_label="lift-eta")
-    e = solve_extension(ExtensionProblem(sub, quot, (cert,)))
+    e, _ = solve_extension(ExtensionProblem(sub, quot, (cert,)))
     assert e == TwoLocalGroup([2, 2, 8, 0])
     assert e.torsion_order() == sub.torsion_order() * quot.torsion_order()
 
@@ -334,7 +334,8 @@ def test_solve_extension_split_and_failure():
 
 def test_solve_extension_trivial_quot():
     sub = TwoLocalGroup([4])
-    assert solve_extension(ExtensionProblem(sub, TwoLocalGroup([]), ())) == sub
+    e, _ = solve_extension(ExtensionProblem(sub, TwoLocalGroup([]), ()))
+    assert e == sub
 
 
 def test_extension_order_property():
@@ -343,8 +344,43 @@ def test_extension_order_property():
         sub = TwoLocalGroup([rng.choice([2, 4, 8]) for _ in range(rng.randint(0, 3))])
         quot = TwoLocalGroup([rng.choice([2, 4]) for _ in range(rng.randint(1, 2))])
         certs = tuple(LiftCertificate(i, quot.orders[i]) for i in range(quot.rank))
-        e = solve_extension(ExtensionProblem(sub, quot, certs))
+        e, _ = solve_extension(ExtensionProblem(sub, quot, certs))
         assert e.torsion_order() == sub.torsion_order() * quot.torsion_order()
+
+
+def test_both_extension_solvers_keep_the_chart_contract():
+    """On a split problem both solvers give the same group, and each
+    chart sends every sub and lift unit vector to a unit vector at a
+    summand of the same order.  ``solve_extension``'s chart is the
+    permutation its labels follow; the presentation may order tied
+    summands differently, so the charts are not compared."""
+    rng = random.Random(29)
+    for trial in range(300):
+        orders = [rng.choice([0, 2, 2, 4, 8]) for _ in range(rng.randint(0, 4))]
+        labelled = trial % 2 == 0
+        sub = TwoLocalGroup(orders, [f"s{i}" for i in range(len(orders))]
+                            if labelled else None)
+        quot = TwoLocalGroup([rng.choice([0, 2, 4])
+                              for _ in range(rng.randint(1, 3))])
+        certs = tuple(LiftCertificate(i, o, f"l{i}")
+                      for i, o in enumerate(quot.orders))
+        problem = ExtensionProblem(sub, quot, certs)
+        split, chart = solve_extension(problem)
+        presented, pchart = extension_with_relations(problem)
+        assert split == presented
+        given = list(sub.orders) + list(quot.orders)
+        names = [sub.label(i) for i in range(sub.rank)] + \
+            [f"l{i}" for i in range(quot.rank)]
+        for g, h in ((split, chart), (presented, pchart)):
+            hits = []
+            for j, o in enumerate(given):
+                image = h.apply([int(i == j) for i in range(len(given))])
+                assert sorted(image) == [0] * (g.rank - 1) + [1], image
+                hits.append(image.index(1))
+                assert g.orders[hits[-1]] == o
+            assert sorted(hits) == list(range(g.rank))
+            if h is chart:
+                assert [split.labels[i] for i in hits] == names
 
 
 def test_extension_with_relation_nonsplit():
