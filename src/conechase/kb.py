@@ -26,20 +26,24 @@ load time each subject is compiled into a pattern: its head symbols with
 their argument expressions, plus the guard.  A lookup matches the pattern
 against the concrete word, space or fibration at hand: a bare variable
 binds to the value in its position (consistently where it occurs twice),
-``2^v`` binds ``v`` to the exponent of a power of two, a digit must equal
-the value, and any other expression is evaluated once its variables are
-bound; then the guard must hold.  The payload is parsed with that binding
-plus the run's values of the global tokens it mentions: sign (+-1), eps
-(0/1) and the opaque integers x, y (y odd).  Derivations are swept over
-those tokens and must not depend on them; a fact records which of them
-its payload mentions (``KbFact.tokens``), so a run knows which tokens it
-read.
+``2^v`` binds ``v`` to the exponent of a power of two, and any other
+expression, a digit included, must evaluate to the value once its
+variables are bound; then the guard must hold.  The payload is parsed
+with that binding plus the run's values of the global tokens it
+mentions: sign (+-1), eps (0/1) and the opaque integers x, y (y odd).
+Derivations are swept over those tokens and must not depend on them; a
+fact records which of them its payload mentions (``KbFact.tokens``), so
+a run knows which tokens it read.
 
-Loading rejects a fact whose subject or payload names an undeclared
-symbol or uses a symbol with the wrong number of parameters, whose
-degree is not an integer, or whose subject or guard mentions a variable
-that matching cannot bind, and a boundary value or transport on an
-undeclared fibration or through an undeclared map.  It compiles each
+Loading rejects a symbol whose parameters are not distinct names, whose
+name the term parser resolves as a built-in (``deg``, ``iota_n``,
+``eta_n``, ``eta_k^j``), or whose ``defn=`` is not a word of declared
+symbols reading only its parameters.  It rejects a fact whose subject
+or payload names an undeclared symbol or uses a symbol with the wrong
+number of parameters, whose degree is not an integer, or whose subject
+or guard mentions a variable that matching cannot bind, and a boundary
+value or transport on an undeclared fibration or through an undeclared
+map.  It compiles each
 payload term under the names it will be instantiated with, the fact
 variables and the swept tokens it names, so a payload that does not
 parse is a load error too; the compiler reports the symbols the term
@@ -79,6 +83,7 @@ from .terms import (
     eval_int_expr,
     named,
     parse_space,
+    raw_concat,
     sphere,
     term_names,
 )
@@ -151,6 +156,8 @@ _ETA_POW = re.compile(r"^eta_(\d+)\^(\d+)$")
 _FACTOR = re.compile(r"([A-Za-z][A-Za-z0-9_~']*(?:\^\d+)?)\s*(?:\((.*)\))?")
 _ETA = re.compile(r"^eta_(\d+)$")
 _IOTA = re.compile(r"^iota_(\d+)$")
+# the names the term parser resolves without a declaration
+_BUILTIN = re.compile(r"deg|iota_\d+|eta_\d+(?:\^\d+)?")
 
 
 @functools.cache
@@ -262,10 +269,8 @@ class SymbolRegistry:
     def _arity(self, name: str) -> Optional[int]:
         """The parameter count of the symbol the term parser resolves
         ``name`` to, or None if it resolves none."""
-        if name == "deg":
-            return 2
-        if _ETA.match(name) or _IOTA.match(name) or _ETA_POW.match(name):
-            return 0
+        if _BUILTIN.fullmatch(name):
+            return 2 if name == "deg" else 0
         spec = self.specs.get(name)
         return spec.nvars if spec is not None else None
 
@@ -328,8 +333,7 @@ class SymbolRegistry:
                         post = (Element.from_term(Word(term.syms[i + 1:]))
                                 if term.syms[i + 1:]
                                 else Element.identity(exp.source))
-                        out = rewrite.raw_concat(rewrite.raw_concat(pre, exp),
-                                                 post).scale(c)
+                        out = raw_concat(raw_concat(pre, exp), post).scale(c)
                         changed = True
                         break
                 if out is not None:
@@ -459,8 +463,8 @@ class FactPattern:
     element: Optional[Element] = None  # the class of a boundary or lift fact
     order: int = 0   # k in an order bound k*word = 0
     payload: tuple = ()  # pre-split group, lift and transport payloads
-    # how matching reads each of ``exprs``: ("pow2", v), ("var", v),
-    # ("digit", n) or ("expr", compiled expression)
+    # how matching reads each of ``exprs``: ("pow2", v), ("var", v) or
+    # ("expr", compiled expression)
     slots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -471,8 +475,9 @@ class FactPattern:
         parameter values and the guard holds, or None.
 
         A bare variable binds to its value, consistently where it occurs
-        twice; ``2^v`` needs a power of two; a digit must equal the value;
-        any other expression is evaluated once its variables are bound.
+        twice; ``2^v`` needs a power of two; any other expression, a digit
+        included, is evaluated once its variables are bound and must equal
+        the value.
         """
         bound, later = {}, []
         for (how, arg), val in zip(self.slots, values):
@@ -482,9 +487,6 @@ class FactPattern:
                 how, val = "var", val.bit_length() - 1
             if how == "var":
                 if bound.setdefault(arg, val) != val:
-                    return None
-            elif how == "digit":
-                if arg != val:
                     return None
             else:
                 later.append((arg, val))
@@ -504,8 +506,6 @@ def _slot(expr: str) -> tuple:
         return "pow2", pow2.group(1)
     if _VAR.fullmatch(expr):
         return "var", expr
-    if expr.isdigit():
-        return "digit", int(expr)
     return "expr", compile_int_expr(expr)
 
 
@@ -531,7 +531,6 @@ class KbCatalog:
         self._parse_cache = {}
         # normal forms shared by every rule context of this catalog
         self._normal_forms = {}
-        self.by_kind = {}
         self._patterns = {}
         seen = {}
         for f in self.facts:
@@ -541,7 +540,6 @@ class KbCatalog:
                     f"duplicate fact for {f.kind} {f.subject!r} "
                     f"(lines {seen[key]} and {f.line})")
             seen[key] = f.line
-            self.by_kind.setdefault(f.kind, []).append(f)
             pat = self._compile(f)
             self._patterns.setdefault((pat.rule, pat.names), []).append(pat)
         signatures = {kind: set() for kind in rewrite.RULE_KINDS}
@@ -959,8 +957,12 @@ _FIBRATION_RE = re.compile(
     r"^fibration\s+([A-Za-z][A-Za-z0-9_]*)(?:\(([^()]*)\))?\s*:\s*(.*)$")
 
 
-def _varnames(text: Optional[str]) -> tuple:
-    return tuple(v.strip() for v in (text or "").split(",") if v.strip())
+def _varnames(text: Optional[str], lineno: int) -> tuple:
+    """The parameters of a declaration head: distinct identifiers."""
+    names = tuple(v.strip() for v in text.split(",")) if text else ()
+    if len(set(names)) != len(names) or not all(map(_VAR.fullmatch, names)):
+        raise KbError(f"line {lineno}: bad parameter list ({text})")
+    return names
 
 
 def load_catalog(path) -> KbCatalog:
@@ -997,7 +999,8 @@ def load_catalog(path) -> KbCatalog:
             if not m:
                 raise KbError(f"line {lineno}: bad symbol declaration")
             name, vars_, src, tgt, extras = m.groups()
-            spec = SymbolSpec(name, _varnames(vars_), src, tgt, line=lineno)
+            spec = SymbolSpec(name, _varnames(vars_, lineno), src, tgt,
+                              line=lineno)
             for tok in extras.split():
                 if tok == "susp":
                     spec.is_susp = True
@@ -1012,13 +1015,15 @@ def load_catalog(path) -> KbCatalog:
                 else:
                     raise KbError(f"line {lineno}: bad symbol attribute {tok!r}")
             try:
+                if _BUILTIN.fullmatch(name):
+                    raise KbError(f"{name!r} is a built-in symbol")
+                registry.declare(spec)
                 compile_space(src)
                 compile_space(tgt)
                 if spec.order_expr is not None:
                     compile_int_expr(spec.order_expr)
-            except TermError as e:
+            except (KbError, TermError) as e:
                 raise KbError(f"line {lineno}: {e}") from e
-            registry.declare(spec)
             continue
         if text.startswith("fibration "):
             m = _FIBRATION_RE.match(text)
@@ -1031,7 +1036,7 @@ def load_catalog(path) -> KbCatalog:
                 raise KbError(f"line {lineno}: fibration {m.group(1)!r} "
                               "declared twice")
             registry.fibrations[m.group(1)] = FibrationSpec(
-                m.group(1), _varnames(m.group(2)),
+                m.group(1), _varnames(m.group(2), lineno),
                 " ".join(w for w in words if "=" not in w) or None,
                 attrs["bottom"], attrs.get("skeleton"), lineno)
             continue
@@ -1051,4 +1056,15 @@ def load_catalog(path) -> KbCatalog:
                                 locator, lineno))
             continue
         raise KbError(f"line {lineno}: unrecognized line {text!r}")
+    for spec in registry.specs.values():
+        if spec.defn is None:
+            continue
+        try:
+            exprs = registry.word_pattern(spec.defn)[1]
+            unbound = {n for e in exprs for n in unbound_names(e, spec.vars)}
+            if unbound:
+                raise KbError(f"{', '.join(sorted(unbound))} not a parameter "
+                              f"of {spec.name}")
+        except (KbError, TermError) as e:
+            raise KbError(f"line {spec.line}: defn: {e}") from e
     return KbCatalog(registry, facts, digest, version)

@@ -193,35 +193,6 @@ class RuleContext:
 
 
 # ---------------------------------------------------------------------------
-# raw construction helpers (used by the parser; no rules applied)
-# ---------------------------------------------------------------------------
-
-def raw_concat(left: Element, right: Element) -> Element:
-    """Textual composition left . right without normalization."""
-    lw = left.single_word()
-    rw = right.single_word()
-    if lw is not None and rw is not None:
-        (w1, c1), (w2, c2) = lw, rw
-        syms = list(w1.syms) + list(w2.syms)
-        word = Word(syms) if syms else Word((), w2.space)
-        return Element.from_term(word, c1 * c2)
-    if lw is not None and len(right.terms) == 1:
-        # a single map written in front of a bracket: binary naturality
-        w1, c1 = lw
-        term, c2 = right.terms[0]
-        if isinstance(term, Bracket) and c1 in (1, -1) and term.arity == 2:
-            head = (Element.from_term(Word(w1.syms)) if w1.syms
-                    else Element.identity(w1.space))
-            slots = [raw_concat(head, s) for s in term.slots]
-            return Element.from_term(Bracket(slots, term.tag), c1 * c2)
-    raise TermError("composition of composite sums must go through compose()")
-
-
-def whitehead_raw(slots: Sequence[Element]) -> Element:
-    return Element.from_term(Bracket(slots))
-
-
-# ---------------------------------------------------------------------------
 # word normalization
 # ---------------------------------------------------------------------------
 

@@ -182,22 +182,17 @@ def _power(base: int, e: int) -> int:
 
 
 def _arith(op, a, b):
-    """The node ``op(a, b)`` of two integer nodes: folded when both are
-    constants and the operation cannot fail, else a closure that evaluates
-    ``a`` before ``b``, as reading left to right does."""
-    if a.__class__ is int and b.__class__ is int:
-        if op is not _power or b >= 0:
-            return op(a, b)
-        return lambda env: op(a, b)
-    if a.__class__ is int:
-        return lambda env: op(a, b(env))
-    if b.__class__ is int:
-        return lambda env: op(a(env), b)
+    """The node ``op(a, b)`` of two integer nodes: a closure that
+    evaluates ``a`` before ``b``, as reading left to right does."""
     return lambda env: op(a(env), b(env))
 
 
 def _negate(a):
-    return -a if a.__class__ is int else (lambda env: -a(env))
+    return lambda env: -a(env)
+
+
+def _const(n: int):
+    return lambda env: n
 
 
 def _variable(name: str, text: str):
@@ -211,8 +206,8 @@ def _variable(name: str, text: str):
 
 @functools.cache
 def _int_node(text: str):
-    """The integer expression ``text`` compiled once: its value if it
-    reads no variable, else a closure ``env -> int``.
+    """The integer expression ``text`` compiled once into a closure
+    ``env -> int``; a literal is a closure that returns it.
 
     Grammar: sums of products of powers ``atom ^ atom``, where an atom
     is a number, a variable, ``-atom`` or a parenthesised sum."""
@@ -239,7 +234,7 @@ def _int_node(text: str):
         if t == "-":
             return _negate(atom())
         if t.isdigit():
-            return int(t)
+            return _const(int(t))
         if not t[0].isalpha():
             # an operator where an atom belongs reads as a name no
             # environment binds, as it always has
@@ -276,8 +271,7 @@ def _int_node(text: str):
 def compile_int_expr(text: str):
     """The integer expression ``text`` as a closure ``env -> int``,
     compiled once per text."""
-    node = _int_node(text)
-    return node if node.__class__ is not int else (lambda env: node)
+    return _int_node(text)
 
 
 def eval_int_expr(text, env: dict) -> int:
@@ -290,8 +284,7 @@ def eval_int_expr(text, env: dict) -> int:
     """
     if isinstance(text, int):
         return text
-    node = _int_node(text)
-    return node if node.__class__ is int else node(env)
+    return _int_node(text)(env)
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +642,27 @@ class Element:
         return f"Element<{self.render()} : {self.source.key} -> {self.target.key}>"
 
 
+def raw_concat(left: Element, right: Element) -> Element:
+    """Textual composition left . right without normalization."""
+    lw = left.single_word()
+    rw = right.single_word()
+    if lw is not None and rw is not None:
+        (w1, c1), (w2, c2) = lw, rw
+        syms = list(w1.syms) + list(w2.syms)
+        word = Word(syms) if syms else Word((), w2.space)
+        return Element.from_term(word, c1 * c2)
+    if lw is not None and len(right.terms) == 1:
+        # a single map written in front of a bracket: binary naturality
+        w1, c1 = lw
+        term, c2 = right.terms[0]
+        if isinstance(term, Bracket) and c1 in (1, -1) and term.arity == 2:
+            head = (Element.from_term(Word(w1.syms)) if w1.syms
+                    else Element.identity(w1.space))
+            slots = [raw_concat(head, s) for s in term.slots]
+            return Element.from_term(Bracket(slots, term.tag), c1 * c2)
+    raise TermError("composition of composite sums must go through compose()")
+
+
 # ---------------------------------------------------------------------------
 # term grammar
 # ---------------------------------------------------------------------------
@@ -736,17 +750,13 @@ class TermParser:
         return compile_term(text, self.env)[0](self.resolver, self.env)
 
 
-def _const_args(args) -> bool:
-    return all(a.__class__ is int for a in args)
-
-
 class _TermCompiler:
     """Recursive descent over the tokens of one term text, run once per
     text and set of scalar names, into what ``compile_term`` returns.  The
     template, a closure ``(resolver, env) -> Element``, evaluates the
-    integer arguments and calls the resolver, ``raw_concat`` and
-    ``whitehead_raw`` in the order a parse meets them.  Every syntax
-    error is raised here."""
+    integer arguments, calls the resolver and builds composites
+    (``raw_concat``) and brackets in the order a parse meets them.  Every
+    syntax error is raised here."""
 
     def __init__(self, text: str, scalars: frozenset):
         self.text = text
@@ -819,14 +829,8 @@ class _TermCompiler:
             break
         if factor is None:
             raise TermError("pure scalar where a homotopy class was expected")
-        if _const_args(i for i in items if i is not factor):
-            coeff = sign
-            for i in items:
-                if i is not factor:
-                    coeff *= i
-            if coeff == 1:
-                return factor
-            return lambda resolve, env: factor(resolve, env).scale(coeff)
+        if len(items) == 1 and sign == 1:
+            return factor
 
         def product(resolve, env):
             coeff, el = sign, None
@@ -834,7 +838,7 @@ class _TermCompiler:
                 if i is factor:
                     el = factor(resolve, env)
                 else:
-                    coeff *= i if i.__class__ is int else i(env)
+                    coeff *= i(env)
             return el.scale(coeff)
         return product
 
@@ -858,7 +862,7 @@ class _TermCompiler:
         if t == "-":
             return _negate(self._int_atom())
         if t.isdigit():
-            return int(t)
+            return _const(int(t))
         if t in self.scalars:
             return _variable(t, self.text)
         raise TermError(f"unbound scalar {t!r}")
@@ -881,7 +885,7 @@ class _TermCompiler:
             return 1, self._bracket()
         if t.isdigit() or t in self.scalars:
             self._eat()
-            v = int(t) if t.isdigit() else _variable(t, self.text)
+            v = _const(int(t)) if t.isdigit() else _variable(t, self.text)
             if self._peek() == "^":
                 self._eat("^")
                 v = _arith(_power, v, self._int_atom())
@@ -897,14 +901,13 @@ class _TermCompiler:
             parts.append(self._word_factor())
         if len(parts) == 1:
             return parts[0]
-        from . import rewrite  # local import to avoid a cycle
 
         def word(resolve, env):
             els = [part(resolve, env) for part in parts]
             # compose left-to-right as written: f.g means f after g
             el = els[0]
             for nxt in els[1:]:
-                el = rewrite.raw_concat(el, nxt)
+                el = raw_concat(el, nxt)
             return el
         return word
 
@@ -938,12 +941,8 @@ class _TermCompiler:
         if name == "id":
             raise TermError("id takes a space key, e.g. id(S2)")
         self.symbols.append((name, len(args)))
-        if _const_args(args):
-            params = tuple(args)
-            return lambda resolve, env: resolve(name, params, env)
         return lambda resolve, env: resolve(
-            name, tuple(a if a.__class__ is int else a(env) for a in args),
-            env)
+            name, tuple(a(env) for a in args), env)
 
     def _int_arg(self):
         # integer expression until ',' or ')'
@@ -974,7 +973,5 @@ class _TermCompiler:
             self._eat(",")
             slots.append(self._element())
         self._eat("]")
-        from . import rewrite
-
-        return lambda resolve, env: rewrite.whitehead_raw(
-            [slot(resolve, env) for slot in slots])
+        return lambda resolve, env: Element.from_term(
+            Bracket([slot(resolve, env) for slot in slots]))

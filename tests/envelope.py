@@ -18,8 +18,13 @@ byte.  It takes about 20 s, so it is run by hand, never by the suite:
     PYTHONPATH=src python3 tests/envelope.py [records.jsonl]
 
 With a path, every call's record is also written there, one JSON line
-each, so that two runs can be diffed call by call.  Importing this
-module runs nothing.
+each.  Two such files are compared call by call with
+
+    python3 tests/envelope.py --diff OLD.jsonl NEW.jsonl
+
+which lists each call whose exit code, stdout or stderr differs, marks
+the calls that differ only in 64-hex digests, and exits 1 if any call
+differs.  Importing this module runs nothing.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -41,6 +47,7 @@ FILTRATIONS = (("--f", "2*iota_3", "--n", "4"),
                ("--f", "2^m*eta_2", "--n", "3", "--m", "2"),
                ("--f", "2^m*eta_2", "--n", "2", "--m", "0"))
 KB_PLACEHOLDER = "<kb>"
+HEX_DIGEST = re.compile(r"\b[0-9a-f]{64}\b")
 
 
 def call(argv, kb_dir=None) -> dict:
@@ -110,8 +117,53 @@ def digest(records) -> str:
     return h.hexdigest()
 
 
+def differences(old, new) -> list:
+    """(argv, fields that differ, whether they differ only in 64-hex
+    digests) of each call whose records differ; both lists must record
+    the same calls in the same order.
+
+    >>> a = {"argv": ["x"], "code": 0, "stdout": "d " + "a" * 64,
+    ...      "stderr": ""}
+    >>> differences([a, a], [a, dict(a, stdout="d " + "b" * 64)])
+    [(['x'], ['stdout'], True)]
+    >>> differences([a], [dict(a, code=3, stdout="e")])
+    [(['x'], ['code', 'stdout'], False)]
+    """
+    if [r["argv"] for r in old] != [r["argv"] for r in new]:
+        raise ValueError("the two files record different calls")
+    out = []
+    for a, b in zip(old, new):
+        fields = [k for k in ("code", "stdout", "stderr") if a[k] != b[k]]
+        if fields:
+            out.append((a["argv"], fields, all(
+                HEX_DIGEST.sub("<hex>", str(a[k]))
+                == HEX_DIGEST.sub("<hex>", str(b[k])) for k in fields)))
+    return out
+
+
+def diff(old_path, new_path) -> int:
+    """Print the differences of two record files; 1 if any call differs."""
+    records = []
+    for path in (old_path, new_path):
+        with open(path) as fh:
+            records.append([json.loads(line) for line in fh])
+    found = differences(*records)
+    for argv, fields, digests_only in found:
+        print(" ".join(argv) + ": " + ", ".join(fields)
+              + (" (64-hex digests only)" if digests_only else ""))
+    print(f"{len(found)} of {len(records[0])} calls differ, "
+          f"{sum(d for *_, d in found)} only in 64-hex digests")
+    return 1 if found else 0
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--diff"]:
+        if len(argv) != 3:
+            print("usage: envelope.py --diff OLD.jsonl NEW.jsonl",
+                  file=sys.stderr)
+            return 2
+        return diff(argv[1], argv[2])
     outputs = [call(a) for a in output_argvs()]
     with tempfile.TemporaryDirectory() as tmp:
         ablation = [call(a, kb_dir=tmp) for a in ablation_argvs(Path(tmp))]

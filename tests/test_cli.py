@@ -486,6 +486,27 @@ def test_mutated_declarations_exit_only_with_documented_codes(capsys,
     assert loaded >= 50
 
 
+@pytest.mark.parametrize("old, new, error", [
+    ("symbol Sj1(m) :", "symbol Sj1(m m) :",
+     "line 28: bad parameter list (m m)"),
+    ("defn=tau_L(m).jS5(m)", "defn=tau_L(m).F_p4(m)",
+     "line 26: defn: unknown symbol 'F_p4'"),
+    ("order=0\n", "order=0\nsymbol eta_3 : S9 -> S3 order=4\n",
+     "line 15: 'eta_3' is a built-in symbol"),
+])
+def test_symbol_declarations_are_checked_at_load(capsys, tmp_path, old, new,
+                                                 error):
+    """Parameters are distinct names, a ``defn=`` is a word of declared
+    symbols, and no declaration shadows a built-in: each is refused at
+    load with exit 2, not met mid-chase or silently ignored."""
+    assert SHIPPED_FACTS.count(old) == 1
+    p = tmp_path / "decl.facts"
+    p.write_text(SHIPPED_FACTS.replace(old, new))
+    code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
+    assert code == cli.EXIT_VALIDATION and not out
+    assert err == f"error: {error}\n"
+
+
 def test_version_line_needs_one_value(capsys, tmp_path):
     p = tmp_path / "version.facts"
     for line in ("version", "version 1 2"):

@@ -86,6 +86,23 @@ def test_rule_found_by_matching_not_by_guessed_assignments(tmp_path):
     assert normalize(p.parse("f(2)"), ctx).render() == "f(2)"  # guard
 
 
+def test_digit_arguments_match_only_their_value(tmp_path):
+    """A digit in a subject matches exactly that parameter value, next to
+    a variable that matching binds and the guard reads."""
+    from conechase.rewrite import normalize
+    text = ("symbol f(m) : S3 -> S3\n"
+            "symbol g(m) : S3 -> S3\n"
+            "symbol h(m) : S3 -> S3\n"
+            "fact map_identity | f(2).g(m) ? m>=3 | h(m) | paper | q | loc\n")
+    cat = load_catalog(write(tmp_path, text))
+    ctx = cat.rule_context({})
+    p = cat.parser({})
+    assert normalize(p.parse("f(2).g(5)"), ctx).render() == "h(5)"
+    for unchanged in ("f(3).g(5)", "f(2).g(1)"):
+        el = p.parse(unchanged)
+        assert normalize(el, ctx) == el
+
+
 def test_group_lookup_examples(catalog, env, ctx):
     g, els, fact = catalog.group_fact(sphere(3), 6, env)
     assert g.render() == "Z/4"
