@@ -38,14 +38,18 @@ and must produce identical groups for every assignment -- the group
 tables are independent of all of them.
 
 A script reads a swept token only through the facts it cites (one that
-names a token is rejected at parse time).  So a run, and each ``let``
-step of a run, is the same under every assignment that agrees on the
-tokens of its citations, its ``run`` subderivations and its rule
-context, and for a step on those of the earlier bindings it names
-(``Step.names``, fixed at parse time); ``rewrite.RuleContext`` gives
-the argument.  Cached runs and a memo of ``let`` steps replay their
-transcript lines and citations, so transcripts and digests are those of
-a fresh evaluation.
+names a token is rejected at parse time).  So a run is the same under
+every assignment that agrees on the tokens of its citations, its ``run``
+subderivations and its rule context; ``rewrite.RuleContext`` gives the
+argument.  A ``let`` step reads tokens itself through its citations,
+its subderivation and the rule context, and everything else through the
+earlier bindings it names (``Step.names``, fixed at parse time).  So it
+is the same under every assignment that agrees on the tokens it read
+itself and gives those bindings equal values (``_value_key``), however
+the values came about: the memo of steps cuts off early where a token
+changed a binding upstream but not its value.  Cached runs and memoised steps
+replay their transcript lines and citations, so transcripts and digests
+are those of a fresh evaluation.
 """
 
 from __future__ import annotations
@@ -94,6 +98,7 @@ from .les import (
     push_forward,
 )
 from .terms import (
+    Bracket,
     Element,
     Pair,
     Space,
@@ -358,12 +363,13 @@ class RunResult:
 @dataclass(frozen=True)
 class _StepMemo:
     """One evaluation of a ``let`` step, kept for the assignments that
-    agree on the tokens it read."""
+    agree on the tokens it read and give its inputs equal values."""
     value: object
     lines: tuple              # its transcript lines, citations included
     facts: tuple              # the facts it cited, in order
     tokens: frozenset         # its subderivation's tokens, which the run's join
-    reads: dict               # token -> the value it read
+    reads: dict               # token -> the value it read itself
+    inputs: tuple             # the values of ``Step.names``, in that order
 
 
 def _run_key(name: str, env: dict) -> tuple:
@@ -390,11 +396,15 @@ class Runner:
     A run that is executed replays each ``let`` step from the step memo
     (``_steps``) when an earlier evaluation of that step, under the same
     script and parameters, agrees with it on every token the step read
-    (``_let``).  So a run re-executed for one token-reading step
-    re-evaluates only the steps that token reaches.  The memo is cleared
-    when ``run`` returns or raises: after a sweep the run cache serves
-    every (script, parameters) pair it executed under every assignment,
-    so a step memo kept longer would not be hit.
+    itself and had inputs of equal value (``_let``).  So a run
+    re-executed for one token-reading step re-evaluates only the steps
+    whose inputs that token changes: a step whose inputs come out equal
+    is served again, which Mokhov, Mitchell and Peyton Jones ("Build
+    systems a la carte", ICFP 2018) call early cutoff.  The memo and the
+    keys of its values (``_keys``) are cleared when ``run`` returns or
+    raises: after a sweep the run cache serves every (script,
+    parameters) pair it executed under every assignment, so a step memo
+    kept longer would not be hit.
     """
 
     def __init__(self, catalog: KbCatalog, scripts: Dict[str, Script]):
@@ -403,6 +413,7 @@ class Runner:
         self._cache: Dict[tuple, List[RunResult]] = {}
         self._ctx_cache: Dict[tuple, object] = {}
         self._steps: Dict[tuple, List[_StepMemo]] = {}
+        self._keys: Dict[int, tuple] = {}   # id -> (value, _value_key)
 
     # -- public -----------------------------------------------------------
 
@@ -422,6 +433,7 @@ class Runner:
         finally:
             # a swept pair is now in the run cache under every assignment
             self._steps.clear()
+            self._keys.clear()
         return result
 
     # -- internals ----------------------------------------------------------
@@ -463,15 +475,13 @@ class Runner:
         ctx = self._ctx(env)
         tokens = set(ctx.tokens)      # plus its subderivations' and facts'
         bindings = _Table("binding")
-        reads: Dict[str, dict] = {}   # binding -> the token values it read
         key = _run_key(name, env)
         ret: Optional[object] = None
         try:
             for idx, step in enumerate(script.steps, start=1):
                 if step.kind == "let":
                     try:
-                        memo = self._let(key, idx, step, env, ctx, bindings,
-                                         reads)
+                        memo = self._let(key, idx, step, env, ctx, bindings)
                     except (DeriveError, LesError, KbError, GroupError,
                             TermError) as e:
                         # errors carry the failing step's position
@@ -481,7 +491,6 @@ class Runner:
                     facts.extend(memo.facts)
                     tokens |= memo.tokens
                     bindings[step.name] = memo.value
-                    reads[step.name] = memo.reads
                     continue
                 if step.kind == "check":
                     _, cited = ctx.citing(self._eval_check, step, env, ctx,
@@ -519,35 +528,49 @@ class Runner:
         return RunResult(name, dict(env), ret, "\n".join(lines) + "\n", facts,
                          frozenset(tokens))
 
-    def _let(self, key, idx, step, env, ctx, bindings, reads) -> _StepMemo:
+    def _let(self, key, idx, step, env, ctx, bindings) -> _StepMemo:
         """Step ``idx`` of the run ``key``, a ``let``: a memoised evaluation
-        that agrees with ``env`` on every token it read, or a new one.
+        that agrees with ``env`` on every token it read and whose inputs,
+        the bindings the step names, had values equal to theirs now; or a
+        new one.
 
-        The tokens it read are those of ``ctx``, of the bindings it names,
-        of its subderivation and of the facts it cited (exact by the
-        argument in ``rewrite.RuleContext``).  Under any assignment that
-        agrees on those it computes the same value, transcript lines and
-        citations, which the caller replays as a fresh evaluation would
-        emit them.
+        The tokens it read itself are those of ``ctx``, of its
+        subderivation and of the facts it cited (exact by the argument in
+        ``rewrite.RuleContext``); it reads everything else through its
+        inputs.  Under any assignment that agrees on those tokens and
+        gives equal inputs it computes the same value, transcript lines
+        and citations, which the caller replays as a fresh evaluation
+        would emit them.  An input is compared by identity first, since a
+        replayed binding is the very value of its memo, and by
+        ``_value_key`` only when that fails.
         """
+        inputs = tuple(map(bindings.get, step.names))
         entries = self._steps.setdefault(key + (step.line,), [])
         for memo in entries:
-            if all(env[t] == v for t, v in memo.reads.items()):
+            if all(env[t] == v for t, v in memo.reads.items()) and all(
+                    a is b or self._key(a) == self._key(b)
+                    for a, b in zip(memo.inputs, inputs)):
                 return memo
         lines: List[str] = []
         tokens: set = set()
         value, facts = ctx.citing(self._eval_step, step, env, ctx, bindings,
                                   lines, tokens)
-        read = tokens.union(ctx.tokens, *(reads[n] for n in step.names
-                                          if n in reads),
-                            *(f.tokens for f in facts))
+        read = tokens.union(ctx.tokens, *(f.tokens for f in facts))
         lines.append(f"  step {idx}: {step.raw}")
         lines.append(f"    = {_render_value(value)}")
         lines.extend(f"    uses {fact.note()}" for fact in facts)
         memo = _StepMemo(value, tuple(lines), tuple(facts), frozenset(tokens),
-                         {t: env[t] for t in read})
+                         {t: env[t] for t in read}, inputs)
         entries.append(memo)
         return memo
+
+    def _key(self, value) -> tuple:
+        """``_value_key(value)``, computed once per value while the step
+        memo lives; the entry holds the value, so its id is not reused."""
+        hit = self._keys.get(id(value))
+        if hit is None:
+            hit = self._keys[id(value)] = (value, _value_key(value))
+        return hit[1]
 
     # -- step evaluation ------------------------------------------------------
 
@@ -937,6 +960,47 @@ def _as_int(bindings, name) -> int:
     if not isinstance(v, int):
         raise DeriveError(f"{name!r} is not an integer binding")
     return v
+
+
+def _value_key(value) -> tuple:
+    """Everything a step can observe of a binding value, in a form that
+    ``==`` compares in full.  It lists what the types' own ``__eq__``
+    leaves out: ``TwoLocalGroup`` ignores labels, ``Element`` ignores
+    ``is_suspension``, ``Bracket`` ignores ``tag`` and ``Word.key()``
+    ignores spaces.  A binding of any other type is an error."""
+    if value.__class__ is int:
+        return ("int", value)
+    if value.__class__ is tuple:
+        return ("tuple",) + tuple(map(_value_key, value))
+    if isinstance(value, Element):
+        return ("element", value.source, value.target, value.is_suspension,
+                tuple((_term_key(t), c) for t, c in value.terms))
+    if isinstance(value, PiGroup):
+        return ("group", _group_key(value.group), value.space, value.degree,
+                tuple((_value_key(el), vec) for el, vec in value.protos))
+    if isinstance(value, Boundary):
+        hom = value.hom
+        return ("boundary", _value_key(value.source),
+                None if value.target is None else _value_key(value.target),
+                tuple(map(_value_key, value.values)),
+                None if hom is None else (_group_key(hom.source),
+                                          _group_key(hom.target),
+                                          hom.matrix.rows))
+    raise DeriveError(f"no value key for a {type(value).__name__} binding")
+
+
+def _term_key(term) -> tuple:
+    """A term with its spaces, symbols (``Sym`` compares every field),
+    bracket tag and the slots and pair components as ``_value_key``."""
+    if isinstance(term, Bracket):
+        return ("bracket", term.tag, tuple(map(_value_key, term.slots)))
+    return ("word", term.space, tuple(
+        ("pair", _value_key(s.f), _value_key(s.g)) if isinstance(s, Pair)
+        else s for s in term.syms))
+
+
+def _group_key(group: TwoLocalGroup) -> tuple:
+    return group.orders, group.labels
 
 
 def _sweep_shape(value):

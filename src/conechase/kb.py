@@ -984,7 +984,14 @@ def load_catalog(path) -> KbCatalog:
     registry = SymbolRegistry()
     facts = []
     version = "1"
-    for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        # the line of the first bad byte, numbered as the lines below
+        good = raw[:e.start].decode("utf-8")
+        raise KbError(f"line {len((good + '.').splitlines())}: not UTF-8 "
+                      f"text") from None
+    for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue

@@ -254,6 +254,20 @@ def test_validate_kb_checks_payload_arity(capsys, tmp_path):
                        "parameter(s)\n")
 
 
+def test_validate_kb_refuses_a_file_that_is_not_utf8(capsys, tmp_path):
+    """A facts file that does not decode is refused with exit 2 and the
+    line of its first bad byte: a stray byte pair, and the head of the
+    interpreter's own executable, whose bad byte is on its first line."""
+    with open(sys.executable, "rb") as fh:
+        binary = fh.read(300)
+    for data, line in ((b"version 1\n\xff\xfe junk\n", 2), (binary, 1)):
+        p = tmp_path / "bytes.facts"
+        p.write_bytes(data)
+        code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert err == f"error: line {line}: not UTF-8 text\n"
+
+
 def test_validate_kb_checks_fibration_heads(capsys, tmp_path):
     """A boundary value or transport on an undeclared fibration, or a
     transport through an undeclared map, could never be reached: exit 2."""

@@ -17,6 +17,7 @@ from conechase.derive import (
     DeriveError,
     Runner,
     _render_value,
+    _value_key,
     default_catalog,
     link_scripts,
     parse_group_literal,
@@ -24,10 +25,16 @@ from conechase.derive import (
     reproduce_rows,
     scenarios,
 )
-from conechase.groups import ExtensionUnresolved, GroupError, TwoLocalGroup
+from conechase.groups import (
+    ExtensionUnresolved,
+    GroupError,
+    GroupHom,
+    IntMat,
+    TwoLocalGroup,
+)
 from conechase.kb import KbError, KbMissingFact, load_catalog
-from conechase.les import LesError
-from conechase.terms import TermError
+from conechase.les import Boundary, LesError, PiGroup
+from conechase.terms import Element, TermError
 
 
 def q(*orders):
@@ -385,14 +392,82 @@ def test_normal_forms_per_swept_pass(pruned_pass):
 
 def test_steps_per_swept_pass(pruned_pass):
     """The 402 runs of a pass walk 4,016 ``let`` steps; the step memo
-    serves 1,956 of them and 2,060 are evaluated.  The memo lives for one
-    ``Runner.run``: a swept (script, parameters) pair is in the run cache
-    under every assignment by then."""
+    serves 3,188 of them and 828 are evaluated (2,060 while it keyed a
+    step on the tokens its input bindings read, not on their values).
+    The memo lives for one ``Runner.run``: a swept (script, parameters)
+    pair is in the run cache under every assignment by then."""
     walked = sum(step.kind == "let" for res in pruned_pass.executed
                  for step in pruned_pass.scripts[res.script].steps)
     assert walked == 4016
-    assert pruned_pass.evaluated == 2060
+    assert pruned_pass.evaluated == 828
     assert not pruned_pass._steps
+
+
+def test_early_cutoff_in_a_swept_compute(scripts, monkeypatch, capsys):
+    """A swept ``compute --space P3 --k 6 --r 3`` executes pi6_P3 and
+    pi6_J3 under all 16 assignments, and pi6_P3's first step, which runs
+    pi6_J3, is evaluated for each.  Every step after it sees inputs equal
+    to those of its first evaluation, so the cokernel of pi6_J3 (line 22)
+    and the cokernel and extension of pi6_P3 (lines 16 and 19) are
+    evaluated once, where keying them on the tokens their inputs read
+    evaluated each 16 times."""
+    where = {id(step): (name, step.line, step.verb)
+             for name, script in scripts.items() for step in script.steps}
+    evaluated = []
+    eval_step = Runner._eval_step
+
+    def counted(self, step, *args):
+        evaluated.append(where[id(step)])
+        return eval_step(self, step, *args)
+
+    monkeypatch.setattr(Runner, "_eval_step", counted)
+    assert cli.main(["compute", "--space", "P3", "--k", "6", "--r", "3"]) == 0
+    assert capsys.readouterr().out == "Z/2 + Z/2 + Z/4 + Z/4 + Z/8\n"
+    assert evaluated.count(("pi6_P3", 11, "run")) == 16
+    for step in (("pi6_J3", 22, "cokernel"), ("pi6_P3", 16, "cokernel"),
+                 ("pi6_P3", 19, "extension")):
+        assert evaluated.count(step) == 1, step
+
+
+def test_the_value_key_sees_what_equality_ignores(runner, catalog, env):
+    """The step memo compares a step's inputs by ``_value_key``.  Each
+    pair below is equal under ``==`` (the boundaries compare their homs
+    by identity) but differs in something a step can read: the group
+    labels, ``is_suspension``, a bracket's tag, a pair component's
+    ``is_suspension`` and one entry of a boundary's hom.  A value built
+    again keeps its key, and a binding of another type has none."""
+    pig = runner.run("pi5_L4m", {"m": 3}, sweep=False).value
+    eta = catalog.parse_element("eta_3", env)
+    flipped = Element._normal(eta.source, eta.target, eta.terms,
+                              not eta.is_suspension)
+    s3 = Element.identity(terms.sphere(3))
+    z2 = PiGroup(TwoLocalGroup([2], ["eta_3"]), eta.target, 4, [(eta, (1,))])
+
+    def bracket(tag):
+        return Element.from_term(terms.Bracket([s3, s3], tag))
+
+    def pair(second):
+        return Element.from_term(terms.Word((terms.Pair(eta, second),)))
+
+    def boundary(entry):
+        return Boundary(z2, z2, [eta],
+                        GroupHom(z2.group, z2.group, IntMat([[entry]])))
+
+    relabelled = pig.group.with_labels([f"g{i}"
+                                        for i in range(pig.group.rank)])
+    pairs = [(pig, replace(pig, group=relabelled)), (eta, flipped),
+             (bracket("a"), bracket("b")), (pair(eta), pair(flipped)),
+             (boundary(1), boundary(0))]
+    for a, b in pairs:
+        assert a == b or isinstance(a, Boundary)
+        assert _value_key(a) != _value_key(b), a
+    for build in (lambda: replace(pig, protos=list(pig.protos)),
+                  lambda: bracket("a"), lambda: pair(eta),
+                  lambda: boundary(1)):
+        assert build() is not build()
+        assert _value_key(build()) == _value_key(build())
+    with pytest.raises(DeriveError, match="no value key for a str"):
+        _value_key("eta_3")
 
 
 def test_one_rule_context_per_token_assignment(pruned_pass):
@@ -631,10 +706,12 @@ def test_each_text_is_compiled_once(monkeypatch):
     for cache in caches:
         info = cache.cache_info()
         assert info.misses == info.currsize, cache   # nothing compiled twice
+    # evaluated far oftener: term_names 2,407 hits on 75 misses and
+    # compile_space 839 on 24 are the least, about 32 and 35 times
     for cache in (terms._int_node, terms.term_names, terms.compile_space,
                   kb.compile_guard):
         info = cache.cache_info()
-        assert info.hits > 50 * info.misses, cache   # evaluated far oftener
+        assert info.hits > 25 * info.misses, cache
 
 
 def test_group_literals_split_at_top_level():
