@@ -367,8 +367,8 @@ class _StepMemo:
     value: object
     lines: tuple              # its transcript lines, citations included
     facts: tuple              # the facts it cited, in order
-    tokens: frozenset         # its subderivation's tokens, which the run's join
-    reads: dict               # token -> the value it read itself
+    reads: dict               # token -> the value it read itself; the run's
+    #                           tokens include these
     inputs: tuple             # the values of ``Step.names``, in that order
 
 
@@ -489,7 +489,7 @@ class Runner:
                             f"{name} step {idx} ({step.verb}): {e}") from e
                     lines.extend(memo.lines)
                     facts.extend(memo.facts)
-                    tokens |= memo.tokens
+                    tokens.update(memo.reads)
                     bindings[step.name] = memo.value
                     continue
                 if step.kind == "check":
@@ -559,7 +559,7 @@ class Runner:
         lines.append(f"  step {idx}: {step.raw}")
         lines.append(f"    = {_render_value(value)}")
         lines.extend(f"    uses {fact.note()}" for fact in facts)
-        memo = _StepMemo(value, tuple(lines), tuple(facts), frozenset(tokens),
+        memo = _StepMemo(value, tuple(lines), tuple(facts),
                          {t: env[t] for t in read}, inputs)
         entries.append(memo)
         return memo
@@ -965,15 +965,14 @@ def _as_int(bindings, name) -> int:
 def _value_key(value) -> tuple:
     """Everything a step can observe of a binding value, in a form that
     ``==`` compares in full.  It lists what the types' own ``__eq__``
-    leaves out: ``TwoLocalGroup`` ignores labels, ``Element`` ignores
-    ``is_suspension``, ``Bracket`` ignores ``tag`` and ``Word.key()``
+    leaves out: ``TwoLocalGroup`` ignores labels and ``Word.key()``
     ignores spaces.  A binding of any other type is an error."""
     if value.__class__ is int:
         return ("int", value)
     if value.__class__ is tuple:
         return ("tuple",) + tuple(map(_value_key, value))
     if isinstance(value, Element):
-        return ("element", value.source, value.target, value.is_suspension,
+        return ("element", value.source, value.target,
                 tuple((_term_key(t), c) for t, c in value.terms))
     if isinstance(value, PiGroup):
         return ("group", _group_key(value.group), value.space, value.degree,
@@ -990,10 +989,10 @@ def _value_key(value) -> tuple:
 
 
 def _term_key(term) -> tuple:
-    """A term with its spaces, symbols (``Sym`` compares every field),
-    bracket tag and the slots and pair components as ``_value_key``."""
+    """A term with its spaces, symbols (``Sym`` compares every field) and
+    the bracket slots and pair components as ``_value_key``."""
     if isinstance(term, Bracket):
-        return ("bracket", term.tag, tuple(map(_value_key, term.slots)))
+        return ("bracket", tuple(map(_value_key, term.slots)))
     return ("word", term.space, tuple(
         ("pair", _value_key(s.f), _value_key(s.g)) if isinstance(s, Pair)
         else s for s in term.syms))

@@ -55,7 +55,6 @@ class Stage:
 
 @dataclass
 class FiltrationModel:
-    f: MapSpec
     stages: List[Stage]
 
     def render(self) -> str:
@@ -124,10 +123,9 @@ def build_filtration(f: MapSpec, n: int,
         if r == 2:
             gamma = rewrite.whitehead(j, jf, ctx)
         else:
-            gamma = rewrite.higher_bracket([j] + [jf] * (r - 1),
-                                           tag=f"stage-{r}", ctx=ctx)
+            gamma = rewrite.higher_bracket([j] + [jf] * (r - 1), ctx)
         stages.append(_stage(prev, gamma, cell, r, ctx))
-    return FiltrationModel(f, stages)
+    return FiltrationModel(stages)
 
 
 def skeleton_of_fiber(f: MapSpec, m: int, ctx: rewrite.RuleContext):

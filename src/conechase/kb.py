@@ -456,8 +456,8 @@ class FactPattern:
     argument expression per concrete parameter, in order.
     """
     fact: KbFact
-    rule: str        # a rewrite.RULE_KINDS kind, group, lift, boundary
-    #                  or transport
+    rule: str        # word, susp, order, product (the rewrite.RuleContext
+    #                  kinds), group, lift, boundary or transport
     names: tuple
     exprs: tuple
     element: Optional[Element] = None  # the class of a boundary or lift fact
@@ -542,11 +542,6 @@ class KbCatalog:
             seen[key] = f.line
             pat = self._compile(f)
             self._patterns.setdefault((pat.rule, pat.names), []).append(pat)
-        signatures = {kind: set() for kind in rewrite.RULE_KINDS}
-        for rule, names in self._patterns:
-            signatures.get(rule, set()).add(names)
-        self.signatures = {kind: frozenset(names)
-                           for kind, names in signatures.items()}
         for spec in registry.fibrations.values():
             self._check_fibration(spec)
 
@@ -787,15 +782,15 @@ class KbCatalog:
 
     # -- rule context ------------------------------------------------------------
 
-    def rule_context(self, env: dict, on_rule=None) -> rewrite.RuleContext:
+    def rule_context(self, env: dict) -> rewrite.RuleContext:
         """Rewrite rules for the swept-token values in ``env``, matched
         against the catalog on first use.  A rule reads nothing else of a
         run's environment, so one context serves every run that agrees
         on the tokens.  Every context of the catalog shares its memo of
         normal forms."""
         tokens = {t: env[t] for t in SWEPT_TOKENS if t in env}
-        return rewrite.RuleContext(self.registry, self._rule, self.signatures,
-                                   tokens, self._normal_forms, on_rule)
+        return rewrite.RuleContext(self.registry, self._rule, self._patterns,
+                                   tokens, self._normal_forms)
 
     def _rule(self, kind: str, term, env: dict):
         """(rhs, fact) of the first fact of a rewrite kind whose subject

@@ -52,9 +52,6 @@ class StrictExpansionError(RewriteError):
     """An expansion was requested that no exactness rule licenses."""
 
 
-RULE_KINDS = ("word", "susp", "order", "product")
-
-
 def word_names(w: Word) -> tuple:
     """The symbol names a fact subject must carry to match ``w``; an
     identity word carries the single name ``id(space)``."""
@@ -73,22 +70,24 @@ class RuleContext:
     kinds are ``word`` (a rule rewriting exactly these symbols), ``susp``
     (the suspension of a whole word), ``order`` (an order bound on a word;
     the rhs is the order) and ``product`` (the value of a Whitehead product
-    on these slots).  ``signatures`` maps each kind to the symbol-name
-    signatures that can match at all, so most lookups are rejected before
-    any matching.  Answers are memoised per context.
+    on these slots).  ``patterns`` is the catalog's index of fact patterns
+    by (kind, symbol names); a lookup whose key it lacks can match no
+    fact, so most are rejected before any matching.  Answers are memoised
+    per context.
 
     ``registry`` is the catalog's symbol registry: suspension and
     desuspension images, and definitional unfolding of stuck words.
 
     Citations are the one record of what a computation used.  Every fact
-    a computation consumes goes to ``cite``, which hands it to
-    ``on_rule``; ``citing`` runs a computation and returns the facts it
-    cited.  An answer computed on this context serves every assignment of
-    the swept tokens that agrees on the tokens of the facts it cited plus
-    the context's own ``tokens``.  That is exact: subjects and guards bind
-    only fact variables, so whether a lookup hits, and which fact it
-    returns, never depends on a token, and a token enters only through the
-    payload of a returned fact.  Every returned fact is cited except two:
+    a computation consumes goes to ``cite``, which hands it to the hook
+    ``on_rule`` (None, or the collector ``citing`` installs); ``citing``
+    runs a computation and returns the facts it cited.  An answer
+    computed on this context serves every assignment of the swept tokens
+    that agrees on the tokens of the facts it cited plus the context's
+    own ``tokens``.  That is exact: subjects and guards bind only fact
+    variables, so whether a lookup hits, and which fact it returns, never
+    depends on a token, and a token enters only through the payload of a
+    returned fact.  Every returned fact is cited except two:
     an order bound, whose payload must be 0 (``kb.KbCatalog._pattern``),
     so it reads no token; and the product ``[iota_3, iota_3]`` that
     building the context reads, whose tokens are ``tokens``.  The three
@@ -97,15 +96,14 @@ class RuleContext:
     table, shared by every context it builds).
     """
 
-    def __init__(self, registry, lookup: Callable, signatures: dict,
-                 values: dict, memo: dict, on_rule: Optional[Callable] = None):
-        self.on_rule = on_rule    # callback(fact) when a fact is consumed
+    def __init__(self, registry, lookup: Callable, patterns,
+                 values: dict, memo: dict):
+        self.on_rule = None       # callback(fact) when a fact is consumed
         self.registry = registry
         self.values = values      # swept token -> value
         self.memo = memo          # (word, coeff, top level) -> answers
         self._lookup = lookup
-        self._signatures = {k: signatures.get(k, frozenset())
-                            for k in RULE_KINDS}
+        self._patterns = patterns  # (kind, symbol names) -> fact patterns
         self.word_rules = {}      # symbol keys -> (rhs, fact) or None
         self.susp_words = {}      # word key -> (rhs, fact) or None
         self.order_bounds = {}    # symbol keys -> (order, fact) or None
@@ -126,21 +124,21 @@ class RuleContext:
 
     def word_rule(self, syms):
         """(rhs, fact) of the rule rewriting exactly ``syms``, or None."""
-        if tuple(s.name for s in syms) not in self._signatures["word"]:
+        if ("word", tuple(s.name for s in syms)) not in self._patterns:
             return None
         return self._find(self.word_rules, tuple(s.key for s in syms),
                           "word", Word(syms))
 
     def susp_rule(self, word: Word):
         """(rhs, fact) of a stored suspension of the whole word, or None."""
-        if word_names(word) not in self._signatures["susp"]:
+        if ("susp", word_names(word)) not in self._patterns:
             return None
         return self._find(self.susp_words, word.key(), "susp", word)
 
     def order_bound(self, syms):
         """(order, fact) of a stored bound on the order of the word
         ``syms``, or None."""
-        if tuple(s.name for s in syms) not in self._signatures["order"]:
+        if ("order", tuple(s.name for s in syms)) not in self._patterns:
             return None
         return self._find(self.order_bounds, tuple(s.key for s in syms),
                           "order", Word(syms))
@@ -154,7 +152,7 @@ class RuleContext:
             if sw is None or sw[1] != 1:
                 return None
             names.append(word_names(sw[0]))
-        if tuple(names) not in self._signatures["product"]:
+        if ("product", tuple(names)) not in self._patterns:
             return None
         return self._find(self.products, tuple(s.key() for s in slots),
                           "product", list(slots))
@@ -200,10 +198,6 @@ def _is_susp_word(w: Word) -> bool:
     if w.is_identity():
         return is_suspension_space(w.space)
     return all(getattr(s, "is_susp", False) for s in w.syms)
-
-
-def _splice(pre, rhs_syms, post):
-    return list(pre) + list(rhs_syms) + list(post)
 
 
 def normalize_word(word: Word, coeff: int, ctx: RuleContext,
@@ -332,8 +326,8 @@ def _rewrite_word(word: Word, coeff: int, ctx: RuleContext,
                     pre = Word(syms[:i]) if syms[:i] else Word((), s.target)
                     post = (Word(syms[i + 2:]) if syms[i + 2:]
                             else Word((), nxt.source))
-                    el = compose(_word_el(pre, 1), comp, ctx)
-                    el = compose(el, _word_el(post, 1), ctx)
+                    el = compose(Element.from_term(pre), comp, ctx)
+                    el = compose(el, Element.from_term(post), ctx)
                     return el.scale(coeff)
         # table-driven rewrite rules, longest match first, leftmost position
         applied = None
@@ -357,7 +351,7 @@ def _rewrite_word(word: Word, coeff: int, ctx: RuleContext,
             if sw is not None:
                 w2, c2 = sw
                 coeff *= c2
-                syms = _splice(syms[:i], w2.syms, syms[i + length:])
+                syms = list(syms[:i]) + list(w2.syms) + list(syms[i + length:])
                 if not syms:
                     space = rhs.source
                 continue
@@ -365,8 +359,8 @@ def _rewrite_word(word: Word, coeff: int, ctx: RuleContext,
             pre = Word(syms[:i]) if syms[:i] else Word((), rhs.target)
             post = (Word(syms[i + length:]) if syms[i + length:]
                     else Word((), rhs.source))
-            el = compose(_word_el(pre, 1), rhs, ctx)
-            el = compose(el, _word_el(post, 1), ctx)
+            el = compose(Element.from_term(pre), rhs, ctx)
+            el = compose(el, Element.from_term(post), ctx)
             return el.scale(coeff)
         break
 
@@ -407,10 +401,6 @@ def _has_defn(w: Word, registry) -> bool:
     return False
 
 
-def _word_el(w: Word, c: int) -> Element:
-    return Element.from_term(w, c)
-
-
 # ---------------------------------------------------------------------------
 # element normalization / composition
 # ---------------------------------------------------------------------------
@@ -422,7 +412,7 @@ def normalize(e: Element, ctx: RuleContext) -> Element:
             out = out + normalize_word(term, c, ctx)
         else:
             out = out + _normalize_bracket(term, c, ctx)
-    return Element(e.source, e.target, out.terms, is_suspension=e.is_suspension)
+    return out
 
 
 def _normalize_bracket(b: Bracket, coeff: int, ctx: RuleContext) -> Element:
@@ -442,11 +432,11 @@ def _normalize_bracket(b: Bracket, coeff: int, ctx: RuleContext) -> Element:
                     ctx.cite(fact)
                     out = out + normalize(rhs, ctx).scale(coeff * c1 * c2)
                 else:
-                    out = out + Element.from_term(Bracket([e1, e2], b.tag),
+                    out = out + Element.from_term(Bracket([e1, e2]),
                                                   coeff * c1 * c2)
         return out
     # higher products: keep slots intact (set-valued semantics)
-    return Element.from_term(Bracket(slots, b.tag), coeff)
+    return Element.from_term(Bracket(slots), coeff)
 
 
 def compose(f: Element, g: Element, ctx: RuleContext) -> Element:
@@ -523,8 +513,7 @@ def _compose_into_bracket(f: Element, b: Bracket, ctx: RuleContext) -> Element:
             "scale a bracket through its slots, not through the outer map")
     slots = [compose(Element.from_term(w) if w.syms else Element.identity(w.space),
                      s, ctx) for s in b.slots]
-    tag = b.tag or ("member" if b.arity >= 3 else "")
-    return _normalize_bracket(Bracket(slots, tag), 1, ctx)
+    return _normalize_bracket(Bracket(slots), 1, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +535,8 @@ def whitehead(f: Element, g: Element, ctx: RuleContext) -> Element:
     return _normalize_bracket(Bracket([f, g]), 1, ctx)
 
 
-def higher_bracket(slots: Sequence[Element], tag: str, ctx: RuleContext) -> Element:
-    return _normalize_bracket(Bracket(list(slots), tag), 1, ctx)
+def higher_bracket(slots: Sequence[Element], ctx: RuleContext) -> Element:
+    return _normalize_bracket(Bracket(list(slots)), 1, ctx)
 
 
 def naturality_push(g: Element, bracket_el: Element, ctx: RuleContext) -> Element:
@@ -569,17 +558,11 @@ def bracket_restrict(bracket_el: Element, restrictions: Sequence[Element],
     if len(restrictions) != b.arity:
         raise TermError("one restriction per slot is required")
     for r in restrictions:
-        if not _element_is_susp(r):
+        sw = r.single_word()
+        if sw is None or not _is_susp_word(sw[0]):
             raise StrictExpansionError("slot restrictions must be suspensions")
     slots = [compose(s, r, ctx) for s, r in zip(b.slots, restrictions)]
-    return _normalize_bracket(Bracket(slots, b.tag), c, ctx)
-
-
-def _element_is_susp(e: Element) -> bool:
-    if e.is_suspension:
-        return True
-    sw = e.single_word()
-    return sw is not None and _is_susp_word(sw[0])
+    return _normalize_bracket(Bracket(slots), c, ctx)
 
 
 def suspend(e: Element, ctx: RuleContext) -> Element:
@@ -614,7 +597,7 @@ def suspend(e: Element, ctx: RuleContext) -> Element:
             syms.append(img)
         w2 = Word(syms) if syms else Word((), src)
         out = out + normalize_word(w2, c, ctx)
-    return Element(src, tgt, out.terms, is_suspension=True)
+    return out
 
 
 def triple_indeterminacy(ambients, label: str = ""):

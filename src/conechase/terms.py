@@ -443,13 +443,12 @@ class Bracket:
 
     Binary nodes are the single-valued generalized product of two classes
     defined on suspensions.  Nodes of arity >= 3 stand for a chosen
-    representative of the corresponding set of higher products; ``tag``
-    records where the representative came from.
+    representative of the corresponding set of higher products.
     """
 
-    __slots__ = ("slots", "tag", "_source", "_key", "_hash")
+    __slots__ = ("slots", "_source", "_key", "_hash")
 
-    def __init__(self, slots: Sequence["Element"], tag: str = ""):
+    def __init__(self, slots: Sequence["Element"]):
         if len(slots) < 2:
             raise TermError("brackets need at least two slots")
         tgt = slots[0].target
@@ -460,7 +459,6 @@ class Bracket:
                 raise TermError(
                     f"bracket slot source {s.source.key} is not a suspension")
         self.slots = tuple(slots)
-        self.tag = tag
         self._source = self._key = self._hash = None
 
     @property
@@ -529,10 +527,9 @@ class Element:
     ``terms`` is normal: each term once, no zero coefficient, sorted by
     rendering (transcripts show that order)."""
 
-    __slots__ = ("source", "target", "terms", "is_suspension", "_key")
+    __slots__ = ("source", "target", "terms", "_key")
 
-    def __init__(self, source: Space, target: Space, terms=(),
-                 is_suspension: bool = False):
+    def __init__(self, source: Space, target: Space, terms=()):
         self.source = source
         self.target = target
         merged = {}
@@ -548,19 +545,16 @@ class Element:
         if len(items) > 1:
             items.sort(key=lambda tc: tc[0].render())
         self.terms = tuple(items)
-        self.is_suspension = is_suspension
         self._key = None
 
     @classmethod
-    def _normal(cls, source: Space, target: Space, terms: tuple,
-                is_suspension: bool) -> "Element":
+    def _normal(cls, source: Space, target: Space, terms: tuple) -> "Element":
         """The element of ``terms`` as they stand.  Trusted: the caller
         guarantees that they are normal and lie in ``source -> target``."""
         el = object.__new__(cls)
         el.source = source
         el.target = target
         el.terms = terms
-        el.is_suspension = is_suspension
         el._key = None
         return el
 
@@ -568,18 +562,16 @@ class Element:
 
     @classmethod
     def zero(cls, source: Space, target: Space) -> "Element":
-        return cls._normal(source, target, (), False)
+        return cls._normal(source, target, ())
 
     @classmethod
-    def from_term(cls, term, coeff: int = 1, is_suspension=False) -> "Element":
+    def from_term(cls, term, coeff: int = 1) -> "Element":
         return cls._normal(term.source, term.target,
-                           ((term, int(coeff)),) if coeff else (),
-                           is_suspension)
+                           ((term, int(coeff)),) if coeff else ())
 
     @classmethod
     def identity(cls, sp: Space) -> "Element":
-        return cls.from_term(Word((), sp), 1,
-                             is_suspension=is_suspension_space(sp))
+        return cls.from_term(Word((), sp))
 
     # -- algebra -------------------------------------------------------------
 
@@ -588,18 +580,15 @@ class Element:
 
     def scale(self, k: int) -> "Element":
         terms = tuple((t, int(k * c)) for t, c in self.terms) if k else ()
-        return Element._normal(self.source, self.target, terms,
-                               self.is_suspension)
+        return Element._normal(self.source, self.target, terms)
 
     def __add__(self, other: "Element") -> "Element":
         if other.source != self.source or other.target != self.target:
             raise TermError("sum of elements with different spaces")
-        is_suspension = self.is_suspension and other.is_suspension
         if not (self.terms and other.terms):
             return Element._normal(self.source, self.target,
-                                   self.terms or other.terms, is_suspension)
-        return Element(self.source, self.target, self.terms + other.terms,
-                       is_suspension=is_suspension)
+                                   self.terms or other.terms)
+        return Element(self.source, self.target, self.terms + other.terms)
 
     def single_word(self):
         """The (word, coeff) pair if this element is one word term."""
@@ -659,7 +648,7 @@ def raw_concat(left: Element, right: Element) -> Element:
             head = (Element.from_term(Word(w1.syms)) if w1.syms
                     else Element.identity(w1.space))
             slots = [raw_concat(head, s) for s in term.slots]
-            return Element.from_term(Bracket(slots, term.tag), c1 * c2)
+            return Element.from_term(Bracket(slots), c1 * c2)
     raise TermError("composition of composite sums must go through compose()")
 
 
@@ -963,7 +952,7 @@ class _TermCompiler:
 
     def _int_expr(self, toks):
         """The integer node of ``toks``, noting the variables it reads."""
-        self.variables.update(t for t in toks if _is_name(t))
+        self.variables.update(t.partition("^")[0] for t in toks if _is_name(t))
         return _int_node(" ".join(toks))
 
     def _bracket(self):

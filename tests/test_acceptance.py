@@ -90,11 +90,9 @@ def test_criterion_6_gamma2_rewrite(catalog):
     """[iota_2, 2^r iota_2] normalizes to 2^(r+1) eta_2 consuming no
     stored connecting-map values."""
     for r in range(1, 9):
-        notes = []
         ctx = catalog.rule_context(
-            {"r": r, "sign": 1, "eps": 0, "x": 0, "y": 1},
-            on_rule=notes.append)
-        got = rewrite.whitehead(Element.identity(sphere(2)),
+            {"r": r, "sign": 1, "eps": 0, "x": 0, "y": 1})
+        got, notes = ctx.citing(rewrite.whitehead, Element.identity(sphere(2)),
                                 Element.identity(sphere(2)).scale(2**r), ctx)
         assert got.render() == f"{2 ** (r + 1)}*eta_2"
         assert sum(1 for f in notes if f.kind == "boundary_value") == 0

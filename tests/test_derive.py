@@ -34,6 +34,7 @@ from conechase.groups import (
 )
 from conechase.kb import KbError, KbMissingFact, load_catalog
 from conechase.les import Boundary, LesError, PiGroup
+from conechase.rewrite import StrictExpansionError
 from conechase.terms import Element, TermError
 
 
@@ -433,18 +434,21 @@ def test_the_value_key_sees_what_equality_ignores(runner, catalog, env):
     """The step memo compares a step's inputs by ``_value_key``.  Each
     pair below is equal under ``==`` (the boundaries compare their homs
     by identity) but differs in something a step can read: the group
-    labels, ``is_suspension``, a bracket's tag, a pair component's
-    ``is_suspension`` and one entry of a boundary's hom.  A value built
-    again keeps its key, and a binding of another type has none."""
+    labels, the space inside a bracket slot's word and one entry of a
+    boundary's hom.  A value built again keeps its key, and a binding of
+    another type has none."""
     pig = runner.run("pi5_L4m", {"m": 3}, sweep=False).value
     eta = catalog.parse_element("eta_3", env)
-    flipped = Element._normal(eta.source, eta.target, eta.terms,
-                              not eta.is_suspension)
-    s3 = Element.identity(terms.sphere(3))
+    s2 = terms.sphere(2)
     z2 = PiGroup(TwoLocalGroup([2], ["eta_3"]), eta.target, 4, [(eta, (1,))])
 
-    def bracket(tag):
-        return Element.from_term(terms.Bracket([s3, s3], tag))
+    def bracket(n):
+        """[a . b, iota_2] with b : S^3 -> S^n."""
+        via = terms.sphere(n)
+        word = terms.Word((terms.Sym("a", (), via, s2),
+                           terms.Sym("b", (), terms.sphere(3), via)))
+        return Element.from_term(terms.Bracket(
+            [Element.from_term(word), Element.identity(s2)]))
 
     def pair(second):
         return Element.from_term(terms.Word((terms.Pair(eta, second),)))
@@ -455,14 +459,13 @@ def test_the_value_key_sees_what_equality_ignores(runner, catalog, env):
 
     relabelled = pig.group.with_labels([f"g{i}"
                                         for i in range(pig.group.rank)])
-    pairs = [(pig, replace(pig, group=relabelled)), (eta, flipped),
-             (bracket("a"), bracket("b")), (pair(eta), pair(flipped)),
-             (boundary(1), boundary(0))]
+    pairs = [(pig, replace(pig, group=relabelled)),
+             (bracket(4), bracket(5)), (boundary(1), boundary(0))]
     for a, b in pairs:
         assert a == b or isinstance(a, Boundary)
         assert _value_key(a) != _value_key(b), a
     for build in (lambda: replace(pig, protos=list(pig.protos)),
-                  lambda: bracket("a"), lambda: pair(eta),
+                  lambda: bracket(4), lambda: pair(eta),
                   lambda: boundary(1)):
         assert build() is not build()
         assert _value_key(build()) == _value_key(build())
@@ -496,15 +499,17 @@ def test_pruned_sweep_still_sees_a_token_dependence(catalog, scripts,
 
 
 @pytest.mark.parametrize("carried", [True, False])
-def test_step_memo_carries_reads_through_bindings(catalog, scripts, tmp_path,
-                                                  carried):
+def test_step_memo_keys_on_the_bindings_it_names(catalog, scripts, tmp_path,
+                                                 carried):
     """Negative control at step level: the eps-dependent group of the
     control above, read by the second step of pi5_L4m (its first two steps
     swapped, its assert dropped).  No other step reads a token; the eps
     dependence reaches the result only through the bindings d6, C and CL
-    name, so the sweep refuses only while a step's reads include those of
-    the bindings it names.  With them dropped (``carried`` false) the memo
-    serves d6 and the rest stale and the wrong result passes."""
+    name.  The memo keys a step on the values of the bindings it names,
+    not on the tokens they read, so under another eps those values differ,
+    the steps are evaluated again and the sweep refuses.  With the names
+    dropped (``carried`` false) the memo serves d6 and the rest stale and
+    the wrong result passes."""
     old = "| S2vS5 @ 5 | Z/2{"
     path = tmp_path / "eps.facts"
     path.write_text(catalog.serialize().replace(old, "| S2vS5 @ 5 | Z/2^(1+eps){"))
@@ -811,6 +816,26 @@ def test_a_degree_below_1_is_a_validation_error(catalog, scripts, monkeypatch,
     assert cli.main(["compute", "--space", "P3", "--k", "6", "--r", "2",
                      "--no-sweep"]) == cli.EXIT_VALIDATION
     assert "degrees start at 1" in capsys.readouterr().err
+
+
+def test_a_slot_restriction_must_be_a_suspension(catalog, scripts,
+                                                 monkeypatch, capsys):
+    """``restrict_bracket`` composes each slot with its restriction only
+    when that is a word of suspensions: ``eta_2`` in place of ``j1_25``
+    in pi6_J3 is refused, and through the command line that is exit 2."""
+    text = SHIPPED_TEXT["pi6_J3"]
+    old = "by=j1_25, iota_5"
+    assert old in text
+    text = text.replace(old, "by=eta_2, iota_5")
+    match = r"pi6_J3 step 8 \(restrict_bracket\): slot restrictions must be"
+    with pytest.raises(StrictExpansionError, match=match):
+        run_edited(catalog, scripts, "pi6_J3", text)
+    edited = parse_script(text, name_hint="pi6_J3")
+    monkeypatch.setattr(cli, "load_scripts", lambda: link_scripts(
+        [*(s for s in scripts.values() if s.name != "pi6_J3"), edited]))
+    assert cli.main(["compute", "--space", "J3", "--k", "6", "--r", "2",
+                     "--no-sweep"]) == cli.EXIT_VALIDATION
+    assert "slot restrictions must be suspensions" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, old, new, match", [

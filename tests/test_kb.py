@@ -86,6 +86,17 @@ def test_rule_found_by_matching_not_by_guessed_assignments(tmp_path):
     assert normalize(p.parse("f(2)"), ctx).render() == "f(2)"  # guard
 
 
+def test_a_payload_may_square_a_subject_variable(tmp_path):
+    """A payload's ``k^2`` reads the variable ``k`` that the subject binds,
+    so the fact loads and its rhs squares the matched degree."""
+    text = ("fact relation | deg(k,2).eta_2 | eta_2.deg(k^2,3) "
+            "| classical_table | q | loc\n")
+    cat = load_catalog(write(tmp_path, text))
+    ((word, _),) = cat.parser({}).parse("deg(3,2).eta_2").terms
+    rhs, fact = cat.rule_context({}).word_rule(word.syms)
+    assert rhs.render() == "eta_2 . deg(9,3)" and fact.line == 1
+
+
 def test_digit_arguments_match_only_their_value(tmp_path):
     """A digit in a subject matches exactly that parameter value, next to
     a variable that matching binds and the guard reads."""

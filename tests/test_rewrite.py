@@ -9,7 +9,7 @@ from conechase import rewrite
 from conechase.derive import CANONICAL_TOKENS, default_catalog
 from conechase.kb import load_catalog
 from conechase.rewrite import StrictExpansionError, compose, normalize, suspend, whitehead
-from conechase.terms import Element, Sym, Word, named, sphere
+from conechase.terms import Bracket, Element, Sym, TermError, Word, named, sphere
 
 
 def parse(catalog, env, text):
@@ -19,13 +19,24 @@ def parse(catalog, env, text):
 def test_gamma2_for_all_r(catalog):
     # [iota_2, 2^r iota_2] = 2^(r+1) eta_2, with no boundary facts consumed
     for r in range(1, 9):
-        notes = []
-        ctx = catalog.rule_context({"r": r, "sign": 1, "eps": 0, "x": 0, "y": 1},
-                                   on_rule=notes.append)
-        w = whitehead(Element.identity(sphere(2)),
-                      Element.identity(sphere(2)).scale(2**r), ctx)
+        ctx = catalog.rule_context(
+            {"r": r, "sign": 1, "eps": 0, "x": 0, "y": 1})
+        w, notes = ctx.citing(whitehead, Element.identity(sphere(2)),
+                              Element.identity(sphere(2)).scale(2**r), ctx)
         assert w.render() == f"{2 ** (r + 1)}*eta_2"
         assert not any(f.kind == "boundary_value" for f in notes)
+
+
+def test_products_need_suspension_sources(ctx):
+    """A Whitehead product, binary or as a bracket node, is defined only
+    on classes whose source is a suspension; a filtration stage is not
+    recognised as one."""
+    stage = Element.identity(named("Jstage", 3))
+    with pytest.raises(TermError, match="needs suspension sources, got "
+                                        "Jstage\\(3\\)"):
+        whitehead(stage, stage, ctx)
+    with pytest.raises(TermError, match="Jstage\\(3\\) is not a suspension"):
+        Bracket([stage, stage])
 
 
 def test_whitehead_vanishing_and_zero_slot(catalog, ctx, env):
@@ -276,10 +287,9 @@ def answer(catalog, text, **tokens):
     new context of ``catalog``, under the canonical tokens as changed by
     ``tokens``."""
     env = dict(CANONICAL_TOKENS, **tokens)
-    notes = []
-    ctx = catalog.rule_context(env, on_rule=notes.append)
+    ctx = catalog.rule_context(env)
     ((word, coeff),) = parse(catalog, env, text).terms
-    out = rewrite.normalize_word(word, coeff, ctx)
+    out, notes = ctx.citing(rewrite.normalize_word, word, coeff, ctx)
     return out.render(), [f.line for f in notes]
 
 
