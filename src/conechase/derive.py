@@ -138,7 +138,7 @@ class _Table(dict):
 
 
 CANONICAL_TOKENS = {"sign": 1, "eps": 0, "x": 0, "y": 1}
-SWEEP_GRID = [
+SWEEP_GRID = [  # CANONICAL_TOKENS first; ``Runner.run`` compares with it
     {"sign": s, "eps": e, "x": x, "y": y}
     for s in (1, -1) for e in (0, 1) for x in (0, -1) for y in (1, -3)
 ]
@@ -381,9 +381,10 @@ def _run_key(name: str, env: dict) -> tuple:
 class Runner:
     """Executes derivation scripts against one catalog.
 
-    ``run`` evaluates the script for the canonical token assignment and
-    for the full sweep grid, asserting that the resulting groups agree;
-    the transcript records the canonical run.
+    ``run`` evaluates the script for each token assignment of the sweep
+    grid, whose first is the canonical one, asserting that every later
+    result agrees with the first; the transcript records the canonical
+    run.  Without the sweep it evaluates the canonical assignment alone.
 
     Runs are cached by script and parameters.  A cached run serves every
     token assignment that agrees with it on the tokens it depends on
@@ -418,18 +419,17 @@ class Runner:
     # -- public -----------------------------------------------------------
 
     def run(self, name: str, params: dict, sweep: bool = True) -> RunResult:
-        base_env = dict(CANONICAL_TOKENS, **params)
+        result = canonical = None
         try:
-            result = self._run_cached(name, base_env)
-            if sweep:
-                canonical = _sweep_shape(result.value)
-                for assign in SWEEP_GRID:
-                    other = self._run_cached(name, dict(base_env, **assign))
-                    comparable = _sweep_shape(other.value)
-                    if comparable != canonical:
-                        raise DeriveError(
-                            f"{name}{params}: result depends on the ambiguous "
-                            f"tokens {assign}: {comparable} != {canonical}")
+            for assign in SWEEP_GRID if sweep else (CANONICAL_TOKENS,):
+                got = self._run_cached(name, dict(params, **assign))
+                comparable = _sweep_shape(got.value)
+                if result is None:
+                    result, canonical = got, comparable
+                elif comparable != canonical:
+                    raise DeriveError(
+                        f"{name}{params}: result depends on the ambiguous "
+                        f"tokens {assign}: {comparable} != {canonical}")
         finally:
             # a swept pair is now in the run cache under every assignment
             self._steps.clear()
@@ -588,7 +588,7 @@ class Runner:
             raise DeriveError(f"bad fibration key {args['fib']!r}")
         attach = (self._parse_el(args["attach"], env, bindings)
                   if "attach" in args else None)
-        return fibration(self.catalog, env, *space.data, attach=attach)
+        return fibration(self.catalog, *space.data, attach=attach)
 
     def _eval_step(self, step, env, ctx, bindings, lines, tokens):
         verb = step.verb
@@ -598,7 +598,7 @@ class Runner:
             return self._parse_el(args[key], env, bindings)
 
         def pig(key) -> PiGroup:
-            return _as_group(bindings, args[key])
+            return _binding(bindings, args[key], PiGroup)
 
         if verb == "group":
             space = parse_space(args["space"], env)
@@ -687,20 +687,20 @@ class Runner:
             return gamma
 
         if verb == "push_bracket":
-            return rewrite.naturality_push(el("map"), _as_element(
-                bindings, args["of"]), ctx)
+            return rewrite.naturality_push(
+                el("map"), _binding(bindings, args["of"], Element), ctx)
 
         if verb == "restrict_bracket":
             restrictions = [self._parse_el(p, env, bindings)
                             for p in args["by"].split(",")]
-            return rewrite.bracket_restrict(_as_element(bindings, args["of"]),
-                                            restrictions, ctx)
+            return rewrite.bracket_restrict(
+                _binding(bindings, args["of"], Element), restrictions, ctx)
 
         if verb == "resolve_triple":
             ambient = pi_group_from_fact(
                 self.catalog, env, *space_at(args["ambient"], env), ctx)
-            return rewrite.resolve_triple(_as_element(bindings, args["of"]),
-                                          [ambient.group] * 3, ctx)
+            return rewrite.resolve_triple(
+                _binding(bindings, args["of"], Element), ambient.group, ctx)
 
         if verb == "pair_map":
             return Element.from_term(Word((Pair(el("first"), el("second")),)))
@@ -719,12 +719,12 @@ class Runner:
         if verb == "scaled_generator":
             base = pig("group")
             gen = el("gen")
-            coeff = _as_int(bindings, args["coeff"])
+            coeff = _binding(bindings, args["coeff"], int)
             i = _find_generator(base, gen, ctx)
             return rewrite.normalize(base.generator_element(i).scale(coeff), ctx)
 
         if verb == "assert_coeff":
-            value = _as_int(bindings, args["of"])
+            value = _binding(bindings, args["of"], int)
             want = eval_int_expr(args["abs"], env)
             if abs(value) != want:
                 raise AssertionMismatch(
@@ -845,11 +845,11 @@ class Runner:
         the image of a * g1 + b * free + c * g3 determines b by exact
         division in the torsion-free target.
         """
-        base = _as_group(bindings, args["group"])
-        target = _as_group(bindings, args["target"])
+        base = _binding(bindings, args["group"], PiGroup)
+        target = _binding(bindings, args["target"], PiGroup)
         mapel = self._parse_el(args["map"], env, bindings)
         free_gen = self._parse_el(args["free"], env, bindings)
-        value = _as_element(bindings, args["value"])
+        value = _binding(bindings, args["value"], Element)
         free_i = _find_generator(base, free_gen, ctx)
         img_free = None
         for i in range(base.group.rank):
@@ -882,11 +882,11 @@ class Runner:
         Returns the unique (a, c, ...) assignment; raises when the kill is
         not unique or nonzero coefficients are forced.
         """
-        base = _as_group(bindings, args["group"])
+        base = _binding(bindings, args["group"], PiGroup)
         target = pi_group_from_fact(self.catalog, env,
                                     *space_at(args["target"], env), ctx)
         free_gen = self._parse_el(args["free"], env, bindings)
-        b = _as_int(bindings, args["coeff"])
+        b = _binding(bindings, args["coeff"], int)
         free_i = _find_generator(base, free_gen, ctx)
         torsion = [i for i in range(base.group.rank)
                    if i != free_i and base.group.orders[i] != 0]
@@ -918,17 +918,16 @@ class Runner:
 # ---------------------------------------------------------------------------
 
 def _element_from_chart(pig: PiGroup, vec) -> Element:
+    """The element of ``pig`` with chart ``vec``.  Its one caller passes
+    the inclusion column of a kernel generator, which has a nonzero
+    entry: the generator has order 0 or at least 2, so it is not zero,
+    the inclusion is injective, and a hom reduces each entry modulo its
+    target order."""
     out = None
     for i, c in enumerate(vec):
-        if c == 0:
-            continue
-        piece = pig.generator_element(i).scale(c)
-        out = piece if out is None else out + piece
-    if out is None:
-        first = pig.protos[0][0] if pig.protos else None
-        if first is None:
-            raise DeriveError("cannot build the zero element without protos")
-        return Element.zero(first.source, first.target)
+        if c:
+            piece = pig.generator_element(i).scale(c)
+            out = piece if out is None else out + piece
     return out
 
 
@@ -941,24 +940,14 @@ def _find_generator(pig: PiGroup, gen: Element, ctx) -> int:
                       f"{pig.group.describe()}")
 
 
-def _as_element(bindings, name) -> Element:
+_KINDS = {Element: "an element", PiGroup: "a group", int: "an integer"}
+
+
+def _binding(bindings, name, kind):
+    """The value bound to ``name``, which must be a ``kind``."""
     v = bindings[name]
-    if not isinstance(v, Element):
-        raise DeriveError(f"{name!r} is not an element binding")
-    return v
-
-
-def _as_group(bindings, name) -> PiGroup:
-    v = bindings[name]
-    if not isinstance(v, PiGroup):
-        raise DeriveError(f"{name!r} is not a group binding")
-    return v
-
-
-def _as_int(bindings, name) -> int:
-    v = bindings[name]
-    if not isinstance(v, int):
-        raise DeriveError(f"{name!r} is not an integer binding")
+    if not isinstance(v, kind):
+        raise DeriveError(f"{name!r} is not {_KINDS[kind]} binding")
     return v
 
 

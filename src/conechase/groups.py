@@ -364,13 +364,14 @@ class GroupHom:
 
     Rows are indexed by target generators, columns by source generators.
     A column for a source generator of finite order d must be killed by d
-    in the target; this is checked at construction.
+    in the target.  Every hom is checked when it is built, so a hom that
+    exists is well defined.
     """
 
     __slots__ = ("source", "target", "matrix")
 
-    def __init__(self, source: TwoLocalGroup, target: TwoLocalGroup, matrix: IntMat,
-                 check: bool = True):
+    def __init__(self, source: TwoLocalGroup, target: TwoLocalGroup,
+                 matrix: IntMat):
         if matrix.nrows != target.rank or matrix.ncols != source.rank:
             raise GroupError("matrix shape does not match source/target ranks")
         rows = []
@@ -380,20 +381,16 @@ class GroupHom:
         self.matrix = IntMat(rows, matrix.ncols)
         self.source = source
         self.target = target
-        if check:
-            self._check_compatible()
-
-    def _check_compatible(self):
-        for j in range(self.source.rank):
-            d = self.source.orders[j]
+        for j in range(source.rank):
+            d = source.orders[j]
             if d == 0:
                 continue
-            for i in range(self.target.rank):
-                o = self.target.orders[i]
+            for i in range(target.rank):
+                o = target.orders[i]
                 x = self.matrix.rows[i][j] * d
                 if (o == 0 and x != 0) or (o != 0 and x % o != 0):
                     raise GroupError(
-                        f"incompatible hom: column {j} ({self.source.label(j)}) "
+                        f"incompatible hom: column {j} ({source.label(j)}) "
                         f"of order {d} is not annihilated in the target")
 
     @classmethod
@@ -414,8 +411,7 @@ class GroupHom:
         """self after inner (source of self must equal target of inner)."""
         if inner.target.orders != self.source.orders:
             raise GroupError("composition mismatch")
-        return GroupHom(inner.source, self.target, self.matrix @ inner.matrix,
-                        check=False)
+        return GroupHom(inner.source, self.target, self.matrix @ inner.matrix)
 
     def __repr__(self):
         return f"GroupHom({self.source!r} -> {self.target!r}, {self.matrix.rows!r})"
@@ -482,18 +478,16 @@ def cokernel(h: GroupHom):
     >>> g.render()
     'Z/8'
     """
-    h._check_compatible()
     n = h.target.rank
     rows = presentation_rows(h.target)
     for j in range(h.source.rank):
         rows.append(h.matrix.col(j))
     group, proj, _ = group_from_presentation(n, rows)
-    return group, GroupHom(h.target, group, proj, check=False)
+    return group, GroupHom(h.target, group, proj)
 
 
 def kernel(h: GroupHom):
     """Subgroup of the source mapping to zero, with its inclusion hom."""
-    h._check_compatible()
     ns, nt = h.source.rank, h.target.rank
     # Solve M x + T y = 0 where T carries the finite target orders.
     finite_t = [i for i in range(nt) if h.target.orders[i] != 0]
@@ -526,7 +520,7 @@ def kernel(h: GroupHom):
     for i in range(ns):
         o = h.source.orders[i]
         reduced.append([x % o if o else x for x in incl_src.rows[i]])
-    return group, GroupHom(group, h.source, IntMat(reduced, group.rank), check=False)
+    return group, GroupHom(group, h.source, IntMat(reduced, group.rank))
 
 
 def _column_basis(m: IntMat) -> IntMat:
@@ -595,7 +589,7 @@ def quotient_by_elements(g: TwoLocalGroup, rels: Sequence[Sequence[int]]):
             v = [x // content * two for x in v]
         rows.append(list(v))
     group, proj, _ = group_from_presentation(g.rank, rows)
-    return group, GroupHom(g, group, proj, check=False)
+    return group, GroupHom(g, group, proj)
 
 
 @dataclass(frozen=True)
@@ -656,7 +650,7 @@ def solve_extension(p: ExtensionProblem):
     chart = IntMat([[int(j == old) for j in range(n)]
                     for old in canonical_order(orders)], n)
     group = TwoLocalGroup(orders, labels)
-    return group, GroupHom(TwoLocalGroup([0] * n), group, chart, check=False)
+    return group, GroupHom(TwoLocalGroup([0] * n), group, chart)
 
 
 def extension_with_relations(p: ExtensionProblem):
@@ -695,4 +689,4 @@ def extension_with_relations(p: ExtensionProblem):
             raise GroupError(
                 f"certificate for {p.quot.label(i)} claims lift order "
                 f"{c.lift_order} but the presentation gives {got}")
-    return group, GroupHom(TwoLocalGroup([0] * n), group, proj, check=False)
+    return group, GroupHom(TwoLocalGroup([0] * n), group, proj)

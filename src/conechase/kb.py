@@ -233,7 +233,7 @@ class SymbolRegistry:
                    is_susp=spec.is_susp,
                    susp_name=spec.susp_to, desusp_name=spec.desusp)
 
-    def resolve(self, name: str, params: tuple, env: dict) -> Element:
+    def resolve(self, name: str, params: tuple) -> Element:
         """Resolver used by the term parser."""
         m = _IOTA.match(name)
         if m:
@@ -328,11 +328,10 @@ class SymbolRegistry:
                 for i, s in enumerate(term.syms):
                     exp = self.unfold(s)
                     if exp is not None:
-                        pre = (Element.from_term(Word(term.syms[:i]))
-                               if term.syms[:i] else Element.identity(exp.target))
-                        post = (Element.from_term(Word(term.syms[i + 1:]))
-                                if term.syms[i + 1:]
-                                else Element.identity(exp.source))
+                        pre = Element.from_term(
+                            Word(term.syms[:i], exp.target))
+                        post = Element.from_term(
+                            Word(term.syms[i + 1:], exp.source))
                         out = raw_concat(raw_concat(pre, exp), post).scale(c)
                         changed = True
                         break
@@ -548,7 +547,7 @@ class KbCatalog:
     # -- parsing helpers ------------------------------------------------------
 
     def parser(self, env: dict) -> TermParser:
-        return TermParser(lambda n, a, e: self.registry.resolve(n, a, e), env)
+        return TermParser(self.registry.resolve, env)
 
     def parse_element(self, text: str, env: dict) -> Element:
         text = text.strip()

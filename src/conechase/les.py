@@ -137,7 +137,7 @@ def strip_prefix(el: Element, prefix: Element, ctx) -> Element:
                 f"term {term.render()} does not factor through "
                 f"{pw[0].render()}")
         rest = term.syms[len(psyms):]
-        terms.append((Word(rest) if rest else Word((), pw[0].source), c))
+        terms.append((Word(rest, pw[0].source), c))
     src = el.source
     tgt = pw[0].source
     return rewrite.normalize(Element(src, tgt, terms), ctx)
@@ -193,7 +193,7 @@ class BoundaryRule:
     base: Space              # Sigma X
 
 
-def fibration(cat: KbCatalog, env, head: str, params: tuple,
+def fibration(cat: KbCatalog, head: str, params: tuple,
               attach: Optional[Element] = None) -> BoundaryRule:
     """The declared fibration ``head(params)``.  Its attaching class comes
     from the declaration or, when that names none, from ``attach``."""
@@ -230,7 +230,7 @@ def boundary_value(cat: KbCatalog, env, fib: BoundaryRule, gen: Element,
     if tr is not None:
         via, base_head, base_params, fact = tr
         ctx.cite(fact)
-        base_fib = fibration(cat, env, base_head, base_params)
+        base_fib = fibration(cat, base_head, base_params)
         base_val = boundary_value(cat, env, base_fib, gen, ctx, _raw=True)
         return rewrite.normalize(rewrite.compose(via, base_val, ctx), ctx)
     fiber = named(fib.head, *fib.params).key

@@ -323,9 +323,8 @@ def _rewrite_word(word: Word, coeff: int, ctx: RuleContext,
                 nxt = syms[i + 1]
                 if isinstance(nxt, Sym) and nxt.name.startswith(("j1", "j2")):
                     comp = s.f if nxt.name.startswith("j1") else s.g
-                    pre = Word(syms[:i]) if syms[:i] else Word((), s.target)
-                    post = (Word(syms[i + 2:]) if syms[i + 2:]
-                            else Word((), nxt.source))
+                    pre = Word(syms[:i], s.target)
+                    post = Word(syms[i + 2:], nxt.source)
                     el = compose(Element.from_term(pre), comp, ctx)
                     el = compose(el, Element.from_term(post), ctx)
                     return el.scale(coeff)
@@ -356,18 +355,14 @@ def _rewrite_word(word: Word, coeff: int, ctx: RuleContext,
                     space = rhs.source
                 continue
             # multi-term replacement: splice via gated composition
-            pre = Word(syms[:i]) if syms[:i] else Word((), rhs.target)
-            post = (Word(syms[i + length:]) if syms[i + length:]
-                    else Word((), rhs.source))
+            pre = Word(syms[:i], rhs.target)
+            post = Word(syms[i + length:], rhs.source)
             el = compose(Element.from_term(pre), rhs, ctx)
             el = compose(el, Element.from_term(post), ctx)
             return el.scale(coeff)
         break
 
-    if not syms:
-        w = Word((), space if space is not None else word.source)
-    else:
-        w = Word(syms)
+    w = Word(syms, space or word.source)
     bound = ctx.suffix_bound(w)
     if bound:
         coeff %= bound
@@ -470,14 +465,12 @@ def _compose_inner(f: Element, gterm, ctx: RuleContext) -> Element:
                 "slot-restriction step")
         word: Word = term
         if c == 1 or _is_susp_word(gword):
-            merged = _concat_words(word, gword)
-            return normalize_word(merged, c, ctx)
+            return normalize_word(Word(word.syms + gword.syms, gword.space),
+                                  c, ctx)
         if word.source.kind == "sphere":
             # c * w == w . deg(c): exact, the scalar tunnels if it can
             n = word.source.data[0]
-            merged = _concat_words(Word(tuple(word.syms) + (deg_sym(c, n),))
-                                   if word.syms else Word((deg_sym(c, n),)),
-                                   gword)
+            merged = Word(word.syms + (deg_sym(c, n),) + gword.syms)
             return normalize_word(merged, 1, ctx)
         raise StrictExpansionError(
             f"cannot move scalar {c} across {gword.render()}: inner map "
@@ -495,13 +488,6 @@ def _compose_inner(f: Element, gterm, ctx: RuleContext) -> Element:
         "not a suspension")
 
 
-def _concat_words(a: Word, b: Word) -> Word:
-    syms = tuple(a.syms) + tuple(b.syms)
-    if not syms:
-        return Word((), b.space)
-    return Word(syms)
-
-
 def _compose_into_bracket(f: Element, b: Bracket, ctx: RuleContext) -> Element:
     """f . [h1, ..., hn] pushes into the slots (naturality)."""
     sw = f.single_word()
@@ -511,8 +497,7 @@ def _compose_into_bracket(f: Element, b: Bracket, ctx: RuleContext) -> Element:
     if c != 1:
         raise StrictExpansionError(
             "scale a bracket through its slots, not through the outer map")
-    slots = [compose(Element.from_term(w) if w.syms else Element.identity(w.space),
-                     s, ctx) for s in b.slots]
+    slots = [compose(Element.from_term(w), s, ctx) for s in b.slots]
     return _normalize_bracket(Bracket(slots), 1, ctx)
 
 
@@ -595,39 +580,25 @@ def suspend(e: Element, ctx: RuleContext) -> Element:
                     f"no suspension image for {word.render()}; add a "
                     "suspension fact")
             syms.append(img)
-        w2 = Word(syms) if syms else Word((), src)
-        out = out + normalize_word(w2, c, ctx)
+        out = out + normalize_word(Word(syms, src), c, ctx)
     return out
 
 
-def triple_indeterminacy(ambients, label: str = ""):
-    """Indeterminacy subgroup of a triple product from its ambient groups.
-
-    The subgroup is generated by brackets against the three mixed-smash
-    mapping groups; when all three vanish the product is a singleton.
-    Nontrivial ambient groups are out of scope for the shipped rules.
-    """
-    from .groups import TwoLocalGroup
-    from .kb import KbMissingFact
-    for a in ambients:
-        if a is None:
-            raise KbMissingFact("KB fact required: ambient group missing")
-    if all(a.is_trivial() for a in ambients):
-        return TwoLocalGroup([])
-    raise KbMissingFact(
-        "KB fact required: indeterminacy with nontrivial ambient groups "
-        f"is not mechanized ({label})")
-
-
-def resolve_triple(bracket_el: Element, ambients, ctx: RuleContext) -> Element:
+def resolve_triple(bracket_el: Element, ambient, ctx: RuleContext) -> Element:
     """Pin down a triple product: scalars leave the slots, the base value
-    comes from a stored singleton fact, and the indeterminacy must vanish."""
+    comes from a stored singleton fact, and the indeterminacy must vanish:
+    it lies in ``ambient``, the one group the script names for the three
+    mixed-smash mapping groups, and a nontrivial one is out of scope."""
+    from .kb import KbMissingFact
     if len(bracket_el.terms) != 1 or not isinstance(bracket_el.terms[0][0], Bracket):
         raise TermError("resolve_triple expects a single bracket term")
     b, c = bracket_el.terms[0]
     if b.arity != 3:
         raise TermError("resolve_triple handles arity 3")
-    triple_indeterminacy(ambients, label=bracket_el.render())
+    if not ambient.is_trivial():
+        raise KbMissingFact(
+            "KB fact required: indeterminacy with nontrivial ambient groups "
+            f"is not mechanized ({bracket_el.render()})")
     k = c
     base_slots = []
     for s in b.slots:
@@ -642,11 +613,9 @@ def resolve_triple(bracket_el: Element, ambients, ctx: RuleContext) -> Element:
             cs *= syms[-1].params[0]
             syms = syms[:-1]
         k *= cs
-        base_slots.append(Element.from_term(
-            Word(syms) if syms else Word((), w.source)))
+        base_slots.append(Element.from_term(Word(syms, w.source)))
     hit = ctx.product_value(base_slots)
     if hit is None:
-        from .kb import KbMissingFact
         raise KbMissingFact(
             "KB fact required: no stored value for the base product "
             + Bracket(base_slots).render())

@@ -371,7 +371,8 @@ class Pair:
 # ---------------------------------------------------------------------------
 
 class Word:
-    """A composable chain of symbols; empty chain = identity of ``space``."""
+    """A composable chain of symbols; empty chain = identity of ``space``,
+    which is ignored when ``syms`` is not empty."""
 
     __slots__ = ("syms", "space", "_key", "_render", "_hash")
 
@@ -637,16 +638,13 @@ def raw_concat(left: Element, right: Element) -> Element:
     rw = right.single_word()
     if lw is not None and rw is not None:
         (w1, c1), (w2, c2) = lw, rw
-        syms = list(w1.syms) + list(w2.syms)
-        word = Word(syms) if syms else Word((), w2.space)
-        return Element.from_term(word, c1 * c2)
+        return Element.from_term(Word(w1.syms + w2.syms, w2.space), c1 * c2)
     if lw is not None and len(right.terms) == 1:
         # a single map written in front of a bracket: binary naturality
         w1, c1 = lw
         term, c2 = right.terms[0]
         if isinstance(term, Bracket) and c1 in (1, -1) and term.arity == 2:
-            head = (Element.from_term(Word(w1.syms)) if w1.syms
-                    else Element.identity(w1.space))
+            head = Element.from_term(w1)
             slots = [raw_concat(head, s) for s in term.slots]
             return Element.from_term(Bracket(slots), c1 * c2)
     raise TermError("composition of composite sums must go through compose()")
@@ -722,7 +720,8 @@ class TermParser:
         factor   := name [ '(' intargs ')' ] ( '.' factor )*
         bracket  := '[' element ( ',' element )* ']'
 
-    Names resolve through a symbol resolver (the fact catalog); ``iota_n``
+    Names resolve through a symbol resolver, ``resolve(name, params)``
+    with the integer arguments evaluated (the fact catalog's); ``iota_n``
     is the identity of S^n, ``deg(k, n)`` the degree-k self map of S^n,
     ``eta_k^j`` the j-fold eta composite starting at S^k.  A name the
     environment binds is a scalar.
@@ -931,7 +930,7 @@ class _TermCompiler:
             raise TermError("id takes a space key, e.g. id(S2)")
         self.symbols.append((name, len(args)))
         return lambda resolve, env: resolve(
-            name, tuple(a(env) for a in args), env)
+            name, tuple(a(env) for a in args))
 
     def _int_arg(self):
         # integer expression until ',' or ')'

@@ -186,6 +186,12 @@ def test_sweep_invariance_under_sign_and_eps(runner):
         runner.run("pi6_P3", {"r": r}, sweep=True)
 
 
+def test_the_canonical_assignment_is_the_grids_first():
+    """``Runner.run`` keeps the result of the grid's first assignment and
+    records its transcript, so that assignment must be the canonical one."""
+    assert SWEEP_GRID[0] == CANONICAL_TOKENS
+
+
 def test_script_without_return_errors(catalog):
     s = parse_script("derivation broken\nparams m\n"
                      "let F5 = fiber_group fib=F_pL(m); k=5\n")
@@ -214,7 +220,7 @@ def test_segment_assembly_and_exactness_audit(catalog, runner):
     m = 3
     envm = {"m": m, "sign": 1, "eps": 0, "x": 0, "y": 1}
     ctx = catalog.rule_context(envm)
-    fib = les.fibration(catalog, envm, "F_pL", (m,))
+    fib = les.fibration(catalog, "F_pL", (m,))
     runner_res = runner.run("pi5_L4m", {"m": m}, sweep=False)
     jf = catalog.parser(envm).parse(f"j_F({m})")
     fiber_groups = {
@@ -233,7 +239,7 @@ def test_segment_below_connectivity_is_trivial(catalog, env):
     from checks import assemble_segment
     from conechase import les
     ctx = catalog.rule_context(env)
-    fib = les.fibration(catalog, env, "F_pL", (3,))
+    fib = les.fibration(catalog, "F_pL", (3,))
     seg = assemble_segment(catalog, env, fib, 2, {}, ctx)
     assert seg.base_mid.group.is_trivial()
 
@@ -262,7 +268,7 @@ def test_exactness_audit_for_the_moore_space_window(catalog, runner):
     for r in (1, 2, 3):
         envr = {"r": r, "sign": 1, "eps": 0, "x": 0, "y": 1}
         ctx = catalog.rule_context(envr)
-        fib = les.fibration(catalog, envr, "F_p", (r,))
+        fib = les.fibration(catalog, "F_p", (r,))
         piC6 = runner.run("pi6_J3", {"r": r}, sweep=False).value
         # rebuild the stage-3 pi_5 chart exactly as the script does
         piL5 = runner.run("pi5_L4m", {"m": r + 1}, sweep=False).value

@@ -145,7 +145,7 @@ def test_boundary_stored_values_match_source(catalog, env, ctx):
     """The stored connecting-map values, normalized, are the expected
     classes."""
     from conechase import les
-    fib = les.fibration(catalog, env, "F_p4", (1,))
+    fib = les.fibration(catalog, "F_p4", (1,))
     p = catalog.parser(dict(env, m=1))
     val = les.boundary_value(catalog, dict(env, m=1), fib, p.parse("nu_4"),
                              catalog.rule_context(dict(env, m=1)))
@@ -214,8 +214,8 @@ def test_fibration_declared_as_data(catalog, tmp_path, env):
     for r in (1, 2, 3):
         envr = dict(env, r=r)
         ctx = cat.rule_context(envr)
-        fp = les.fibration(cat, envr, "F_p", (r,))
-        fq = les.fibration(cat, envr, "F_q", (r,))
+        fp = les.fibration(cat, "F_p", (r,))
+        fq = les.fibration(cat, "F_q", (r,))
         assert fq.base == fp.base == sphere(3)
         for cls in ("eta_3", "eta_3^2", "3*eta_3"):
             gen = cat.parser(envr).parse(cls)
@@ -237,3 +237,15 @@ def test_catalog_digest_tracks_content(catalog, tmp_path):
     c2 = load_catalog(write(tmp_path, text + "# trailing comment\n",
                             "b.facts"))
     assert c1.digest != c2.digest
+
+
+def test_degree_map_suspension_images(catalog, ctx, env):
+    """Sigma deg(3,2) = deg(3,3), a degree map in final position, so it
+    normalises to 3*id(S3).  deg(3,3) desuspends to deg(3,2); the terms
+    have no S^1, so deg(3,2) has no desuspension image."""
+    from conechase.rewrite import suspend
+    from conechase.terms import deg_sym
+    assert suspend(catalog.parser(env).parse("deg(3,2)"),
+                   ctx).render() == "3*id(S3)"
+    assert catalog.registry.desuspension_image(deg_sym(3, 3)) == deg_sym(3, 2)
+    assert catalog.registry.desuspension_image(deg_sym(3, 2)) is None

@@ -12,7 +12,7 @@ from conechase.kb import KbMissingFact
 
 def value(catalog, env, head, params, text):
     ctx = catalog.rule_context(env)
-    fib = les.fibration(catalog, env, head, params)
+    fib = les.fibration(catalog, head, params)
     gen = catalog.parser(env).parse(text)
     return les.boundary_value(catalog, env, fib, gen, ctx)
 
@@ -39,7 +39,7 @@ def test_boundary_needs_fact_for_nonsuspensions(catalog):
     # no fact covers a made-up class of the base sphere in this degree
     filtered = catalog.without_facts(lambda f: f.kind == "boundary_value")
     ctx = filtered.rule_context(env)
-    fib = les.fibration(filtered, env, "F_p", (1,))
+    fib = les.fibration(filtered, "F_p", (1,))
     gen = filtered.parser(env).parse("nu'")
     with pytest.raises(KbMissingFact, match="KB fact required"):
         les.boundary_value(filtered, env, fib, gen, ctx)
@@ -86,13 +86,13 @@ def test_attaching_class_comes_from_exactly_one_place(catalog):
     from conechase.terms import sphere
     env = {"r": 1, "sign": 1, "eps": 0, "x": 0, "y": 1}
     gamma = catalog.parser(env).parse("6*beta(2)")
-    fib = les.fibration(catalog, env, "FM", (1,), attach=gamma)
+    fib = les.fibration(catalog, "FM", (1,), attach=gamma)
     assert fib.f is gamma and fib.base == sphere(6)
     assert fib.j_p.render() == "jM(1)"
     with pytest.raises(les.LesError, match="exactly one"):
-        les.fibration(catalog, env, "FM", (1,))
+        les.fibration(catalog, "FM", (1,))
     with pytest.raises(les.LesError, match="exactly one"):
-        les.fibration(catalog, env, "F_p", (1,), attach=gamma)
+        les.fibration(catalog, "F_p", (1,), attach=gamma)
 
 
 def test_boundary_on_suspension_refuses_nonsuspensions(catalog):
@@ -116,7 +116,7 @@ def test_exactness_audit_across_the_cone_family(catalog, runner):
     for m in (1, 2, 3, 4):
         envm = {"m": m, "sign": 1, "eps": 0, "x": 0, "y": 1}
         ctx = catalog.rule_context(envm)
-        fib = les.fibration(catalog, envm, "F_pL", (m,))
+        fib = les.fibration(catalog, "F_pL", (m,))
         jf = catalog.parser(envm).parse(f"j_F({m})")
         fiber_groups = {
             k: push_forward(

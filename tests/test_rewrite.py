@@ -79,6 +79,32 @@ def test_degree_tunneling_exactness(catalog, env):
     # inner degree maps are plain scalars
     out = compose(p.parse("eta_2"), p.parse("deg(3,3)"), ctx)
     assert out.render() == "3*eta_2"
+    # deg(1,3) is the identity of S^3 and deg(0,3) is null
+    assert normalize(p.parse("eta_2.deg(1,3)"), ctx).render() == "eta_2"
+    assert normalize(p.parse("eta_2.deg(0,3)"), ctx).is_zero()
+    # eta_3 = Sigma eta_2 is a suspension on S^4, so deg(2,3) . eta_3 =
+    # eta_3 . deg(2,4); the Hopf map nu_4 is no suspension and S^4 is no
+    # H-space, so the degree map stops in front of it
+    out = normalize(p.parse("eta_2.deg(2,3).eta_3.nu_4"), ctx)
+    assert out.render() == "eta_2 . eta_3 . deg(2,4) . nu_4"
+    # into a bracket a degree map is an inner scalar:
+    # [iota_2, iota_2] . deg(3,3) = 3 [iota_2, iota_2] = 3 * 2 eta_2
+    out = compose(p.parse("[iota_2, iota_2]"), p.parse("deg(3,3)"), ctx)
+    assert out.render() == "6*eta_2"
+
+
+def test_a_rule_may_rewrite_a_word_to_an_identity(tmp_path, env):
+    """With bb . aa = iota_3 stored, the word bb . aa normalises to the
+    identity of S^3, the source of the rule's right side."""
+    path = tmp_path / "retract.facts"
+    path.write_text(
+        "symbol aa : S3 -> S5\nsymbol bb : S5 -> S3\n"
+        "fact map_identity | bb.aa | iota_3 | paper | q | loc\n")
+    catalog = load_catalog(path)
+    out = normalize(catalog.parser(env).parse("bb.aa"),
+                    catalog.rule_context(env))
+    assert out == Element.identity(sphere(3))
+    assert out.render() == "id(S3)"
 
 
 def test_order_reduction_by_suffix(catalog, ctx, env):
@@ -221,15 +247,18 @@ def test_naturality_push_binary_equality(catalog, env):
     assert same == br
 
 
-def test_triple_indeterminacy_guards():
+def test_resolve_triple_needs_a_trivial_ambient_group(catalog, ctx, env):
+    """The triple product [j, j, j] on CP^2 is the singleton {sign*6*beta_0}
+    (catalog line 75) only when the ambient group its indeterminacy lies
+    in vanishes; with sign = 1 it resolves to 6*beta(0)."""
     from conechase.groups import TwoLocalGroup
     from conechase.kb import KbMissingFact
-    triv = TwoLocalGroup([])
-    assert rewrite.triple_indeterminacy([triv, triv, triv]).is_trivial()
-    with pytest.raises(KbMissingFact, match="KB fact required"):
-        rewrite.triple_indeterminacy([triv, None, triv])
-    with pytest.raises(KbMissingFact, match="KB fact required"):
-        rewrite.triple_indeterminacy([triv, TwoLocalGroup([2]), triv])
+    triple = parse(catalog, env, "[j_L(0), j_L(0), j_L(0)]")
+    got = rewrite.resolve_triple(triple, TwoLocalGroup([]), ctx)
+    assert got.render() == "6*beta(0)"
+    with pytest.raises(KbMissingFact, match="indeterminacy with nontrivial "
+                                            "ambient groups"):
+        rewrite.resolve_triple(triple, TwoLocalGroup([2]), ctx)
 
 
 def test_coefficient_reduction_idempotent(catalog, ctx, env):
