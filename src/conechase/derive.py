@@ -38,18 +38,22 @@ and must produce identical groups for every assignment -- the group
 tables are independent of all of them.
 
 A script reads a swept token only through the facts it cites (one that
-names a token is rejected at parse time).  So a run is the same under
-every assignment that agrees on the tokens of its citations, its ``run``
-subderivations and its rule context; ``rewrite.RuleContext`` gives the
-argument.  A ``let`` step reads tokens itself through its citations,
-its subderivation and the rule context, and everything else through the
-earlier bindings it names (``Step.names``, fixed at parse time).  So it
-is the same under every assignment that agrees on the tokens it read
-itself and gives those bindings equal values (``_value_key``), however
-the values came about: the memo of steps cuts off early where a token
-changed a binding upstream but not its value.  Cached runs and memoised steps
-replay their transcript lines and citations, so transcripts and digests
-are those of a fresh evaluation.
+names a token is rejected at parse time) and its rule context;
+``rewrite.RuleContext`` gives the argument.  It reads everything else
+through its parameters and the values its ``run`` subderivations
+return, which the ``(subderivation ... -> value)`` lines of its
+transcript render.  So a run is the same under every assignment that
+agrees on the tokens it read itself and under which each of its
+subderivations returns an equal value (``_value_key``), however that
+value came about: the run cache cuts off early where a token changed a
+subderivation's own work but not its value.  Likewise a ``let`` step
+reads tokens itself through its citations and the rule context, and
+everything else through the earlier bindings it names (``Step.names``,
+fixed at parse time); the memo of steps serves it under every
+assignment that agrees on the tokens it read itself and gives those
+bindings equal values.  Cached runs and memoised steps replay their
+transcript lines and citations, so transcripts and digests are those
+of a fresh evaluation.
 """
 
 from __future__ import annotations
@@ -136,6 +140,9 @@ class _Table(dict):
     def __missing__(self, key):
         raise _Missing(f"missing {self.what} {key!r}")
 
+
+# what a step may raise; ``Runner._execute`` prefixes it with the step
+_STEP_ERRORS = (DeriveError, LesError, KbError, GroupError, TermError)
 
 CANONICAL_TOKENS = {"sign": 1, "eps": 0, "x": 0, "y": 1}
 SWEEP_GRID = [  # CANONICAL_TOKENS first; ``Runner.run`` compares with it
@@ -343,12 +350,17 @@ def expected_group(step: Step, env: dict) -> TwoLocalGroup:
 
 @dataclass
 class RunResult:
+    """One execution of a script; ``reads`` and ``subs`` decide which
+    other token assignments it serves (``Runner._serves``)."""
     script: str
     env: dict                     # the environment it was executed under
     value: object                 # PiGroup | Element | int
     transcript: str
     consumed: List[KbFact]
-    tokens: frozenset             # the swept tokens it depends on
+    reads: frozenset              # the swept tokens it read itself: its
+    #                               context's and its citations'
+    subs: tuple                   # (``run`` step, the value it returned)
+    #                               of each subderivation, in order
 
     @property
     def group(self) -> TwoLocalGroup:
@@ -368,8 +380,17 @@ class _StepMemo:
     lines: tuple              # its transcript lines, citations included
     facts: tuple              # the facts it cited, in order
     reads: dict               # token -> the value it read itself; the run's
-    #                           tokens include these
+    #                           reads include these
     inputs: tuple             # the values of ``Step.names``, in that order
+
+
+def _sub_env(step: Step, env: dict) -> dict:
+    """The environment of a ``run`` step's subderivation: the tokens of
+    ``env`` and the step's own arguments only, so that it shares its cache
+    entry with a run of the same parameters."""
+    return dict({t: env[t] for t in SWEPT_TOKENS},
+                **{k: eval_int_expr(v, env) for k, v in step.args.items()
+                   if k != "script"})
 
 
 def _run_key(name: str, env: dict) -> tuple:
@@ -387,11 +408,15 @@ class Runner:
     run.  Without the sweep it evaluates the canonical assignment alone.
 
     Runs are cached by script and parameters.  A cached run serves every
-    token assignment that agrees with it on the tokens it depends on
-    (``RunResult.tokens``; see ``rewrite.RuleContext`` for why that is
-    exact); any other assignment is executed.  A run that cites no token
-    fact is therefore executed once for the whole sweep.  Rule contexts
-    are cached by token assignment and shared by every script and
+    token assignment that agrees with it on the tokens it read itself
+    (``RunResult.reads``) and under which each subderivation it ran,
+    asked again, returns the value it used (``_serves``); any other
+    assignment is executed.  This is early cutoff at the level of runs,
+    with subderivations as their dependencies: a run that reads no token
+    itself is executed once for every distinct set of values its
+    subderivations return, not once for every assignment of the tokens
+    they read.  Rule contexts are cached by token assignment, built when
+    a run is first executed under it, and shared by every script and
     parameter.
 
     A run that is executed replays each ``let`` step from the step memo
@@ -401,11 +426,13 @@ class Runner:
     re-executed for one token-reading step re-evaluates only the steps
     whose inputs that token changes: a step whose inputs come out equal
     is served again, which Mokhov, Mitchell and Peyton Jones ("Build
-    systems a la carte", ICFP 2018) call early cutoff.  The memo and the
-    keys of its values (``_keys``) are cleared when ``run`` returns or
-    raises: after a sweep the run cache serves every (script,
-    parameters) pair it executed under every assignment, so a step memo
-    kept longer would not be hit.
+    systems a la carte", ICFP 2018) call early cutoff.  A ``run`` step
+    is never served from this memo: it asks ``_run_cached`` again, which
+    is the memo of runs.  The memo and the keys of the values both memos
+    compare (``_keys``) are cleared when ``run`` returns or raises: after
+    a sweep the run cache serves every (script, parameters) pair it
+    executed under every assignment, so a step memo kept longer would
+    not be hit.
     """
 
     def __init__(self, catalog: KbCatalog, scripts: Dict[str, Script]):
@@ -451,14 +478,33 @@ class Runner:
 
     def _run_cached(self, name: str, env: dict) -> RunResult:
         """A cached run of ``name`` with the parameters of ``env`` that
-        agrees with ``env`` on the tokens it consumed, or a new one."""
+        serves ``env`` (``_serves``), or a new one."""
         runs = self._cache.setdefault(_run_key(name, env), [])
         for hit in runs:
-            if all(hit.env[t] == env.get(t) for t in hit.tokens):
+            if self._serves(hit, env):
                 return hit
         result = self._execute(name, env)
         runs.append(result)
         return result
+
+    def _serves(self, hit: RunResult, env: dict) -> bool:
+        """Whether executing ``hit``'s script under ``env`` would give
+        ``hit``: ``env`` agrees with it on the tokens it read itself, and
+        each subderivation it ran, asked again under ``env``, returns the
+        value it used, the same object or one of equal ``_value_key``.
+        A subderivation that raises serves nothing: the caller is
+        executed, so that its ``run`` step reports the error."""
+        if any(hit.env[t] != env[t] for t in hit.reads):
+            return False
+        for step, value in hit.subs:
+            try:
+                got = self._run_cached(step.args["script"],
+                                       _sub_env(step, env)).value
+            except _STEP_ERRORS:
+                return False
+            if got is not value and self._key(got) != self._key(value):
+                return False
+        return True
 
     def _execute(self, name: str, env: dict) -> RunResult:
         script = self.scripts.get(name)
@@ -473,7 +519,7 @@ class Runner:
         lines: List[str] = [f"derivation {name} "
                             + " ".join(f"{p}={env[p]}" for p in script.params)]
         ctx = self._ctx(env)
-        tokens = set(ctx.tokens)      # plus its subderivations' and facts'
+        subs = []
         bindings = _Table("binding")
         key = _run_key(name, env)
         ret: Optional[object] = None
@@ -482,15 +528,15 @@ class Runner:
                 if step.kind == "let":
                     try:
                         memo = self._let(key, idx, step, env, ctx, bindings)
-                    except (DeriveError, LesError, KbError, GroupError,
-                            TermError) as e:
+                    except _STEP_ERRORS as e:
                         # errors carry the failing step's position
                         raise type(e)(
                             f"{name} step {idx} ({step.verb}): {e}") from e
                     lines.extend(memo.lines)
                     facts.extend(memo.facts)
-                    tokens.update(memo.reads)
                     bindings[step.name] = memo.value
+                    if step.verb == "run":
+                        subs.append((step, memo.value))
                     continue
                 if step.kind == "check":
                     _, cited = ctx.citing(self._eval_check, step, env, ctx,
@@ -524,9 +570,9 @@ class Runner:
             lines.append(f"  result: {ret.group.render()}")
         else:
             lines.append(f"  result: {_render_value(ret)}")
-        tokens.update(*(f.tokens for f in facts))
         return RunResult(name, dict(env), ret, "\n".join(lines) + "\n", facts,
-                         frozenset(tokens))
+                         ctx.tokens.union(*(f.tokens for f in facts)),
+                         tuple(subs))
 
     def _let(self, key, idx, step, env, ctx, bindings) -> _StepMemo:
         """Step ``idx`` of the run ``key``, a ``let``: a memoised evaluation
@@ -534,15 +580,16 @@ class Runner:
         the bindings the step names, had values equal to theirs now; or a
         new one.
 
-        The tokens it read itself are those of ``ctx``, of its
-        subderivation and of the facts it cited (exact by the argument in
-        ``rewrite.RuleContext``); it reads everything else through its
-        inputs.  Under any assignment that agrees on those tokens and
-        gives equal inputs it computes the same value, transcript lines
-        and citations, which the caller replays as a fresh evaluation
-        would emit them.  An input is compared by identity first, since a
-        replayed binding is the very value of its memo, and by
-        ``_value_key`` only when that fails.
+        The tokens it read itself are those of ``ctx`` and of the facts
+        it cited (exact by the argument in ``rewrite.RuleContext``); it
+        reads everything else through its inputs.  Under any assignment
+        that agrees on those tokens and gives equal inputs it computes
+        the same value, transcript lines and citations, which the caller
+        replays as a fresh evaluation would emit them.  An input is
+        compared by identity first, since a replayed binding is the very
+        value of its memo, and by ``_value_key`` only when that fails.
+        A ``run`` step is evaluated every time and not kept: its value is
+        the subderivation's, which ``_run_cached`` serves.
         """
         inputs = tuple(map(bindings.get, step.names))
         entries = self._steps.setdefault(key + (step.line,), [])
@@ -552,21 +599,22 @@ class Runner:
                     for a, b in zip(memo.inputs, inputs)):
                 return memo
         lines: List[str] = []
-        tokens: set = set()
         value, facts = ctx.citing(self._eval_step, step, env, ctx, bindings,
-                                  lines, tokens)
-        read = tokens.union(ctx.tokens, *(f.tokens for f in facts))
+                                  lines)
+        read = ctx.tokens.union(*(f.tokens for f in facts))
         lines.append(f"  step {idx}: {step.raw}")
         lines.append(f"    = {_render_value(value)}")
         lines.extend(f"    uses {fact.note()}" for fact in facts)
         memo = _StepMemo(value, tuple(lines), tuple(facts),
                          {t: env[t] for t in read}, inputs)
-        entries.append(memo)
+        if step.verb != "run":    # ``_run_cached`` is the memo of runs
+            entries.append(memo)
         return memo
 
     def _key(self, value) -> tuple:
-        """``_value_key(value)``, computed once per value while the step
-        memo lives; the entry holds the value, so its id is not reused."""
+        """``_value_key(value)``, computed once per value until ``run``
+        clears the step memo; the entry holds the value, so its id is not
+        reused."""
         hit = self._keys.get(id(value))
         if hit is None:
             hit = self._keys[id(value)] = (value, _value_key(value))
@@ -590,7 +638,7 @@ class Runner:
                   if "attach" in args else None)
         return fibration(self.catalog, *space.data, attach=attach)
 
-    def _eval_step(self, step, env, ctx, bindings, lines, tokens):
+    def _eval_step(self, step, env, ctx, bindings, lines):
         verb = step.verb
         args = step.args
 
@@ -609,13 +657,9 @@ class Runner:
             return self._fiber_group(args, env, ctx, bindings)
 
         if verb == "run":
-            # the tokens and its own arguments only, so that it shares
-            # its cache entry with a run of the same parameters
-            sub_params = {k: eval_int_expr(v, env) for k, v in args.items()
-                          if k != "script"}
-            sub_env = dict({t: env[t] for t in SWEPT_TOKENS}, **sub_params)
+            sub_env = _sub_env(step, env)
             sub = self._run_cached(args["script"], sub_env)
-            tokens.update(sub.tokens)
+            sub_params = {k: sub_env[k] for k in args if k != "script"}
             lines.append(f"    (subderivation {args['script']} "
                          f"{sub_params} -> {_render_value(sub.value)})")
             return sub.value

@@ -85,6 +85,7 @@ from .terms import (
     parse_space,
     raw_concat,
     sphere,
+    suspend_space,
     term_names,
 )
 from . import rewrite
@@ -601,6 +602,18 @@ class KbCatalog:
                 compile_space(text)
         except (KbError, TermError) as e:
             raise KbError(f"line {f.line}: payload: {e}") from e
+        if pat.rule in ("word", "susp", "product") and not bindable:
+            # a subject that binds no variable has one instance: check the
+            # spaces of its rewrite now, with every token 1, as a
+            # declaration is checked with every parameter 1
+            try:
+                lhs = (Bracket([self.parse_element(slot, {}) for slot in
+                                split_top(f.subject[1:-1], ",")])
+                       if pat.rule == "product"
+                       else self.parse_element(f.subject, {}).terms[0][0])
+            except (KbError, TermError) as e:
+                raise KbError(f"line {f.line}: {e}") from e
+            self._rhs(pat, lhs, dict.fromkeys(f.tokens, 1))
         return pat
 
     def _pattern(self, f: KbFact) -> FactPattern:
@@ -804,12 +817,26 @@ class KbCatalog:
         for pat, bound in self._matches(kind, names, values):
             if kind == "order":
                 return abs(strip_odd(pat.order)), pat.fact
-            payload = pat.fact.payload.strip()
-            rhs = (Element.zero(lhs.source, lhs.target) if payload == "0"
-                   else self.parse_element(
-                       payload, _payload_env(env, bound, pat.fact)))
-            return rhs, pat.fact
+            return self._rhs(pat, lhs, _payload_env(env, bound, pat.fact)), \
+                pat.fact
         return None
+
+    def _rhs(self, pat: FactPattern, lhs, env: dict) -> Element:
+        """The right side of the rewrite ``pat`` on ``lhs``, a word or a
+        product's bracket, under the payload environment ``env``.  It
+        must map between the spaces of ``lhs``, or of its suspension for
+        a ``susp`` rule."""
+        ends = (lhs.source, lhs.target)
+        if pat.rule == "susp":
+            ends = tuple(map(suspend_space, ends))
+        payload = pat.fact.payload.strip()
+        rhs = (Element.zero(*ends) if payload == "0"
+               else self.parse_element(payload, env))
+        if (rhs.source, rhs.target) != ends:
+            raise KbError(f"line {pat.fact.line}: {payload} maps "
+                          f"{rhs.source.key} -> {rhs.target.key}, not "
+                          f"{ends[0].key} -> {ends[1].key}")
+        return rhs
 
     def serialize(self) -> str:
         out = [f"version {self.version}"]

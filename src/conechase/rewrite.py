@@ -91,9 +91,11 @@ class RuleContext:
     an order bound, whose payload must be 0 (``kb.KbCatalog._pattern``),
     so it reads no token; and the product ``[iota_3, iota_3]`` that
     building the context reads, whose tokens are ``tokens``.  The three
-    memos rest on this: cached runs (``derive.Runner``), ``let`` steps
-    (``derive.Runner._let``) and normal forms (``memo``, the catalog's one
-    table, shared by every context it builds).
+    memos rest on this: cached runs (``derive.Runner._serves``, which
+    also asks each subderivation again and compares its value), ``let``
+    steps (``derive.Runner._let``, which also compares the bindings a
+    step names) and normal forms (``memo``, the catalog's one table,
+    shared by every context it builds).
     """
 
     def __init__(self, registry, lookup: Callable, patterns,

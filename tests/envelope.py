@@ -10,7 +10,11 @@ a fixed list of in-process ``conechase.cli.main`` calls:
   machine format;
 - ``ablation``: 1,160 calls, each scenario at r/m in {1, 2, 3, 30} with
   ``--no-sweep --transcript`` on a catalog lacking one of the 58 shipped
-  facts, with the temporary catalog path normalised.
+  facts, with the temporary catalog path normalised;
+- ``swept``: 15 calls, each scenario at r/m in {1, 2, 3}, swept with
+  ``--transcript``, on a catalog whose group pi_5(S2 v S5) has an
+  eps-dependent order, so that most fail under eps=1 only, with the
+  temporary catalog path normalised.
 
 Two trees give equal digests exactly when these outputs agree byte for
 byte.  It takes about 20 s, so it is run by hand, never by the suite:
@@ -40,6 +44,8 @@ from pathlib import Path
 
 VALUES = (0, 1, 2, 3, 4, 8, 30, 62)
 ABLATION_VALUES = (1, 2, 3, 30)
+SWEPT_VALUES = (1, 2, 3)
+EPS_GROUP = ("| S2vS5 @ 5 | Z/2{", "| S2vS5 @ 5 | Z/2^(1+eps){")
 COMPUTE_MODES = (("--transcript",), ("--no-sweep", "--transcript"),
                  ("--format", "machine"))
 FILTRATIONS = (("--f", "2*iota_3", "--n", "4"),
@@ -109,6 +115,18 @@ def ablation_argvs(kb_dir: Path):
                        "--transcript")
 
 
+def swept_argvs(kb_dir: Path):
+    """The swept calls, writing the eps-dependent catalog."""
+    from conechase.derive import default_catalog
+
+    path = kb_dir / "eps.facts"
+    path.write_text(default_catalog().serialize().replace(*EPS_GROUP))
+    for space, k, flag in _scenarios():
+        for value in SWEPT_VALUES:
+            yield ("--kb", str(path), "compute", "--space", space,
+                   "--k", str(k), flag, str(value), "--transcript")
+
+
 def digest(records) -> str:
     h = hashlib.sha256()
     for rec in records:
@@ -167,11 +185,13 @@ def main(argv=None) -> int:
     outputs = [call(a) for a in output_argvs()]
     with tempfile.TemporaryDirectory() as tmp:
         ablation = [call(a, kb_dir=tmp) for a in ablation_argvs(Path(tmp))]
+        swept = [call(a, kb_dir=tmp) for a in swept_argvs(Path(tmp))]
     print(f"outputs  {digest(outputs)}  ({len(outputs)} calls)")
     print(f"ablation {digest(ablation)}  ({len(ablation)} calls)")
+    print(f"swept    {digest(swept)}  ({len(swept)} calls)")
     if argv:
         with open(argv[0], "w") as fh:
-            for rec in outputs + ablation:
+            for rec in outputs + ablation + swept:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
     return 0
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from conechase import cli
 from conechase.derive import default_catalog, load_scripts, scenarios
+from conechase.kb import KbError, load_catalog
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +132,32 @@ def test_assertion_mismatch_exit_code(capsys, tmp_path):
     assert "computed" in err and "expected" in err
 
 
+@pytest.mark.parametrize("space, k, r, where", [
+    ("P3", "5", "2", "pi5_P3 step 1 (run): pi5_L4m(m=3)"),
+    ("P3", "6", "2", "pi6_P3 step 1 (run): pi6_J3 step 1 (run): "
+                     "pi5_L4m(m=3)"),
+    ("J3", "6", "1", "pi6_J3 step 1 (run): pi5_L4m(m=2)"),
+])
+def test_a_swept_failure_names_the_steps_it_passed(capsys, tmp_path, space,
+                                                   k, r, where):
+    """An eps-dependent group read by pi5_L4m fails its assert under
+    eps=1 only.  The callers read no token themselves, so the sweep first
+    asks their cached canonical runs, whose subderivation now raises; the
+    callers are then executed, and each ``run`` step on the way prefixes
+    the error with its position."""
+    old = "| S2vS5 @ 5 | Z/2{"
+    text = default_catalog().serialize()
+    assert old in text
+    p = tmp_path / "eps.facts"
+    p.write_text(text.replace(old, "| S2vS5 @ 5 | Z/2^(1+eps){"))
+    code, out, err = run_cli(capsys, "--kb", str(p), "compute", "--space",
+                             space, "--k", k, "--r", r)
+    assert code == cli.EXIT_ASSERTION
+    assert out == ""
+    assert err == (f"error: {where}: computed Z/2 + Z/4 + Z(2) but expected "
+                   f"Z/2 + Z/2 + Z(2)\n")
+
+
 def test_filtration_examples(capsys):
     code, out, _ = run_cli(capsys, "filtration", "--f", "2^r*iota_2",
                            "--n", "3", "--r", "2")
@@ -220,6 +247,51 @@ def test_validate_kb_rejects_unresolvable_facts(capsys, tmp_path):
         code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
         assert code == cli.EXIT_VALIDATION and not out
         assert "line 1" in err
+
+
+MAPS = ("symbol aa : S3 -> S5\nsymbol bb : S5 -> S3\n"
+        "symbol cc : S2 -> S3\n")
+
+
+@pytest.mark.parametrize("fact, error", [
+    ("map_identity | bb.aa | iota_5", "iota_5 maps S5 -> S5, not S3 -> S3"),
+    ("suspension_value | cc | cc", "cc maps S2 -> S3, not S3 -> S4"),
+    ("relation | [iota_2, iota_2] | eta_3",
+     "eta_3 maps S4 -> S3, not S3 -> S2"),
+])
+def test_validate_kb_checks_the_spaces_of_a_rule(capsys, tmp_path, fact,
+                                                  error):
+    """A rewrite whose right side lives elsewhere than its subject (the
+    subject's suspension for a suspension value, the bracket for a
+    product) is refused at load when its subject binds no variable."""
+    p = tmp_path / "rule.facts"
+    p.write_text(MAPS + f"fact {fact} | paper | q | loc\n")
+    for argv in (["validate-kb"],
+                 ["compute", "--space", "L4", "--k", "5", "--m", "3"]):
+        code, out, err = run_cli(capsys, "--kb", str(p), *argv)
+        assert code == cli.EXIT_VALIDATION and not out
+        assert err == f"error: line 4: {error}\n"
+
+
+def test_a_rule_is_checked_where_it_is_instantiated(tmp_path):
+    """A rule whose subject binds a variable is checked when a lookup
+    instantiates it: normalising bb.aa(1).cc raises, where it returned cc
+    and bb.aa(1) raised 'sum of elements with different spaces'.  A
+    suspension value 0 is the zero map between the suspended spaces."""
+    from conechase import rewrite
+    p = tmp_path / "rule.facts"
+    p.write_text(MAPS.replace("aa :", "aa(n) :")
+                 + "fact map_identity | bb.aa(n) | iota_5 | paper | q | loc\n"
+                 + "fact suspension_value | cc | 0 | paper | q | loc\n")
+    cat = load_catalog(p)
+    ctx = cat.rule_context({})
+    for text in ("bb.aa(1).cc", "bb.aa(1)"):
+        with pytest.raises(KbError, match=r"^line 4: iota_5 maps S5 -> S5, "
+                                          r"not S3 -> S3$"):
+            rewrite.normalize(cat.parse_element(text, {}), ctx)
+    zero = rewrite.suspend(cat.parse_element("cc", {}), ctx)
+    assert zero.is_zero() and (zero.source.key, zero.target.key) == ("S3",
+                                                                      "S4")
 
 
 def test_validate_kb_checks_payload_symbols(capsys, tmp_path):
@@ -437,8 +509,10 @@ def test_token_mutated_catalogs_reach_the_chase(capsys, tmp_path):
     """Whole-token edits mostly still parse, so unlike junk inserted
     mid-token they reach the chase and its error paths: of 100 seeded
     draws at least half load, and every load and every compute on what
-    loads exits with a documented code, never a traceback."""
-    rng = random.Random(0)
+    loads exits with a documented code, never a traceback.  The computes
+    draw from a second generator, so the 100 catalogs do not depend on
+    which of them load."""
+    rng, pick = random.Random(0), random.Random(1)
     path = tmp_path / "mutated.facts"
     loaded = 0
     for _ in range(100):
@@ -449,7 +523,7 @@ def test_token_mutated_catalogs_reach_the_chase(capsys, tmp_path):
             loaded += 1
             code, _, err = run_cli(
                 capsys, "--kb", str(path), "compute",
-                *rng.choice(_SCENARIO_ARGV), str(rng.randint(1, 3)),
+                *pick.choice(_SCENARIO_ARGV), str(pick.randint(1, 3)),
                 "--no-sweep")
             assert code in (0, 2, 3, 4) and "Traceback" not in err, err
     assert loaded >= 50

@@ -301,7 +301,7 @@ def test_golden_transcript(runner):
 
 # ---------------------------------------------------------------------------
 # sweep pruning: a cached run serves every assignment agreeing on the
-# tokens it consumed
+# tokens it read itself under which its subderivations return equal values
 # ---------------------------------------------------------------------------
 
 class CountingRunner(Runner):
@@ -346,14 +346,26 @@ def test_pruned_sweep_equals_the_full_sweep(pruned_pass, scripts):
             want = fresh._execute(name, env)
             assert got.transcript == want.transcript, (name, env)
             assert _render_value(got.value) == _render_value(want.value)
-            assert all(got.env[t] == env[t] for t in got.tokens)
+            assert all(got.env[t] == env[t] for t in got.reads)
     assert len(pruned_pass.executed) == done  # the pass had them all
 
 
 def test_runs_record_the_tokens_they_consume(pruned_pass):
-    touched = {}
+    """A run records the tokens it read itself; those its subderivations
+    read are theirs.  Only pi6_L4m and gamma3 read a token themselves,
+    and through their subderivations the other scripts depend on them."""
+    def depends(res):
+        return res.reads.union(*(depends(pruned_pass._run_cached(
+            step.args["script"], derive._sub_env(step, res.env)))
+            for step, _ in res.subs))
+
+    read, touched = {}, {}
     for res in pruned_pass.executed:
-        touched.setdefault(res.script, set()).update(res.tokens)
+        read.setdefault(res.script, set()).update(res.reads)
+        touched.setdefault(res.script, set()).update(depends(res))
+    assert read == {
+        "pi5_L4m": set(), "gamma3": {"sign", "eps"}, "pi5_P3": set(),
+        "pi6_L4m": {"sign", "x", "y"}, "pi6_J3": set(), "pi6_P3": set()}
     assert touched == {
         "pi5_L4m": set(),
         "gamma3": {"sign", "eps"},
@@ -365,11 +377,13 @@ def test_runs_record_the_tokens_they_consume(pruned_pass):
     for res in pruned_pass.executed:
         # a run depends on the tokens of each fact it cites
         for fact in res.consumed:
-            assert fact.tokens <= res.tokens
+            assert fact.tokens <= res.reads
 
 
 def test_executions_per_swept_pass(pruned_pass, monkeypatch, capsys):
-    assert len(pruned_pass.executed) == 402  # 1040 without pruning
+    # 1040 without pruning, 402 while a run was keyed on every token its
+    # subderivations read
+    assert len(pruned_pass.executed) == 138
     for name, params in pruned_pass._cache:
         if name in ("pi5_L4m", "pi6_L4m"):
             assert [k for k, _ in params] == ["m"], (name, params)
@@ -387,7 +401,7 @@ def test_executions_per_swept_pass(pruned_pass, monkeypatch, capsys):
 
 
 def test_normal_forms_per_swept_pass(pruned_pass):
-    """The 16 contexts of a pass share one memo of normal forms, and each
+    """The contexts of a pass share one memo of normal forms, and each
     entry is one execution of the rewriting: 886 of them, where every
     context normalising on its own made 19,405.  835 (word, coefficient,
     level) keys are asked; the rest are second answers for words whose
@@ -398,41 +412,56 @@ def test_normal_forms_per_swept_pass(pruned_pass):
 
 
 def test_steps_per_swept_pass(pruned_pass):
-    """The 402 runs of a pass walk 4,016 ``let`` steps; the step memo
-    serves 3,188 of them and 828 are evaluated (2,060 while it keyed a
-    step on the tokens its input bindings read, not on their values).
-    The memo lives for one ``Runner.run``: a swept (script, parameters)
-    pair is in the run cache under every assignment by then."""
+    """The 138 runs of a pass walk 1,184 ``let`` steps; the step memo
+    serves 580 of them and 604 are evaluated, 96 of which are ``run``
+    steps, which the memo never serves since they ask the run cache.
+    (The 402 runs executed while a run was keyed on every token its
+    subderivations read walked 4,016 steps and evaluated 828; 2,060 while
+    the memo keyed a step on the tokens its input bindings read, not on
+    their values.)  The memo lives for one ``Runner.run``: a swept
+    (script, parameters) pair is in the run cache under every assignment
+    by then."""
     walked = sum(step.kind == "let" for res in pruned_pass.executed
                  for step in pruned_pass.scripts[res.script].steps)
-    assert walked == 4016
-    assert pruned_pass.evaluated == 828
+    assert walked == 1184
+    assert pruned_pass.evaluated == 604
+    assert sum(step.verb == "run" for res in pruned_pass.executed
+               for step in pruned_pass.scripts[res.script].steps) == 96
     assert not pruned_pass._steps
 
 
 def test_early_cutoff_in_a_swept_compute(scripts, monkeypatch, capsys):
-    """A swept ``compute --space P3 --k 6 --r 3`` executes pi6_P3 and
-    pi6_J3 under all 16 assignments, and pi6_P3's first step, which runs
-    pi6_J3, is evaluated for each.  Every step after it sees inputs equal
-    to those of its first evaluation, so the cokernel of pi6_J3 (line 22)
-    and the cokernel and extension of pi6_P3 (lines 16 and 19) are
-    evaluated once, where keying them on the tokens their inputs read
-    evaluated each 16 times."""
+    """A swept ``compute --space P3 --k 6 --r 3``: pi6_P3 and pi6_J3 read
+    no token themselves, and under each of the 16 assignments the
+    subderivations they ran return equal values, so each is executed
+    once; their cached runs serve the other 15 assignments.  pi6_L4m and
+    gamma3 read tokens, and are executed once per assignment of those
+    (8 and 4).  Keying a run on every token its subderivations read
+    executed pi6_P3 and pi6_J3 under all 16 assignments, and before the
+    step memo compared input values, the cokernel of pi6_J3 (line 22) and
+    the cokernel and extension of pi6_P3 (lines 16 and 19) were evaluated
+    16 times each."""
     where = {id(step): (name, step.line, step.verb)
              for name, script in scripts.items() for step in script.steps}
-    evaluated = []
-    eval_step = Runner._eval_step
+    evaluated, executed = [], []
+    eval_step, execute = Runner._eval_step, Runner._execute
 
     def counted(self, step, *args):
         evaluated.append(where[id(step)])
         return eval_step(self, step, *args)
 
+    def counted_run(self, name, env):
+        executed.append(name)
+        return execute(self, name, env)
+
     monkeypatch.setattr(Runner, "_eval_step", counted)
+    monkeypatch.setattr(Runner, "_execute", counted_run)
     assert cli.main(["compute", "--space", "P3", "--k", "6", "--r", "3"]) == 0
     assert capsys.readouterr().out == "Z/2 + Z/2 + Z/4 + Z/4 + Z/8\n"
-    assert evaluated.count(("pi6_P3", 11, "run")) == 16
-    for step in (("pi6_J3", 22, "cokernel"), ("pi6_P3", 16, "cokernel"),
-                 ("pi6_P3", 19, "extension")):
+    assert {name: executed.count(name) for name in executed} == {
+        "pi6_P3": 1, "pi6_J3": 1, "pi5_L4m": 1, "pi6_L4m": 8, "gamma3": 4}
+    for step in (("pi6_P3", 11, "run"), ("pi6_J3", 22, "cokernel"),
+                 ("pi6_P3", 16, "cokernel"), ("pi6_P3", 19, "extension")):
         assert evaluated.count(step) == 1, step
 
 
@@ -479,10 +508,22 @@ def test_the_value_key_sees_what_equality_ignores(runner, catalog, env):
         _value_key("eta_3")
 
 
-def test_one_rule_context_per_token_assignment(pruned_pass):
+def test_one_rule_context_per_token_assignment(pruned_pass, catalog,
+                                               scripts):
     """Rules read only the swept tokens, so a pass shares one context per
-    sweep assignment across every row, parameter and subderivation."""
-    assert len(pruned_pass._ctx_cache) == len(SWEEP_GRID) == 16
+    sweep assignment across every row, parameter and subderivation.  A
+    context is built when a run executes under its assignment: a pass
+    executes no run under the six assignments with eps=1 and x or y other
+    than canonical, since no script reading eps reads x or y.  A runner
+    that executes every row under every assignment builds all 16."""
+    assert len(SWEEP_GRID) == 16
+    assert sorted(pruned_pass._ctx_cache) == sorted(
+        (a["sign"], a["eps"], a["x"], a["y"]) for a in SWEEP_GRID
+        if a["eps"] == 0 or (a["x"], a["y"]) == (0, 1))
+    full = Runner(catalog, scripts)
+    for assign in SWEEP_GRID:
+        full._execute("pi5_L4m", dict(assign, m=0))
+    assert len(full._ctx_cache) == 16
 
 
 def test_pruned_sweep_still_sees_a_token_dependence(catalog, scripts,
@@ -501,7 +542,56 @@ def test_pruned_sweep_still_sees_a_token_dependence(catalog, scripts,
     runner = CountingRunner(load_catalog(path), unchecked)
     with pytest.raises(DeriveError, match="depends on the ambiguous tokens"):
         runner.run("pi5_L4m", {"m": 3})
-    assert {res.tokens for res in runner.executed} == {frozenset({"eps"})}
+    assert {res.reads for res in runner.executed} == {frozenset({"eps"})}
+
+
+WRAP = parse_script("derivation wrap\nparams m\n"
+                    "let g = run script=pi5_L4m; m=m\nreturn g\n")
+
+
+def test_a_cached_run_sees_a_flipped_generator(catalog, scripts, tmp_path):
+    """Negative control for serving a cached run: a group fact whose free
+    generator is ``sign*j2_25``.  pi5_L4m reads no token itself, but
+    under sign=-1 it returns the same orders with beta(3) negated, so
+    ``wrap``, which returns that group, is executed again; comparing the
+    values by what the sweep compares would serve it stale."""
+    old = "Z(2){j2_25}"
+    text = catalog.serialize()
+    assert text.count(old) == 1
+    path = tmp_path / "sign.facts"
+    path.write_text(text.replace(old, "Z(2){sign*j2_25}"))
+    linked = dict(scripts, wrap=WRAP)
+    runner = CountingRunner(load_catalog(path), linked)
+    runner.run("wrap", {"m": 3})
+    for assign in SWEEP_GRID:
+        env = dict(assign, m=3)
+        want = Runner(load_catalog(path), linked)._execute("wrap", env)
+        assert runner._run_cached("wrap", env).transcript == want.transcript
+    assert "-> Z/2{j_L(3) . eta_2 . eta_3 . eta_4} + Z/2{eta~_4(3)} + " \
+           "Z(2){-beta(3)})" in want.transcript
+    assert [res.script for res in runner.executed].count("wrap") == 2
+
+
+def test_a_cached_run_sees_what_equality_ignores(catalog, scripts):
+    """Negative control: a subderivation whose value, under y=-3, differs
+    from the one a cached run used only in its group's labels, which
+    ``==`` ignores and ``_value_key`` sees.  The cached run is not served
+    there: ``wrap`` is executed again, and its transcript names the new
+    labels."""
+    class Relabelling(Runner):
+        def _run_cached(self, name, env):
+            res = super()._run_cached(name, env)
+            if name != "pi5_L4m" or env["y"] == 1:
+                return res
+            group = res.value.group
+            return replace(res, value=replace(res.value, group=group
+                           .with_labels([f"g{i}" for i in range(group.rank)])))
+
+    runner = Relabelling(catalog, dict(scripts, wrap=WRAP))
+    assert runner.run("wrap", {"m": 3}).group == PI5_L4[3]
+    got = runner._run_cached("wrap", dict(CANONICAL_TOKENS, m=3, y=-3))
+    assert got.env["y"] == -3
+    assert "-> Z/2{g0} + Z/2{g1} + Z(2){g2})" in got.transcript
 
 
 @pytest.mark.parametrize("carried", [True, False])
@@ -534,7 +624,7 @@ def test_step_memo_keys_on_the_bindings_it_names(catalog, scripts, tmp_path,
             runner.run("pi5_L4m", {"m": 3})
     else:
         assert runner.run("pi5_L4m", {"m": 3}).group == PI5_L4[3]
-    assert {res.tokens for res in runner.executed} == {frozenset({"eps"})}
+    assert {res.reads for res in runner.executed} == {frozenset({"eps"})}
     assert not runner._steps      # cleared when run returns or raises
 
 
@@ -694,7 +784,8 @@ def test_each_text_is_compiled_once(monkeypatch):
     """One reproduce pass, on a freshly loaded catalog and freshly parsed
     scripts, with every process-level syntax cache emptied: each integer
     expression, term text and space key is tokenised once, however often
-    the pass evaluates it."""
+    the pass evaluates it.  The term texts include the slots iota_2 and
+    iota_3 of the product subjects that loading checks."""
     caches = (terms._int_node, terms._term_tokens, terms.term_names,
               terms._compile_term, terms.compile_space, kb.compile_guard)
     for cache in caches:
@@ -713,12 +804,12 @@ def test_each_text_is_compiled_once(monkeypatch):
     assert len(tokenised["_tokenize_expr"]) == \
         terms._int_node.cache_info().currsize == 20
     assert len(tokenised["_tokenize_term"]) == \
-        terms._term_tokens.cache_info().currsize == 75
+        terms._term_tokens.cache_info().currsize == 77
     for cache in caches:
         info = cache.cache_info()
         assert info.misses == info.currsize, cache   # nothing compiled twice
-    # evaluated far oftener: term_names 2,407 hits on 75 misses and
-    # compile_space 839 on 24 are the least, about 32 and 35 times
+    # evaluated far oftener: term_names 2,299 hits on 77 misses and
+    # compile_space 839 on 24 are the least, about 30 and 35 times
     for cache in (terms._int_node, terms.term_names, terms.compile_space,
                   kb.compile_guard):
         info = cache.cache_info()
