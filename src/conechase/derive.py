@@ -433,6 +433,13 @@ class Runner:
     a sweep the run cache serves every (script, parameters) pair it
     executed under every assignment, so a step memo kept longer would
     not be hit.
+
+    An execution that raises is not cached as a run, but its error is
+    kept, by script and whole environment, until ``run`` returns or
+    raises: asked again in that time, as ``_serves`` and then the
+    caller's own ``run`` step ask, it raises the same error without
+    executing again, which is exact since an execution is a function of
+    its environment.
     """
 
     def __init__(self, catalog: KbCatalog, scripts: Dict[str, Script]):
@@ -442,6 +449,8 @@ class Runner:
         self._ctx_cache: Dict[tuple, object] = {}
         self._steps: Dict[tuple, List[_StepMemo]] = {}
         self._keys: Dict[int, tuple] = {}   # id -> (value, _value_key)
+        # (script, environment) -> the error its execution raised
+        self._errors: Dict[tuple, Exception] = {}
 
     # -- public -----------------------------------------------------------
 
@@ -461,6 +470,7 @@ class Runner:
             # a swept pair is now in the run cache under every assignment
             self._steps.clear()
             self._keys.clear()
+            self._errors.clear()
         return result
 
     # -- internals ----------------------------------------------------------
@@ -483,7 +493,14 @@ class Runner:
         for hit in runs:
             if self._serves(hit, env):
                 return hit
-        result = self._execute(name, env)
+        failed = (name, tuple(sorted(env.items())))
+        if failed in self._errors:
+            raise self._errors[failed]
+        try:
+            result = self._execute(name, env)
+        except _STEP_ERRORS as e:
+            self._errors[failed] = e
+            raise
         runs.append(result)
         return result
 
@@ -493,7 +510,8 @@ class Runner:
         each subderivation it ran, asked again under ``env``, returns the
         value it used, the same object or one of equal ``_value_key``.
         A subderivation that raises serves nothing: the caller is
-        executed, so that its ``run`` step reports the error."""
+        executed, so that its ``run`` step reports the error, which
+        ``_run_cached`` raises again without executing."""
         if any(hit.env[t] != env[t] for t in hit.reads):
             return False
         for step, value in hit.subs:
@@ -1122,6 +1140,17 @@ def reproduce_rows(scripts: Dict[str, Script]) -> List[Tuple[str, dict]]:
 
 
 def default_catalog() -> KbCatalog:
+    """The shipped catalog, with memos of its own (``KbCatalog.view``).
+
+    The file is read, checked and compiled once per process, and the
+    symbols its registry interns live as long; the parses and normal
+    forms belong to the view, so they live as long as the command that
+    asked for it."""
+    return _shipped_catalog().view()
+
+
+@functools.cache
+def _shipped_catalog() -> KbCatalog:
     path = resources.files("conechase").joinpath("data/paper.facts")
     with resources.as_file(path) as p:
         return load_catalog(p)

@@ -340,6 +340,8 @@ def test_pruned_sweep_equals_the_full_sweep(pruned_pass, scripts):
     done = len(pruned_pass.executed)
     for assign in SWEEP_GRID:
         fresh = Runner(default_catalog(), scripts)
+        assert not fresh.catalog._normal_forms
+        assert not fresh.catalog._parse_cache
         for name, params in reproduce_rows(scripts):
             env = dict(CANONICAL_TOKENS, **params, **assign)
             got = pruned_pass._run_cached(name, env)
@@ -398,6 +400,42 @@ def test_executions_per_swept_pass(pruned_pass, monkeypatch, capsys):
     assert cli.main(["compute", "--space", "L4", "--k", "5", "--m", "3"]) == 0
     assert capsys.readouterr().out == "Z/2 + Z/2 + Z(2)\n"
     assert executed == ["pi5_L4m"]
+
+
+def test_each_default_catalog_has_its_own_memos():
+    """The shipped catalog is loaded once per process: two calls share
+    what loading built, and each has its own memos, empty."""
+    one, two = default_catalog(), default_catalog()
+    for shared in ("registry", "facts", "_patterns", "digest", "version"):
+        assert getattr(one, shared) is getattr(two, shared), shared
+    for memo in ("_normal_forms", "_parse_cache"):
+        assert getattr(one, memo) == getattr(two, memo) == {}
+        assert getattr(one, memo) is not getattr(two, memo), memo
+
+
+def test_a_failing_execution_is_not_repeated(catalog, scripts, tmp_path):
+    """Within one ``Runner.run`` an execution that raised raises again,
+    without executing, when ``_serves`` and then the caller's ``run``
+    step ask for it: on the eps-dependent catalog a swept pi6_P3 at
+    r = 2 executes each (script, environment) pair once, 11 in all (15
+    while pi5_L4m under eps = 1 ran four times and pi6_J3 twice)."""
+    path = tmp_path / "eps.facts"
+    path.write_text(catalog.serialize().replace(
+        "| S2vS5 @ 5 | Z/2{", "| S2vS5 @ 5 | Z/2^(1+eps){"))
+    executed = []
+
+    class Counting(Runner):
+        def _execute(self, name, env):
+            executed.append((name, tuple(sorted(env.items()))))
+            return super()._execute(name, env)
+
+    runner = Counting(load_catalog(path), scripts)
+    with pytest.raises(AssertionMismatch, match=(
+            r"^pi6_P3 step 1 \(run\): pi6_J3 step 1 \(run\): "
+            r"pi5_L4m\(m=3\): computed Z/2 \+ Z/4 \+ Z\(2\) but")):
+        runner.run("pi6_P3", {"r": 2})
+    assert len(executed) == len(set(executed)) == 11
+    assert not runner._errors     # cleared when run returns or raises
 
 
 def test_normal_forms_per_swept_pass(pruned_pass):
@@ -782,21 +820,25 @@ def test_a_bad_script_is_a_validation_error_of_the_cli(scripts, monkeypatch,
 
 def test_each_text_is_compiled_once(monkeypatch):
     """One reproduce pass, on a freshly loaded catalog and freshly parsed
-    scripts, with every process-level syntax cache emptied: each integer
-    expression, term text and space key is tokenised once, however often
-    the pass evaluates it.  The term texts include the slots iota_2 and
-    iota_3 of the product subjects that loading checks."""
+    scripts, with every process-level syntax cache and the table of
+    checked rewrites emptied: each integer expression, term text and
+    space key is tokenised once, however often the pass evaluates it.
+    The term texts include the slots iota_2 and iota_3 of the product
+    subjects that loading checks."""
     caches = (terms._int_node, terms._term_tokens, terms.term_names,
               terms._compile_term, terms.compile_space, kb.compile_guard)
     for cache in caches:
         cache.cache_clear()
+    kb._CHECKED_REWRITES.clear()
     tokenised = {"_tokenize_expr": [], "_tokenize_term": []}
     for name, texts in tokenised.items():
         monkeypatch.setattr(terms, name, lambda text, f=getattr(terms, name),
                             seen=texts: seen.append(text) or f(text))
     scripts = link_scripts(parse_script(text, name_hint=name)
                            for name, text in SHIPPED_TEXT.items())
-    runner = Runner(default_catalog(), scripts)
+    shipped = resources.files("conechase").joinpath("data/paper.facts")
+    with resources.as_file(shipped) as path:
+        runner = Runner(load_catalog(path), scripts)
     for name, params in reproduce_rows(scripts):
         runner.run(name, params)
     for texts in tokenised.values():
