@@ -43,8 +43,7 @@ or payload names an undeclared symbol or uses a symbol with the wrong
 number of parameters, whose degree is not an integer, or whose subject
 or guard mentions a variable that matching cannot bind, and a boundary
 value or transport on an undeclared fibration or through an undeclared
-map, and a rewrite whose right side maps between other spaces than its
-subject at the first instance its guard admits.  It compiles each
+map.  It compiles each
 payload term under the names it will be instantiated with, the fact
 variables and the swept tokens it names, so a payload that does not
 parse is a load error too; the compiler reports the symbols the term
@@ -64,7 +63,6 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
-import itertools
 import operator
 import re
 from dataclasses import dataclass, field
@@ -205,13 +203,6 @@ class SymbolRegistry:
             raise KbError(f"symbol {spec.name!r} declared twice")
         self.specs[spec.name] = spec
 
-    @functools.cached_property
-    def declarations(self) -> tuple:
-        """The symbol declaration lines, by name; read once loading has
-        declared every symbol."""
-        return tuple(self.specs[name].serialize()
-                     for name in sorted(self.specs))
-
     def make(self, name: str, params: tuple) -> Sym:
         """The symbol ``name(params)``, built once per registry."""
         params = tuple(params)
@@ -277,7 +268,7 @@ class SymbolRegistry:
                 exprs.extend(args)
         return tuple(names) or (ident,), tuple(exprs)
 
-    def arity(self, name: str) -> Optional[int]:
+    def _arity(self, name: str) -> Optional[int]:
         """The parameter count of the symbol the term parser resolves
         ``name`` to, or None if it resolves none."""
         if _BUILTIN.fullmatch(name):
@@ -288,7 +279,7 @@ class SymbolRegistry:
     def check_symbol(self, name: str, nargs: int) -> None:
         """Raise unless the term parser resolves ``name`` with ``nargs``
         parameters."""
-        arity = self.arity(name)
+        arity = self._arity(name)
         if arity is None:
             raise KbError(f"unknown symbol {name!r}")
         if nargs != arity:
@@ -519,34 +510,6 @@ def _slot(expr: str) -> tuple:
     return "expr", compile_int_expr(expr)
 
 
-# the rewrites that passed ``KbCatalog._check_rewrite``, by the texts it
-# reads; a process-wide table like those of the compiled texts
-_CHECKED_REWRITES = set()
-
-
-def _instances(pat: FactPattern):
-    """(binding, subject parameters) of each instance of a subject that
-    its guard admits, trying each variable, in name order, at 0, 1, 2 and
-    at every bound the guard names and its neighbours."""
-    variables = sorted({arg for how, arg in pat.slots if how != "expr"})
-    tries = {0, 1, 2}
-    for _, _, rhs in compile_guard(pat.fact.guard):
-        if rhs.__class__ is int:
-            tries.update((rhs - 1, rhs, rhs + 1))
-    for values in itertools.product(sorted(t for t in tries if t >= 0),
-                                    repeat=len(variables)):
-        env = dict(zip(variables, values))
-        try:
-            params = tuple(env[arg] if how == "var" else
-                           2 ** env[arg] if how == "pow2" else arg(env)
-                           for how, arg in pat.slots)
-        except TermError:
-            continue    # e.g. a negative exponent
-        bound = pat.bind(params)
-        if bound is not None:
-            yield bound, params
-
-
 def _payload_env(env: dict, bound: dict, fact: KbFact) -> dict:
     """A fact's own variables plus the run's values of the swept tokens
     its payload mentions: a token the scan missed fails to parse instead
@@ -656,53 +619,19 @@ class KbCatalog:
                 compile_space(text)
         except (KbError, TermError) as e:
             raise KbError(f"line {f.line}: payload: {e}") from e
-        if pat.rule in ("word", "susp", "product"):
-            self._check_rewrite(pat)
+        if pat.rule in ("word", "susp", "product") and not bindable:
+            # a subject that binds no variable has one instance: check the
+            # spaces of its rewrite now, with every token 1, as a
+            # declaration is checked with every parameter 1
+            try:
+                lhs = (Bracket([self.parse_element(slot, {}) for slot in
+                                split_top(f.subject[1:-1], ",")])
+                       if pat.rule == "product"
+                       else self.parse_element(f.subject, {}).terms[0][0])
+            except (KbError, TermError) as e:
+                raise KbError(f"line {f.line}: {e}") from e
+            self._rhs(pat, lhs, dict.fromkeys(f.tokens, 1))
         return pat
-
-    def _check_rewrite(self, pat: FactPattern):
-        """Check the spaces of a rewrite at the first instance its guard
-        admits (``_instances``) at which its subject exists, with every
-        token 1, as a declaration is checked with every parameter 1.  A
-        word subject is built from its pattern, so loading parses no
-        subject text beyond the slots of a product.
-
-        The check reads the fact's subject, guard and payload and the
-        symbol declarations, nothing else, so a rule that passed is not
-        checked again for those texts (``_CHECKED_REWRITES``)."""
-        f = pat.fact
-        key = (f.kind, f.subject, f.guard, f.payload,
-               self.registry.declarations)
-        if key in _CHECKED_REWRITES:
-            return
-        failed = None
-        for bound, values in _instances(pat):
-            try:
-                if pat.rule == "product":
-                    lhs = Bracket([self.parse_element(slot, bound) for slot
-                                   in split_top(f.subject[1:-1], ",")])
-                else:
-                    params, reg = iter(values), self.registry
-                    lhs = Word([reg.make(name, [
-                        next(params) for _ in range(reg.arity(name))])
-                        for name in pat.names])
-            except (KbError, TermError) as e:
-                failed = failed or e    # no lookup meets this instance
-                continue
-            env = _payload_env(dict.fromkeys(f.tokens, 1), bound, f)
-            try:
-                # parsed here, so that an error names the line; ``_rhs``
-                # then finds the parse in the memo
-                if f.payload.strip() != "0":
-                    self.parse_element(f.payload, env)
-            except (KbError, TermError) as e:
-                raise KbError(f"line {f.line}: payload: {e}") from e
-            self._rhs(pat, lhs, env)
-            break
-        else:
-            if failed is not None:
-                raise KbError(f"line {f.line}: {failed}") from failed
-        _CHECKED_REWRITES.add(key)
 
     def _pattern(self, f: KbFact) -> FactPattern:
         subj, payload = f.subject, f.payload.strip()
@@ -928,7 +857,8 @@ class KbCatalog:
 
     def serialize(self) -> str:
         out = [f"version {self.version}"]
-        out.extend(self.registry.declarations)
+        out.extend(self.registry.specs[name].serialize()
+                   for name in sorted(self.registry.specs))
         out.extend(f.serialize() for f in self.facts)
         out.extend(f.serialize() for f in self.registry.fibrations.values())
         return "\n".join(out) + "\n"

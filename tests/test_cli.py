@@ -278,52 +278,24 @@ def test_validate_kb_checks_the_spaces_of_a_rule(capsys, tmp_path, fact,
 
 
 def test_a_rule_is_checked_where_it_is_instantiated(tmp_path):
-    """A rule whose subject binds a variable is checked at load at one
-    instance, and at every other when a lookup instantiates it:
-    ``dd(n) -> ee`` holds its spaces at n = 1 only, so normalising
-    dd(2).cc raises, where it returned ee.cc, and so does dd(2).  A
+    """A rule whose subject binds a variable is checked when a lookup
+    instantiates it: normalising bb.aa(1).cc raises, where it returned cc
+    and bb.aa(1) raised 'sum of elements with different spaces'.  A
     suspension value 0 is the zero map between the suspended spaces."""
     from conechase import rewrite
     p = tmp_path / "rule.facts"
-    p.write_text(MAPS + "symbol dd(n) : S3 -> P3(2^n)\n"
-                 + "symbol ee : S3 -> P3(2)\n"
-                 + "fact map_identity | dd(n) ? n>=1 | ee | paper | q | loc\n"
+    p.write_text(MAPS.replace("aa :", "aa(n) :")
+                 + "fact map_identity | bb.aa(n) | iota_5 | paper | q | loc\n"
                  + "fact suspension_value | cc | 0 | paper | q | loc\n")
     cat = load_catalog(p)
     ctx = cat.rule_context({})
-    for text in ("dd(2).cc", "dd(2)"):
-        with pytest.raises(KbError, match=r"^line 6: ee maps S3 -> P3\(2\), "
-                                          r"not S3 -> P3\(4\)$"):
+    for text in ("bb.aa(1).cc", "bb.aa(1)"):
+        with pytest.raises(KbError, match=r"^line 4: iota_5 maps S5 -> S5, "
+                                          r"not S3 -> S3$"):
             rewrite.normalize(cat.parse_element(text, {}), ctx)
-    assert rewrite.normalize(cat.parse_element("dd(1)", {}), ctx).render() \
-        == "ee"
     zero = rewrite.suspend(cat.parse_element("cc", {}), ctx)
     assert zero.is_zero() and (zero.source.key, zero.target.key) == ("S3",
                                                                       "S4")
-
-
-@pytest.mark.parametrize("symbols, subject, error", [
-    ("", "bb.aa(n)", "line 4: iota_5 maps S5 -> S5, not S3 -> S3"),
-    # dd(0) does not exist, so n = 1 is checked
-    ("symbol dd(n) : S3 -> P3(2^n)\nsymbol ff(n) : P3(2^n) -> S3\n",
-     "ff(n).dd(n)", "line 6: iota_5 maps S5 -> S5, not S3 -> S3"),
-    # 2^(n-1) has no value at n = 0, so n = 1 is checked
-    ("symbol gg(n,k) : S3 -> S5\n", "bb.gg(n,2^(n-1))",
-     "line 5: iota_5 maps S5 -> S5, not S3 -> S3"),
-    ("", "cc.aa(n) ? n>=1", "line 4: word break: cc after aa(1) (S5 != S2)"),
-])
-def test_validate_kb_checks_a_rule_at_an_instance_its_guard_admits(
-        capsys, tmp_path, symbols, subject, error):
-    """A rewrite whose subject binds a variable is checked at load at the
-    first instance its guard admits at which the subject exists, and a
-    subject that exists at none of them is refused, with exit 2."""
-    p = tmp_path / "rule.facts"
-    p.write_text(MAPS.replace("aa :", "aa(n) :") + symbols
-                 + f"fact map_identity | {subject} | iota_5 | paper | q | "
-                   "loc\n")
-    code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
-    assert code == cli.EXIT_VALIDATION and not out
-    assert err == f"error: {error}\n"
 
 
 def test_validate_kb_checks_payload_symbols(capsys, tmp_path):
@@ -539,19 +511,15 @@ def _token_mutation(rng):
 
 def test_token_mutated_catalogs_reach_the_chase(capsys, tmp_path):
     """Whole-token edits mostly still parse, so unlike junk inserted
-    mid-token they reach the chase and its error paths: seeded draws
-    continue until 50 catalogs have loaded, which takes at most 150
-    (46 of the first 100 load; 51 did while a rewrite whose subject
-    binds a variable went unchecked at load), and every load and every
-    compute on what loads exits with a documented code, never a
-    traceback.  The computes draw from a second generator, so the
-    catalogs do not depend on which of them load."""
+    mid-token they reach the chase and its error paths: of 100 seeded
+    draws at least half load, and every load and every compute on what
+    loads exits with a documented code, never a traceback.  The computes
+    draw from a second generator, so the 100 catalogs do not depend on
+    which of them load."""
     rng, pick = random.Random(0), random.Random(1)
     path = tmp_path / "mutated.facts"
-    draws = loaded = 0
-    while loaded < 50:
-        draws += 1
-        assert draws <= 150, loaded
+    loaded = 0
+    for _ in range(100):
         path.write_text(_token_mutation(rng))
         code, _, err = run_cli(capsys, "--kb", str(path), "validate-kb")
         assert code in (0, 2, 3, 4) and "Traceback" not in err, err
@@ -562,6 +530,7 @@ def test_token_mutated_catalogs_reach_the_chase(capsys, tmp_path):
                 *pick.choice(_SCENARIO_ARGV), str(pick.randint(1, 3)),
                 "--no-sweep")
             assert code in (0, 2, 3, 4) and "Traceback" not in err, err
+    assert loaded >= 50
 
 
 _DECLARATIONS = [i for i, line in enumerate(SHIPPED_FACTS.splitlines())
@@ -591,17 +560,11 @@ def test_mutated_declarations_exit_only_with_documented_codes(capsys,
                                                               tmp_path):
     """A catalog with one ``symbol`` or ``version`` line mutated is
     refused at load or computes with a documented exit code, never with
-    a traceback.  Seeded draws continue until 50 catalogs have loaded,
-    which takes at most 1,000: most mutations that load change a space,
-    and every rewrite on that symbol is then refused at load (26 of the
-    first 400 load; 54 did while a rewrite whose subject binds a
-    variable went unchecked at load)."""
+    a traceback (400 seeded draws; about a sixth load)."""
     rng = random.Random(0)
     path = tmp_path / "mutated.facts"
-    draws = loaded = 0
-    while loaded < 50:
-        draws += 1
-        assert draws <= 1000, loaded
+    loaded = 0
+    for _ in range(400):
         path.write_text(_declaration_mutation(rng))
         code, _, err = run_cli(capsys, "--kb", str(path), "validate-kb")
         assert code in (0, 2, 3, 4) and "Traceback" not in err, err
@@ -612,6 +575,7 @@ def test_mutated_declarations_exit_only_with_documented_codes(capsys,
                 *rng.choice(_SCENARIO_ARGV), str(rng.randint(1, 3)),
                 "--no-sweep")
             assert code in (0, 2, 3, 4) and "Traceback" not in err, err
+    assert loaded >= 50
 
 
 @pytest.mark.parametrize("old, new, error", [

@@ -820,16 +820,14 @@ def test_a_bad_script_is_a_validation_error_of_the_cli(scripts, monkeypatch,
 
 def test_each_text_is_compiled_once(monkeypatch):
     """One reproduce pass, on a freshly loaded catalog and freshly parsed
-    scripts, with every process-level syntax cache and the table of
-    checked rewrites emptied: each integer expression, term text and
-    space key is tokenised once, however often the pass evaluates it.
-    The term texts include the slots iota_2 and iota_3 of the product
-    subjects that loading checks."""
+    scripts, with every process-level syntax cache emptied: each integer
+    expression, term text and space key is tokenised once, however often
+    the pass evaluates it.  The term texts include the slots iota_2 and
+    iota_3 of the product subjects that loading checks."""
     caches = (terms._int_node, terms._term_tokens, terms.term_names,
               terms._compile_term, terms.compile_space, kb.compile_guard)
     for cache in caches:
         cache.cache_clear()
-    kb._CHECKED_REWRITES.clear()
     tokenised = {"_tokenize_expr": [], "_tokenize_term": []}
     for name, texts in tokenised.items():
         monkeypatch.setattr(terms, name, lambda text, f=getattr(terms, name),
