@@ -38,8 +38,9 @@ a run knows which tokens it read.
 Loading rejects a symbol whose parameters are not distinct names, whose
 name the term parser resolves as a built-in (``deg``, ``iota_n``,
 ``eta_n``, ``eta_k^j``), or whose ``defn=`` is not a word of declared
-symbols reading only its parameters.  It rejects a fact whose subject
-or payload names an undeclared symbol or uses a symbol with the wrong
+symbols reading only its parameters, and a symbol or fibration line
+that gives a ``key=value`` attribute twice.  It rejects a fact whose
+subject or payload names an undeclared symbol or uses a symbol with the wrong
 number of parameters, whose degree is not an integer, or whose subject
 or guard mentions a variable that matching cannot bind, and a boundary
 value or transport on an undeclared fibration or through an undeclared
@@ -50,8 +51,9 @@ parse is a load error too; the compiler reports the symbols the term
 resolves and the variables its integer arguments read, and those are
 checked.  Subjects, guards and payloads are split and compiled
 through process-wide tables keyed by their text (syntax only); what
-they match and build stays with the catalog.  The class of a boundary value
-or lift certificate is a fixed class of a sphere and takes no variables.
+they match and build stays with the catalog and its registry.  The
+class of a boundary value or lift certificate is a fixed class of a
+sphere and takes no variables.
 
 Facts that the rewrite engine can derive on its own (boundary values of
 suspension classes, for instance) must not be stored; a validation check
@@ -190,13 +192,28 @@ def _eta_sym(n: int) -> Sym:
 
 class SymbolRegistry:
     """Instantiates symbols from declarations plus built-in families, and
-    holds the fibration declarations."""
+    holds the fibration declarations.
+
+    A registry is a function of the declaration lines it was built from,
+    line numbers included, and so is everything it keeps: the symbols it
+    interns, their unfoldings, whether its fibration declarations passed
+    their check (``fibrations_checked``) and the pattern of each fact
+    compiled under it (``patterns``), a function of the fact and the
+    registry and so keyed by the fact, every field and the line
+    included.  A ``KbCatalog`` adds its patterns and sets
+    ``fibrations_checked`` only once all its checks have passed.  So
+    catalogs with the same declarations can share one registry exactly:
+    ``without_facts`` copies and views do, and ``load_catalog`` hands a
+    file whose declarations are the last successful load's that load's
+    registry."""
 
     def __init__(self):
         self.specs = {}
         self.fibrations = {}
         self._unfolded = {}
         self._symbols = {}        # (name, params) -> the one Sym made
+        self.patterns = {}        # KbFact -> its FactPattern
+        self.fibrations_checked = False
 
     def declare(self, spec: SymbolSpec):
         if spec.name in self.specs:
@@ -371,7 +388,7 @@ def unbound_names(text: str, variables) -> list:
     return sorted(set(_VAR.findall(text)).difference(variables))
 
 
-@dataclass
+@dataclass(frozen=True)
 class KbFact:
     kind: str
     subject: str
@@ -386,7 +403,7 @@ class KbFact:
     tokens: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.tokens = swept_tokens(self.payload)
+        object.__setattr__(self, "tokens", swept_tokens(self.payload))
 
     def note(self) -> str:
         return (f"{self.kind} [{self.trust}] {self.subject}: {self.payload}"
@@ -524,9 +541,12 @@ class KbCatalog:
     word, space or fibration against them and fail loudly.
 
     The facts and their compiled patterns are fixed once ``__init__`` has
-    checked them, and the registry adds only the symbols it interns,
-    which its declarations determine.  Two memos grow with use: the
-    parses (``_parse_cache``) and the normal forms that every rule
+    checked them, and the registry adds only what its declarations
+    determine.  ``__init__`` compiles only the facts its registry has not
+    compiled and checks the fibration declarations once per registry, so
+    a ``without_facts`` copy, or a file loaded with the declarations of
+    the last load, compiles only its new facts.  Two memos grow with
+    use: the parses (``_parse_cache``) and the normal forms that every rule
     context shares (``_normal_forms``).  ``view`` copies a catalog with
     both memos empty, so a catalog can be loaded once and each command
     given memos that live as long as its copy."""
@@ -541,7 +561,7 @@ class KbCatalog:
         # normal forms shared by every rule context of this catalog
         self._normal_forms = {}
         self._patterns = {}
-        seen = {}
+        seen, compiled = {}, {}
         for f in self.facts:
             key = (f.kind, f.subject, f.guard)
             if key in seen:
@@ -549,10 +569,15 @@ class KbCatalog:
                     f"duplicate fact for {f.kind} {f.subject!r} "
                     f"(lines {seen[key]} and {f.line})")
             seen[key] = f.line
-            pat = self._compile(f)
+            pat = registry.patterns.get(f)
+            if pat is None:
+                pat = compiled[f] = self._compile(f)
             self._patterns.setdefault((pat.rule, pat.names), []).append(pat)
-        for spec in registry.fibrations.values():
-            self._check_fibration(spec)
+        if not registry.fibrations_checked:
+            for spec in registry.fibrations.values():
+                self._check_fibration(spec)
+            registry.fibrations_checked = True
+        registry.patterns.update(compiled)
 
     def view(self) -> "KbCatalog":
         """This catalog with its own empty memos: it shares the registry,
@@ -995,6 +1020,20 @@ _FIBRATION_RE = re.compile(
     r"^fibration\s+([A-Za-z][A-Za-z0-9_]*)(?:\(([^()]*)\))?\s*:\s*(.*)$")
 
 
+# the keyed attributes of a symbol line and the SymbolSpec fields they set
+_SYMBOL_ATTRS = {"order": "order_expr", "susp_to": "susp_to",
+                 "desusp": "desusp", "defn": "defn"}
+
+
+def _keyed_once(words, lineno: int) -> None:
+    """Refuse a declaration that gives a ``key=value`` attribute twice,
+    which would otherwise keep the last value silently."""
+    keys = [w.partition("=")[0] for w in words if "=" in w]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise KbError(f"line {lineno}: attribute {key}= given twice")
+
+
 def _varnames(text: Optional[str], lineno: int) -> tuple:
     """The parameters of a declaration head: distinct identifiers."""
     names = tuple(v.strip() for v in text.split(",")) if text else ()
@@ -1003,8 +1042,18 @@ def _varnames(text: Optional[str], lineno: int) -> tuple:
     return names
 
 
+# (declaration lines, registry) of the last load that succeeded
+_last_registry = None
+
+
 def load_catalog(path) -> KbCatalog:
     """Load and validate a facts file.
+
+    Every line is read and checked on every call.  When the ``symbol``
+    and ``fibration`` lines, with their line numbers, are those of the
+    last load that succeeded, the catalog takes that load's registry,
+    with the facts compiled under it and its checked declarations; so at
+    most that one registry is kept beyond the catalogs that use it.
 
     >>> import io, tempfile, os
     >>> p = tempfile.NamedTemporaryFile("w", suffix=".facts", delete=False)
@@ -1016,11 +1065,12 @@ def load_catalog(path) -> KbCatalog:
     1
     >>> os.unlink(p.name)
     """
+    global _last_registry
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
     registry = SymbolRegistry()
-    facts = []
+    facts, declarations = [], []
     version = "1"
     try:
         lines = raw.decode("utf-8").splitlines()
@@ -1039,6 +1089,8 @@ def load_catalog(path) -> KbCatalog:
                 raise KbError(f"line {lineno}: bad version line")
             version = words[1]
             continue
+        if text.startswith(("symbol ", "fibration ")):
+            declarations.append((lineno, text))
         if text.startswith("symbol "):
             m = _SYMBOL_RE.match(text)
             if not m:
@@ -1046,19 +1098,16 @@ def load_catalog(path) -> KbCatalog:
             name, vars_, src, tgt, extras = m.groups()
             spec = SymbolSpec(name, _varnames(vars_, lineno), src, tgt,
                               line=lineno)
-            for tok in extras.split():
+            words = extras.split()
+            for tok in words:
+                key, eq, value = tok.partition("=")
                 if tok == "susp":
                     spec.is_susp = True
-                elif tok.startswith("order="):
-                    spec.order_expr = tok[6:]
-                elif tok.startswith("susp_to="):
-                    spec.susp_to = tok[8:]
-                elif tok.startswith("desusp="):
-                    spec.desusp = tok[7:]
-                elif tok.startswith("defn="):
-                    spec.defn = tok[5:]
+                elif eq and key in _SYMBOL_ATTRS:
+                    setattr(spec, _SYMBOL_ATTRS[key], value)
                 else:
                     raise KbError(f"line {lineno}: bad symbol attribute {tok!r}")
+            _keyed_once(words, lineno)
             try:
                 if _BUILTIN.fullmatch(name):
                     raise KbError(f"{name!r} is a built-in symbol")
@@ -1077,6 +1126,7 @@ def load_catalog(path) -> KbCatalog:
             if not m or "bottom" not in attrs or \
                     not attrs.keys() <= {"bottom", "skeleton"}:
                 raise KbError(f"line {lineno}: bad fibration declaration")
+            _keyed_once(words, lineno)
             if m.group(1) in registry.fibrations:
                 raise KbError(f"line {lineno}: fibration {m.group(1)!r} "
                               "declared twice")
@@ -1101,6 +1151,18 @@ def load_catalog(path) -> KbCatalog:
                                 locator, lineno))
             continue
         raise KbError(f"line {lineno}: unrecognized line {text!r}")
+    if _last_registry is not None and _last_registry[0] == declarations:
+        registry = _last_registry[1]     # its definitions are checked
+    else:
+        _check_definitions(registry)
+    catalog = KbCatalog(registry, facts, digest, version)
+    _last_registry = declarations, registry
+    return catalog
+
+
+def _check_definitions(registry: SymbolRegistry) -> None:
+    """Each ``defn=`` is a word of declared symbols reading only the
+    parameters of the symbol it defines."""
     for spec in registry.specs.values():
         if spec.defn is None:
             continue
@@ -1112,4 +1174,3 @@ def load_catalog(path) -> KbCatalog:
                               f"of {spec.name}")
         except (KbError, TermError) as e:
             raise KbError(f"line {spec.line}: defn: {e}") from e
-    return KbCatalog(registry, facts, digest, version)

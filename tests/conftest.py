@@ -1,5 +1,6 @@
 import pytest
 
+from conechase import kb
 from conechase.derive import Runner, default_catalog, load_scripts
 
 
@@ -17,6 +18,14 @@ def scripts():
 def runner(catalog, scripts):
     # one shared runner so sub-derivation caches persist across tests
     return Runner(catalog, scripts)
+
+
+@pytest.fixture()
+def fresh_loads(monkeypatch):
+    """``load_catalog`` starts from a new registry, as in a fresh process:
+    the registry the last load left for reuse is forgotten until the test
+    ends."""
+    monkeypatch.setattr(kb, "_last_registry", None)
 
 
 @pytest.fixture()

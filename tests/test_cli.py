@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conechase import cli, derive
+from conechase import cli, derive, kb
 from conechase.derive import default_catalog, load_scripts, scenarios
 from conechase.kb import KbCatalog, KbError, load_catalog
 
@@ -585,12 +585,25 @@ def test_mutated_declarations_exit_only_with_documented_codes(capsys,
      "line 26: defn: unknown symbol 'F_p4'"),
     ("order=0\n", "order=0\nsymbol eta_3 : S9 -> S3 order=4\n",
      "line 15: 'eta_3' is a built-in symbol"),
+    ("S6 -> S3 order=4", "S6 -> S3 order=4 order=8",
+     "line 12: attribute order= given twice"),
+    ("order=4 susp_to=Sigma_nu'", "order=4 susp_to=Sigma_nu' susp_to=nu_4",
+     "line 12: attribute susp_to= given twice"),
+    ("desusp=nu'", "desusp=nu' desusp=nu'", "line 13: attribute desusp= "
+     "given twice"),
+    ("defn=j_F(m).j1_25", "defn=j_F(m).j1_25 defn=j_F(m).j2_25",
+     "line 23: attribute defn= given twice"),
+    ("bottom=j_p(r)", "bottom=j_p(r) bottom=j_p(r)",
+     "line 121: attribute bottom= given twice"),
+    ("skeleton=j_F(m)", "skeleton=j_F(m) skeleton=j_F(m)",
+     "line 122: attribute skeleton= given twice"),
 ])
 def test_symbol_declarations_are_checked_at_load(capsys, tmp_path, old, new,
                                                  error):
     """Parameters are distinct names, a ``defn=`` is a word of declared
-    symbols, and no declaration shadows a built-in: each is refused at
-    load with exit 2, not met mid-chase or silently ignored."""
+    symbols, no declaration shadows a built-in, and no keyed attribute is
+    given twice: each is refused at load with exit 2, not met mid-chase or
+    silently ignored."""
     assert SHIPPED_FACTS.count(old) == 1
     p = tmp_path / "decl.facts"
     p.write_text(SHIPPED_FACTS.replace(old, new))
@@ -727,6 +740,30 @@ def test_commands_load_the_shipped_catalog_once(monkeypatch, capsys):
     assert len(loads) == 1 and len(views) == 5
     assert not any(ref() for ref in views)
     assert not derive._shipped_catalog()._normal_forms
+
+
+def test_ablated_catalogs_compute_as_if_each_were_loaded_alone(
+        capsys, monkeypatch, tmp_path):
+    """Each shipped catalog less one fact, loaded in turn in one process,
+    so that every load after the first takes the registry and compiled
+    facts of the one before, computes what it computes from a fresh
+    registry: the same exit code, stdout and stderr."""
+    catalog = default_catalog()
+    argvs = []
+    for i, fact in enumerate(catalog.facts):
+        path = tmp_path / f"without_line{fact.line}.facts"
+        path.write_text(catalog.without_facts(
+            lambda f, line=fact.line: f.line == line).serialize())
+        argvs.append(("--kb", str(path), "compute",
+                      *_SCENARIO_ARGV[i % len(_SCENARIO_ARGV)], "2",
+                      "--no-sweep", "--transcript"))
+    reused = [run_cli(capsys, *argv) for argv in argvs]
+    assert len({code for code, _, _ in reused}) > 1
+    # one registry served them all: a fact sits on one of two lines
+    assert len(kb._last_registry[1].patterns) > len(catalog.facts)
+    for argv, got in zip(argvs, reused):
+        monkeypatch.setattr(kb, "_last_registry", None)
+        assert run_cli(capsys, *argv) == got, argv
 
 
 def test_python_m_conechase_help():

@@ -818,7 +818,7 @@ def test_a_bad_script_is_a_validation_error_of_the_cli(scripts, monkeypatch,
 # compiled texts
 # ---------------------------------------------------------------------------
 
-def test_each_text_is_compiled_once(monkeypatch):
+def test_each_text_is_compiled_once(monkeypatch, fresh_loads):
     """One reproduce pass, on a freshly loaded catalog and freshly parsed
     scripts, with every process-level syntax cache emptied: each integer
     expression, term text and space key is tokenised once, however often
@@ -1028,3 +1028,46 @@ def test_mutated_scripts_fail_only_with_documented_errors(catalog, scripts,
         run_edited(catalog, scripts, *edited)
     except DOCUMENTED:
         pass
+
+
+HOPF_FACTS = """\
+symbol j1_22 : S2 -> S2vS2 susp
+symbol j2_22 : S2 -> S2vS2 susp
+symbol q1_22 : S2vS2 -> S2 susp
+fact group | S2vS2 @ 3 | Z(2){j1_22.eta_2} + Z(2){j2_22.eta_2} + \
+Z(2){[j1_22, j2_22]} | classical_table | pi_3(S^2 v S^2) = Z{j_1 eta_2} + \
+Z{j_2 eta_2} + Z{[j_1, j_2]} | Hilton's theorem
+fact group | S2 @ 3 | Z(2){eta_2} | classical_table | pi_3(S^2) = Z{eta_2} \
+| Hopf fibration
+fact relation | [iota_2, iota_2] | 2*eta_2 | classical_table | \
+[iota_2, iota_2] = 2 eta_2 | Whitehead square of S^2
+"""
+HOPF_SQUARE = parse_script(
+    "derivation hopf_square\n"
+    "let A = group space=S2vS2; k=3\n"
+    "let T = group space=S2; k=3\n"
+    "let w = whitehead id=S2; right=iota_2\n"
+    "let b = solve_free group=A; map=q1_22; free=j1_22.eta_2; value=w; "
+    "target=T\n"
+    "return b\n")
+
+
+def test_solve_free_passes_a_bracket_generator_through(tmp_path,
+                                                        monkeypatch):
+    """pi_3(S^2 v S^2) has the Whitehead product [j1, j2] among its free
+    generators.  Solving [iota_2, iota_2] on the pinch to the first
+    summand unfolds every generator of the group, the bracket included,
+    which ``unfold_element`` returns as it is; the pinch kills it and
+    j2.eta_2, and the coefficient on j1.eta_2 is the Hopf invariant 2."""
+    path = tmp_path / "hopf.facts"
+    path.write_text(HOPF_FACTS)
+    catalog = load_catalog(path)
+    seen = []
+    unfold = catalog.registry.unfold_element
+    monkeypatch.setattr(catalog.registry, "unfold_element",
+                        lambda el: seen.append(el) or unfold(el))
+    runner = Runner(catalog, link_scripts([HOPF_SQUARE]))
+    assert runner.run("hopf_square", {}).value == 2
+    assert [el.render() for el in seen] == [
+        "j1_22 . eta_2", "j2_22 . eta_2", "[j1_22, j2_22]"]
+    assert seen[2] == unfold(seen[2])

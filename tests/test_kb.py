@@ -249,3 +249,95 @@ def test_degree_map_suspension_images(catalog, ctx, env):
                    ctx).render() == "3*id(S3)"
     assert catalog.registry.desuspension_image(deg_sym(3, 3)) == deg_sym(3, 2)
     assert catalog.registry.desuspension_image(deg_sym(3, 2)) is None
+
+
+# ---------------------------------------------------------------------------
+# reuse of the previous load's registry
+# ---------------------------------------------------------------------------
+
+_DECLS = "symbol aa(n) : S3 -> S5\nsymbol bb : S5 -> S3\n"
+_GROUP = "fact group | S9 @ 10 | {} | classical_table | q | loc\n"
+# a rewrite whose spaces are checked only when a lookup instantiates it
+_MISFIT = "fact map_identity | bb.aa(n) | iota_5 | paper | q | loc\n"
+
+
+def _misfit_error(cat) -> str:
+    from conechase.rewrite import normalize
+    with pytest.raises(KbError) as e:
+        normalize(cat.parse_element("bb.aa(1)", {}), cat.rule_context({}))
+    return str(e.value)
+
+
+def test_same_declarations_share_a_registry_and_its_facts(tmp_path):
+    """A load whose declarations, line numbers included, equal the last
+    load's takes its registry with the facts compiled under it; a payload
+    edited in place and a fact moved to another line are compiled anew
+    and take effect."""
+    one = load_catalog(write(tmp_path, _DECLS + _GROUP.format("Z/2{eta_9}")
+                             + _MISFIT))
+    assert one.group_fact(sphere(9), 10, {})[0].render() == "Z/2"
+    assert _misfit_error(one).startswith("line 4: ")
+    two = load_catalog(write(tmp_path, _DECLS + _GROUP.format("Z/4{eta_9}")
+                             + "\n" + _MISFIT, "two.facts"))
+    assert two.registry is one.registry
+    assert two.group_fact(sphere(9), 10, {})[0].render() == "Z/4"
+    assert _misfit_error(two) == _misfit_error(one).replace("line 4",
+                                                            "line 5")
+    assert one.group_fact(sphere(9), 10, {})[0].render() == "Z/2"
+
+
+def test_moved_declarations_get_a_fresh_registry(catalog, tmp_path):
+    """A comment above a symbol line moves the declarations below it, so
+    the load builds its own registry, whose declarations carry their new
+    lines; a bad declaration there is refused naming its new line."""
+    text = catalog.serialize()
+    first = load_catalog(write(tmp_path, text))
+    assert load_catalog(write(tmp_path, text, "again.facts")).registry is \
+        first.registry
+    moved = text.replace("\nsymbol ", "\n# moved\nsymbol ", 1)
+    second = load_catalog(write(tmp_path, moved, "moved.facts"))
+    assert second.registry is not first.registry
+    for name, spec in first.registry.specs.items():
+        assert second.registry.specs[name].line == spec.line + 1
+    line = first.registry.specs["j_pL"].line
+    bad = moved.replace("defn=j_F(m).j1_25", "defn=j_F(m).j1_26")
+    with pytest.raises(KbError, match=f"^line {line + 1}: defn: unknown "
+                                      "symbol 'j1_26'$"):
+        load_catalog(write(tmp_path, bad, "bad.facts"))
+
+
+def test_a_fact_that_fails_to_compile_fails_every_time(tmp_path):
+    """Nothing is kept from a compile that raises: under a reused
+    registry the same bad fact is refused again with the same error, and
+    the good catalog still loads."""
+    good = write(tmp_path, _DECLS + _GROUP.format("Z/2{eta_9}"))
+    bad = write(tmp_path, _DECLS + _GROUP.format("Z/2{eta_9}")
+                + _MISFIT.replace("bb.aa(n)", "bb.aa(1)"), "bad.facts")
+    registry = load_catalog(good).registry
+    errors = []
+    for _ in range(2):
+        with pytest.raises(KbError) as e:
+            load_catalog(bad)
+        errors.append(str(e.value))
+    assert errors[0] == errors[1] == \
+        "line 4: iota_5 maps S5 -> S5, not S3 -> S3"
+    assert load_catalog(good).registry is registry
+    assert len(registry.patterns) == 1
+
+
+def test_other_declarations_release_the_old_registry(tmp_path):
+    """The registry kept for reuse is the last load's alone: once another
+    load with other declarations succeeds and its own catalogs are gone,
+    the old registry is freed."""
+    import gc
+    import weakref
+    cat = load_catalog(write(tmp_path, _DECLS + _GROUP.format("Z/2{eta_9}")))
+    old = weakref.ref(cat.registry)
+    filtered = cat.without_facts(lambda f: False)
+    assert filtered.registry is cat.registry
+    del cat, filtered
+    gc.collect()
+    assert old() is not None        # kept for the next load
+    load_catalog(write(tmp_path, _GROUP.format("Z/2{eta_9}"), "other.facts"))
+    gc.collect()
+    assert old() is None
