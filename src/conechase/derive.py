@@ -20,16 +20,17 @@ its range in the ``reproduce`` grid.  ``scenarios`` and
 ``reproduce_rows`` read both off the loaded scripts, so a new scenario
 is one new file.
 
-``fib=`` names a fibration declared in the catalog; one that declares no
-attaching class takes it from ``attach=`` (``boundary fib=FM(r);
-attach=g3; ...``), and a class from both places or from neither is an
-error.  Malformed header lines and step arguments, a step argument
-that is missing and a name that no step bound are reported with their
-line.  The ``require`` guard and each ``assert`` case, guard and group
-literal, are compiled when the script is parsed, so a malformed one is
-a parse error; a literal's orders are evaluated per run.  So is an
-integer expression, a literal's order or an integer step argument, that
-reads a variable outside ``params``.
+``VERBS`` is the one table of the verbs and their arguments.  A script
+is checked against it when it is parsed: an unknown verb or argument, a
+missing argument, a name that no earlier ``let`` bound, a binding of the
+wrong kind and an integer expression that reads a variable outside
+``params`` are errors that name the line, as are malformed header lines.
+``link_scripts`` settles what a ``run`` binds from its script's
+``return``.  ``fib=`` names a fibration declared in the catalog; one
+that declares no attaching class takes it from ``attach=``, and a class
+from both places or from neither is an error.  The ``require`` guard
+and each ``assert`` case are compiled when the script is parsed; a
+literal's orders are evaluated per run.
 
 Every run records each step, every certified fact it consumed (with its
 citation), and the catalog digest; replays are byte-identical.  Runs are
@@ -49,11 +50,11 @@ value came about: the run cache cuts off early where a token changed a
 subderivation's own work but not its value.  Likewise a ``let`` step
 reads tokens itself through its citations and the rule context, and
 everything else through the earlier bindings it names (``Step.names``,
-fixed at parse time); the memo of steps serves it under every
-assignment that agrees on the tokens it read itself and gives those
-bindings equal values.  Cached runs and memoised steps replay their
-transcript lines and citations, so transcripts and digests are those
-of a fresh evaluation.
+the arguments that ``VERBS`` reads as bindings); the memo of steps
+serves it under every assignment that agrees on the tokens it read
+itself and gives those bindings equal values.  Cached runs and memoised
+steps replay their transcript lines and citations, so transcripts and
+digests are those of a fresh evaluation.
 """
 
 from __future__ import annotations
@@ -123,24 +124,6 @@ class AssertionMismatch(DeriveError):
     """A computed group disagrees with the asserted expectation."""
 
 
-class _Missing(LookupError):
-    """A step read an argument it was not given or a name that no step
-    bound; ``Runner._execute`` reports it as a ``DeriveError`` that names
-    the step's line."""
-
-
-class _Table(dict):
-    """A step's arguments or a run's bindings, where a missing key is an
-    error of the script, not of the engine."""
-
-    def __init__(self, what: str):
-        super().__init__()
-        self.what = what
-
-    def __missing__(self, key):
-        raise _Missing(f"missing {self.what} {key!r}")
-
-
 # what a step may raise; ``Runner._execute`` prefixes it with the step
 _STEP_ERRORS = (DeriveError, LesError, KbError, GroupError, TermError)
 
@@ -163,7 +146,8 @@ class Step:
     args: Dict[str, str] = field(default_factory=dict)
     raw: str = ""
     line: int = 0
-    names: frozenset = frozenset()   # the bindings its arguments may name
+    plan: tuple = ()          # (reader, text) per argument, ``VERBS`` order
+    names: frozenset = frozenset()   # the bindings its plan reads
     cases: tuple = ()         # an assert's (guard, compiled group literal)
 
 
@@ -231,7 +215,7 @@ def parse_script(text: str, name_hint: str = "") -> Script:
                               cases=tuple(compiled)))
             continue
         if body.startswith("check "):
-            steps.append(Step("check", "", "",
+            steps.append(Step("check", "", "check",
                               _step_args(body[6:], "=", where), body, lineno))
             continue
         if body.startswith("return "):
@@ -241,20 +225,6 @@ def parse_script(text: str, name_hint: str = "") -> Script:
         raise DeriveError(f"{name}:{lineno}: unrecognized line {body!r}")
     if not name:
         raise DeriveError("script has no name")
-    # a step reads a binding through a whole argument or one piece of a
-    # comma list (``restrict_bracket by=``); nothing else names one
-    bound = {st.name for st in steps if st.kind == "let"}
-    for st in steps:
-        st.names = frozenset(piece.strip() for v in st.args.values()
-                             for piece in v.split(",")) & bound
-        for text in _int_texts(st):
-            try:
-                unbound = unbound_names(text, params)
-            except TermError as e:
-                raise DeriveError(f"{name}:{st.line}: {e}") from e
-            if unbound:
-                raise DeriveError(f"{name}:{st.line}: {text!r} names "
-                                  f"{', '.join(unbound)}, not in params")
     script = Script(name, params, steps, header.get("require", ("",))[0])
     try:
         compile_guard(script.requires)
@@ -271,6 +241,7 @@ def parse_script(text: str, name_hint: str = "") -> Script:
         script.computes = (space.key.partition("(")[0], k)
     if "rows" in header:
         script.rows = _rows(script, *header["rows"])
+    _check_steps(script, {})
     return script
 
 
@@ -293,18 +264,6 @@ def _rows(script: Script, text: str, lineno: int) -> Tuple[str, range]:
     return m.group(1), values
 
 
-def _int_texts(step: Step) -> List[str]:
-    """The integer expressions of a step, which may read only the script's
-    parameters: an ``assert`` literal's orders, ``k=``, ``stage=``,
-    ``abs=`` and every argument of ``run`` but ``script=``."""
-    if step.kind == "assert":
-        return [order for literal in step.args.values() for order, _ in
-                cyclic_summands(literal.strip(), labelled=False) if order]
-    return [text for key, text in step.args.items()
-            if key in ("k", "stage", "abs")
-            or (step.verb == "run" and key != "script")]
-
-
 def space_at(text: str, env: dict) -> Tuple[Space, int]:
     """The space and the degree of a ``space @ k`` argument such as
     ``L4(m) @ 5``; the degree is an integer."""
@@ -325,7 +284,7 @@ def parse_group_literal(text: str):
 
 def _step_args(text: str, sep: str, where: str) -> Dict[str, str]:
     """The ``key<sep>value`` pieces of a step, separated by ';'."""
-    args = _Table("step argument")
+    args = {}
     for piece in filter(None, (p.strip() for p in text.split(";"))):
         key, found, value = piece.partition(sep)
         if not found:
@@ -333,6 +292,121 @@ def _step_args(text: str, sep: str, where: str) -> Dict[str, str]:
                               f"key{sep}value form")
         args[key.strip()] = value.strip()
     return args
+
+
+# the kinds of binding, and of arguments naming one; none takes a solution
+GROUP, BOUNDARY, ELEMENT, INTEGER, SOLUTION = (
+    "group", "boundary", "element", "integer", "solution")
+# the kinds of argument read from text when the step runs (README.md)
+TERM, TERMS, EXPR, SPACE, SPACE_AT, FIBRATION, SCRIPT = (
+    "term", "terms", "expr", "space", "space @ k", "fibration", "script")
+
+
+@dataclass(frozen=True)
+class Verb:
+    """What a verb takes and binds.  ``Runner._<verb>`` takes the args,
+    read, in order (an absent one as None), then ctx, env and lines."""
+    args: Dict[str, str]                  # key -> kind
+    result: Optional[str] = None          # a run's is its script's
+    # optional keys, given all or none of a group; ``none`` is not given
+    optional: Tuple[Tuple[str, ...], ...] = ()
+    params: bool = False      # also takes its script's params, as exprs
+
+
+def _check_steps(script: Script, returns: Dict[str, str]) -> Optional[str]:
+    """Check each step of ``script`` against ``VERBS``, set its ``plan``
+    and ``names``, and give the kind ``script`` returns.  A ``run`` binds
+    the kind that ``returns`` has for its script, or any kind."""
+    kinds: Dict[str, Optional[str]] = {}
+
+    def reader(kind, text) -> tuple:
+        """The plan entry of ``text``, an argument of ``kind``, checked."""
+        if kind == TERMS:
+            return _READ[TERMS], tuple(reader(TERM, piece.strip())
+                                       for piece in text.split(","))
+        if kind == TERM and text in kinds:
+            kind = ELEMENT
+        if kind in (GROUP, BOUNDARY, ELEMENT, INTEGER, "returnable"):
+            if text not in kinds:
+                raise DeriveError(f"{where}: missing binding {text!r}")
+            got = kinds[text]
+            if got not in (None, kind) and (kind != "returnable" or
+                                            got == SOLUTION):
+                raise DeriveError(f"{where}: {text!r} is not "
+                                  f"{'an' if kind[0] in 'aei' else 'a'} "
+                                  f"{kind} binding")
+            names.add(text)
+            return _READ["binding"], text
+        if kind == EXPR:
+            try:
+                unbound = unbound_names(text, script.params)
+            except TermError as e:
+                raise DeriveError(f"{where}: {e}") from e
+            if unbound:
+                raise DeriveError(f"{where}: {text!r} names "
+                                  f"{', '.join(unbound)}, not in params")
+        return _READ[kind], text
+
+    returned = None
+    for st in script.steps:
+        where, names = f"{script.name}:{st.line}", set()
+        if st.kind in ("assert", "return"):
+            reader(GROUP if st.kind == "assert" else "returnable", st.name)
+            for order in (o for case in st.args.values() for o, _ in
+                          cyclic_summands(case, labelled=False) if o):
+                reader(EXPR, order)
+            returned = kinds[st.name] if st.kind == "return" else returned
+            continue
+        verb = VERBS.get(st.verb)
+        if verb is None:
+            raise DeriveError(f"{where}: unknown verb {st.verb!r}")
+        extra = [k for k in st.args if k not in verb.args]
+        if extra and not verb.params:
+            raise DeriveError(f"{where}: {st.verb} takes no argument "
+                              f"{extra[0]!r}")
+        given = {k for k, v in st.args.items()
+                 if v != "none" or not any(k in g for g in verb.optional)}
+        for key in verb.args:
+            group = next((g for g in verb.optional if key in g), ())
+            if key not in given and (not group or given.intersection(group)):
+                raise DeriveError(f"{where}: missing step argument {key!r}")
+        plan = [reader(kind, st.args[key]) if key in given else
+                (_READ["absent"], None) for key, kind in verb.args.items()]
+        if verb.params:
+            plan.append((_READ["params"], tuple(
+                (k, reader(EXPR, st.args[k])) for k in extra)))
+        st.plan, st.names = tuple(plan), frozenset(names)
+        if st.kind == "let":
+            kinds[st.name] = (returns.get(st.args.get("script"))
+                              if verb.params else verb.result)
+    return returned
+
+
+def _fibration_key(text: str, env: dict) -> Tuple[str, Space]:
+    """A ``fib=`` argument: its text, which errors quote, and its space."""
+    space = parse_space(text, env)
+    if space.kind != "named":
+        raise DeriveError(f"bad fibration key {text!r}")
+    return text, space
+
+
+def _read(plan, catalog, env, bindings) -> list:
+    """The values of the arguments ``plan`` reads (``Step.plan``)."""
+    return [read(text, catalog, env, bindings) for read, text in plan]
+
+
+_READ = {   # kind -> (text, catalog, env, bindings) -> the argument's value
+    "absent": lambda t, cat, env, b: None,
+    "binding": lambda t, cat, env, b: b[t],
+    TERM: lambda t, cat, env, b: cat.parse_element(t, env),
+    TERMS: _read,
+    EXPR: lambda t, cat, env, b: eval_int_expr(t, env),
+    SPACE: lambda t, cat, env, b: parse_space(t, env),
+    SPACE_AT: lambda t, cat, env, b: space_at(t, env),
+    FIBRATION: lambda t, cat, env, b: _fibration_key(t, env),
+    SCRIPT: lambda t, cat, env, b: t,
+    "params": lambda t, cat, env, b: {k: r(x, cat, env, b) for k, (r, x) in t},
+}
 
 
 def expected_group(step: Step, env: dict) -> TwoLocalGroup:
@@ -359,8 +433,8 @@ class RunResult:
     consumed: List[KbFact]
     reads: frozenset              # the swept tokens it read itself: its
     #                               context's and its citations'
-    subs: tuple                   # (``run`` step, the value it returned)
-    #                               of each subderivation, in order
+    subs: tuple                   # (script, params, the value it
+    #                               returned) of each subderivation, in order
 
     @property
     def group(self) -> TwoLocalGroup:
@@ -384,13 +458,11 @@ class _StepMemo:
     inputs: tuple             # the values of ``Step.names``, in that order
 
 
-def _sub_env(step: Step, env: dict) -> dict:
+def _sub_env(env: dict, params: dict) -> dict:
     """The environment of a ``run`` step's subderivation: the tokens of
-    ``env`` and the step's own arguments only, so that it shares its cache
-    entry with a run of the same parameters."""
-    return dict({t: env[t] for t in SWEPT_TOKENS},
-                **{k: eval_int_expr(v, env) for k, v in step.args.items()
-                   if k != "script"})
+    ``env`` and the step's own parameters only, so that it shares its
+    cache entry with a run of the same parameters."""
+    return dict({t: env[t] for t in SWEPT_TOKENS}, **params)
 
 
 def _run_key(name: str, env: dict) -> tuple:
@@ -514,10 +586,10 @@ class Runner:
         ``_run_cached`` raises again without executing."""
         if any(hit.env[t] != env[t] for t in hit.reads):
             return False
-        for step, value in hit.subs:
+        for script, params, value in hit.subs:
             try:
-                got = self._run_cached(step.args["script"],
-                                       _sub_env(step, env)).value
+                # ``params`` read only the run's own, which ``env`` shares
+                got = self._run_cached(script, _sub_env(env, params)).value
             except _STEP_ERRORS:
                 return False
             if got is not value and self._key(got) != self._key(value):
@@ -538,56 +610,45 @@ class Runner:
                             + " ".join(f"{p}={env[p]}" for p in script.params)]
         ctx = self._ctx(env)
         subs = []
-        bindings = _Table("binding")
+        bindings = {}
         key = _run_key(name, env)
         ret: Optional[object] = None
-        try:
-            for idx, step in enumerate(script.steps, start=1):
-                if step.kind == "let":
-                    try:
-                        memo = self._let(key, idx, step, env, ctx, bindings)
-                    except _STEP_ERRORS as e:
-                        # errors carry the failing step's position
-                        raise type(e)(
-                            f"{name} step {idx} ({step.verb}): {e}") from e
-                    lines.extend(memo.lines)
-                    facts.extend(memo.facts)
-                    bindings[step.name] = memo.value
-                    if step.verb == "run":
-                        subs.append((step, memo.value))
-                    continue
-                if step.kind == "check":
-                    _, cited = ctx.citing(self._eval_check, step, env, ctx,
-                                          bindings)
-                    facts.extend(cited)
-                    lines.append(f"  step {idx}: {step.raw}  [ok]")
-                    lines.extend(f"    uses {fact.note()}" for fact in cited)
-                elif step.kind == "assert":
-                    got = bindings.get(step.name)
-                    if not isinstance(got, PiGroup):
-                        raise DeriveError(
-                            f"{name}: assert needs a group binding")
-                    want = expected_group(step, env)
-                    if got.group != want:
-                        raise AssertionMismatch(
-                            f"{name}{_fmt_env(env, script.params)}: computed "
-                            f"{got.group.render()} but expected "
-                            f"{want.render()}")
-                    lines.append(f"  step {idx}: {step.raw}  [ok]")
-                elif step.kind == "return":
-                    ret = bindings.get(step.name)
-                    if ret is None:
-                        raise DeriveError(
-                            f"{name}: return of unbound {step.name!r}")
-                    lines.append(f"  step {idx}: {step.raw}")
-        except _Missing as e:
-            raise DeriveError(f"{name}:{step.line}: {e}") from e
+        # ``_check_steps`` saw that each step reads bindings of its kinds
+        for idx, step in enumerate(script.steps, start=1):
+            if step.kind == "let":
+                try:
+                    memo = self._let(key, idx, step, env, ctx, bindings)
+                except _STEP_ERRORS as e:
+                    # errors carry the failing step's position
+                    raise type(e)(
+                        f"{name} step {idx} ({step.verb}): {e}") from e
+                lines.extend(memo.lines)
+                facts.extend(memo.facts)
+                bindings[step.name] = memo.value
+                if step.verb == "run":
+                    subs.append((*_read(step.plan, None, env, None),
+                                 memo.value))
+            elif step.kind == "check":
+                _, cited = ctx.citing(self._eval_step, step, env, ctx,
+                                      bindings, lines)
+                facts.extend(cited)
+                lines.append(f"  step {idx}: {step.raw}  [ok]")
+                lines.extend(f"    uses {fact.note()}" for fact in cited)
+            elif step.kind == "assert":
+                got = bindings[step.name].group
+                want = expected_group(step, env)
+                if got != want:
+                    raise AssertionMismatch(
+                        f"{name}{_fmt_env(env, script.params)}: computed "
+                        f"{got.render()} but expected {want.render()}")
+                lines.append(f"  step {idx}: {step.raw}  [ok]")
+            else:
+                ret = bindings[step.name]
+                lines.append(f"  step {idx}: {step.raw}")
         if ret is None:
             raise DeriveError(f"{name}: no terminal group (missing return)")
-        if isinstance(ret, PiGroup):
-            lines.append(f"  result: {ret.group.render()}")
-        else:
-            lines.append(f"  result: {_render_value(ret)}")
+        lines.append(f"  result: {ret.group.render()}" if isinstance(
+            ret, PiGroup) else f"  result: {_render_value(ret)}")
         return RunResult(name, dict(env), ret, "\n".join(lines) + "\n", facts,
                          ctx.tokens.union(*(f.tokens for f in facts)),
                          tuple(subs))
@@ -600,7 +661,8 @@ class Runner:
 
         The tokens it read itself are those of ``ctx`` and of the facts
         it cited (exact by the argument in ``rewrite.RuleContext``); it
-        reads everything else through its inputs.  Under any assignment
+        reads everything else through its inputs, since its handler gets
+        only what its plan reads.  Under any assignment
         that agrees on those tokens and gives equal inputs it computes
         the same value, transcript lines and citations, which the caller
         replays as a fresh evaluation would emit them.  An input is
@@ -638,207 +700,124 @@ class Runner:
             hit = self._keys[id(value)] = (value, _value_key(value))
         return hit[1]
 
-    # -- step evaluation ------------------------------------------------------
-
-    def _parse_el(self, text, env, bindings) -> Element:
-        text = text.strip()
-        if text in bindings and isinstance(bindings[text], Element):
-            return bindings[text]
-        return self.catalog.parse_element(text, env)
-
-    def _fib(self, args, env, bindings):
-        """The fibration named by ``fib=``, with ``attach=`` as its
-        attaching class when the script supplies one."""
-        space = parse_space(args["fib"], env)
-        if space.kind != "named":
-            raise DeriveError(f"bad fibration key {args['fib']!r}")
-        attach = (self._parse_el(args["attach"], env, bindings)
-                  if "attach" in args else None)
-        return fibration(self.catalog, *space.data, attach=attach)
+    # -- verbs: see ``Verb`` ---------------------------------------------
 
     def _eval_step(self, step, env, ctx, bindings, lines):
-        verb = step.verb
-        args = step.args
+        """Apply the verb of ``step`` to the arguments its plan reads."""
+        return getattr(self, "_" + step.verb)(
+            *_read(step.plan, self.catalog, env, bindings), ctx, env, lines)
 
-        def el(key):
-            return self._parse_el(args[key], env, bindings)
+    def _group(self, space, k, ctx, env, *_):
+        return pi_group_from_fact(self.catalog, env, space, k, ctx)
 
-        def pig(key) -> PiGroup:
-            return _binding(bindings, args[key], PiGroup)
+    def _fiber_group(self, fib, k, attach, ctx, env, *_) -> PiGroup:
+        """pi_k of a fiber, read off its declared wedge skeleton, which must
+        be the filtration stage holding every cell of dimension <= k+1."""
+        key, space = fib
+        rule = fibration(self.catalog, *space.data, attach=attach)
+        _, _, skeleton = self.catalog.fibration_maps(rule.head, rule.params)
+        if skeleton is None:
+            raise DeriveError(f"fibration {key} declares no skeleton")
+        _, st = filtration.skeleton_of_fiber(filtration.MapSpec(rule.f),
+                                             k + 1, ctx)
+        if st.space != skeleton.source:
+            raise DeriveError(
+                f"unexpected fiber skeleton {st.space_name} for {key}")
+        base = pi_group_from_fact(self.catalog, env, st.space, k, ctx)
+        return push_forward(base, skeleton, skeleton.target, ctx)
 
-        if verb == "group":
-            space = parse_space(args["space"], env)
-            return pi_group_from_fact(self.catalog, env, space,
-                                      int(eval_int_expr(args["k"], env)), ctx)
+    def _run(self, script, params, _ctx, env, lines):
+        sub = self._run_cached(script, _sub_env(env, params))
+        lines.append(f"    (subderivation {script} {params} -> "
+                     f"{_render_value(sub.value)})")
+        return sub.value
 
-        if verb == "fiber_group":
-            return self._fiber_group(args, env, ctx, bindings)
+    def _boundary(self, fib, k, target, strip, attach, ctx, env, *_):
+        rule = fibration(self.catalog, *fib[1].data, attach=attach)
+        source = pi_group_from_fact(self.catalog, env, rule.base, k, ctx)
+        return boundary_hom(self.catalog, env, rule, k, source, target, ctx,
+                            strip=strip)
 
-        if verb == "run":
-            sub_env = _sub_env(step, env)
-            sub = self._run_cached(args["script"], sub_env)
-            sub_params = {k: sub_env[k] for k in args if k != "script"}
-            lines.append(f"    (subderivation {args['script']} "
-                         f"{sub_params} -> {_render_value(sub.value)})")
-            return sub.value
+    def _cokernel(self, of, *_):
+        if of.hom is None:
+            raise DeriveError("cokernel needs a materialized target")
+        g, proj = group_cokernel(of.hom)
+        return derived_pi_group(of.target, g, proj)
 
-        if verb == "boundary":
-            fib = self._fib(args, env, bindings)
-            k = int(eval_int_expr(args["k"], env))
-            source = pi_group_from_fact(self.catalog, env, fib.base, k, ctx)
-            target = (pig("target") if args.get("target", "none") != "none"
-                      else None)
-            strip = el("strip") if args.get("strip", "none") != "none" else None
-            return boundary_hom(self.catalog, env, fib, k, source, target, ctx,
-                                strip=strip)
+    def _kernel(self, of, *_):
+        if of.hom is None:
+            if not of.is_zero():
+                raise DeriveError("kernel of a non-materialized boundary")
+            return of.source
+        g, incl = group_kernel(of.hom)
+        protos = []
+        for j in range(g.rank):
+            vec = tuple(incl.matrix.rows[i][j]
+                        for i in range(of.source.group.rank))
+            elem = _element_from_chart(of.source, vec)
+            unit = tuple(1 if i == j else 0 for i in range(g.rank))
+            protos.append((elem, unit))
+        return PiGroup(g.with_labels([p[0].render() for p in protos]),
+                       of.source.space, of.source.degree, protos)
 
-        if verb == "cokernel":
-            bnd = bindings[args["of"]]
-            if not isinstance(bnd, Boundary):
-                raise DeriveError("cokernel needs a boundary binding")
-            if bnd.hom is None:
-                raise DeriveError("cokernel needs a materialized target")
-            g, proj = group_cokernel(bnd.hom)
-            return derived_pi_group(bnd.target, g, proj)
+    def _push(self, of, via, space, ctx, *_):
+        return push_forward(of, via, space, ctx)
 
-        if verb == "kernel":
-            bnd = bindings[args["of"]]
-            if not isinstance(bnd, Boundary):
-                raise DeriveError("kernel needs a boundary binding")
-            if bnd.hom is None:
-                if not bnd.is_zero():
-                    raise DeriveError("kernel of a non-materialized boundary")
-                return bnd.source
-            g, incl = group_kernel(bnd.hom)
-            protos = []
-            for j in range(g.rank):
-                vec = tuple(incl.matrix.rows[i][j]
-                            for i in range(bnd.source.group.rank))
-                elem = _element_from_chart(bnd.source, vec)
-                unit = tuple(1 if i == j else 0 for i in range(g.rank))
-                protos.append((elem, unit))
-            labels = [p[0].render() for p in protos]
-            return PiGroup(g.with_labels(labels), bnd.source.space,
-                           bnd.source.degree, protos)
+    def _quotient(self, of, by, push, space, ctx, *_):
+        g, proj = quotient_by_elements(of.group, [list(express(by, of, ctx))])
+        out = derived_pi_group(of, g, proj)
+        return out if push is None else push_forward(out, push, space, ctx)
 
-        if verb == "push":
-            mapel = el("via")
-            space = parse_space(args["space"], env)
-            return push_forward(pig("of"), mapel, space, ctx)
+    def _stage_bracket(self, f, stage, ctx, *_):
+        model = filtration.build_filtration(filtration.MapSpec(f), stage, ctx)
+        gamma = model.stages[stage - 1].gamma
+        if gamma is None:
+            raise DeriveError("stage 1 has no attaching class")
+        return gamma
 
-        if verb == "quotient":
-            base = pig("of")
-            vec = express(el("by"), base, ctx)
-            g, proj = quotient_by_elements(base.group, [list(vec)])
-            out = derived_pi_group(base, g, proj)
-            if args.get("push"):
-                out = push_forward(out, el("push"),
-                                   parse_space(args["space"], env), ctx)
-            return out
+    def _push_bracket(self, mapel, of, ctx, *_):
+        return rewrite.naturality_push(mapel, of, ctx)
 
-        if verb == "extension":
-            return self._extension(args, env, ctx, bindings)
+    def _restrict_bracket(self, of, by, ctx, *_):
+        return rewrite.bracket_restrict(of, by, ctx)
 
-        if verb == "stage_bracket":
-            f = filtration.MapSpec(el("f"))
-            stage = int(eval_int_expr(args["stage"], env))
-            model = filtration.build_filtration(f, stage, ctx)
-            gamma = model.stages[stage - 1].gamma
-            if gamma is None:
-                raise DeriveError("stage 1 has no attaching class")
-            return gamma
+    def _resolve_triple(self, of, ambient, ctx, env, *_):
+        group = pi_group_from_fact(self.catalog, env, *ambient, ctx)
+        return rewrite.resolve_triple(of, group.group, ctx)
 
-        if verb == "push_bracket":
-            return rewrite.naturality_push(
-                el("map"), _binding(bindings, args["of"], Element), ctx)
+    def _pair_map(self, first, second, *_):
+        return Element.from_term(Word((Pair(first, second),)))
 
-        if verb == "restrict_bracket":
-            restrictions = [self._parse_el(p, env, bindings)
-                            for p in args["by"].split(",")]
-            return rewrite.bracket_restrict(
-                _binding(bindings, args["of"], Element), restrictions, ctx)
+    def _whitehead(self, space, right, ctx, *_):
+        return rewrite.whitehead(Element.identity(space), right, ctx)
 
-        if verb == "resolve_triple":
-            ambient = pi_group_from_fact(
-                self.catalog, env, *space_at(args["ambient"], env), ctx)
-            return rewrite.resolve_triple(
-                _binding(bindings, args["of"], Element), ambient.group, ctx)
+    def _scaled_generator(self, group, gen, coeff, ctx, *_):
+        i = _find_generator(group, gen, ctx)
+        return rewrite.normalize(group.generator_element(i).scale(coeff), ctx)
 
-        if verb == "pair_map":
-            return Element.from_term(Word((Pair(el("first"), el("second")),)))
+    def _assert_coeff(self, value, want, *_):
+        if abs(value) != want:
+            raise AssertionMismatch(
+                f"coefficient {value} does not have absolute value {want}")
+        return value
 
-        if verb == "whitehead":
-            return rewrite.whitehead(
-                Element.identity(parse_space(args["id"], env)), el("right"),
-                ctx)
-
-        if verb == "solve_free":
-            return self._solve_free(args, env, ctx, bindings)
-
-        if verb == "suspension_kill":
-            return self._suspension_kill(args, env, ctx, bindings)
-
-        if verb == "scaled_generator":
-            base = pig("group")
-            gen = el("gen")
-            coeff = _binding(bindings, args["coeff"], int)
-            i = _find_generator(base, gen, ctx)
-            return rewrite.normalize(base.generator_element(i).scale(coeff), ctx)
-
-        if verb == "assert_coeff":
-            value = _binding(bindings, args["of"], int)
-            want = eval_int_expr(args["abs"], env)
-            if abs(value) != want:
-                raise AssertionMismatch(
-                    f"coefficient {value} does not have absolute value {want}")
-            return value
-
-        raise DeriveError(f"unknown verb {verb!r}")
-
-    def _eval_check(self, step, env, ctx, bindings):
+    def _check(self, mapel, withel, want, ctx, *_):
         """Verify a composition identity on the nose (commuting square)."""
-        mapel = self._parse_el(step.args["map"], env, bindings)
-        withel = self._parse_el(step.args["with"], env, bindings)
-        want = self._parse_el(step.args["equals"], env, bindings)
-        got = rewrite.compose(mapel, withel, ctx)
-        lhs = rewrite.normalize(got, ctx)
+        lhs = rewrite.normalize(rewrite.compose(mapel, withel, ctx), ctx)
         rhs = rewrite.normalize(want, ctx)
         if lhs.key() != rhs.key():
             raise AssertionMismatch(
                 f"check failed: {lhs.render()} != {rhs.render()}")
 
-    # -- composite verbs -----------------------------------------------------
-
-    def _fiber_group(self, args, env, ctx, bindings) -> PiGroup:
-        """pi_k of a fiber, read off its declared wedge skeleton, which must
-        be the filtration stage holding every cell of dimension <= k+1."""
-        fib = self._fib(args, env, bindings)
-        _, _, skeleton = self.catalog.fibration_maps(fib.head, fib.params)
-        if skeleton is None:
-            raise DeriveError(f"fibration {args['fib']} declares no skeleton")
-        k = int(eval_int_expr(args["k"], env))
-        _, st = filtration.skeleton_of_fiber(filtration.MapSpec(fib.f), k + 1,
-                                             ctx)
-        if st.space != skeleton.source:
-            raise DeriveError(
-                f"unexpected fiber skeleton {st.space_name} for {args['fib']}")
-        base = pi_group_from_fact(self.catalog, env, st.space, k, ctx)
-        return push_forward(base, skeleton, skeleton.target, ctx)
-
-    def _extension(self, args, env, ctx, bindings) -> PiGroup:
-        sub = bindings[args["sub"]]
-        quot = bindings[args["quot"]]
-        if not isinstance(sub, PiGroup) or not isinstance(quot, PiGroup):
-            raise DeriveError("extension needs group bindings")
+    def _extension(self, sub, quot, certs, ctx, env, *_) -> PiGroup:
         if quot.group.is_trivial():
             return sub
-        where = args.get("certs", "none")
-        if where == "none":
+        if certs is None:
             raise ExtensionUnresolved(
                 "extension unresolved: no certificate source named for "
                 + ", ".join(quot.group.label(i)
                             for i in range(quot.group.rank)))
-        space, degree = space_at(where, env)
+        space, degree = certs
         certs = []
         lifts = []
         for i in range(quot.group.rank):
@@ -900,18 +879,13 @@ class Runner:
             return rewrite.normalize(lift_el, ctx), order, rel_el
         return None
 
-    def _solve_free(self, args, env, ctx, bindings):
+    def _solve_free(self, base, target, mapel, free_gen, value, ctx, *_):
         """Coefficient of the free generator from a comparison-map equation.
 
         The comparison map kills every torsion generator (checked), so
         the image of a * g1 + b * free + c * g3 determines b by exact
         division in the torsion-free target.
         """
-        base = _binding(bindings, args["group"], PiGroup)
-        target = _binding(bindings, args["target"], PiGroup)
-        mapel = self._parse_el(args["map"], env, bindings)
-        free_gen = self._parse_el(args["free"], env, bindings)
-        value = _binding(bindings, args["value"], Element)
         free_i = _find_generator(base, free_gen, ctx)
         img_free = None
         for i in range(base.group.rank):
@@ -938,17 +912,13 @@ class Runner:
             raise DeriveError(f"inconsistent coefficient candidates {qs}")
         return qs.pop()
 
-    def _suspension_kill(self, args, env, ctx, bindings):
+    def _suspension_kill(self, base, target, free_gen, b, ctx, env, *_):
         """Solve Sigma(a*g1 + b*free + c*g3) = 0 over the torsion coefficients.
 
         Returns the unique (a, c, ...) assignment; raises when the kill is
         not unique or nonzero coefficients are forced.
         """
-        base = _binding(bindings, args["group"], PiGroup)
-        target = pi_group_from_fact(self.catalog, env,
-                                    *space_at(args["target"], env), ctx)
-        free_gen = self._parse_el(args["free"], env, bindings)
-        b = _binding(bindings, args["coeff"], int)
+        target = pi_group_from_fact(self.catalog, env, *target, ctx)
         free_i = _find_generator(base, free_gen, ctx)
         torsion = [i for i in range(base.group.rank)
                    if i != free_i and base.group.orders[i] != 0]
@@ -973,6 +943,40 @@ class Runner:
                 f"suspension equation does not force zero coefficients: "
                 f"{solutions}")
         return solutions[0]
+
+
+# the verbs of the scripts and the arguments each takes, in the order its
+# handler does; README.md lists them
+VERBS = {
+    "group": Verb({"space": SPACE, "k": EXPR}, GROUP),
+    "fiber_group": Verb({"fib": FIBRATION, "k": EXPR, "attach": TERM}, GROUP,
+                        (("attach",),)),
+    "run": Verb({"script": SCRIPT}, params=True),
+    "boundary": Verb({"fib": FIBRATION, "k": EXPR, "target": GROUP,
+                      "strip": TERM, "attach": TERM}, BOUNDARY,
+                     (("target",), ("strip",), ("attach",))),
+    "cokernel": Verb({"of": BOUNDARY}, GROUP),
+    "kernel": Verb({"of": BOUNDARY}, GROUP),
+    "push": Verb({"of": GROUP, "via": TERM, "space": SPACE}, GROUP),
+    "quotient": Verb({"of": GROUP, "by": TERM, "push": TERM, "space": SPACE},
+                     GROUP, (("push", "space"),)),
+    "extension": Verb({"sub": GROUP, "quot": GROUP, "certs": SPACE_AT}, GROUP,
+                      (("certs",),)),
+    "stage_bracket": Verb({"f": TERM, "stage": EXPR}, ELEMENT),
+    "push_bracket": Verb({"map": TERM, "of": ELEMENT}, ELEMENT),
+    "restrict_bracket": Verb({"of": ELEMENT, "by": TERMS}, ELEMENT),
+    "resolve_triple": Verb({"of": ELEMENT, "ambient": SPACE_AT}, ELEMENT),
+    "pair_map": Verb({"first": TERM, "second": TERM}, ELEMENT),
+    "whitehead": Verb({"id": SPACE, "right": TERM}, ELEMENT),
+    "solve_free": Verb({"group": GROUP, "target": GROUP, "map": TERM,
+                        "free": TERM, "value": ELEMENT}, INTEGER),
+    "suspension_kill": Verb({"group": GROUP, "target": SPACE_AT, "free": TERM,
+                             "coeff": INTEGER}, SOLUTION),
+    "scaled_generator": Verb({"group": GROUP, "gen": TERM, "coeff": INTEGER},
+                             ELEMENT),
+    "assert_coeff": Verb({"of": INTEGER, "abs": EXPR}, INTEGER),
+    "check": Verb({"map": TERM, "with": TERM, "equals": TERM}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1002,17 +1006,6 @@ def _find_generator(pig: PiGroup, gen: Element, ctx) -> int:
                       f"{pig.group.describe()}")
 
 
-_KINDS = {Element: "an element", PiGroup: "a group", int: "an integer"}
-
-
-def _binding(bindings, name, kind):
-    """The value bound to ``name``, which must be a ``kind``."""
-    v = bindings[name]
-    if not isinstance(v, kind):
-        raise DeriveError(f"{name!r} is not {_KINDS[kind]} binding")
-    return v
-
-
 def _value_key(value) -> tuple:
     """Everything a step can observe of a binding value, in a form that
     ``==`` compares in full.  It lists what the types' own ``__eq__``
@@ -1020,8 +1013,6 @@ def _value_key(value) -> tuple:
     ignores spaces.  A binding of any other type is an error."""
     if value.__class__ is int:
         return ("int", value)
-    if value.__class__ is tuple:
-        return ("tuple",) + tuple(map(_value_key, value))
     if isinstance(value, Element):
         return ("element", value.source, value.target,
                 tuple((_term_key(t), c) for t, c in value.terms))
@@ -1095,8 +1086,10 @@ def link_scripts(scripts: Iterable[Script]) -> Dict[str, Script]:
     """Scripts by name in reproduce order, checked against each other.
 
     A script follows every script it runs, which must be one of
-    ``scripts``; scripts at the same depth are ordered by their
-    ``computes`` target, space then degree, and no two share a target.
+    ``scripts`` and is given exactly its ``params``; scripts at the same
+    depth are ordered by their ``computes`` target, space then degree,
+    and no two share a target.  Steps are checked again, each ``run``
+    binding what its script returns.
     """
     by_name = {script.name: script for script in scripts}
     depth: Dict[str, int] = {}
@@ -1107,11 +1100,15 @@ def link_scripts(scripts: Iterable[Script]) -> Dict[str, Script]:
         if script.name not in depth:
             subs = [-1]
             for step in (st for st in script.steps if st.verb == "run"):
-                sub = by_name.get(step.args.get("script"))
+                run = f"{script.name}:{step.line}: run"
+                name = step.args.get("script")
+                sub = by_name.get(name)
                 if sub is None:
-                    raise DeriveError(
-                        f"{script.name}:{step.line}: run names no loaded "
-                        f"script {step.args.get('script')!r}")
+                    raise DeriveError(f"{run} names no loaded script {name!r}")
+                given = [k for k in step.args if k != "script"]
+                if sorted(given) != sorted(sub.params):
+                    raise DeriveError(f"{run} gives {name} {given}; its "
+                                      f"params are {sub.params}")
                 subs.append(depth_of(sub, path + (script.name,)))
             depth[script.name] = 1 + max(subs)
         return depth[script.name]
@@ -1124,6 +1121,9 @@ def link_scripts(scripts: Iterable[Script]) -> Dict[str, Script]:
                               f"computes the target of {first.name}")
     order = sorted(by_name.values(), key=lambda s: (
         depth_of(s), s.computes or ("", 0), s.name))
+    returns: Dict[str, str] = {}
+    for script in order:
+        returns[script.name] = _check_steps(script, returns)
     return {script.name: script for script in order}
 
 

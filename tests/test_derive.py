@@ -1,9 +1,11 @@
 """The shipped derivations: tables, transcripts, replays, and failure
 modes."""
 
+import inspect
 import re
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -318,9 +320,9 @@ class CountingRunner(Runner):
         self.executed.append(result)
         return result
 
-    def _eval_step(self, *args):
-        self.evaluated += 1
-        return super()._eval_step(*args)
+    def _eval_step(self, step, *args):
+        self.evaluated += step.kind == "let"    # a ``check`` is evaluated too
+        return super()._eval_step(step, *args)
 
 
 @pytest.fixture(scope="module")
@@ -358,8 +360,8 @@ def test_runs_record_the_tokens_they_consume(pruned_pass):
     and through their subderivations the other scripts depend on them."""
     def depends(res):
         return res.reads.union(*(depends(pruned_pass._run_cached(
-            step.args["script"], derive._sub_env(step, res.env)))
-            for step, _ in res.subs))
+            script, derive._sub_env(res.env, params)))
+            for script, params, _ in res.subs))
 
     read, touched = {}, {}
     for res in pruned_pass.executed:
@@ -1030,6 +1032,194 @@ def test_mutated_scripts_fail_only_with_documented_errors(catalog, scripts,
         pass
 
 
+# ---------------------------------------------------------------------------
+# the verb table: every step is checked when its script is parsed or linked
+# ---------------------------------------------------------------------------
+
+def load_edited(scripts, name, text):
+    """The shipped scripts with ``text`` in place of ``name``, parsed and
+    linked as ``load_scripts`` does; no step runs."""
+    edited = parse_script(text, name_hint=name)
+    return link_scripts([*(s for s in scripts.values() if s.name != name),
+                         edited])
+
+
+@pytest.mark.parametrize("old, new, match", [
+    # an unknown argument, which a run ignored
+    ("k=7; target=piC6", "k=7; target=piC6; tagret=piC6",
+     "pi6_P3:15: boundary takes no argument 'tagret'"),
+    # a misspelt optional argument, which a run took as absent (exit 3)
+    ("certs=P3(2^r) @ 6", "cert=P3(2^r) @ 6",
+     "pi6_P3:19: extension takes no argument 'cert'"),
+    # a group where an element belongs, which a run parsed as a symbol
+    ("by=g3; push", "by=piL5; push",
+     "pi6_P3:14: 'piL5' is not an element binding"),
+    ("let C = cokernel of=d7", "let C = cokernal of=d7",
+     "pi6_P3:16: unknown verb 'cokernal'"),
+    ("kernel of=d6", "kernel of=C",
+     "pi6_P3:18: 'C' is not a boundary binding"),
+    # an argument the subscript does not take, a second run-cache key
+    ("script=pi5_L4m; m=r+1", "script=pi5_L4m; m=r+1; q=1",
+     r"pi6_P3:12: run gives pi5_L4m \['m', 'q'\]; its params are \['m'\]"),
+    ("script=pi5_L4m; m=r+1", "script=pi5_L4m; n=r+1",
+     r"pi6_P3:12: run gives pi5_L4m \['n'\]; its params are \['m'\]"),
+    ("; k=7", "", "pi6_P3:15: missing step argument 'k'"),
+    ("; k=7", "; k=2^(r", "pi6_P3:15: bad integer expression"),
+    ("push=I_3(r); space=F_p(r)", "push=I_3(r)",
+     "pi6_P3:14: missing step argument 'space'"),
+    ("return ans", "return K2", "pi6_P3:21: missing binding 'K2'"),
+])
+def test_a_malformed_step_is_refused_before_any_step_runs(
+        catalog, scripts, monkeypatch, capsys, old, new, match):
+    """Each edit of pi6_P3 is refused where the script is parsed or
+    linked, with its line, and through the command line that is exit 2.
+    Before the table, ``tagret=`` and ``q=1`` ran, ``cert=`` and
+    ``by=piL5`` failed as exit 3, and all but the malformed ``k=`` failed
+    only when a run reached their step."""
+    text = SHIPPED_TEXT["pi6_P3"]
+    assert old in text
+    text = text.replace(old, new, 1)
+    with pytest.raises(DeriveError, match=match):
+        load_edited(scripts, "pi6_P3", text)
+    monkeypatch.setattr(cli, "load_scripts",
+                        lambda: load_edited(scripts, "pi6_P3", text))
+    assert cli.main(["compute", "--space", "P3", "--k", "6", "--r", "2",
+                     "--no-sweep"]) == cli.EXIT_VALIDATION
+    assert re.search(match, capsys.readouterr().err)
+
+
+def test_a_suspension_kill_solution_is_not_a_value(scripts):
+    """``suspension_kill`` binds a solution, which no argument and no
+    ``return`` takes, so no step memo or run cache compares one."""
+    text = SHIPPED_TEXT["gamma3"]
+    with pytest.raises(DeriveError,
+                       match="gamma3:19: 'ac' is not a returnable binding"):
+        load_edited(scripts, "gamma3",
+                    text.replace("return g3", "return ac"))
+    with pytest.raises(DeriveError,
+                       match="gamma3:18: 'ac' is not an integer binding"):
+        load_edited(scripts, "gamma3", text.replace(
+            "group=piL5; gen=beta(r+1); coeff=b", "group=piL5; "
+            "gen=beta(r+1); coeff=ac"))
+
+
+# the words that start a line of a script other than a step's verb
+KEYWORDS = {"derivation", "params", "require", "computes", "rows", "let",
+            "assert", "return"}
+
+
+@st.composite
+def _misnamed_script(draw, scripts):
+    """A shipped script with one ``let`` or ``check`` step rewritten: a
+    required argument dropped, an argument key renamed or the verb
+    renamed to one the table lacks; and that step's line."""
+    name = draw(st.sampled_from(sorted(SHIPPED_TEXT)))
+    step = draw(st.sampled_from([s for s in scripts[name].steps
+                                 if s.kind in ("let", "check")]))
+    verb, args = step.verb, dict(step.args)
+    table = derive.VERBS[verb]
+    required = [k for k in args if verb == "run" or not any(
+        k in g for g in table.optional)]
+    how = draw(st.sampled_from(["drop", "rename key", "rename verb"]))
+    if how == "drop":
+        del args[draw(st.sampled_from(required))]
+    elif how == "rename key":
+        old = draw(st.sampled_from(sorted(args)))
+        new = draw(st.from_regex(r"[a-z]{1,6}", fullmatch=True).filter(
+            lambda k: k not in table.args and k not in args))
+        args = {new if k == old else k: v for k, v in args.items()}
+    else:
+        verb = draw(st.from_regex(r"[a-z_]{1,12}", fullmatch=True).filter(
+            lambda v: v not in derive.VERBS and v not in KEYWORDS))
+    body = "; ".join(f"{k}={v}" for k, v in args.items())
+    lines = SHIPPED_TEXT[name].splitlines()
+    lines[step.line - 1] = (f"{verb} {body}" if step.kind == "check" else
+                            f"let {step.name} = {verb} {body}")
+    return name, "\n".join(lines) + "\n", step.line
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_misnamed_steps_are_refused_at_load(scripts, data):
+    """Seeded: dropping a required argument, renaming an argument key or
+    renaming a verb in any step of a shipped script is a ``DeriveError``
+    naming that step's line from ``parse_script`` or ``link_scripts``,
+    before any step runs (the runner is never built)."""
+    name, text, line = data.draw(_misnamed_script(scripts))
+    with pytest.raises(DeriveError, match=f"^{name}:{line}: "):
+        load_edited(scripts, name, text)
+
+
+def test_each_verb_has_a_handler_taking_its_arguments():
+    """``Runner._<verb>`` takes the table's arguments in order, the run's
+    parameters for ``run``, then the context, environment and lines."""
+    for verb, table in derive.VERBS.items():
+        params = list(inspect.signature(
+            getattr(Runner, "_" + verb)).parameters.values())[1:]
+        fixed = [p for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+        want = len(table.args) + table.params
+        if params[-1].kind is inspect.Parameter.VAR_POSITIONAL:
+            assert want <= len(fixed) <= want + 3, verb
+        else:
+            assert len(fixed) == want + 3, verb
+
+
+def test_each_verb_binds_the_kind_the_table_says(catalog, scripts):
+    """Over the canonical reproduce pass every ``let`` binds a value of
+    its verb's result kind (a ``run``, that of its script's return),
+    which is what the load checks take on trust."""
+    types = {derive.GROUP: PiGroup, derive.BOUNDARY: Boundary,
+             derive.ELEMENT: Element, derive.INTEGER: int,
+             derive.SOLUTION: tuple}
+    returned = {"gamma3": derive.ELEMENT}
+    seen = set()
+
+    class Checking(Runner):
+        def _eval_step(self, step, *args):
+            value = super()._eval_step(step, *args)
+            if step.kind == "let":
+                table = derive.VERBS[step.verb]
+                kind = (returned.get(step.args["script"], derive.GROUP)
+                        if table.params else table.result)
+                assert type(value) is types[kind], step.raw
+                seen.add(step.verb)
+            return value
+
+    runner = Checking(catalog, scripts)
+    for name, params in reproduce_rows(scripts):
+        runner.run(name, params, sweep=False)
+    assert seen == set(derive.VERBS) - {"check"}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_readme_lists_the_verb_table():
+    """README's verb reference is the table: each verb, its arguments in
+    order with their kinds (optional ones in brackets, a bracket holding
+    those given together) and what it binds."""
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \| (.*) \|$", README.read_text(),
+                      re.M)
+    listed = {}
+    for verb, cell, binds in rows:
+        args, optional = [], []
+        for group, arg in re.findall(r"\[([^]]*)\]|([^,[\]]+)", cell):
+            if not (group or arg).strip():
+                continue
+            pairs = [re.fullmatch(r"\s*`(\w+)` ([\w @]+?)\s*", piece).groups()
+                     for piece in (group or arg).split(",")]
+            args += pairs
+            if group:
+                optional.append(tuple(k for k, _ in pairs))
+        listed[verb] = (args, tuple(optional), binds)
+    want = {verb: (list(t.args.items()) + [("params", "expr")] * t.params,
+                   t.optional, t.result or ("what its script returns"
+                                            if t.params else "nothing"))
+            for verb, t in derive.VERBS.items()}
+    assert listed == want
+
+
 HOPF_FACTS = """\
 symbol j1_22 : S2 -> S2vS2 susp
 symbol j2_22 : S2 -> S2vS2 susp
@@ -1071,3 +1261,36 @@ def test_solve_free_passes_a_bracket_generator_through(tmp_path,
     assert [el.render() for el in seen] == [
         "j1_22 . eta_2", "j2_22 . eta_2", "[j1_22, j2_22]"]
     assert seen[2] == unfold(seen[2])
+
+
+@pytest.mark.parametrize("gen, outcome", [
+    ("j1_22.eta_2", 2),
+    ("j2_22.eta_2", "value is not a multiple of the image"),
+])
+def test_solve_free_skips_a_zero_image_column(tmp_path, gen, outcome):
+    """The fold j1 . q1 of S^2 v S^2 onto its first summand sends the
+    free generator j1.eta_2 to itself, whose chart in pi_3(S^2 v S^2) is
+    zero in the j2.eta_2 and [j1, j2] columns, and kills the other two
+    generators.  2 j1.eta_2 is zero in those columns too, so they are
+    skipped and the coefficient is 2; 2 j2.eta_2 is not, so it is no
+    multiple of the image."""
+    path = tmp_path / "hopf.facts"
+    path.write_text(HOPF_FACTS)
+    script = parse_script(
+        "derivation fold\n"
+        "let A = group space=S2vS2; k=3\n"
+        "let T = group space=S2; k=3\n"
+        "let w = whitehead id=S2; right=iota_2\n"
+        "let two = solve_free group=A; map=q1_22; free=j1_22.eta_2; "
+        "value=w; target=T\n"
+        f"let v = scaled_generator group=A; gen={gen}; coeff=two\n"
+        "let b = solve_free group=A; map=j1_22.q1_22; free=j1_22.eta_2; "
+        "value=v; target=A\n"
+        "return b\n")
+    runner = Runner(load_catalog(path), link_scripts([script]))
+    if isinstance(outcome, int):
+        assert runner.run("fold", {}).value == outcome
+    else:
+        with pytest.raises(DeriveError, match="fold step 6 \\(solve_free\\): "
+                           + outcome):
+            runner.run("fold", {})

@@ -36,3 +36,27 @@ def test_every_parameter_is_read():
     unread = {path.name: unread_parameters(path.read_text())
               for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: found for name, found in unread.items() if found} == {}
+
+
+def literal_argument_reads(source: str) -> list:
+    """(line, text) of each subscript of ``args`` or ``<x>.args`` by a
+    string literal: a step argument read by its name, past the verb table.
+
+    >>> literal_argument_reads("a = step.args['of']\\nb = args[key]")
+    [(1, "step.args['of']")]
+    """
+    return [(node.lineno, ast.unparse(node))
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)
+            and (isinstance(node.value, ast.Name) and node.value.id == "args"
+                 or isinstance(node.value, ast.Attribute)
+                 and node.value.attr == "args")]
+
+
+def test_steps_read_their_arguments_only_through_the_table():
+    """``derive.py`` reads a step's arguments as ``VERBS`` and
+    ``Step.plan`` say, never by a literal key, so a verb cannot take an
+    argument the table does not list."""
+    assert literal_argument_reads((PACKAGE / "derive.py").read_text()) == []
