@@ -73,7 +73,6 @@ from .groups import (
     LiftCertificate,
     TwoLocalGroup,
     cokernel as group_cokernel,
-    extension_with_relations,
     kernel as group_kernel,
     quotient_by_elements,
     solve_extension,
@@ -283,14 +282,18 @@ def parse_group_literal(text: str):
 
 
 def _step_args(text: str, sep: str, where: str) -> Dict[str, str]:
-    """The ``key<sep>value`` pieces of a step, separated by ';'."""
+    """The ``key<sep>value`` pieces of a step, separated by ';'; a key
+    (an argument, or an assert case's guard) may not repeat."""
     args = {}
     for piece in filter(None, (p.strip() for p in text.split(";"))):
         key, found, value = piece.partition(sep)
         if not found:
             raise DeriveError(f"{where}: step argument {piece!r} needs "
                               f"key{sep}value form")
-        args[key.strip()] = value.strip()
+        key = key.strip()
+        if key in args:
+            raise DeriveError(f"{where}: repeated key {key!r}")
+        args[key] = value.strip()
     return args
 
 
@@ -318,6 +321,7 @@ def _check_steps(script: Script, returns: Dict[str, str]) -> Optional[str]:
     and ``names``, and give the kind ``script`` returns.  A ``run`` binds
     the kind that ``returns`` has for its script, or any kind."""
     kinds: Dict[str, Optional[str]] = {}
+    bound = {st.name for st in script.steps if st.kind == "let"}
 
     def reader(kind, text) -> tuple:
         """The plan entry of ``text``, an argument of ``kind``, checked."""
@@ -326,6 +330,9 @@ def _check_steps(script: Script, returns: Dict[str, str]) -> Optional[str]:
                                        for piece in text.split(","))
         if kind == TERM and text in kinds:
             kind = ELEMENT
+        elif kind == TERM and text in bound:
+            raise DeriveError(f"{where}: {text!r} is bound only by this "
+                              f"or a later step")
         if kind in (GROUP, BOUNDARY, ELEMENT, INTEGER, "returnable"):
             if text not in kinds:
                 raise DeriveError(f"{where}: missing binding {text!r}")
@@ -833,12 +840,8 @@ class Runner:
                 rel_vec = express(rel_el, sub, ctx)
             certs.append(LiftCertificate(i, order, lift_el.render(), rel_vec))
             lifts.append(lift_el)
-        split = all(c.relation is None or not any(c.relation) for c in certs) \
-            and all(c.lift_order == quot.group.orders[c.quot_index]
-                    for c in certs)
-        solve = solve_extension if split else extension_with_relations
-        group, chart = solve(ExtensionProblem(sub.group, quot.group,
-                                              tuple(certs)))
+        group, chart = solve_extension(ExtensionProblem(
+            sub.group, quot.group, tuple(certs)))
         ns, nq = sub.group.rank, quot.group.rank
         protos = [(elp, chart.apply(vec + (0,) * nq))
                   for elp, vec in sub.protos]

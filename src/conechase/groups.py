@@ -540,25 +540,20 @@ def _column_basis(m: IntMat) -> IntMat:
 
 
 def _solve_in_lattice(basis: IntMat, vec: Sequence[int]) -> list:
-    """Coordinates of vec in the lattice spanned by the basis columns."""
+    """Coordinates of vec in the lattice spanned by the basis columns,
+    which must be independent (``_column_basis`` gives such), so every
+    pivot of their Smith form is nonzero."""
     snf = smith_normal_form(basis)  # u @ basis @ v == d
     u, d, v = snf.u, snf.d, snf.v
     w = [sum(u.rows[i][kk] * vec[kk] for kk in range(len(vec)))
          for i in range(basis.nrows)]
     z = []
     for j in range(basis.ncols):
-        dj = d.rows[j][j] if j < min(d.nrows, d.ncols) else 0
-        if dj == 0:
-            if w[j] != 0:
-                raise GroupError("vector not in lattice")
-            z.append(0)
-        else:
-            if w[j] % dj != 0:
-                raise GroupError("vector not in lattice")
-            z.append(w[j] // dj)
-    for j in range(basis.ncols, basis.nrows):
-        if w[j] != 0:
+        if w[j] % d.rows[j][j] != 0:
             raise GroupError("vector not in lattice")
+        z.append(w[j] // d.rows[j][j])
+    if any(w[basis.ncols:]):
+        raise GroupError("vector not in lattice")
     return [sum(v.rows[i][j] * z[j] for j in range(basis.ncols))
             for i in range(basis.ncols)]
 
@@ -612,81 +607,62 @@ class ExtensionProblem:
     quot: TwoLocalGroup
     certificates: tuple
 
-    def __post_init__(self):
-        for c in self.certificates:
-            if c.lift_order != 0 and not _is_power_of_two(c.lift_order):
-                raise GroupError("lift order must be a power of two")
-            qo = self.quot.orders[c.quot_index]
-            if qo != 0 and c.lift_order != 0 and c.lift_order < qo:
-                raise GroupError("lift order smaller than the quotient order")
-
 
 def solve_extension(p: ExtensionProblem):
-    """Resolve 0 -> sub -> E -> quot -> 0 using order-matching certificates.
+    """Resolve 0 -> sub -> E -> quot -> 0 from lift certificates.
 
-    Splits only when every quotient generator carries a certificate whose
-    lift order equals the generator's order.  Returns (group, chart):
-    ``group`` is sub + quot with the sub's labels and the lift labels, and
-    ``chart`` maps (sub coords ++ lift coords) to its canonical
-    coordinates, a permutation.  Anything else raises ExtensionUnresolved
-    naming the offending generators: the solver never guesses a middle
-    group.
+    E is presented by the sub generators plus one lift per quotient
+    summand, with (quot order) * lift = relation (zero when the
+    certificate gives none).  Returns (group, chart): ``chart`` maps
+    (sub coords ++ lift coords) to E's canonical coordinates.  Each
+    certificate's claimed lift order is checked against the presented
+    group, and a quotient generator without a certificate raises
+    ExtensionUnresolved: the solver never guesses a middle group.  When
+    the chart is a permutation, as for every split extension, E's
+    summands carry the sub labels and the lift labels it permutes;
+    otherwise they are positional.
+
+    >>> sub = TwoLocalGroup([2, 0], ["u", "b"])
+    >>> quot = TwoLocalGroup([2], ["eta"])
+    >>> split = LiftCertificate(0, lift_order=2, lift_label="l")
+    >>> solve_extension(ExtensionProblem(sub, quot, (split,)))[0].describe()
+    'Z/2{u} + Z/2{l} + Z(2){b}'
+    >>> twisted = LiftCertificate(0, 4, "l", relation=(1, 0))  # 2*l = u
+    >>> solve_extension(ExtensionProblem(sub, quot, (twisted,)))[0].describe()
+    'Z/4{g0} + Z(2){g1}'
     """
+    ns, nq = p.sub.rank, p.quot.rank
     by_index = {c.quot_index: c for c in p.certificates}
-    missing = []
-    for i, o in enumerate(p.quot.orders):
-        c = by_index.get(i)
-        if c is None or c.lift_order != o or (c.relation and any(c.relation)):
-            missing.append(p.quot.label(i))
+    missing = [p.quot.label(i) for i in range(nq) if i not in by_index]
     if missing:
         raise ExtensionUnresolved(
-            "extension unresolved: no order-matching lift certificate for "
+            "extension unresolved: no lift certificate for "
             + ", ".join(missing))
-    orders = list(p.sub.orders) + list(p.quot.orders)
-    labels = [p.sub.label(i) for i in range(p.sub.rank)] + [
-        by_index[i].lift_label or f"lift({p.quot.label(i)})"
-        for i in range(p.quot.rank)]
-    n = len(orders)
-    chart = IntMat([[int(j == old) for j in range(n)]
-                    for old in canonical_order(orders)], n)
-    group = TwoLocalGroup(orders, labels)
-    return group, GroupHom(TwoLocalGroup([0] * n), group, chart)
-
-
-def extension_with_relations(p: ExtensionProblem):
-    """Resolve an extension whose certificates carry explicit relations.
-
-    The middle group is presented by the sub generators plus one new
-    generator per quotient summand, with (quot order) * lift = relation.
-    Returns (group, chart) as ``solve_extension`` does: chart maps (sub
-    coords ++ lift coords) to the middle group's canonical coordinates.
-    Each certificate's claimed lift order is verified against the
-    presented group.
-    """
-    ns = p.sub.rank
-    by_index = {c.quot_index: c for c in p.certificates}
-    for i in range(p.quot.rank):
-        if i not in by_index:
-            raise ExtensionUnresolved(
-                f"extension unresolved: no certificate for {p.quot.label(i)}")
-    n = ns + p.quot.rank
-    rows = [row + [0] * p.quot.rank for row in presentation_rows(p.sub)]
-    for i in range(p.quot.rank):
-        c = by_index[i]
-        qo = p.quot.orders[i]
-        rel = list(c.relation) if c.relation else [0] * ns
+    rows = [row + [0] * nq for row in presentation_rows(p.sub)]
+    for i in range(nq):
+        rel = by_index[i].relation or (0,) * ns
         if len(rel) != ns:
             raise GroupError("certificate relation length mismatch")
-        row = [-x for x in rel] + [0] * p.quot.rank
-        row[ns + i] = qo
+        row = [-x for x in rel] + [0] * nq
+        row[ns + i] = p.quot.orders[i]
         rows.append(row)
+    n = ns + nq
     group, proj, _ = group_from_presentation(n, rows)
-    for i in range(p.quot.rank):
-        c = by_index[i]
-        lift_vec = proj.col(ns + i)
-        got = group.element_order(lift_vec)
-        if got != c.lift_order:
+    for i in range(nq):
+        got = group.element_order(proj.col(ns + i))
+        if got != by_index[i].lift_order:
             raise GroupError(
                 f"certificate for {p.quot.label(i)} claims lift order "
-                f"{c.lift_order} but the presentation gives {got}")
+                f"{by_index[i].lift_order} but the presentation gives {got}")
+    unit = [0] * (n - 1) + [1]
+    hits = [row.index(1) for row in proj.rows if sorted(row) == unit]
+    if len(hits) == n:
+        # a permutation: order tied summands as the given coordinates
+        names = [p.sub.label(i) for i in range(ns)] + [
+            by_index[i].lift_label or f"lift({p.quot.label(i)})"
+            for i in range(nq)]
+        idx = sorted(range(n), key=lambda i: (group.orders[i] == 0,
+                                              group.orders[i], hits[i]))
+        proj = IntMat([proj.rows[i] for i in idx], n)
+        group = group.with_labels([names[hits[i]] for i in idx])
     return group, GroupHom(TwoLocalGroup([0] * n), group, proj)

@@ -11,12 +11,16 @@ They hold by construction in a run, so the package does not ship them:
 - a determinant, label-addressed coordinate vectors, enumeration of a
   finite group and direct sums, for the group arithmetic tests;
 - an integer-expression evaluator that computes while it reads, the
-  reference the compiled expressions are compared against.
+  reference the compiled expressions are compared against;
+- a reader of the benchmark's literal tables, which does not import the
+  benchmark.
 """
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import List, Optional
 
 from conechase.filtration import MapSpec, build_filtration
@@ -327,3 +331,14 @@ def reading_eval_int_expr(text: str, env: dict) -> int:
     if pos != len(toks):
         raise TermError(f"trailing tokens in integer expression {text!r}")
     return v
+
+
+def bench_table(module: str, name: str):
+    """A literal table of a benchmark module, read from its source
+    without importing it."""
+    source = Path(__file__).parents[1] / "bench" / f"{module}.py"
+    (table,) = [ast.literal_eval(node.value)
+                for node in ast.parse(source.read_text()).body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == [name]]
+    return table

@@ -1,6 +1,5 @@
 """Command-line interface: outputs, formats, exit codes."""
 
-import ast
 import contextlib
 import functools
 import gc
@@ -22,6 +21,8 @@ from hypothesis import strategies as st
 from conechase import cli, derive, kb
 from conechase.derive import default_catalog, load_scripts, scenarios
 from conechase.kb import KbCatalog, KbError, load_catalog
+
+from checks import bench_table
 
 
 def run_cli(capsys, *argv):
@@ -651,6 +652,27 @@ def test_an_order_bound_must_be_zero(capsys, tmp_path):
         assert "an order bound k*word must equal 0" in err
 
 
+@pytest.mark.parametrize("order", ["2", "3"])
+def test_a_lift_order_below_or_off_the_powers_of_two_exits_2(capsys, tmp_path,
+                                                            order):
+    """A lift maps onto a quotient generator of order q, so its order is 0
+    or a power of two >= q.  The extension solver checks each claimed
+    lift order against the presented group, so the order-4 lift of nu'
+    (paper.facts line 108) claimed with order 2 or 3 is refused, exit 2."""
+    old = "| nut'(2) order=4 |"
+    assert SHIPPED_FACTS.count(old) == 1
+    line = SHIPPED_FACTS[:SHIPPED_FACTS.index(old)].count("\n") + 1
+    assert line == 108
+    p = tmp_path / "order.facts"
+    p.write_text(SHIPPED_FACTS.replace(old, old.replace("4", order)))
+    code, out, err = run_cli(capsys, "--kb", str(p), "compute", "--space",
+                             "P3", "--k", "6", "--r", "2", "--no-sweep")
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err == (f"error: pi6_P3 step 9 (extension): certificate for nu' "
+                   f"claims lift order {order} but the presentation gives "
+                   f"4\n")
+
+
 def test_payload_syntax_is_checked_at_load(capsys, tmp_path):
     """A payload that does not parse is refused when the catalog loads,
     with exit 2 and its line, not when a chase first instantiates it."""
@@ -791,17 +813,6 @@ def test_filtration_machine_format(capsys):
     assert records[2]["cell_dim"] == 6
 
 
-def bench_table(module: str, name: str):
-    """A literal table of a benchmark module, read from its source
-    without importing it."""
-    source = Path(__file__).parents[1] / "bench" / f"{module}.py"
-    (table,) = [ast.literal_eval(node.value)
-                for node in ast.parse(source.read_text()).body
-                if isinstance(node, ast.Assign)
-                and [getattr(t, "id", None) for t in node.targets] == [name]]
-    return table
-
-
 def test_benchmark_draws_only_declared_scenarios():
     """Every (space, k, script) the benchmark draws is a scenario the
     scripts declare."""
@@ -813,20 +824,15 @@ def test_benchmark_draws_only_declared_scenarios():
 
 
 def test_traced_names_exist():
-    """Every function the benchmark's tracer wraps and every class it
-    counts exists, and so do the two things its normalize_word hook
-    reads: the word's key and the rule context's word rules."""
+    """Every class the benchmark's tracer counts exists, and so do the two
+    things its normalize_word hook reads: the word's key and the rule
+    context's word rules.  ``test_source`` checks the functions it
+    wraps."""
     import importlib
     import inspect
 
     from conechase import rewrite
     from conechase.terms import Word, sphere
-    for module, qualname in bench_table("tracing", "TARGETS"):
-        owner = importlib.import_module(f"conechase.{module}")
-        *path, attr = qualname.split(".")
-        for part in path:
-            owner = getattr(owner, part)
-        assert callable(owner.__dict__[attr]), f"{module}.{qualname}"
     for module, cls, _ in bench_table("tracing", "COUNTED"):
         assert isinstance(
             getattr(importlib.import_module(f"conechase.{module}"), cls), type)

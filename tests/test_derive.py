@@ -128,14 +128,15 @@ def test_removing_the_lift_of_nu_fails_unresolved(catalog, scripts):
 def test_extension_lifts_have_their_certified_orders(catalog, scripts,
                                                      monkeypatch):
     """Over a reproduce pass, every extension step's lift prototypes have
-    in the group it returns the order their certificate claims, split or
-    not: both solvers' charts place the lifts."""
+    in the group it returns the order their certificate claims, with a
+    relation or without: the one solver's chart places the lifts."""
     problems = []
-    for name in ("solve_extension", "extension_with_relations"):
-        def recording(p, name=name, solve=getattr(derive, name)):
-            problems.append((name, p))
-            return solve(p)
-        monkeypatch.setattr(derive, name, recording)
+
+    def recording(p, solve=derive.solve_extension):
+        problems.append(p)
+        return solve(p)
+
+    monkeypatch.setattr(derive, "solve_extension", recording)
     checked = []
 
     class Recording(Runner):
@@ -149,13 +150,13 @@ def test_extension_lifts_have_their_certified_orders(catalog, scripts,
     runner = Recording(catalog, scripts)
     for name, params in reproduce_rows(scripts):
         runner.run(name, params)
-    for (_, p), pig in checked:
+    for p, pig in checked:
         lifts = pig.protos[len(pig.protos) - p.quot.rank:]
         for c in p.certificates:
             assert pig.group.element_order(lifts[c.quot_index][1]) == \
                 c.lift_order, (p, pig.group)
-    assert {name for (name, _), _ in checked} == {
-        "solve_extension", "extension_with_relations"}
+    assert {any(any(c.relation or ()) for c in p.certificates)
+            for p, _ in checked} == {True, False}
 
 
 def test_removing_eta4_certificates_breaks_the_cone_rows(catalog, scripts):
@@ -931,6 +932,13 @@ def run_edited(catalog, scripts, name, text, value=2):
      "gamma3:14: missing binding 'piL5'"),
     ("gamma3", "coeff=b; target", "coeff=piL5; target",
      "'piL5' is not an integer binding"),
+    ("pi6_P3", "k=7; target", "k=6; k=7; target",
+     "pi6_P3:15: repeated key 'k'"),
+    ("pi6_P3", "r>=2 :", "r=1 : 0 ; r>=2 :", "pi6_P3:20: repeated key 'r=1'"),
+    ("pi6_P3", "by=g3", "by=K",
+     "pi6_P3:14: 'K' is bound only by this or a later step"),
+    ("pi6_P3", "by=g3", "by=piJ5",
+     "pi6_P3:14: 'piJ5' is bound only by this or a later step"),
 ])
 def test_a_missing_argument_or_binding_names_its_line(catalog, scripts, name,
                                                       old, new, match):

@@ -15,7 +15,6 @@ from conechase.groups import (
     LiftCertificate,
     TwoLocalGroup,
     cokernel,
-    extension_with_relations,
     kernel,
     quotient_by_elements,
     smith_normal_form,
@@ -323,13 +322,19 @@ def test_solve_extension_split_and_failure():
     cert = LiftCertificate(quot_index=0, lift_order=2, lift_label="lift-eta")
     e, _ = solve_extension(ExtensionProblem(sub, quot, (cert,)))
     assert e == TwoLocalGroup([2, 2, 8, 0])
+    assert e.labels == ("a", "lift-eta", "b", "c")
     assert e.torsion_order() == sub.torsion_order() * quot.torsion_order()
 
     with pytest.raises(ExtensionUnresolved, match="extension unresolved"):
         solve_extension(ExtensionProblem(sub, quot, ()))
+    # a lift of order 4 with no relation is not what the presentation gives
     big = LiftCertificate(quot_index=0, lift_order=4)
-    with pytest.raises(ExtensionUnresolved):
+    with pytest.raises(GroupError, match="claims lift order 4 but the "
+                                         "presentation gives 2"):
         solve_extension(ExtensionProblem(sub, quot, (big,)))
+    short = LiftCertificate(0, lift_order=4, relation=(1, 0))
+    with pytest.raises(GroupError, match="relation length mismatch"):
+        solve_extension(ExtensionProblem(sub, quot, (short,)))
 
 
 def test_solve_extension_trivial_quot():
@@ -348,39 +353,60 @@ def test_extension_order_property():
         assert e.torsion_order() == sub.torsion_order() * quot.torsion_order()
 
 
-def test_both_extension_solvers_keep_the_chart_contract():
-    """On a split problem both solvers give the same group, and each
-    chart sends every sub and lift unit vector to a unit vector at a
-    summand of the same order.  ``solve_extension``'s chart is the
-    permutation its labels follow; the presentation may order tied
-    summands differently, so the charts are not compared."""
+def test_extension_solver_keeps_the_chart_contract():
+    """Over random split problems and random problems with nonzero
+    relations, the chart is onto and kills (quot order) * lift -
+    relation, each sub unit vector goes to an element of the sub
+    generator's order and each lift's to one of its certified order (the
+    quotient order times the relation's order).  A split problem's chart
+    is a permutation onto summands of the given orders, and the labels
+    follow the chart exactly when it is a permutation."""
     rng = random.Random(29)
-    for trial in range(300):
+    seen = set()
+    for trial in range(400):
         orders = [rng.choice([0, 2, 2, 4, 8]) for _ in range(rng.randint(0, 4))]
-        labelled = trial % 2 == 0
         sub = TwoLocalGroup(orders, [f"s{i}" for i in range(len(orders))]
-                            if labelled else None)
+                            if trial % 2 == 0 else None)
         quot = TwoLocalGroup([rng.choice([0, 2, 4])
                               for _ in range(rng.randint(1, 3))])
-        certs = tuple(LiftCertificate(i, o, f"l{i}")
-                      for i, o in enumerate(quot.orders))
-        problem = ExtensionProblem(sub, quot, certs)
-        split, chart = solve_extension(problem)
-        presented, pchart = extension_with_relations(problem)
-        assert split == presented
+        split = trial % 4 < 2
+        certs = []
+        for i, q in enumerate(quot.orders):
+            # a free generator's lift meets the sub nowhere
+            rel = tuple(0 if split or not q else rng.randint(-3, 8)
+                        for _ in range(sub.rank))
+            certs.append(LiftCertificate(i, q * sub.element_order(rel),
+                                         f"l{i}", rel))
+        e, chart = solve_extension(ExtensionProblem(sub, quot, tuple(certs)))
         given = list(sub.orders) + list(quot.orders)
-        names = [sub.label(i) for i in range(sub.rank)] + \
-            [f"l{i}" for i in range(quot.rank)]
-        for g, h in ((split, chart), (presented, pchart)):
-            hits = []
-            for j, o in enumerate(given):
-                image = h.apply([int(i == j) for i in range(len(given))])
-                assert sorted(image) == [0] * (g.rank - 1) + [1], image
-                hits.append(image.index(1))
-                assert g.orders[hits[-1]] == o
-            assert sorted(hits) == list(range(g.rank))
-            if h is chart:
-                assert [split.labels[i] for i in hits] == names
+        n = len(given)
+        units = [chart.apply([int(i == j) for i in range(n)])
+                 for j in range(n)]
+        assert cokernel(chart)[0].is_trivial()
+        assert e.free_rank == sub.free_rank + quot.free_rank
+        for j, o in enumerate(sub.orders):
+            assert e.element_order(units[j]) == o
+        for c in certs:
+            q = quot.orders[c.quot_index]
+            lift = [0] * quot.rank
+            lift[c.quot_index] = q
+            assert chart.apply([-x for x in c.relation] + lift) == \
+                (0,) * e.rank
+            assert e.element_order(units[sub.rank + c.quot_index]) == \
+                c.lift_order
+        permutation = e.rank == n and all(
+            sorted(u) == [0] * (n - 1) + [1] for u in units)
+        assert permutation or not split
+        seen.add((split, permutation))
+        if permutation:
+            hits = [u.index(1) for u in units]
+            assert [e.orders[i] for i in hits] == given
+            assert [e.labels[i] for i in hits] == \
+                [sub.label(i) for i in range(sub.rank)] + \
+                [f"l{i}" for i in range(quot.rank)]
+        else:
+            assert e.labels is None
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_extension_with_relation_nonsplit():
@@ -389,12 +415,13 @@ def test_extension_with_relation_nonsplit():
     quot = TwoLocalGroup([2], ["eta"])
     cert = LiftCertificate(0, lift_order=4, lift_label="eta~",
                            relation=(1, 0))
-    e, chart = extension_with_relations(ExtensionProblem(sub, quot, (cert,)))
+    e, chart = solve_extension(ExtensionProblem(sub, quot, (cert,)))
     assert e == TwoLocalGroup([4, 0])
+    assert e.describe() == "Z/4{g0} + Z(2){g1}"
     # the claimed order is checked: wrong claim must raise
     bad = LiftCertificate(0, lift_order=2, lift_label="eta~", relation=(1, 0))
     with pytest.raises(GroupError, match="claims lift order"):
-        extension_with_relations(ExtensionProblem(sub, quot, (bad,)))
+        solve_extension(ExtensionProblem(sub, quot, (bad,)))
 
 
 def test_direct_sum_merges_labels():

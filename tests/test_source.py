@@ -1,9 +1,12 @@
 """Checks on the package's source text."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import conechase
+
+from checks import bench_table
 
 PACKAGE = Path(conechase.__file__).parent
 
@@ -60,3 +63,18 @@ def test_steps_read_their_arguments_only_through_the_table():
     ``Step.plan`` say, never by a literal key, so a verb cannot take an
     argument the table does not list."""
     assert literal_argument_reads((PACKAGE / "derive.py").read_text()) == []
+
+
+def test_every_traced_target_resolves():
+    """Each ``(module, qualname)`` in ``bench/tracing.py``'s ``TARGETS``
+    names a callable of the package, found as ``Tracer.install`` finds
+    it, in its owner's ``__dict__``: deleting or renaming one fails here,
+    not in a traced benchmark run."""
+    targets = bench_table("tracing", "TARGETS")
+    assert targets
+    for module, qualname in targets:
+        owner = importlib.import_module(f"conechase.{module}")
+        *path, attr = qualname.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        assert callable(owner.__dict__.get(attr)), f"{module}.{qualname}"
