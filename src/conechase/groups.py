@@ -616,7 +616,8 @@ def solve_extension(p: ExtensionProblem):
     certificate gives none).  Returns (group, chart): ``chart`` maps
     (sub coords ++ lift coords) to E's canonical coordinates.  Each
     certificate's claimed lift order is checked against the presented
-    group, and a quotient generator without a certificate raises
+    group, a relation on the lift of a generator of order 0 (Z(2)) is
+    refused, and a quotient generator without a certificate raises
     ExtensionUnresolved: the solver never guesses a middle group.  When
     the chart is a permutation, as for every split extension, E's
     summands carry the sub labels and the lift labels it permutes;
@@ -643,6 +644,10 @@ def solve_extension(p: ExtensionProblem):
         rel = by_index[i].relation or (0,) * ns
         if len(rel) != ns:
             raise GroupError("certificate relation length mismatch")
+        if any(rel) and not p.quot.orders[i]:
+            # 0 * lift = relation would kill the relation, not extend
+            raise GroupError(f"certificate for {p.quot.label(i)} gives a "
+                             "relation, but its order is 0")
         row = [-x for x in rel] + [0] * nq
         row[ns + i] = p.quot.orders[i]
         rows.append(row)

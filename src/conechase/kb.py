@@ -194,31 +194,131 @@ class SymbolRegistry:
     """Instantiates symbols from declarations plus built-in families, and
     holds the fibration declarations.
 
-    A registry is a function of the declaration lines it was built from,
-    line numbers included, and so is everything it keeps: the symbols it
-    interns, their unfoldings, whether its fibration declarations passed
-    their check (``fibrations_checked``) and the pattern of each fact
-    compiled under it (``patterns``), a function of the fact and the
-    registry and so keyed by the fact, every field and the line
-    included.  A ``KbCatalog`` adds its patterns and sets
-    ``fibrations_checked`` only once all its checks have passed.  So
-    catalogs with the same declarations can share one registry exactly:
-    ``without_facts`` copies and views do, and ``load_catalog`` hands a
-    file whose declarations are the last successful load's that load's
-    registry."""
+    A registry is built from the ``symbol`` and ``fibration`` lines of a
+    facts file, as (line number, text) pairs, which it declares and
+    checks; everything it keeps after is a function of them and of the
+    facts compiled under it: the symbols it interns, their unfoldings
+    and each fact's pattern (``patterns``), keyed by the fact, every
+    field and the line included.  So catalogs with the same declarations
+    share one registry exactly: ``without_facts`` copies and views do,
+    and so do the loads that find it in ``_registry``."""
 
-    def __init__(self):
+    def __init__(self, declarations: tuple):
         self.specs = {}
         self.fibrations = {}
         self._unfolded = {}
         self._symbols = {}        # (name, params) -> the one Sym made
         self.patterns = {}        # KbFact -> its FactPattern
-        self.fibrations_checked = False
+        for lineno, text in declarations:
+            if text.startswith("symbol "):
+                self._declare_symbol(lineno, text)
+            else:
+                self._declare_fibration(lineno, text)
+        self._check_definitions()
+        for spec in self.fibrations.values():
+            self._check_fibration(spec)
 
-    def declare(self, spec: SymbolSpec):
-        if spec.name in self.specs:
-            raise KbError(f"symbol {spec.name!r} declared twice")
-        self.specs[spec.name] = spec
+    def _declare_symbol(self, lineno: int, text: str):
+        m = _SYMBOL_RE.match(text)
+        if not m:
+            raise KbError(f"line {lineno}: bad symbol declaration")
+        name, vars_, src, tgt, extras = m.groups()
+        spec = SymbolSpec(name, _varnames(vars_, lineno), src, tgt,
+                          line=lineno)
+        words = extras.split()
+        for tok in words:
+            key, eq, value = tok.partition("=")
+            if tok == "susp":
+                spec.is_susp = True
+            elif eq and key in _SYMBOL_ATTRS:
+                setattr(spec, _SYMBOL_ATTRS[key], value)
+            else:
+                raise KbError(f"line {lineno}: bad symbol attribute {tok!r}")
+        _keyed_once(words, lineno)
+        try:
+            if _BUILTIN.fullmatch(name):
+                raise KbError(f"{name!r} is a built-in symbol")
+            if name in self.specs:
+                raise KbError(f"symbol {name!r} declared twice")
+            self.specs[name] = spec
+            compile_space(src)
+            compile_space(tgt)
+            if spec.order_expr is not None:
+                compile_int_expr(spec.order_expr)
+        except (KbError, TermError) as e:
+            raise KbError(f"line {lineno}: {e}") from e
+
+    def _declare_fibration(self, lineno: int, text: str):
+        m = _FIBRATION_RE.match(text)
+        words = m.group(3).split() if m else []
+        attrs = dict(w.split("=", 1) for w in words if "=" in w)
+        if not m or "bottom" not in attrs or \
+                not attrs.keys() <= {"bottom", "skeleton"}:
+            raise KbError(f"line {lineno}: bad fibration declaration")
+        _keyed_once(words, lineno)
+        if m.group(1) in self.fibrations:
+            raise KbError(f"line {lineno}: fibration {m.group(1)!r} "
+                          "declared twice")
+        self.fibrations[m.group(1)] = FibrationSpec(
+            m.group(1), _varnames(m.group(2), lineno),
+            " ".join(w for w in words if "=" not in w) or None,
+            attrs["bottom"], attrs.get("skeleton"), lineno)
+
+    def _check_definitions(self):
+        """Each ``defn=`` is a word of declared symbols reading only the
+        parameters of the symbol it defines."""
+        for spec in self.specs.values():
+            if spec.defn is None:
+                continue
+            try:
+                exprs = self.word_pattern(spec.defn)[1]
+                unbound = {n for e in exprs
+                           for n in unbound_names(e, spec.vars)}
+                if unbound:
+                    raise KbError(f"{', '.join(sorted(unbound))} not a "
+                                  f"parameter of {spec.name}")
+            except (KbError, TermError) as e:
+                raise KbError(f"line {spec.line}: defn: {e}") from e
+
+    def _check_fibration(self, spec: FibrationSpec):
+        """Instantiated with every parameter 1, a declaration's bottom and
+        skeleton must map into the fiber and its class to the bottom."""
+        params = (1,) * len(spec.vars)
+        try:
+            f, bottom, skeleton = self.fibration_maps(spec.name, params,
+                                                      self.parse)
+        except (KbError, TermError) as e:
+            raise KbError(f"line {spec.line}: {e}") from e
+        fiber = named(spec.name, *params)
+        for el, end in ((bottom, fiber), (skeleton, fiber),
+                        (f, bottom.source)):
+            if el is not None and el.target != end:
+                raise KbError(f"line {spec.line}: {el.render()} ends on "
+                              f"{el.target.key}, not on {end.key}")
+
+    def fibration_spec(self, name: str, params: tuple) -> FibrationSpec:
+        """The declaration of ``name``, checked against ``params``."""
+        spec = self.fibrations.get(name)
+        if spec is None:
+            raise KbError(f"unknown fibration {name!r}")
+        if len(params) != len(spec.vars):
+            raise KbError(f"{name} expects {len(spec.vars)} parameter(s)")
+        return spec
+
+    def fibration_maps(self, name: str, params: tuple, parse):
+        """(attaching class or None, bottom inclusion, skeleton inclusion or
+        None) of the declared fibration ``name(params)``, each read by
+        ``parse(text, env)``."""
+        spec = self.fibration_spec(name, params)
+        env = dict(zip(spec.vars, params))
+        return tuple(text and parse(text, env)
+                     for text in (spec.attach, spec.bottom, spec.skeleton))
+
+    def parse(self, text: str, env: dict) -> Element:
+        """The element of the stripped text ``text`` under ``env``."""
+        if text == "0":
+            raise KbError("a bare 0 payload needs spaces from context")
+        return TermParser(self.resolve, env).parse(text)
 
     def make(self, name: str, params: tuple) -> Sym:
         """The symbol ``name(params)``, built once per registry."""
@@ -543,9 +643,9 @@ class KbCatalog:
     The facts and their compiled patterns are fixed once ``__init__`` has
     checked them, and the registry adds only what its declarations
     determine.  ``__init__`` compiles only the facts its registry has not
-    compiled and checks the fibration declarations once per registry, so
-    a ``without_facts`` copy, or a file loaded with the declarations of
-    the last load, compiles only its new facts.  Two memos grow with
+    compiled and keeps each pattern there as soon as it compiles, so a
+    ``without_facts`` copy, or a file loaded with the declarations of the
+    last registry built, compiles only its new facts.  Two memos grow with
     use: the parses (``_parse_cache``) and the normal forms that every rule
     context shares (``_normal_forms``).  ``view`` copies a catalog with
     both memos empty, so a catalog can be loaded once and each command
@@ -561,7 +661,7 @@ class KbCatalog:
         # normal forms shared by every rule context of this catalog
         self._normal_forms = {}
         self._patterns = {}
-        seen, compiled = {}, {}
+        seen = {}
         for f in self.facts:
             key = (f.kind, f.subject, f.guard)
             if key in seen:
@@ -571,13 +671,8 @@ class KbCatalog:
             seen[key] = f.line
             pat = registry.patterns.get(f)
             if pat is None:
-                pat = compiled[f] = self._compile(f)
+                pat = registry.patterns[f] = self._compile(f)
             self._patterns.setdefault((pat.rule, pat.names), []).append(pat)
-        if not registry.fibrations_checked:
-            for spec in registry.fibrations.values():
-                self._check_fibration(spec)
-            registry.fibrations_checked = True
-        registry.patterns.update(compiled)
 
     def view(self) -> "KbCatalog":
         """This catalog with its own empty memos: it shares the registry,
@@ -594,16 +689,13 @@ class KbCatalog:
 
     def parse_element(self, text: str, env: dict) -> Element:
         text = text.strip()
-        if text == "0":
-            raise KbError("a bare 0 payload needs spaces from context")
         # elements are immutable, so parses can be shared across runs that
         # agree on the variables the text actually mentions
         key = (text, tuple((tok, env[tok]) for tok in term_names(text)
                            if tok in env))
         hit = self._parse_cache.get(key)
         if hit is None:
-            hit = self.parser(env).parse(text)
-            self._parse_cache[key] = hit
+            hit = self._parse_cache[key] = self.registry.parse(text, env)
         return hit
 
     # -- compilation and validation ---------------------------------------------
@@ -725,36 +817,12 @@ class KbCatalog:
         return FactPattern(f, "susp" if f.kind == "suspension_value"
                            else "word", names, exprs)
 
-    def _check_fibration(self, spec: FibrationSpec):
-        """Instantiated with every parameter 1, a declaration's bottom and
-        skeleton must map into the fiber and its class to the bottom."""
-        params = (1,) * len(spec.vars)
-        try:
-            f, bottom, skeleton = self.fibration_maps(spec.name, params)
-        except (KbError, TermError) as e:
-            raise KbError(f"line {spec.line}: {e}") from e
-        fiber = named(spec.name, *params)
-        for el, end in ((bottom, fiber), (skeleton, fiber),
-                        (f, bottom.source)):
-            if el is not None and el.target != end:
-                raise KbError(f"line {spec.line}: {el.render()} ends on "
-                              f"{el.target.key}, not on {end.key}")
-
     def _fibration_head(self, text: str):
         """``_head`` of a fibration named in a fact, which must be declared
         and take that many parameters."""
         (name,), exprs = _head(text)
-        self._fibration_spec(name, exprs)
+        self.registry.fibration_spec(name, exprs)
         return (name,), exprs
-
-    def _fibration_spec(self, name: str, params: tuple) -> FibrationSpec:
-        """The declaration of ``name``, checked against ``params``."""
-        spec = self.registry.fibrations.get(name)
-        if spec is None:
-            raise KbError(f"unknown fibration {name!r}")
-        if len(params) != len(spec.vars):
-            raise KbError(f"{name} expects {len(spec.vars)} parameter(s)")
-        return spec
 
     def _fixed_class(self, text: str) -> Element:
         """The class a boundary value or lift certificate is about: a fixed
@@ -810,10 +878,7 @@ class KbCatalog:
     def fibration_maps(self, name: str, params: tuple):
         """(attaching class or None, bottom inclusion, skeleton inclusion or
         None) of the declared fibration ``name(params)``."""
-        spec = self._fibration_spec(name, params)
-        env = dict(zip(spec.vars, params))
-        return tuple(text and self.parse_element(text, env)
-                     for text in (spec.attach, spec.bottom, spec.skeleton))
+        return self.registry.fibration_maps(name, params, self.parse_element)
 
     def lift_certificates(self, space: Space, k: int, env: dict):
         """(pattern, payload environment) of each lift certificate for
@@ -892,9 +957,8 @@ class KbCatalog:
         """A catalog with the facts matching ``predicate`` removed
         (negative-control runs)."""
         kept = [f for f in self.facts if not predicate(f)]
-        cat = KbCatalog(self.registry, kept,
-                        self.digest + "-filtered", self.version)
-        return cat
+        return KbCatalog(self.registry, kept, self.digest + "-filtered",
+                         self.version)
 
 
 @functools.cache
@@ -1042,20 +1106,19 @@ def _varnames(text: Optional[str], lineno: int) -> tuple:
     return names
 
 
-# (declaration lines, registry) of the last load that succeeded
-_last_registry = None
-
-
 def load_catalog(path) -> KbCatalog:
     """Load and validate a facts file.
 
-    Every line is read and checked on every call.  When the ``symbol``
-    and ``fibration`` lines, with their line numbers, are those of the
-    last load that succeeded, the catalog takes that load's registry,
-    with the facts compiled under it and its checked declarations; so at
-    most that one registry is kept beyond the catalogs that use it.
+    Every line is read on every call.  The ``symbol`` and ``fibration``
+    lines, with their line numbers, key ``_registry``, which builds and
+    checks a registry once while they are those of the last one built.
 
-    >>> import io, tempfile, os
+    Errors name their line and come in this order: the lines read here
+    (not UTF-8, a bad ``version``, a fact without five fields, an
+    unrecognized line) in file order, then the declarations in file
+    order, each ``defn=``, each fibration's maps, and the facts in order.
+
+    >>> import tempfile, os
     >>> p = tempfile.NamedTemporaryFile("w", suffix=".facts", delete=False)
     >>> _ = p.write("fact group | S9 @ 10 | Z/2{eta_9} | classical_table"
     ...             " | pi_10(S^9)=Z/2 | stable range\\n")
@@ -1065,11 +1128,9 @@ def load_catalog(path) -> KbCatalog:
     1
     >>> os.unlink(p.name)
     """
-    global _last_registry
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
-    registry = SymbolRegistry()
     facts, declarations = [], []
     version = "1"
     try:
@@ -1091,49 +1152,6 @@ def load_catalog(path) -> KbCatalog:
             continue
         if text.startswith(("symbol ", "fibration ")):
             declarations.append((lineno, text))
-        if text.startswith("symbol "):
-            m = _SYMBOL_RE.match(text)
-            if not m:
-                raise KbError(f"line {lineno}: bad symbol declaration")
-            name, vars_, src, tgt, extras = m.groups()
-            spec = SymbolSpec(name, _varnames(vars_, lineno), src, tgt,
-                              line=lineno)
-            words = extras.split()
-            for tok in words:
-                key, eq, value = tok.partition("=")
-                if tok == "susp":
-                    spec.is_susp = True
-                elif eq and key in _SYMBOL_ATTRS:
-                    setattr(spec, _SYMBOL_ATTRS[key], value)
-                else:
-                    raise KbError(f"line {lineno}: bad symbol attribute {tok!r}")
-            _keyed_once(words, lineno)
-            try:
-                if _BUILTIN.fullmatch(name):
-                    raise KbError(f"{name!r} is a built-in symbol")
-                registry.declare(spec)
-                compile_space(src)
-                compile_space(tgt)
-                if spec.order_expr is not None:
-                    compile_int_expr(spec.order_expr)
-            except (KbError, TermError) as e:
-                raise KbError(f"line {lineno}: {e}") from e
-            continue
-        if text.startswith("fibration "):
-            m = _FIBRATION_RE.match(text)
-            words = m.group(3).split() if m else []
-            attrs = dict(w.split("=", 1) for w in words if "=" in w)
-            if not m or "bottom" not in attrs or \
-                    not attrs.keys() <= {"bottom", "skeleton"}:
-                raise KbError(f"line {lineno}: bad fibration declaration")
-            _keyed_once(words, lineno)
-            if m.group(1) in registry.fibrations:
-                raise KbError(f"line {lineno}: fibration {m.group(1)!r} "
-                              "declared twice")
-            registry.fibrations[m.group(1)] = FibrationSpec(
-                m.group(1), _varnames(m.group(2), lineno),
-                " ".join(w for w in words if "=" not in w) or None,
-                attrs["bottom"], attrs.get("skeleton"), lineno)
             continue
         if text.startswith("fact "):
             body = text[5:]
@@ -1151,26 +1169,8 @@ def load_catalog(path) -> KbCatalog:
                                 locator, lineno))
             continue
         raise KbError(f"line {lineno}: unrecognized line {text!r}")
-    if _last_registry is not None and _last_registry[0] == declarations:
-        registry = _last_registry[1]     # its definitions are checked
-    else:
-        _check_definitions(registry)
-    catalog = KbCatalog(registry, facts, digest, version)
-    _last_registry = declarations, registry
-    return catalog
+    return KbCatalog(_registry(tuple(declarations)), facts, digest, version)
 
 
-def _check_definitions(registry: SymbolRegistry) -> None:
-    """Each ``defn=`` is a word of declared symbols reading only the
-    parameters of the symbol it defines."""
-    for spec in registry.specs.values():
-        if spec.defn is None:
-            continue
-        try:
-            exprs = registry.word_pattern(spec.defn)[1]
-            unbound = {n for e in exprs for n in unbound_names(e, spec.vars)}
-            if unbound:
-                raise KbError(f"{', '.join(sorted(unbound))} not a parameter "
-                              f"of {spec.name}")
-        except (KbError, TermError) as e:
-            raise KbError(f"line {spec.line}: defn: {e}") from e
+# the registry of the last declarations loaded; a raise caches nothing
+_registry = functools.lru_cache(maxsize=1)(SymbolRegistry)

@@ -205,7 +205,7 @@ def _variable(name: str, text: str):
 
 
 @functools.cache
-def _int_node(text: str):
+def compile_int_expr(text: str):
     """The integer expression ``text`` compiled once into a closure
     ``env -> int``; a literal is a closure that returns it.
 
@@ -268,13 +268,7 @@ def _int_node(text: str):
     return v
 
 
-def compile_int_expr(text: str):
-    """The integer expression ``text`` as a closure ``env -> int``,
-    compiled once per text."""
-    return _int_node(text)
-
-
-def eval_int_expr(text, env: dict) -> int:
+def eval_int_expr(text: str, env: dict) -> int:
     """Evaluate an integer expression like ``3*2^(r+1)`` in an environment.
 
     >>> eval_int_expr("3*2^(r+1)", {"r": 2})
@@ -282,9 +276,7 @@ def eval_int_expr(text, env: dict) -> int:
     >>> eval_int_expr("-2^m", {"m": 3})
     -8
     """
-    if isinstance(text, int):
-        return text
-    return _int_node(text)(env)
+    return compile_int_expr(text)(env)
 
 
 # ---------------------------------------------------------------------------
@@ -952,7 +944,7 @@ class _TermCompiler:
     def _int_expr(self, toks):
         """The integer node of ``toks``, noting the variables it reads."""
         self.variables.update(t.partition("^")[0] for t in toks if _is_name(t))
-        return _int_node(" ".join(toks))
+        return compile_int_expr(" ".join(toks))
 
     def _bracket(self):
         self._eat("[")

@@ -21,11 +21,10 @@ def runner(catalog, scripts):
 
 
 @pytest.fixture()
-def fresh_loads(monkeypatch):
+def fresh_loads():
     """``load_catalog`` starts from a new registry, as in a fresh process:
-    the registry the last load left for reuse is forgotten until the test
-    ends."""
-    monkeypatch.setattr(kb, "_last_registry", None)
+    the registry the last load left for reuse is forgotten."""
+    kb._registry.cache_clear()
 
 
 @pytest.fixture()

@@ -622,6 +622,21 @@ def test_version_line_needs_one_value(capsys, tmp_path):
         assert err == "error: line 9: bad version line\n"
 
 
+def test_a_bad_line_is_reported_before_a_bad_declaration(capsys, tmp_path):
+    """Every line is read before the declarations are checked, so of two
+    malformed lines an unrecognized one is reported first, though a bad
+    declaration comes before it in the file."""
+    old, new = "symbol nu_4 :", "symbol nu_4(m m) :"
+    head = "# --- homotopy groups of spheres"
+    assert SHIPPED_FACTS.count(old) == SHIPPED_FACTS.count(head) == 1
+    p = tmp_path / "two_errors.facts"
+    p.write_text(SHIPPED_FACTS.replace(old, new).replace(
+        head, "garbage line\n" + head))
+    code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
+    assert code == cli.EXIT_VALIDATION and not out
+    assert err == "error: line 50: unrecognized line 'garbage line'\n"
+
+
 def test_one_parser_serves_every_call(capsys):
     """The argument parser is built once per process: calls with
     different subcommands share it, and a bad argument after a good call
@@ -764,28 +779,52 @@ def test_commands_load_the_shipped_catalog_once(monkeypatch, capsys):
     assert not derive._shipped_catalog()._normal_forms
 
 
+def _ablated_catalogs(tmp_path) -> list:
+    """The shipped catalog less one fact, one file per fact, as the
+    ``ablation`` benchmark writes them: each has the declarations, line
+    numbers included, of every other."""
+    catalog = default_catalog()
+    paths = []
+    for fact in catalog.facts:
+        path = tmp_path / f"without_line{fact.line}.facts"
+        path.write_text(catalog.without_facts(
+            lambda f, line=fact.line: f.line == line).serialize())
+        paths.append(path)
+    return paths
+
+
 def test_ablated_catalogs_compute_as_if_each_were_loaded_alone(
-        capsys, monkeypatch, tmp_path):
+        capsys, tmp_path):
     """Each shipped catalog less one fact, loaded in turn in one process,
     so that every load after the first takes the registry and compiled
     facts of the one before, computes what it computes from a fresh
     registry: the same exit code, stdout and stderr."""
-    catalog = default_catalog()
-    argvs = []
-    for i, fact in enumerate(catalog.facts):
-        path = tmp_path / f"without_line{fact.line}.facts"
-        path.write_text(catalog.without_facts(
-            lambda f, line=fact.line: f.line == line).serialize())
-        argvs.append(("--kb", str(path), "compute",
-                      *_SCENARIO_ARGV[i % len(_SCENARIO_ARGV)], "2",
-                      "--no-sweep", "--transcript"))
+    paths = _ablated_catalogs(tmp_path)
+    argvs = [("--kb", str(path), "compute",
+              *_SCENARIO_ARGV[i % len(_SCENARIO_ARGV)], "2",
+              "--no-sweep", "--transcript") for i, path in enumerate(paths)]
     reused = [run_cli(capsys, *argv) for argv in argvs]
     assert len({code for code, _, _ in reused}) > 1
     # one registry served them all: a fact sits on one of two lines
-    assert len(kb._last_registry[1].patterns) > len(catalog.facts)
+    assert len(load_catalog(paths[0]).registry.patterns) > len(paths)
     for argv, got in zip(argvs, reused):
-        monkeypatch.setattr(kb, "_last_registry", None)
+        kb._registry.cache_clear()
         assert run_cli(capsys, *argv) == got, argv
+
+
+def test_ablated_catalogs_build_one_registry(monkeypatch, tmp_path):
+    """Loading every ablated catalog in one process builds at most one
+    symbol registry: their declarations are the same, so each load after
+    the first takes the cached one."""
+    paths = _ablated_catalogs(tmp_path)
+    built = []
+    init = kb.SymbolRegistry.__init__
+    monkeypatch.setattr(kb.SymbolRegistry, "__init__",
+                        lambda self, *a: built.append(a) or init(self, *a))
+    for path in paths:
+        assert len(load_catalog(path).facts) == len(paths) - 1
+    assert len(built) <= 1
+    assert len(paths) == 58
 
 
 def test_python_m_conechase_help():

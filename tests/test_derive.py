@@ -827,7 +827,7 @@ def test_each_text_is_compiled_once(monkeypatch, fresh_loads):
     expression, term text and space key is tokenised once, however often
     the pass evaluates it.  The term texts include the slots iota_2 and
     iota_3 of the product subjects that loading checks."""
-    caches = (terms._int_node, terms._term_tokens, terms.term_names,
+    caches = (terms.compile_int_expr, terms._term_tokens, terms.term_names,
               terms._compile_term, terms.compile_space, kb.compile_guard)
     for cache in caches:
         cache.cache_clear()
@@ -845,7 +845,7 @@ def test_each_text_is_compiled_once(monkeypatch, fresh_loads):
     for texts in tokenised.values():
         assert texts and len(texts) == len(set(texts))
     assert len(tokenised["_tokenize_expr"]) == \
-        terms._int_node.cache_info().currsize == 20
+        terms.compile_int_expr.cache_info().currsize == 20
     assert len(tokenised["_tokenize_term"]) == \
         terms._term_tokens.cache_info().currsize == 77
     for cache in caches:
@@ -853,8 +853,8 @@ def test_each_text_is_compiled_once(monkeypatch, fresh_loads):
         assert info.misses == info.currsize, cache   # nothing compiled twice
     # evaluated far oftener: term_names 2,299 hits on 77 misses and
     # compile_space 839 on 24 are the least, about 30 and 35 times
-    for cache in (terms._int_node, terms.term_names, terms.compile_space,
-                  kb.compile_guard):
+    for cache in (terms.compile_int_expr, terms.term_names,
+                  terms.compile_space, kb.compile_guard):
         info = cache.cache_info()
         assert info.hits > 25 * info.misses, cache
 

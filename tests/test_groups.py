@@ -335,6 +335,16 @@ def test_solve_extension_split_and_failure():
     short = LiftCertificate(0, lift_order=4, relation=(1, 0))
     with pytest.raises(GroupError, match="relation length mismatch"):
         solve_extension(ExtensionProblem(sub, quot, (short,)))
+    # a free quotient generator admits no relation: 0 * lift = u would
+    # kill u instead of extending Z(2) by Z/2
+    free = LiftCertificate(0, 0, "l", (1,))
+    with pytest.raises(GroupError, match="certificate for z gives a "
+                                         "relation, but its order is 0"):
+        solve_extension(ExtensionProblem(TwoLocalGroup([2], ["u"]),
+                                         TwoLocalGroup([0], ["z"]), (free,)))
+    with pytest.raises(GroupError, match="certificate for g0 gives"):
+        solve_extension(ExtensionProblem(TwoLocalGroup([2], ["u"]),
+                                         TwoLocalGroup([0]), (free,)))
 
 
 def test_solve_extension_trivial_quot():

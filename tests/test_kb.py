@@ -268,6 +268,25 @@ def _misfit_error(cat) -> str:
     return str(e.value)
 
 
+def test_suspension_value_on_a_moore_space_class(catalog, tmp_path, env):
+    """A suspension value on a class into the Moore space P3(2) must map
+    into P4(2): a subject without variables is checked at load, so a
+    payload into S4 is refused there, and a payload into P4(2) is what
+    suspending the class gives."""
+    from conechase.rewrite import suspend
+    fact = "fact suspension_value | xi_1 | {} | paper | q | loc\n"
+    text = catalog.serialize()
+    line = len(text.splitlines()) + 1
+    with pytest.raises(KbError, match=f"^line {line}: eta_4\\^2 maps "
+                                      "S6 -> S4, not S6 -> P4\\(2\\)$"):
+        load_catalog(write(tmp_path, text + fact.format("eta_4^2")))
+    cat = load_catalog(write(tmp_path, text + fact.format("eta~_4^2(1)"),
+                             "moore.facts"))
+    got = suspend(cat.parse_element("xi_1", env), cat.rule_context(env))
+    assert (got.render(), got.source, got.target) == \
+        ("eta~_4^2(1)", sphere(6), parse_space("P4(2)"))
+
+
 def test_same_declarations_share_a_registry_and_its_facts(tmp_path):
     """A load whose declarations, line numbers included, equal the last
     load's takes its registry with the facts compiled under it; a payload
@@ -326,9 +345,9 @@ def test_a_fact_that_fails_to_compile_fails_every_time(tmp_path):
 
 
 def test_other_declarations_release_the_old_registry(tmp_path):
-    """The registry kept for reuse is the last load's alone: once another
-    load with other declarations succeeds and its own catalogs are gone,
-    the old registry is freed."""
+    """The registry kept for reuse is the last one built: once a load
+    with other declarations has built its own and the old catalogs are
+    gone, the old registry is freed."""
     import gc
     import weakref
     cat = load_catalog(write(tmp_path, _DECLS + _GROUP.format("Z/2{eta_9}")))

@@ -261,6 +261,23 @@ def test_resolve_triple_needs_a_trivial_ambient_group(catalog, ctx, env):
         rewrite.resolve_triple(triple, TwoLocalGroup([2]), ctx)
 
 
+def test_resolve_triple_takes_degree_maps_out_of_its_slots(catalog, ctx,
+                                                          env):
+    """A slot precomposed with degree maps on S2, a suspension, resolves
+    as that slot scaled by their degrees: j.deg(2,2) counts as 2*j."""
+    from conechase.groups import TwoLocalGroup
+    for slotted, scaled in (
+            ("[j_L(0).deg(2,2), j_L(0), j_L(0)]",
+             "[2*j_L(0), j_L(0), j_L(0)]"),
+            ("[j_L(0), j_L(0).deg(4,2).deg(-1,2), j_L(0)]",
+             "[j_L(0), -4*j_L(0), j_L(0)]")):
+        got, want = (rewrite.resolve_triple(parse(catalog, env, text),
+                                            TwoLocalGroup([]), ctx)
+                     for text in (slotted, scaled))
+        assert got == want
+    assert got.render() == "-24*beta(0)"
+
+
 def test_coefficient_reduction_idempotent(catalog, ctx, env):
     """Adding order * term does not change the normal form."""
     p = catalog.parser(env)

@@ -78,3 +78,21 @@ def test_every_traced_target_resolves():
         for part in path:
             owner = getattr(owner, part)
         assert callable(owner.__dict__.get(attr)), f"{module}.{qualname}"
+
+
+def global_statements(source: str) -> list:
+    """(line, names) of each ``global`` statement.
+
+    >>> global_statements("x = 0\\ndef f():\\n    global x\\n    x = 1")
+    [(3, ['x'])]
+    """
+    return [(node.lineno, node.names) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Global)]
+
+
+def test_no_module_rebinds_a_global():
+    """Process-wide state lives only in ``functools`` caches, which a
+    test can clear, never in a module slot a function rebinds."""
+    found = {path.name: global_statements(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}

@@ -199,6 +199,17 @@ def test_parser_scalar_and_signs(catalog, env):
     assert c == -2
 
 
+def test_parser_groups_a_parenthesised_element(catalog, env):
+    """A sum in parentheses is one factor of a product: the scalar
+    before it scales every term, and a lone class in parentheses is the
+    class."""
+    p = catalog.parser(env)
+    assert p.parse("2^r*(Sj1(m).nu' + Sj2(m).eta_5)") == \
+        p.parse("2^r*Sj1(m).nu' + 2^r*Sj2(m).eta_5")
+    assert p.parse("-(j_L(m))") == p.parse("-j_L(m)")
+    assert p.parse("(eta_2 - 3*eta_2)").render() == "-2*eta_2"
+
+
 def test_parser_rejects_garbage(catalog, env):
     p = catalog.parser(env)
     with pytest.raises(Exception):
