@@ -68,6 +68,10 @@ def canonical_order(orders: Sequence[int]) -> list:
 # integer matrices
 # ---------------------------------------------------------------------------
 
+def _identity_rows(n: int) -> list:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 class IntMat:
     """A dense integer matrix that knows its shape even when empty."""
 
@@ -89,7 +93,7 @@ class IntMat:
 
     @classmethod
     def identity(cls, n: int) -> "IntMat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+        return cls(_identity_rows(n), n)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "IntMat":
@@ -161,10 +165,8 @@ def smith_normal_form(m: IntMat) -> SnfResult:
     """
     nr, nc = m.nrows, m.ncols
     a = [r[:] for r in m.rows]
-    u = IntMat.identity(nr).rows
-    uinv = IntMat.identity(nr).rows
-    v = IntMat.identity(nc).rows
-    vinv = IntMat.identity(nc).rows
+    u, uinv = _identity_rows(nr), _identity_rows(nr)
+    v, vinv = _identity_rows(nc), _identity_rows(nc)
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]

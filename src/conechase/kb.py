@@ -208,6 +208,7 @@ class SymbolRegistry:
         self.fibrations = {}
         self._unfolded = {}
         self._symbols = {}        # (name, params) -> the one Sym made
+        self._resolved = {}       # (name, params) -> the one Element made
         self.patterns = {}        # KbFact -> its FactPattern
         for lineno, text in declarations:
             if text.startswith("symbol "):
@@ -353,7 +354,15 @@ class SymbolRegistry:
                    susp_name=spec.susp_to, desusp_name=spec.desusp)
 
     def resolve(self, name: str, params: tuple) -> Element:
-        """Resolver used by the term parser."""
+        """Resolver used by the term parser: the element of ``name(params)``,
+        built once per registry, as ``make`` builds its symbol.  A failed
+        call keeps nothing."""
+        el = self._resolved.get((name, params))
+        if el is None:
+            el = self._resolved[(name, params)] = self._element(name, params)
+        return el
+
+    def _element(self, name: str, params: tuple) -> Element:
         m = _IOTA.match(name)
         if m:
             return Element.identity(sphere(int(m.group(1))))
@@ -414,7 +423,7 @@ class SymbolRegistry:
             if s.params[1] <= 2:
                 return None
             return deg_sym(s.params[0], s.params[1] - 1)
-        if not getattr(s, "is_susp", False):
+        if not s.is_susp:
             return None
         if s.desusp_name:
             return self.make(s.desusp_name, s.params)
@@ -423,7 +432,7 @@ class SymbolRegistry:
     def unfold(self, s) -> Optional[Element]:
         """The definitional expansion of a symbol, if declared; memoised,
         since elements are immutable."""
-        spec = self.specs.get(getattr(s, "name", None))
+        spec = self.specs.get(s.name)
         if spec is None or spec.defn is None:
             return None
         key = (spec.name, s.params)

@@ -29,6 +29,7 @@ facts again, in order, so transcripts do not depend on the memo's warmth.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional, Sequence
 
 from .terms import (
@@ -105,7 +106,7 @@ class RuleContext:
         self.values = values      # swept token -> value
         self.memo = memo          # (word, coeff, top level) -> answers
         self._lookup = lookup
-        self._patterns = patterns  # (kind, symbol names) -> fact patterns
+        self.patterns = patterns  # (kind, symbol names) -> fact patterns
         self.word_rules = {}      # symbol keys -> (rhs, fact) or None
         self.susp_words = {}      # word key -> (rhs, fact) or None
         self.order_bounds = {}    # symbol keys -> (order, fact) or None
@@ -125,22 +126,22 @@ class RuleContext:
         return table[key]
 
     def word_rule(self, syms):
-        """(rhs, fact) of the rule rewriting exactly ``syms``, or None."""
-        if ("word", tuple(s.name for s in syms)) not in self._patterns:
-            return None
+        """(rhs, fact) of the rule rewriting exactly ``syms``, or None.
+        The rewriter tests the index on a chunk's names before it builds
+        the chunk (``_first_rule``), so this lookup does not test it."""
         return self._find(self.word_rules, tuple(s.key for s in syms),
                           "word", Word(syms))
 
     def susp_rule(self, word: Word):
         """(rhs, fact) of a stored suspension of the whole word, or None."""
-        if ("susp", word_names(word)) not in self._patterns:
+        if ("susp", word_names(word)) not in self.patterns:
             return None
         return self._find(self.susp_words, word.key(), "susp", word)
 
     def order_bound(self, syms):
         """(order, fact) of a stored bound on the order of the word
         ``syms``, or None."""
-        if ("order", tuple(s.name for s in syms)) not in self._patterns:
+        if ("order", tuple(s.name for s in syms)) not in self.patterns:
             return None
         return self._find(self.order_bounds, tuple(s.key for s in syms),
                           "order", Word(syms))
@@ -154,7 +155,7 @@ class RuleContext:
             if sw is None or sw[1] != 1:
                 return None
             names.append(word_names(sw[0]))
-        if ("product", tuple(names)) not in self._patterns:
+        if ("product", tuple(names)) not in self.patterns:
             return None
         return self._find(self.products, tuple(s.key() for s in slots),
                           "product", list(slots))
@@ -196,10 +197,22 @@ class RuleContext:
 # word normalization
 # ---------------------------------------------------------------------------
 
+# adjacent wedge tags (projection, inclusion) that meet: True where the
+# pair cancels to the identity, False where the composite is zero
+_WEDGE_MEETS = {("q1", "j1"): True, ("q2", "j2"): True,
+                ("q1", "j2"): False, ("q2", "j1"): False}
+
+
+@functools.cache
+def _wedge_tag(name: str) -> str:
+    """The wedge tag of a symbol name, ``q1`` of ``q1_25``, say."""
+    return name.split("_")[0]
+
+
 def _is_susp_word(w: Word) -> bool:
     if w.is_identity():
         return is_suspension_space(w.space)
-    return all(getattr(s, "is_susp", False) for s in w.syms)
+    return all(s.is_susp for s in w.syms)
 
 
 def normalize_word(word: Word, coeff: int, ctx: RuleContext,
@@ -235,134 +248,114 @@ def _rewrite_word(word: Word, coeff: int, ctx: RuleContext,
         guard += 1
         if guard > 500:
             raise RewriteError(f"rewriting did not terminate on {word.render()}")
-        changed = False
-
-        # drop unit degree maps, absorb zero ones
-        for i, s in enumerate(syms):
-            if isinstance(s, Sym) and s.name == "deg":
-                k = s.params[0]
-                if k == 1:
-                    del syms[i]
-                    changed = True
-                    break
-                if k == 0:
+        names = [s.name for s in syms]
+        if "deg" in names:
+            # drop the first unit degree map, unless a zero one comes first
+            i = next((i for i, s in enumerate(syms)
+                      if names[i] == "deg" and s.params[0] in (0, 1)), None)
+            if i is not None:
+                if syms[i].params[0] == 0:
                     return Element.zero(word.source, word.target)
-        if changed:
-            continue
-
-        # merge adjacent degree maps
-        for i in range(len(syms) - 1):
-            a, b = syms[i], syms[i + 1]
-            if (isinstance(a, Sym) and a.name == "deg"
-                    and isinstance(b, Sym) and b.name == "deg"):
-                syms[i: i + 2] = [deg_sym(a.params[0] * b.params[0], a.params[1])]
-                changed = True
-                break
-        if changed:
-            continue
-
-        # a degree map in final position is an inner scalar: exact
-        if syms and isinstance(syms[-1], Sym) and syms[-1].name == "deg":
-            coeff *= syms[-1].params[0]
-            src = syms[-1].source
-            syms = syms[:-1]
-            if not syms:
-                space = src
-            continue
-
-        # tunnel degree maps rightward where that is exact
-        for i in range(len(syms) - 1):
-            s = syms[i]
-            if not (isinstance(s, Sym) and s.name == "deg"):
-                continue
-            k, n = s.params
-            nxt = syms[i + 1]
-            moved = False
-            if all(getattr(t, "is_susp", False) for t in syms[i + 1:]):
-                # the whole tail is a suspension, so the degree map is a
-                # plain scalar on it
                 del syms[i]
-                coeff *= k
-                moved = True
-            elif isinstance(nxt, Sym) and nxt.name == "eta_2":
-                # degree k on S^2 multiplies the Hopf class by k^2
-                syms[i: i + 2] = [nxt, deg_sym(k * k, 3)]
-                moved = True
-            elif getattr(nxt, "is_susp", False) and nxt.source.kind == "sphere":
-                syms[i: i + 2] = [nxt, deg_sym(k, nxt.source.data[0])]
-                moved = True
-            elif n == 3 and ctx.s3_hspace and nxt.source.kind == "sphere":
-                # all Whitehead products of S^3 vanish: degree maps act
-                # linearly on every homotopy group of S^3
-                syms[i: i + 2] = [nxt, deg_sym(k, nxt.source.data[0])]
-                moved = True
-            if moved:
+                continue
+
+            # merge adjacent degree maps
+            i = next((i for i in range(len(syms) - 1)
+                      if names[i] == names[i + 1] == "deg"), None)
+            if i is not None:
+                a, b = syms[i], syms[i + 1]
+                syms[i: i + 2] = [deg_sym(a.params[0] * b.params[0],
+                                          a.params[1])]
+                continue
+
+            # a degree map in final position is an inner scalar: exact
+            if names[-1] == "deg":
+                coeff *= syms[-1].params[0]
+                src = syms[-1].source
+                syms = syms[:-1]
+                if not syms:
+                    space = src
+                continue
+
+            # tunnel degree maps rightward where that is exact
+            changed = False
+            for i in range(len(syms) - 1):
+                if names[i] != "deg":
+                    continue
+                k, n = syms[i].params
+                nxt = syms[i + 1]
+                if all(t.is_susp for t in syms[i + 1:]):
+                    # the whole tail is a suspension, so the degree map is
+                    # a plain scalar on it
+                    del syms[i]
+                    coeff *= k
+                elif names[i + 1] == "eta_2":
+                    # degree k on S^2 multiplies the Hopf class by k^2
+                    syms[i: i + 2] = [nxt, deg_sym(k * k, 3)]
+                elif nxt.is_susp and nxt.source.kind == "sphere":
+                    syms[i: i + 2] = [nxt, deg_sym(k, nxt.source.data[0])]
+                elif n == 3 and ctx.s3_hspace and nxt.source.kind == "sphere":
+                    # all Whitehead products of S^3 vanish: degree maps act
+                    # linearly on every homotopy group of S^3
+                    syms[i: i + 2] = [nxt, deg_sym(k, nxt.source.data[0])]
+                else:
+                    continue
                 changed = True
                 break
-        if changed:
-            continue
+            if changed:
+                continue
 
         # wedge projection/inclusion annihilation (matching wedge tags)
+        changed = False
+        tags = [_wedge_tag(n) for n in names]
         for i in range(len(syms) - 1):
-            a, b = syms[i], syms[i + 1]
-            if not (isinstance(a, Sym) and isinstance(b, Sym)):
-                continue
-            names = (a.name.split("_")[0], b.name.split("_")[0])
-            if names in (("q1", "j1"), ("q2", "j2")) and a.source == b.target:
+            meet = _WEDGE_MEETS.get((tags[i], tags[i + 1]))
+            if meet is not None and syms[i].source == syms[i + 1].target:
+                if not meet:
+                    return Element.zero(word.source, word.target)
+                b = syms[i + 1]
                 syms[i: i + 2] = []
                 if not syms:
                     space = b.source
                 changed = True
                 break
-            if names in (("q1", "j2"), ("q2", "j1")) and a.source == b.target:
-                return Element.zero(word.source, word.target)
         if changed:
             continue
 
         # co-pairing evaluation
-        for i, s in enumerate(syms):
-            if isinstance(s, Pair) and i + 1 < len(syms):
-                nxt = syms[i + 1]
-                if isinstance(nxt, Sym) and nxt.name.startswith(("j1", "j2")):
-                    comp = s.f if nxt.name.startswith("j1") else s.g
-                    pre = Word(syms[:i], s.target)
-                    post = Word(syms[i + 2:], nxt.source)
-                    el = compose(Element.from_term(pre), comp, ctx)
-                    el = compose(el, Element.from_term(post), ctx)
-                    return el.scale(coeff)
-        # table-driven rewrite rules, longest match first, leftmost position
-        applied = None
-        for length in (3, 2, 1):
-            if applied:
-                break
-            for i in range(len(syms) - length + 1):
-                chunk = syms[i: i + length]
-                if not all(isinstance(s, Sym) for s in chunk):
-                    continue
-                hit = ctx.word_rule(chunk)
-                if hit:
-                    applied = (i, length) + hit
-                    break
-        if applied:
-            i, length, rhs, fact = applied
-            ctx.cite(fact)
-            sw = rhs.single_word()
-            if rhs.is_zero():
-                return Element.zero(word.source, word.target)
-            if sw is not None:
-                w2, c2 = sw
-                coeff *= c2
-                syms = list(syms[:i]) + list(w2.syms) + list(syms[i + length:])
-                if not syms:
-                    space = rhs.source
-                continue
-            # multi-term replacement: splice via gated composition
-            pre = Word(syms[:i], rhs.target)
-            post = Word(syms[i + length:], rhs.source)
-            el = compose(Element.from_term(pre), rhs, ctx)
-            el = compose(el, Element.from_term(post), ctx)
-            return el.scale(coeff)
-        break
+        if Pair.name in names:
+            for i, s in enumerate(syms):
+                if isinstance(s, Pair) and i + 1 < len(syms):
+                    nxt = syms[i + 1]
+                    if nxt.name.startswith(("j1", "j2")):
+                        comp = s.f if nxt.name.startswith("j1") else s.g
+                        pre = Word(syms[:i], s.target)
+                        post = Word(syms[i + 2:], nxt.source)
+                        el = compose(Element.from_term(pre), comp, ctx)
+                        el = compose(el, Element.from_term(post), ctx)
+                        return el.scale(coeff)
+        # table-driven rewrite rules
+        applied = _first_rule(syms, names, ctx)
+        if applied is None:
+            break
+        i, length, rhs, fact = applied
+        ctx.cite(fact)
+        sw = rhs.single_word()
+        if rhs.is_zero():
+            return Element.zero(word.source, word.target)
+        if sw is not None:
+            w2, c2 = sw
+            coeff *= c2
+            syms = list(syms[:i]) + list(w2.syms) + list(syms[i + length:])
+            if not syms:
+                space = rhs.source
+            continue
+        # multi-term replacement: splice via gated composition
+        pre = Word(syms[:i], rhs.target)
+        post = Word(syms[i + length:], rhs.source)
+        el = compose(Element.from_term(pre), rhs, ctx)
+        el = compose(el, Element.from_term(post), ctx)
+        return el.scale(coeff)
 
     w = Word(syms, space or word.source)
     bound = ctx.suffix_bound(w)
@@ -379,20 +372,33 @@ def _rewrite_word(word: Word, coeff: int, ctx: RuleContext,
     if _depth == 0 and len(w.syms) > 1 and _has_defn(w, ctx.registry):
         # its citations stand even when the unfold is dropped
         unfolded = ctx.registry.unfold_element(stuck)
-        redone = Element.zero(stuck.source, stuck.target)
-        for t, c in unfolded.terms:
-            if isinstance(t, Word):
-                redone = redone + normalize_word(t, c, ctx, _depth=1)
-            else:
-                redone = redone + _normalize_bracket(t, c, ctx)
+        # a ``defn=`` is a word of symbols, so unfolding leaves words only
+        redone = _sum([normalize_word(t, c, ctx, _depth=1)
+                       for t, c in unfolded.terms], stuck.source, stuck.target)
         if redone.key() != stuck.key():
             return redone
     return stuck
 
 
+def _first_rule(syms: list, names: list, ctx: RuleContext):
+    """(position, length, rhs, fact) of the rule to apply to ``syms``,
+    whose names are ``names``: longest match first, then leftmost, then
+    the first fact in file order; or None.  A chunk whose names the
+    catalog's index lacks is never built."""
+    rules = ctx.patterns
+    for length in (3, 2, 1):
+        for i in range(len(syms) - length + 1):
+            chunk_names = tuple(names[i: i + length])
+            if ("word", chunk_names) in rules:
+                hit = ctx.word_rule(syms[i: i + length])
+                if hit:
+                    return (i, length) + hit
+    return None
+
+
 def _has_defn(w: Word, registry) -> bool:
     for s in w.syms:
-        spec = registry.specs.get(getattr(s, "name", ""))
+        spec = registry.specs.get(s.name)
         if spec is not None and spec.defn is not None:
             return True
     return False
@@ -403,12 +409,19 @@ def _has_defn(w: Word, registry) -> bool:
 # ---------------------------------------------------------------------------
 
 def normalize(e: Element, ctx: RuleContext) -> Element:
-    out = Element.zero(e.source, e.target)
-    for term, c in e.terms:
-        if isinstance(term, Word):
-            out = out + normalize_word(term, c, ctx)
-        else:
-            out = out + _normalize_bracket(term, c, ctx)
+    parts = [normalize_word(term, c, ctx) if isinstance(term, Word)
+             else _normalize_bracket(term, c, ctx) for term, c in e.terms]
+    return _sum(parts, e.source, e.target)
+
+
+def _sum(parts, source, target) -> Element:
+    """The sum of ``parts`` in ``source -> target``: a lone part as it
+    stands, since its spaces are those of the term it came from."""
+    if len(parts) == 1:
+        return parts[0]
+    out = Element.zero(source, target)
+    for part in parts:
+        out = out + part
     return out
 
 
@@ -443,10 +456,8 @@ def compose(f: Element, g: Element, ctx: RuleContext) -> Element:
     if g.target != f.source:
         raise TermError(
             f"space mismatch: {g.target.key} composed into {f.source.key}")
-    out = Element.zero(g.source, f.target)
-    for gterm, d in g.terms:
-        out = out + _compose_inner(f, gterm, ctx).scale(d)
-    return normalize(out, ctx)
+    parts = [_compose_inner(f, gterm, ctx).scale(d) for gterm, d in g.terms]
+    return normalize(_sum(parts, g.source, f.target), ctx)
 
 
 def _compose_inner(f: Element, gterm, ctx: RuleContext) -> Element:
@@ -479,10 +490,8 @@ def _compose_inner(f: Element, gterm, ctx: RuleContext) -> Element:
             "is not a suspension and the interface is not a sphere")
     # multi-term outer factor
     if _is_susp_word(gword):
-        out = Element.zero(gword.source, f.target)
-        for term, c in f.terms:
-            out = out + _compose_inner(Element.from_term(term, c), gword, ctx)
-        return out
+        return _sum([_compose_inner(Element.from_term(term, c), gword, ctx)
+                     for term, c in f.terms], gword.source, f.target)
     if gword.is_identity():
         return f
     raise StrictExpansionError(

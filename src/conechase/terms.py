@@ -331,6 +331,10 @@ class Pair:
     and g on the second."""
     f: "Element"
     g: "Element"
+    # not a field: a symbol name no declaration can take, so that no fact
+    # subject names a co-pairing
+    name = "(pair)"
+    is_susp = False
 
     @property
     def source(self) -> Space:
@@ -345,14 +349,6 @@ class Pair:
         if self.f.target != self.g.target:
             raise TermError("pair components must share a target")
         return self.f.target
-
-    @property
-    def name(self):
-        return "pair"
-
-    @property
-    def is_susp(self):
-        return False
 
     def render(self) -> str:
         return f"pair({self.f.render()}, {self.g.render()})"
@@ -439,7 +435,7 @@ class Bracket:
     representative of the corresponding set of higher products.
     """
 
-    __slots__ = ("slots", "_source", "_key", "_hash")
+    __slots__ = ("slots", "_source", "_key", "_render", "_hash")
 
     def __init__(self, slots: Sequence["Element"]):
         if len(slots) < 2:
@@ -452,7 +448,7 @@ class Bracket:
                 raise TermError(
                     f"bracket slot source {s.source.key} is not a suspension")
         self.slots = tuple(slots)
-        self._source = self._key = self._hash = None
+        self._source = self._key = self._render = self._hash = None
 
     @property
     def arity(self):
@@ -496,7 +492,10 @@ class Bracket:
         return self._key
 
     def render(self) -> str:
-        return "[" + ", ".join(s.render() for s in self.slots) + "]"
+        if self._render is None:
+            self._render = "[" + ", ".join(s.render()
+                                           for s in self.slots) + "]"
+        return self._render
 
     def __eq__(self, other):
         return isinstance(other, Bracket) and self.key() == other.key()

@@ -1302,3 +1302,32 @@ def test_solve_free_skips_a_zero_image_column(tmp_path, gen, outcome):
         with pytest.raises(DeriveError, match="fold step 6 \\(solve_free\\): "
                            + outcome):
             runner.run("fold", {})
+
+
+PAIR_CHECK = """derivation pair_check
+params r
+require r>=1
+let wmap = pair_map first=j_L(r+1); second=3*beta(r+1)
+let other = pair_map first=j_L(r+1); second=OTHER
+check map=wmap; with=id(S2vS5); equals=other
+let g = run script=pi5_L4m; m=r
+return g
+"""
+
+
+@pytest.mark.parametrize("other, ok", [("3*beta(r+1)", True),
+                                       ("beta(r+1)", False)])
+def test_a_check_compares_co_pairings_by_their_components(catalog, scripts,
+                                                          other, ok):
+    """A co-pairing composed with the identity of its wedge stays a word
+    holding the pair, and ``check`` compares such words by the keys of
+    both components: the same pair passes, one with another second
+    component fails."""
+    script = parse_script(PAIR_CHECK.replace("OTHER", other))
+    runner = Runner(catalog, link_scripts([*scripts.values(), script]))
+    if ok:
+        assert "[ok]" in runner.run("pair_check", {"r": 2}).transcript
+        return
+    with pytest.raises(AssertionMismatch, match=re.escape(
+            "check failed: pair(j_L(3), 3*beta(3)) != pair(j_L(3), beta(3))")):
+        runner.run("pair_check", {"r": 2})

@@ -1,5 +1,7 @@
 """Fact catalog: loading, validation, lookups, round-trips."""
 
+import re
+
 import pytest
 
 from conechase.kb import KbError, KbMissingFact, load_catalog
@@ -360,3 +362,26 @@ def test_other_declarations_release_the_old_registry(tmp_path):
     load_catalog(write(tmp_path, _GROUP.format("Z/2{eta_9}"), "other.facts"))
     gc.collect()
     assert old() is None
+
+
+def test_resolve_builds_each_element_once(tmp_path, fresh_loads):
+    """The term parser's resolver returns one element per name and
+    parameters, an identity and an eta power included; a name it cannot
+    resolve raises on every call with the same message and keeps
+    nothing."""
+    reg = load_catalog(write(tmp_path, "symbol f(n) : S4 -> S3\n")).registry
+    for name, params in (("f", (2,)), ("iota_3", ()), ("eta_2^3", ()),
+                         ("eta_3", ()), ("deg", (3, 2))):
+        assert reg.resolve(name, params) is reg.resolve(name, params)
+    assert reg.resolve("f", (2,)) is not reg.resolve("f", (3,))
+    assert reg.resolve("eta_2^3", ()).render() == "eta_2 . eta_3 . eta_4"
+    kept = dict(reg._resolved)
+    for name, params, error, message in (
+            ("g", (), KbMissingFact, "KB fact required: unknown symbol 'g'"),
+            ("f", (), KbError, "f expects 1 parameter(s)"),
+            ("f", (1, 2), KbError, "f expects 1 parameter(s)"),
+            ("eta_1^2", (), KbError, "eta_n needs n >= 2")):
+        for _ in range(2):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                reg.resolve(name, params)
+    assert reg._resolved == kept

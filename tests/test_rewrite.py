@@ -1,13 +1,15 @@
 """The homotopy-class calculus: composition gates, degree-map tunneling,
 Whitehead bilinearity, suspension, and confluence of the shipped rules."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
 
 from conechase import rewrite
 from conechase.derive import CANONICAL_TOKENS, default_catalog
-from conechase.kb import load_catalog
+from conechase.kb import KbError, load_catalog
 from conechase.rewrite import StrictExpansionError, compose, normalize, suspend, whitehead
 from conechase.terms import Bracket, Element, Sym, TermError, Word, named, sphere
 
@@ -309,6 +311,23 @@ def test_pair_map_and_bracket_restriction(catalog, env):
     assert rel.render() == "12*[j_L(3), beta(3)]"
 
 
+def test_a_symbol_named_pair_is_not_a_co_pairing(tmp_path):
+    """A co-pairing's symbol name is one no declaration can take, so a
+    catalog that declares a symbol ``pair`` with an order bound finds no
+    fact for a co-pairing and leaves it as it is."""
+    from conechase.terms import Pair
+    path = tmp_path / "pair.facts"
+    path.write_text("symbol pair : S3 -> S2\n"
+                    "fact relation | 2*pair | 0 | paper | q | loc\n")
+    catalog = load_catalog(path)
+    p = catalog.parser({})
+    wmap = Element.from_term(Word((Pair(p.parse("eta_2"),
+                                        p.parse("eta_2.eta_3.eta_4")),)))
+    got = normalize(wmap, catalog.rule_context({}))
+    assert got.render() == "pair(eta_2, eta_2 . eta_3 . eta_4)"
+    assert normalize(p.parse("2*pair"), catalog.rule_context({})).is_zero()
+
+
 def test_normalize_is_idempotent(catalog, env):
     ctx = catalog.rule_context(env)
     p = catalog.parser(env)
@@ -395,3 +414,59 @@ def test_memo_tells_apart_words_that_print_alike(ctx):
     for n in (3, 4):
         word = Word((Sym("jY_3", (), sphere(n), stage),))
         assert rewrite.normalize_word(word, 1, ctx).source == sphere(n)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's normal-form table
+# ---------------------------------------------------------------------------
+
+# sha256 of ``normal_form_table`` on the shipped catalog; a change to the
+# rewrite kernel may not change a normal form, an error or a citation
+NORMAL_FORM_TABLE = (
+    "fcbb05bbd7156ea4a1e9ece7601b75e71effcb7d9842c043c63f6015d6ce8049")
+
+
+def table_symbols(catalog) -> list:
+    """Every declared symbol at each parameter in 1..3, then eta_2..eta_6:
+    110 symbols on the shipped catalog."""
+    reg = catalog.registry
+    syms = [reg.make(name, params) for name, spec in reg.specs.items()
+            for params in itertools.product((1, 2, 3), repeat=spec.nvars)]
+    return syms + [reg.make(f"eta_{n}", ()) for n in range(2, 7)]
+
+
+def table_words(syms) -> list:
+    """Every composable word of one to three of ``syms``."""
+    words = [(s,) for s in syms]
+    for start in (0, len(syms)):
+        words += [w + (s,) for w in words[start:] for s in syms
+                  if s.target == w[-1].source]
+    return [Word(w) for w in words]
+
+
+def normal_form_row(catalog, word) -> str:
+    """One line of the table: the word, its normal form under the
+    canonical tokens (or the error's class and message) and the lines of
+    the facts it cited."""
+    ctx = catalog.rule_context(CANONICAL_TOKENS)
+    try:
+        out, notes = ctx.citing(rewrite.normalize_word, word, 1, ctx)
+    except (TermError, KbError) as e:
+        return f"{word.render()}\t{type(e).__name__}: {e}"
+    return (f"{word.render()}\t{out.render()} : {out.source.key} -> "
+            f"{out.target.key}\t{[f.line for f in notes]}")
+
+
+def test_the_normal_form_table_is_pinned():
+    """Every composable word of up to three symbols normalises, raises and
+    cites exactly as pinned, on one warm catalog view and on a fresh view
+    per word alike."""
+    catalog = default_catalog()
+    words = table_words(table_symbols(catalog))
+    assert len(words) == 1692
+    warm = [normal_form_row(catalog, w) for w in words]
+    fresh = [normal_form_row(default_catalog(), w) for w in words]
+    assert warm == fresh
+    assert sum("\t[" not in row for row in warm) == 138
+    table = "\n".join(warm).encode()
+    assert hashlib.sha256(table).hexdigest() == NORMAL_FORM_TABLE

@@ -210,6 +210,14 @@ def test_parser_groups_a_parenthesised_element(catalog, env):
     assert p.parse("(eta_2 - 3*eta_2)").render() == "-2*eta_2"
 
 
+def test_an_exponent_may_nest_parentheses(catalog, env):
+    """An exponent in parentheses may hold parentheses of its own, as
+    ``2*(r-1)`` does."""
+    p = catalog.parser(env)
+    assert p.parse("2^(2*(r-1))*iota_3").render() == "4*id(S3)"
+    assert p.parse("2^((r+1)-(r-1)) eta_2").render() == "4*eta_2"
+
+
 def test_parser_rejects_garbage(catalog, env):
     p = catalog.parser(env)
     with pytest.raises(Exception):
