@@ -92,6 +92,16 @@ class IntMat:
             self.ncols = ncols
 
     @classmethod
+    def _trusted(cls, rows: list, ncols: int) -> "IntMat":
+        """The matrix of ``rows`` as they stand.  Trusted: the caller
+        guarantees fresh lists of ints, each ``ncols`` long."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMat":
         return cls(_identity_rows(n), n)
 
@@ -100,8 +110,8 @@ class IntMat:
         return cls([[0] * ncols for _ in range(nrows)], ncols)
 
     def transpose(self) -> "IntMat":
-        return IntMat([[self.rows[i][j] for i in range(self.nrows)]
-                       for j in range(self.ncols)], self.nrows)
+        return IntMat._trusted([[self.rows[i][j] for i in range(self.nrows)]
+                                for j in range(self.ncols)], self.nrows)
 
     def __matmul__(self, other: "IntMat") -> "IntMat":
         if self.ncols != other.nrows:
@@ -250,8 +260,10 @@ def smith_normal_form(m: IntMat) -> SnfResult:
             continue
         t += 1
 
-    return SnfResult(IntMat(u, nr), IntMat(a, nc), IntMat(v, nc),
-                     IntMat(uinv, nr), IntMat(vinv, nc))
+    # every row was copied from ``m`` or an identity and kept its length
+    trusted = IntMat._trusted
+    return SnfResult(trusted(u, nr), trusted(a, nc), trusted(v, nc),
+                     trusted(uinv, nr), trusted(vinv, nc))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +392,7 @@ class GroupHom:
         for i in range(matrix.nrows):
             o = target.orders[i]
             rows.append([x % o if o else x for x in matrix.rows[i]])
-        self.matrix = IntMat(rows, matrix.ncols)
+        self.matrix = IntMat._trusted(rows, matrix.ncols)
         self.source = source
         self.target = target
         for j in range(source.rank):

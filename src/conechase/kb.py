@@ -86,7 +86,6 @@ from .terms import (
     eval_int_expr,
     named,
     parse_space,
-    raw_concat,
     sphere,
     suspend_space,
     term_names,
@@ -150,6 +149,21 @@ class FibrationSpec:
             f"fibration {_decl_head(self.name, self.vars)} :", self.attach,
             f"bottom={self.bottom}",
             self.skeleton and f"skeleton={self.skeleton}"]))
+
+
+def _defn_cycle(start: str, uses: dict) -> Optional[tuple]:
+    """The names along a chain of ``defn=`` from ``start`` back to it, or
+    None; ``uses`` maps each defined name to the names of its ``defn=``."""
+    stack, seen = [(start, (start,))], set()
+    while stack:
+        name, path = stack.pop()
+        for nxt in uses.get(name, ()):
+            if nxt == start:
+                return path + (start,)
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append((nxt, path + (nxt,)))
+    return None
 
 
 def _decl_head(name: str, vars_: tuple) -> str:
@@ -267,12 +281,15 @@ class SymbolRegistry:
 
     def _check_definitions(self):
         """Each ``defn=`` is a word of declared symbols reading only the
-        parameters of the symbol it defines."""
+        parameters of the symbol it defines, and no chain of them leads
+        back to where it starts, so unfolding ends.  A cycle is reported
+        on the first declaration, in file order, that lies on one."""
+        uses = {}
         for spec in self.specs.values():
             if spec.defn is None:
                 continue
             try:
-                exprs = self.word_pattern(spec.defn)[1]
+                names, exprs = self.word_pattern(spec.defn)
                 unbound = {n for e in exprs
                            for n in unbound_names(e, spec.vars)}
                 if unbound:
@@ -280,6 +297,12 @@ class SymbolRegistry:
                                   f"parameter of {spec.name}")
             except (KbError, TermError) as e:
                 raise KbError(f"line {spec.line}: defn: {e}") from e
+            uses[spec.name] = names
+        for name in uses:
+            cycle = _defn_cycle(name, uses)
+            if cycle:
+                raise KbError(f"line {self.specs[name].line}: defn: cycle "
+                              + " -> ".join(cycle))
 
     def _check_fibration(self, spec: FibrationSpec):
         """Instantiated with every parameter 1, a declaration's bottom and
@@ -444,33 +467,32 @@ class SymbolRegistry:
         return hit
 
     def unfold_element(self, el: Element) -> Element:
-        """Replace defined symbols by their expansions (to a fixpoint)."""
-        for _ in range(8):
+        """Replace defined symbols by their expansions, to a fixpoint.
+
+        Each pass splices the expansion of the first defined symbol of
+        every word term into it and checks the sum of the terms; it ends
+        on a pass that changes nothing, as ``_check_definitions`` refuses
+        a cycle of ``defn=``."""
+        while True:
             changed = False
             terms = []
             for term, c in el.terms:
-                if not isinstance(term, Word):
-                    terms.append((term, c))
-                    continue
-                out = None
-                for i, s in enumerate(term.syms):
-                    exp = self.unfold(s)
-                    if exp is not None:
-                        pre = Element.from_term(
-                            Word(term.syms[:i], exp.target))
-                        post = Element.from_term(
-                            Word(term.syms[i + 1:], exp.source))
-                        out = raw_concat(raw_concat(pre, exp), post).scale(c)
-                        changed = True
-                        break
-                if out is not None:
-                    terms.extend(out.terms)
-                else:
-                    terms.append((term, c))
+                if isinstance(term, Word):
+                    syms = term.syms
+                    for i, s in enumerate(syms):
+                        exp = self.unfold(s)
+                        if exp is not None:
+                            # a ``defn=`` is a word of symbols
+                            word, d = exp.single_word()
+                            term = Word(syms[:i] + word.syms + syms[i + 1:],
+                                        word.source)
+                            c *= d
+                            changed = True
+                            break
+                terms.append((term, c))
             el = Element(el.source, el.target, terms)
             if not changed:
                 return el
-        raise KbError("definitional expansion did not terminate")
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +680,10 @@ class KbCatalog:
     use: the parses (``_parse_cache``) and the normal forms that every rule
     context shares (``_normal_forms``).  ``view`` copies a catalog with
     both memos empty, so a catalog can be loaded once and each command
-    given memos that live as long as its copy."""
+    given memos that live as long as its copy.  The rewrite plans
+    (``_plans``, see ``rewrite._plan``) depend only on the index of
+    patterns and the declarations, so views share them; a catalog built
+    here, by a load or ``without_facts``, has a table of its own."""
 
     def __init__(self, registry: SymbolRegistry, facts, digest: str,
                  version: str = "1"):
@@ -670,6 +695,7 @@ class KbCatalog:
         # normal forms shared by every rule context of this catalog
         self._normal_forms = {}
         self._patterns = {}
+        self._plans = {}
         seen = {}
         for f in self.facts:
             key = (f.kind, f.subject, f.guard)
@@ -685,7 +711,8 @@ class KbCatalog:
 
     def view(self) -> "KbCatalog":
         """This catalog with its own empty memos: it shares the registry,
-        facts and patterns, which loading checked and nothing changes."""
+        facts, patterns and plans, which loading checked or which its
+        patterns decide."""
         view = copy.copy(self)
         view._parse_cache = {}
         view._normal_forms = {}
@@ -918,7 +945,7 @@ class KbCatalog:
         normal forms."""
         tokens = {t: env[t] for t in SWEPT_TOKENS if t in env}
         return rewrite.RuleContext(self.registry, self._rule, self._patterns,
-                                   tokens, self._normal_forms)
+                                   self._plans, tokens, self._normal_forms)
 
     def _rule(self, kind: str, term, env: dict):
         """(rhs, fact) of the first fact of a rewrite kind whose subject

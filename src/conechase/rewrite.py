@@ -29,8 +29,7 @@ facts again, in order, so transcripts do not depend on the memo's warmth.
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .terms import (
     Bracket,
@@ -74,7 +73,8 @@ class RuleContext:
     on these slots).  ``patterns`` is the catalog's index of fact patterns
     by (kind, symbol names); a lookup whose key it lacks can match no
     fact, so most are rejected before any matching.  Answers are memoised
-    per context.
+    per context.  ``plans`` is the catalog's table of rewrite plans
+    (``_plan``), shared by every context and view of the catalog.
 
     ``registry`` is the catalog's symbol registry: suspension and
     desuspension images, and definitional unfolding of stuck words.
@@ -99,7 +99,7 @@ class RuleContext:
     shared by every context it builds).
     """
 
-    def __init__(self, registry, lookup: Callable, patterns,
+    def __init__(self, registry, lookup: Callable, patterns, plans: dict,
                  values: dict, memo: dict):
         self.on_rule = None       # callback(fact) when a fact is consumed
         self.registry = registry
@@ -107,6 +107,7 @@ class RuleContext:
         self.memo = memo          # (word, coeff, top level) -> answers
         self._lookup = lookup
         self.patterns = patterns  # (kind, symbol names) -> fact patterns
+        self.plans = plans        # symbol names -> _Plan
         self.word_rules = {}      # symbol keys -> (rhs, fact) or None
         self.susp_words = {}      # word key -> (rhs, fact) or None
         self.order_bounds = {}    # symbol keys -> (order, fact) or None
@@ -127,10 +128,14 @@ class RuleContext:
 
     def word_rule(self, syms):
         """(rhs, fact) of the rule rewriting exactly ``syms``, or None.
-        The rewriter tests the index on a chunk's names before it builds
-        the chunk (``_first_rule``), so this lookup does not test it."""
-        return self._find(self.word_rules, tuple(s.key for s in syms),
-                          "word", Word(syms))
+        The rewriter asks only for chunks whose names the index holds
+        (``_plan``), so this lookup does not test it, and it builds the
+        word only on a miss of its memo."""
+        key = tuple(s.key for s in syms)
+        table = self.word_rules
+        if key not in table:
+            table[key] = self._lookup("word", Word(syms), self.values)
+        return table[key]
 
     def susp_rule(self, word: Word):
         """(rhs, fact) of a stored suspension of the whole word, or None."""
@@ -140,11 +145,13 @@ class RuleContext:
 
     def order_bound(self, syms):
         """(order, fact) of a stored bound on the order of the word
-        ``syms``, or None."""
-        if ("order", tuple(s.name for s in syms)) not in self.patterns:
-            return None
-        return self._find(self.order_bounds, tuple(s.key for s in syms),
-                          "order", Word(syms))
+        ``syms``, whose names the index holds (``suffix_bound`` asks only
+        for those), or None."""
+        key = tuple(s.key for s in syms)
+        table = self.order_bounds
+        if key not in table:
+            table[key] = self._lookup("order", Word(syms), self.values)
+        return table[key]
 
     def product_value(self, slots):
         """(rhs, fact) of a stored value of the product on ``slots``, each
@@ -179,17 +186,19 @@ class RuleContext:
             self.on_rule = hook
 
     def suffix_bound(self, word: Word) -> Optional[int]:
+        """The least known order bound of a suffix of ``word``, or None:
+        a stored bound on a suffix the index holds (``_plan``), or the
+        order of the last symbol."""
         syms = word.syms
         best = None
-        for j in range(len(syms)):
+        for j in _plan(tuple([s.name for s in syms]), self).order_starts:
             hit = self.order_bound(syms[j:])
             if hit is not None and (best is None or hit[0] < best):
                 best = hit[0]
-            if j == len(syms) - 1 and isinstance(syms[j], Sym):
-                o = syms[j].order
-                if o:
-                    if best is None or o < best:
-                        best = o
+        if syms and isinstance(syms[-1], Sym):
+            o = syms[-1].order
+            if o and (best is None or o < best):
+                best = o
         return best
 
 
@@ -203,10 +212,41 @@ _WEDGE_MEETS = {("q1", "j1"): True, ("q2", "j2"): True,
                 ("q1", "j2"): False, ("q2", "j1"): False}
 
 
-@functools.cache
-def _wedge_tag(name: str) -> str:
-    """The wedge tag of a symbol name, ``q1`` of ``q1_25``, say."""
-    return name.split("_")[0]
+class _Plan(NamedTuple):
+    """What the rewriter needs to know of a word that its symbol names
+    alone decide."""
+    deg: bool             # a degree map is present
+    meets: tuple          # (i, cancels) of wedge tags meeting at i, i + 1
+    pair: bool            # a co-pairing is present
+    rules: tuple          # (i, length) of each chunk the word index holds,
+    #                       longest first, then leftmost
+    order_starts: tuple   # j of each suffix the order index holds
+    defn: bool            # a symbol has a definitional expansion
+
+
+def _plan(names: tuple, ctx: RuleContext) -> _Plan:
+    """The rewrite plan of a word with symbol names ``names``, from the
+    catalog's table.  It reads only the index's keys, ``_WEDGE_MEETS`` and
+    the declarations' ``defn=``, all fixed for a catalog, so the table
+    serves every token assignment and command of the catalog exactly; it
+    holds one entry per name sequence met."""
+    plan = ctx.plans.get(names)
+    if plan is None:
+        index, specs = ctx.patterns, ctx.registry.specs
+        n = len(names)
+        tags = [name.split("_")[0] for name in names]
+        plan = ctx.plans[names] = _Plan(
+            "deg" in names,
+            tuple((i, _WEDGE_MEETS[tags[i], tags[i + 1]]) for i in range(n - 1)
+                  if (tags[i], tags[i + 1]) in _WEDGE_MEETS),
+            Pair.name in names,
+            tuple((i, length) for length in (3, 2, 1)
+                  for i in range(n - length + 1)
+                  if ("word", names[i: i + length]) in index),
+            tuple(j for j in range(n) if ("order", names[j:]) in index),
+            any(name in specs and specs[name].defn is not None
+                for name in names))
+    return plan
 
 
 def _is_susp_word(w: Word) -> bool:
@@ -248,8 +288,9 @@ def _rewrite_word(word: Word, coeff: int, ctx: RuleContext,
         guard += 1
         if guard > 500:
             raise RewriteError(f"rewriting did not terminate on {word.render()}")
-        names = [s.name for s in syms]
-        if "deg" in names:
+        names = tuple([s.name for s in syms])
+        deg, meets, pair, rules, _, defn = _plan(names, ctx)
+        if deg:
             # drop the first unit degree map, unless a zero one comes first
             i = next((i for i, s in enumerate(syms)
                       if names[i] == "deg" and s.params[0] in (0, 1)), None)
@@ -307,11 +348,9 @@ def _rewrite_word(word: Word, coeff: int, ctx: RuleContext,
 
         # wedge projection/inclusion annihilation (matching wedge tags)
         changed = False
-        tags = [_wedge_tag(n) for n in names]
-        for i in range(len(syms) - 1):
-            meet = _WEDGE_MEETS.get((tags[i], tags[i + 1]))
-            if meet is not None and syms[i].source == syms[i + 1].target:
-                if not meet:
+        for i, cancels in meets:
+            if syms[i].source == syms[i + 1].target:
+                if not cancels:
                     return Element.zero(word.source, word.target)
                 b = syms[i + 1]
                 syms[i: i + 2] = []
@@ -323,7 +362,7 @@ def _rewrite_word(word: Word, coeff: int, ctx: RuleContext,
             continue
 
         # co-pairing evaluation
-        if Pair.name in names:
+        if pair:
             for i, s in enumerate(syms):
                 if isinstance(s, Pair) and i + 1 < len(syms):
                     nxt = syms[i + 1]
@@ -334,11 +373,15 @@ def _rewrite_word(word: Word, coeff: int, ctx: RuleContext,
                         el = compose(Element.from_term(pre), comp, ctx)
                         el = compose(el, Element.from_term(post), ctx)
                         return el.scale(coeff)
-        # table-driven rewrite rules
-        applied = _first_rule(syms, names, ctx)
-        if applied is None:
+        # table-driven rewrite rules: longest match first, then leftmost,
+        # then the first fact in file order
+        for i, length in rules:
+            hit = ctx.word_rule(syms[i: i + length])
+            if hit:
+                break
+        else:
             break
-        i, length, rhs, fact = applied
+        rhs, fact = hit
         ctx.cite(fact)
         sw = rhs.single_word()
         if rhs.is_zero():
@@ -369,7 +412,7 @@ def _rewrite_word(word: Word, coeff: int, ctx: RuleContext,
     # once and keep that route only if it refolds to something new.  Every
     # abbreviation has a collapse rule, so a fruitless unfold folds back
     # to the same word and is dropped here.
-    if _depth == 0 and len(w.syms) > 1 and _has_defn(w, ctx.registry):
+    if _depth == 0 and len(w.syms) > 1 and defn:
         # its citations stand even when the unfold is dropped
         unfolded = ctx.registry.unfold_element(stuck)
         # a ``defn=`` is a word of symbols, so unfolding leaves words only
@@ -378,30 +421,6 @@ def _rewrite_word(word: Word, coeff: int, ctx: RuleContext,
         if redone.key() != stuck.key():
             return redone
     return stuck
-
-
-def _first_rule(syms: list, names: list, ctx: RuleContext):
-    """(position, length, rhs, fact) of the rule to apply to ``syms``,
-    whose names are ``names``: longest match first, then leftmost, then
-    the first fact in file order; or None.  A chunk whose names the
-    catalog's index lacks is never built."""
-    rules = ctx.patterns
-    for length in (3, 2, 1):
-        for i in range(len(syms) - length + 1):
-            chunk_names = tuple(names[i: i + length])
-            if ("word", chunk_names) in rules:
-                hit = ctx.word_rule(syms[i: i + length])
-                if hit:
-                    return (i, length) + hit
-    return None
-
-
-def _has_defn(w: Word, registry) -> bool:
-    for s in w.syms:
-        spec = registry.specs.get(s.name)
-        if spec is not None and spec.defn is not None:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

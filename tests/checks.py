@@ -12,6 +12,9 @@ They hold by construction in a run, so the package does not ship them:
   finite group and direct sums, for the group arithmetic tests;
 - an integer-expression evaluator that computes while it reads, the
   reference the compiled expressions are compared against;
+- the pass loop that unfolded definitional abbreviations through
+  ``raw_concat``, capped at eight passes, the reference the splicing
+  ``SymbolRegistry.unfold_element`` is compared against;
 - a reader of the benchmark's literal tables, which does not import the
   benchmark.
 """
@@ -32,8 +35,8 @@ from conechase.groups import (
     kernel,
     strip_odd,
 )
-from conechase.kb import KbCatalog, KbMissingFact
-from conechase.terms import TermError, _tokenize_expr
+from conechase.kb import KbCatalog, KbError, KbMissingFact
+from conechase.terms import Element, TermError, Word, _tokenize_expr, raw_concat
 from conechase.les import (
     Boundary,
     BoundaryRule,
@@ -331,6 +334,38 @@ def reading_eval_int_expr(text: str, env: dict) -> int:
     if pos != len(toks):
         raise TermError(f"trailing tokens in integer expression {text!r}")
     return v
+
+
+def passwise_unfold_element(registry, el: Element) -> Element:
+    """Defined symbols replaced by their expansions, one per word term and
+    pass, each expansion composed in through ``raw_concat``; at most
+    eight passes change anything."""
+    for _ in range(8):
+        changed = False
+        terms = []
+        for term, c in el.terms:
+            if not isinstance(term, Word):
+                terms.append((term, c))
+                continue
+            out = None
+            for i, s in enumerate(term.syms):
+                exp = registry.unfold(s)
+                if exp is not None:
+                    pre = Element.from_term(
+                        Word(term.syms[:i], exp.target))
+                    post = Element.from_term(
+                        Word(term.syms[i + 1:], exp.source))
+                    out = raw_concat(raw_concat(pre, exp), post).scale(c)
+                    changed = True
+                    break
+            if out is not None:
+                terms.extend(out.terms)
+            else:
+                terms.append((term, c))
+        el = Element(el.source, el.target, terms)
+        if not changed:
+            return el
+    raise KbError("definitional expansion did not terminate")
 
 
 def bench_table(module: str, name: str):

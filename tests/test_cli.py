@@ -613,6 +613,28 @@ def test_symbol_declarations_are_checked_at_load(capsys, tmp_path, old, new,
     assert err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("declarations, error", [
+    (["a : S3 -> S3 defn=b", "b : S3 -> S3 defn=a"], "line 1: defn: cycle "
+     "a -> b -> a"),
+    (["b : S3 -> S3", "a : S3 -> S3 defn=b.a"], "line 2: defn: cycle a -> a"),
+    (["c : S3 -> S3 defn=a", "a : S3 -> S3 defn=b.b",
+      "b : S3 -> S3 defn=iota_3.eta_3^2.c"], "line 1: defn: cycle "
+     "c -> a -> b -> c"),
+    (["d : S3 -> S3 defn=a", "a : S3 -> S3 defn=b.b",
+      "b : S3 -> S3 defn=a"], "line 2: defn: cycle a -> b -> a"),
+])
+def test_a_defn_cycle_is_refused_at_load(capsys, tmp_path, declarations,
+                                         error):
+    """A chain of ``defn=`` that leads back to where it starts would unfold
+    without end mid-chase; it is refused at load with exit 2, on the first
+    declaration that lies on the cycle."""
+    p = tmp_path / "cycle.facts"
+    p.write_text("".join(f"symbol {d}\n" for d in declarations))
+    code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
+    assert code == cli.EXIT_VALIDATION and not out
+    assert err == f"error: {error}\n"
+
+
 def test_version_line_needs_one_value(capsys, tmp_path):
     p = tmp_path / "version.facts"
     for line in ("version", "version 1 2"):

@@ -39,6 +39,8 @@ from conechase.les import Boundary, LesError, PiGroup
 from conechase.rewrite import StrictExpansionError
 from conechase.terms import Element, TermError
 
+from checks import passwise_unfold_element
+
 
 def q(*orders):
     return TwoLocalGroup(list(orders))
@@ -407,9 +409,11 @@ def test_executions_per_swept_pass(pruned_pass, monkeypatch, capsys):
 
 def test_each_default_catalog_has_its_own_memos():
     """The shipped catalog is loaded once per process: two calls share
-    what loading built, and each has its own memos, empty."""
+    what loading built and the rewrite plans its patterns decide, and
+    each has its own memos, empty."""
     one, two = default_catalog(), default_catalog()
-    for shared in ("registry", "facts", "_patterns", "digest", "version"):
+    for shared in ("registry", "facts", "_patterns", "_plans", "digest",
+                   "version"):
         assert getattr(one, shared) is getattr(two, shared), shared
     for memo in ("_normal_forms", "_parse_cache"):
         assert getattr(one, memo) == getattr(two, memo) == {}
@@ -450,6 +454,20 @@ def test_normal_forms_per_swept_pass(pruned_pass):
     memo = pruned_pass.catalog._normal_forms
     assert sum(len(entries) for entries in memo.values()) == 886
     assert len(memo) == 835
+
+
+def test_rewrite_plans_per_swept_pass(scripts):
+    """A pass meets 94 sequences of symbol names, so a catalog's table of
+    rewrite plans holds 94 after one pass; a second pass, on a view with
+    empty memos that shares the table, rewrites again and adds none.
+    The copy has a table of its own, whatever other tests warmed."""
+    catalog = default_catalog().without_facts(lambda f: False)
+    for cat in (catalog, catalog.view()):
+        runner = Runner(cat, scripts)
+        for name, params in reproduce_rows(scripts):
+            runner.run(name, params)
+        assert cat._normal_forms
+        assert len(catalog._plans) == 94
 
 
 def test_steps_per_swept_pass(pruned_pass):
@@ -1269,6 +1287,27 @@ def test_solve_free_passes_a_bracket_generator_through(tmp_path,
     assert [el.render() for el in seen] == [
         "j1_22 . eta_2", "j2_22 . eta_2", "[j1_22, j2_22]"]
     assert seen[2] == unfold(seen[2])
+    assert [unfold(el) for el in seen] == [
+        passwise_unfold_element(catalog.registry, el) for el in seen]
+
+
+def test_unfolded_generators_are_the_pass_loops(scripts, monkeypatch):
+    """Every element unfolded on the gamma3 rows, the generators of
+    pi_5(L4(r+1)) that ``_solve_free`` unfolds and the stuck words the
+    rewriter unfolds alike, unfolds as the pass loop the splice replaced
+    unfolded it."""
+    catalog = default_catalog()
+    registry, seen = catalog.registry, []
+    unfold = registry.unfold_element
+    monkeypatch.setattr(registry, "unfold_element",
+                        lambda el: seen.append(el) or unfold(el))
+    runner = Runner(catalog, scripts)
+    for r in range(1, 9):
+        runner.run("gamma3", {"r": r})
+    monkeypatch.undo()
+    assert "beta(2)" in {el.render() for el in seen}
+    for el in seen:
+        assert unfold(el) == passwise_unfold_element(registry, el)
 
 
 @pytest.mark.parametrize("gen, outcome", [

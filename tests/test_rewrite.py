@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import checks
 from conechase import rewrite
 from conechase.derive import CANONICAL_TOKENS, default_catalog
 from conechase.kb import KbError, load_catalog
@@ -470,3 +471,117 @@ def test_the_normal_form_table_is_pinned():
     assert sum("\t[" not in row for row in warm) == 138
     table = "\n".join(warm).encode()
     assert hashlib.sha256(table).hexdigest() == NORMAL_FORM_TABLE
+
+
+# ---------------------------------------------------------------------------
+# rewrite plans
+# ---------------------------------------------------------------------------
+
+PLAN_FACTS = """\
+symbol plan_a : S4 -> S3
+symbol plan_b : S5 -> S4
+symbol plan_c : S5 -> S3
+fact map_identity | plan_a.plan_b | plan_c | paper | q | loc
+"""
+
+
+def test_rewrite_plans_belong_to_one_catalog(tmp_path):
+    """Negative control: a plan records which chunks the catalog's index
+    holds, so a catalog lacking a word rule must not take the plan of one
+    that has it, nor the other way round, whichever warms its table
+    first.  On the shipped catalog the rule chib . j_L -> j_L(0) is
+    planned on a warm view; a copy without it leaves the word stuck."""
+    path = tmp_path / "plan.facts"
+    path.write_text(PLAN_FACTS)
+    for lacking_first in (True, False):
+        full = load_catalog(path)
+        lacking = full.without_facts(lambda f: True)
+        assert full._plans is not lacking._plans
+        want = {lacking: ("plan_a . plan_b", []), full: ("plan_c", [4])}
+        order = [lacking, full] if lacking_first else [full, lacking]
+        for catalog in order + order:
+            assert answer(catalog, "plan_a.plan_b") == want[catalog]
+    shipped = default_catalog()
+    assert answer(shipped, "chib(3).j_L(3)") == ("j_L(0)", [82])
+    assert ("chib", "j_L") in shipped._plans
+    lacking = shipped.without_facts(lambda f: f.line == 82)
+    assert answer(lacking, "chib(3).j_L(3)") == ("chib(3) . j_L(3)", [])
+    assert answer(default_catalog(), "chib(3).j_L(3)") == ("j_L(0)", [82])
+
+
+# ---------------------------------------------------------------------------
+# definitional unfolding
+# ---------------------------------------------------------------------------
+
+UNFOLD_FACTS = """\
+symbol b : S3 -> S3
+symbol a : S3 -> S3 defn=b
+symbol c : S3 -> S3 defn=a.b
+symbol d : S3 -> S3 defn=c.a
+symbol e : S4 -> S3
+symbol f : S3 -> S3 defn=e
+"""
+
+
+def unfold_outcome(unfold, el):
+    """``unfold(el)``, or the class and text of the error it raises."""
+    try:
+        return unfold(el)
+    except (TermError, KbError) as e:
+        return type(e).__name__, str(e)
+
+
+def test_the_splice_unfolds_as_the_pass_loop_did():
+    """``unfold_element`` splices each expansion into its word, where the
+    loop it replaced composed three elements: on every word of the
+    normal-form table both give the same element, terms in the same
+    order, or the same error.  The shipped ``defn=``s nest (beta unfolds
+    to tau_L . jS5, and jS5 to j_F . j2_25)."""
+    catalog = default_catalog()
+    reg = catalog.registry
+    changed = 0
+    for word in table_words(table_symbols(catalog)):
+        el = Element.from_term(word)
+        got = unfold_outcome(reg.unfold_element, el)
+        assert got == unfold_outcome(
+            lambda e: checks.passwise_unfold_element(reg, e), el), word
+        changed += got != el
+    assert changed == 332
+
+
+@pytest.mark.parametrize("text, want", [
+    ("d", "b . b . b"),                              # nested, four passes
+    (".".join("a" * 7), " . ".join("b" * 7)),        # seven abbreviations
+    ("a.b + b.a - c", "b . b"),                      # terms that merge
+    ("2*d + 3*c.a", "5*b . b . b"),
+    ("f", ("TermError", "term e does not match element spaces S3 -> S3")),
+    ("f.b", ("TermError", "word break: e after b (S3 != S4)")),
+])
+def test_the_splice_keeps_the_pass_loop_on_small_catalogs(tmp_path, text,
+                                                          want):
+    """Nested and repeated abbreviations, a sum whose terms merge once
+    unfolded, and a ``defn=`` whose ends are not its symbol's: the splice
+    gives the pass loop's element, or its error class and text."""
+    path = tmp_path / "unfold.facts"
+    path.write_text(UNFOLD_FACTS)
+    reg = load_catalog(path).registry
+    el = reg.parse(text, {})
+    got = unfold_outcome(reg.unfold_element, el)
+    assert got == unfold_outcome(
+        lambda e: checks.passwise_unfold_element(reg, e), el)
+    assert (got if isinstance(got, tuple) else got.render()) == want
+
+
+def test_unfolding_has_no_pass_cap(tmp_path):
+    """Eight abbreviations in a row unfold.  The pass loop stopped at
+    eight passes, though one expansion per pass is a count of symbols,
+    not of nesting; since a ``defn=`` cycle is refused at load, unfolding
+    ends without a cap."""
+    path = tmp_path / "unfold.facts"
+    path.write_text(UNFOLD_FACTS)
+    reg = load_catalog(path).registry
+    el = reg.parse(".".join("a" * 8), {})
+    assert reg.unfold_element(el).render() == " . ".join("b" * 8)
+    with pytest.raises(KbError, match="^definitional expansion did not "
+                                      "terminate$"):
+        checks.passwise_unfold_element(reg, el)
