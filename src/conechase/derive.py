@@ -892,8 +892,7 @@ class Runner:
         free_i = _find_generator(base, free_gen, ctx)
         img_free = None
         for i in range(base.group.rank):
-            gen = self.catalog.registry.unfold_element(base.generator_element(i))
-            img = rewrite.compose(mapel, gen, ctx)
+            img = rewrite.compose(mapel, base.generator_element(i), ctx)
             v = express(img, target, ctx)
             if i == free_i:
                 img_free = v

@@ -37,10 +37,9 @@ a run knows which tokens it read.
 
 Loading rejects a symbol whose parameters are not distinct names, whose
 name the term parser resolves as a built-in (``deg``, ``iota_n``,
-``eta_n``, ``eta_k^j``), or whose ``defn=`` is not a word of declared
-symbols reading only its parameters, and a symbol or fibration line
-that gives a ``key=value`` attribute twice.  It rejects a fact whose
-subject or payload names an undeclared symbol or uses a symbol with the wrong
+``eta_n``, ``eta_k^j``), and a symbol or fibration line that gives a
+``key=value`` attribute twice.  It rejects a fact whose subject or
+payload names an undeclared symbol or uses a symbol with the wrong
 number of parameters, whose degree is not an integer, or whose subject
 or guard mentions a variable that matching cannot bind, and a boundary
 value or transport on an undeclared fibration or through an undeclared
@@ -115,7 +114,6 @@ class SymbolSpec:
     is_susp: bool = False
     susp_to: Optional[str] = None
     desusp: Optional[str] = None
-    defn: Optional[str] = None      # definitional expansion (a word)
     line: int = 0
 
     @property
@@ -129,8 +127,7 @@ class SymbolSpec:
             self.order_expr is not None and f"order={self.order_expr}",
             self.is_susp and "susp",
             self.susp_to and f"susp_to={self.susp_to}",
-            self.desusp and f"desusp={self.desusp}",
-            self.defn and f"defn={self.defn}"]))
+            self.desusp and f"desusp={self.desusp}"]))
 
 
 @dataclass(frozen=True)
@@ -149,21 +146,6 @@ class FibrationSpec:
             f"fibration {_decl_head(self.name, self.vars)} :", self.attach,
             f"bottom={self.bottom}",
             self.skeleton and f"skeleton={self.skeleton}"]))
-
-
-def _defn_cycle(start: str, uses: dict) -> Optional[tuple]:
-    """The names along a chain of ``defn=`` from ``start`` back to it, or
-    None; ``uses`` maps each defined name to the names of its ``defn=``."""
-    stack, seen = [(start, (start,))], set()
-    while stack:
-        name, path = stack.pop()
-        for nxt in uses.get(name, ()):
-            if nxt == start:
-                return path + (start,)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append((nxt, path + (nxt,)))
-    return None
 
 
 def _decl_head(name: str, vars_: tuple) -> str:
@@ -211,16 +193,15 @@ class SymbolRegistry:
     A registry is built from the ``symbol`` and ``fibration`` lines of a
     facts file, as (line number, text) pairs, which it declares and
     checks; everything it keeps after is a function of them and of the
-    facts compiled under it: the symbols it interns, their unfoldings
-    and each fact's pattern (``patterns``), keyed by the fact, every
-    field and the line included.  So catalogs with the same declarations
+    facts compiled under it: the symbols it interns and each fact's
+    pattern (``patterns``), keyed by the fact, every field and the line
+    included.  So catalogs with the same declarations
     share one registry exactly: ``without_facts`` copies and views do,
     and so do the loads that find it in ``_registry``."""
 
     def __init__(self, declarations: tuple):
         self.specs = {}
         self.fibrations = {}
-        self._unfolded = {}
         self._symbols = {}        # (name, params) -> the one Sym made
         self._resolved = {}       # (name, params) -> the one Element made
         self.patterns = {}        # KbFact -> its FactPattern
@@ -229,7 +210,6 @@ class SymbolRegistry:
                 self._declare_symbol(lineno, text)
             else:
                 self._declare_fibration(lineno, text)
-        self._check_definitions()
         for spec in self.fibrations.values():
             self._check_fibration(spec)
 
@@ -278,31 +258,6 @@ class SymbolRegistry:
             m.group(1), _varnames(m.group(2), lineno),
             " ".join(w for w in words if "=" not in w) or None,
             attrs["bottom"], attrs.get("skeleton"), lineno)
-
-    def _check_definitions(self):
-        """Each ``defn=`` is a word of declared symbols reading only the
-        parameters of the symbol it defines, and no chain of them leads
-        back to where it starts, so unfolding ends.  A cycle is reported
-        on the first declaration, in file order, that lies on one."""
-        uses = {}
-        for spec in self.specs.values():
-            if spec.defn is None:
-                continue
-            try:
-                names, exprs = self.word_pattern(spec.defn)
-                unbound = {n for e in exprs
-                           for n in unbound_names(e, spec.vars)}
-                if unbound:
-                    raise KbError(f"{', '.join(sorted(unbound))} not a "
-                                  f"parameter of {spec.name}")
-            except (KbError, TermError) as e:
-                raise KbError(f"line {spec.line}: defn: {e}") from e
-            uses[spec.name] = names
-        for name in uses:
-            cycle = _defn_cycle(name, uses)
-            if cycle:
-                raise KbError(f"line {self.specs[name].line}: defn: cycle "
-                              + " -> ".join(cycle))
 
     def _check_fibration(self, spec: FibrationSpec):
         """Instantiated with every parameter 1, a declaration's bottom and
@@ -451,48 +406,6 @@ class SymbolRegistry:
         if s.desusp_name:
             return self.make(s.desusp_name, s.params)
         return None
-
-    def unfold(self, s) -> Optional[Element]:
-        """The definitional expansion of a symbol, if declared; memoised,
-        since elements are immutable."""
-        spec = self.specs.get(s.name)
-        if spec is None or spec.defn is None:
-            return None
-        key = (spec.name, s.params)
-        hit = self._unfolded.get(key)
-        if hit is None:
-            env = dict(zip(spec.vars, s.params))
-            hit = TermParser(self.resolve, env).parse(spec.defn)
-            self._unfolded[key] = hit
-        return hit
-
-    def unfold_element(self, el: Element) -> Element:
-        """Replace defined symbols by their expansions, to a fixpoint.
-
-        Each pass splices the expansion of the first defined symbol of
-        every word term into it and checks the sum of the terms; it ends
-        on a pass that changes nothing, as ``_check_definitions`` refuses
-        a cycle of ``defn=``."""
-        while True:
-            changed = False
-            terms = []
-            for term, c in el.terms:
-                if isinstance(term, Word):
-                    syms = term.syms
-                    for i, s in enumerate(syms):
-                        exp = self.unfold(s)
-                        if exp is not None:
-                            # a ``defn=`` is a word of symbols
-                            word, d = exp.single_word()
-                            term = Word(syms[:i] + word.syms + syms[i + 1:],
-                                        word.source)
-                            c *= d
-                            changed = True
-                            break
-                terms.append((term, c))
-            el = Element(el.source, el.target, terms)
-            if not changed:
-                return el
 
 
 # ---------------------------------------------------------------------------
@@ -1122,7 +1035,7 @@ _FIBRATION_RE = re.compile(
 
 # the keyed attributes of a symbol line and the SymbolSpec fields they set
 _SYMBOL_ATTRS = {"order": "order_expr", "susp_to": "susp_to",
-                 "desusp": "desusp", "defn": "defn"}
+                 "desusp": "desusp"}
 
 
 def _keyed_once(words, lineno: int) -> None:
@@ -1152,7 +1065,7 @@ def load_catalog(path) -> KbCatalog:
     Errors name their line and come in this order: the lines read here
     (not UTF-8, a bad ``version``, a fact without five fields, an
     unrecognized line) in file order, then the declarations in file
-    order, each ``defn=``, each fibration's maps, and the facts in order.
+    order, each fibration's maps, and the facts in order.
 
     >>> import tempfile, os
     >>> p = tempfile.NamedTemporaryFile("w", suffix=".facts", delete=False)

@@ -77,7 +77,7 @@ class RuleContext:
     (``_plan``), shared by every context and view of the catalog.
 
     ``registry`` is the catalog's symbol registry: suspension and
-    desuspension images, and definitional unfolding of stuck words.
+    desuspension images.
 
     Citations are the one record of what a computation used.  Every fact
     a computation consumes goes to ``cite``, which hands it to the hook
@@ -104,7 +104,7 @@ class RuleContext:
         self.on_rule = None       # callback(fact) when a fact is consumed
         self.registry = registry
         self.values = values      # swept token -> value
-        self.memo = memo          # (word, coeff, top level) -> answers
+        self.memo = memo          # (word, coeff) -> answers
         self._lookup = lookup
         self.patterns = patterns  # (kind, symbol names) -> fact patterns
         self.plans = plans        # symbol names -> _Plan
@@ -221,18 +221,17 @@ class _Plan(NamedTuple):
     rules: tuple          # (i, length) of each chunk the word index holds,
     #                       longest first, then leftmost
     order_starts: tuple   # j of each suffix the order index holds
-    defn: bool            # a symbol has a definitional expansion
 
 
 def _plan(names: tuple, ctx: RuleContext) -> _Plan:
     """The rewrite plan of a word with symbol names ``names``, from the
-    catalog's table.  It reads only the index's keys, ``_WEDGE_MEETS`` and
-    the declarations' ``defn=``, all fixed for a catalog, so the table
-    serves every token assignment and command of the catalog exactly; it
-    holds one entry per name sequence met."""
+    catalog's table.  It reads only the index's keys and ``_WEDGE_MEETS``,
+    both fixed for a catalog, so the table serves every token assignment
+    and command of the catalog exactly; it holds one entry per name
+    sequence met."""
     plan = ctx.plans.get(names)
     if plan is None:
-        index, specs = ctx.patterns, ctx.registry.specs
+        index = ctx.patterns
         n = len(names)
         tags = [name.split("_")[0] for name in names]
         plan = ctx.plans[names] = _Plan(
@@ -243,9 +242,7 @@ def _plan(names: tuple, ctx: RuleContext) -> _Plan:
             tuple((i, length) for length in (3, 2, 1)
                   for i in range(n - length + 1)
                   if ("word", names[i: i + length]) in index),
-            tuple(j for j in range(n) if ("order", names[j:]) in index),
-            any(name in specs and specs[name].defn is not None
-                for name in names))
+            tuple(j for j in range(n) if ("order", names[j:]) in index))
     return plan
 
 
@@ -255,22 +252,21 @@ def _is_susp_word(w: Word) -> bool:
     return all(s.is_susp for s in w.syms)
 
 
-def normalize_word(word: Word, coeff: int, ctx: RuleContext,
-                   _depth: int = 0) -> Element:
+def normalize_word(word: Word, coeff: int, ctx: RuleContext) -> Element:
     """Fully normalize coeff * word into an element.
 
-    The answer comes from the catalog's memo when an entry for this word,
-    coefficient and level agrees with ``ctx`` on the tokens of the facts
+    The answer comes from the catalog's memo when an entry for this word
+    and coefficient agrees with ``ctx`` on the tokens of the facts
     it cited and of the context; otherwise it is computed and kept.
     Either way its facts are cited through ``ctx`` in order, so
     transcripts do not depend on the memo's warmth.
     """
-    entries = ctx.memo.setdefault((word, coeff, _depth == 0), [])
+    entries = ctx.memo.setdefault((word, coeff), [])
     for out, facts, reads in entries:
         if all(ctx.values.get(t) == v for t, v in reads):
             break
     else:
-        out, facts = ctx.citing(_rewrite_word, word, coeff, ctx, _depth)
+        out, facts = ctx.citing(_rewrite_word, word, coeff, ctx)
         read = ctx.tokens.union(*(f.tokens for f in facts))
         reads = tuple((t, ctx.values.get(t)) for t in sorted(read))
         entries.append((out, tuple(facts), reads))
@@ -279,8 +275,7 @@ def normalize_word(word: Word, coeff: int, ctx: RuleContext,
     return out
 
 
-def _rewrite_word(word: Word, coeff: int, ctx: RuleContext,
-                  _depth: int) -> Element:
+def _rewrite_word(word: Word, coeff: int, ctx: RuleContext) -> Element:
     syms = list(word.syms)
     space = word.space
     guard = 0
@@ -289,7 +284,7 @@ def _rewrite_word(word: Word, coeff: int, ctx: RuleContext,
         if guard > 500:
             raise RewriteError(f"rewriting did not terminate on {word.render()}")
         names = tuple([s.name for s in syms])
-        deg, meets, pair, rules, _, defn = _plan(names, ctx)
+        deg, meets, pair, rules, _ = _plan(names, ctx)
         if deg:
             # drop the first unit degree map, unless a zero one comes first
             i = next((i for i, s in enumerate(syms)
@@ -406,21 +401,7 @@ def _rewrite_word(word: Word, coeff: int, ctx: RuleContext,
         coeff %= bound
     if coeff == 0:
         return Element.zero(word.source, word.target)
-    stuck = Element.from_term(w, coeff)
-    # A stuck word may only be blocked by a defined abbreviation hiding a
-    # redex (a comparison map meeting a collapsed inclusion, say): unfold
-    # once and keep that route only if it refolds to something new.  Every
-    # abbreviation has a collapse rule, so a fruitless unfold folds back
-    # to the same word and is dropped here.
-    if _depth == 0 and len(w.syms) > 1 and defn:
-        # its citations stand even when the unfold is dropped
-        unfolded = ctx.registry.unfold_element(stuck)
-        # a ``defn=`` is a word of symbols, so unfolding leaves words only
-        redone = _sum([normalize_word(t, c, ctx, _depth=1)
-                       for t, c in unfolded.terms], stuck.source, stuck.target)
-        if redone.key() != stuck.key():
-            return redone
-    return stuck
+    return Element.from_term(w, coeff)
 
 
 # ---------------------------------------------------------------------------

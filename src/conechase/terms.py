@@ -175,9 +175,17 @@ def _tokenize_expr(text: str):
     return out
 
 
+# the largest exponent evaluated: four times the largest that the shipped
+# scripts reach (63, in 2^(r+1) at the parameter cap 62), so that text
+# such as 2^99999999 is refused before it is evaluated
+MAX_EXPONENT = 256
+
+
 def _power(base: int, e: int) -> int:
     if e < 0:
         raise TermError("negative exponent")
+    if e > MAX_EXPONENT:
+        raise TermError(f"exponent {e} is over {MAX_EXPONENT}")
     return base**e
 
 

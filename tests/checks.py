@@ -12,9 +12,8 @@ They hold by construction in a run, so the package does not ship them:
   finite group and direct sums, for the group arithmetic tests;
 - an integer-expression evaluator that computes while it reads, the
   reference the compiled expressions are compared against;
-- the pass loop that unfolded definitional abbreviations through
-  ``raw_concat``, capped at eight passes, the reference the splicing
-  ``SymbolRegistry.unfold_element`` is compared against;
+- the re-derivation of the catalog's completion rules from their parent
+  facts, which holds once at authoring time and reads no run;
 - a reader of the benchmark's literal tables, which does not import the
   benchmark.
 """
@@ -36,7 +35,13 @@ from conechase.groups import (
     strip_odd,
 )
 from conechase.kb import KbCatalog, KbError, KbMissingFact
-from conechase.terms import Element, TermError, Word, _tokenize_expr, raw_concat
+from conechase.terms import (
+    MAX_EXPONENT,
+    Element,
+    TermError,
+    Word,
+    _tokenize_expr,
+)
 from conechase.les import (
     Boundary,
     BoundaryRule,
@@ -311,6 +316,8 @@ def reading_eval_int_expr(text: str, env: dict) -> int:
             e = atom()
             if e < 0:
                 raise TermError("negative exponent")
+            if e > MAX_EXPONENT:
+                raise TermError(f"exponent {e} is over {MAX_EXPONENT}")
             return v ** e
         return v
 
@@ -336,36 +343,68 @@ def reading_eval_int_expr(text: str, env: dict) -> int:
     return v
 
 
-def passwise_unfold_element(registry, el: Element) -> Element:
-    """Defined symbols replaced by their expansions, one per word term and
-    pass, each expansion composed in through ``raw_concat``; at most
-    eight passes change anything."""
-    for _ in range(8):
-        changed = False
-        terms = []
-        for term, c in el.terms:
-            if not isinstance(term, Word):
-                terms.append((term, c))
-                continue
-            out = None
-            for i, s in enumerate(term.syms):
-                exp = registry.unfold(s)
-                if exp is not None:
-                    pre = Element.from_term(
-                        Word(term.syms[:i], exp.target))
-                    post = Element.from_term(
-                        Word(term.syms[i + 1:], exp.source))
-                    out = raw_concat(raw_concat(pre, exp), post).scale(c)
-                    changed = True
-                    break
-            if out is not None:
-                terms.extend(out.terms)
-            else:
-                terms.append((term, c))
-        el = Element(el.source, el.target, terms)
-        if not changed:
-            return el
-    raise KbError("definitional expansion did not terminate")
+# ---------------------------------------------------------------------------
+# completion rules
+# ---------------------------------------------------------------------------
+
+def fold_facts(catalog: KbCatalog, lines) -> dict:
+    """The facts on ``lines``, each a fold whose payload is one symbol,
+    by that symbol's name."""
+    return {f.payload.split("(")[0]: f for f in catalog.facts
+            if f.line in lines}
+
+
+def unfold_folds(text: str, folds: dict) -> tuple:
+    """A word written as in a fact subject, with each factor that a fold
+    fact folds to replaced by that fact's subject until none is left, and
+    the lines of the fold facts used; ``folds`` is from ``fold_facts``."""
+    used = []
+    while True:
+        factors = []
+        for factor in text.split("."):
+            fold = folds.get(factor.split("(")[0])
+            if fold is not None:
+                used.append(fold.line)
+                factor = fold.subject
+            factors.append(factor)
+        out = ".".join(factors)
+        if out == text:
+            return text, used
+        text = out
+
+
+def _normal_form(catalog, text: str, env: dict):
+    """``text`` under ``env`` normalised on ``catalog``, or the class and
+    message of the error that refuses it."""
+    ctx = catalog.rule_context(env)
+    try:
+        return rewrite.normalize(catalog.parse_element(text, env), ctx)
+    except (TermError, KbError) as e:
+        return type(e).__name__, str(e)
+
+
+def completion_mismatches(catalog: KbCatalog, rule_lines, fold_lines,
+                          values, assignments) -> list:
+    """Each completion rule on ``rule_lines`` re-derived from its parents
+    on the catalog without the rules: its subject, unfolded by the fold
+    facts on ``fold_lines`` (``unfold_folds``), and its payload are both
+    normalised there at each of ``values`` of the rules' variable ``m``
+    under each token assignment.  The (line, value, assignment) of every
+    pair whose normal forms differ."""
+    folds = fold_facts(catalog, fold_lines)
+    lacking = catalog.without_facts(lambda f: f.line in rule_lines)
+    out = []
+    for rule in catalog.facts:
+        if rule.line not in rule_lines:
+            continue
+        word, _ = unfold_folds(rule.subject, folds)
+        for m in values:
+            for assign in assignments:
+                env = {"m": m, **assign}
+                if _normal_form(lacking, word, env) != \
+                        _normal_form(lacking, rule.payload, env):
+                    out.append((rule.line, m, assign))
+    return out
 
 
 def bench_table(module: str, name: str):

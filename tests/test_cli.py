@@ -193,6 +193,16 @@ def test_filtration_rejects_bad_parameters_and_negative_exponents(capsys,
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("e", [257, 99999999])
+def test_filtration_refuses_an_exponent_over_the_bound(capsys, e):
+    """An exponent over the bound is exit 2 before it is evaluated, not a
+    traceback from printing a coefficient of thousands of digits."""
+    code, out, err = run_cli(capsys, "filtration", "--f", f"2^{e}*iota_2",
+                             "--n", "4")
+    assert code == cli.EXIT_VALIDATION and not out
+    assert err == f"error: exponent {e} is over 256\n"
+
+
 def test_filtration_rejects_nonsuspension(capsys):
     code, _, err = run_cli(capsys, "filtration", "--f", "j_L(2)", "--n", "2")
     assert code == cli.EXIT_VALIDATION
@@ -561,11 +571,13 @@ def test_mutated_declarations_exit_only_with_documented_codes(capsys,
                                                               tmp_path):
     """A catalog with one ``symbol`` or ``version`` line mutated is
     refused at load or computes with a documented exit code, never with
-    a traceback (400 seeded draws; about a sixth load)."""
-    rng = random.Random(0)
+    a traceback (600 seeded draws; about an eighth load).  The computes
+    draw from a second generator, so the 600 catalogs do not depend on
+    which of them load."""
+    rng, pick = random.Random(0), random.Random(1)
     path = tmp_path / "mutated.facts"
     loaded = 0
-    for _ in range(400):
+    for _ in range(600):
         path.write_text(_declaration_mutation(rng))
         code, _, err = run_cli(capsys, "--kb", str(path), "validate-kb")
         assert code in (0, 2, 3, 4) and "Traceback" not in err, err
@@ -573,7 +585,7 @@ def test_mutated_declarations_exit_only_with_documented_codes(capsys,
             loaded += 1
             code, _, err = run_cli(
                 capsys, "--kb", str(path), "compute",
-                *rng.choice(_SCENARIO_ARGV), str(rng.randint(1, 3)),
+                *pick.choice(_SCENARIO_ARGV), str(pick.randint(1, 3)),
                 "--no-sweep")
             assert code in (0, 2, 3, 4) and "Traceback" not in err, err
     assert loaded >= 50
@@ -582,8 +594,6 @@ def test_mutated_declarations_exit_only_with_documented_codes(capsys,
 @pytest.mark.parametrize("old, new, error", [
     ("symbol Sj1(m) :", "symbol Sj1(m m) :",
      "line 28: bad parameter list (m m)"),
-    ("defn=tau_L(m).jS5(m)", "defn=tau_L(m).F_p4(m)",
-     "line 26: defn: unknown symbol 'F_p4'"),
     ("order=0\n", "order=0\nsymbol eta_3 : S9 -> S3 order=4\n",
      "line 15: 'eta_3' is a built-in symbol"),
     ("S6 -> S3 order=4", "S6 -> S3 order=4 order=8",
@@ -592,44 +602,23 @@ def test_mutated_declarations_exit_only_with_documented_codes(capsys,
      "line 12: attribute susp_to= given twice"),
     ("desusp=nu'", "desusp=nu' desusp=nu'", "line 13: attribute desusp= "
      "given twice"),
-    ("defn=j_F(m).j1_25", "defn=j_F(m).j1_25 defn=j_F(m).j2_25",
-     "line 23: attribute defn= given twice"),
+    # an abbreviation is a fold fact, so ``defn=`` is no attribute
+    ("S2 -> F_pL(m)\n", "S2 -> F_pL(m) defn=j_F(m).j1_25\n",
+     "line 23: bad symbol attribute 'defn=j_F(m).j1_25'"),
     ("bottom=j_p(r)", "bottom=j_p(r) bottom=j_p(r)",
-     "line 121: attribute bottom= given twice"),
+     "line 127: attribute bottom= given twice"),
     ("skeleton=j_F(m)", "skeleton=j_F(m) skeleton=j_F(m)",
-     "line 122: attribute skeleton= given twice"),
+     "line 128: attribute skeleton= given twice"),
 ])
 def test_symbol_declarations_are_checked_at_load(capsys, tmp_path, old, new,
                                                  error):
-    """Parameters are distinct names, a ``defn=`` is a word of declared
-    symbols, no declaration shadows a built-in, and no keyed attribute is
-    given twice: each is refused at load with exit 2, not met mid-chase or
-    silently ignored."""
+    """Parameters are distinct names, every attribute is a known one, no
+    declaration shadows a built-in, and no keyed attribute is given twice:
+    each is refused at load with exit 2, not met mid-chase or silently
+    ignored."""
     assert SHIPPED_FACTS.count(old) == 1
     p = tmp_path / "decl.facts"
     p.write_text(SHIPPED_FACTS.replace(old, new))
-    code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
-    assert code == cli.EXIT_VALIDATION and not out
-    assert err == f"error: {error}\n"
-
-
-@pytest.mark.parametrize("declarations, error", [
-    (["a : S3 -> S3 defn=b", "b : S3 -> S3 defn=a"], "line 1: defn: cycle "
-     "a -> b -> a"),
-    (["b : S3 -> S3", "a : S3 -> S3 defn=b.a"], "line 2: defn: cycle a -> a"),
-    (["c : S3 -> S3 defn=a", "a : S3 -> S3 defn=b.b",
-      "b : S3 -> S3 defn=iota_3.eta_3^2.c"], "line 1: defn: cycle "
-     "c -> a -> b -> c"),
-    (["d : S3 -> S3 defn=a", "a : S3 -> S3 defn=b.b",
-      "b : S3 -> S3 defn=a"], "line 2: defn: cycle a -> b -> a"),
-])
-def test_a_defn_cycle_is_refused_at_load(capsys, tmp_path, declarations,
-                                         error):
-    """A chain of ``defn=`` that leads back to where it starts would unfold
-    without end mid-chase; it is refused at load with exit 2, on the first
-    declaration that lies on the cycle."""
-    p = tmp_path / "cycle.facts"
-    p.write_text("".join(f"symbol {d}\n" for d in declarations))
     code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
     assert code == cli.EXIT_VALIDATION and not out
     assert err == f"error: {error}\n"
@@ -729,6 +718,19 @@ def test_payload_syntax_is_checked_at_load(capsys, tmp_path):
     assert code == cli.EXIT_VALIDATION
     assert err == (f"error: line {line}: payload: unexpected end of input "
                    "in 'j_p(1).eta_2.'\n")
+
+
+def test_a_malformed_lift_payload_is_refused_at_load(capsys, tmp_path):
+    """A lift certificate is ``<class> order=<n> [rel=<class>]`` or a
+    transport; anything else is exit 2 with its line at load."""
+    good = "| xi_1 order=2 |"
+    assert SHIPPED_FACTS.count(good) == 1
+    line = SHIPPED_FACTS[:SHIPPED_FACTS.index(good)].count("\n") + 1
+    p = tmp_path / "lift.facts"
+    p.write_text(SHIPPED_FACTS.replace(good, "| xi_1 order two |"))
+    code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
+    assert code == cli.EXIT_VALIDATION and not out
+    assert err == f"error: line {line}: bad lift payload 'xi_1 order two'\n"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -846,7 +848,7 @@ def test_ablated_catalogs_build_one_registry(monkeypatch, tmp_path):
     for path in paths:
         assert len(load_catalog(path).facts) == len(paths) - 1
     assert len(built) <= 1
-    assert len(paths) == 58
+    assert len(paths) == 62
 
 
 def test_python_m_conechase_help():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conechase import cli, derive, kb, terms
+from conechase import cli, derive, kb, rewrite, terms
 from conechase.derive import (
     CANONICAL_TOKENS,
     SWEEP_GRID,
@@ -38,8 +38,6 @@ from conechase.kb import KbError, KbMissingFact, load_catalog
 from conechase.les import Boundary, LesError, PiGroup
 from conechase.rewrite import StrictExpansionError
 from conechase.terms import Element, TermError
-
-from checks import passwise_unfold_element
 
 
 def q(*orders):
@@ -447,18 +445,17 @@ def test_a_failing_execution_is_not_repeated(catalog, scripts, tmp_path):
 
 def test_normal_forms_per_swept_pass(pruned_pass):
     """The contexts of a pass share one memo of normal forms, and each
-    entry is one execution of the rewriting: 886 of them, where every
-    context normalising on its own made 19,405.  835 (word, coefficient,
-    level) keys are asked; the rest are second answers for words whose
-    rules read a token."""
+    entry is one execution of the rewriting: 729 of them.  678 (word,
+    coefficient) keys are asked; the rest are second answers for words
+    whose rules read a token."""
     memo = pruned_pass.catalog._normal_forms
-    assert sum(len(entries) for entries in memo.values()) == 886
-    assert len(memo) == 835
+    assert sum(len(entries) for entries in memo.values()) == 729
+    assert len(memo) == 678
 
 
 def test_rewrite_plans_per_swept_pass(scripts):
-    """A pass meets 94 sequences of symbol names, so a catalog's table of
-    rewrite plans holds 94 after one pass; a second pass, on a view with
+    """A pass meets 74 sequences of symbol names, so a catalog's table of
+    rewrite plans holds 74 after one pass; a second pass, on a view with
     empty memos that shares the table, rewrites again and adds none.
     The copy has a table of its own, whatever other tests warmed."""
     catalog = default_catalog().without_facts(lambda f: False)
@@ -467,7 +464,7 @@ def test_rewrite_plans_per_swept_pass(scripts):
         for name, params in reproduce_rows(scripts):
             runner.run(name, params)
         assert cat._normal_forms
-        assert len(catalog._plans) == 94
+        assert len(catalog._plans) == 74
 
 
 def test_steps_per_swept_pass(pruned_pass):
@@ -865,12 +862,12 @@ def test_each_text_is_compiled_once(monkeypatch, fresh_loads):
     assert len(tokenised["_tokenize_expr"]) == \
         terms.compile_int_expr.cache_info().currsize == 20
     assert len(tokenised["_tokenize_term"]) == \
-        terms._term_tokens.cache_info().currsize == 77
+        terms._term_tokens.cache_info().currsize == 78
     for cache in caches:
         info = cache.cache_info()
         assert info.misses == info.currsize, cache   # nothing compiled twice
-    # evaluated far oftener: term_names 2,299 hits on 77 misses and
-    # compile_space 839 on 24 are the least, about 30 and 35 times
+    # evaluated far oftener: term_names 2,147 hits on 78 misses and
+    # compile_space 784 on 24 are the least, about 28 and 33 times
     for cache in (terms.compile_int_expr, terms.term_names,
                   terms.compile_space, kb.compile_guard):
         info = cache.cache_info()
@@ -1272,42 +1269,22 @@ def test_solve_free_passes_a_bracket_generator_through(tmp_path,
                                                         monkeypatch):
     """pi_3(S^2 v S^2) has the Whitehead product [j1, j2] among its free
     generators.  Solving [iota_2, iota_2] on the pinch to the first
-    summand unfolds every generator of the group, the bracket included,
-    which ``unfold_element`` returns as it is; the pinch kills it and
-    j2.eta_2, and the coefficient on j1.eta_2 is the Hopf invariant 2."""
+    summand composes the pinch with every generator of the group, the
+    bracket included; the pinch kills it and j2.eta_2, and the
+    coefficient on j1.eta_2 is the Hopf invariant 2."""
     path = tmp_path / "hopf.facts"
     path.write_text(HOPF_FACTS)
     catalog = load_catalog(path)
     seen = []
-    unfold = catalog.registry.unfold_element
-    monkeypatch.setattr(catalog.registry, "unfold_element",
-                        lambda el: seen.append(el) or unfold(el))
+    compose = rewrite.compose
+    monkeypatch.setattr(rewrite, "compose", lambda f, g, ctx: (
+        f.render() == "q1_22" and seen.append(g.render())
+        or compose(f, g, ctx)))
     runner = Runner(catalog, link_scripts([HOPF_SQUARE]))
     assert runner.run("hopf_square", {}).value == 2
-    assert [el.render() for el in seen] == [
-        "j1_22 . eta_2", "j2_22 . eta_2", "[j1_22, j2_22]"]
-    assert seen[2] == unfold(seen[2])
-    assert [unfold(el) for el in seen] == [
-        passwise_unfold_element(catalog.registry, el) for el in seen]
-
-
-def test_unfolded_generators_are_the_pass_loops(scripts, monkeypatch):
-    """Every element unfolded on the gamma3 rows, the generators of
-    pi_5(L4(r+1)) that ``_solve_free`` unfolds and the stuck words the
-    rewriter unfolds alike, unfolds as the pass loop the splice replaced
-    unfolded it."""
-    catalog = default_catalog()
-    registry, seen = catalog.registry, []
-    unfold = registry.unfold_element
-    monkeypatch.setattr(registry, "unfold_element",
-                        lambda el: seen.append(el) or unfold(el))
-    runner = Runner(catalog, scripts)
-    for r in range(1, 9):
-        runner.run("gamma3", {"r": r})
-    monkeypatch.undo()
-    assert "beta(2)" in {el.render() for el in seen}
-    for el in seen:
-        assert unfold(el) == passwise_unfold_element(registry, el)
+    # the generators, then the bracket's slots as the pinch enters it
+    assert seen == ["j1_22 . eta_2", "j2_22 . eta_2", "[j1_22, j2_22]",
+                    "j1_22", "j2_22"]
 
 
 @pytest.mark.parametrize("gen, outcome", [

@@ -321,9 +321,11 @@ def test_moved_declarations_get_a_fresh_registry(catalog, tmp_path):
     for name, spec in first.registry.specs.items():
         assert second.registry.specs[name].line == spec.line + 1
     line = first.registry.specs["j_pL"].line
-    bad = moved.replace("defn=j_F(m).j1_25", "defn=j_F(m).j1_26")
-    with pytest.raises(KbError, match=f"^line {line + 1}: defn: unknown "
-                                      "symbol 'j1_26'$"):
+    old = "symbol j_pL(m) : S2 -> F_pL(m)\n"
+    assert moved.count(old) == 1
+    bad = moved.replace(old, old.replace("\n", " defn=j_F(m).j1_25\n"))
+    with pytest.raises(KbError, match=f"^line {line + 1}: bad symbol "
+                                      "attribute 'defn=j_F\\(m\\).j1_25'$"):
         load_catalog(write(tmp_path, bad, "bad.facts"))
 
 

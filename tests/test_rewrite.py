@@ -4,12 +4,13 @@ Whitehead bilinearity, suspension, and confluence of the shipped rules."""
 import hashlib
 import itertools
 import random
+from importlib import resources
 
 import pytest
 
 import checks
 from conechase import rewrite
-from conechase.derive import CANONICAL_TOKENS, default_catalog
+from conechase.derive import CANONICAL_TOKENS, SWEEP_GRID, default_catalog
 from conechase.kb import KbError, load_catalog
 from conechase.rewrite import StrictExpansionError, compose, normalize, suspend, whitehead
 from conechase.terms import Bracket, Element, Sym, TermError, Word, named, sphere
@@ -424,7 +425,7 @@ def test_memo_tells_apart_words_that_print_alike(ctx):
 # sha256 of ``normal_form_table`` on the shipped catalog; a change to the
 # rewrite kernel may not change a normal form, an error or a citation
 NORMAL_FORM_TABLE = (
-    "fcbb05bbd7156ea4a1e9ece7601b75e71effcb7d9842c043c63f6015d6ce8049")
+    "b62a65174f2254f0d5cadea86efc67198b729477f411d22cc3fda92892d4241f")
 
 
 def table_symbols(catalog) -> list:
@@ -468,7 +469,7 @@ def test_the_normal_form_table_is_pinned():
     warm = [normal_form_row(catalog, w) for w in words]
     fresh = [normal_form_row(default_catalog(), w) for w in words]
     assert warm == fresh
-    assert sum("\t[" not in row for row in warm) == 138
+    assert sum("\t[" not in row for row in warm) == 141
     table = "\n".join(warm).encode()
     assert hashlib.sha256(table).hexdigest() == NORMAL_FORM_TABLE
 
@@ -510,78 +511,50 @@ def test_rewrite_plans_belong_to_one_catalog(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# definitional unfolding
+# completion rules of the comparison ladder
 # ---------------------------------------------------------------------------
 
-UNFOLD_FACTS = """\
-symbol b : S3 -> S3
-symbol a : S3 -> S3 defn=b
-symbol c : S3 -> S3 defn=a.b
-symbol d : S3 -> S3 defn=c.a
-symbol e : S4 -> S3
-symbol f : S3 -> S3 defn=e
-"""
+SHIPPED_FACTS = resources.files("conechase").joinpath(
+    "data/paper.facts").read_text()
+# the four completion rules, and the fold facts whose subjects their
+# folded symbols stand for (j_pL, jS5, beta and J_LF)
+COMPLETION_LINES = (121, 122, 123, 124)
+FOLD_LINES = (88, 89, 91, 92)
+COMPLETION_VALUES = (*range(1, 9), 62)
 
 
-def unfold_outcome(unfold, el):
-    """``unfold(el)``, or the class and text of the error it raises."""
-    try:
-        return unfold(el)
-    except (TermError, KbError) as e:
-        return type(e).__name__, str(e)
-
-
-def test_the_splice_unfolds_as_the_pass_loop_did():
-    """``unfold_element`` splices each expansion into its word, where the
-    loop it replaced composed three elements: on every word of the
-    normal-form table both give the same element, terms in the same
-    order, or the same error.  The shipped ``defn=``s nest (beta unfolds
-    to tau_L . jS5, and jS5 to j_F . j2_25)."""
+def test_completion_rules_rederive_from_their_parents():
+    """Each completion rule is a ``derived`` fact whose locator names the
+    fold facts its subject unfolds by, and it is a consequence of the
+    catalog without it: its subject unfolded (beta(m) to
+    tau_L(m).j_F(m).j2_25, by lines 91 and 89) and its payload have the
+    same normal form at m = 1..8 and 62 under every sweep assignment."""
     catalog = default_catalog()
-    reg = catalog.registry
-    changed = 0
-    for word in table_words(table_symbols(catalog)):
-        el = Element.from_term(word)
-        got = unfold_outcome(reg.unfold_element, el)
-        assert got == unfold_outcome(
-            lambda e: checks.passwise_unfold_element(reg, e), el), word
-        changed += got != el
-    assert changed == 332
+    folds = checks.fold_facts(catalog, FOLD_LINES)
+    rules = [f for f in catalog.facts if f.line in COMPLETION_LINES]
+    assert [(f.kind, f.trust, f.guard) for f in rules] == \
+        [("map_identity", "derived", "m>=1")] * 4
+    for rule in rules:
+        _, used = checks.unfold_folds(rule.subject, folds)
+        assert used and all(str(line) in rule.locator for line in used)
+    assert checks.unfold_folds("chib(m).beta(m)", folds) == (
+        "chib(m).tau_L(m).j_F(m).j2_25", [91, 89])
+    assert checks.completion_mismatches(
+        catalog, COMPLETION_LINES, FOLD_LINES, COMPLETION_VALUES,
+        SWEEP_GRID) == []
 
 
-@pytest.mark.parametrize("text, want", [
-    ("d", "b . b . b"),                              # nested, four passes
-    (".".join("a" * 7), " . ".join("b" * 7)),        # seven abbreviations
-    ("a.b + b.a - c", "b . b"),                      # terms that merge
-    ("2*d + 3*c.a", "5*b . b . b"),
-    ("f", ("TermError", "term e does not match element spaces S3 -> S3")),
-    ("f.b", ("TermError", "word break: e after b (S3 != S4)")),
-])
-def test_the_splice_keeps_the_pass_loop_on_small_catalogs(tmp_path, text,
-                                                          want):
-    """Nested and repeated abbreviations, a sum whose terms merge once
-    unfolded, and a ``defn=`` whose ends are not its symbol's: the splice
-    gives the pass loop's element, or its error class and text."""
-    path = tmp_path / "unfold.facts"
-    path.write_text(UNFOLD_FACTS)
-    reg = load_catalog(path).registry
-    el = reg.parse(text, {})
-    got = unfold_outcome(reg.unfold_element, el)
-    assert got == unfold_outcome(
-        lambda e: checks.passwise_unfold_element(reg, e), el)
-    assert (got if isinstance(got, tuple) else got.render()) == want
-
-
-def test_unfolding_has_no_pass_cap(tmp_path):
-    """Eight abbreviations in a row unfold.  The pass loop stopped at
-    eight passes, though one expansion per pass is a count of symbols,
-    not of nesting; since a ``defn=`` cycle is refused at load, unfolding
-    ends without a cap."""
-    path = tmp_path / "unfold.facts"
-    path.write_text(UNFOLD_FACTS)
-    reg = load_catalog(path).registry
-    el = reg.parse(".".join("a" * 8), {})
-    assert reg.unfold_element(el).render() == " . ".join("b" * 8)
-    with pytest.raises(KbError, match="^definitional expansion did not "
-                                      "terminate$"):
-        checks.passwise_unfold_element(reg, el)
+@pytest.mark.parametrize("line", [122, 123, 124])
+def test_a_flipped_completion_payload_is_caught(tmp_path, line):
+    """Negative control: with the sign of one payload flipped, the rule no
+    longer follows from its parents, at every value and assignment."""
+    lines = SHIPPED_FACTS.splitlines(keepends=True)
+    assert lines[line - 1].count("sign*2^m*") == 1
+    lines[line - 1] = lines[line - 1].replace("sign*2^m*", "-sign*2^m*")
+    path = tmp_path / "flipped.facts"
+    path.write_text("".join(lines))
+    bad = checks.completion_mismatches(
+        load_catalog(path), COMPLETION_LINES, FOLD_LINES, COMPLETION_VALUES,
+        SWEEP_GRID)
+    assert len(bad) == len(COMPLETION_VALUES) * len(SWEEP_GRID)
+    assert {entry[0] for entry in bad} == {line}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import checks
 
 from conechase.terms import (
+    MAX_EXPONENT,
     Bracket,
     Element,
     Space,
@@ -145,15 +146,15 @@ def test_compiled_int_expr_agrees_with_reading_it(text, r, m):
     returns what evaluating while reading returns, or fails where it
     fails.  Only the order of two errors may differ: a syntax error is
     found when the text compiles, so it is reported even where the
-    reading first met an unbound name or a negative exponent."""
+    reading first met an unbound name or an exponent out of range."""
     env = {"r": r, "m": m}
     try:
         want = checks.reading_eval_int_expr(text, env)
     except TermError as e:
         with pytest.raises(TermError) as got:
             eval_int_expr(text, env)
-        runtime = str(e) == "negative exponent" or re.fullmatch(
-            r"unbound variable '\w+' in .*", str(e))
+        runtime = re.fullmatch(r"negative exponent|exponent \d+ is over \d+"
+                               r"|unbound variable '\w+' in .*", str(e))
         try:
             compile_int_expr(text)
         except TermError:
@@ -236,6 +237,23 @@ def test_parser_rejects_negative_exponents(catalog):
         eval_int_expr("2^(r-3)", {"r": 1})
 
 
+def test_exponents_are_bounded(catalog):
+    """An exponent over ``MAX_EXPONENT`` is refused before the power is
+    evaluated, in a term, in an integer argument and in a bare integer
+    expression alike; the bound itself evaluates."""
+    assert MAX_EXPONENT == 256
+    big = catalog.parser({}).parse(f"2^{MAX_EXPONENT}*iota_2")
+    assert big == Element.identity(sphere(2)).scale(2 ** MAX_EXPONENT)
+    for e in (MAX_EXPONENT + 1, 99999999):
+        for text, env in ((f"2^{e}*iota_2", {}), ("2^r*iota_2", {"r": e}),
+                          (f"j_L(2^{e})", {})):
+            with pytest.raises(TermError, match=f"^exponent {e} is over "
+                                                f"{MAX_EXPONENT}$"):
+                catalog.parser(env).parse(text)
+        with pytest.raises(TermError, match=f"^exponent {e} is over "):
+            eval_int_expr(f"3^{e}", {})
+
+
 def test_term_templates_are_keyed_by_the_names_the_env_binds(catalog):
     """A text compiles to one template per set of names the environment
     binds: a bound name is a scalar and any other a symbol.  A template
@@ -257,6 +275,7 @@ def test_a_compiled_term_reads_the_name_of_a_power():
 
 @pytest.mark.parametrize("text, message", [
     ("eta_2 .", "unexpected end of input in 'eta_2 .'"),
+    ("eta_2 +", "unexpected end of input in 'eta_2 +'"),
     ("eta_2.)", "expected a symbol name, got ')' in 'eta_2.)'"),
     ("[iota_2, iota_2", "unexpected end of input in '[iota_2, iota_2'"),
     ("deg(2,", "unterminated argument list"),
@@ -321,6 +340,17 @@ def test_element_space_discipline():
     b = Element.identity(sphere(3))
     with pytest.raises(TermError):
         a + b
+
+
+def test_terms_must_fit_their_element():
+    """A term whose ends are not its element's is refused, with both
+    named, and an empty word needs the space it is the identity of."""
+    eta = Word((Sym("eta_2", (), sphere(3), sphere(2)),))
+    with pytest.raises(TermError, match=r"^term eta_2 does not match element "
+                                        r"spaces S3 -> S3$"):
+        Element(sphere(3), sphere(3), [(eta, 1)])
+    with pytest.raises(TermError, match="^identity word needs its space$"):
+        Word(())
 
 
 def test_word_equality_agrees_with_symbol_equality():
