@@ -39,22 +39,21 @@ and must produce identical groups for every assignment -- the group
 tables are independent of all of them.
 
 A script reads a swept token only through the facts it cites (one that
-names a token is rejected at parse time) and its rule context;
-``rewrite.RuleContext`` gives the argument.  It reads everything else
-through its parameters and the values its ``run`` subderivations
-return, which the ``(subderivation ... -> value)`` lines of its
-transcript render.  So a run is the same under every assignment that
-agrees on the tokens it read itself and under which each of its
-subderivations returns an equal value (``_value_key``), however that
-value came about: the run cache cuts off early where a token changed a
-subderivation's own work but not its value.  Likewise a ``let`` step
-reads tokens itself through its citations and the rule context, and
-everything else through the earlier bindings it names (``Step.names``,
-the arguments that ``VERBS`` reads as bindings); the memo of steps
-serves it under every assignment that agrees on the tokens it read
-itself and gives those bindings equal values.  Cached runs and memoised
-steps replay their transcript lines and citations, so transcripts and
-digests are those of a fresh evaluation.
+names a token is rejected at parse time); ``rewrite.RuleContext`` gives
+the argument.  It reads everything else through its parameters and the
+values its ``run`` subderivations return, which the ``(subderivation
+... -> value)`` lines of its transcript render.  So a run is the same
+under every assignment that agrees on the tokens it read itself and
+under which each of its subderivations returns an equal value
+(``_value_key``), however that value came about: the run cache cuts off
+early where a token changed a subderivation's own work but not its
+value.  Likewise a ``let`` step reads tokens itself through its
+citations, and everything else through the earlier bindings it names
+(``Step.names``, the arguments that ``VERBS`` reads as bindings); the
+memo of steps serves it under every assignment that agrees on the
+tokens it read itself and gives those bindings equal values.  Cached
+runs and memoised steps replay their transcript lines and citations, so
+transcripts and digests are those of a fresh evaluation.
 """
 
 from __future__ import annotations
@@ -439,7 +438,7 @@ class RunResult:
     transcript: str
     consumed: List[KbFact]
     reads: frozenset              # the swept tokens it read itself: its
-    #                               context's and its citations'
+    #                               citations'
     subs: tuple                   # (script, params, the value it
     #                               returned) of each subderivation, in order
 
@@ -657,7 +656,7 @@ class Runner:
         lines.append(f"  result: {ret.group.render()}" if isinstance(
             ret, PiGroup) else f"  result: {_render_value(ret)}")
         return RunResult(name, dict(env), ret, "\n".join(lines) + "\n", facts,
-                         ctx.tokens.union(*(f.tokens for f in facts)),
+                         frozenset().union(*(f.tokens for f in facts)),
                          tuple(subs))
 
     def _let(self, key, idx, step, env, ctx, bindings) -> _StepMemo:
@@ -666,17 +665,17 @@ class Runner:
         the bindings the step names, had values equal to theirs now; or a
         new one.
 
-        The tokens it read itself are those of ``ctx`` and of the facts
-        it cited (exact by the argument in ``rewrite.RuleContext``); it
-        reads everything else through its inputs, since its handler gets
-        only what its plan reads.  Under any assignment
-        that agrees on those tokens and gives equal inputs it computes
-        the same value, transcript lines and citations, which the caller
-        replays as a fresh evaluation would emit them.  An input is
-        compared by identity first, since a replayed binding is the very
-        value of its memo, and by ``_value_key`` only when that fails.
-        A ``run`` step is evaluated every time and not kept: its value is
-        the subderivation's, which ``_run_cached`` serves.
+        The tokens it read itself are those of the facts it cited (exact
+        by the argument in ``rewrite.RuleContext``); it reads everything
+        else through its inputs, since its handler gets only what its plan
+        reads.  Under any assignment that agrees on those tokens and gives
+        equal inputs it computes the same value, transcript lines and
+        citations, which the caller replays as a fresh evaluation would
+        emit them.  An input is compared by identity first, since a
+        replayed binding is the very value of its memo, and by
+        ``_value_key`` only when that fails.  A ``run`` step is evaluated
+        every time and not kept: its value is the subderivation's, which
+        ``_run_cached`` serves.
         """
         inputs = tuple(map(bindings.get, step.names))
         entries = self._steps.setdefault(key + (step.line,), [])
@@ -688,7 +687,7 @@ class Runner:
         lines: List[str] = []
         value, facts = ctx.citing(self._eval_step, step, env, ctx, bindings,
                                   lines)
-        read = ctx.tokens.union(*(f.tokens for f in facts))
+        read = frozenset().union(*(f.tokens for f in facts))
         lines.append(f"  step {idx}: {step.raw}")
         lines.append(f"    = {_render_value(value)}")
         lines.extend(f"    uses {fact.note()}" for fact in facts)

@@ -4,8 +4,8 @@ The shipped facts file is a line-oriented text format, one declaration or
 fact per line, chosen so the provenance of every certified statement is
 diff-reviewable:
 
-    symbol <name>[(vars)] : <source> -> <target> [order=<expr>] [susp]
-           [susp_to=<name>] [desusp=<name>]
+    symbol <name>[(vars)] : <source> -> <target> [susp] [susp_to=<name>]
+           [desusp=<name>]
     fibration <name>[(vars)] : [<class>] bottom=<word> [skeleton=<word>]
     fact <kind> | <subject> [? <guard>] | <payload> | <trust> | <quote> | <locator>
 
@@ -110,7 +110,6 @@ class SymbolSpec:
     vars: tuple
     source_pat: str
     target_pat: str
-    order_expr: Optional[str] = None
     is_susp: bool = False
     susp_to: Optional[str] = None
     desusp: Optional[str] = None
@@ -124,7 +123,6 @@ class SymbolSpec:
         return " ".join(filter(None, [
             f"symbol {_decl_head(self.name, self.vars)} : {self.source_pat} "
             f"-> {self.target_pat}",
-            self.order_expr is not None and f"order={self.order_expr}",
             self.is_susp and "susp",
             self.susp_to and f"susp_to={self.susp_to}",
             self.desusp and f"desusp={self.desusp}"]))
@@ -180,8 +178,7 @@ def _eta_sym(n: int) -> Sym:
     """The interned Hopf map: built in, so it belongs to no catalog."""
     if n < 2:
         raise KbError("eta_n needs n >= 2")
-    return Sym("eta_%d" % n, (), sphere(n + 1), sphere(n),
-               order=0 if n == 2 else 2, is_susp=n >= 3,
+    return Sym("eta_%d" % n, (), sphere(n + 1), sphere(n), is_susp=n >= 3,
                susp_name=f"eta_{n + 1}",
                desusp_name=f"eta_{n - 1}" if n >= 3 else None)
 
@@ -238,8 +235,6 @@ class SymbolRegistry:
             self.specs[name] = spec
             compile_space(src)
             compile_space(tgt)
-            if spec.order_expr is not None:
-                compile_int_expr(spec.order_expr)
         except (KbError, TermError) as e:
             raise KbError(f"line {lineno}: {e}") from e
 
@@ -325,10 +320,7 @@ class SymbolRegistry:
         env = dict(zip(spec.vars, params))
         src = parse_space(spec.source_pat, env)
         tgt = parse_space(spec.target_pat, env)
-        order = (eval_int_expr(spec.order_expr, env)
-                 if spec.order_expr is not None else None)
-        return Sym(name, params, src, tgt, order=order,
-                   is_susp=spec.is_susp,
+        return Sym(name, params, src, tgt, is_susp=spec.is_susp,
                    susp_name=spec.susp_to, desusp_name=spec.desusp)
 
     def resolve(self, name: str, params: tuple) -> Element:
@@ -609,6 +601,7 @@ class KbCatalog:
         self._normal_forms = {}
         self._patterns = {}
         self._plans = {}
+        self._orders = {}
         seen = {}
         for f in self.facts:
             key = (f.kind, f.subject, f.guard)
@@ -621,11 +614,15 @@ class KbCatalog:
             if pat is None:
                 pat = registry.patterns[f] = self._compile(f)
             self._patterns.setdefault((pat.rule, pat.names), []).append(pat)
+            for order, label in pat.payload if pat.rule == "group" else ():
+                if order and not f.tokens:   # it bounds its generators
+                    key = ("order", (label.split("(")[0],))
+                    self._patterns.setdefault(key, []).append(pat)
 
     def view(self) -> "KbCatalog":
         """This catalog with its own empty memos: it shares the registry,
-        facts, patterns and plans, which loading checked or which its
-        patterns decide."""
+        facts, patterns, plans and order bounds, which loading checked or
+        which its patterns decide."""
         view = copy.copy(self)
         view._parse_cache = {}
         view._normal_forms = {}
@@ -858,11 +855,14 @@ class KbCatalog:
         normal forms."""
         tokens = {t: env[t] for t in SWEPT_TOKENS if t in env}
         return rewrite.RuleContext(self.registry, self._rule, self._patterns,
-                                   self._plans, tokens, self._normal_forms)
+                                   self._plans, self._orders, tokens,
+                                   self._normal_forms)
 
     def _rule(self, kind: str, term, env: dict):
         """(rhs, fact) of the first fact of a rewrite kind whose subject
         matches ``term`` (a word, or the slots of a product), or None."""
+        if kind == "order":
+            return self._order_bound(term)
         if kind == "product":
             words = [s.single_word()[0] for s in term]
             names = tuple(rewrite.word_names(w) for w in words)
@@ -871,11 +871,34 @@ class KbCatalog:
             words, names, lhs = [term], rewrite.word_names(term), term
         values = tuple(p for w in words for s in w.syms for p in s.params)
         for pat, bound in self._matches(kind, names, values):
-            if kind == "order":
-                return abs(strip_odd(pat.order)), pat.fact
             return self._rhs(pat, lhs, _payload_env(env, bound, pat.fact)), \
                 pat.fact
         return None
+
+    def _order_bound(self, word: Word):
+        """(order, fact) of the first fact in file order that bounds the
+        order of ``word``, or None: a relation ``k*word = 0`` with k not 0,
+        or a group fact listing the word as a generator of order k; the
+        bound is k's 2-part."""
+        values = tuple(p for s in word.syms for p in s.params)
+        for pat in self._patterns.get(("order", rewrite.word_names(word)),
+                                      ()):
+            order = (self._generator_order(pat, word) if pat.rule == "group"
+                     else pat.bind(values) is not None and pat.order)
+            if order:
+                return abs(strip_odd(order)), pat.fact
+        return None
+
+    def _generator_order(self, pat: FactPattern, word: Word) -> int:
+        """The order of the one-symbol ``word`` from S^n as a generator of
+        the group fact ``pat`` if that is on pi_n of its target, or 0."""
+        (head, params), src = _space_head(word.target), word.source
+        bound = (pat.bind(params) if src.kind == "sphere"
+                 and pat.names == (head, src.data[0]) else None)
+        for order, text in pat.payload if bound is not None else ():
+            if order and self.parse_element(text, bound).terms == ((word, 1),):
+                return eval_int_expr(order, bound)
+        return 0
 
     def _rhs(self, pat: FactPattern, lhs, env: dict) -> Element:
         """The right side of the rewrite ``pat`` on ``lhs``, a word or a
@@ -1034,8 +1057,7 @@ _FIBRATION_RE = re.compile(
 
 
 # the keyed attributes of a symbol line and the SymbolSpec fields they set
-_SYMBOL_ATTRS = {"order": "order_expr", "susp_to": "susp_to",
-                 "desusp": "desusp"}
+_SYMBOL_ATTRS = {"susp_to": "susp_to", "desusp": "desusp"}
 
 
 def _keyed_once(words, lineno: int) -> None:

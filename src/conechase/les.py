@@ -105,13 +105,12 @@ def express(el: Element, pig: PiGroup, ctx) -> tuple:
             for i, x in enumerate(hit):
                 vec[i] += c * x
             continue
-        bound = None
-        if isinstance(term, Word):
-            bound = ctx.suffix_bound(term)
-        if bound:
+        bound = ctx.suffix_bound(term) if isinstance(term, Word) else None
+        if bound is not None:
             # the element has finite order, so it cannot meet a free part;
             # both its order bound and the group exponent kill it
-            c = c % gcd(bound, exponent)
+            ctx.cite(bound[1])
+            c = c % gcd(bound[0], exponent)
         elif pig.group.free_rank == 0:
             # everything in a finite group dies under the exponent
             c = c % exponent

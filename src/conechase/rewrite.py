@@ -8,13 +8,13 @@ The engine only performs expansions it can justify exactly:
   (suspension) inner map -- attempting it otherwise is refused with a
   ``StrictExpansionError``;
 * a scalar on a word is the word composed with a degree map of its source
-  sphere, and degree maps tunnel rightward through suspension symbols,
-  through anything under an H-space sphere (S^3, licensed by the vanishing
-  of its Whitehead square), and through the S^2 Hopf class with the
-  classical k -> k^2 twist;
-* coefficients are reduced modulo any known order of a suffix of the
-  word, since the order of an image divides the order of the element
-  being pushed.
+  sphere, and degree maps tunnel rightward through suspension symbols and
+  through anything under an H-space sphere (S^3, licensed by the cited
+  vanishing of its Whitehead square); other moves, such as Hilton's
+  k -> k^2 twist through the S^2 Hopf class, are catalog rules;
+* coefficients are reduced modulo the least order a fact bounds a suffix
+  of the word by, since the order of an image divides the order of the
+  element being pushed.
 
 Unknown composites stay as unexpanded words: silence never fabricates a
 vanishing.
@@ -22,9 +22,9 @@ vanishing.
 Each catalog keeps one memo of normal forms, shared by all its rule
 contexts (``RuleContext.memo``).  An entry holds the answer for a word and
 coefficient and the facts the rewriting cited, and it serves every token
-assignment that agrees on the tokens of those facts and the context's
-own, which is exact by the argument in ``RuleContext``.  A hit cites the
-facts again, in order, so transcripts do not depend on the memo's warmth.
+assignment that agrees on the tokens of those facts, which is exact by
+the argument in ``RuleContext``.  A hit cites the facts again, in order,
+so transcripts do not depend on the memo's warmth.
 """
 
 from __future__ import annotations
@@ -68,13 +68,14 @@ class RuleContext:
     catalog fact of that kind whose subject matches ``term``, or None;
     ``values`` maps each swept token to its value in this assignment.  The
     kinds are ``word`` (a rule rewriting exactly these symbols), ``susp``
-    (the suspension of a whole word), ``order`` (an order bound on a word;
-    the rhs is the order) and ``product`` (the value of a Whitehead product
-    on these slots).  ``patterns`` is the catalog's index of fact patterns
-    by (kind, symbol names); a lookup whose key it lacks can match no
-    fact, so most are rejected before any matching.  Answers are memoised
-    per context.  ``plans`` is the catalog's table of rewrite plans
-    (``_plan``), shared by every context and view of the catalog.
+    (the suspension of a whole word), ``order`` (a bound on the order of a
+    word; the rhs is the order) and ``product`` (the value of a Whitehead
+    product on these slots).  ``patterns`` is the catalog's index of fact
+    patterns by (kind, symbol names); a lookup whose key it lacks can match
+    no fact, so most are rejected before any matching.  Answers are
+    memoised per context, order bounds in the catalog's table ``orders``
+    and rewrite plans (``_plan``) in its ``plans``, which every context and
+    view of the catalog share.
 
     ``registry`` is the catalog's symbol registry: suspension and
     desuspension images.
@@ -84,23 +85,21 @@ class RuleContext:
     ``on_rule`` (None, or the collector ``citing`` installs); ``citing``
     runs a computation and returns the facts it cited.  An answer
     computed on this context serves every assignment of the swept tokens
-    that agrees on the tokens of the facts it cited plus the context's
-    own ``tokens``.  That is exact: subjects and guards bind only fact
-    variables, so whether a lookup hits, and which fact it returns, never
-    depends on a token, and a token enters only through the payload of a
-    returned fact.  Every returned fact is cited except two:
-    an order bound, whose payload must be 0 (``kb.KbCatalog._pattern``),
-    so it reads no token; and the product ``[iota_3, iota_3]`` that
-    building the context reads, whose tokens are ``tokens``.  The three
-    memos rest on this: cached runs (``derive.Runner._serves``, which
-    also asks each subderivation again and compares its value), ``let``
-    steps (``derive.Runner._let``, which also compares the bindings a
-    step names) and normal forms (``memo``, the catalog's one table,
-    shared by every context it builds).
+    that agrees on the tokens of the facts it cited.  That is exact:
+    subjects and guards bind only fact variables, so whether a lookup
+    hits, and which fact it returns, never depends on a token, and a token
+    enters only through the payload of a returned fact, which is cited.
+    An order bound, cited where it changes a coefficient, reads no token:
+    its relation's payload is 0, and a group fact naming one bounds
+    nothing (``kb.KbCatalog``).  The three memos rest on this: cached runs
+    (``derive.Runner._serves``, which also asks each subderivation again
+    and compares its value), ``let`` steps (``derive.Runner._let``, which
+    also compares the bindings a step names) and normal forms (``memo``,
+    the catalog's one table, shared by every context it builds).
     """
 
     def __init__(self, registry, lookup: Callable, patterns, plans: dict,
-                 values: dict, memo: dict):
+                 orders: dict, values: dict, memo: dict):
         self.on_rule = None       # callback(fact) when a fact is consumed
         self.registry = registry
         self.values = values      # swept token -> value
@@ -108,15 +107,10 @@ class RuleContext:
         self._lookup = lookup
         self.patterns = patterns  # (kind, symbol names) -> fact patterns
         self.plans = plans        # symbol names -> _Plan
+        self.orders = orders      # symbol keys -> (order, fact) or None
         self.word_rules = {}      # symbol keys -> (rhs, fact) or None
         self.susp_words = {}      # word key -> (rhs, fact) or None
-        self.order_bounds = {}    # symbol keys -> (order, fact) or None
         self.products = {}        # slot keys -> (rhs, fact) or None
-        # all Whitehead products of S^3 vanish once [iota_3, iota_3] does
-        s3 = Element.identity(sphere(3))
-        hit = self.product_value([s3, s3])
-        self.s3_hspace = hit is not None and hit[0].is_zero()
-        self.tokens = hit[1].tokens if hit is not None else frozenset()
 
     # -- lookups --------------------------------------------------------------
 
@@ -143,16 +137,6 @@ class RuleContext:
             return None
         return self._find(self.susp_words, word.key(), "susp", word)
 
-    def order_bound(self, syms):
-        """(order, fact) of a stored bound on the order of the word
-        ``syms``, whose names the index holds (``suffix_bound`` asks only
-        for those), or None."""
-        key = tuple(s.key for s in syms)
-        table = self.order_bounds
-        if key not in table:
-            table[key] = self._lookup("order", Word(syms), self.values)
-        return table[key]
-
     def product_value(self, slots):
         """(rhs, fact) of a stored value of the product on ``slots``, each
         a single unscaled word, or None."""
@@ -166,6 +150,13 @@ class RuleContext:
             return None
         return self._find(self.products, tuple(s.key() for s in slots),
                           "product", list(slots))
+
+    def s3_hspace(self) -> bool:
+        """Whether [iota_3, iota_3] is stored as 0; cited whenever found."""
+        hit = self.product_value([Element.identity(sphere(3))] * 2)
+        if hit is not None:
+            self.cite(hit[1])
+        return hit is not None and hit[0].is_zero()
 
     # -- citations ------------------------------------------------------------
 
@@ -185,20 +176,18 @@ class RuleContext:
         finally:
             self.on_rule = hook
 
-    def suffix_bound(self, word: Word) -> Optional[int]:
-        """The least known order bound of a suffix of ``word``, or None:
-        a stored bound on a suffix the index holds (``_plan``), or the
-        order of the last symbol."""
-        syms = word.syms
-        best = None
+    def suffix_bound(self, word: Word) -> Optional[tuple]:
+        """(order, fact) of the least stored bound on the order of a
+        suffix of ``word`` that the index holds (``_plan``), the longest
+        suffix on a tie, or None; each from the catalog's table."""
+        syms, table, best = word.syms, self.orders, None
         for j in _plan(tuple([s.name for s in syms]), self).order_starts:
-            hit = self.order_bound(syms[j:])
-            if hit is not None and (best is None or hit[0] < best):
-                best = hit[0]
-        if syms and isinstance(syms[-1], Sym):
-            o = syms[-1].order
-            if o and (best is None or o < best):
-                best = o
+            key = tuple(s.key for s in syms[j:])
+            if key not in table:
+                table[key] = self._lookup("order", Word(syms[j:]), self.values)
+            hit = table[key]
+            if hit is not None and (best is None or hit[0] < best[0]):
+                best = hit
         return best
 
 
@@ -257,7 +246,7 @@ def normalize_word(word: Word, coeff: int, ctx: RuleContext) -> Element:
 
     The answer comes from the catalog's memo when an entry for this word
     and coefficient agrees with ``ctx`` on the tokens of the facts
-    it cited and of the context; otherwise it is computed and kept.
+    it cited; otherwise it is computed and kept.
     Either way its facts are cited through ``ctx`` in order, so
     transcripts do not depend on the memo's warmth.
     """
@@ -267,7 +256,7 @@ def normalize_word(word: Word, coeff: int, ctx: RuleContext) -> Element:
             break
     else:
         out, facts = ctx.citing(_rewrite_word, word, coeff, ctx)
-        read = ctx.tokens.union(*(f.tokens for f in facts))
+        read = frozenset().union(*(f.tokens for f in facts))
         reads = tuple((t, ctx.values.get(t)) for t in sorted(read))
         entries.append((out, tuple(facts), reads))
     for fact in facts:
@@ -325,12 +314,10 @@ def _rewrite_word(word: Word, coeff: int, ctx: RuleContext) -> Element:
                     # a plain scalar on it
                     del syms[i]
                     coeff *= k
-                elif names[i + 1] == "eta_2":
-                    # degree k on S^2 multiplies the Hopf class by k^2
-                    syms[i: i + 2] = [nxt, deg_sym(k * k, 3)]
                 elif nxt.is_susp and nxt.source.kind == "sphere":
                     syms[i: i + 2] = [nxt, deg_sym(k, nxt.source.data[0])]
-                elif n == 3 and ctx.s3_hspace and nxt.source.kind == "sphere":
+                elif (n == 3 and nxt.source.kind == "sphere"
+                      and ctx.s3_hspace()):
                     # all Whitehead products of S^3 vanish: degree maps act
                     # linearly on every homotopy group of S^3
                     syms[i: i + 2] = [nxt, deg_sym(k, nxt.source.data[0])]
@@ -397,8 +384,9 @@ def _rewrite_word(word: Word, coeff: int, ctx: RuleContext) -> Element:
 
     w = Word(syms, space or word.source)
     bound = ctx.suffix_bound(w)
-    if bound:
-        coeff %= bound
+    if bound is not None and coeff % bound[0] != coeff:
+        ctx.cite(bound[1])
+        coeff %= bound[0]
     if coeff == 0:
         return Element.zero(word.source, word.target)
     return Element.from_term(w, coeff)

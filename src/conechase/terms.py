@@ -179,6 +179,15 @@ def _tokenize_expr(text: str):
 # scripts reach (63, in 2^(r+1) at the parameter cap 62), so that text
 # such as 2^99999999 is refused before it is evaluated
 MAX_EXPONENT = 256
+# the longest integer, in bits, that a power or a product may evaluate
+# to: eight times the 125 the shipped scripts reach at the parameter cap
+MAX_BITS = 1024
+
+
+def _bounded(n: int) -> int:
+    if n.bit_length() > MAX_BITS:
+        raise TermError(f"integer of {n.bit_length()} bits is over {MAX_BITS}")
+    return n
 
 
 def _power(base: int, e: int) -> int:
@@ -186,7 +195,7 @@ def _power(base: int, e: int) -> int:
         raise TermError("negative exponent")
     if e > MAX_EXPONENT:
         raise TermError(f"exponent {e} is over {MAX_EXPONENT}")
-    return base**e
+    return _bounded(base**e)
 
 
 def _arith(op, a, b):
@@ -260,7 +269,7 @@ def compile_int_expr(text: str):
         v = power()
         while peek() == "*":
             eat("*")
-            v = _arith(operator.mul, v, power())
+            v = _arith(lambda a, b: _bounded(a * b), v, power())
         return v
 
     def addsub():
@@ -302,7 +311,6 @@ class Sym:
     params: tuple
     source: Space
     target: Space
-    order: Optional[int] = None       # None = unknown, 0 = infinite
     is_susp: bool = False
     susp_name: Optional[str] = None   # symbol name of the suspension image
     desusp_name: Optional[str] = None
@@ -329,8 +337,7 @@ class Sym:
 @functools.cache
 def deg_sym(k: int, n: int) -> Sym:
     """The interned degree map; like a space, it belongs to no catalog."""
-    return Sym("deg", (int(k), n), sphere(n), sphere(n),
-               order=None, is_susp=True)
+    return Sym("deg", (int(k), n), sphere(n), sphere(n), is_susp=True)
 
 
 @dataclass(frozen=True)
@@ -825,7 +832,7 @@ class _TermCompiler:
                 if i is factor:
                     el = factor(resolve, env)
                 else:
-                    coeff *= i(env)
+                    coeff = _bounded(coeff * i(env))
             return el.scale(coeff)
         return product
 

@@ -14,6 +14,8 @@ They hold by construction in a run, so the package does not ship them:
   reference the compiled expressions are compared against;
 - the re-derivation of the catalog's completion rules from their parent
   facts, which holds once at authoring time and reads no run;
+- the cited-only replay of a row, which reruns it on the catalog of the
+  facts it cited;
 - a reader of the benchmark's literal tables, which does not import the
   benchmark.
 """
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
+from conechase.derive import DeriveError, Runner
 from conechase.filtration import MapSpec, build_filtration
 from conechase.groups import (
     GroupError,
@@ -36,6 +39,7 @@ from conechase.groups import (
 )
 from conechase.kb import KbCatalog, KbError, KbMissingFact
 from conechase.terms import (
+    MAX_BITS,
     MAX_EXPONENT,
     Element,
     TermError,
@@ -318,14 +322,20 @@ def reading_eval_int_expr(text: str, env: dict) -> int:
                 raise TermError("negative exponent")
             if e > MAX_EXPONENT:
                 raise TermError(f"exponent {e} is over {MAX_EXPONENT}")
-            return v ** e
+            return bits(v ** e)
         return v
+
+    def bits(n):
+        if n.bit_length() > MAX_BITS:
+            raise TermError(f"integer of {n.bit_length()} bits is over "
+                            f"{MAX_BITS}")
+        return n
 
     def muldiv():
         v = power()
         while peek() == "*":
             eat("*")
-            v *= power()
+            v = bits(v * power())
         return v
 
     def addsub():
@@ -404,6 +414,42 @@ def completion_mismatches(catalog: KbCatalog, rule_lines, fold_lines,
                 if _normal_form(lacking, word, env) != \
                         _normal_form(lacking, rule.payload, env):
                     out.append((rule.line, m, assign))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# cited-only replay
+# ---------------------------------------------------------------------------
+
+def _executed(runner: Runner) -> list:
+    """(script, environment, transcript) of every run ``runner`` has
+    executed, sorted."""
+    return sorted((res.script, sorted(res.env.items()), res.transcript)
+                  for runs in runner._cache.values() for res in runs)
+
+
+def cited_only_mismatches(catalog: KbCatalog, scripts, rows) -> list:
+    """Each row ``(script, parameters)`` of ``rows`` run swept on a
+    fresh view of ``catalog`` and again on the catalog of only the facts
+    that its runs cited, under every sweep assignment and subderivations
+    included.  The (script, parameters, what went wrong) of each row
+    whose second pass raises or does not execute the same runs with
+    byte-identical transcripts."""
+    out = []
+    for name, params in rows:
+        runner = Runner(catalog.view(), scripts)
+        runner.run(name, params)
+        cited = {fact for runs in runner._cache.values() for res in runs
+                 for fact in res.consumed}
+        replay = Runner(catalog.without_facts(lambda f: f not in cited),
+                        scripts)
+        try:
+            replay.run(name, params)
+        except (DeriveError, LesError, KbError, GroupError, TermError) as e:
+            out.append((name, params, f"{type(e).__name__}: {e}"))
+            continue
+        if _executed(replay) != _executed(runner):
+            out.append((name, params, "transcripts differ"))
     return out
 
 

@@ -8,8 +8,8 @@ a fixed list of in-process ``conechase.cli.main`` calls:
   swept with ``--transcript``, with ``--no-sweep --transcript`` and with
   ``--format machine``; 8 ``filtration`` calls, four maps in text and
   machine format;
-- ``ablation``: 1,240 calls, each scenario at r/m in {1, 2, 3, 30} with
-  ``--no-sweep --transcript`` on a catalog lacking one of the 62 shipped
+- ``ablation``: 1,260 calls, each scenario at r/m in {1, 2, 3, 30} with
+  ``--no-sweep --transcript`` on a catalog lacking one of the 63 shipped
   facts, with the temporary catalog path normalised;
 - ``swept``: 15 calls, each scenario at r/m in {1, 2, 3}, swept with
   ``--transcript``, on a catalog whose group pi_5(S2 v S5) has an

@@ -203,6 +203,18 @@ def test_filtration_refuses_an_exponent_over_the_bound(capsys, e):
     assert err == f"error: exponent {e} is over 256\n"
 
 
+@pytest.mark.parametrize("f, bits", [
+    ("100000000000000000000^256*iota_2", 17009),
+    ("2^256*2^256*2^256*2^256*iota_2", 1025)])
+def test_filtration_refuses_an_integer_over_the_bound(capsys, f, bits):
+    """A power or a product longer than the bound is exit 2 when it is
+    evaluated, not a traceback from printing a coefficient of over 4,300
+    digits."""
+    code, out, err = run_cli(capsys, "filtration", "--f", f, "--n", "2")
+    assert code == cli.EXIT_VALIDATION and not out
+    assert err == f"error: integer of {bits} bits is over 1024\n"
+
+
 def test_filtration_rejects_nonsuspension(capsys):
     code, _, err = run_cli(capsys, "filtration", "--f", "j_L(2)", "--n", "2")
     assert code == cli.EXIT_VALIDATION
@@ -594,11 +606,12 @@ def test_mutated_declarations_exit_only_with_documented_codes(capsys,
 @pytest.mark.parametrize("old, new, error", [
     ("symbol Sj1(m) :", "symbol Sj1(m m) :",
      "line 28: bad parameter list (m m)"),
-    ("order=0\n", "order=0\nsymbol eta_3 : S9 -> S3 order=4\n",
+    ("S7 -> S4\n", "S7 -> S4\nsymbol eta_3 : S9 -> S3\n",
      "line 15: 'eta_3' is a built-in symbol"),
-    ("S6 -> S3 order=4", "S6 -> S3 order=4 order=8",
-     "line 12: attribute order= given twice"),
-    ("order=4 susp_to=Sigma_nu'", "order=4 susp_to=Sigma_nu' susp_to=nu_4",
+    # an order bound is a cited fact, so ``order=`` is no attribute
+    ("S6 -> S3 susp_to", "S6 -> S3 order=4 susp_to",
+     "line 12: bad symbol attribute 'order=4'"),
+    ("susp_to=Sigma_nu'", "susp_to=Sigma_nu' susp_to=nu_4",
      "line 12: attribute susp_to= given twice"),
     ("desusp=nu'", "desusp=nu' desusp=nu'", "line 13: attribute desusp= "
      "given twice"),
@@ -606,9 +619,9 @@ def test_mutated_declarations_exit_only_with_documented_codes(capsys,
     ("S2 -> F_pL(m)\n", "S2 -> F_pL(m) defn=j_F(m).j1_25\n",
      "line 23: bad symbol attribute 'defn=j_F(m).j1_25'"),
     ("bottom=j_p(r)", "bottom=j_p(r) bottom=j_p(r)",
-     "line 127: attribute bottom= given twice"),
+     "line 130: attribute bottom= given twice"),
     ("skeleton=j_F(m)", "skeleton=j_F(m) skeleton=j_F(m)",
-     "line 128: attribute skeleton= given twice"),
+     "line 131: attribute skeleton= given twice"),
 ])
 def test_symbol_declarations_are_checked_at_load(capsys, tmp_path, old, new,
                                                  error):
@@ -664,9 +677,9 @@ def test_one_parser_serves_every_call(capsys):
 
 
 def test_an_order_bound_must_be_zero(capsys, tmp_path):
-    """An order bound k*word is looked up without being cited, which is
-    exact only because its payload is 0 and so reads no token: any other
-    payload is refused at load."""
+    """An order bound k*word is cited only where it changes a
+    coefficient, which is exact only because its payload is 0 and so
+    reads no token: any other payload is refused at load."""
     text = default_catalog().serialize()
     for old, new in (("| 4*eta~_4(m) ? m>=1 | 0 |", "| 4*eta~_4(m) ? m>=1 | x |"),
                      ("| 2*Sigma_beta(2) | 0 |", "| 2*Sigma_beta(2) | 2 |")):
@@ -676,6 +689,31 @@ def test_an_order_bound_must_be_zero(capsys, tmp_path):
         code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
         assert code == cli.EXIT_VALIDATION and not out
         assert "an order bound k*word must equal 0" in err
+
+
+def test_a_zero_order_bound_bounds_nothing(capsys, tmp_path):
+    """``0*word = 0`` holds of every word and bounds nothing: with it in
+    place of ``2*Sigma_beta(2) = 0`` (line 77) the catalog loads, and
+    every scenario that reads line 77 computes, prints and fails as on
+    the catalog without line 77, digests aside."""
+    text = default_catalog().serialize()
+    old = "fact relation | 2*Sigma_beta(2) | 0 |"
+    assert text.count(old) == 1
+    zero, lacking = tmp_path / "zero.facts", tmp_path / "lacking.facts"
+    zero.write_text(text.replace(old, "fact relation | 0*Sigma_beta(2) | 0 |"))
+    lacking.write_text(default_catalog().without_facts(
+        lambda f: f.line == 77).serialize())
+    assert run_cli(capsys, "--kb", str(zero), "validate-kb")[0] == 0
+    codes = []
+    for space, k in (("J3", "6"), ("P3", "5"), ("P3", "6")):
+        for r in ("1", "2"):
+            got = [run_cli(capsys, "--kb", str(path), "compute", "--space",
+                           space, "--k", k, "--r", r, "--transcript")
+                   for path in (zero, lacking)]
+            masked = [re.sub("[0-9a-f]{64}", "<hex>", repr(g)) for g in got]
+            assert masked[0] == masked[1]
+            codes.append(got[0][0])
+    assert codes == [cli.EXIT_VALIDATION, cli.EXIT_OK] * 3  # r = 1 needs it
 
 
 @pytest.mark.parametrize("order", ["2", "3"])
@@ -848,7 +886,7 @@ def test_ablated_catalogs_build_one_registry(monkeypatch, tmp_path):
     for path in paths:
         assert len(load_catalog(path).facts) == len(paths) - 1
     assert len(built) <= 1
-    assert len(paths) == 62
+    assert len(paths) == 63
 
 
 def test_python_m_conechase_help():

@@ -37,7 +37,9 @@ from conechase.groups import (
 from conechase.kb import KbError, KbMissingFact, load_catalog
 from conechase.les import Boundary, LesError, PiGroup
 from conechase.rewrite import StrictExpansionError
-from conechase.terms import Element, TermError
+from conechase.terms import Element, TermError, sphere
+
+import checks
 
 
 def q(*orders):
@@ -686,15 +688,38 @@ def test_step_memo_keys_on_the_bindings_it_names(catalog, scripts, tmp_path,
 
 def test_normal_forms_read_the_tokens_of_what_they_cite(pruned_pass):
     """Citations are the one record of what a normalisation used: after a
-    pass, every memo entry's read tokens are its context's tokens plus
-    the tokens of the facts it cites."""
-    (tokens,) = {ctx.tokens for ctx in pruned_pass._ctx_cache.values()}
+    pass, every memo entry's read tokens are the tokens of the facts it
+    cites."""
     entries = [entry for entries in pruned_pass.catalog._normal_forms.values()
                for entry in entries]
     assert any(facts for _, facts, _ in entries)
     for _, facts, reads in entries:
-        assert {t for t, _ in reads} == tokens.union(*(f.tokens
-                                                       for f in facts))
+        assert {t for t, _ in reads} == set().union(*(f.tokens
+                                                      for f in facts))
+
+
+def test_every_row_replays_on_the_facts_it_cites(catalog, scripts):
+    """Citations are the whole record of what a run used: each reproduce
+    row, swept, executes the same runs with byte-identical transcripts
+    on the catalog of only the facts its runs cited under every
+    assignment, subderivations included."""
+    rows = reproduce_rows(scripts)
+    assert len(rows) == 49
+    assert checks.cited_only_mismatches(catalog, scripts, rows) == []
+
+
+def test_an_uncited_read_fails_the_cited_only_replay(catalog, scripts,
+                                                     monkeypatch):
+    """Negative control: an S^3 tunnel that reads [iota_3, iota_3]
+    without citing it makes the rows that rely on it fail the replay."""
+    def uncited(ctx):
+        hit = ctx.product_value([Element.identity(sphere(3))] * 2)
+        return hit is not None and hit[0].is_zero()
+
+    monkeypatch.setattr(rewrite.RuleContext, "s3_hspace", uncited)
+    rows = [row for row in reproduce_rows(scripts) if row[0] == "pi6_L4m"]
+    failed = checks.cited_only_mismatches(catalog, scripts, rows)
+    assert [row[:2] for row in failed] == rows
 
 
 def test_no_citation_hook_outlives_a_run(catalog, scripts, tmp_path,
@@ -860,14 +885,14 @@ def test_each_text_is_compiled_once(monkeypatch, fresh_loads):
     for texts in tokenised.values():
         assert texts and len(texts) == len(set(texts))
     assert len(tokenised["_tokenize_expr"]) == \
-        terms.compile_int_expr.cache_info().currsize == 20
+        terms.compile_int_expr.cache_info().currsize == 21
     assert len(tokenised["_tokenize_term"]) == \
-        terms._term_tokens.cache_info().currsize == 78
+        terms._term_tokens.cache_info().currsize == 79
     for cache in caches:
         info = cache.cache_info()
         assert info.misses == info.currsize, cache   # nothing compiled twice
-    # evaluated far oftener: term_names 2,147 hits on 78 misses and
-    # compile_space 784 on 24 are the least, about 28 and 33 times
+    # evaluated far oftener: term_names 2,171 hits on 79 misses and
+    # compile_space 784 on 24 are the least, about 27 and 33 times
     for cache in (terms.compile_int_expr, terms.term_names,
                   terms.compile_space, kb.compile_guard):
         info = cache.cache_info()

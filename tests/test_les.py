@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from conechase import les, rewrite
-from conechase.kb import KbMissingFact
+from conechase.groups import TwoLocalGroup
+from conechase.kb import KbMissingFact, load_catalog
+from conechase.terms import sphere
 
 
 def value(catalog, env, head, params, text):
@@ -140,3 +142,22 @@ def test_strip_prefix_refuses_bracket_terms(catalog, env):
     assert pushed.render() == "[j_pL(3), jS5(3)]"
     with pytest.raises(les.LesError, match="does not factor through"):
         les.strip_prefix(pushed, p.parse("j_pL(3)"), ctx)
+
+
+def test_express_cites_the_bound_it_uses(tmp_path):
+    """A term outside the chart is reduced by its order bound and the
+    group exponent, and the bound's fact is cited whenever it is used,
+    even where the normal form kept the coefficient."""
+    path = tmp_path / "express.facts"
+    path.write_text("symbol aa : S5 -> S3\nsymbol bb : S5 -> S3\n"
+                    "fact group | S3 @ 5 | Z/4{aa} | paper | q | loc\n")
+    catalog = load_catalog(path)
+    env = {"sign": 1, "eps": 0, "x": 0, "y": 1}
+    ctx = catalog.rule_context(env)
+    p = catalog.parser(env)
+    pig = les.PiGroup(TwoLocalGroup([2]), sphere(3), 5,
+                      [(p.parse("bb"), (1,))])
+    vec, cited = ctx.citing(les.express, p.parse("bb + 2*aa"), pig, ctx)
+    assert vec == (1,) and [f.line for f in cited] == [3]
+    with pytest.raises(les.LesError, match="cannot express term aa"):
+        les.express(p.parse("aa"), pig, ctx)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import checks
 
 from conechase.terms import (
+    MAX_BITS,
     MAX_EXPONENT,
     Bracket,
     Element,
@@ -154,6 +155,7 @@ def test_compiled_int_expr_agrees_with_reading_it(text, r, m):
         with pytest.raises(TermError) as got:
             eval_int_expr(text, env)
         runtime = re.fullmatch(r"negative exponent|exponent \d+ is over \d+"
+                               r"|integer of \d+ bits is over \d+"
                                r"|unbound variable '\w+' in .*", str(e))
         try:
             compile_int_expr(text)
@@ -252,6 +254,25 @@ def test_exponents_are_bounded(catalog):
                 catalog.parser(env).parse(text)
         with pytest.raises(TermError, match=f"^exponent {e} is over "):
             eval_int_expr(f"3^{e}", {})
+
+
+def test_integers_are_bounded_in_bits(catalog):
+    """A power or a product longer than ``MAX_BITS`` bits is refused when
+    it is evaluated, in a term, in an integer argument and in a bare
+    integer expression alike, so no coefficient nears the 4,300 digits
+    Python refuses to print; a product of the bound's length evaluates."""
+    assert MAX_BITS == 1024
+    top = catalog.parser({}).parse("2^256*2^256*2^255*2^256*iota_2")
+    assert top == Element.identity(sphere(2)).scale(2 ** (MAX_BITS - 1))
+    for text, env, bits in (("100000000000000000000^256*iota_2", {}, 17009),
+                            ("2^256*2^256*2^256*2^256*iota_2", {}, 1025),
+                            ("2^r*2^256*2^256*2^256*iota_2", {"r": 256}, 1025),
+                            ("j_L(2^256*2^256*2^256*2^256)", {}, 1025)):
+        with pytest.raises(TermError, match=f"^integer of {bits} bits is "
+                                            f"over {MAX_BITS}$"):
+            catalog.parser(env).parse(text)
+    with pytest.raises(TermError, match="^integer of 1025 bits is over "):
+        eval_int_expr("2^256*2^256*2^256*2^256", {})
 
 
 def test_term_templates_are_keyed_by_the_names_the_env_binds(catalog):
@@ -405,8 +426,7 @@ def test_directly_built_values_equal_the_interned_ones(catalog):
     made = catalog.registry.make("j_L", (2,))
     copy = Sym(made.name, made.params, Space(made.source.kind,
                                              made.source.data),
-               made.target, made.order, made.is_susp, made.susp_name,
-               made.desusp_name)
+               made.target, made.is_susp, made.susp_name, made.desusp_name)
     assert copy is not made
     assert copy == made and hash(copy) == hash(made) and copy.key == made.key
     assert Word((copy,)) == Word((made,))
@@ -421,7 +441,7 @@ _TERMS = (
     Word((_ETA2,)),
     Word((_ETA2, deg_sym(3, 3))),
     Word((deg_sym(-1, 2), _ETA2)),
-    Word((Sym("eta_2", (), _S3, _S2, order=0),)),
+    Word((Sym("eta_2", (), _S3, _S2, is_susp=True),)),
     Bracket([Element.identity(_S2), Element.identity(_S2)]),
 )
 _sums = st.lists(st.tuples(st.sampled_from(range(len(_TERMS))),
