@@ -22,17 +22,16 @@ from collections import Counter
 
 from .derive import (
     CANONICAL_TOKENS,
+    STEP_ERRORS,
     AssertionMismatch,
-    DeriveError,
     Runner,
     default_catalog,
     load_scripts,
     reproduce_rows,
     scenarios,
 )
-from .groups import ExtensionUnresolved, GroupError
+from .groups import ExtensionUnresolved
 from .kb import KbError, KbMissingFact, load_catalog
-from .les import LesError
 from .terms import TermError
 from . import filtration
 
@@ -43,6 +42,9 @@ EXIT_ASSERTION = 4
 
 R_CAP = 62  # keeps 2^r inside a machine word for ports without big integers
 PARAM_MIN = {"r": 1, "m": 0}
+# what a command reports with an exit code; anything else is a bug and
+# surfaces as one, from every command alike
+ERRORS = STEP_ERRORS + (OSError,)
 
 
 def _param_ok(name: str, value: int) -> bool:
@@ -126,7 +128,7 @@ def _reproduce_one(runner, name, params):
         value = getattr(value, "group", value)       # a PiGroup's group
         return (value.render() if hasattr(value, "render") else str(value),
                 None)
-    except Exception as e:  # noqa: BLE001
+    except ERRORS as e:
         return None, e
 
 
@@ -222,8 +224,7 @@ def main(argv=None) -> int:
         spaces = sorted({space for space, _ in scenarios(load_scripts())})
         args = _parser(tuple(spaces)).parse_args(argv)
         return args.func(args)
-    except (KbError, GroupError, TermError, DeriveError, LesError,
-            OSError) as e:
+    except ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return _exit_code_for(e)
 

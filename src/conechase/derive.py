@@ -110,6 +110,7 @@ from .terms import (
     compile_int_expr,
     eval_int_expr,
     parse_space,
+    read_int,
 )
 from . import filtration, rewrite
 
@@ -123,7 +124,7 @@ class AssertionMismatch(DeriveError):
 
 
 # what a step may raise; ``Runner._execute`` prefixes it with the step
-_STEP_ERRORS = (DeriveError, LesError, KbError, GroupError, TermError)
+STEP_ERRORS = (DeriveError, LesError, KbError, GroupError, TermError)
 
 CANONICAL_TOKENS = {"sign": 1, "eps": 0, "x": 0, "y": 1}
 SWEEP_GRID = [  # CANONICAL_TOKENS first; ``Runner.run`` compares with it
@@ -226,7 +227,7 @@ def parse_script(text: str, name_hint: str = "") -> Script:
     script = Script(name, params, steps, header.get("require", ("",))[0])
     try:
         compile_guard(script.requires)
-    except KbError as e:
+    except (KbError, TermError) as e:
         raise DeriveError(f"{name}:{header['require'][1]}: {e}") from e
     if "computes" in header:
         text, script.computes_line = header["computes"]
@@ -248,7 +249,10 @@ def _rows(script: Script, text: str, lineno: int) -> Tuple[str, range]:
     in the script's domain."""
     where = f"{script.name}:{lineno}"
     m = _ROWS_RE.fullmatch(text)
-    values = m and range(int(m.group(2)), int(m.group(3)) + 1)
+    try:
+        values = m and range(read_int(m.group(2)), read_int(m.group(3)) + 1)
+    except TermError as e:
+        raise DeriveError(f"{where}: {e}") from e
     if not values:
         raise DeriveError(f"{where}: rows needs the form 'param=lo..hi' "
                           f"with lo <= hi")
@@ -268,7 +272,7 @@ def space_at(text: str, env: dict) -> Tuple[Space, int]:
     space, found, k = (part.strip() for part in text.partition("@"))
     if not found or not k.isdigit():
         raise DeriveError(f"{text!r} is not of the form 'space @ k'")
-    return parse_space(space, env), int(k)
+    return parse_space(space, env), read_int(k)
 
 
 def parse_group_literal(text: str):
@@ -576,7 +580,7 @@ class Runner:
             raise self._errors[failed]
         try:
             result = self._execute(name, env)
-        except _STEP_ERRORS as e:
+        except STEP_ERRORS as e:
             self._errors[failed] = e
             raise
         runs.append(result)
@@ -596,7 +600,7 @@ class Runner:
             try:
                 # ``params`` read only the run's own, which ``env`` shares
                 got = self._run_cached(script, _sub_env(env, params)).value
-            except _STEP_ERRORS:
+            except STEP_ERRORS:
                 return False
             if got is not value and self._key(got) != self._key(value):
                 return False
@@ -624,7 +628,7 @@ class Runner:
             if step.kind == "let":
                 try:
                     memo = self._let(key, idx, step, env, ctx, bindings)
-                except _STEP_ERRORS as e:
+                except STEP_ERRORS as e:
                     # errors carry the failing step's position
                     raise type(e)(
                         f"{name} step {idx} ({step.verb}): {e}") from e

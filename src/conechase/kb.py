@@ -5,7 +5,6 @@ fact per line, chosen so the provenance of every certified statement is
 diff-reviewable:
 
     symbol <name>[(vars)] : <source> -> <target> [susp] [susp_to=<name>]
-           [desusp=<name>]
     fibration <name>[(vars)] : [<class>] bottom=<word> [skeleton=<word>]
     fact <kind> | <subject> [? <guard>] | <payload> | <trust> | <quote> | <locator>
 
@@ -38,25 +37,27 @@ a run knows which tokens it read.
 Loading rejects a symbol whose parameters are not distinct names, whose
 name the term parser resolves as a built-in (``deg``, ``iota_n``,
 ``eta_n``, ``eta_k^j``), and a symbol or fibration line that gives a
-``key=value`` attribute twice.  It rejects a fact whose subject or
-payload names an undeclared symbol or uses a symbol with the wrong
-number of parameters, whose degree is not an integer, or whose subject
-or guard mentions a variable that matching cannot bind, and a boundary
-value or transport on an undeclared fibration or through an undeclared
-map.  It compiles each
-payload term under the names it will be instantiated with, the fact
-variables and the swept tokens it names, so a payload that does not
-parse is a load error too; the compiler reports the symbols the term
-resolves and the variables its integer arguments read, and those are
-checked.  Subjects, guards and payloads are split and compiled
-through process-wide tables keyed by their text (syntax only); what
-they match and build stays with the catalog and its registry.  The
-class of a boundary value or lift certificate is a fixed class of a
-sphere and takes no variables.
+``key=value`` attribute twice.  ``susp_to=`` declares a suspension pair
+once (``SymbolRegistry._check_susp_to``); the registry derives the
+inverse, which desuspends a symbol declared ``susp``.
 
-Facts that the rewrite engine can derive on its own (boundary values of
-suspension classes, for instance) must not be stored; a validation check
-enforces this.
+It rejects a fact whose subject or payload names an undeclared symbol or
+uses a symbol with the wrong number of parameters, whose degree is not
+an integer, or whose subject or guard mentions a variable that matching
+cannot bind, and a boundary value or transport on an undeclared
+fibration or through an undeclared map.  It compiles each payload term
+under the names it will be instantiated with, the fact variables and
+the swept tokens it names, so a payload that does not parse is a load
+error too; the compiler reports the symbols the term resolves and the
+variables its integer arguments read, and those are checked.  Subjects,
+guards and payloads are split and compiled through process-wide tables
+keyed by their text (syntax only); what they match and build stays with
+the catalog and its registry.  The class of a boundary value or lift
+certificate is a fixed class of a sphere and takes no variables.
+
+Facts that the rewrite engine can derive on its own must not be stored:
+loading refuses a boundary value on a class that ``rewrite.desuspend``,
+the test the boundary rule applies, desuspends.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ from .terms import (
     eval_int_expr,
     named,
     parse_space,
+    read_int,
     sphere,
     suspend_space,
     term_names,
@@ -112,7 +114,6 @@ class SymbolSpec:
     target_pat: str
     is_susp: bool = False
     susp_to: Optional[str] = None
-    desusp: Optional[str] = None
     line: int = 0
 
     @property
@@ -124,8 +125,7 @@ class SymbolSpec:
             f"symbol {_decl_head(self.name, self.vars)} : {self.source_pat} "
             f"-> {self.target_pat}",
             self.is_susp and "susp",
-            self.susp_to and f"susp_to={self.susp_to}",
-            self.desusp and f"desusp={self.desusp}"]))
+            self.susp_to and f"susp_to={self.susp_to}"]))
 
 
 @dataclass(frozen=True)
@@ -178,9 +178,7 @@ def _eta_sym(n: int) -> Sym:
     """The interned Hopf map: built in, so it belongs to no catalog."""
     if n < 2:
         raise KbError("eta_n needs n >= 2")
-    return Sym("eta_%d" % n, (), sphere(n + 1), sphere(n), is_susp=n >= 3,
-               susp_name=f"eta_{n + 1}",
-               desusp_name=f"eta_{n - 1}" if n >= 3 else None)
+    return Sym("eta_%d" % n, (), sphere(n + 1), sphere(n), is_susp=n >= 3)
 
 
 class SymbolRegistry:
@@ -194,7 +192,12 @@ class SymbolRegistry:
     pattern (``patterns``), keyed by the fact, every field and the line
     included.  So catalogs with the same declarations
     share one registry exactly: ``without_facts`` copies and views do,
-    and so do the loads that find it in ``_registry``."""
+    and so do the loads that find it in ``_registry``.
+
+    It is the one owner of the suspension relation: ``susp_to=`` declares
+    each pair once, and ``_desusp``, its inverse, is built from the
+    checked declarations before any symbol is made, so no symbol depends
+    on the order of the lines."""
 
     def __init__(self, declarations: tuple):
         self.specs = {}
@@ -202,11 +205,15 @@ class SymbolRegistry:
         self._symbols = {}        # (name, params) -> the one Sym made
         self._resolved = {}       # (name, params) -> the one Element made
         self.patterns = {}        # KbFact -> its FactPattern
+        self._desusp = {}         # susp_to= target -> the symbol naming it
         for lineno, text in declarations:
             if text.startswith("symbol "):
                 self._declare_symbol(lineno, text)
             else:
                 self._declare_fibration(lineno, text)
+        for spec in self.specs.values():
+            if spec.susp_to is not None:
+                self._check_susp_to(spec)
         for spec in self.fibrations.values():
             self._check_fibration(spec)
 
@@ -222,8 +229,8 @@ class SymbolRegistry:
             key, eq, value = tok.partition("=")
             if tok == "susp":
                 spec.is_susp = True
-            elif eq and key in _SYMBOL_ATTRS:
-                setattr(spec, _SYMBOL_ATTRS[key], value)
+            elif eq and key == "susp_to":
+                spec.susp_to = value
             else:
                 raise KbError(f"line {lineno}: bad symbol attribute {tok!r}")
         _keyed_once(words, lineno)
@@ -237,6 +244,33 @@ class SymbolRegistry:
             compile_space(tgt)
         except (KbError, TermError) as e:
             raise KbError(f"line {lineno}: {e}") from e
+
+    def _check_susp_to(self, spec: SymbolSpec):
+        """The symbol ``spec``'s ``susp_to=`` names must be declared, take
+        as many parameters, map between the suspended spaces with every
+        parameter 1, and be named by no other ``susp_to=``."""
+        image = self.specs.get(spec.susp_to)
+        try:
+            if image is None:
+                raise KbError(f"unknown symbol {spec.susp_to!r}")
+            if image.nvars != spec.nvars:
+                raise KbError(f"{image.name} takes {image.nvars} "
+                              f"parameter(s), not {spec.nvars}")
+            ends = [parse_space(pat, dict.fromkeys(s.vars, 1))
+                    for s in (spec, image)
+                    for pat in (s.source_pat, s.target_pat)]
+            want = [suspend_space(end) for end in ends[:2]]
+            if want != ends[2:]:
+                raise KbError(f"{image.name} maps {ends[2].key} -> "
+                              f"{ends[3].key}, not {want[0].key} -> "
+                              f"{want[1].key}")
+            other = self._desusp.setdefault(image.name, spec.name)
+            if other != spec.name:
+                raise KbError(f"{image.name} is already the suspension of "
+                              f"{other} (line {self.specs[other].line})")
+        except (KbError, TermError) as e:
+            raise KbError(f"line {spec.line}: susp_to={spec.susp_to}: {e}") \
+                from e
 
     def _declare_fibration(self, lineno: int, text: str):
         m = _FIBRATION_RE.match(text)
@@ -295,33 +329,26 @@ class SymbolRegistry:
         return TermParser(self.resolve, env).parse(text)
 
     def make(self, name: str, params: tuple) -> Sym:
-        """The symbol ``name(params)``, built once per registry."""
+        """The symbol ``name(params)``, built once per registry: ``deg``,
+        ``eta_n`` or a declared one, called as ``check_symbol`` requires.
+        A failed call keeps nothing."""
         params = tuple(params)
         s = self._symbols.get((name, params))
         if s is None:
+            self._check_call(name, params)
             s = self._symbols[(name, params)] = self._build(name, params)
         return s
 
     def _build(self, name: str, params: tuple) -> Sym:
-        m = _ETA.match(name)
-        if m:
-            if params:
-                raise KbError(f"{name} takes no parameters")
-            return _eta_sym(int(m.group(1)))
         if name == "deg":
-            if len(params) != 2:
-                raise KbError("deg expects 2 parameter(s)")
-            return deg_sym(params[0], params[1])
+            return deg_sym(*params)
         spec = self.specs.get(name)
         if spec is None:
-            raise KbMissingFact(f"KB fact required: unknown symbol {name!r}")
-        if len(params) != spec.nvars:
-            raise KbError(f"{name} expects {spec.nvars} parameter(s)")
+            return _eta_sym(read_int(_ETA.fullmatch(name).group(1)))
         env = dict(zip(spec.vars, params))
         src = parse_space(spec.source_pat, env)
         tgt = parse_space(spec.target_pat, env)
-        return Sym(name, params, src, tgt, is_susp=spec.is_susp,
-                   susp_name=spec.susp_to, desusp_name=spec.desusp)
+        return Sym(name, params, src, tgt, is_susp=spec.is_susp)
 
     def resolve(self, name: str, params: tuple) -> Element:
         """Resolver used by the term parser: the element of ``name(params)``,
@@ -333,12 +360,13 @@ class SymbolRegistry:
         return el
 
     def _element(self, name: str, params: tuple) -> Element:
-        m = _IOTA.match(name)
+        self._check_call(name, params)
+        m = _IOTA.fullmatch(name)
         if m:
-            return Element.identity(sphere(int(m.group(1))))
-        m = _ETA_POW.match(name)
+            return Element.identity(sphere(read_int(m.group(1))))
+        m = _ETA_POW.fullmatch(name)
         if m:
-            k, j = int(m.group(1)), int(m.group(2))
+            k, j = read_int(m.group(1)), read_int(m.group(2))
             # eta_k^j is the composite eta_k . eta_{k+1} . ... (j factors)
             return Element.from_term(
                 Word(tuple(_eta_sym(k + i) for i in range(j))))
@@ -346,23 +374,23 @@ class SymbolRegistry:
 
     def word_pattern(self, text: str):
         """(symbol names, argument expressions) of a word written in a
-        fact subject, each name resolved as the term parser resolves it.
-
-        An identity ``iota_n`` has the single name ``id(Sn)``.
-        """
+        fact subject, each name resolved as the term parser resolves it:
+        a factor without arguments is resolved, and carries the names of
+        its word (``rewrite.word_names``).  An identity ``iota_n`` has
+        the single name ``id(Sn)``, which a word of identities keeps."""
         names, exprs, ident = [], [], None
         for name, args in _word_factors(text):
-            iota, power = _IOTA.match(name), _ETA_POW.match(name)
-            if iota and not args:
-                ident = f"id(S{iota.group(1)})"
-            elif power and not args:
-                k, j = int(power.group(1)), int(power.group(2))
-                names.extend(_eta_sym(k + i).name for i in range(j))
-            else:
-                self.check_symbol(name, len(args))
+            self.check_symbol(name, len(args))
+            if args:
                 names.append(name)
                 exprs.extend(args)
-        return tuple(names) or (ident,), tuple(exprs)
+                continue
+            word = self.resolve(name, ()).terms[0][0]
+            if word.syms:
+                names.extend(rewrite.word_names(word))
+            else:
+                ident = rewrite.word_names(word)
+        return tuple(names) or ident, tuple(exprs)
 
     def _arity(self, name: str) -> Optional[int]:
         """The parameter count of the symbol the term parser resolves
@@ -381,22 +409,39 @@ class SymbolRegistry:
         if nargs != arity:
             raise KbError(f"{name} expects {arity} parameter(s)")
 
+    def _check_call(self, name: str, params: tuple) -> None:
+        """``check_symbol`` for a run: there an unknown name is a missing
+        fact."""
+        if self._arity(name) is None:
+            raise KbMissingFact(f"KB fact required: unknown symbol {name!r}")
+        self.check_symbol(name, len(params))
+
     def suspension_image(self, s: Sym) -> Optional[Sym]:
+        """Sigma of ``s``: ``deg(k,n+1)``, ``eta_(n+1)`` or the symbol its
+        declaration's ``susp_to=`` names; None for any other."""
         if s.name == "deg":
             return deg_sym(s.params[0], s.params[1] + 1)
-        if s.susp_name:
-            return self.make(s.susp_name, s.params)
+        spec = self.specs.get(s.name)
+        if spec is not None:
+            return spec.susp_to and self.make(spec.susp_to, s.params)
+        if _ETA.fullmatch(s.name):
+            return _eta_sym(s.target.data[0] + 1)
         return None
 
     def desuspension_image(self, s: Sym) -> Optional[Sym]:
+        """The symbol whose suspension is ``s``: ``deg(k,n-1)`` for n > 2,
+        and for a ``susp`` symbol ``eta_(n-1)`` or the symbol whose
+        ``susp_to=`` names it; None for any other."""
         if s.name == "deg":
             if s.params[1] <= 2:
                 return None
             return deg_sym(s.params[0], s.params[1] - 1)
         if not s.is_susp:
             return None
-        if s.desusp_name:
-            return self.make(s.desusp_name, s.params)
+        if s.name in self._desusp:
+            return self.make(self._desusp[s.name], s.params)
+        if _ETA.fullmatch(s.name):    # no declaration takes such a name
+            return _eta_sym(s.target.data[0] - 1)
         return None
 
 
@@ -469,7 +514,7 @@ def compile_guard(guard: str) -> tuple:
             raise KbError(f"bad guard {guard!r}")
         name, op, rhs = m.groups()
         clauses.append((name, _COMPARE[op],
-                        rhs if _VAR.fullmatch(rhs) else int(rhs)))
+                        rhs if _VAR.fullmatch(rhs) else read_int(rhs)))
     return tuple(clauses)
 
 
@@ -708,7 +753,7 @@ class KbCatalog:
             if not degree.isdigit():
                 raise KbError(f"degree {degree!r} is not an integer")
             (head,), exprs = _head(space)
-            names = (head, int(degree))
+            names = (head, read_int(degree))
             if not lift:
                 return FactPattern(f, "group", names, exprs,
                                    payload=cyclic_summands(payload))
@@ -720,12 +765,11 @@ class KbCatalog:
             if not sep:
                 raise KbError("boundary subject needs ':'")
             el = self._fixed_class(cls)
-            # a stored value on a suspension class duplicates what the
-            # boundary rule derives; refuse it
+            # a stored value on a class the boundary rule desuspends
+            # duplicates what the rule derives; refuse it
             sw = el.single_word()
-            if sw is not None and sw[0].syms and all(
-                    self.registry.desuspension_image(s) is not None
-                    for s in sw[0].syms):
+            if sw is not None and \
+                    rewrite.desuspend(sw[0], self.registry) is not None:
                 raise KbError(f"boundary value for suspension class "
                               f"{cls.strip()!r} is derivable and must not "
                               "be stored")
@@ -756,7 +800,7 @@ class KbCatalog:
                 raise KbError("an order bound k*word must equal 0")
             return FactPattern(f, "order",
                                *self.registry.word_pattern(m.group(2)),
-                               order=int(m.group(1)))
+                               order=read_int(m.group(1)))
         names, exprs = self.registry.word_pattern(subj)
         if names[0].startswith("id("):
             raise KbError(f"{f.kind} subject must be a nonempty word")
@@ -1012,7 +1056,7 @@ def _lift_payload(text: str) -> tuple:
     if not m:
         raise KbError(f"bad lift payload {text!r}")
     rel = m.group(3).strip() if m.group(3) else None
-    return ("lift", m.group(1), int(m.group(2)), rel)
+    return ("lift", m.group(1), read_int(m.group(2)), rel)
 
 
 def _space_head(space: Space):
@@ -1056,9 +1100,6 @@ _FIBRATION_RE = re.compile(
     r"^fibration\s+([A-Za-z][A-Za-z0-9_]*)(?:\(([^()]*)\))?\s*:\s*(.*)$")
 
 
-# the keyed attributes of a symbol line and the SymbolSpec fields they set
-_SYMBOL_ATTRS = {"susp_to": "susp_to", "desusp": "desusp"}
-
 
 def _keyed_once(words, lineno: int) -> None:
     """Refuse a declaration that gives a ``key=value`` attribute twice,
@@ -1087,7 +1128,8 @@ def load_catalog(path) -> KbCatalog:
     Errors name their line and come in this order: the lines read here
     (not UTF-8, a bad ``version``, a fact without five fields, an
     unrecognized line) in file order, then the declarations in file
-    order, each fibration's maps, and the facts in order.
+    order, each ``susp_to=`` in file order, each fibration's maps, and
+    the facts in order.
 
     >>> import tempfile, os
     >>> p = tempfile.NamedTemporaryFile("w", suffix=".facts", delete=False)

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 from .groups import GroupHom, IntMat, TwoLocalGroup
 from .kb import KbCatalog, KbMissingFact
-from .terms import Element, Space, Word, named, sphere, suspend_space
+from .terms import Element, Space, Word, named, suspend_space
 from . import rewrite
 
 
@@ -213,10 +213,10 @@ def boundary_value(cat: KbCatalog, env, fib: BoundaryRule, gen: Element,
     computations live.
     """
     sw = gen.single_word()
-    desusp = _try_desuspend(sw[0], ctx) if sw is not None else None
+    desusp = rewrite.desuspend(sw[0], ctx.registry) if sw is not None else None
     if desusp is not None:
         jf = rewrite.compose(fib.j_p, fib.f, ctx)
-        val = rewrite.compose(jf, Element.from_term(*desusp), ctx)
+        val = rewrite.compose(jf, Element.from_term(desusp), ctx)
         return rewrite.normalize(val.scale(sw[1]), ctx)
     hit = cat.boundary_fact(fib.head, fib.params, gen, env)
     if hit is not None:
@@ -236,21 +236,6 @@ def boundary_value(cat: KbCatalog, env, fib: BoundaryRule, gen: Element,
     raise KbMissingFact(
         f"KB fact required: boundary of {fiber} on "
         f"{gen.render()} (not a suspension, no stored value)")
-
-
-def _try_desuspend(word: Word, ctx):
-    syms = []
-    for s in word.syms:
-        img = ctx.registry.desuspension_image(s)
-        if img is None:
-            return None
-        syms.append(img)
-    if syms:
-        return (Word(tuple(syms)), 1)
-    sp = word.space
-    if sp.kind == "sphere" and sp.data[0] >= 3:
-        return (Word((), sphere(sp.data[0] - 1)), 1)
-    return None
 
 
 @dataclass

@@ -78,7 +78,7 @@ class RuleContext:
     view of the catalog share.
 
     ``registry`` is the catalog's symbol registry: suspension and
-    desuspension images.
+    desuspension images (``suspend``, ``desuspend``).
 
     Citations are the one record of what a computation used.  Every fact
     a computation consumes goes to ``cite``, which hands it to the hook
@@ -581,6 +581,25 @@ def suspend(e: Element, ctx: RuleContext) -> Element:
             syms.append(img)
         out = out + normalize_word(Word(syms, src), c, ctx)
     return out
+
+
+def desuspend(word: Word, registry) -> Optional[Word]:
+    """The word whose suspension is ``word`` (symbol by symbol through
+    ``registry.desuspension_image``; id(S^n) to id(S^(n-1)) for n >= 3),
+    or None.  The one test of which classes the boundary rule desuspends,
+    and so of which boundary values loading refuses to store."""
+    if not word.syms:
+        sp = word.space
+        if sp.kind == "sphere" and sp.data[0] >= 3:
+            return Word((), sphere(sp.data[0] - 1))
+        return None
+    syms = []
+    for s in word.syms:
+        img = registry.desuspension_image(s)
+        if img is None:
+            return None
+        syms.append(img)
+    return Word(syms)
 
 
 def resolve_triple(bracket_el: Element, ambient, ctx: RuleContext) -> Element:

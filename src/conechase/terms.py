@@ -136,11 +136,11 @@ def compile_space(text: str):
     that evaluates only its parameter expressions."""
     text = text.strip()
     if "v" in text and re.fullmatch(r"S\d+(vS\d+)+", text):
-        sp = wedge(*[int(p[1:]) for p in text.split("v")])
+        sp = wedge(*[read_int(p[1:]) for p in text.split("v")])
         return lambda env: sp
     m = re.fullmatch(r"S(\d+)", text)
     if m:
-        sp = sphere(int(m.group(1)))
+        sp = sphere(read_int(m.group(1)))
         return lambda env: sp
     m = _SPACE_RE.match(text)
     if not m:
@@ -150,7 +150,7 @@ def compile_space(text: str):
         else []
     m2 = re.fullmatch(r"P(\d+)", name)
     if m2 and params:
-        dim = int(m2.group(1))
+        dim = read_int(m2.group(1))
         # every parameter is evaluated, as reading the key did; the first
         # is the order
         return lambda env: moore(dim, [p(env) for p in params][0])
@@ -184,10 +184,24 @@ MAX_EXPONENT = 256
 MAX_BITS = 1024
 
 
+# the most digits a decimal literal may have: those of 2^MAX_BITS
+MAX_DIGITS = len(str(2**MAX_BITS))
+
+
 def _bounded(n: int) -> int:
     if n.bit_length() > MAX_BITS:
         raise TermError(f"integer of {n.bit_length()} bits is over {MAX_BITS}")
     return n
+
+
+def read_int(text: str) -> int:
+    """The decimal literal ``text``, as every text reads one: refused
+    before ``int`` reads it if over ``MAX_DIGITS`` digits long, and after
+    if over ``MAX_BITS`` bits."""
+    if len(text) > MAX_DIGITS:
+        raise TermError(f"integer literal of {len(text)} digits is over "
+                        f"{MAX_DIGITS}")
+    return _bounded(int(text))
 
 
 def _power(base: int, e: int) -> int:
@@ -251,7 +265,7 @@ def compile_int_expr(text: str):
         if t == "-":
             return _negate(atom())
         if t.isdigit():
-            return _const(int(t))
+            return _const(read_int(t))
         if not t[0].isalpha():
             # an operator where an atom belongs reads as a name no
             # environment binds, as it always has
@@ -312,8 +326,6 @@ class Sym:
     source: Space
     target: Space
     is_susp: bool = False
-    susp_name: Optional[str] = None   # symbol name of the suspension image
-    desusp_name: Optional[str] = None
 
     def __post_init__(self):
         if self.params:
@@ -856,7 +868,7 @@ class _TermCompiler:
         if t == "-":
             return _negate(self._int_atom())
         if t.isdigit():
-            return _const(int(t))
+            return _const(read_int(t))
         if t in self.scalars:
             return _variable(t, self.text)
         raise TermError(f"unbound scalar {t!r}")
@@ -879,7 +891,7 @@ class _TermCompiler:
             return 1, self._bracket()
         if t.isdigit() or t in self.scalars:
             self._eat()
-            v = _const(int(t)) if t.isdigit() else _variable(t, self.text)
+            v = _const(read_int(t)) if t.isdigit() else _variable(t, self.text)
             if self._peek() == "^":
                 self._eat("^")
                 v = _arith(_power, v, self._int_atom())

@@ -215,6 +215,20 @@ def test_filtration_refuses_an_integer_over_the_bound(capsys, f, bits):
     assert err == f"error: integer of {bits} bits is over 1024\n"
 
 
+def test_a_bug_surfaces_from_every_command(monkeypatch):
+    """``compute`` and ``reproduce`` report the same errors with an exit
+    code, ``cli.ERRORS``; anything else is a bug and surfaces from both,
+    rather than being reported by ``reproduce`` as a failed row."""
+    def broken(problem):
+        raise RuntimeError("broken solver")
+
+    monkeypatch.setattr(derive, "solve_extension", broken)
+    for argv in (["compute", "--space", "P3", "--k", "5", "--r", "1",
+                  "--no-sweep"], ["reproduce"]):
+        with pytest.raises(RuntimeError, match="broken solver"):
+            cli.main(argv)
+
+
 def test_filtration_rejects_nonsuspension(capsys):
     code, _, err = run_cli(capsys, "filtration", "--f", "j_L(2)", "--n", "2")
     assert code == cli.EXIT_VALIDATION
@@ -613,8 +627,20 @@ def test_mutated_declarations_exit_only_with_documented_codes(capsys,
      "line 12: bad symbol attribute 'order=4'"),
     ("susp_to=Sigma_nu'", "susp_to=Sigma_nu' susp_to=nu_4",
      "line 12: attribute susp_to= given twice"),
-    ("desusp=nu'", "desusp=nu' desusp=nu'", "line 13: attribute desusp= "
-     "given twice"),
+    # the inverse of ``susp_to=`` is derived, so ``desusp=`` is no attribute
+    ("S7 -> S4 susp\n", "S7 -> S4 susp desusp=nu'\n",
+     "line 13: bad symbol attribute \"desusp=nu'\""),
+    # ``susp_to=`` names a declared symbol with as many parameters, on the
+    # suspended spaces, that no other ``susp_to=`` names
+    ("susp_to=Sigma_nu'", "susp_to=Sigma_nux",
+     "line 12: susp_to=Sigma_nux: unknown symbol 'Sigma_nux'"),
+    ("susp_to=Sj1", "susp_to=Sigma_nu'",
+     "line 19: susp_to=Sigma_nu': Sigma_nu' takes 0 parameter(s), not 1"),
+    ("susp_to=Sigma_beta", "susp_to=Sj1",
+     "line 26: susp_to=Sj1: Sj1 maps S3 -> SigmaL4(1), not S6 -> SigmaL4(1)"),
+    ("S7 -> S4\n", "S7 -> S4\nsymbol nu'' : S6 -> S3 susp_to=Sigma_nu'\n",
+     "line 15: susp_to=Sigma_nu': Sigma_nu' is already the suspension of "
+     "nu' (line 12)"),
     # an abbreviation is a fold fact, so ``defn=`` is no attribute
     ("S2 -> F_pL(m)\n", "S2 -> F_pL(m) defn=j_F(m).j1_25\n",
      "line 23: bad symbol attribute 'defn=j_F(m).j1_25'"),
@@ -626,9 +652,9 @@ def test_mutated_declarations_exit_only_with_documented_codes(capsys,
 def test_symbol_declarations_are_checked_at_load(capsys, tmp_path, old, new,
                                                  error):
     """Parameters are distinct names, every attribute is a known one, no
-    declaration shadows a built-in, and no keyed attribute is given twice:
-    each is refused at load with exit 2, not met mid-chase or silently
-    ignored."""
+    declaration shadows a built-in, no keyed attribute is given twice, and
+    each ``susp_to=`` declares one suspension pair: each is refused at
+    load with exit 2, not met mid-chase or silently ignored."""
     assert SHIPPED_FACTS.count(old) == 1
     p = tmp_path / "decl.facts"
     p.write_text(SHIPPED_FACTS.replace(old, new))
@@ -775,6 +801,15 @@ def test_a_malformed_lift_payload_is_refused_at_load(capsys, tmp_path):
     ("eta_2.(", "expected a symbol name, got '(' in 'eta_2.('"),
     ("eta_2.", "unexpected end of input in 'eta_2.'"),
     ("2^r*iota_2 iota_2", "trailing tokens in '2^r*iota_2 iota_2'"),
+    # a built-in takes the parameter count loading checks, never drops one
+    ("2*iota_3(7)", "iota_3 expects 0 parameter(s)"),
+    ("2*eta_2^2(9).iota_4", "eta_2^2 expects 0 parameter(s)"),
+    ("2*eta_2(9)", "eta_2 expects 0 parameter(s)"),
+    # a decimal literal longer than any bounded integer is never read
+    *(pytest.param(f, "integer literal of 5000 digits is over 309", id=name)
+      for f, name in (("7" * 5000 + "*iota_2", "scalar literal"),
+                      ("deg(" + "7" * 5000 + ",2)", "deg literal"),
+                      ("eta_" + "7" * 5000, "eta literal"))),
 ])
 def test_filtration_reports_term_syntax_errors(capsys, text, message):
     code, out, err = run_cli(capsys, "filtration", "--f", text, "--n", "2",

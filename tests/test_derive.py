@@ -815,11 +815,23 @@ def test_an_extra_script_joins_the_scenarios_and_the_rows(scripts,
     ("rows m=3..2", "bad:4: rows needs the form"),
     ("rows m=1", "bad:4: rows needs the form"),
     ("rows", "bad:4: unrecognized line"),
+    # a decimal literal longer than any bounded integer, read nowhere
+    pytest.param("rows m=1.." + "7" * 5000, "bad:4: integer literal of 5000 "
+                 "digits is over 309", id="rows literal over the bound"),
+    pytest.param("computes L4(m) @ " + "7" * 5000, "bad:4: malformed computes "
+                 "line: integer literal", id="degree literal over the bound"),
 ])
 def test_malformed_headers_are_errors_with_their_line(line, match):
     with pytest.raises(DeriveError, match=match):
         parse_script(f"derivation bad\nparams m\nrequire m>=1\n{line}\n"
                      "return ans\n")
+
+
+def test_a_require_literal_over_the_bound_names_its_line():
+    with pytest.raises(DeriveError, match="^bad:3: integer literal of 5000 "
+                       "digits is over 309$"):
+        parse_script("derivation bad\nparams m\nrequire m>=" + "7" * 5000
+                     + "\nreturn ans\n")
 
 
 def test_scripts_are_checked_against_each_other(scripts):

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from conechase.kb import KbError, KbMissingFact, load_catalog
-from conechase.terms import parse_space, sphere, wedge
+from conechase.terms import Sym, parse_space, sphere, wedge
 
 
 def write(tmp_path, text, name="t.facts"):
@@ -53,23 +53,35 @@ def test_bad_trust_rejected(tmp_path):
 
 
 def test_derivable_boundary_value_rejected(tmp_path):
-    # a boundary value on a suspension class duplicates the connecting-map
-    # rule and must not be stored
-    text = ("symbol jj(r) : S2 -> F_p(r)\n"
-            "fact boundary_value | F_p(r) : eta_3 ? r>=1 | 0 "
-            "| paper | q | loc\n")
-    with pytest.raises(KbError, match="derivable"):
-        load_catalog(write(tmp_path, text))
+    # a boundary value on a class the connecting-map rule desuspends, an
+    # identity of S^3 included, duplicates the rule and must not be stored;
+    # one on iota_2, which it does not desuspend, loads
+    for cls, payload in (("eta_3", "0"), ("iota_3", "5*j_p(r).eta_2")):
+        text = ("symbol j_p(r) : S2 -> F_p(r)\n"
+                f"fact boundary_value | F_p(r) : {cls} ? r>=1 | {payload} "
+                "| paper | q | loc\n")
+        with pytest.raises(KbError, match=f"line 2: boundary value for "
+                           f"suspension class '{cls}' is derivable"):
+            load_catalog(write(tmp_path, text))
+    load_catalog(write(tmp_path, "symbol j_p(r) : S2 -> F_p(r)\nfact "
+                       "boundary_value | F_p(r) : iota_2 ? r>=1 | 0 | paper "
+                       "| q | loc\nfibration F_p(r) : 2^r*iota_2 "
+                       "bottom=j_p(r)\n"))
 
 
 def test_unresolvable_subjects_rejected_at_load(tmp_path):
     # a relation on an undeclared symbol, a non-integer degree, a wrong
-    # arity and a guard variable the subject cannot bind
+    # arity, a guard variable the subject cannot bind and a literal longer
+    # than any bounded integer
     for line, match in (
             ("fact relation | foo.eta_3 | 0", "unknown symbol 'foo'"),
             ("fact group | S2 @ x | Z/2{eta_2}", "not an integer"),
             ("fact relation | eta_3(r) | 0", "expects 0 parameter"),
-            ("fact group | S3 @ 4 ? r>=1 | Z/2{eta_3}", "r not bound")):
+            ("fact group | S3 @ 4 ? r>=1 | Z/2{eta_3}", "r not bound"),
+            ("fact group | S3 @ %s | 0" % ("7" * 5000),
+             "^line 1: integer literal of 5000 digits is over 309$"),
+            ("fact relation | %s*eta_3 | 0" % ("7" * 5000),
+             "^line 1: integer literal of 5000 digits is over 309$")):
         with pytest.raises(KbError, match=match):
             load_catalog(write(tmp_path, line + " | paper | q | loc\n"))
 
@@ -253,6 +265,33 @@ def test_degree_map_suspension_images(catalog, ctx, env):
     assert catalog.registry.desuspension_image(deg_sym(3, 2)) is None
 
 
+def test_eta_and_declared_suspension_images(catalog):
+    """eta_n suspends to eta_(n+1) and desuspends to eta_(n-1) from n = 3.
+    A declared pair is read off its one ``susp_to=``: nu' suspends to
+    Sigma_nu', which is declared ``susp`` and so desuspends to nu'.  Sj1
+    is the image of j_L but is not declared ``susp``, so it desuspends to
+    nothing; nor does j1_25, a ``susp`` symbol that no ``susp_to=``
+    names.  A symbol without ``susp_to=``, declared or not, has no
+    suspension image."""
+    reg = catalog.registry
+    eta2, eta3, eta4 = (reg.make(f"eta_{n}", ()) for n in (2, 3, 4))
+    assert reg.suspension_image(eta2) is eta3
+    assert reg.suspension_image(eta3) is eta4
+    assert reg.desuspension_image(eta4) is eta3
+    assert reg.desuspension_image(eta3) is eta2
+    assert reg.desuspension_image(eta2) is None
+    nu, snu = reg.make("nu'", ()), reg.make("Sigma_nu'", ())
+    assert reg.suspension_image(nu) is snu
+    assert reg.desuspension_image(snu) is nu
+    assert reg.desuspension_image(nu) is None
+    assert reg.suspension_image(reg.make("j_L", (2,))) is reg.make("Sj1",
+                                                                   (2,))
+    assert reg.desuspension_image(reg.make("Sj1", (2,))) is None
+    assert reg.desuspension_image(reg.make("j1_25", ())) is None
+    assert reg.suspension_image(snu) is None
+    assert reg.suspension_image(Sym("jY_1", (), sphere(3), sphere(2))) is None
+
+
 # ---------------------------------------------------------------------------
 # reuse of the previous load's registry
 # ---------------------------------------------------------------------------
@@ -382,6 +421,10 @@ def test_resolve_builds_each_element_once(tmp_path, fresh_loads):
             ("g", (), KbMissingFact, "KB fact required: unknown symbol 'g'"),
             ("f", (), KbError, "f expects 1 parameter(s)"),
             ("f", (1, 2), KbError, "f expects 1 parameter(s)"),
+            ("iota_3", (7,), KbError, "iota_3 expects 0 parameter(s)"),
+            ("eta_2^3", (9,), KbError, "eta_2^3 expects 0 parameter(s)"),
+            ("eta_3", (9,), KbError, "eta_3 expects 0 parameter(s)"),
+            ("deg", (3,), KbError, "deg expects 2 parameter(s)"),
             ("eta_1^2", (), KbError, "eta_n needs n >= 2")):
         for _ in range(2):
             with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -10,6 +10,7 @@ import checks
 
 from conechase.terms import (
     MAX_BITS,
+    MAX_DIGITS,
     MAX_EXPONENT,
     Bracket,
     Element,
@@ -24,6 +25,7 @@ from conechase.terms import (
     moore,
     named,
     parse_space,
+    read_int,
     sphere,
     wedge,
 )
@@ -275,6 +277,27 @@ def test_integers_are_bounded_in_bits(catalog):
         eval_int_expr("2^256*2^256*2^256*2^256", {})
 
 
+def test_literals_are_bounded_before_they_are_read(catalog):
+    """Every decimal literal is read by ``read_int``: one of over
+    ``MAX_DIGITS`` digits, the length of 2^MAX_BITS, is refused before
+    ``int`` reads it, and one of over ``MAX_BITS`` bits after, in a term,
+    a space key and an integer expression alike."""
+    assert MAX_DIGITS == len(str(2 ** MAX_BITS)) == 309
+    assert read_int(str(2 ** MAX_BITS - 1)) == 2 ** MAX_BITS - 1
+    with pytest.raises(TermError, match="^integer of 1025 bits is over "):
+        read_int(str(2 ** MAX_BITS))
+    long = "7" * (MAX_DIGITS + 1)
+    for read in (read_int, lambda t: eval_int_expr(t, {}),
+                 lambda t: parse_space(f"S{t}"), lambda t: parse_space(
+                     f"S2vS{t}"), lambda t: parse_space(f"P{t}(2)"),
+                 lambda t: catalog.parser({}).parse(f"{t}*iota_2"),
+                 lambda t: catalog.parser({}).parse(f"iota_{t}"),
+                 lambda t: catalog.parser({}).parse(f"eta_2^{t}")):
+        with pytest.raises(TermError, match="^integer literal of 310 digits "
+                                            "is over 309$"):
+            read(long)
+
+
 def test_term_templates_are_keyed_by_the_names_the_env_binds(catalog):
     """A text compiles to one template per set of names the environment
     binds: a bound name is a scalar and any other a symbol.  A template
@@ -302,6 +325,7 @@ def test_a_compiled_term_reads_the_name_of_a_power():
     ("deg(2,", "unterminated argument list"),
     ("2^q*eta_2", "unbound scalar 'q'"),
     ("7", "pure scalar where a homotopy class was expected"),
+    ("[iota_2, iota_3]", "bracket slots must share a target"),
 ])
 def test_term_syntax_errors(catalog, text, message):
     with pytest.raises(TermError, match=f"^{re.escape(message)}$"):
@@ -426,7 +450,7 @@ def test_directly_built_values_equal_the_interned_ones(catalog):
     made = catalog.registry.make("j_L", (2,))
     copy = Sym(made.name, made.params, Space(made.source.kind,
                                              made.source.data),
-               made.target, made.is_susp, made.susp_name, made.desusp_name)
+               made.target, made.is_susp)
     assert copy is not made
     assert copy == made and hash(copy) == hash(made) and copy.key == made.key
     assert Word((copy,)) == Word((made,))
