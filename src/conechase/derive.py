@@ -36,7 +36,9 @@ Every run records each step, every certified fact it consumed (with its
 citation), and the catalog digest; replays are byte-identical.  Runs are
 swept over the ambiguous tokens (sign, eps and the opaque integers x, y)
 and must produce identical groups for every assignment -- the group
-tables are independent of all of them.
+tables are independent of all of them.  A run is executed under its
+parameters and the rule context of its assignment, the one holder of
+the token values (``rewrite.RuleContext.values``).
 
 A script reads a swept token only through the facts it cites (one that
 names a token is rejected at parse time); ``rewrite.RuleContext`` gives
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -79,6 +82,7 @@ from .groups import (
 )
 from .kb import (
     SWEPT_TOKENS,
+    SWEPT_VALUES,
     KbCatalog,
     KbError,
     KbFact,
@@ -126,11 +130,10 @@ class AssertionMismatch(DeriveError):
 # what a step may raise; ``Runner._execute`` prefixes it with the step
 STEP_ERRORS = (DeriveError, LesError, KbError, GroupError, TermError)
 
-CANONICAL_TOKENS = {"sign": 1, "eps": 0, "x": 0, "y": 1}
+CANONICAL_TOKENS = {t: values[0] for t, values in SWEPT_VALUES.items()}
 SWEEP_GRID = [  # CANONICAL_TOKENS first; ``Runner.run`` compares with it
-    {"sign": s, "eps": e, "x": x, "y": y}
-    for s in (1, -1) for e in (0, 1) for x in (0, -1) for y in (1, -3)
-]
+    dict(zip(SWEPT_TOKENS, values))
+    for values in itertools.product(*SWEPT_VALUES.values())]
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +314,7 @@ TERM, TERMS, EXPR, SPACE, SPACE_AT, FIBRATION, SCRIPT = (
 @dataclass(frozen=True)
 class Verb:
     """What a verb takes and binds.  ``Runner._<verb>`` takes the args,
-    read, in order (an absent one as None), then ctx, env and lines."""
+    read, in order (an absent one as None), then the rule context."""
     args: Dict[str, str]                  # key -> kind
     result: Optional[str] = None          # a run's is its script's
     # optional keys, given all or none of a group; ``none`` is not given
@@ -437,7 +440,8 @@ class RunResult:
     """One execution of a script; ``reads`` and ``subs`` decide which
     other token assignments it serves (``Runner._serves``)."""
     script: str
-    env: dict                     # the environment it was executed under
+    env: dict                     # the parameters it was executed under
+    ctx: object                   # and the rule context of its assignment
     value: object                 # PiGroup | Element | int
     transcript: str
     consumed: List[KbFact]
@@ -468,17 +472,9 @@ class _StepMemo:
     inputs: tuple             # the values of ``Step.names``, in that order
 
 
-def _sub_env(env: dict, params: dict) -> dict:
-    """The environment of a ``run`` step's subderivation: the tokens of
-    ``env`` and the step's own parameters only, so that it shares its
-    cache entry with a run of the same parameters."""
-    return dict({t: env[t] for t in SWEPT_TOKENS}, **params)
-
-
-def _run_key(name: str, env: dict) -> tuple:
-    """A run's script and its parameters other than the swept tokens."""
-    return (name, tuple(sorted((k, v) for k, v in env.items()
-                               if k not in SWEPT_TOKENS)))
+def _run_key(name: str, params: dict) -> tuple:
+    """A run's script and its parameters."""
+    return name, tuple(sorted(params.items()))
 
 
 class Runner:
@@ -489,17 +485,18 @@ class Runner:
     result agrees with the first; the transcript records the canonical
     run.  Without the sweep it evaluates the canonical assignment alone.
 
-    Runs are cached by script and parameters.  A cached run serves every
-    token assignment that agrees with it on the tokens it read itself
-    (``RunResult.reads``) and under which each subderivation it ran,
-    asked again, returns the value it used (``_serves``); any other
-    assignment is executed.  This is early cutoff at the level of runs,
-    with subderivations as their dependencies: a run that reads no token
-    itself is executed once for every distinct set of values its
-    subderivations return, not once for every assignment of the tokens
-    they read.  Rule contexts are cached by token assignment, built when
-    a run is first executed under it, and shared by every script and
-    parameter.
+    Runs are cached by script and parameters, and executed under those
+    and the rule context of their token assignment (``_ctx``), the one
+    holder of the token values: contexts are cached by assignment, built
+    when a run is first executed under one, and shared by every script
+    and parameter.  A cached run serves every token assignment that
+    agrees with it on the tokens it read itself (``RunResult.reads``)
+    and under which each subderivation it ran, asked again, returns the
+    value it used (``_serves``); any other assignment is executed.  This
+    is early cutoff at the level of runs, with subderivations as their
+    dependencies: a run that reads no token itself is executed once for
+    every distinct set of values its subderivations return, not once for
+    every assignment of the tokens they read.
 
     A run that is executed replays each ``let`` step from the step memo
     (``_steps``) when an earlier evaluation of that step, under the same
@@ -517,11 +514,11 @@ class Runner:
     not be hit.
 
     An execution that raises is not cached as a run, but its error is
-    kept, by script and whole environment, until ``run`` returns or
+    kept, by script, parameters and assignment, until ``run`` returns or
     raises: asked again in that time, as ``_serves`` and then the
     caller's own ``run`` step ask, it raises the same error without
     executing again, which is exact since an execution is a function of
-    its environment.
+    its parameters and context.
     """
 
     def __init__(self, catalog: KbCatalog, scripts: Dict[str, Script]):
@@ -531,7 +528,7 @@ class Runner:
         self._ctx_cache: Dict[tuple, object] = {}
         self._steps: Dict[tuple, List[_StepMemo]] = {}
         self._keys: Dict[int, tuple] = {}   # id -> (value, _value_key)
-        # (script, environment) -> the error its execution raised
+        # (script, parameters, assignment) -> the error its execution raised
         self._errors: Dict[tuple, Exception] = {}
 
     # -- public -----------------------------------------------------------
@@ -540,7 +537,7 @@ class Runner:
         result = canonical = None
         try:
             for assign in SWEEP_GRID if sweep else (CANONICAL_TOKENS,):
-                got = self._run_cached(name, dict(params, **assign))
+                got = self._run_cached(name, params, assign)
                 comparable = _sweep_shape(got.value)
                 if result is None:
                     result, canonical = got, comparable
@@ -557,77 +554,76 @@ class Runner:
 
     # -- internals ----------------------------------------------------------
 
-    def _ctx(self, env):
-        """The cached rule context for the tokens of ``env``, shared by
-        every run: each step collects its own citations (``citing``), so
-        a ``run`` subderivation's stay in its own transcript."""
-        key = tuple(env[t] for t in SWEPT_TOKENS)
+    def _ctx(self, assign):
+        """The cached rule context of the token assignment ``assign``,
+        shared by every run: each step collects its own citations
+        (``citing``), so a ``run`` subderivation's stay in its own
+        transcript."""
+        key = tuple(assign[t] for t in SWEPT_TOKENS)
         ctx = self._ctx_cache.get(key)
         if ctx is None:
-            ctx = self.catalog.rule_context(env)
-            self._ctx_cache[key] = ctx
+            ctx = self._ctx_cache[key] = self.catalog.rule_context(assign)
         return ctx
 
-    def _run_cached(self, name: str, env: dict) -> RunResult:
-        """A cached run of ``name`` with the parameters of ``env`` that
-        serves ``env`` (``_serves``), or a new one."""
-        runs = self._cache.setdefault(_run_key(name, env), [])
+    def _run_cached(self, name: str, params: dict, assign: dict) -> RunResult:
+        """A cached run of ``name`` with ``params`` that serves the token
+        assignment ``assign`` (``_serves``), or a new one."""
+        key = _run_key(name, params)
+        runs = self._cache.setdefault(key, [])
         for hit in runs:
-            if self._serves(hit, env):
+            if self._serves(hit, assign):
                 return hit
-        failed = (name, tuple(sorted(env.items())))
+        failed = (key, tuple(sorted(assign.items())))
         if failed in self._errors:
             raise self._errors[failed]
         try:
-            result = self._execute(name, env)
+            result = self._execute(name, params, self._ctx(assign))
         except STEP_ERRORS as e:
             self._errors[failed] = e
             raise
         runs.append(result)
         return result
 
-    def _serves(self, hit: RunResult, env: dict) -> bool:
-        """Whether executing ``hit``'s script under ``env`` would give
-        ``hit``: ``env`` agrees with it on the tokens it read itself, and
-        each subderivation it ran, asked again under ``env``, returns the
-        value it used, the same object or one of equal ``_value_key``.
-        A subderivation that raises serves nothing: the caller is
-        executed, so that its ``run`` step reports the error, which
-        ``_run_cached`` raises again without executing."""
-        if any(hit.env[t] != env[t] for t in hit.reads):
+    def _serves(self, hit: RunResult, assign: dict) -> bool:
+        """Whether executing ``hit``'s script under ``assign`` would give
+        ``hit``: ``assign`` agrees with it on the tokens it read itself,
+        and each subderivation it ran, asked again under ``assign``,
+        returns the value it used, the same object or one of equal
+        ``_value_key``.  A subderivation that raises serves nothing: the
+        caller is executed, so that its ``run`` step reports the error,
+        which ``_run_cached`` raises again without executing."""
+        if any(hit.ctx.values[t] != assign[t] for t in hit.reads):
             return False
         for script, params, value in hit.subs:
             try:
-                # ``params`` read only the run's own, which ``env`` shares
-                got = self._run_cached(script, _sub_env(env, params)).value
+                got = self._run_cached(script, params, assign).value
             except STEP_ERRORS:
                 return False
             if got is not value and self._key(got) != self._key(value):
                 return False
         return True
 
-    def _execute(self, name: str, env: dict) -> RunResult:
+    def _execute(self, name: str, params: dict, ctx) -> RunResult:
         script = self.scripts.get(name)
         if script is None:
             raise DeriveError(f"unknown derivation script {name!r}")
         for p in script.params:
-            if p not in env:
+            if p not in params:
                 raise DeriveError(f"{name}: missing parameter {p!r}")
-        if script.requires and not guard_holds(script.requires, env):
+        if script.requires and not guard_holds(script.requires, params):
             raise DeriveError(f"{name}: parameters violate {script.requires!r}")
         facts: List[KbFact] = []
-        lines: List[str] = [f"derivation {name} "
-                            + " ".join(f"{p}={env[p]}" for p in script.params)]
-        ctx = self._ctx(env)
+        lines: List[str] = [f"derivation {name} " + " ".join(
+            f"{p}={params[p]}" for p in script.params)]
         subs = []
         bindings = {}
-        key = _run_key(name, env)
+        key = _run_key(name, params)
         ret: Optional[object] = None
         # ``_check_steps`` saw that each step reads bindings of its kinds
         for idx, step in enumerate(script.steps, start=1):
             if step.kind == "let":
                 try:
-                    memo = self._let(key, idx, step, env, ctx, bindings)
+                    memo = self._let(key, idx, step, params, ctx, bindings)
                 except STEP_ERRORS as e:
                     # errors carry the failing step's position
                     raise type(e)(
@@ -636,20 +632,20 @@ class Runner:
                 facts.extend(memo.facts)
                 bindings[step.name] = memo.value
                 if step.verb == "run":
-                    subs.append((*_read(step.plan, None, env, None),
+                    subs.append((*_read(step.plan, None, params, None),
                                  memo.value))
             elif step.kind == "check":
-                _, cited = ctx.citing(self._eval_step, step, env, ctx,
-                                      bindings, lines)
+                _, cited = ctx.citing(self._eval_step, step, params, ctx,
+                                      bindings)
                 facts.extend(cited)
                 lines.append(f"  step {idx}: {step.raw}  [ok]")
                 lines.extend(f"    uses {fact.note()}" for fact in cited)
             elif step.kind == "assert":
                 got = bindings[step.name].group
-                want = expected_group(step, env)
+                want = expected_group(step, params)
                 if got != want:
                     raise AssertionMismatch(
-                        f"{name}{_fmt_env(env, script.params)}: computed "
+                        f"{name}{_fmt_env(params, script.params)}: computed "
                         f"{got.render()} but expected {want.render()}")
                 lines.append(f"  step {idx}: {step.raw}  [ok]")
             else:
@@ -659,13 +655,14 @@ class Runner:
             raise DeriveError(f"{name}: no terminal group (missing return)")
         lines.append(f"  result: {ret.group.render()}" if isinstance(
             ret, PiGroup) else f"  result: {_render_value(ret)}")
-        return RunResult(name, dict(env), ret, "\n".join(lines) + "\n", facts,
+        return RunResult(name, dict(params), ctx, ret,
+                         "\n".join(lines) + "\n", facts,
                          frozenset().union(*(f.tokens for f in facts)),
                          tuple(subs))
 
-    def _let(self, key, idx, step, env, ctx, bindings) -> _StepMemo:
+    def _let(self, key, idx, step, params, ctx, bindings) -> _StepMemo:
         """Step ``idx`` of the run ``key``, a ``let``: a memoised evaluation
-        that agrees with ``env`` on every token it read and whose inputs,
+        that agrees with ``ctx`` on every token it read and whose inputs,
         the bindings the step names, had values equal to theirs now; or a
         new one.
 
@@ -679,24 +676,28 @@ class Runner:
         replayed binding is the very value of its memo, and by
         ``_value_key`` only when that fails.  A ``run`` step is evaluated
         every time and not kept: its value is the subderivation's, which
-        ``_run_cached`` serves.
+        ``_run_cached`` serves, and its lines start with the one naming it.
         """
-        inputs = tuple(map(bindings.get, step.names))
+        inputs, tokens = tuple(map(bindings.get, step.names)), ctx.values
         entries = self._steps.setdefault(key + (step.line,), [])
         for memo in entries:
-            if all(env[t] == v for t, v in memo.reads.items()) and all(
+            if all(tokens[t] == v for t, v in memo.reads.items()) and all(
                     a is b or self._key(a) == self._key(b)
                     for a, b in zip(memo.inputs, inputs)):
                 return memo
-        lines: List[str] = []
-        value, facts = ctx.citing(self._eval_step, step, env, ctx, bindings,
-                                  lines)
+        value, facts = ctx.citing(self._eval_step, step, params, ctx,
+                                  bindings)
         read = frozenset().union(*(f.tokens for f in facts))
+        lines = []
+        if step.verb == "run":
+            script, sub = _read(step.plan, None, params, None)
+            lines.append(f"    (subderivation {script} {sub} -> "
+                         f"{_render_value(value)})")
         lines.append(f"  step {idx}: {step.raw}")
         lines.append(f"    = {_render_value(value)}")
         lines.extend(f"    uses {fact.note()}" for fact in facts)
         memo = _StepMemo(value, tuple(lines), tuple(facts),
-                         {t: env[t] for t in read}, inputs)
+                         {t: tokens[t] for t in read}, inputs)
         if step.verb != "run":    # ``_run_cached`` is the memo of runs
             entries.append(memo)
         return memo
@@ -712,15 +713,15 @@ class Runner:
 
     # -- verbs: see ``Verb`` ---------------------------------------------
 
-    def _eval_step(self, step, env, ctx, bindings, lines):
+    def _eval_step(self, step, params, ctx, bindings):
         """Apply the verb of ``step`` to the arguments its plan reads."""
         return getattr(self, "_" + step.verb)(
-            *_read(step.plan, self.catalog, env, bindings), ctx, env, lines)
+            *_read(step.plan, self.catalog, params, bindings), ctx)
 
-    def _group(self, space, k, ctx, env, *_):
-        return pi_group_from_fact(self.catalog, env, space, k, ctx)
+    def _group(self, space, k, ctx):
+        return pi_group_from_fact(self.catalog, space, k, ctx)
 
-    def _fiber_group(self, fib, k, attach, ctx, env, *_) -> PiGroup:
+    def _fiber_group(self, fib, k, attach, ctx) -> PiGroup:
         """pi_k of a fiber, read off its declared wedge skeleton, which must
         be the filtration stage holding every cell of dimension <= k+1."""
         key, space = fib
@@ -733,28 +734,25 @@ class Runner:
         if st.space != skeleton.source:
             raise DeriveError(
                 f"unexpected fiber skeleton {st.space_name} for {key}")
-        base = pi_group_from_fact(self.catalog, env, st.space, k, ctx)
+        base = pi_group_from_fact(self.catalog, st.space, k, ctx)
         return push_forward(base, skeleton, skeleton.target, ctx)
 
-    def _run(self, script, params, _ctx, env, lines):
-        sub = self._run_cached(script, _sub_env(env, params))
-        lines.append(f"    (subderivation {script} {params} -> "
-                     f"{_render_value(sub.value)})")
-        return sub.value
+    def _run(self, script, params, ctx):
+        return self._run_cached(script, params, ctx.values).value
 
-    def _boundary(self, fib, k, target, strip, attach, ctx, env, *_):
+    def _boundary(self, fib, k, target, strip, attach, ctx):
         rule = fibration(self.catalog, *fib[1].data, attach=attach)
-        source = pi_group_from_fact(self.catalog, env, rule.base, k, ctx)
-        return boundary_hom(self.catalog, env, rule, k, source, target, ctx,
+        source = pi_group_from_fact(self.catalog, rule.base, k, ctx)
+        return boundary_hom(self.catalog, rule, k, source, target, ctx,
                             strip=strip)
 
-    def _cokernel(self, of, *_):
+    def _cokernel(self, of, _ctx):
         if of.hom is None:
             raise DeriveError("cokernel needs a materialized target")
         g, proj = group_cokernel(of.hom)
         return derived_pi_group(of.target, g, proj)
 
-    def _kernel(self, of, *_):
+    def _kernel(self, of, _ctx):
         if of.hom is None:
             if not of.is_zero():
                 raise DeriveError("kernel of a non-materialized boundary")
@@ -770,48 +768,48 @@ class Runner:
         return PiGroup(g.with_labels([p[0].render() for p in protos]),
                        of.source.space, of.source.degree, protos)
 
-    def _push(self, of, via, space, ctx, *_):
+    def _push(self, of, via, space, ctx):
         return push_forward(of, via, space, ctx)
 
-    def _quotient(self, of, by, push, space, ctx, *_):
+    def _quotient(self, of, by, push, space, ctx):
         g, proj = quotient_by_elements(of.group, [list(express(by, of, ctx))])
         out = derived_pi_group(of, g, proj)
         return out if push is None else push_forward(out, push, space, ctx)
 
-    def _stage_bracket(self, f, stage, ctx, *_):
+    def _stage_bracket(self, f, stage, ctx):
         model = filtration.build_filtration(filtration.MapSpec(f), stage, ctx)
         gamma = model.stages[stage - 1].gamma
         if gamma is None:
             raise DeriveError("stage 1 has no attaching class")
         return gamma
 
-    def _push_bracket(self, mapel, of, ctx, *_):
+    def _push_bracket(self, mapel, of, ctx):
         return rewrite.naturality_push(mapel, of, ctx)
 
-    def _restrict_bracket(self, of, by, ctx, *_):
+    def _restrict_bracket(self, of, by, ctx):
         return rewrite.bracket_restrict(of, by, ctx)
 
-    def _resolve_triple(self, of, ambient, ctx, env, *_):
-        group = pi_group_from_fact(self.catalog, env, *ambient, ctx)
+    def _resolve_triple(self, of, ambient, ctx):
+        group = pi_group_from_fact(self.catalog, *ambient, ctx)
         return rewrite.resolve_triple(of, group.group, ctx)
 
-    def _pair_map(self, first, second, *_):
+    def _pair_map(self, first, second, _ctx):
         return Element.from_term(Word((Pair(first, second),)))
 
-    def _whitehead(self, space, right, ctx, *_):
+    def _whitehead(self, space, right, ctx):
         return rewrite.whitehead(Element.identity(space), right, ctx)
 
-    def _scaled_generator(self, group, gen, coeff, ctx, *_):
+    def _scaled_generator(self, group, gen, coeff, ctx):
         i = _find_generator(group, gen, ctx)
         return rewrite.normalize(group.generator_element(i).scale(coeff), ctx)
 
-    def _assert_coeff(self, value, want, *_):
+    def _assert_coeff(self, value, want, _ctx):
         if abs(value) != want:
             raise AssertionMismatch(
                 f"coefficient {value} does not have absolute value {want}")
         return value
 
-    def _check(self, mapel, withel, want, ctx, *_):
+    def _check(self, mapel, withel, want, ctx):
         """Verify a composition identity on the nose (commuting square)."""
         lhs = rewrite.normalize(rewrite.compose(mapel, withel, ctx), ctx)
         rhs = rewrite.normalize(want, ctx)
@@ -819,7 +817,7 @@ class Runner:
             raise AssertionMismatch(
                 f"check failed: {lhs.render()} != {rhs.render()}")
 
-    def _extension(self, sub, quot, certs, ctx, env, *_) -> PiGroup:
+    def _extension(self, sub, quot, certs, ctx) -> PiGroup:
         if quot.group.is_trivial():
             return sub
         if certs is None:
@@ -832,7 +830,7 @@ class Runner:
         lifts = []
         for i in range(quot.group.rank):
             gen = quot.generator_element(i)
-            found = self._find_lift(space, degree, gen, env, ctx)
+            found = self._find_lift(space, degree, gen, ctx)
             if found is None:
                 raise ExtensionUnresolved(
                     f"extension unresolved: no lift certificate for "
@@ -854,9 +852,9 @@ class Runner:
             protos.append((rewrite.normalize(lift_el, ctx), chart.apply(unit)))
         return PiGroup(group, sub.space, sub.degree, protos)
 
-    def _find_lift(self, space, degree, gen, env, ctx):
+    def _find_lift(self, space, degree, gen, ctx):
         """(lift element, order, relation element or None) from the catalog."""
-        for cert, penv in self.catalog.lift_certificates(space, degree, env):
+        for cert, penv in self.catalog.lift_certificates(space, degree, ctx):
             if rewrite.normalize(cert.element, ctx).key() != \
                     rewrite.normalize(gen, ctx).key():
                 continue
@@ -865,7 +863,7 @@ class Runner:
                 _, via_text, base_text = cert.payload
                 via = self.catalog.parse_element(via_text, penv)
                 base_space = parse_space(base_text, penv)
-                base = self._find_lift(base_space, degree, gen, env, ctx)
+                base = self._find_lift(base_space, degree, gen, ctx)
                 if base is None:
                     raise ExtensionUnresolved(
                         f"extension unresolved: transported certificate for "
@@ -885,7 +883,7 @@ class Runner:
             return rewrite.normalize(lift_el, ctx), order, rel_el
         return None
 
-    def _solve_free(self, base, target, mapel, free_gen, value, ctx, *_):
+    def _solve_free(self, base, target, mapel, free_gen, value, ctx):
         """Coefficient of the free generator from a comparison-map equation.
 
         The comparison map kills every torsion generator (checked), so
@@ -917,13 +915,13 @@ class Runner:
             raise DeriveError(f"inconsistent coefficient candidates {qs}")
         return qs.pop()
 
-    def _suspension_kill(self, base, target, free_gen, b, ctx, env, *_):
+    def _suspension_kill(self, base, target, free_gen, b, ctx):
         """Solve Sigma(a*g1 + b*free + c*g3) = 0 over the torsion coefficients.
 
         Returns the unique (a, c, ...) assignment; raises when the kill is
         not unique or nonzero coefficients are forced.
         """
-        target = pi_group_from_fact(self.catalog, env, *target, ctx)
+        target = pi_group_from_fact(self.catalog, *target, ctx)
         free_i = _find_generator(base, free_gen, ctx)
         torsion = [i for i in range(base.group.rank)
                    if i != free_i and base.group.orders[i] != 0]

@@ -28,11 +28,12 @@ binds to the value in its position (consistently where it occurs twice),
 ``2^v`` binds ``v`` to the exponent of a power of two, and any other
 expression, a digit included, must evaluate to the value once its
 variables are bound; then the guard must hold.  The payload is parsed
-with that binding plus the run's values of the global tokens it
-mentions: sign (+-1), eps (0/1) and the opaque integers x, y (y odd).
-Derivations are swept over those tokens and must not depend on them; a
-fact records which of them its payload mentions (``KbFact.tokens``), so
-a run knows which tokens it read.
+with that binding plus the values that the lookup's rule context (the
+one holder of token values) gives the swept tokens it mentions: sign
+(+-1), eps (0/1) and the opaque integers x, y (y odd).  Derivations are
+swept over those tokens and must not depend on them; a fact records
+which of them its payload mentions (``KbFact.tokens``), so a run knows
+which tokens it read.
 
 Loading rejects a symbol whose parameters are not distinct names, whose
 name the term parser resolves as a built-in (``deg``, ``iota_n``,
@@ -72,6 +73,7 @@ from typing import Optional
 
 from .groups import TwoLocalGroup, canonical_order, strip_odd
 from .terms import (
+    MAX_EXPONENT,
     Bracket,
     Element,
     Space,
@@ -367,6 +369,8 @@ class SymbolRegistry:
         m = _ETA_POW.fullmatch(name)
         if m:
             k, j = read_int(m.group(1)), read_int(m.group(2))
+            if j > MAX_EXPONENT:
+                raise TermError(f"exponent {j} is over {MAX_EXPONENT}")
             # eta_k^j is the composite eta_k . eta_{k+1} . ... (j factors)
             return Element.from_term(
                 Word(tuple(_eta_sym(k + i) for i in range(j))))
@@ -452,7 +456,9 @@ class SymbolRegistry:
 VALID_KINDS = ("group", "relation", "boundary_value", "lift_certificate",
                "suspension_value", "map_identity")
 VALID_TRUST = ("paper", "classical_table", "derived")
-SWEPT_TOKENS = ("sign", "eps", "x", "y")
+# each swept token and the values the sweep gives it, the canonical first
+SWEPT_VALUES = {"sign": (1, -1), "eps": (0, 1), "x": (0, -1), "y": (1, -3)}
+SWEPT_TOKENS = tuple(SWEPT_VALUES)
 _SWEPT_TOKEN = re.compile(r"(?<!\w)(%s)(?!\w)" % "|".join(SWEPT_TOKENS))
 
 
@@ -606,15 +612,6 @@ def _slot(expr: str) -> tuple:
     if _VAR.fullmatch(expr):
         return "var", expr
     return "expr", compile_int_expr(expr)
-
-
-def _payload_env(env: dict, bound: dict, fact: KbFact) -> dict:
-    """A fact's own variables plus the run's values of the swept tokens
-    its payload mentions: a token the scan missed fails to parse instead
-    of being read unrecorded."""
-    out = {t: env[t] for t in fact.tokens if t in env}
-    out.update(bound)
-    return out
 
 
 class KbCatalog:
@@ -821,19 +818,22 @@ class KbCatalog:
 
     # -- lookups ----------------------------------------------------------------
 
-    def _matches(self, rule: str, names: tuple, values: tuple):
-        """(pattern, binding) of each fact whose subject matches, in file
-        order."""
+    def _matches(self, rule: str, names: tuple, values: tuple, tokens):
+        """(pattern, payload environment) of each fact whose subject
+        matches, in file order: its variables plus the values ``tokens``
+        gives the swept tokens its payload mentions, so a token the scan
+        missed fails to parse instead of being read unrecorded."""
         for pat in self._patterns.get((rule, names), ()):
             bound = pat.bind(values)
             if bound is not None:
-                yield pat, bound
+                yield pat, dict({t: tokens[t] for t in pat.fact.tokens
+                                 if t in tokens}, **bound)
 
-    def group_fact(self, space: Space, k: int, env: dict):
+    def group_fact(self, space: Space, k: int, ctx):
         """(TwoLocalGroup with labels, basis elements, fact) for pi_k(space)."""
         head, params = _space_head(space)
-        for pat, bound in self._matches("group", (head, k), params):
-            return self._build_group(pat, _payload_env(env, bound, pat.fact))
+        for pat, penv in self._matches("group", (head, k), params, ctx.values):
+            return self._build_group(pat, penv)
         raise KbMissingFact(f"KB fact required: pi_{k}({space.key})")
 
     def _build_group(self, pat: FactPattern, env: dict):
@@ -850,18 +850,17 @@ class KbCatalog:
         return TwoLocalGroup(orders, labels), elements, pat.fact
 
     def boundary_fact(self, fib_key_head: str, fib_params: tuple,
-                      element: Element, env: dict):
+                      element: Element, ctx):
         """Stored boundary value for a non-suspension class, or None."""
-        for pat, bound in self._matches("boundary", (fib_key_head,),
-                                        fib_params):
+        for pat, penv in self._matches("boundary", (fib_key_head,),
+                                       fib_params, ctx.values):
             if pat.element.key() != element.key():
                 continue
             if pat.fact.payload.strip() == "0":
                 src = sphere(element.source.data[0] - 1)
                 value = Element.zero(src, named(fib_key_head, *fib_params))
             else:
-                value = self.parse_element(
-                    pat.fact.payload, _payload_env(env, bound, pat.fact))
+                value = self.parse_element(pat.fact.payload, penv)
             return value, pat.fact
         return None
 
@@ -870,19 +869,18 @@ class KbCatalog:
         None) of the declared fibration ``name(params)``."""
         return self.registry.fibration_maps(name, params, self.parse_element)
 
-    def lift_certificates(self, space: Space, k: int, env: dict):
+    def lift_certificates(self, space: Space, k: int, ctx):
         """(pattern, payload environment) of each lift certificate for
         pi_k(space), in file order.  ``pattern.element`` is the class
         lifted; ``pattern.payload`` is ("transport", map, base space) or
         ("lift", lift, order, relation or None)."""
         head, params = _space_head(space)
-        for pat, bound in self._matches("lift", (head, k), params):
-            yield pat, _payload_env(env, bound, pat.fact)
+        yield from self._matches("lift", (head, k), params, ctx.values)
 
-    def boundary_transport(self, fib_head: str, fib_params: tuple, env: dict):
+    def boundary_transport(self, fib_head: str, fib_params: tuple, ctx):
         """(comparison map element, base fibration head/params) or None."""
-        for pat, bound in self._matches("transport", (fib_head,), fib_params):
-            penv = _payload_env(env, bound, pat.fact)
+        for pat, penv in self._matches("transport", (fib_head,), fib_params,
+                                       ctx.values):
             via, base_head, base_exprs = pat.payload
             return (self.parse_element(via, penv), base_head,
                     tuple(eval_int_expr(a, penv) for a in base_exprs),
@@ -892,17 +890,18 @@ class KbCatalog:
     # -- rule context ------------------------------------------------------------
 
     def rule_context(self, env: dict) -> rewrite.RuleContext:
-        """Rewrite rules for the swept-token values in ``env``, matched
-        against the catalog on first use.  A rule reads nothing else of a
-        run's environment, so one context serves every run that agrees
-        on the tokens.  Every context of the catalog shares its memo of
+        """The rule context of the swept-token values in ``env`` (its
+        other keys are ignored): the one carrier of token values, read by
+        its rewrite rules, matched against the catalog on first use, and
+        by every lookup given it.  One context serves every run under its
+        assignment.  Every context of the catalog shares its memo of
         normal forms."""
         tokens = {t: env[t] for t in SWEPT_TOKENS if t in env}
         return rewrite.RuleContext(self.registry, self._rule, self._patterns,
                                    self._plans, self._orders, tokens,
                                    self._normal_forms)
 
-    def _rule(self, kind: str, term, env: dict):
+    def _rule(self, kind: str, term, tokens: dict):
         """(rhs, fact) of the first fact of a rewrite kind whose subject
         matches ``term`` (a word, or the slots of a product), or None."""
         if kind == "order":
@@ -914,9 +913,8 @@ class KbCatalog:
         else:
             words, names, lhs = [term], rewrite.word_names(term), term
         values = tuple(p for w in words for s in w.syms for p in s.params)
-        for pat, bound in self._matches(kind, names, values):
-            return self._rhs(pat, lhs, _payload_env(env, bound, pat.fact)), \
-                pat.fact
+        for pat, penv in self._matches(kind, names, values, tokens):
+            return self._rhs(pat, lhs, penv), pat.fact
         return None
 
     def _order_bound(self, word: Word):

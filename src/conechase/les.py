@@ -59,7 +59,7 @@ class PiGroup:
         raise LesError(f"no prototype for generator {i} of {self.group.render()}")
 
 
-def pi_group_from_fact(cat: KbCatalog, env, space: Space, k: int,
+def pi_group_from_fact(cat: KbCatalog, space: Space, k: int,
                        ctx) -> PiGroup:
     """A homotopy group from the catalog (plus the Hurewicz and
     connectivity conventions on spheres).  The degree is at least 1: the
@@ -73,7 +73,7 @@ def pi_group_from_fact(cat: KbCatalog, env, space: Space, k: int,
         if k == n:
             g = TwoLocalGroup([0], [f"iota_{n}"])
             return PiGroup(g, space, k, [(Element.identity(space), (1,))])
-    group, elements, fact = cat.group_fact(space, k, env)
+    group, elements, fact = cat.group_fact(space, k, ctx)
     protos = []
     normed = []
     for i, el in enumerate(elements):
@@ -204,8 +204,8 @@ def fibration(cat: KbCatalog, head: str, params: tuple,
     return BoundaryRule(head, params, f, j_p, suspend_space(f.source))
 
 
-def boundary_value(cat: KbCatalog, env, fib: BoundaryRule, gen: Element,
-                   ctx, _raw: bool = False) -> Element:
+def boundary_value(cat: KbCatalog, fib: BoundaryRule, gen: Element, ctx,
+                   _raw: bool = False) -> Element:
     """Value of the connecting map on one generator of pi_k(base).
 
     A suspension class goes to j_p . f . (desuspension); any other class
@@ -218,19 +218,19 @@ def boundary_value(cat: KbCatalog, env, fib: BoundaryRule, gen: Element,
         jf = rewrite.compose(fib.j_p, fib.f, ctx)
         val = rewrite.compose(jf, Element.from_term(desusp), ctx)
         return rewrite.normalize(val.scale(sw[1]), ctx)
-    hit = cat.boundary_fact(fib.head, fib.params, gen, env)
+    hit = cat.boundary_fact(fib.head, fib.params, gen, ctx)
     if hit is not None:
         value, fact = hit
         ctx.cite(fact)
         # keep the stored spelling when a comparison map will be composed
         # on: its rewrite rule matches the unexpanded bottom inclusion
         return value if _raw else rewrite.normalize(value, ctx)
-    tr = cat.boundary_transport(fib.head, fib.params, env)
+    tr = cat.boundary_transport(fib.head, fib.params, ctx)
     if tr is not None:
         via, base_head, base_params, fact = tr
         ctx.cite(fact)
         base_fib = fibration(cat, base_head, base_params)
-        base_val = boundary_value(cat, env, base_fib, gen, ctx, _raw=True)
+        base_val = boundary_value(cat, base_fib, gen, ctx, _raw=True)
         return rewrite.normalize(rewrite.compose(via, base_val, ctx), ctx)
     fiber = named(fib.head, *fib.params).key
     raise KbMissingFact(
@@ -251,7 +251,7 @@ class Boundary:
         return all(v.is_zero() for v in self.values)
 
 
-def boundary_hom(cat: KbCatalog, env, fib: BoundaryRule, k: int,
+def boundary_hom(cat: KbCatalog, fib: BoundaryRule, k: int,
                  source_pig: PiGroup, target_pig: Optional[PiGroup],
                  ctx, strip: Optional[Element] = None) -> Boundary:
     """Assemble the connecting map pi_k(base) -> pi_(k-1)(fiber).
@@ -267,7 +267,7 @@ def boundary_hom(cat: KbCatalog, env, fib: BoundaryRule, k: int,
     values = []
     for i in range(source_pig.group.rank):
         gen = source_pig.generator_element(i)
-        v = boundary_value(cat, env, fib, gen, ctx)
+        v = boundary_value(cat, fib, gen, ctx)
         if strip is not None and not v.is_zero():
             v = strip_prefix(v, strip, ctx)
         values.append(v)

@@ -66,7 +66,9 @@ class RuleContext:
 
     ``lookup(kind, term, values)`` returns ``(rhs, fact)`` for the first
     catalog fact of that kind whose subject matches ``term``, or None;
-    ``values`` maps each swept token to its value in this assignment.  The
+    ``values`` maps each swept token to its value in this assignment, and
+    no other object holds a run's token values: the catalog's lookups
+    and ``derive.Runner`` read them from the context.  The
     kinds are ``word`` (a rule rewriting exactly these symbols), ``susp``
     (the suspension of a whole word), ``order`` (a bound on the order of a
     word; the rhs is the order) and ``product`` (the value of a Whitehead
@@ -109,16 +111,9 @@ class RuleContext:
         self.plans = plans        # symbol names -> _Plan
         self.orders = orders      # symbol keys -> (order, fact) or None
         self.word_rules = {}      # symbol keys -> (rhs, fact) or None
-        self.susp_words = {}      # word key -> (rhs, fact) or None
         self.products = {}        # slot keys -> (rhs, fact) or None
 
     # -- lookups --------------------------------------------------------------
-
-    def _find(self, table: dict, key, kind: str, term):
-        """The memoised lookup of ``term``."""
-        if key not in table:
-            table[key] = self._lookup(kind, term, self.values)
-        return table[key]
 
     def word_rule(self, syms):
         """(rhs, fact) of the rule rewriting exactly ``syms``, or None.
@@ -132,10 +127,11 @@ class RuleContext:
         return table[key]
 
     def susp_rule(self, word: Word):
-        """(rhs, fact) of a stored suspension of the whole word, or None."""
+        """(rhs, fact) of a stored suspension of the whole word, or None;
+        not memoised, since a memo served none of a reproduce pass's asks."""
         if ("susp", word_names(word)) not in self.patterns:
             return None
-        return self._find(self.susp_words, word.key(), "susp", word)
+        return self._lookup("susp", word, self.values)
 
     def product_value(self, slots):
         """(rhs, fact) of a stored value of the product on ``slots``, each
@@ -148,8 +144,10 @@ class RuleContext:
             names.append(word_names(sw[0]))
         if ("product", tuple(names)) not in self.patterns:
             return None
-        return self._find(self.products, tuple(s.key() for s in slots),
-                          "product", list(slots))
+        key, table = tuple(s.key() for s in slots), self.products
+        if key not in table:
+            table[key] = self._lookup("product", list(slots), self.values)
+        return table[key]
 
     def s3_hspace(self) -> bool:
         """Whether [iota_3, iota_3] is stored as 0; cited whenever found."""

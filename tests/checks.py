@@ -173,7 +173,7 @@ class LesSegment:
         return self.cone_mid.torsion_order() == c.torsion_order() * k_order
 
 
-def assemble_segment(cat: KbCatalog, env, fib: BoundaryRule, k: int,
+def assemble_segment(cat: KbCatalog, fib: BoundaryRule, k: int,
                      fiber_groups, ctx,
                      cone_mid: Optional[TwoLocalGroup] = None) -> LesSegment:
     """Fill the resolvable slots of the window around pi_k of the cone.
@@ -185,7 +185,7 @@ def assemble_segment(cat: KbCatalog, env, fib: BoundaryRule, k: int,
 
     def sphere_pig(deg):
         try:
-            return pi_group_from_fact(cat, env, fib.base, deg, ctx)
+            return pi_group_from_fact(cat, fib.base, deg, ctx)
         except KbMissingFact as e:
             missing.append(str(e))
             return None
@@ -199,13 +199,13 @@ def assemble_segment(cat: KbCatalog, env, fib: BoundaryRule, k: int,
     d_upper = d_lower = None
     if base_upper is not None:
         try:
-            d_upper = boundary_hom(cat, env, fib, k + 1, base_upper,
+            d_upper = boundary_hom(cat, fib, k + 1, base_upper,
                                    fiber_mid, ctx)
         except (KbMissingFact, LesError) as e:
             missing.append(str(e))
     if base_mid is not None:
         try:
-            d_lower = boundary_hom(cat, env, fib, k, base_mid, fiber_low, ctx)
+            d_lower = boundary_hom(cat, fib, k, base_mid, fiber_low, ctx)
         except (KbMissingFact, LesError) as e:
             missing.append(str(e))
     return LesSegment(k, base_upper, fiber_mid, cone_mid, base_mid,
@@ -422,9 +422,10 @@ def completion_mismatches(catalog: KbCatalog, rule_lines, fold_lines,
 # ---------------------------------------------------------------------------
 
 def _executed(runner: Runner) -> list:
-    """(script, environment, transcript) of every run ``runner`` has
-    executed, sorted."""
-    return sorted((res.script, sorted(res.env.items()), res.transcript)
+    """(script, parameters and token assignment, transcript) of every run
+    ``runner`` has executed, sorted."""
+    return sorted((res.script, sorted(dict(res.env, **res.ctx.values).items()),
+                   res.transcript)
                   for runs in runner._cache.values() for res in runs)
 
 

@@ -111,10 +111,10 @@ def test_criterion_7_gamma3_and_invariance(catalog, scripts, runner):
     # explicit spot check: both signs and both eps give the same groups
     for assign in ({"sign": 1, "eps": 0}, {"sign": -1, "eps": 0},
                    {"sign": 1, "eps": 1}, {"sign": -1, "eps": 1}):
-        env = {"r": 2, "x": 0, "y": 1, **assign}
+        tokens = {"x": 0, "y": 1, **assign}
         sub = Runner(catalog, scripts)
-        a = sub._run_cached("pi5_P3", env).group
-        b = sub._run_cached("pi6_P3", env).group
+        a = sub._run_cached("pi5_P3", {"r": 2}, tokens).group
+        b = sub._run_cached("pi6_P3", {"r": 2}, tokens).group
         assert a == q(2, 2, 2, 4) and b == q(2, 2, 4, 4, 4)
     ok(7, "gamma_3 coefficient is +-3*2^r with zero torsion part, "
           "and the tables are sign- and eps-invariant")

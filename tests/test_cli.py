@@ -805,6 +805,8 @@ def test_a_malformed_lift_payload_is_refused_at_load(capsys, tmp_path):
     ("2*iota_3(7)", "iota_3 expects 0 parameter(s)"),
     ("2*eta_2^2(9).iota_4", "eta_2^2 expects 0 parameter(s)"),
     ("2*eta_2(9)", "eta_2 expects 0 parameter(s)"),
+    # a power of eta is bounded as an exponent is
+    ("eta_2^257", "exponent 257 is over 256"),
     # a decimal literal longer than any bounded integer is never read
     *(pytest.param(f, "integer literal of 5000 digits is over 309", id=name)
       for f, name in (("7" * 5000 + "*iota_2", "scalar literal"),

@@ -1,7 +1,6 @@
 """The shipped derivations: tables, transcripts, replays, and failure
 modes."""
 
-import inspect
 import re
 from dataclasses import replace
 from importlib import resources
@@ -229,10 +228,10 @@ def test_segment_assembly_and_exactness_audit(catalog, runner):
     runner_res = runner.run("pi5_L4m", {"m": m}, sweep=False)
     jf = catalog.parser(envm).parse(f"j_F({m})")
     fiber_groups = {
-        k: push_forward(pi_group_from_fact(catalog, envm, wedge(2, 5), k, ctx),
+        k: push_forward(pi_group_from_fact(catalog, wedge(2, 5), k, ctx),
                         jf, jf.target, ctx)
         for k in (4, 5)}
-    seg = assemble_segment(catalog, envm, fib, 5, fiber_groups, ctx,
+    seg = assemble_segment(catalog, fib, 5, fiber_groups, ctx,
                            cone_mid=runner_res.group)
     assert seg.base_upper.group == TwoLocalGroup([2])
     assert seg.base_mid.group == TwoLocalGroup([2])
@@ -245,7 +244,7 @@ def test_segment_below_connectivity_is_trivial(catalog, env):
     from conechase import les
     ctx = catalog.rule_context(env)
     fib = les.fibration(catalog, "F_pL", (3,))
-    seg = assemble_segment(catalog, env, fib, 2, {}, ctx)
+    seg = assemble_segment(catalog, fib, 2, {}, ctx)
     assert seg.base_mid.group.is_trivial()
 
 
@@ -287,7 +286,7 @@ def test_exactness_audit_for_the_moore_space_window(catalog, runner):
                             catalog.parser(envr).parse(f"I_3({r})").target,
                             ctx)
         cone6 = runner.run("pi6_P3", {"r": r}, sweep=False).group
-        seg = assemble_segment(catalog, envr, fib, 6,
+        seg = assemble_segment(catalog, fib, 6,
                                {5: piJ5, 6: piC6}, ctx, cone_mid=cone6)
         assert seg.d_upper is not None and seg.d_upper.is_zero()
         assert seg.d_lower is not None
@@ -318,8 +317,8 @@ class CountingRunner(Runner):
         self.executed = []
         self.evaluated = 0
 
-    def _execute(self, name, env):
-        result = super()._execute(name, env)
+    def _execute(self, name, params, ctx):
+        result = super()._execute(name, params, ctx)
         self.executed.append(result)
         return result
 
@@ -348,12 +347,11 @@ def test_pruned_sweep_equals_the_full_sweep(pruned_pass, scripts):
         assert not fresh.catalog._normal_forms
         assert not fresh.catalog._parse_cache
         for name, params in reproduce_rows(scripts):
-            env = dict(CANONICAL_TOKENS, **params, **assign)
-            got = pruned_pass._run_cached(name, env)
-            want = fresh._execute(name, env)
-            assert got.transcript == want.transcript, (name, env)
+            got = pruned_pass._run_cached(name, params, assign)
+            want = fresh._execute(name, params, fresh._ctx(assign))
+            assert got.transcript == want.transcript, (name, params, assign)
             assert _render_value(got.value) == _render_value(want.value)
-            assert all(got.env[t] == env[t] for t in got.reads)
+            assert all(got.ctx.values[t] == assign[t] for t in got.reads)
     assert len(pruned_pass.executed) == done  # the pass had them all
 
 
@@ -363,7 +361,7 @@ def test_runs_record_the_tokens_they_consume(pruned_pass):
     and through their subderivations the other scripts depend on them."""
     def depends(res):
         return res.reads.union(*(depends(pruned_pass._run_cached(
-            script, derive._sub_env(res.env, params)))
+            script, params, res.ctx.values))
             for script, params, _ in res.subs))
 
     read, touched = {}, {}
@@ -397,9 +395,9 @@ def test_executions_per_swept_pass(pruned_pass, monkeypatch, capsys):
     executed = []
     execute = Runner._execute
 
-    def counted(self, name, env):
+    def counted(self, name, params, ctx):
         executed.append(name)
-        return execute(self, name, env)
+        return execute(self, name, params, ctx)
 
     monkeypatch.setattr(Runner, "_execute", counted)
     assert cli.main(["compute", "--space", "L4", "--k", "5", "--m", "3"]) == 0
@@ -432,9 +430,10 @@ def test_a_failing_execution_is_not_repeated(catalog, scripts, tmp_path):
     executed = []
 
     class Counting(Runner):
-        def _execute(self, name, env):
-            executed.append((name, tuple(sorted(env.items()))))
-            return super()._execute(name, env)
+        def _execute(self, name, params, ctx):
+            executed.append((name, tuple(sorted(
+                dict(params, **ctx.values).items()))))
+            return super()._execute(name, params, ctx)
 
     runner = Counting(load_catalog(path), scripts)
     with pytest.raises(AssertionMismatch, match=(
@@ -508,9 +507,9 @@ def test_early_cutoff_in_a_swept_compute(scripts, monkeypatch, capsys):
         evaluated.append(where[id(step)])
         return eval_step(self, step, *args)
 
-    def counted_run(self, name, env):
+    def counted_run(self, name, params, ctx):
         executed.append(name)
-        return execute(self, name, env)
+        return execute(self, name, params, ctx)
 
     monkeypatch.setattr(Runner, "_eval_step", counted)
     monkeypatch.setattr(Runner, "_execute", counted_run)
@@ -580,7 +579,7 @@ def test_one_rule_context_per_token_assignment(pruned_pass, catalog,
         if a["eps"] == 0 or (a["x"], a["y"]) == (0, 1))
     full = Runner(catalog, scripts)
     for assign in SWEEP_GRID:
-        full._execute("pi5_L4m", dict(assign, m=0))
+        full._execute("pi5_L4m", {"m": 0}, full._ctx(assign))
     assert len(full._ctx_cache) == 16
 
 
@@ -622,9 +621,10 @@ def test_a_cached_run_sees_a_flipped_generator(catalog, scripts, tmp_path):
     runner = CountingRunner(load_catalog(path), linked)
     runner.run("wrap", {"m": 3})
     for assign in SWEEP_GRID:
-        env = dict(assign, m=3)
-        want = Runner(load_catalog(path), linked)._execute("wrap", env)
-        assert runner._run_cached("wrap", env).transcript == want.transcript
+        fresh = Runner(load_catalog(path), linked)
+        want = fresh._execute("wrap", {"m": 3}, fresh._ctx(assign))
+        assert runner._run_cached("wrap", {"m": 3}, assign).transcript == \
+            want.transcript
     assert "-> Z/2{j_L(3) . eta_2 . eta_3 . eta_4} + Z/2{eta~_4(3)} + " \
            "Z(2){-beta(3)})" in want.transcript
     assert [res.script for res in runner.executed].count("wrap") == 2
@@ -637,9 +637,9 @@ def test_a_cached_run_sees_what_equality_ignores(catalog, scripts):
     there: ``wrap`` is executed again, and its transcript names the new
     labels."""
     class Relabelling(Runner):
-        def _run_cached(self, name, env):
-            res = super()._run_cached(name, env)
-            if name != "pi5_L4m" or env["y"] == 1:
+        def _run_cached(self, name, params, assign):
+            res = super()._run_cached(name, params, assign)
+            if name != "pi5_L4m" or assign["y"] == 1:
                 return res
             group = res.value.group
             return replace(res, value=replace(res.value, group=group
@@ -647,8 +647,8 @@ def test_a_cached_run_sees_what_equality_ignores(catalog, scripts):
 
     runner = Relabelling(catalog, dict(scripts, wrap=WRAP))
     assert runner.run("wrap", {"m": 3}).group == PI5_L4[3]
-    got = runner._run_cached("wrap", dict(CANONICAL_TOKENS, m=3, y=-3))
-    assert got.env["y"] == -3
+    got = runner._run_cached("wrap", {"m": 3}, dict(CANONICAL_TOKENS, y=-3))
+    assert got.ctx.values["y"] == -3
     assert "-> Z/2{g0} + Z/2{g1} + Z(2){g2})" in got.transcript
 
 
@@ -1209,20 +1209,6 @@ def test_misnamed_steps_are_refused_at_load(scripts, data):
     name, text, line = data.draw(_misnamed_script(scripts))
     with pytest.raises(DeriveError, match=f"^{name}:{line}: "):
         load_edited(scripts, name, text)
-
-
-def test_each_verb_has_a_handler_taking_its_arguments():
-    """``Runner._<verb>`` takes the table's arguments in order, the run's
-    parameters for ``run``, then the context, environment and lines."""
-    for verb, table in derive.VERBS.items():
-        params = list(inspect.signature(
-            getattr(Runner, "_" + verb)).parameters.values())[1:]
-        fixed = [p for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
-        want = len(table.args) + table.params
-        if params[-1].kind is inspect.Parameter.VAR_POSITIONAL:
-            assert want <= len(fixed) <= want + 3, verb
-        else:
-            assert len(fixed) == want + 3, verb
 
 
 def test_each_verb_binds_the_kind_the_table_says(catalog, scripts):

@@ -129,30 +129,32 @@ def test_digit_arguments_match_only_their_value(tmp_path):
 
 
 def test_group_lookup_examples(catalog, env, ctx):
-    g, els, fact = catalog.group_fact(sphere(3), 6, env)
+    g, els, fact = catalog.group_fact(sphere(3), 6, ctx)
     assert g.render() == "Z/4"
     assert g.labels == ("nu'",)
-    g, els, fact = catalog.group_fact(wedge(2, 5), 6, env)
+    g, els, fact = catalog.group_fact(wedge(2, 5), 6, ctx)
     assert g.render() == "Z/2 + Z/4 + Z(2)"
     with pytest.raises(KbMissingFact, match="pi_9"):
-        catalog.group_fact(sphere(3), 9, env)
+        catalog.group_fact(sphere(3), 9, ctx)
 
 
 def test_hurewicz_and_connectivity_builtin(catalog, env, ctx):
     from conechase.les import pi_group_from_fact
-    pig = pi_group_from_fact(catalog, env, sphere(5), 5, ctx)
+    pig = pi_group_from_fact(catalog, sphere(5), 5, ctx)
     assert pig.group.render() == "Z(2)"
-    pig = pi_group_from_fact(catalog, env, sphere(5), 4, ctx)
+    pig = pi_group_from_fact(catalog, sphere(5), 4, ctx)
     assert pig.group.is_trivial()
 
 
 def test_boundary_fact_lookup(catalog, env):
     p = catalog.parser(env)
-    hit = catalog.boundary_fact("F_p", (1,), p.parse("nu'"), env)
+    hit = catalog.boundary_fact("F_p", (1,), p.parse("nu'"),
+                                catalog.rule_context(env))
     assert hit is not None
     value, fact = hit
     assert "eta_2" in value.render()
-    assert catalog.boundary_fact("F_p", (1,), p.parse("eta_3"), env) is None
+    assert catalog.boundary_fact("F_p", (1,), p.parse("eta_3"),
+                                 catalog.rule_context(env)) is None
 
 
 def test_boundary_stored_values_match_source(catalog, env, ctx):
@@ -161,7 +163,7 @@ def test_boundary_stored_values_match_source(catalog, env, ctx):
     from conechase import les
     fib = les.fibration(catalog, "F_p4", (1,))
     p = catalog.parser(dict(env, m=1))
-    val = les.boundary_value(catalog, dict(env, m=1), fib, p.parse("nu_4"),
+    val = les.boundary_value(catalog, fib, p.parse("nu_4"),
                              catalog.rule_context(dict(env, m=1)))
     # +-2^(m-1) j nu' + 2^m j6 at m=1: the j nu' coefficient is odd
     assert "jp4(1) . nu'" in val.render() and "2*j6p4(1)" in val.render()
@@ -233,8 +235,8 @@ def test_fibration_declared_as_data(catalog, tmp_path, env):
         assert fq.base == fp.base == sphere(3)
         for cls in ("eta_3", "eta_3^2", "3*eta_3"):
             gen = cat.parser(envr).parse(cls)
-            want = les.boundary_value(cat, envr, fp, gen, ctx).render()
-            got = les.boundary_value(cat, envr, fq, gen, ctx).render()
+            want = les.boundary_value(cat, fp, gen, ctx).render()
+            got = les.boundary_value(cat, fq, gen, ctx).render()
             assert "j_p(" in want or want == "0"
             assert got == want.replace("j_p(", "j_q(")
 
@@ -335,15 +337,18 @@ def test_same_declarations_share_a_registry_and_its_facts(tmp_path):
     and take effect."""
     one = load_catalog(write(tmp_path, _DECLS + _GROUP.format("Z/2{eta_9}")
                              + _MISFIT))
-    assert one.group_fact(sphere(9), 10, {})[0].render() == "Z/2"
+    assert one.group_fact(sphere(9), 10, one.rule_context({}))[0].render() \
+        == "Z/2"
     assert _misfit_error(one).startswith("line 4: ")
     two = load_catalog(write(tmp_path, _DECLS + _GROUP.format("Z/4{eta_9}")
                              + "\n" + _MISFIT, "two.facts"))
     assert two.registry is one.registry
-    assert two.group_fact(sphere(9), 10, {})[0].render() == "Z/4"
+    assert two.group_fact(sphere(9), 10, two.rule_context({}))[0].render() \
+        == "Z/4"
     assert _misfit_error(two) == _misfit_error(one).replace("line 4",
                                                             "line 5")
-    assert one.group_fact(sphere(9), 10, {})[0].render() == "Z/2"
+    assert one.group_fact(sphere(9), 10, one.rule_context({}))[0].render() \
+        == "Z/2"
 
 
 def test_moved_declarations_get_a_fresh_registry(catalog, tmp_path):

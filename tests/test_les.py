@@ -16,7 +16,7 @@ def value(catalog, env, head, params, text):
     ctx = catalog.rule_context(env)
     fib = les.fibration(catalog, head, params)
     gen = catalog.parser(env).parse(text)
-    return les.boundary_value(catalog, env, fib, gen, ctx)
+    return les.boundary_value(catalog, fib, gen, ctx)
 
 
 def test_boundary_on_suspensions_is_derived(catalog):
@@ -44,7 +44,7 @@ def test_boundary_needs_fact_for_nonsuspensions(catalog):
     fib = les.fibration(filtered, "F_p", (1,))
     gen = filtered.parser(env).parse("nu'")
     with pytest.raises(KbMissingFact, match="KB fact required"):
-        les.boundary_value(filtered, env, fib, gen, ctx)
+        les.boundary_value(filtered, fib, gen, ctx)
 
 
 def test_transported_boundary_matches_direct_composition(catalog):
@@ -72,14 +72,15 @@ def test_golden_reproduction_table(catalog):
 def test_lookup_surfaces(catalog):
     from conechase.terms import sphere
     env = {"m": 2, "sign": 1, "eps": 0, "x": 0, "y": 1}
-    g, _, _ = catalog.group_fact(sphere(3), 6, env)
+    ctx = catalog.rule_context(env)
+    g, _, _ = catalog.group_fact(sphere(3), 6, ctx)
     assert g.render() == "Z/4" and g.labels == ("nu'",)
     v, _ = catalog.boundary_fact("F_p", (1,), catalog.parser(env).parse("nu'"),
-                                 env)
+                                 ctx)
     assert "eta_2" in v.render()
     # no stored value on a suspension class: the lookup misses
     assert catalog.boundary_fact(
-        "F_p", (1,), catalog.parser(env).parse("eta_3"), env) is None
+        "F_p", (1,), catalog.parser(env).parse("eta_3"), ctx) is None
 
 
 def test_attaching_class_comes_from_exactly_one_place(catalog):
@@ -122,12 +123,12 @@ def test_exactness_audit_across_the_cone_family(catalog, runner):
         jf = catalog.parser(envm).parse(f"j_F({m})")
         fiber_groups = {
             k: push_forward(
-                pi_group_from_fact(catalog, envm, wedge(2, 5), k, ctx),
+                pi_group_from_fact(catalog, wedge(2, 5), k, ctx),
                 jf, jf.target, ctx)
             for k in (4, 5, 6)}
         for k, script in ((5, "pi5_L4m"), (6, "pi6_L4m")):
             cone = runner.run(script, {"m": m}, sweep=False).group
-            seg = assemble_segment(catalog, envm, fib, k, fiber_groups, ctx,
+            seg = assemble_segment(catalog, fib, k, fiber_groups, ctx,
                                    cone_mid=cone)
             assert seg.d_upper is not None and seg.d_lower is not None
             assert seg.audit(), f"audit failed at m={m}, k={k}"

@@ -2,9 +2,11 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import conechase
+from conechase import cli, derive, kb, rewrite
 
 from checks import bench_table
 
@@ -96,3 +98,55 @@ def test_no_module_rebinds_a_global():
     found = {path.name: global_statements(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_each_verb_has_a_handler_taking_its_arguments():
+    """``Runner._<verb>`` takes ``self``, one parameter per value
+    ``_read`` yields for its plan (the table's arguments in order, and
+    the run's parameters for ``run``), then the rule context, spelled
+    ``_ctx`` where it is not read: no environment, no transcript lines
+    and nothing variadic or defaulted."""
+    for verb, table in derive.VERBS.items():
+        params = list(inspect.signature(
+            getattr(derive.Runner, "_" + verb)).parameters.values())
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
+                   for p in params), verb
+        names = [p.name for p in params]
+        assert names[0] == "self" and names[-1] in ("ctx", "_ctx"), verb
+        assert len(names) == len(table.args) + table.params + 2, verb
+
+
+def test_token_values_reach_the_facts_only_through_the_context():
+    """No function of ``les.py`` takes an environment, and the catalog's
+    lookups of group, boundary and lift facts take the rule context,
+    whose ``values`` are the one place a token value is read from."""
+    tree = ast.parse((PACKAGE / "les.py").read_text())
+    assert [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and "env" in [a.arg for a in node.args.args]] == []
+    for lookup in ("group_fact", "boundary_fact", "boundary_transport",
+                   "lift_certificates"):
+        names = list(inspect.signature(getattr(kb.KbCatalog, lookup))
+                     .parameters)
+        assert names[-1] == "ctx" and "env" not in names, lookup
+
+
+def test_no_execution_is_given_a_swept_token(monkeypatch, capsys):
+    """In a swept ``compute --space P3 --k 6 --r 3`` every run is executed
+    under its script's parameters alone and a rule context; the tokens
+    are the context's."""
+    given = []
+    execute = derive.Runner._execute
+
+    def recording(self, name, params, ctx):
+        given.append((dict(params), ctx))
+        return execute(self, name, params, ctx)
+
+    monkeypatch.setattr(derive.Runner, "_execute", recording)
+    assert cli.main(["compute", "--space", "P3", "--k", "6", "--r", "3"]) == 0
+    assert capsys.readouterr().out == "Z/2 + Z/2 + Z/4 + Z/4 + Z/8\n"
+    assert len(given) == 15
+    for params, ctx in given:
+        assert not set(params) & set(kb.SWEPT_TOKENS), params
+        assert isinstance(ctx, rewrite.RuleContext)
+        assert sorted(ctx.values) == sorted(kb.SWEPT_TOKENS)
