@@ -21,9 +21,9 @@ import sys
 from collections import Counter
 
 from .derive import (
-    CANONICAL_TOKENS,
     STEP_ERRORS,
     AssertionMismatch,
+    DeriveError,
     Runner,
     default_catalog,
     load_scripts,
@@ -31,7 +31,7 @@ from .derive import (
     scenarios,
 )
 from .groups import ExtensionUnresolved
-from .kb import KbError, KbMissingFact, load_catalog
+from .kb import KbError, KbMissingFact, guard_holds, load_catalog
 from .terms import TermError
 from . import filtration
 
@@ -41,19 +41,19 @@ EXIT_MISSING_FACT = 3
 EXIT_ASSERTION = 4
 
 R_CAP = 62  # keeps 2^r inside a machine word for ports without big integers
-PARAM_MIN = {"r": 1, "m": 0}
 # what a command reports with an exit code; anything else is a bug and
 # surfaces as one, from every command alike
 ERRORS = STEP_ERRORS + (OSError,)
 
 
-def _param_ok(name: str, value: int) -> bool:
-    """Whether a parameter lies in its range; reports it if not."""
-    if PARAM_MIN[name] <= value <= R_CAP:
-        return True
-    print(f"error: {name} must be in [{PARAM_MIN[name]}, {R_CAP}]",
-          file=sys.stderr)
-    return False
+def _check_domain(scripts, params: dict):
+    """Each of ``params`` must be at most ``R_CAP`` and, with the others,
+    meet the ``require`` of one of ``scripts`` that declares it."""
+    for name, value in params.items():
+        domains = [s.requires for s in scripts if name in s.params]
+        if value > R_CAP or not any(guard_holds(d, params) for d in domains):
+            raise DeriveError(f"{name}={value} is over {R_CAP} or outside "
+                              + " and ".join(domains))
 
 
 def _catalog(args):
@@ -65,18 +65,13 @@ def _catalog(args):
 def cmd_compute(args) -> int:
     script = scenarios(load_scripts()).get((args.space, args.k))
     if script is None:
-        print(f"error: no shipped scenario for space={args.space} k={args.k}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    params = {pname: getattr(args, pname) if pname in PARAM_MIN else None
-              for pname in script.params}
+        raise DeriveError(f"no shipped scenario for space={args.space} "
+                          f"k={args.k}")
+    params = {pname: getattr(args, pname) for pname in script.params}
     for pname, pval in params.items():
         if pval is None:
-            print(f"error: scenario {script.name} needs --{pname}",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
-        if not _param_ok(pname, pval):
-            return EXIT_VALIDATION
+            raise DeriveError(f"scenario {script.name} needs --{pname}")
+    _check_domain([script], params)
     cat = _catalog(args)
     result = Runner(cat, load_scripts()).run(script.name, params,
                                              sweep=not args.no_sweep)
@@ -133,21 +128,18 @@ def _reproduce_one(runner, name, params):
 
 
 def cmd_filtration(args) -> int:
-    env = dict(CANONICAL_TOKENS)
-    for name in PARAM_MIN:
-        value = getattr(args, name)
-        if value is not None:
-            if not _param_ok(name, value):
-                return EXIT_VALIDATION
-            env[name] = value
+    # the term reads the parameters alone: a token is refused as unknown
+    env = {p: getattr(args, p) for s in load_scripts().values()
+           for p in s.params if getattr(args, p) is not None}
+    _check_domain(load_scripts().values(), env)
     cat = _catalog(args)
     try:
         el = cat.parser(env).parse(args.f)
         spec = filtration.MapSpec(el)
-    except (TermError, KbError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    model = filtration.build_filtration(spec, args.n, cat.rule_context(env))
+    except (TermError, KbError) as e:    # an unknown name is no missing fact
+        raise DeriveError(str(e)) from e
+    model = filtration.build_filtration(spec, args.n,
+                                        cat.rule_context(cat.registry.grid[0]))
     if args.format == "machine":
         for st in model.stages:
             print(json.dumps({
@@ -178,9 +170,9 @@ def _exit_code_for(e: BaseException) -> int:
 
 
 @functools.cache
-def _parser(spaces: tuple) -> argparse.ArgumentParser:
-    """The argument parser offering ``spaces`` to ``compute --space``, the
-    one thing it reads from the scripts: built once per process."""
+def _parser(spaces: tuple, params: tuple) -> argparse.ArgumentParser:
+    """The argument parser offering ``spaces`` to ``compute --space`` and
+    a flag per script parameter in ``params``: built once per process."""
     top = argparse.ArgumentParser(
         prog="conechase",
         description="Exact 2-local homotopy groups of mapping cones via "
@@ -191,8 +183,6 @@ def _parser(spaces: tuple) -> argparse.ArgumentParser:
     pc = sub.add_parser("compute", help="compute one homotopy group")
     pc.add_argument("--space", required=True, choices=spaces)
     pc.add_argument("--k", type=int, required=True)
-    pc.add_argument("--r", type=int)
-    pc.add_argument("--m", type=int)
     pc.add_argument("--format", choices=["text", "machine"], default="text")
     pc.add_argument("--transcript", action="store_true",
                     help="print the derivation transcript")
@@ -209,8 +199,9 @@ def _parser(spaces: tuple) -> argparse.ArgumentParser:
     pf.add_argument("--f", required=True,
                     help="attaching class, e.g. '2^r*iota_2' or '2^m*eta_2'")
     pf.add_argument("--n", type=int, required=True, help="stages to build")
-    pf.add_argument("--r", type=int)
-    pf.add_argument("--m", type=int)
+    for name in params:
+        pc.add_argument(f"--{name}", type=int)
+        pf.add_argument(f"--{name}", type=int)
     pf.add_argument("--format", choices=["text", "machine"], default="text")
     pf.set_defaults(func=cmd_filtration)
 
@@ -221,10 +212,12 @@ def _parser(spaces: tuple) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        spaces = sorted({space for space, _ in scenarios(load_scripts())})
-        args = _parser(tuple(spaces)).parse_args(argv)
+        scripts = load_scripts()
+        spaces = sorted({space for space, _ in scenarios(scripts)})
+        params = sorted({p for s in scripts.values() for p in s.params})
+        args = _parser(tuple(spaces), tuple(params)).parse_args(argv)
         return args.func(args)
-    except ERRORS as e:
+    except ERRORS + (argparse.ArgumentError,) as e:   # a flag taken twice
         print(f"error: {e}", file=sys.stderr)
         return _exit_code_for(e)
 

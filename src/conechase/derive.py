@@ -34,27 +34,28 @@ literal's orders are evaluated per run.
 
 Every run records each step, every certified fact it consumed (with its
 citation), and the catalog digest; replays are byte-identical.  Runs are
-swept over the ambiguous tokens (sign, eps and the opaque integers x, y)
-and must produce identical groups for every assignment -- the group
-tables are independent of all of them.  A run is executed under its
-parameters and the rule context of its assignment, the one holder of
-the token values (``rewrite.RuleContext.values``).
+swept over the grid of the tokens the catalog declares (its ``token``
+lines: sign, eps and the opaque integers x, y) and must produce
+identical groups for every assignment -- the group tables are
+independent of all of them.  A run is executed under its parameters and
+the rule context of its assignment, the one holder of the token values
+(``rewrite.RuleContext.values``).
 
-A script reads a swept token only through the facts it cites (one that
-names a token is rejected at parse time); ``rewrite.RuleContext`` gives
-the argument.  It reads everything else through its parameters and the
-values its ``run`` subderivations return, which the ``(subderivation
-... -> value)`` lines of its transcript render.  So a run is the same
-under every assignment that agrees on the tokens it read itself and
-under which each of its subderivations returns an equal value
-(``_value_key``), however that value came about: the run cache cuts off
-early where a token changed a subderivation's own work but not its
-value.  Likewise a ``let`` step reads tokens itself through its
-citations, and everything else through the earlier bindings it names
+A script reads a swept token only through the facts it cites (a
+``Runner`` refuses a script line that names a token of its catalog);
+``rewrite.RuleContext`` gives the argument.  It reads everything else
+through its parameters and the values its ``run`` subderivations return,
+which the ``(subderivation ... -> value)`` lines of its transcript
+render.  So a run is the same under every assignment that agrees on the
+tokens it read itself and under which each of its subderivations returns
+an equal value (``_value_key``), however that value came about: the run
+cache cuts off early where a token changed a subderivation's own work
+but not its value.  Likewise a ``let`` step reads tokens itself through
+its citations, and everything else through the earlier bindings it names
 (``Step.names``, the arguments that ``VERBS`` reads as bindings); the
-memo of steps serves it under every assignment that agrees on the
-tokens it read itself and gives those bindings equal values.  Cached
-runs and memoised steps replay their transcript lines and citations, so
+memo of steps serves it under every assignment that agrees on the tokens
+it read itself and gives those bindings equal values.  Cached runs and
+memoised steps replay their transcript lines and citations, so
 transcripts and digests are those of a fresh evaluation.
 """
 
@@ -62,7 +63,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -81,8 +81,6 @@ from .groups import (
     strip_odd,
 )
 from .kb import (
-    SWEPT_TOKENS,
-    SWEPT_VALUES,
     KbCatalog,
     KbError,
     KbFact,
@@ -90,7 +88,7 @@ from .kb import (
     cyclic_summands,
     guard_holds,
     load_catalog,
-    swept_tokens,
+    names_in,
     unbound_names,
 )
 from .les import (
@@ -130,11 +128,6 @@ class AssertionMismatch(DeriveError):
 # what a step may raise; ``Runner._execute`` prefixes it with the step
 STEP_ERRORS = (DeriveError, LesError, KbError, GroupError, TermError)
 
-CANONICAL_TOKENS = {t: values[0] for t, values in SWEPT_VALUES.items()}
-SWEEP_GRID = [  # CANONICAL_TOKENS first; ``Runner.run`` compares with it
-    dict(zip(SWEPT_TOKENS, values))
-    for values in itertools.product(*SWEPT_VALUES.values())]
-
 
 # ---------------------------------------------------------------------------
 # script model
@@ -162,6 +155,8 @@ class Script:
     computes: Optional[Tuple[str, int]] = None   # (space name, degree)
     computes_line: int = 0
     rows: Optional[Tuple[str, range]] = None     # (param, reproduce values)
+    # each name a line but ``params`` spells -> its first line (``Runner``)
+    names: Dict[str, int] = field(default_factory=dict)
 
 
 _LET_RE = re.compile(r"^let\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S+)\s*(.*)$")
@@ -174,6 +169,7 @@ def parse_script(text: str, name_hint: str = "") -> Script:
     params: List[str] = []
     steps: List[Step] = []
     header = {}               # require | computes | rows -> (text, line)
+    names: Dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -185,12 +181,7 @@ def parse_script(text: str, name_hint: str = "") -> Script:
             params = [p.strip() for p in body.split(None, 1)[1].split(",")]
             continue
         where = f"{name}:{lineno}"
-        named = swept_tokens(body)
-        if named:
-            # a script may read the tokens only through the facts it
-            # consumes, where each read is recorded
-            raise DeriveError(f"{where}: names the swept token(s) "
-                              f"{', '.join(sorted(named))}")
+        names.update({w: lineno for w in names_in(body) if w not in names})
         keyword, _, rest = body.partition(" ")
         if keyword in ("require", "computes", "rows") and rest:
             header[keyword] = (rest.strip(), lineno)
@@ -227,7 +218,8 @@ def parse_script(text: str, name_hint: str = "") -> Script:
         raise DeriveError(f"{name}:{lineno}: unrecognized line {body!r}")
     if not name:
         raise DeriveError("script has no name")
-    script = Script(name, params, steps, header.get("require", ("",))[0])
+    script = Script(name, params, steps, header.get("require", ("",))[0],
+                    names=names)
     try:
         compile_guard(script.requires)
     except (KbError, TermError) as e:
@@ -480,10 +472,11 @@ def _run_key(name: str, params: dict) -> tuple:
 class Runner:
     """Executes derivation scripts against one catalog.
 
-    ``run`` evaluates the script for each token assignment of the sweep
-    grid, whose first is the canonical one, asserting that every later
-    result agrees with the first; the transcript records the canonical
-    run.  Without the sweep it evaluates the canonical assignment alone.
+    ``run`` evaluates the script for each token assignment of the
+    catalog's sweep grid (``kb.SymbolRegistry.grid``), whose first is the
+    canonical one, asserting that every later result agrees with the
+    first; the transcript records the canonical run.  Without the sweep
+    it evaluates the canonical assignment alone.
 
     Runs are cached by script and parameters, and executed under those
     and the rule context of their token assignment (``_ctx``), the one
@@ -522,6 +515,12 @@ class Runner:
     """
 
     def __init__(self, catalog: KbCatalog, scripts: Dict[str, Script]):
+        for s in scripts.values():   # tokens are read only through facts
+            named = [(s.names[t], t) for t in catalog.registry.tokens
+                     if t in s.names]
+            if named:
+                raise DeriveError("%s:%d: names the swept token %s"
+                                  % (s.name, *min(named)))
         self.catalog = catalog
         self.scripts = scripts
         self._cache: Dict[tuple, List[RunResult]] = {}
@@ -535,8 +534,9 @@ class Runner:
 
     def run(self, name: str, params: dict, sweep: bool = True) -> RunResult:
         result = canonical = None
+        grid = self.catalog.registry.grid
         try:
-            for assign in SWEEP_GRID if sweep else (CANONICAL_TOKENS,):
+            for assign in grid if sweep else grid[:1]:
                 got = self._run_cached(name, params, assign)
                 comparable = _sweep_shape(got.value)
                 if result is None:
@@ -559,7 +559,7 @@ class Runner:
         shared by every run: each step collects its own citations
         (``citing``), so a ``run`` subderivation's stay in its own
         transcript."""
-        key = tuple(assign[t] for t in SWEPT_TOKENS)
+        key = tuple(assign[t] for t in self.catalog.registry.tokens)
         ctx = self._ctx_cache.get(key)
         if ctx is None:
             ctx = self._ctx_cache[key] = self.catalog.rule_context(assign)

@@ -1,10 +1,12 @@
 """Command-line interface: outputs, formats, exit codes."""
 
 import contextlib
+import dataclasses
 import functools
 import gc
 import io
 import json
+import operator
 import os
 import random
 import re
@@ -232,6 +234,18 @@ def test_a_bug_surfaces_from_every_command(monkeypatch):
 def test_filtration_rejects_nonsuspension(capsys):
     code, _, err = run_cli(capsys, "filtration", "--f", "j_L(2)", "--n", "2")
     assert code == cli.EXIT_VALIDATION
+
+
+def test_filtration_reads_no_token(capsys):
+    """The attaching class is parsed under the parameter flags alone, so
+    a swept token is an unknown name there, as any other is: a command's
+    term is not given an unswept, unrecorded token value."""
+    errors = []
+    for f in ("x*iota_2", "sign*iota_2", "q*iota_2"):
+        code, out, err = run_cli(capsys, "filtration", "--f", f, "--n", "2")
+        assert code == cli.EXIT_VALIDATION and out == ""
+        errors.append(err)
+    assert len(set(errors)) == 1 and errors[0].startswith("error: ")
 
 
 def test_reproduce_text_and_machine(capsys):
@@ -661,6 +675,119 @@ def test_symbol_declarations_are_checked_at_load(capsys, tmp_path, old, new,
     code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
     assert code == cli.EXIT_VALIDATION and not out
     assert err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("token eps : 0, 1", "token sign : 0, 1",
+     "line 140: 'sign' names a symbol or token"),
+    ("token eps : 0, 1", "token nu_4 : 0, 1",
+     "line 140: 'nu_4' names a symbol or token"),
+    ("token eps : 0, 1", "token eta_3 : 0, 1",
+     "line 140: 'eta_3' names a symbol or token"),
+    ("token y : 1, -3\n", "token y : 1, -3\nsymbol x : S3 -> S2\n",
+     "line 147: 'x' declared twice"),
+    ("token eps : 0, 1", "token eps :", "line 140: bad token declaration"),
+    ("token eps : 0, 1", "token eps : 0, 0", "line 140: bad token declaration"),
+    ("token eps : 0, 1", "token eps : 0, -0", "line 140: bad token declaration"),
+    ("token eps : 0, 1", "token eps : 0, one",
+     "line 140: bad token declaration"),
+    ("token eps : 0, 1", "token eps : 0, 1.5",
+     "line 140: bad token declaration"),
+    ("token eps : 0, 1", "token eps : 0, " + "7" * 400,
+     "line 140: bad token declaration"),
+    ("token eps : 0, 1", "token 2eps : 0, 1", "line 140: bad token declaration"),
+])
+def test_token_declarations_are_checked_at_load(capsys, tmp_path, old, new,
+                                                error):
+    """A token is declared once, under a name the term parser does not
+    resolve as a symbol, with distinct integer samples: anything else is
+    refused at load with exit 2 and the line."""
+    assert SHIPPED_FACTS.count(old) == 1
+    p = tmp_path / "token.facts"
+    p.write_text(SHIPPED_FACTS.replace(old, new))
+    code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
+    assert code == cli.EXIT_VALIDATION and not out
+    assert err == f"error: {error}\n"
+
+
+def test_a_fifth_token_that_changes_a_group_is_refused_by_the_sweep(
+        capsys, monkeypatch, tmp_path):
+    """Negative control: a catalog declaring a fifth token ``t`` and
+    reading it in the group pi_5(S2 v S5) that pi5_L4m consumes (its
+    assert dropped) is swept over 32 assignments and refused, exit 2;
+    the canonical run alone, t = 0, computes the shipped group."""
+    old = "| S2vS5 @ 5 | Z/2{"
+    assert SHIPPED_FACTS.count(old) == 1
+    p = tmp_path / "t.facts"
+    p.write_text(SHIPPED_FACTS.replace(old, "| S2vS5 @ 5 | Z/2^(1+t){")
+                 + "token t : 0, 1\n")
+    grid = load_catalog(p).registry.grid
+    assert len(grid) == 32 and grid[0] == dict(
+        default_catalog().registry.grid[0], t=0)
+    scripts = load_scripts()
+    script = scripts["pi5_L4m"]
+    unchecked = dict(scripts, pi5_L4m=dataclasses.replace(
+        script, steps=[st for st in script.steps if st.kind != "assert"]))
+    monkeypatch.setattr(cli, "load_scripts", lambda: unchecked)
+    argv = ("--kb", str(p), "compute", "--space", "L4", "--k", "5", "--m", "3")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_VALIDATION and out == ""
+    assert "depends on the ambiguous tokens" in err and "'t': 1}" in err
+    assert run_cli(capsys, *argv, "--no-sweep") == (
+        cli.EXIT_OK, "Z/2 + Z/2 + Z(2)\n", "")
+
+
+def test_a_script_parameter_is_a_flag(capsys, monkeypatch):
+    """Negative control: a script whose parameter is ``s`` gives
+    ``compute`` and ``filtration`` an ``--s`` flag, and its ``require``
+    is the domain the CLI accepts; the shipped scripts give none."""
+    with pytest.raises(SystemExit):
+        cli.main(["compute", "--space", "P3", "--k", "5", "--s", "2"])
+    capsys.readouterr()
+    extra = derive.parse_script(
+        "derivation pi5_s\nparams s\nrequire s>=1\ncomputes C(s) @ 5\n"
+        "let g = run script=pi5_L4m; m=s\nreturn g\n")
+    linked = derive.link_scripts([*load_scripts().values(), extra])
+    monkeypatch.setattr(cli, "load_scripts", lambda: linked)
+    compute = ("compute", "--space", "C", "--k", "5", "--no-sweep", "--s")
+    assert run_cli(capsys, *compute, "2") == (cli.EXIT_OK,
+                                               "Z/2 + Z/2 + Z(2)\n", "")
+    assert run_cli(capsys, *compute, "0") == (
+        cli.EXIT_VALIDATION, "",
+        "error: s=0 is over 62 or outside s>=1\n")
+    filtration = ("filtration", "--f", "2^s*iota_2", "--n", "2", "--s")
+    code, out, _ = run_cli(capsys, *filtration, "1")
+    assert code == cli.EXIT_OK and "gamma_2 = 4*eta_2" in out
+    assert run_cli(capsys, *filtration, "0")[0] == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("space, k", sorted(scenarios(load_scripts())))
+def test_a_parameter_outside_its_domain_is_refused_by_the_cli(
+        capsys, monkeypatch, space, k):
+    """Each scenario at its ``require`` lower bound less 1 and at
+    ``R_CAP + 1`` exits 2 with a one-line error before any run; at the
+    bound and at the cap the CLI asks the runner."""
+    script = scenarios(load_scripts())[(space, k)]
+    ((name, compare, low),) = kb.compile_guard(script.requires)
+    assert compare is operator.ge
+
+    class Asked(Exception):
+        pass
+
+    def asked(*_, **__):
+        raise Asked
+
+    monkeypatch.setattr(derive.Runner, "run", asked)
+    for value in (low - 1, cli.R_CAP + 1):
+        code, out, err = run_cli(capsys, "compute", "--space", space, "--k",
+                                 str(k), f"--{name}", str(value))
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert err == (f"error: {name}={value} is over {cli.R_CAP} or "
+                       f"outside {script.requires}\n")
+    for value in (low, cli.R_CAP):
+        with pytest.raises(Asked):
+            cli.main(["compute", "--space", space, "--k", str(k),
+                      f"--{name}", str(value)])
 
 
 def test_version_line_needs_one_value(capsys, tmp_path):

@@ -392,6 +392,25 @@ def test_a_fact_that_fails_to_compile_fails_every_time(tmp_path):
     assert len(registry.patterns) == 1
 
 
+def test_token_lines_survive_serialize_and_without_facts(catalog,
+                                                         tmp_path):
+    """Token lines are declarations: ``serialize`` writes them and a
+    ``without_facts`` copy keeps them, so a catalog loaded from either
+    declares the same tokens and sweeps the same 16 assignments,
+    canonical first."""
+    want = catalog.registry
+    assert list(want.tokens) == ["sign", "eps", "x", "y"]
+    assert len(want.grid) == 16
+    assert want.grid[0] == {"sign": 1, "eps": 0, "x": 0, "y": 1}
+    less = catalog.without_facts(lambda f: f.line == 87)
+    assert less.registry.tokens == want.tokens
+    for name, text in (("all", catalog.serialize()),
+                       ("less", less.serialize())):
+        got = load_catalog(write(tmp_path, text, f"{name}.facts")).registry
+        assert list(got.tokens) == list(want.tokens)
+        assert got.tokens == want.tokens and got.grid == want.grid
+
+
 def test_other_declarations_release_the_old_registry(tmp_path):
     """The registry kept for reuse is the last one built: once a load
     with other declarations has built its own and the old catalogs are
