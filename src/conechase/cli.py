@@ -17,10 +17,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
+import operator
 import sys
 from collections import Counter
 
 from .derive import (
+    CANONICAL_TOKENS,
     STEP_ERRORS,
     AssertionMismatch,
     DeriveError,
@@ -31,7 +34,7 @@ from .derive import (
     scenarios,
 )
 from .groups import ExtensionUnresolved
-from .kb import KbError, KbMissingFact, guard_holds, load_catalog
+from .kb import KbError, KbMissingFact, compile_guard, load_catalog
 from .terms import TermError
 from . import filtration
 
@@ -41,19 +44,31 @@ EXIT_MISSING_FACT = 3
 EXIT_ASSERTION = 4
 
 R_CAP = 62  # keeps 2^r inside a machine word for ports without big integers
+# set by the fixed options: a script parameter named so gets no flag
+FIXED = ("kb", "command", "func", "help", "space", "k", "format",
+         "transcript", "no_sweep", "f", "n")
 # what a command reports with an exit code; anything else is a bug and
 # surfaces as one, from every command alike
 ERRORS = STEP_ERRORS + (OSError,)
 
 
-def _check_domain(scripts, params: dict):
-    """Each of ``params`` must be at most ``R_CAP`` and, with the others,
-    meet the ``require`` of one of ``scripts`` that declares it."""
+def _flags(scripts) -> list:
+    """The parameters of ``scripts`` that ``compute`` and ``filtration``
+    take as flags: all but those named like a fixed option."""
+    return sorted({p for s in scripts for p in s.params} - set(FIXED))
+
+
+def _check_range(scripts, params: dict):
+    """Each of ``params`` must lie in ``[low, R_CAP]``, ``low`` the least
+    lower bound ``name>=low`` that the ``require`` of a script declaring
+    it gives (``Runner`` checks all of a ``require``)."""
     for name, value in params.items():
-        domains = [s.requires for s in scripts if name in s.params]
-        if value > R_CAP or not any(guard_holds(d, params) for d in domains):
-            raise DeriveError(f"{name}={value} is over {R_CAP} or outside "
-                              + " and ".join(domains))
+        low = min(max((b for n, c, b in compile_guard(s.requires)
+                       if (n, c) == (name, operator.ge) and type(b) is int),
+                      default=-math.inf)
+                  for s in scripts if name in s.params)
+        if not low <= value <= R_CAP:
+            raise DeriveError(f"{name} must be in [{low}, {R_CAP}]")
 
 
 def _catalog(args):
@@ -67,11 +82,15 @@ def cmd_compute(args) -> int:
     if script is None:
         raise DeriveError(f"no shipped scenario for space={args.space} "
                           f"k={args.k}")
-    params = {pname: getattr(args, pname) for pname in script.params}
-    for pname, pval in params.items():
-        if pval is None:
+    params = {}
+    for pname in script.params:
+        if pname in FIXED:
+            raise DeriveError(f"{script.name}:{script.params_line}: parameter "
+                              f"{pname!r} is named like a fixed option")
+        params[pname] = getattr(args, pname)
+        if params[pname] is None:
             raise DeriveError(f"scenario {script.name} needs --{pname}")
-    _check_domain([script], params)
+    _check_range([script], params)
     cat = _catalog(args)
     result = Runner(cat, load_scripts()).run(script.name, params,
                                              sweep=not args.no_sweep)
@@ -129,9 +148,9 @@ def _reproduce_one(runner, name, params):
 
 def cmd_filtration(args) -> int:
     # the term reads the parameters alone: a token is refused as unknown
-    env = {p: getattr(args, p) for s in load_scripts().values()
-           for p in s.params if getattr(args, p) is not None}
-    _check_domain(load_scripts().values(), env)
+    env = {p: getattr(args, p) for p in _flags(load_scripts().values())
+           if getattr(args, p) is not None}
+    _check_range(load_scripts().values(), env)
     cat = _catalog(args)
     try:
         el = cat.parser(env).parse(args.f)
@@ -139,7 +158,7 @@ def cmd_filtration(args) -> int:
     except (TermError, KbError) as e:    # an unknown name is no missing fact
         raise DeriveError(str(e)) from e
     model = filtration.build_filtration(spec, args.n,
-                                        cat.rule_context(cat.registry.grid[0]))
+                                        cat.rule_context(CANONICAL_TOKENS))
     if args.format == "machine":
         for st in model.stages:
             print(json.dumps({
@@ -214,10 +233,10 @@ def main(argv=None) -> int:
     try:
         scripts = load_scripts()
         spaces = sorted({space for space, _ in scenarios(scripts)})
-        params = sorted({p for s in scripts.values() for p in s.params})
+        params = _flags(scripts.values())
         args = _parser(tuple(spaces), tuple(params)).parse_args(argv)
         return args.func(args)
-    except ERRORS + (argparse.ArgumentError,) as e:   # a flag taken twice
+    except ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return _exit_code_for(e)
 

@@ -23,8 +23,9 @@ is one new file.
 ``VERBS`` is the one table of the verbs and their arguments.  A script
 is checked against it when it is parsed: an unknown verb or argument, a
 missing argument, a name that no earlier ``let`` bound, a binding of the
-wrong kind and an integer expression that reads a variable outside
-``params`` are errors that name the line, as are malformed header lines.
+wrong kind, an integer expression that reads a variable outside
+``params`` and a parameter that is not a name are errors that name the
+line, as are malformed header lines.
 ``link_scripts`` settles what a ``run`` binds from its script's
 ``return``.  ``fib=`` names a fibration declared in the catalog; one
 that declares no attaching class takes it from ``attach=``, and a class
@@ -34,28 +35,27 @@ literal's orders are evaluated per run.
 
 Every run records each step, every certified fact it consumed (with its
 citation), and the catalog digest; replays are byte-identical.  Runs are
-swept over the grid of the tokens the catalog declares (its ``token``
-lines: sign, eps and the opaque integers x, y) and must produce
-identical groups for every assignment -- the group tables are
-independent of all of them.  A run is executed under its parameters and
-the rule context of its assignment, the one holder of the token values
-(``rewrite.RuleContext.values``).
+swept over the ambiguous tokens (sign, eps and the opaque integers x, y)
+and must produce identical groups for every assignment -- the group
+tables are independent of all of them.  A run is executed under its
+parameters and the rule context of its assignment, the one holder of
+the token values (``rewrite.RuleContext.values``).
 
-A script reads a swept token only through the facts it cites (a
-``Runner`` refuses a script line that names a token of its catalog);
-``rewrite.RuleContext`` gives the argument.  It reads everything else
-through its parameters and the values its ``run`` subderivations return,
-which the ``(subderivation ... -> value)`` lines of its transcript
-render.  So a run is the same under every assignment that agrees on the
-tokens it read itself and under which each of its subderivations returns
-an equal value (``_value_key``), however that value came about: the run
-cache cuts off early where a token changed a subderivation's own work
-but not its value.  Likewise a ``let`` step reads tokens itself through
-its citations, and everything else through the earlier bindings it names
+A script reads a swept token only through the facts it cites (one that
+names a token is rejected at parse time); ``rewrite.RuleContext`` gives
+the argument.  It reads everything else through its parameters and the
+values its ``run`` subderivations return, which the ``(subderivation
+... -> value)`` lines of its transcript render.  So a run is the same
+under every assignment that agrees on the tokens it read itself and
+under which each of its subderivations returns an equal value
+(``_value_key``), however that value came about: the run cache cuts off
+early where a token changed a subderivation's own work but not its
+value.  Likewise a ``let`` step reads tokens itself through its
+citations, and everything else through the earlier bindings it names
 (``Step.names``, the arguments that ``VERBS`` reads as bindings); the
-memo of steps serves it under every assignment that agrees on the tokens
-it read itself and gives those bindings equal values.  Cached runs and
-memoised steps replay their transcript lines and citations, so
+memo of steps serves it under every assignment that agrees on the
+tokens it read itself and gives those bindings equal values.  Cached
+runs and memoised steps replay their transcript lines and citations, so
 transcripts and digests are those of a fresh evaluation.
 """
 
@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -81,6 +82,8 @@ from .groups import (
     strip_odd,
 )
 from .kb import (
+    SWEPT_TOKENS,
+    SWEPT_VALUES,
     KbCatalog,
     KbError,
     KbFact,
@@ -88,7 +91,7 @@ from .kb import (
     cyclic_summands,
     guard_holds,
     load_catalog,
-    names_in,
+    swept_tokens,
     unbound_names,
 )
 from .les import (
@@ -128,6 +131,11 @@ class AssertionMismatch(DeriveError):
 # what a step may raise; ``Runner._execute`` prefixes it with the step
 STEP_ERRORS = (DeriveError, LesError, KbError, GroupError, TermError)
 
+CANONICAL_TOKENS = {t: values[0] for t, values in SWEPT_VALUES.items()}
+SWEEP_GRID = [  # CANONICAL_TOKENS first; ``Runner.run`` compares with it
+    dict(zip(SWEPT_TOKENS, values))
+    for values in itertools.product(*SWEPT_VALUES.values())]
+
 
 # ---------------------------------------------------------------------------
 # script model
@@ -155,21 +163,21 @@ class Script:
     computes: Optional[Tuple[str, int]] = None   # (space name, degree)
     computes_line: int = 0
     rows: Optional[Tuple[str, range]] = None     # (param, reproduce values)
-    # each name a line but ``params`` spells -> its first line (``Runner``)
-    names: Dict[str, int] = field(default_factory=dict)
+    params_line: int = 0
 
 
 _LET_RE = re.compile(r"^let\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S+)\s*(.*)$")
 _ASSERT_RE = re.compile(r"^assert\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$")
+_PARAM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _ROWS_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\d+)\s*\.\.\s*(\d+)")
 
 
 def parse_script(text: str, name_hint: str = "") -> Script:
     name = name_hint
     params: List[str] = []
+    params_line = 0
     steps: List[Step] = []
     header = {}               # require | computes | rows -> (text, line)
-    names: Dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -179,9 +187,19 @@ def parse_script(text: str, name_hint: str = "") -> Script:
             continue
         if body.startswith("params "):
             params = [p.strip() for p in body.split(None, 1)[1].split(",")]
+            params_line = lineno
+            bad = [p for p in params if not _PARAM_RE.fullmatch(p)]
+            if bad:     # a guard or an expression could not read it
+                raise DeriveError(f"{name}:{lineno}: parameter {bad[0]!r} "
+                                  "is not a name")
             continue
         where = f"{name}:{lineno}"
-        names.update({w: lineno for w in names_in(body) if w not in names})
+        named = swept_tokens(body)
+        if named:
+            # a script may read the tokens only through the facts it
+            # consumes, where each read is recorded
+            raise DeriveError(f"{where}: names the swept token(s) "
+                              f"{', '.join(sorted(named))}")
         keyword, _, rest = body.partition(" ")
         if keyword in ("require", "computes", "rows") and rest:
             header[keyword] = (rest.strip(), lineno)
@@ -219,7 +237,7 @@ def parse_script(text: str, name_hint: str = "") -> Script:
     if not name:
         raise DeriveError("script has no name")
     script = Script(name, params, steps, header.get("require", ("",))[0],
-                    names=names)
+                    params_line=params_line)
     try:
         compile_guard(script.requires)
     except (KbError, TermError) as e:
@@ -472,11 +490,10 @@ def _run_key(name: str, params: dict) -> tuple:
 class Runner:
     """Executes derivation scripts against one catalog.
 
-    ``run`` evaluates the script for each token assignment of the
-    catalog's sweep grid (``kb.SymbolRegistry.grid``), whose first is the
-    canonical one, asserting that every later result agrees with the
-    first; the transcript records the canonical run.  Without the sweep
-    it evaluates the canonical assignment alone.
+    ``run`` evaluates the script for each token assignment of the sweep
+    grid, whose first is the canonical one, asserting that every later
+    result agrees with the first; the transcript records the canonical
+    run.  Without the sweep it evaluates the canonical assignment alone.
 
     Runs are cached by script and parameters, and executed under those
     and the rule context of their token assignment (``_ctx``), the one
@@ -515,12 +532,6 @@ class Runner:
     """
 
     def __init__(self, catalog: KbCatalog, scripts: Dict[str, Script]):
-        for s in scripts.values():   # tokens are read only through facts
-            named = [(s.names[t], t) for t in catalog.registry.tokens
-                     if t in s.names]
-            if named:
-                raise DeriveError("%s:%d: names the swept token %s"
-                                  % (s.name, *min(named)))
         self.catalog = catalog
         self.scripts = scripts
         self._cache: Dict[tuple, List[RunResult]] = {}
@@ -534,9 +545,8 @@ class Runner:
 
     def run(self, name: str, params: dict, sweep: bool = True) -> RunResult:
         result = canonical = None
-        grid = self.catalog.registry.grid
         try:
-            for assign in grid if sweep else grid[:1]:
+            for assign in SWEEP_GRID if sweep else (CANONICAL_TOKENS,):
                 got = self._run_cached(name, params, assign)
                 comparable = _sweep_shape(got.value)
                 if result is None:
@@ -559,7 +569,7 @@ class Runner:
         shared by every run: each step collects its own citations
         (``citing``), so a ``run`` subderivation's stay in its own
         transcript."""
-        key = tuple(assign[t] for t in self.catalog.registry.tokens)
+        key = tuple(assign[t] for t in SWEPT_TOKENS)
         ctx = self._ctx_cache.get(key)
         if ctx is None:
             ctx = self._ctx_cache[key] = self.catalog.rule_context(assign)

@@ -6,7 +6,6 @@ diff-reviewable:
 
     symbol <name>[(vars)] : <source> -> <target> [susp] [susp_to=<name>]
     fibration <name>[(vars)] : [<class>] bottom=<word> [skeleton=<word>]
-    token <name> : <integer>, <integer>, ...
     fact <kind> | <subject> [? <guard>] | <payload> | <trust> | <quote> | <locator>
 
 A fibration line declares the fiber <name>(vars) of the pinch map
@@ -15,8 +14,7 @@ derivation passes it as ``attach=``), ``bottom`` includes Y and
 ``skeleton`` a wedge skeleton into the fiber; the base is Sigma X.  Like
 a symbol it is a declaration, not a fact: never cited, counted or
 removed with facts.  Loading instantiates it with every parameter 1 and
-checks that each map parses and ends where it must.  A token line, a
-declaration too, lists the values swept for an ambiguity, canonical first.
+checks that each map parses and ends where it must.
 
 Kinds: group, relation, boundary_value, lift_certificate,
 suspension_value, map_identity.  Every fact carries a non-empty citation
@@ -31,17 +29,18 @@ binds to the value in its position (consistently where it occurs twice),
 expression, a digit included, must evaluate to the value once its
 variables are bound; then the guard must hold.  The payload is parsed
 with that binding plus the values that the lookup's rule context (the
-one holder of token values) gives the declared tokens it mentions.
-Derivations are swept over the tokens and must not depend on them; a
-fact records which of them its payload mentions (``KbFact.tokens``), so
-a run knows which tokens it read.
+one holder of token values) gives the swept tokens it mentions: sign
+(+-1), eps (0/1) and the opaque integers x, y (y odd).  Derivations are
+swept over those tokens and must not depend on them; a fact records
+which of them its payload mentions (``KbFact.tokens``), so a run knows
+which tokens it read.
 
-Loading rejects a symbol or token whose name is taken or resolved as a
-built-in (``deg``, ``iota_n``, ``eta_n``, ``eta_k^j``), a symbol whose
-parameters are not distinct names, and a symbol or fibration line that
-gives a ``key=value`` attribute twice.  ``susp_to=`` declares a
-suspension pair once (``SymbolRegistry._check_susp_to``); the registry
-derives the inverse, which desuspends a symbol declared ``susp``.
+Loading rejects a symbol whose parameters are not distinct names, whose
+name the term parser resolves as a built-in (``deg``, ``iota_n``,
+``eta_n``, ``eta_k^j``), and a symbol or fibration line that gives a
+``key=value`` attribute twice.  ``susp_to=`` declares a suspension pair
+once (``SymbolRegistry._check_susp_to``); the registry derives the
+inverse, which desuspends a symbol declared ``susp``.
 
 It rejects a fact whose subject or payload names an undeclared symbol or
 uses a symbol with the wrong number of parameters, whose degree is not
@@ -67,7 +66,6 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
-import itertools
 import operator
 import re
 from dataclasses import dataclass, field
@@ -187,16 +185,16 @@ def _eta_sym(n: int) -> Sym:
 
 class SymbolRegistry:
     """Instantiates symbols from declarations plus built-in families, and
-    holds the fibration and token declarations.
+    holds the fibration declarations.
 
-    A registry is built from the ``symbol``, ``fibration`` and ``token``
-    lines of a facts file, as (line number, text) pairs, which it declares
-    and checks; everything it keeps after is a function of them and of the
-    facts compiled under it: the symbols it interns and each fact's pattern
-    (``patterns``), keyed by the fact, every field and the line included but
-    its ``tokens``, which the token lines decide.  So catalogs with the same
-    declarations share one registry exactly: ``without_facts`` copies and
-    views do, and so do the loads that find it in ``_registry``.
+    A registry is built from the ``symbol`` and ``fibration`` lines of a
+    facts file, as (line number, text) pairs, which it declares and
+    checks; everything it keeps after is a function of them and of the
+    facts compiled under it: the symbols it interns and each fact's
+    pattern (``patterns``), keyed by the fact, every field and the line
+    included.  So catalogs with the same declarations
+    share one registry exactly: ``without_facts`` copies and views do,
+    and so do the loads that find it in ``_registry``.
 
     It is the one owner of the suspension relation: ``susp_to=`` declares
     each pair once, and ``_desusp``, its inverse, is built from the
@@ -210,12 +208,9 @@ class SymbolRegistry:
         self._resolved = {}       # (name, params) -> the one Element made
         self.patterns = {}        # KbFact -> its FactPattern
         self._desusp = {}         # susp_to= target -> the symbol naming it
-        self.tokens = {}          # swept token -> its samples, canonical first
         for lineno, text in declarations:
             if text.startswith("symbol "):
                 self._declare_symbol(lineno, text)
-            elif text.startswith("token "):
-                self._declare_token(lineno, text)
             else:
                 self._declare_fibration(lineno, text)
         for spec in self.specs.values():
@@ -223,8 +218,6 @@ class SymbolRegistry:
                 self._check_susp_to(spec)
         for spec in self.fibrations.values():
             self._check_fibration(spec)
-        self.grid = [dict(zip(self.tokens, values))   # canonical first
-                     for values in itertools.product(*self.tokens.values())]
 
     def _declare_symbol(self, lineno: int, text: str):
         m = _SYMBOL_RE.match(text)
@@ -246,22 +239,13 @@ class SymbolRegistry:
         try:
             if _BUILTIN.fullmatch(name):
                 raise KbError(f"{name!r} is a built-in symbol")
-            if name in self.specs or name in self.tokens:
-                raise KbError(f"{name!r} declared twice")
+            if name in self.specs:
+                raise KbError(f"symbol {name!r} declared twice")
             self.specs[name] = spec
             compile_space(src)
             compile_space(tgt)
         except (KbError, TermError) as e:
             raise KbError(f"line {lineno}: {e}") from e
-
-    def _declare_token(self, lineno: int, text: str):
-        m = _TOKEN_RE.fullmatch(text)    # a new name, distinct integers
-        values = m and tuple(map(int, m[2].split(",")))
-        if not values or len(set(values)) < len(values):
-            raise KbError(f"line {lineno}: bad token declaration")
-        if _BUILTIN.fullmatch(m[1]) or m[1] in self.specs | self.tokens:
-            raise KbError(f"line {lineno}: {m[1]!r} names a symbol or token")
-        self.tokens[m[1]] = values
 
     def _check_susp_to(self, spec: SymbolSpec):
         """The symbol ``spec``'s ``susp_to=`` names must be declared, take
@@ -472,12 +456,20 @@ class SymbolRegistry:
 VALID_KINDS = ("group", "relation", "boundary_value", "lift_certificate",
                "suspension_value", "map_identity")
 VALID_TRUST = ("paper", "classical_table", "derived")
+# each swept token and the values the sweep gives it, the canonical first.
+# sign is +-1 and eps 0 or 1: the samples are the whole domain.  x is any
+# integer: 0, where its term drops out, and -1, of the other sign.  y is
+# any odd integer: 1 and -3, odd values of either sign.  For x and y the
+# sweep samples an infinite domain, a check and not a proof for every value.
+SWEPT_VALUES = {"sign": (1, -1), "eps": (0, 1), "x": (0, -1), "y": (1, -3)}
+SWEPT_TOKENS = tuple(SWEPT_VALUES)
+_SWEPT_TOKEN = re.compile(r"(?<!\w)(%s)(?!\w)" % "|".join(SWEPT_TOKENS))
 
 
 @functools.cache
-def names_in(text: str) -> frozenset:
-    """The maximal runs of word characters in ``text``."""
-    return frozenset(re.findall(r"\w+", text))
+def swept_tokens(text: str) -> frozenset:
+    """The swept tokens ``text`` names."""
+    return frozenset(_SWEPT_TOKEN.findall(text))
 
 
 def unbound_names(text: str, variables) -> list:
@@ -497,9 +489,12 @@ class KbFact:
     quote: str
     locator: str
     line: int
-    # the declared tokens the payload mentions, the only ones a run that
+    # the swept tokens the payload mentions, the only ones a run that
     # consumes this fact can depend on through it
-    tokens: frozenset = field(default=frozenset(), repr=False, compare=False)
+    tokens: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tokens", swept_tokens(self.payload))
 
     def note(self) -> str:
         return (f"{self.kind} [{self.trust}] {self.subject}: {self.payload}"
@@ -709,9 +704,12 @@ class KbCatalog:
         try:
             pat = self._pattern(f)
             bindable = _check_variables(pat)
+            clash = sorted(bindable.intersection(SWEPT_TOKENS))
+            if clash:
+                raise KbError(f"{clash[0]!r} is both a variable and a token")
         except (KbError, TermError) as e:
             raise KbError(f"line {f.line}: {e}") from e
-        variables = bindable | set(self.registry.tokens)
+        variables = bindable | set(SWEPT_TOKENS)
         terms, ints, spaces = _payload_texts(pat)
         try:
             # a payload is instantiated under the fact's variables and the
@@ -899,13 +897,13 @@ class KbCatalog:
     # -- rule context ------------------------------------------------------------
 
     def rule_context(self, env: dict) -> rewrite.RuleContext:
-        """The rule context of the token values in ``env`` (its other keys
-        are ignored): the one carrier of token values, read by
+        """The rule context of the swept-token values in ``env`` (its
+        other keys are ignored): the one carrier of token values, read by
         its rewrite rules, matched against the catalog on first use, and
         by every lookup given it.  One context serves every run under its
         assignment.  Every context of the catalog shares its memo of
         normal forms."""
-        tokens = {t: env[t] for t in self.registry.tokens if t in env}
+        tokens = {t: env[t] for t in SWEPT_TOKENS if t in env}
         return rewrite.RuleContext(self.registry, self._rule, self._patterns,
                                    self._plans, self._orders, tokens,
                                    self._normal_forms)
@@ -974,8 +972,6 @@ class KbCatalog:
                    for name in sorted(self.registry.specs))
         out.extend(f.serialize() for f in self.facts)
         out.extend(f.serialize() for f in self.registry.fibrations.values())
-        out.extend(f"token {name} : {', '.join(map(str, samples))}"
-                   for name, samples in self.registry.tokens.items())
         return "\n".join(out) + "\n"
 
     def without_facts(self, predicate) -> "KbCatalog":
@@ -1107,9 +1103,7 @@ _SYMBOL_RE = re.compile(
     r"(\S+)\s*->\s*(\S+)\s*(.*)$")
 _FIBRATION_RE = re.compile(
     r"^fibration\s+([A-Za-z][A-Za-z0-9_]*)(?:\(([^()]*)\))?\s*:\s*(.*)$")
-_SAMPLE = r"\s*-?\d{1,300}\s*"     # under MAX_BITS, so int reads it
-_TOKEN_RE = re.compile(
-    rf"token\s+([A-Za-z][A-Za-z0-9_]*)\s*:({_SAMPLE}(?:,{_SAMPLE})*)")
+
 
 
 def _keyed_once(words, lineno: int) -> None:
@@ -1132,10 +1126,9 @@ def _varnames(text: Optional[str], lineno: int) -> tuple:
 def load_catalog(path) -> KbCatalog:
     """Load and validate a facts file.
 
-    Every line is read on every call.  The ``symbol``, ``fibration`` and
-    ``token`` lines, with their line numbers, key ``_registry``, which
-    builds and checks a registry once while they are those of the last
-    one built.
+    Every line is read on every call.  The ``symbol`` and ``fibration``
+    lines, with their line numbers, key ``_registry``, which builds and
+    checks a registry once while they are those of the last one built.
 
     Errors name their line and come in this order: the lines read here
     (not UTF-8, a bad ``version``, a fact without five fields, an
@@ -1175,7 +1168,7 @@ def load_catalog(path) -> KbCatalog:
                 raise KbError(f"line {lineno}: bad version line")
             version = words[1]
             continue
-        if text.startswith(("symbol ", "fibration ", "token ")):
+        if text.startswith(("symbol ", "fibration ")):
             declarations.append((lineno, text))
             continue
         if text.startswith("fact "):
@@ -1190,14 +1183,11 @@ def load_catalog(path) -> KbCatalog:
             guard = ""
             if "?" in subject:
                 subject, guard = [s.strip() for s in subject.split("?", 1)]
-            facts.append((kind, subject, guard, payload, trust, quote,
-                          locator, lineno))
+            facts.append(KbFact(kind, subject, guard, payload, trust, quote,
+                                locator, lineno))
             continue
         raise KbError(f"line {lineno}: unrecognized line {text!r}")
-    registry = _registry(tuple(declarations))
-    return KbCatalog(registry, [
-        KbFact(*f, tokens=names_in(f[3]).intersection(registry.tokens))
-        for f in facts], digest, version)
+    return KbCatalog(_registry(tuple(declarations)), facts, digest, version)
 
 
 # the registry of the last declarations loaded; a raise caches nothing

@@ -1,7 +1,6 @@
 """Command-line interface: outputs, formats, exit codes."""
 
 import contextlib
-import dataclasses
 import functools
 import gc
 import io
@@ -80,9 +79,17 @@ def test_compute_validation_errors(capsys):
     code, _, err = run_cli(capsys, "compute", "--space", "P3", "--k", "5",
                            "--r", "0")
     assert code == cli.EXIT_VALIDATION
+    assert err == "error: r must be in [1, 62]\n"
     code, _, err = run_cli(capsys, "compute", "--space", "P3", "--k", "5",
                            "--r", "70")
     assert code == cli.EXIT_VALIDATION  # the documented 2^r word-size cap
+    assert err == "error: r must be in [1, 62]\n"
+    # filtration takes a value some script declaring it admits: the four
+    # r>=1 scripts give one range, and m>=0 with m>=1 give m>=0
+    for argv, error in ((("--r", "0"), "r must be in [1, 62]"),
+                        (("--m", "-1"), "m must be in [0, 62]")):
+        assert run_cli(capsys, "filtration", "--f", "2*iota_2", "--n", "2",
+                       *argv) == (cli.EXIT_VALIDATION, "", f"error: {error}\n")
 
 
 def test_missing_triple_product_fact_exit_code(capsys, tmp_path):
@@ -677,66 +684,6 @@ def test_symbol_declarations_are_checked_at_load(capsys, tmp_path, old, new,
     assert err == f"error: {error}\n"
 
 
-@pytest.mark.parametrize("old, new, error", [
-    ("token eps : 0, 1", "token sign : 0, 1",
-     "line 140: 'sign' names a symbol or token"),
-    ("token eps : 0, 1", "token nu_4 : 0, 1",
-     "line 140: 'nu_4' names a symbol or token"),
-    ("token eps : 0, 1", "token eta_3 : 0, 1",
-     "line 140: 'eta_3' names a symbol or token"),
-    ("token y : 1, -3\n", "token y : 1, -3\nsymbol x : S3 -> S2\n",
-     "line 147: 'x' declared twice"),
-    ("token eps : 0, 1", "token eps :", "line 140: bad token declaration"),
-    ("token eps : 0, 1", "token eps : 0, 0", "line 140: bad token declaration"),
-    ("token eps : 0, 1", "token eps : 0, -0", "line 140: bad token declaration"),
-    ("token eps : 0, 1", "token eps : 0, one",
-     "line 140: bad token declaration"),
-    ("token eps : 0, 1", "token eps : 0, 1.5",
-     "line 140: bad token declaration"),
-    ("token eps : 0, 1", "token eps : 0, " + "7" * 400,
-     "line 140: bad token declaration"),
-    ("token eps : 0, 1", "token 2eps : 0, 1", "line 140: bad token declaration"),
-])
-def test_token_declarations_are_checked_at_load(capsys, tmp_path, old, new,
-                                                error):
-    """A token is declared once, under a name the term parser does not
-    resolve as a symbol, with distinct integer samples: anything else is
-    refused at load with exit 2 and the line."""
-    assert SHIPPED_FACTS.count(old) == 1
-    p = tmp_path / "token.facts"
-    p.write_text(SHIPPED_FACTS.replace(old, new))
-    code, out, err = run_cli(capsys, "--kb", str(p), "validate-kb")
-    assert code == cli.EXIT_VALIDATION and not out
-    assert err == f"error: {error}\n"
-
-
-def test_a_fifth_token_that_changes_a_group_is_refused_by_the_sweep(
-        capsys, monkeypatch, tmp_path):
-    """Negative control: a catalog declaring a fifth token ``t`` and
-    reading it in the group pi_5(S2 v S5) that pi5_L4m consumes (its
-    assert dropped) is swept over 32 assignments and refused, exit 2;
-    the canonical run alone, t = 0, computes the shipped group."""
-    old = "| S2vS5 @ 5 | Z/2{"
-    assert SHIPPED_FACTS.count(old) == 1
-    p = tmp_path / "t.facts"
-    p.write_text(SHIPPED_FACTS.replace(old, "| S2vS5 @ 5 | Z/2^(1+t){")
-                 + "token t : 0, 1\n")
-    grid = load_catalog(p).registry.grid
-    assert len(grid) == 32 and grid[0] == dict(
-        default_catalog().registry.grid[0], t=0)
-    scripts = load_scripts()
-    script = scripts["pi5_L4m"]
-    unchecked = dict(scripts, pi5_L4m=dataclasses.replace(
-        script, steps=[st for st in script.steps if st.kind != "assert"]))
-    monkeypatch.setattr(cli, "load_scripts", lambda: unchecked)
-    argv = ("--kb", str(p), "compute", "--space", "L4", "--k", "5", "--m", "3")
-    code, out, err = run_cli(capsys, *argv)
-    assert code == cli.EXIT_VALIDATION and out == ""
-    assert "depends on the ambiguous tokens" in err and "'t': 1}" in err
-    assert run_cli(capsys, *argv, "--no-sweep") == (
-        cli.EXIT_OK, "Z/2 + Z/2 + Z(2)\n", "")
-
-
 def test_a_script_parameter_is_a_flag(capsys, monkeypatch):
     """Negative control: a script whose parameter is ``s`` gives
     ``compute`` and ``filtration`` an ``--s`` flag, and its ``require``
@@ -745,20 +692,34 @@ def test_a_script_parameter_is_a_flag(capsys, monkeypatch):
         cli.main(["compute", "--space", "P3", "--k", "5", "--s", "2"])
     capsys.readouterr()
     extra = derive.parse_script(
-        "derivation pi5_s\nparams s\nrequire s>=1\ncomputes C(s) @ 5\n"
+        "derivation pi5_s\nparams s\nrequire s>=1, s<=5\ncomputes C(s) @ 5\n"
         "let g = run script=pi5_L4m; m=s\nreturn g\n")
     linked = derive.link_scripts([*load_scripts().values(), extra])
     monkeypatch.setattr(cli, "load_scripts", lambda: linked)
     compute = ("compute", "--space", "C", "--k", "5", "--no-sweep", "--s")
     assert run_cli(capsys, *compute, "2") == (cli.EXIT_OK,
                                                "Z/2 + Z/2 + Z(2)\n", "")
-    assert run_cli(capsys, *compute, "0") == (
-        cli.EXIT_VALIDATION, "",
-        "error: s=0 is over 62 or outside s>=1\n")
+    # the CLI checks the lower bound and the cap, the runner the rest
+    for value, error in (("0", "s must be in [1, 62]"),
+                         ("6", "pi5_s: parameters violate 's>=1, s<=5'"),
+                         ("63", "s must be in [1, 62]")):
+        assert run_cli(capsys, *compute, value) == (
+            cli.EXIT_VALIDATION, "", f"error: {error}\n")
     filtration = ("filtration", "--f", "2^s*iota_2", "--n", "2", "--s")
     code, out, _ = run_cli(capsys, *filtration, "1")
     assert code == cli.EXIT_OK and "gamma_2 = 4*eta_2" in out
     assert run_cli(capsys, *filtration, "0")[0] == cli.EXIT_VALIDATION
+
+
+def test_fixed_names_every_attribute_the_parser_sets():
+    """A script parameter named like one of ``cli.FIXED`` gets no flag,
+    so ``FIXED`` must hold every attribute an option or subcommand sets:
+    a flag of that name would conflict with it or overwrite it."""
+    parser = cli._parser(("P3",), ())
+    (commands,) = parser._subparsers._group_actions
+    parsers = [parser, *commands.choices.values()]
+    taken = {a.dest for p in parsers for a in p._actions}
+    assert taken | {k for p in parsers for k in p._defaults} == set(cli.FIXED)
 
 
 @pytest.mark.parametrize("space, k", sorted(scenarios(load_scripts())))
@@ -782,8 +743,7 @@ def test_a_parameter_outside_its_domain_is_refused_by_the_cli(
         code, out, err = run_cli(capsys, "compute", "--space", space, "--k",
                                  str(k), f"--{name}", str(value))
         assert code == cli.EXIT_VALIDATION and out == ""
-        assert err == (f"error: {name}={value} is over {cli.R_CAP} or "
-                       f"outside {script.requires}\n")
+        assert err == f"error: {name} must be in [{low}, {cli.R_CAP}]\n"
     for value in (low, cli.R_CAP):
         with pytest.raises(Asked):
             cli.main(["compute", "--space", space, "--k", str(k),

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from conechase import cli, derive, kb, rewrite, terms
 from conechase.derive import (
+    CANONICAL_TOKENS,
+    SWEEP_GRID,
     AssertionMismatch,
     DeriveError,
     Runner,
@@ -37,8 +39,6 @@ from conechase.rewrite import StrictExpansionError
 from conechase.terms import Element, TermError, sphere
 
 import checks
-
-GRID = default_catalog().registry.grid   # the shipped sweep, canonical first
 
 
 def q(*orders):
@@ -190,14 +190,10 @@ def test_sweep_invariance_under_sign_and_eps(runner):
         runner.run("pi6_P3", {"r": r}, sweep=True)
 
 
-def test_the_canonical_assignment_is_the_grids_first(catalog):
+def test_the_canonical_assignment_is_the_grids_first():
     """``Runner.run`` keeps the result of the grid's first assignment and
-    records its transcript, so that assignment must be the canonical one:
-    the first sample of each token the catalog declares."""
-    tokens = catalog.registry.tokens
-    assert tokens == {"sign": (1, -1), "eps": (0, 1), "x": (0, -1),
-                      "y": (1, -3)}
-    assert GRID[0] == {t: samples[0] for t, samples in tokens.items()}
+    records its transcript, so that assignment must be the canonical one."""
+    assert SWEEP_GRID[0] == CANONICAL_TOKENS
 
 
 def test_script_without_return_errors(catalog):
@@ -346,7 +342,7 @@ def test_pruned_sweep_equals_the_full_sweep(pruned_pass, scripts):
     reference for each assignment runs on its own fresh catalog, so it
     shares no memo of normal forms with the pass or another assignment."""
     done = len(pruned_pass.executed)
-    for assign in GRID:
+    for assign in SWEEP_GRID:
         fresh = Runner(default_catalog(), scripts)
         assert not fresh.catalog._normal_forms
         assert not fresh.catalog._parse_cache
@@ -577,12 +573,12 @@ def test_one_rule_context_per_token_assignment(pruned_pass, catalog,
     executes no run under the six assignments with eps=1 and x or y other
     than canonical, since no script reading eps reads x or y.  A runner
     that executes every row under every assignment builds all 16."""
-    assert len(GRID) == 16
+    assert len(SWEEP_GRID) == 16
     assert sorted(pruned_pass._ctx_cache) == sorted(
-        (a["sign"], a["eps"], a["x"], a["y"]) for a in GRID
+        (a["sign"], a["eps"], a["x"], a["y"]) for a in SWEEP_GRID
         if a["eps"] == 0 or (a["x"], a["y"]) == (0, 1))
     full = Runner(catalog, scripts)
-    for assign in GRID:
+    for assign in SWEEP_GRID:
         full._execute("pi5_L4m", {"m": 0}, full._ctx(assign))
     assert len(full._ctx_cache) == 16
 
@@ -624,7 +620,7 @@ def test_a_cached_run_sees_a_flipped_generator(catalog, scripts, tmp_path):
     linked = dict(scripts, wrap=WRAP)
     runner = CountingRunner(load_catalog(path), linked)
     runner.run("wrap", {"m": 3})
-    for assign in GRID:
+    for assign in SWEEP_GRID:
         fresh = Runner(load_catalog(path), linked)
         want = fresh._execute("wrap", {"m": 3}, fresh._ctx(assign))
         assert runner._run_cached("wrap", {"m": 3}, assign).transcript == \
@@ -651,7 +647,7 @@ def test_a_cached_run_sees_what_equality_ignores(catalog, scripts):
 
     runner = Relabelling(catalog, dict(scripts, wrap=WRAP))
     assert runner.run("wrap", {"m": 3}).group == PI5_L4[3]
-    got = runner._run_cached("wrap", {"m": 3}, dict(GRID[0], y=-3))
+    got = runner._run_cached("wrap", {"m": 3}, dict(CANONICAL_TOKENS, y=-3))
     assert got.ctx.values["y"] == -3
     assert "-> Z/2{g0} + Z/2{g1} + Z(2){g2})" in got.transcript
 
@@ -751,27 +747,15 @@ def test_no_citation_hook_outlives_a_run(catalog, scripts, tmp_path,
     assert all(ctx.on_rule is None for ctx in runner._ctx_cache.values())
 
 
-def test_scripts_may_not_name_swept_tokens(catalog, tmp_path):
-    """A script line naming a token its catalog declares is refused with
-    the line: where the script meets the catalog, in ``Runner``, since
-    parsing knows no catalog, or at parse time already where the line
-    reads a name outside ``params``."""
-    head = "derivation bad\nparams m\nlet ans = group space=S2; k=3\n"
-    for line, error in (
-            ("let F4 = fiber_group fib=F_pL(m); k=4+sign", "'4\\+sign' names"),
-            ("let s = run script=pi5_L4m; m=m; x=1", "names the swept token x$"),
-            ("require m>=0, sign=1, eps=0", "names the swept token eps$"),
-            ("assert ans = { y>=1 : Z(2) }", "names the swept token y$"),
-            ("assert ans = Z/2^x", "'2\\^x' names x, not in params")):
-        with pytest.raises(DeriveError, match=f"^bad:4: {error}"):
-            script = parse_script(head + line + "\nreturn ans\n")
-            Runner(catalog, {"bad": script})
-    # a catalog that declares no token refuses no name
-    path = tmp_path / "bare.facts"
-    path.write_text("fact group | S2 @ 3 | Z(2){eta_2} | paper | q | loc\n")
-    script = parse_script(head + "require m>=0, eps=0\nreturn ans\n")
-    assert Runner(load_catalog(path), {"bad": script}).scripts == {
-        "bad": script}
+def test_scripts_may_not_name_swept_tokens():
+    head = "derivation bad\nparams m\n"
+    for line in ("let F4 = fiber_group fib=F_pL(m); k=4+sign",
+                 "let s = run script=pi5_L4m; m=m; x=1",
+                 "require m>=0, eps=0",
+                 "assert ans = { y>=1 : Z(2) }",
+                 "assert ans = Z/2^x"):
+        with pytest.raises(DeriveError, match="bad:3: names the swept token"):
+            parse_script(head + line + "\nreturn ans\n")
 
 
 # ---------------------------------------------------------------------------
@@ -850,6 +834,15 @@ def test_a_require_literal_over_the_bound_names_its_line():
                      + "\nreturn ans\n")
 
 
+def test_a_parameter_must_be_a_name():
+    """A parameter that a guard or an expression could not read, and that
+    would be no flag, is refused with its line."""
+    for name in ("no-sweep", "a b", "2x", "_m"):
+        with pytest.raises(DeriveError, match=f"^bad:2: parameter '{name}' "
+                           "is not a name$"):
+            parse_script(f"derivation bad\nparams m, {name}\nreturn m\n")
+
+
 def test_scripts_are_checked_against_each_other(scripts):
     unknown = parse_script(EXTRA.replace("script=pi5_L4m", "script=pi5_L5m"))
     with pytest.raises(DeriveError,
@@ -866,17 +859,25 @@ def test_scripts_are_checked_against_each_other(scripts):
 
 
 def test_a_parameter_the_cli_has_no_flag_for(scripts, monkeypatch, capsys):
-    """A parameter is a flag of ``compute`` and ``filtration``; one named
-    like a flag they already take (``filtration --n``) cannot be, and the
-    CLI refuses the scripts with exit 2."""
-    extra = parse_script("derivation pi5_cone\nparams n\ncomputes C(n) @ 5\n"
-                         "let g = run script=pi5_L4m; m=n\nreturn g\n")
-    monkeypatch.setattr(cli, "load_scripts",
-                        lambda: link_scripts([*scripts.values(), extra]))
-    assert cli.main(["compute", "--space", "C", "--k", "5", "--m", "2"]) == \
-        cli.EXIT_VALIDATION
-    assert capsys.readouterr().err == \
-        "error: argument --n: conflicting option string: --n\n"
+    """A parameter named like a fixed option of the CLI gets no flag: its
+    scenario is refused with exit 2, naming its ``params`` line, and the
+    other commands are not touched."""
+    for name in cli.FIXED:
+        extra = parse_script(
+            f"derivation pi5_cone\nparams {name}\ncomputes C({name}) @ 5\n"
+            f"let g = run script=pi5_L4m; m={name}\nreturn g\n")
+        linked = link_scripts([*scripts.values(), extra])
+        monkeypatch.setattr(cli, "load_scripts", lambda: linked)
+        assert cli.main(["compute", "--space", "C", "--k", "5", "--m",
+                         "2"]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: pi5_cone:2: parameter {name!r} is named like a fixed "
+            "option\n")
+        assert cli.main(["validate-kb"]) == cli.EXIT_OK
+        capsys.readouterr()
+    assert cli.main(["compute", "--space", "P3", "--k", "5", "--r", "1",
+                     "--no-sweep"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "Z/2 + Z/2 + Z/2\n"
 
 
 def test_a_bad_script_is_a_validation_error_of_the_cli(scripts, monkeypatch,

@@ -71,8 +71,8 @@ def test_derivable_boundary_value_rejected(tmp_path):
 
 def test_unresolvable_subjects_rejected_at_load(tmp_path):
     # a relation on an undeclared symbol, a non-integer degree, a wrong
-    # arity, a guard variable the subject cannot bind and a literal longer
-    # than any bounded integer
+    # arity, a guard variable the subject cannot bind, a literal longer
+    # than any bounded integer and a variable named like a swept token
     for line, match in (
             ("fact relation | foo.eta_3 | 0", "unknown symbol 'foo'"),
             ("fact group | S2 @ x | Z/2{eta_2}", "not an integer"),
@@ -81,7 +81,9 @@ def test_unresolvable_subjects_rejected_at_load(tmp_path):
             ("fact group | S3 @ %s | 0" % ("7" * 5000),
              "^line 1: integer literal of 5000 digits is over 309$"),
             ("fact relation | %s*eta_3 | 0" % ("7" * 5000),
-             "^line 1: integer literal of 5000 digits is over 309$")):
+             "^line 1: integer literal of 5000 digits is over 309$"),
+            ("fact relation | deg(x,2).eta_2 | eta_2.deg(x^2,3)",
+             "^line 1: 'x' is both a variable and a token$")):
         with pytest.raises(KbError, match=match):
             load_catalog(write(tmp_path, line + " | paper | q | loc\n"))
 
@@ -390,25 +392,6 @@ def test_a_fact_that_fails_to_compile_fails_every_time(tmp_path):
         "line 4: iota_5 maps S5 -> S5, not S3 -> S3"
     assert load_catalog(good).registry is registry
     assert len(registry.patterns) == 1
-
-
-def test_token_lines_survive_serialize_and_without_facts(catalog,
-                                                         tmp_path):
-    """Token lines are declarations: ``serialize`` writes them and a
-    ``without_facts`` copy keeps them, so a catalog loaded from either
-    declares the same tokens and sweeps the same 16 assignments,
-    canonical first."""
-    want = catalog.registry
-    assert list(want.tokens) == ["sign", "eps", "x", "y"]
-    assert len(want.grid) == 16
-    assert want.grid[0] == {"sign": 1, "eps": 0, "x": 0, "y": 1}
-    less = catalog.without_facts(lambda f: f.line == 87)
-    assert less.registry.tokens == want.tokens
-    for name, text in (("all", catalog.serialize()),
-                       ("less", less.serialize())):
-        got = load_catalog(write(tmp_path, text, f"{name}.facts")).registry
-        assert list(got.tokens) == list(want.tokens)
-        assert got.tokens == want.tokens and got.grid == want.grid
 
 
 def test_other_declarations_release_the_old_registry(tmp_path):

@@ -10,12 +10,10 @@ import pytest
 
 import checks
 from conechase import rewrite
-from conechase.derive import default_catalog
+from conechase.derive import CANONICAL_TOKENS, SWEEP_GRID, default_catalog
 from conechase.kb import KbError, load_catalog
 from conechase.rewrite import StrictExpansionError, compose, normalize, suspend, whitehead
 from conechase.terms import Bracket, Element, Sym, TermError, Word, named, sphere
-
-GRID = default_catalog().registry.grid   # the shipped sweep, canonical first
 
 
 def parse(catalog, env, text):
@@ -140,8 +138,7 @@ def test_order_bounds_come_from_cited_facts(tmp_path, env):
         "symbol aa : S5 -> S3\nsymbol bb : S6 -> S3\nsymbol cc : S6 -> S4\n"
         "fact group | S3 @ 5 | Z/4{aa} | paper | q | loc\n"
         "fact group | S3 @ 6 | Z/2^(1+eps){bb} | paper | q | loc\n"
-        "fact relation | 0*cc | 0 | paper | q | loc\n"
-        "token eps : 0, 1\n")
+        "fact relation | 0*cc | 0 | paper | q | loc\n")
     catalog = load_catalog(path)
     ctx = catalog.rule_context(env)
     for text, want, lines in (("5*aa", "aa", [4]), ("4*aa", "0", [4]),
@@ -403,7 +400,7 @@ def answer(catalog, text, **tokens):
     """(normal form, cited fact lines) of the single word ``text`` on a
     new context of ``catalog``, under the canonical tokens as changed by
     ``tokens``."""
-    env = dict(GRID[0], **tokens)
+    env = dict(CANONICAL_TOKENS, **tokens)
     ctx = catalog.rule_context(env)
     ((word, coeff),) = parse(catalog, env, text).terms
     out, notes = ctx.citing(rewrite.normalize_word, word, coeff, ctx)
@@ -439,8 +436,7 @@ def test_memo_answers_take_the_tokens_of_nested_normalisations(tmp_path):
     path.write_text(
         "symbol f : S4 -> S3\nsymbol g : S4 -> S3\nsymbol h : S4 -> S3\n"
         "fact map_identity | f | g + h | paper | q | loc\n"
-        "fact map_identity | g | x*h | paper | q | loc\n"
-        "token x : 0, 1\n")
+        "fact map_identity | g | x*h | paper | q | loc\n")
     catalog = load_catalog(path)
     got = [answer(catalog, "f", x=v) for v in (0, 1)]
     assert got == [answer(load_catalog(path), "f", x=v) for v in (0, 1)]
@@ -501,7 +497,7 @@ def normal_form_row(catalog, word) -> str:
     """One line of the table: the word, its normal form under the
     canonical tokens (or the error's class and message) and the lines of
     the facts it cited."""
-    ctx = catalog.rule_context(GRID[0])
+    ctx = catalog.rule_context(CANONICAL_TOKENS)
     try:
         out, notes = ctx.citing(rewrite.normalize_word, word, 1, ctx)
     except (TermError, KbError) as e:
@@ -592,7 +588,7 @@ def test_completion_rules_rederive_from_their_parents():
         "chib(m).tau_L(m).j_F(m).j2_25", [91, 89])
     assert checks.completion_mismatches(
         catalog, COMPLETION_LINES, FOLD_LINES, COMPLETION_VALUES,
-        GRID) == []
+        SWEEP_GRID) == []
 
 
 @pytest.mark.parametrize("line", [122, 123, 124])
@@ -606,6 +602,6 @@ def test_a_flipped_completion_payload_is_caught(tmp_path, line):
     path.write_text("".join(lines))
     bad = checks.completion_mismatches(
         load_catalog(path), COMPLETION_LINES, FOLD_LINES, COMPLETION_VALUES,
-        GRID)
-    assert len(bad) == len(COMPLETION_VALUES) * len(GRID)
+        SWEEP_GRID)
+    assert len(bad) == len(COMPLETION_VALUES) * len(SWEEP_GRID)
     assert {entry[0] for entry in bad} == {line}

@@ -146,21 +146,18 @@ def test_no_execution_is_given_a_swept_token(monkeypatch, capsys):
     assert cli.main(["compute", "--space", "P3", "--k", "6", "--r", "3"]) == 0
     assert capsys.readouterr().out == "Z/2 + Z/2 + Z/4 + Z/4 + Z/8\n"
     assert len(given) == 15
-    tokens = derive.default_catalog().registry.tokens
     for params, ctx in given:
-        assert not set(params) & set(tokens), params
+        assert not set(params) & set(kb.SWEPT_TOKENS), params
         assert isinstance(ctx, rewrite.RuleContext)
-        assert sorted(ctx.values) == sorted(tokens)
+        assert sorted(ctx.values) == sorted(kb.SWEPT_TOKENS)
 
 
-def test_no_module_spells_a_parameter_flag_or_a_token_table():
+def test_no_module_spells_a_parameter_flag():
     """The scripts' ``params`` and ``require`` lines are the one
-    declaration of the parameters, and the catalog's ``token`` lines of
-    the tokens: no module spells a parameter flag or keeps a table of
-    either."""
+    declaration of the parameters: no module spells a parameter flag or
+    keeps a table of their ranges."""
     spelled = {path.name: [word for word in ('"--r"', '"--m"', "'--r'",
-                                             "'--m'", "SWEPT_VALUES",
-                                             "PARAM_MIN")
+                                             "'--m'", "PARAM_MIN")
                            if word in path.read_text()]
                for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: words for name, words in spelled.items() if words} == {}
